@@ -64,59 +64,9 @@ let jobs_arg =
 
 (* --- supervision flags (perf, surface, security, sensitivity, service) --- *)
 
-type sup = {
-  retries : int;
-  fault : Pv_util.Fault.t;
-  max_cycles : int option;
-  checkpoint : string option;
-  resume : bool;
-  cache_dir : string option;
-  no_cache : bool;
-  cache_stats : bool;
-  workers : int;
-  hosts : string option;
-  pool_stats : bool;
-}
-
 let fault_conv =
-  let parse s =
-    let module F = Pv_util.Fault in
-    try
-      let specs =
-        List.map
-          (fun item ->
-            match String.split_on_char '@' item with
-            | [ kind; index ] ->
-              let index = int_of_string index in
-              let kind, first_attempts =
-                match kind with
-                | "crash" -> (F.Crash, F.always)
-                | "flaky" -> (F.Crash, 1)
-                | "slow" -> (F.Slow, F.always)
-                | "poison" -> (F.Poison, F.always)
-                | "livelock" -> (F.Livelock, F.always)
-                (* kill is flaky by construction: the lost attempt re-queues
-                   on a respawned worker, where the next attempt number no
-                   longer matches — a persistent kill would only burn the
-                   respawn budget. *)
-                | "kill" -> (F.Kill, 1)
-                | _ -> failwith kind
-              in
-              { F.index; kind; first_attempts }
-            | _ -> failwith item)
-          (String.split_on_char ',' (String.trim s))
-      in
-      Ok (F.plan specs)
-    with _ ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "bad fault spec %S (expected KIND@INDEX[,KIND@INDEX...] with KIND one of \
-               crash, flaky, slow, poison, livelock, kill)"
-              s))
-  in
   Arg.conv
-    ( parse,
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Pv_util.Fault.parse s)),
       fun ppf f ->
         Format.pp_print_string ppf (if Pv_util.Fault.is_none f then "none" else "<plan>") )
 
@@ -210,26 +160,7 @@ let workers_arg =
            $(b,--metrics) output are byte-identical to $(b,--workers 1).  \
            Composes with $(b,--cache): racing workers claim cells through the \
            shared result cache (lease, compute, atomic commit) instead of \
-           double-computing.  With $(b,--hosts), $(docv) is the count of \
-           $(i,local) workers and may be 0 (remote-only execution).")
-
-let hosts_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "hosts" ] ~docv:"HOST:PORT[,HOST:PORT...]"
-        ~doc:
-          "Also dispatch sweep cells to standing remote workers started with \
-           $(b,perspective_cli __worker --listen HOST:PORT), one connection per \
-           listed address, over TCP.  Results never travel inside the control \
-           protocol: each remote worker journals results locally and the \
-           coordinator reads them from the shared filesystem (shared \
-           $(b,--cache)/scratch) or pulls the journal's checksummed bytes over \
-           the same connection after the sweep.  A dropped connection or \
-           handshake timeout is arbitrated exactly like a killed local worker \
-           (journal decides the in-flight cell), with a bounded per-host \
-           reconnect budget; lost hosts are named on stderr and the sweep \
-           completes on the remaining workers.")
+           double-computing.")
 
 let pool_stats_arg =
   Arg.(
@@ -242,55 +173,51 @@ let pool_stats_arg =
            interleaving, so they never appear in tables or $(b,--metrics) \
            output.")
 
+(* The supervision flags evaluate straight to a [Supervise.config], paired
+   with the one flag that is not part of it ([--cache-stats]). *)
 let sup_term =
-  let mk retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats workers
-      hosts pool_stats =
-    {
-      retries;
-      fault;
-      max_cycles;
-      checkpoint;
-      resume;
-      cache_dir;
-      no_cache;
-      cache_stats;
-      workers;
-      hosts;
-      pool_stats;
-    }
+  let mk jobs retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats
+      workers pool_stats =
+    let cache =
+      match cache_dir with
+      | Some dir when not no_cache -> Some (Pv_util.Rescache.open_dir dir)
+      | _ -> None
+    in
+    ( {
+        E.Supervise.default with
+        jobs;
+        retries;
+        fault;
+        max_cycles;
+        checkpoint;
+        resume;
+        cache;
+        workers;
+        pool_stats;
+      },
+      cache_stats )
   in
   Cmdliner.Term.(
-    const mk $ retries_arg $ fault_arg $ max_cycles_arg $ checkpoint_arg $ resume_arg
-    $ cache_arg $ no_cache_arg $ cache_stats_arg $ workers_arg $ hosts_arg
+    const mk $ jobs_arg $ retries_arg $ fault_arg $ max_cycles_arg $ checkpoint_arg
+    $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg $ workers_arg
     $ pool_stats_arg)
 
-(* Validate the supervision flags, build the config, run [f] with it, and
-   print the cache counters afterwards if asked.  Validation failures are
-   one-line stderr diagnostics with exit code 2 (usage error) — notably a
-   --resume pointing at a missing, empty or fully-torn checkpoint, which
-   must not surface as an exception backtrace. *)
-let with_sup_config sup ~jobs f =
+(* Validate the supervision flags, run [f] with the config, and print the
+   cache counters afterwards if asked.  Validation failures are one-line
+   stderr diagnostics with exit code 2 (usage error) — notably a --resume
+   pointing at a missing, empty or fully-torn checkpoint, which must not
+   surface as an exception backtrace. *)
+let with_sup_config ((config : E.Supervise.config), cache_stats) f =
   let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
-  if sup.resume && sup.checkpoint = None then
+  if config.resume && config.checkpoint = None then
     usage "--resume requires --checkpoint FILE"
-  else if sup.cache_stats && (sup.cache_dir = None || sup.no_cache) then
+  else if cache_stats && config.cache = None then
     usage "--cache-stats requires --cache DIR (and not --no-cache)"
-  else if sup.workers < 0 then usage "--workers must be >= 0"
-  else if sup.workers = 0 && sup.hosts = None then
-    usage "--workers 0 requires --hosts (no workers to run cells on)"
+  else if config.workers < 1 then usage "--workers must be >= 1"
   else
-    match
-      match sup.hosts with
-      | None -> Ok []
-      | Some spec -> Pv_util.Transport.parse_hostspecs spec
-    with
-    | Error msg -> usage "%s" msg
-    | Ok hosts ->
-    if hosts = [] && sup.hosts <> None then usage "--hosts lists no addresses"
-    else
     let resume_ok =
-      match sup.checkpoint with
-      | Some file when sup.resume -> (
+      match config.checkpoint with
+      | Some file when config.resume -> (
         match Pv_util.Journal.resume_status file with
         | Pv_util.Journal.Usable { records; distinct } ->
           (* distinct is what the sweep will actually skip: duplicate keys
@@ -313,34 +240,14 @@ let with_sup_config sup ~jobs f =
       (* A fresh checkpointed run must not inherit a previous run's cells.
          Never in a worker: the "stale" file is the coordinator's live
          journal, and workers keep their own (PV_WORKER_JOURNAL). *)
-      (match sup.checkpoint with
+      (match config.checkpoint with
       | Some f
-        when (not sup.resume) && (not (Pv_util.Procpool.in_worker ()))
+        when (not config.resume) && (not (Pv_util.Procpool.in_worker ()))
              && Sys.file_exists f ->
         Sys.remove f
       | _ -> ());
-      let cache =
-        match sup.cache_dir with
-        | Some dir when not sup.no_cache -> Some (Pv_util.Rescache.open_dir dir)
-        | _ -> None
-      in
-      let config =
-        {
-          E.Supervise.default with
-          jobs;
-          retries = sup.retries;
-          fault = sup.fault;
-          max_cycles = sup.max_cycles;
-          checkpoint = sup.checkpoint;
-          resume = sup.resume;
-          cache;
-          workers = sup.workers;
-          hosts;
-          pool_stats = sup.pool_stats;
-        }
-      in
       let code = f config in
-      if sup.cache_stats then Option.iter Pv_util.Rescache.report cache;
+      if cache_stats then Option.iter Pv_util.Rescache.report config.cache;
       code
 
 (* --- telemetry flags (perf) --- *)
@@ -454,8 +361,8 @@ let attack_cmd =
 (* --- surface --- *)
 
 let surface_cmd =
-  let run seed jobs sup =
-    with_sup_config sup ~jobs (fun config ->
+  let run seed sup =
+    with_sup_config sup (fun config ->
         let study = E.Isv_study.build ~seed () in
         Tab.print (E.Isv_study.surface_table study);
         Tab.print (E.Isv_study.gadget_table study);
@@ -465,7 +372,7 @@ let surface_cmd =
         E.Supervise.exit_code [ sweep ])
   in
   let doc = "ISV attack-surface study: Tables 8.1/8.2 and Figure 9.1." in
-  Cmd.v (Cmd.info "surface" ~doc) Term.(const run $ seed_arg $ jobs_arg $ sup_term)
+  Cmd.v (Cmd.info "surface" ~doc) Term.(const run $ seed_arg $ sup_term)
 
 (* --- perf --- *)
 
@@ -476,7 +383,7 @@ let perf_cmd =
       & info [ "w"; "workload" ] ~docv:"NAME"
           ~doc:"One LEBench test or app name; default: everything.")
   in
-  let run workload scheme seed scale jobs sup metrics_file trace_dir =
+  let run workload scheme seed scale sup metrics_file trace_dir =
     let variants =
       match scheme with
       | Some s ->
@@ -510,7 +417,7 @@ let perf_cmd =
     else
       (* The two sweeps share the checkpoint journal (their key spaces are
          disjoint), so the stale-journal removal must happen exactly once. *)
-      with_sup_config sup ~jobs (fun config ->
+      with_sup_config sup (fun config ->
       let trace = trace_dir <> None in
       let labels = List.map (fun v -> v.E.Schemes.label) variants in
       let width = List.length variants in
@@ -560,7 +467,7 @@ let perf_cmd =
   Cmd.v
     (Cmd.info "perf" ~doc)
     Term.(
-      const run $ workload $ scheme_arg $ seed_arg $ scale_arg $ jobs_arg $ sup_term
+      const run $ workload $ scheme_arg $ seed_arg $ scale_arg $ sup_term
       $ metrics_arg $ trace_dir_arg)
 
 (* --- service --- *)
@@ -618,7 +525,7 @@ let service_cmd =
       value & opt int 5000
       & info [ "requests" ] ~docv:"N" ~doc:"Open-loop arrivals per load point.")
   in
-  let run app schemes loads cores queue_bound dispatch requests seed jobs sup metrics_file =
+  let run app schemes loads cores queue_bound dispatch requests seed sup metrics_file =
     let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
     match E.Loadsweep.Server.dispatch_of_string dispatch with
     | Error e -> usage "%s" e
@@ -688,7 +595,7 @@ let service_cmd =
               usage "--queue-bound must be non-negative (0 sheds every arrival)"
             else if requests <= 0 then usage "--requests must be positive"
             else
-              with_sup_config sup ~jobs (fun config ->
+              with_sup_config sup (fun config ->
               let server = { E.Loadsweep.Server.cores; queue_bound; dispatch } in
               let t0 = Unix.gettimeofday () in
               let outcome =
@@ -717,7 +624,7 @@ let service_cmd =
     (Cmd.info "service" ~doc)
     Term.(
       const run $ app_arg $ schemes_arg $ loads_arg $ cores_arg $ queue_bound_arg
-      $ dispatch_arg $ requests_arg $ seed_arg $ jobs_arg $ sup_term $ metrics_arg)
+      $ dispatch_arg $ requests_arg $ seed_arg $ sup_term $ metrics_arg)
 
 (* --- security --- *)
 
@@ -731,7 +638,7 @@ let security_cmd =
             "Comma-separated attack families to run ($(b,v1), $(b,v2), $(b,rsb)).  \
              Default: all three.")
   in
-  let run seed attacks jobs sup =
+  let run seed attacks sup =
     let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
     let attacks = Option.map split_commas attacks in
     if attacks = Some [] then usage "--attacks lists no attack families"
@@ -742,7 +649,7 @@ let security_cmd =
       with
       | Error msg -> usage "%s" msg
       | Ok cells ->
-        with_sup_config sup ~jobs (fun config ->
+        with_sup_config sup (fun config ->
             let sweep = E.Supervise.run ~config cells in
             Tab.print (E.Security.poc_table_partial sweep.E.Supervise.results);
             E.Supervise.report ~label:"pocs" sweep;
@@ -753,7 +660,7 @@ let security_cmd =
      as a supervised sweep."
   in
   Cmd.v (Cmd.info "security" ~doc)
-    Term.(const run $ seed_arg $ attacks_arg $ jobs_arg $ sup_term)
+    Term.(const run $ seed_arg $ attacks_arg $ sup_term)
 
 (* --- contracts --- *)
 
@@ -782,7 +689,7 @@ let contracts_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the matrix as CSV to $(docv).")
   in
-  let run seed attacks schemes csv jobs sup =
+  let run seed attacks schemes csv sup =
     let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
     let attacks = Option.map split_commas attacks in
     let schemes = Option.map split_commas schemes in
@@ -801,7 +708,7 @@ let contracts_cmd =
       with
       | Error msg -> usage "%s" msg
       | Ok (schemes, cells) ->
-        with_sup_config sup ~jobs (fun config ->
+        with_sup_config sup (fun config ->
             let sweep = E.Supervise.run ~config cells in
             let results = sweep.E.Supervise.results in
             Tab.print (C.matrix_table ?attacks ?schemes results);
@@ -820,13 +727,13 @@ let contracts_cmd =
      and classify each cell as ARCH-SEQ, CT-SEQ or CT-SPEC."
   in
   Cmd.v (Cmd.info "contracts" ~doc)
-    Term.(const run $ seed_arg $ attacks_arg $ schemes_arg $ csv_arg $ jobs_arg $ sup_term)
+    Term.(const run $ seed_arg $ attacks_arg $ schemes_arg $ csv_arg $ sup_term)
 
 (* --- sensitivity --- *)
 
 let sensitivity_cmd =
-  let run seed scale jobs sup =
-    with_sup_config sup ~jobs (fun config ->
+  let run seed scale sup =
+    with_sup_config sup (fun config ->
         let sweep = E.Supervise.run ~config (E.Sensitivity.cache_size_cells ~seed ~scale ()) in
         Tab.print (E.Sensitivity.cache_size_table sweep.E.Supervise.results);
         E.Supervise.report ~label:"cache-size" sweep;
@@ -840,7 +747,7 @@ let sensitivity_cmd =
   let doc = "View-cache capacity sensitivity sweep (32..512 entries), supervised." in
   Cmd.v
     (Cmd.info "sensitivity" ~doc)
-    Term.(const run $ seed_arg $ scale_arg $ jobs_arg $ sup_term)
+    Term.(const run $ seed_arg $ scale_arg $ sup_term)
 
 (* --- small static commands --- *)
 
@@ -886,21 +793,13 @@ let () =
      it rebuilds the identical sweep) but Supervise hands its cells out of
      the coordinator's pipe instead of running the whole sweep.  The
      original argv is recorded either way — it is what the coordinator
-     re-executes under --workers N and ships in the HELLO under --hosts.
-     `__worker --listen HOST:PORT` instead starts a standing TCP worker
-     that serves coordinators forever, evaluating each HELLO's argv. *)
+     re-executes under --workers N. *)
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
   let args =
     match args with
-    | marker :: rest when marker = Pv_util.Procpool.worker_arg -> (
-      match rest with
-      | l :: spec :: _ when l = Pv_util.Procpool.listen_arg ->
-        Pv_util.Procpool.standing_worker ~listen:spec ~run:(fun ~argv ->
-            Pv_util.Procpool.set_reexec_argv argv;
-            eval_list argv)
-      | _ ->
-        ignore (Pv_util.Procpool.worker_init ());
-        rest)
+    | marker :: rest when marker = Pv_util.Procpool.worker_arg ->
+      ignore (Pv_util.Procpool.worker_init ());
+      rest
     | _ -> args
   in
   Pv_util.Procpool.set_reexec_argv args;

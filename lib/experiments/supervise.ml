@@ -37,8 +37,6 @@ type config = {
   resume : bool;
   cache : Rescache.t option;
   workers : int;
-  respawns : int;
-  hosts : (string * int) list;
   pool_stats : bool;
 }
 
@@ -53,10 +51,11 @@ let default =
     resume = false;
     cache = None;
     workers = 1;
-    respawns = 8;
-    hosts = [];
     pool_stats = false;
   }
+
+(* Dead-worker replacements allowed per multi-process sweep. *)
+let respawns = 8
 
 (* --- multi-process plumbing -------------------------------------------- *)
 
@@ -216,22 +215,12 @@ let run_procpool config ~ordinal (runnable : 'a cell list) : 'a Pool.outcome lis
   let combined = combined_journal () in
   let replay = if Sys.file_exists combined then Some combined else None in
   let keys = Array.of_list (List.map (fun (c : 'a cell) -> c.key) runnable) in
-  let outs, journals, dead_hosts =
-    Procpool.run_jobs ~hosts:config.hosts
-      ~connect:(Procpool.tcp_connector ~sweep:ordinal ~replay)
-      ~workers:config.workers ~respawns:config.respawns
-      ~retries:config.retries ~scratch
+  let outs, journals =
+    Procpool.run_jobs ~workers:config.workers ~respawns ~retries:config.retries
+      ~scratch
       ~spawn:(Procpool.reexec_spawner ~sweep:ordinal ~replay)
       ~keys ()
   in
-  (* Stderr, not stdout: the result tables must stay byte-identical to a
-     serial run even when a host died mid-sweep and its cells were
-     recovered elsewhere. *)
-  List.iter
-    (fun (d : Procpool.dead_host) ->
-      Printf.eprintf "supervise: host %s:%d lost: %s\n%!" d.Procpool.dh_host
-        d.Procpool.dh_port d.Procpool.dh_reason)
-    dead_hosts;
   let values : (string, 'a) Hashtbl.t = Hashtbl.create (Array.length keys) in
   List.iter
     (fun j ->
@@ -334,16 +323,15 @@ let run_coordinator ~config ~ordinal (cells : 'a cell list) =
     | Error _ -> ()
   in
   let use_procpool =
-    (config.workers > 1 || config.hosts <> [])
+    config.workers > 1
     && runnable <> []
     &&
     if Procpool.reexec_available () then true
     else begin
       Printf.eprintf
-        "supervise: --workers %d%s requested but no re-exec argv is registered \
+        "supervise: --workers %d requested but no re-exec argv is registered \
          (library caller?); falling back to the in-process pool\n%!"
-        config.workers
-        (if config.hosts = [] then "" else " with --hosts");
+        config.workers;
       false
     end
   in
@@ -472,9 +460,7 @@ let run_coordinator ~config ~ordinal (cells : 'a cell list) =
      provenance) in the combined journal, so workers spawned for a *later*
      sweep can replay this one — dependent sweeps capture these results in
      their cell closures. *)
-  if
-    (config.workers > 1 || config.hosts <> []) && Procpool.reexec_available ()
-  then begin
+  if config.workers > 1 && Procpool.reexec_available () then begin
     let w = Journal.open_writer (combined_journal ()) in
     Fun.protect
       ~finally:(fun () -> Journal.close w)

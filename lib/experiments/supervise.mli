@@ -59,23 +59,14 @@ type config = {
       (** persistent result cache; cells with a descriptor consult it before
           running and store their results after *)
   workers : int;
-      (** [> 1] (or any value with [hosts] non-empty): execute runnable
-          cells on a {!Pv_util.Procpool} of worker {e processes} (spawned
-          by re-exec; requires [Procpool.set_reexec_argv], else falls back
-          to the in-process pool with a warning).  Workers survive SIGKILL
-          injection ([--fault kill@i]): each keeps a crash-safe journal
-          that the coordinator folds into the checkpoint, and results are
-          byte-identical to [workers = 1] up to wall-clock fields. *)
-  respawns : int;  (** total dead-worker replacements allowed per sweep *)
-  hosts : (string * int) list;
-      (** standing remote workers ([pv_cli __worker --listen HOST:PORT])
-          to dispatch cells to over TCP, in addition to the [workers]
-          local processes (which may then be [0]).  Node loss (dropped
-          connection, handshake timeout) is arbitrated like a killed local
-          worker — the host's journal decides the in-flight cell's fate —
-          with a bounded per-host reconnect budget; abandoned hosts are
-          reported on stderr ([supervise: host H:P lost: ...]) while the
-          sweep completes on the remaining workers. *)
+      (** [> 1]: execute runnable cells on a {!Pv_util.Procpool} of worker
+          {e processes} (spawned by re-exec; requires
+          [Procpool.set_reexec_argv], else falls back to the in-process
+          pool with a warning).  Workers survive SIGKILL injection
+          ([--fault kill@i]): dead workers are respawned (at most 8 times
+          per sweep), each keeps a crash-safe journal that the coordinator
+          folds into the checkpoint, and results are byte-identical to
+          [workers = 1] up to wall-clock fields. *)
   pool_stats : bool;
       (** print the in-process pool's scheduler counters (local pops,
           steals, failed steals, parks, unparks) to stderr after the sweep.
@@ -85,8 +76,7 @@ type config = {
 
 val default : config
 (** [jobs = 1], [retries = 0], no fault, no cycle override, no checkpoint,
-    no cache, [workers = 1], [respawns = 8], [hosts = []],
-    [pool_stats = false]. *)
+    no cache, [workers = 1], [pool_stats = false]. *)
 
 val run : ?config:config -> 'a cell list -> 'a sweep
 (** Execute the sweep under supervision.  Cell keys must be unique.  With a

@@ -38,6 +38,46 @@ let is_none = function None_ -> true | Plan _ | Seeded _ -> false
 let always = max_int
 let plan specs = if specs = [] then None_ else Plan specs
 
+(* Strict decimal: [int_of_string] would also accept "-1", "0x1", "0b1",
+   "1_000" and "+1", each silently planting the fault somewhere the user
+   did not ask for (or nowhere). *)
+let parse_index s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then
+    int_of_string_opt s
+  else None
+
+let parse s =
+  let item it =
+    match String.split_on_char '@' it with
+    | [ kind; index ] -> (
+      let kind =
+        match kind with
+        | "crash" -> Some (Crash, always)
+        | "flaky" -> Some (Crash, 1)
+        | "slow" -> Some (Slow, always)
+        | "poison" -> Some (Poison, always)
+        | "livelock" -> Some (Livelock, always)
+        (* kill is flaky by construction: the lost attempt re-queues on a
+           respawned worker, where the next attempt number no longer
+           matches — a persistent kill would only burn the respawn
+           budget. *)
+        | "kill" -> Some (Kill, 1)
+        | _ -> None
+      in
+      match (kind, parse_index index) with
+      | Some (kind, first_attempts), Some index -> Some { index; kind; first_attempts }
+      | _ -> None)
+    | _ -> None
+  in
+  let items = List.map item (String.split_on_char ',' (String.trim s)) in
+  if List.for_all Option.is_some items then Ok (plan (List.map Option.get items))
+  else
+    Error
+      (Printf.sprintf
+         "bad fault spec %S (expected KIND@INDEX[,KIND@INDEX...] with KIND one of \
+          crash, flaky, slow, poison, livelock, kill and INDEX a non-negative decimal)"
+         s)
+
 let seeded ~seed ?(crash = 0.0) ?(slow = 0.0) ?(poison = 0.0) ?(livelock = 0.0)
     ?(transient_attempts = 1) () =
   Seeded { seed; crash; slow; poison; livelock; transient_attempts }

@@ -65,6 +65,13 @@ val always : int
 val plan : spec list -> t
 (** Explicit per-index faults; indices not listed behave normally. *)
 
+val parse : string -> (t, string) result
+(** Parse a [--fault] spec: [KIND@INDEX[,KIND@INDEX...]] with [KIND] one of
+    [crash] (every attempt), [flaky] (a crash on the first attempt only),
+    [slow], [poison], [livelock] or [kill] (first attempt only) and [INDEX]
+    a non-negative decimal integer.  Never raises; on malformed input the
+    error is a one-line diagnostic naming the spec. *)
+
 val seeded :
   seed:int ->
   ?crash:float ->

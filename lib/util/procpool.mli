@@ -1,5 +1,4 @@
-(** Coordinator/worker process pool for supervised sweeps ([--workers N],
-    [--hosts HOST:PORT,...]).
+(** Coordinator/worker process pool for supervised sweeps ([--workers N]).
 
     The in-process {!Pool} cannot survive a SIGKILL — a dead domain takes
     the whole runtime with it.  This pool runs sweep cells in separate OS
@@ -11,42 +10,34 @@
     {b Execution model.}  The coordinator spawns [N] local workers —
     normally by re-executing its own binary with a hidden [__worker] argv
     marker ({!reexec_spawner}), so each worker rebuilds the identical sweep
-    from the identical command line — and connects to any number of
-    standing remote workers ([pv_cli __worker --listen HOST:PORT]) over
-    TCP, greeting each with a [HELLO] carrying slot id, sweep ordinal,
-    journal path and the argv to rebuild the sweep from.  Both kinds speak
-    the same newline-framed protocol over a {!Transport.link}
-    ([RUN <index> <attempt> <hex key>] down, [RDY]/[OK]/[ERR] up).  Cell
-    {e results never travel inside the control protocol}: the worker
-    appends each result to its own checksummed {!Journal} (and the shared
-    {!Rescache}) before replying, and the coordinator reads values back
-    from worker journals after the run — from the shared filesystem when
-    there is one, or by pulling the journal's raw checksummed bytes over
-    the same connection ([PULL] → [JNL <nbytes>] + payload) when there is
-    not.  A worker killed between journal append and reply therefore loses
-    nothing — the coordinator finds the record when it reaps the corpse.
+    from the identical command line.  Slot id, sweep ordinal, journal path
+    and replay journal reach the worker through [PV_WORKER_*] environment
+    variables ({!worker_init}).  Coordinator and worker speak a
+    newline-framed protocol over two pipes ([RUN <index> <attempt> <hex
+    key>] down, [RDY]/[OK]/[ERR] up).  Cell {e results never travel inside
+    the control protocol}: the worker appends each result to its own
+    checksummed {!Journal} (and the shared {!Rescache}) before replying,
+    and the coordinator reads values back from the worker journals after
+    the run.  A worker killed between journal append and reply therefore
+    loses nothing — the coordinator finds the record when it reaps the
+    corpse.
 
-    {b Recovery.}  Local worker death is detected by [waitpid] (not pipe
-    EOF, which fork-spawned siblings can hold open); remote death is an
-    EOF/reset on the socket or a handshake that never produces [RDY]
-    within the deadline.  Either way the coordinator drains raced replies,
-    consults the worker's journal for the inflight cell (present →
+    {b Recovery.}  Worker death is detected by [waitpid] (not pipe EOF,
+    which fork-spawned siblings can hold open).  The coordinator drains
+    raced replies (a reply line torn by the kill is discarded, never
+    parsed), consults the worker's journal for the inflight cell (present →
     completed; absent → a lost, transient attempt that re-queues under the
-    retry budget), and revives the slot — a fresh local process respawned
-    into the same journal (the fresh worker's [open_writer] quarantines
-    and truncates the torn record the kill left behind), or a fresh
-    connection to the same standing remote worker.  Local respawns share
-    one pool-wide budget ([respawns]); each host has its own budget of
-    [host_respawns + 1] connection attempts, and a host that exhausts it
-    is abandoned and named in the dead-host report while the sweep
-    continues on the remaining workers.  A pool that exhausts both workers
-    and budgets fails its remaining cells instead of hanging.
+    retry budget), and respawns a fresh process into the same slot and the
+    same journal (the fresh worker's [open_writer] quarantines and
+    truncates the torn record the kill left behind).  Respawns share one
+    pool-wide budget ([respawns]); a pool that exhausts it fails its
+    remaining cells instead of hanging.
 
-    {b Determinism.}  Cell identity is the key (stable across processes
-    and machines); fault indices are positions in the coordinator's
-    runnable list, carried in each [RUN] command, so [Fault.decide] sees
-    identical inputs in every process and the injected pattern is
-    reproducible for any mix of local and remote workers. *)
+    {b Determinism.}  Cell identity is the key (stable across processes);
+    fault indices are positions in the coordinator's runnable list, carried
+    in each [RUN] command, so [Fault.decide] sees identical inputs in every
+    process and the injected pattern is reproducible for any worker
+    count. *)
 
 exception Worker_failure of string
 (** A cell failed inside a worker process.  The payload is the worker-side
@@ -64,15 +55,11 @@ type ctx = {
       (** combined journal holding earlier sweeps' results, so dependent
           sweeps (calibration → points) replay instead of recomputing *)
   cmd_in : in_channel;  (** coordinator commands *)
-  reply_out : out_channel;
-      (** protocol replies (a private dup of stdout or of the socket) *)
+  reply_out : out_channel;  (** protocol replies (a private dup of stdout) *)
 }
 
 val worker_arg : string
 (** ["__worker"]: the argv marker the CLI checks to enter worker mode. *)
-
-val listen_arg : string
-(** ["--listen"]: with {!worker_arg}, enters standing TCP worker mode. *)
 
 val worker_init : unit -> ctx
 (** Enter worker mode: read [PV_WORKER_ID]/[PV_WORKER_JOURNAL]/
@@ -84,9 +71,8 @@ val worker_init : unit -> ctx
     Records the context for {!worker_ctx}. *)
 
 val worker_ctx : unit -> ctx option
-(** The context recorded by {!worker_init} or {!standing_worker}, if this
-    process is a worker — how library code (Supervise, the CLI) detects
-    worker mode. *)
+(** The context recorded by {!worker_init}, if this process is a worker —
+    how library code (Supervise, the CLI) detects worker mode. *)
 
 val in_worker : unit -> bool
 
@@ -98,14 +84,14 @@ type verdict = Done | Fail of { transient : bool; reason : string }
 val serve : ctx -> handle:(index:int -> attempt:int -> key:string -> verdict) -> unit
 (** Worker main loop: announce readiness, then execute [RUN] commands via
     [handle] until [FIN] or EOF.  [handle] owns everything domain-specific
-    (finding the cell for [key], fault realization, journaling).  [PULL]
-    replies with the journal's current raw bytes ([JNL <nbytes>] +
-    payload) so a coordinator without filesystem access can collect
-    results. *)
+    (finding the cell for [key], fault realization, journaling). *)
 
-(** {1 Spawning local workers} *)
+(** {1 Spawning workers} *)
 
-type spawner = wid:int -> journal:string -> Transport.link
+type link
+(** The coordinator's end of one worker process: its pid and pipes. *)
+
+type spawner = wid:int -> journal:string -> link
 
 val fork_spawner : (ctx -> unit) -> spawner
 (** Spawn workers by [fork]: the child runs the callback on a fresh context
@@ -114,8 +100,8 @@ val fork_spawner : (ctx -> unit) -> spawner
 
 val set_reexec_argv : string list -> unit
 (** Record the CLI's original argv (without the program name) so
-    {!reexec_spawner} and {!tcp_connector} can rebuild the command line.
-    Called once at CLI startup. *)
+    {!reexec_spawner} can rebuild the command line.  Called once at CLI
+    startup. *)
 
 val reexec_available : unit -> bool
 
@@ -126,61 +112,6 @@ val reexec_spawner : sweep:int -> replay:string option -> spawner
     variables.  Raises [Invalid_argument] if {!set_reexec_argv} was never
     called. *)
 
-(** {1 TCP handshake and standing workers} *)
-
-type hello = {
-  h_wid : int;
-  h_sweep : int;
-  h_journal : string;
-  h_replay : string option;
-  h_argv : string list;
-}
-(** The coordinator's greeting to a standing worker: everything
-    {!reexec_spawner} passes through the environment, carried as the first
-    protocol line instead ([HELLO <ver> <wid> <sweep> <hex journal>
-    <hex replay|-> <hex argv>...] — paths and argv are hex-coded so they
-    can never smuggle a space or newline into the framing). *)
-
-val hello_line : hello -> string
-
-val parse_hello : string -> hello option
-
-type connector =
-  wid:int -> journal:string -> host:string -> port:int -> timeout:float ->
-  (Transport.link, string) result
-(** Open one connection to a standing worker and complete the handshake
-    (coordinator side). *)
-
-val tcp_connector : sweep:int -> replay:string option -> connector
-(** The production connector: {!Transport.connect} then a [HELLO] built
-    from the recorded argv.  Raises [Invalid_argument] if
-    {!set_reexec_argv} was never called. *)
-
-val tcp_worker_ctx : Unix.file_descr -> hello -> ctx
-(** Build and record a worker context from an accepted connection and its
-    parsed [HELLO] (listener side).  Creates the journal's directory — a
-    genuinely remote worker does not share the coordinator's scratch
-    tree. *)
-
-val standing_accept :
-  Unix.file_descr -> serve:(conn:Unix.file_descr -> hello:hello -> unit) -> unit
-(** Accept loop for a standing worker: read and parse a [HELLO] from each
-    connection (dropping silent or malformed clients), fork, and run
-    [serve] in the child (which must not return to the accept loop — it is
-    [_exit]ed).  The parent reaps finished children and keeps listening.
-    Never returns.  Exposed separately from {!standing_worker} so tests
-    can serve with their own cells instead of re-running a CLI. *)
-
-val standing_worker : listen:string -> run:(argv:string list -> int) -> 'a
-(** [pv_cli __worker --listen HOST:PORT]: bind the address (port [0] lets
-    the kernel pick), print ["procpool: worker listening on HOST:PORT"] to
-    stderr, and serve coordinators forever.  Each accepted [HELLO] forks a
-    serving process that records the worker context, muzzles
-    stdout/stderr like {!worker_init}, and calls [run] on the [HELLO]'s
-    argv — re-evaluating the CLI so the sweep code path finds
-    {!worker_ctx} and serves cells over the socket.  Exits 70 on a bad
-    listen spec. *)
-
 (** {1 Coordinator side} *)
 
 type outcome =
@@ -188,18 +119,8 @@ type outcome =
       (** the cell's value is in some worker journal *)
   | Failed of { attempts : int; transient : bool; reason : string }
 
-type dead_host = { dh_host : string; dh_port : int; dh_reason : string }
-(** A remote worker abandoned mid-sweep: its connection budget is spent.
-    Cells it was running were re-arbitrated before abandonment; the sweep
-    result is complete (or failed per-cell) regardless, but the caller
-    should surface the loss. *)
-
 val run_jobs :
-  ?hosts:(string * int) list ->
-  ?host_respawns:int ->
   ?drain_timeout:float ->
-  ?handshake_timeout:float ->
-  ?connect:connector ->
   workers:int ->
   respawns:int ->
   retries:int ->
@@ -207,22 +128,14 @@ val run_jobs :
   spawn:spawner ->
   keys:string array ->
   unit ->
-  outcome array * string list * dead_host list
+  outcome array * string list
 (** Run one cell per entry of [keys] (cell [i]'s fault index is [i]) on a
-    pool of [workers] local processes plus one remote worker per [hosts]
-    entry (slot ids continue past the local ones), respawning dead local
-    workers up to [respawns] times total, reconnecting to each host up to
-    [host_respawns] (default [respawns]) times beyond its first attempt,
-    and retrying transiently failed or killed attempts up to [retries]
-    extra times per cell.  [workers] may be [0] when [hosts] is non-empty;
-    [connect] is required with [hosts] (see {!tcp_connector}).  Worker
-    journals are created under [scratch] ([worker-<wid>.journal]); remote
-    journal segments are pulled over the connection after the sweep when
-    no shared filesystem made them appear locally.  [drain_timeout]
-    bounds the post-[FIN] exit grace period (and the journal pull);
-    default [PV_PROCPOOL_DRAIN_S] or 10 s, and a straggler that outlives
-    it is killed with a one-line warning naming the worker.
-    [handshake_timeout] bounds connect + [RDY]; default
-    [PV_PROCPOOL_HANDSHAKE_S] or 10 s.  Returns per-cell outcomes (index
-    order), the worker journal paths that exist, and the hosts abandoned
-    mid-sweep.  SIGPIPE is ignored for the duration. *)
+    pool of [workers] (at least [1]) worker processes, respawning dead
+    workers up to [respawns] times total and retrying transiently failed or
+    killed attempts up to [retries] extra times per cell.  Worker journals
+    are created under [scratch] ([worker-<wid>.journal]).  [drain_timeout]
+    bounds the post-[FIN] exit grace period; default [PV_PROCPOOL_DRAIN_S]
+    or 10 s, and a straggler that outlives it is killed with a one-line
+    warning naming the worker.  Returns per-cell outcomes (index order) and
+    the worker journal paths that exist.  SIGPIPE is ignored for the
+    duration. *)

@@ -278,10 +278,10 @@ type lease = { l_path : string; l_key : string }
 let local_host = lazy (try Unix.gethostname () with Unix.Unix_error _ -> "localhost")
 
 (* Lease body: "<pid> <hostname>\n".  The hostname matters once the cache
-   root sits on a shared filesystem under multi-host sweeps (--hosts): a
-   pid is only meaningful on the host that wrote it, so a claimant on
-   another machine must not probe it with kill(2) — pid 4242 being free
-   *here* says nothing about the holder over there.  Pre-PR-8 leases
+   root sits on a filesystem shared by runs on several machines: a pid is
+   only meaningful on the host that wrote it, so a claimant on another
+   machine must not probe it with kill(2) — pid 4242 being free *here*
+   says nothing about the holder over there.  Pre-PR-8 leases
    ("<pid>\n", no host) are treated as local, which preserves their old
    breaking behaviour. *)
 let read_lease path =

@@ -27,18 +27,14 @@
     either absent or complete, never torn, so a killed winner costs only a
     recompute.  {!compute_through} packages the whole protocol.
 
-    {b Multi-host.} Under [--hosts] the cache root doubles as the result
-    store when it sits on a shared filesystem: remote workers commit
-    through the same lease protocol, so the coordinator and every machine
-    see one set of entries.  The lease therefore records
+    {b Shared roots.} Independent runs on different machines may share one
+    cache root over a network filesystem; they commit through the same
+    lease protocol and see one set of entries.  The lease therefore records
     ["<pid> <hostname>"], and staleness is only decided where it can be
     observed: a claimant breaks a lease only when the recorded host is its
     own and that pid is dead — a remote holder's pid means nothing locally,
     and probing it would break live leases.  A genuinely wedged remote
-    holder is bounded by {!compute_through}'s patience instead.  Without a
-    shared filesystem the cache stays per-machine (each side computes its
-    own misses) and results reach the coordinator via the worker-journal
-    pull in {!Procpool} — never through this cache.
+    holder is bounded by {!compute_through}'s patience instead.
 
     {b Invalidation.} The effective salt is [format_version ^ code_salt ^
     user salt]: bump {!code_salt} whenever a cached result type or the
@@ -99,7 +95,7 @@ val try_claim : t -> key:string -> [ `Claimed of lease | `Busy of int option ]
     [`Busy pid]: another live process (of that pid, when readable) holds
     it.  A lease recorded by {e this} host (or a pre-hostname lease) whose
     pid no longer exists is broken and re-claimed atomically; a remote
-    host's lease is never broken here (see the multi-host note above). *)
+    host's lease is never broken here (see the shared-roots note above). *)
 
 val commit : t -> lease -> 'a -> unit
 (** {!store} the computed value, then release the lease.  The entry becomes

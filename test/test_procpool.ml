@@ -2,12 +2,12 @@
    (double-tear recovery, corruption quarantine, old-format rejection,
    merge), the result cache's cross-process lease protocol and write-error
    accounting, and the coordinator/worker pool itself (via fork-spawned
-   workers: completion, kill-respawn recovery, budget exhaustion). *)
+   workers: completion, kill-respawn recovery, budget exhaustion, torn
+   replies, drain timeout). *)
 
 module Journal = Pv_util.Journal
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
-module Transport = Pv_util.Transport
 module Checksum = Pv_util.Checksum
 
 let check = Alcotest.check
@@ -370,7 +370,7 @@ let values_from journals =
 let test_pool_completes () =
   with_dir (fun scratch ->
       let keys = keys_of 6 in
-      let outcomes, journals, _ =
+      let outcomes, journals =
         Procpool.run_jobs ~workers:3 ~respawns:0 ~retries:0 ~scratch
           ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[])) ~keys ()
       in
@@ -396,7 +396,7 @@ let test_pool_kill_respawn_recovers () =
      the torn record), and retry the cell to completion. *)
   with_dir (fun scratch ->
       let keys = keys_of 4 in
-      let outcomes, journals, _ =
+      let outcomes, journals =
         Procpool.run_jobs ~workers:2 ~respawns:4 ~retries:1 ~scratch
           ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[ ("cell/2", 0) ]))
           ~keys ()
@@ -424,7 +424,7 @@ let test_pool_budget_exhaustion_fails_cleanly () =
   with_dir (fun scratch ->
       let kill_on = List.init 10 (fun a -> ("cell/1", a)) in
       let keys = keys_of 3 in
-      let outcomes, journals, _ =
+      let outcomes, journals =
         Procpool.run_jobs ~workers:2 ~respawns:1 ~retries:5 ~scratch
           ~spawn:(Procpool.fork_spawner (worker_body ~kill_on))
           ~keys ()
@@ -437,157 +437,45 @@ let test_pool_budget_exhaustion_fails_cleanly () =
       check Alcotest.(option int) "poisonous cell left no value" None
         (Hashtbl.find_opt tbl "cell/1"))
 
-(* --- the process pool over TCP (standing workers) ------------------------ *)
-
-(* A standing worker for the tests: fork a listener on a kernel-picked
-   loopback port whose serving children run the test's own worker body
-   (via standing_accept, exactly the production accept/fork/serve loop,
-   minus the CLI re-evaluation). *)
-let with_tcp_worker ~serve f =
-  match Transport.listen_on ~host:"127.0.0.1" ~port:0 with
-  | Error e -> Alcotest.fail ("listen_on: " ^ e)
-  | Ok (lfd, port) -> (
-    match Unix.fork () with
-    | 0 ->
-      (try Procpool.standing_accept lfd ~serve with _ -> ());
-      Unix._exit 0
-    | pid ->
-      Unix.close lfd;
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        (fun () -> f port))
-
-(* The production tcp_connector rebuilds the CLI argv; tests have no CLI, so
-   this connector sends a HELLO with an empty argv — the serving side below
-   ignores it and runs worker_body directly. *)
-let test_connector ~wid ~journal ~host ~port ~timeout =
-  match Transport.connect ~host ~port ~timeout with
-  | Error e -> Error e
-  | Ok fd ->
-    let hello =
-      { Procpool.h_wid = wid; h_sweep = 0; h_journal = journal;
-        h_replay = None; h_argv = [] }
-    in
-    if Transport.send_line fd (Procpool.hello_line hello) then
-      Ok (Transport.sock_link ~host ~port fd)
-    else begin
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "handshake write to %s:%d failed" host port)
-    end
-
-let body_serve ~kill_on ~conn ~hello =
-  worker_body ~kill_on (Procpool.tcp_worker_ctx conn hello)
-
-let test_tcp_pool_completes () =
-  (* Mixed pool: one local pipe worker plus one TCP worker must complete a
-     sweep with the same outcomes and journal contents as pipes alone. *)
-  with_dir (fun scratch ->
-      with_tcp_worker ~serve:(body_serve ~kill_on:[]) (fun port ->
-          let keys = keys_of 6 in
-          let outcomes, journals, dead =
-            Procpool.run_jobs
-              ~hosts:[ ("127.0.0.1", port) ]
-              ~connect:test_connector ~workers:1 ~respawns:0 ~retries:0
-              ~scratch
-              ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[]))
-              ~keys ()
-          in
-          Alcotest.(check int) "no dead hosts" 0 (List.length dead);
-          Array.iteri
-            (fun i o ->
-              match o with
-              | Procpool.Completed { attempts } ->
-                check Alcotest.int (Printf.sprintf "cell %d one attempt" i) 1 attempts
-              | Procpool.Failed { reason; _ } ->
-                Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-            outcomes;
-          let tbl = values_from journals in
-          Array.iteri
-            (fun i k ->
-              check Alcotest.(option int)
-                (Printf.sprintf "value of %s recovered" k)
-                (Some (2 * i)) (Hashtbl.find_opt tbl k))
-            keys))
-
-let test_tcp_kill_reconnect_recovers () =
-  (* SIGKILL the serving child mid-append over TCP: the coordinator must see
-     the reset, arbitrate the inflight cell off the journal (absent = lost
-     transient attempt), reconnect to the standing worker, and retry to
-     completion — node loss handled exactly like a reaped local corpse. *)
-  with_dir (fun scratch ->
-      with_tcp_worker ~serve:(body_serve ~kill_on:[ ("cell/2", 0) ]) (fun port ->
-          let keys = keys_of 4 in
-          let outcomes, journals, dead =
-            Procpool.run_jobs
-              ~hosts:[ ("127.0.0.1", port) ]
-              ~host_respawns:4 ~connect:test_connector ~workers:0 ~respawns:0
-              ~retries:1 ~scratch
-              ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[]))
-              ~keys ()
-          in
-          Alcotest.(check int) "host survives within budget" 0 (List.length dead);
-          (match outcomes.(2) with
-          | Procpool.Completed { attempts } ->
-            check Alcotest.int "killed cell retried once" 2 attempts
-          | Procpool.Failed { reason; _ } ->
-            Alcotest.fail (Printf.sprintf "killed cell must recover: %s" reason));
-          Array.iteri
-            (fun i o ->
-              if i <> 2 then
-                match o with
-                | Procpool.Completed _ -> ()
-                | Procpool.Failed { reason; _ } ->
-                  Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-            outcomes;
-          let tbl = values_from journals in
-          check Alcotest.(option int) "killed cell's value recovered" (Some 4)
-            (Hashtbl.find_opt tbl "cell/2")))
-
-(* A serving child that journals the cell, writes a torn half-reply ("OK <i>"
-   with no terminating newline) and SIGKILLs itself mid-line. *)
-let torn_reply_serve ~conn ~hello =
-  let ctx = Procpool.tcp_worker_ctx conn hello in
+(* A worker whose reply is torn: it writes "OK <i>" with no terminating
+   newline and SIGKILLs itself mid-line.  With [journaled] it appends the
+   cell's record first, on every attempt; without, it tears the first
+   attempt before journaling anything and serves the retry normally. *)
+let torn_reply_body ~journaled (ctx : Procpool.ctx) =
   let w = Journal.open_writer ctx.Procpool.journal in
-  output_string ctx.Procpool.reply_out "RDY\n";
-  flush ctx.Procpool.reply_out;
-  match input_line ctx.Procpool.cmd_in with
-  | line -> (
-    match String.split_on_char ' ' line with
-    | [ "RUN"; idx; _att; hexkey ] ->
-      let key = Option.get (Checksum.string_of_hex hexkey) in
-      Journal.append w ~key (2 * int_of_string (Filename.basename key));
-      Journal.close w;
-      output_string ctx.Procpool.reply_out ("OK " ^ idx);
-      flush ctx.Procpool.reply_out;
-      Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ())
-  | exception End_of_file -> ()
+  Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
+      let v = 2 * int_of_string (Filename.basename key) in
+      if journaled || attempt = 0 then begin
+        if journaled then Journal.append w ~key v;
+        output_string ctx.Procpool.reply_out (Printf.sprintf "OK %d" index);
+        flush ctx.Procpool.reply_out;
+        Unix.kill (Unix.getpid ()) Sys.sigkill
+      end;
+      Journal.append w ~key v;
+      Procpool.Done)
 
-let test_tcp_torn_line_discarded () =
-  (* A reply torn mid-line by a dying peer must be discarded, not parsed;
-     the journal record it raced with still counts the cell completed on
-     its first attempt, and the sweep finishes over fresh connections. *)
-  with_dir (fun scratch ->
-      with_tcp_worker ~serve:torn_reply_serve (fun port ->
+let test_torn_line_discarded () =
+  (* A reply torn mid-line by a dying worker must be discarded, not parsed:
+     the journal alone decides the cell.  A record that raced the torn
+     reply counts the cell completed on its first attempt; without one the
+     attempt is lost and retried — a parsed torn "OK" would instead claim a
+     first-attempt completion with no value behind it. *)
+  List.iter
+    (fun (journaled, expected_attempts) ->
+      with_dir (fun scratch ->
           let keys = keys_of 3 in
-          let outcomes, journals, dead =
-            Procpool.run_jobs
-              ~hosts:[ ("127.0.0.1", port) ]
-              ~host_respawns:6 ~connect:test_connector ~workers:0 ~respawns:0
-              ~retries:1 ~scratch
-              ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[]))
+          let outcomes, journals =
+            Procpool.run_jobs ~workers:1 ~respawns:6 ~retries:1 ~scratch
+              ~spawn:(Procpool.fork_spawner (torn_reply_body ~journaled))
               ~keys ()
           in
-          ignore dead;
           Array.iteri
             (fun i o ->
               match o with
               | Procpool.Completed { attempts } ->
                 check Alcotest.int
-                  (Printf.sprintf "cell %d completed on first attempt via journal" i)
-                  1 attempts
+                  (Printf.sprintf "cell %d attempts (journaled=%b)" i journaled)
+                  expected_attempts attempts
               | Procpool.Failed { reason; _ } ->
                 Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
             outcomes;
@@ -598,105 +486,7 @@ let test_tcp_torn_line_discarded () =
                 (Printf.sprintf "value of %s recovered" k)
                 (Some (2 * i)) (Hashtbl.find_opt tbl k))
             keys))
-
-let test_tcp_handshake_timeout_abandons_host () =
-  (* A host that accepts TCP connections but never completes the handshake
-     (this test binds a listener and never accepts, so connects sit in the
-     backlog and RDY never comes) must be abandoned once its budget is
-     spent and named in the dead-host report — while the sweep completes
-     on the remaining pipe worker. *)
-  (* the pipe worker is slowed per cell so cells are still pending when the
-     handshake deadline expires — abandonment only happens mid-sweep *)
-  let slow_body (ctx : Procpool.ctx) =
-    let w = Journal.open_writer ctx.Procpool.journal in
-    Procpool.serve ctx ~handle:(fun ~index:_ ~attempt:_ ~key ->
-        Unix.sleepf 0.15;
-        Journal.append w ~key (2 * int_of_string (Filename.basename key));
-        Procpool.Done)
-  in
-  with_dir (fun scratch ->
-      match Transport.listen_on ~host:"127.0.0.1" ~port:0 with
-      | Error e -> Alcotest.fail ("listen_on: " ^ e)
-      | Ok (lfd, port) ->
-        Fun.protect
-          ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
-          (fun () ->
-            let keys = keys_of 4 in
-            let outcomes, journals, dead =
-              Procpool.run_jobs
-                ~hosts:[ ("127.0.0.1", port) ]
-                ~host_respawns:0 ~handshake_timeout:0.3 ~connect:test_connector
-                ~workers:1 ~respawns:0 ~retries:0 ~scratch
-                ~spawn:(Procpool.fork_spawner slow_body)
-                ~keys ()
-            in
-            (match dead with
-            | [ d ] ->
-              check Alcotest.string "dead host named" "127.0.0.1" d.Procpool.dh_host;
-              check Alcotest.int "dead port named" port d.Procpool.dh_port;
-              Alcotest.(check bool)
-                (Printf.sprintf "reason mentions the handshake: %s" d.Procpool.dh_reason)
-                true
-                (contains ~sub:"handshake" d.Procpool.dh_reason
-                && contains ~sub:"budget exhausted" d.Procpool.dh_reason)
-            | ds ->
-              Alcotest.fail
-                (Printf.sprintf "expected exactly one dead host, got %d" (List.length ds)));
-            Array.iteri
-              (fun i o ->
-                match o with
-                | Procpool.Completed _ -> ()
-                | Procpool.Failed { reason; _ } ->
-                  Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-              outcomes;
-            let tbl = values_from journals in
-            Array.iteri
-              (fun i k ->
-                check Alcotest.(option int)
-                  (Printf.sprintf "value of %s recovered from pipe worker" k)
-                  (Some (2 * i)) (Hashtbl.find_opt tbl k))
-              keys))
-
-(* Pipe and TCP transports must yield identical arbitration: same per-cell
-   outcomes (constructor and attempt counts) and same recovered values, for
-   any single-kill scenario — the node-loss path is the kill path. *)
-let outcome_digest (outcomes, journals, _) =
-  let outs =
-    Array.to_list outcomes
-    |> List.map (function
-         | Procpool.Completed { attempts } -> `Completed attempts
-         | Procpool.Failed { attempts; transient; _ } -> `Failed (attempts, transient))
-  in
-  let tbl = values_from journals in
-  let vals = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  (outs, List.sort compare vals)
-
-let tcp_matches_pipe_prop =
-  let gen = QCheck.Gen.(pair (int_range 1 4) (int_range 0 7)) in
-  let arb = QCheck.make gen ~print:(fun (n, k) -> Printf.sprintf "(n=%d,k=%d)" n k) in
-  let prop (n, kill_seed) =
-    let keys = keys_of n in
-    let kill_on = [ (Printf.sprintf "cell/%d" (kill_seed mod n), 0) ] in
-    let pipe_run =
-      with_dir (fun scratch ->
-          Procpool.run_jobs ~workers:1 ~respawns:8 ~retries:1 ~scratch
-            ~spawn:(Procpool.fork_spawner (worker_body ~kill_on))
-            ~keys ())
-    in
-    let tcp_run =
-      with_dir (fun scratch ->
-          with_tcp_worker ~serve:(body_serve ~kill_on) (fun port ->
-              Procpool.run_jobs
-                ~hosts:[ ("127.0.0.1", port) ]
-                ~host_respawns:8 ~connect:test_connector ~workers:0 ~respawns:0
-                ~retries:1 ~scratch
-                ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[]))
-                ~keys ()))
-    in
-    outcome_digest pipe_run = outcome_digest tcp_run
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"TCP arbitration matches pipe arbitration" ~count:8 arb prop)
+    [ (true, 1); (false, 2) ]
 
 let test_drain_timeout_kills_straggler () =
   (* A worker that survives FIN must be killed once the configured drain
@@ -712,7 +502,7 @@ let test_drain_timeout_kills_straggler () =
       Unix.dup2 fd Unix.stderr;
       Unix.close fd;
       let t0 = Unix.gettimeofday () in
-      let outcomes, _, _ =
+      let outcomes, _ =
         Fun.protect
           ~finally:(fun () ->
             flush stderr;
@@ -771,17 +561,8 @@ let suite =
         Alcotest.test_case "kill, respawn, recover" `Quick test_pool_kill_respawn_recovers;
         Alcotest.test_case "respawn budget exhaustion" `Quick
           test_pool_budget_exhaustion_fails_cleanly;
+        Alcotest.test_case "torn reply line discarded" `Quick test_torn_line_discarded;
         Alcotest.test_case "drain timeout kills straggler" `Quick
           test_drain_timeout_kills_straggler;
-      ] );
-    ( "procpool.tcp",
-      [
-        Alcotest.test_case "mixed pipe+TCP pool completes" `Quick test_tcp_pool_completes;
-        Alcotest.test_case "node kill, reconnect, recover" `Quick
-          test_tcp_kill_reconnect_recovers;
-        Alcotest.test_case "torn reply line discarded" `Quick test_tcp_torn_line_discarded;
-        Alcotest.test_case "handshake timeout abandons host" `Quick
-          test_tcp_handshake_timeout_abandons_host;
-        tcp_matches_pipe_prop;
       ] );
   ]

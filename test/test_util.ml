@@ -6,7 +6,7 @@ module Stats = Pv_util.Stats
 module Bitset = Pv_util.Bitset
 module Tab = Pv_util.Tab
 module Metrics = Pv_util.Metrics
-module Transport = Pv_util.Transport
+module Fault = Pv_util.Fault
 
 let check = Alcotest.check
 
@@ -615,59 +615,57 @@ let test_metrics_snapshot_json_pinned () =
     expected
     (Metrics.snapshot_to_json ~indent:2 (Metrics.snapshot r))
 
-(* KAT-style host-spec parses.  The bracketed-IPv6 cases are regressions:
-   the old last-colon split read "[::1]:9000" as host "[" / bad port and
-   "::1:9000" as host "::1" port 9000 without ever saying IPv6 needs
-   brackets. *)
-let test_transport_hostspec_ok () =
-  let ok spec host port =
-    match Transport.parse_hostspec spec with
-    | Ok (h, p) ->
-      check Alcotest.string (spec ^ " host") host h;
-      check Alcotest.int (spec ^ " port") port p
-    | Error e -> Alcotest.failf "parse_hostspec %S = Error %s" spec e
-  in
-  ok "localhost:9000" "localhost" 9000;
-  ok "10.1.2.3:80" "10.1.2.3" 80;
-  ok "[::1]:9000" "::1" 9000;
-  ok "[fe80::2%eth0]:7777" "fe80::2%eth0" 7777;
-  ok "[2001:db8::1]:65535" "2001:db8::1" 65535
-
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let test_transport_hostspec_errors () =
-  let err spec needle =
-    match Transport.parse_hostspec spec with
-    | Ok (h, p) -> Alcotest.failf "parse_hostspec %S = Ok (%s, %d)" spec h p
-    | Error e ->
-      if not (contains_sub e needle) then
-        Alcotest.failf "parse_hostspec %S error %S lacks %S" spec e needle
+(* --fault specs: KATs for accepted and rejected specs.  The rejects are
+   regressions: int_of_string read "-1" as an index no cell has (the run
+   exited 0 having injected nothing) and "0x1" as index 1. *)
+let test_fault_parse_ok () =
+  let ok spec expected =
+    match Fault.parse spec with
+    | Ok p ->
+      Alcotest.(check bool) (spec ^ " parses to the expected plan") true
+        (p = Fault.plan expected)
+    | Error e -> Alcotest.failf "Fault.parse %S = Error %s" spec e
   in
-  err "::1:9000" "IPv6 requires [host]:port";
-  err "a:b:c" "IPv6 requires [host]:port";
-  err "host" "expected HOST:PORT";
-  err ":9000" "empty host";
-  err "[]:9000" "empty host";
-  err "[::1]" "expected [HOST]:PORT after ']'";
-  err "[::1]x:1" "expected [HOST]:PORT after ']'";
-  err "[::1" "missing ']'";
-  err "host:" "bad port";
-  err "host:65536" "bad port";
-  err "host:x" "bad port";
-  err "[::1]:x" "bad port"
+  let f index kind first_attempts = { Fault.index; kind; first_attempts } in
+  ok "crash@2" [ f 2 Fault.Crash Fault.always ];
+  ok "flaky@0" [ f 0 Fault.Crash 1 ];
+  ok " kill@1,kill@3 " [ f 1 Fault.Kill 1; f 3 Fault.Kill 1 ];
+  ok "slow@4,poison@5,livelock@6"
+    [ f 4 Fault.Slow Fault.always; f 5 Fault.Poison Fault.always;
+      f 6 Fault.Livelock Fault.always ];
+  ok "crash@007" [ f 7 Fault.Crash Fault.always ]
 
-let test_transport_hostspecs_list () =
-  (match Transport.parse_hostspecs "a:1,,[::1]:2," with
-  | Ok l ->
-    Alcotest.(check (list (pair string int)))
-      "list" [ ("a", 1); ("::1", 2) ] l
-  | Error e -> Alcotest.failf "parse_hostspecs = Error %s" e);
-  match Transport.parse_hostspecs "a:1,bad" with
-  | Ok _ -> Alcotest.fail "parse_hostspecs accepted a bad item"
-  | Error _ -> ()
+let test_fault_parse_rejects () =
+  List.iter
+    (fun spec ->
+      match Fault.parse spec with
+      | Ok _ -> Alcotest.failf "Fault.parse %S accepted a bad spec" spec
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S: diagnostic names the spec" spec)
+          true
+          (contains_sub e "bad fault spec"))
+    [ ""; "crash"; "crash@"; "crash@-1"; "crash@0x1"; "crash@0b1"; "crash@0o7";
+      "crash@+1"; "crash@1_000"; "crash@ 1"; "crash@1.5";
+      "crash@99999999999999999999999"; "boom@1"; "crash@1@2"; "crash@1,";
+      ",crash@1"; "CRASH@1" ]
+
+(* Arbitrary input never raises and yields Ok or a one-line Error.  Half
+   the inputs come from the spec alphabet so near-miss specs are common. *)
+let fault_parse_total_prop =
+  let spec_chars = List.of_seq (String.to_seq "crashkil@,-0x19 \n") in
+  QCheck.Test.make ~name:"Fault.parse is total with one-line errors" ~count:500
+    QCheck.(
+      oneof [ string; string_gen_of_size Gen.(0 -- 24) (Gen.oneofl spec_chars) ])
+    (fun s ->
+      match Fault.parse s with
+      | Ok _ -> true
+      | Error e -> not (String.contains e '\n'))
 
 let suite =
   [
@@ -747,10 +745,10 @@ let suite =
         Alcotest.test_case "snapshot JSON pinned" `Quick test_metrics_snapshot_json_pinned;
         QCheck_alcotest.to_alcotest metrics_bucket_of_prop;
       ] );
-    ( "util.transport",
+    ( "util.fault",
       [
-        Alcotest.test_case "hostspec KATs" `Quick test_transport_hostspec_ok;
-        Alcotest.test_case "hostspec rejects" `Quick test_transport_hostspec_errors;
-        Alcotest.test_case "hostspec lists" `Quick test_transport_hostspecs_list;
+        Alcotest.test_case "spec KATs" `Quick test_fault_parse_ok;
+        Alcotest.test_case "spec rejects" `Quick test_fault_parse_rejects;
+        QCheck_alcotest.to_alcotest fault_parse_total_prop;
       ] );
   ]
