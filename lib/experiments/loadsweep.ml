@@ -86,6 +86,7 @@ let measure_point ~seed ~requests ~server ~models (a : Apps.app)
   let service = Array.init requests (fun _ -> Costmodel.sample cm svc_rng) in
   let r = Server.simulate ~config:server ~arrivals ~service:(fun i -> service.(i)) () in
   let pct p = Option.map us_of_cycles (Latency.percentile_opt r.Server.latency ~p) in
+  let p50_us = pct 50.0 and p95_us = pct 95.0 and p99_us = pct 99.0 and p999_us = pct 99.9 in
   let goodput_krps = Server.goodput_rps r /. 1000.0 in
   let reg = Metrics.create () in
   Metrics.set_int reg "service.offered" r.Server.offered;
@@ -98,23 +99,21 @@ let measure_point ~seed ~requests ~server ~models (a : Apps.app)
   (* Percentile keys are simply absent for an all-shed point — there is no
      latency distribution to report, and the key-set difference is itself a
      deterministic function of the inputs. *)
-  let set_pct name p =
-    match pct p with Some v -> Metrics.set_float reg name v | None -> ()
-  in
-  set_pct "service.p50_us" 50.0;
-  set_pct "service.p95_us" 95.0;
-  set_pct "service.p99_us" 99.0;
-  set_pct "service.p999_us" 99.9;
+  let set_pct name = Option.iter (Metrics.set_float reg name) in
+  set_pct "service.p50_us" p50_us;
+  set_pct "service.p95_us" p95_us;
+  set_pct "service.p99_us" p99_us;
+  set_pct "service.p999_us" p999_us;
   Latency.observe_metrics reg ~prefix:"service.latency_cycles" r.Server.latency;
   {
     app = a.Apps.name;
     scheme = v.Schemes.label;
     load;
     offered_krps = rate_rps /. 1000.0;
-    p50_us = pct 50.0;
-    p95_us = pct 95.0;
-    p99_us = pct 99.0;
-    p999_us = pct 99.9;
+    p50_us;
+    p95_us;
+    p99_us;
+    p999_us;
     goodput_krps;
     offered = r.Server.offered;
     served = r.Server.served;

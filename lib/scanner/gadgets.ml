@@ -31,12 +31,12 @@ let weight graph node =
 let plant_counts graph ~seed ~mds ~port ~cache =
   let rng = Rng.create (seed lxor 0x67616467) in
   let n = Callgraph.nnodes graph in
-  let weighted = Array.init n (fun i -> (i, weight graph i)) in
+  let sampler = Rng.weighted (Array.init n (weight graph)) in
   let pick_nodes count =
     let chosen = Hashtbl.create count in
     let rec go remaining guardrail =
       if remaining > 0 && guardrail > 0 then begin
-        let node = Rng.pick_weighted rng weighted in
+        let node = Rng.pick rng sampler in
         if Hashtbl.mem chosen node then go remaining (guardrail - 1)
         else begin
           Hashtbl.replace chosen node ();

@@ -3,12 +3,18 @@ module Metrics = Pv_util.Metrics
 type t = {
   mutable buf : float array;
   mutable n : int;
-  mutable sorted : float array option;  (* memoized; invalidated by observe *)
+  mutable work : float array option;
+      (* memoized copy of the samples that selections reorder in place;
+         invalidated by observe *)
 }
 
-let create () = { buf = Array.make 64 0.0; n = 0; sorted = None }
+let create () = { buf = Array.make 64 0.0; n = 0; work = None }
 
 let observe t x =
+  (* Selection needs a total order: NaN has none, and a sojourn is never
+     negative. *)
+  if Float.is_nan x || x < 0.0 then
+    invalid_arg "Latency.observe: sojourn must be non-negative";
   if t.n = Array.length t.buf then begin
     let bigger = Array.make (2 * t.n) 0.0 in
     Array.blit t.buf 0 bigger 0 t.n;
@@ -16,7 +22,7 @@ let observe t x =
   end;
   t.buf.(t.n) <- x;
   t.n <- t.n + 1;
-  t.sorted <- None
+  t.work <- None
 
 let count t = t.n
 
@@ -32,29 +38,55 @@ let mean t =
     !s /. float_of_int t.n
   end
 
-let sorted t =
-  match t.sorted with
+let max_value t =
+  if t.n = 0 then invalid_arg "Latency.max_value: no samples";
+  let m = ref t.buf.(0) in
+  for i = 1 to t.n - 1 do
+    if t.buf.(i) > !m then m := t.buf.(i)
+  done;
+  !m
+
+let work t =
+  match t.work with
   | Some a -> a
   | None ->
     let a = samples t in
-    Array.sort compare a;
-    t.sorted <- Some a;
+    t.work <- Some a;
     a
 
-let max_value t =
-  if t.n = 0 then invalid_arg "Latency.max_value: no samples";
-  let a = sorted t in
-  a.(t.n - 1)
+(* Hoare's FIND (Wirth's formulation): returns the k-th smallest element
+   (0-based) of [a], leaving it at index k with nothing larger before it and
+   nothing smaller after it.  Expected O(n); the reordering keeps the
+   multiset, so later selections on the same array stay exact. *)
+let select (a : float array) k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.(k) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while pivot < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done;
+  a.(k)
 
 (* Same nearest-rank definition as Stats.percentile (shared integer rank
-   computation), but on the memoized sorted array so the four tail
-   quantiles of a cell cost one sort. *)
+   computation), by selection on the memoized working copy instead of a
+   full sort: the four tail quantiles of a cell cost four linear passes. *)
 let percentile t ~p =
   if t.n = 0 then invalid_arg "Latency.percentile: no samples";
   if Float.is_nan p || p < 0.0 || p > 100.0 then
     invalid_arg "Latency.percentile: p outside [0,100]";
-  let a = sorted t in
-  a.(Pv_util.Stats.nearest_rank ~p ~n:t.n - 1)
+  select (work t) (Pv_util.Stats.nearest_rank ~p ~n:t.n - 1)
 
 let percentile_opt t ~p = if t.n = 0 then None else Some (percentile t ~p)
 

@@ -12,7 +12,8 @@ type t
 val create : unit -> t
 
 val observe : t -> float -> unit
-(** Record one sojourn time (cycles). *)
+(** Record one sojourn time (cycles).  Raises [Invalid_argument] on a NaN or
+    negative sojourn: the percentiles need a total order. *)
 
 val count : t -> int
 
@@ -20,12 +21,15 @@ val mean : t -> float
 (** Arithmetic mean; [0.] when empty. *)
 
 val max_value : t -> float
-(** Largest recorded sample.  Raises [Invalid_argument] when empty. *)
+(** Largest recorded sample, by one linear pass.  Raises [Invalid_argument]
+    when empty. *)
 
 val percentile : t -> p:float -> float
 (** Exact nearest-rank percentile over the raw samples (see
-    {!Pv_util.Stats.percentile}).  Raises [Invalid_argument] when empty or
-    [p] is outside [[0, 100]]. *)
+    {!Pv_util.Stats.percentile}).  Found by selection (Hoare's FIND) on a
+    working copy of the samples kept until the next {!observe}: expected
+    O(n) per call, no sort.  Raises [Invalid_argument] when empty or [p] is
+    outside [[0, 100]]. *)
 
 val percentile_opt : t -> p:float -> float option
 (** {!percentile} with the empty recorder degrading to [None] — an all-shed

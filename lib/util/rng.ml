@@ -64,16 +64,33 @@ let sample_geometric t p =
     let u = 1.0 -. float t 1.0 in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
-let pick_weighted t pairs =
-  if Array.length pairs = 0 then invalid_arg "Rng.pick_weighted: empty array";
-  let total = Array.fold_left (fun acc (_, w) -> acc +. Float.max w 0.0) 0.0 pairs in
-  if total <= 0.0 then invalid_arg "Rng.pick_weighted: non-positive total weight";
-  let target = float t total in
-  let rec go i acc =
-    if i = Array.length pairs - 1 then fst pairs.(i)
-    else
-      let _, w = pairs.(i) in
-      let acc = acc +. Float.max w 0.0 in
-      if target < acc then fst pairs.(i) else go (i + 1) acc
-  in
-  go 0 0.0
+(* Prefix sums of the clamped weights, built with the same left-to-right
+   additions a linear scan would make, so every cumulative value (and the
+   total, the last one) is bit-identical to the scan's running sum. *)
+type weighted = float array
+
+let weighted ws =
+  let n = Array.length ws in
+  if n = 0 then invalid_arg "Rng.weighted: empty array";
+  let cum = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = ws.(i) in
+    if not (Float.is_finite w) then invalid_arg "Rng.weighted: non-finite weight";
+    acc := !acc +. Float.max w 0.0;
+    cum.(i) <- !acc
+  done;
+  if !acc <= 0.0 then invalid_arg "Rng.weighted: non-positive total weight";
+  if not (Float.is_finite !acc) then invalid_arg "Rng.weighted: total weight overflows";
+  cum
+
+(* The first i < n-1 with target < cum.(i), else n-1: exactly where the
+   linear scan stops, found by bisection since cum is non-decreasing. *)
+let pick t (cum : weighted) =
+  let target = float t cum.(Array.length cum - 1) in
+  let lo = ref 0 and hi = ref (Array.length cum - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if target < cum.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo

@@ -52,6 +52,18 @@ val sample_geometric : t -> float -> int
 (** [sample_geometric t p] is the number of failures before the first success
     of a Bernoulli([p]) process; [p] is clamped away from 0. *)
 
-val pick_weighted : t -> ('a * float) array -> 'a
-(** Weighted choice over a non-empty array of (value, weight >= 0) pairs with
-    positive total weight. *)
+type weighted
+(** A prepared sampler over the indices of a weight array. *)
+
+val weighted : float array -> weighted
+(** [weighted ws] prepares weighted draws over [0 .. length ws - 1], index
+    [i] with probability proportional to [max ws.(i) 0].  O(n) once: it
+    stores the prefix sums.  Raises [Invalid_argument] on an empty array, a
+    NaN or infinite weight, or a total weight that is not positive and
+    finite. *)
+
+val pick : t -> weighted -> int
+(** [pick t w] draws one index: one {!float} draw of the total weight, then
+    a binary search of the prefix sums, O(log n).  The draw consumes the
+    stream exactly as a linear scan over the weights would and returns the
+    same index. *)

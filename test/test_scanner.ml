@@ -23,6 +23,22 @@ let test_corpus_determinism () =
   check Alcotest.(list int) "same nodes" (List.sort compare (Gadgets.nodes corpus))
     (List.sort compare (Gadgets.nodes c2))
 
+(* Known answers recorded on the linear-scan sampler: an MD5 of every
+   planted gadget's kind and node, in plant order.  A sampler change that
+   moves a single node fails here. *)
+let corpus_digest corpus =
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun (g : Gadgets.gadget) ->
+      Buffer.add_string b (Printf.sprintf "%s:%d;" (Gadgets.kind_name g.kind) g.node))
+    (Gadgets.gadgets corpus);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_corpus_kat () =
+  check Alcotest.string "seed 42" "401dc5cce233e7aa09fbb0599854341b" (corpus_digest corpus);
+  check Alcotest.string "seed 7" "f1c29a3fb88ce98b0f9bd5cd85bbe187"
+    (corpus_digest (Gadgets.plant (Callgraph.synthesize 7) ~seed:7))
+
 let test_corpus_distinct_per_kind () =
   List.iter
     (fun kind ->
@@ -86,6 +102,7 @@ let suite =
       [
         Alcotest.test_case "Kasper population" `Quick test_corpus_counts;
         Alcotest.test_case "determinism" `Quick test_corpus_determinism;
+        Alcotest.test_case "corpus KAT seeds 42 and 7" `Quick test_corpus_kat;
         Alcotest.test_case "distinct nodes" `Quick test_corpus_distinct_per_kind;
         Alcotest.test_case "scoping" `Quick test_corpus_scoping;
       ] );

@@ -73,6 +73,63 @@ let test_latency_matches_stats () =
   check (Alcotest.float 1e-9) "p100 after new observation" 1000.0
     (Latency.percentile t ~p:100.0)
 
+(* Selection on the memoized working copy must agree with the sorting
+   reference on duplicate-heavy samples, and a later observe must
+   invalidate the copy: queries in random order are interleaved with new
+   samples, and each is checked against the multiset observed so far. *)
+type latency_op = Query of float | Observe of float
+
+let latency_ops_gen =
+  let open QCheck.Gen in
+  (* few distinct values, so most ranks land inside runs of duplicates *)
+  let value = map float_of_int (frequency [ (4, int_bound 8); (1, int_bound 100_000) ]) in
+  let p =
+    frequency
+      [
+        (6, oneofl [ 0.0; 50.0; 95.0; 99.0; 99.9; 100.0 ]);
+        (2, float_range 0.0 100.0);
+      ]
+  in
+  let op = frequency [ (3, map (fun p -> Query p) p); (1, map (fun x -> Observe x) value) ] in
+  pair (list_size (int_range 1 400) value) (list_size (int_range 1 40) op)
+
+let print_latency_op = function
+  | Query p -> Printf.sprintf "Query %g" p
+  | Observe x -> Printf.sprintf "Observe %g" x
+
+let latency_selection_prop =
+  QCheck.Test.make ~name:"percentile and max match Stats on duplicate-heavy samples" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list float) (list print_latency_op))
+       latency_ops_gen)
+    (fun (xs, ops) ->
+      let t = Latency.create () in
+      List.iter (Latency.observe t) xs;
+      let model = ref xs in
+      List.for_all
+        (function
+          | Observe x ->
+            Latency.observe t x;
+            model := x :: !model;
+            true
+          | Query p ->
+            Latency.percentile t ~p = Stats.percentile !model ~p
+            && Latency.max_value t = List.fold_left Float.max Float.neg_infinity !model)
+        ops)
+
+let test_latency_rejects_bad_sojourns () =
+  (* Regression: a NaN sample has no place in a total order, so selection
+     could return any element for a rank. *)
+  let t = Latency.create () in
+  let reject name x =
+    Alcotest.check_raises name
+      (Invalid_argument "Latency.observe: sojourn must be non-negative") (fun () ->
+        Latency.observe t x)
+  in
+  reject "nan" Float.nan;
+  reject "negative" (-1.0);
+  check Alcotest.int "nothing recorded" 0 (Latency.count t)
+
 (* --- server ----------------------------------------------------------- *)
 
 let test_server_fifo_and_shed () =
@@ -384,7 +441,12 @@ let suite =
         Alcotest.test_case "bad mean rejected" `Quick test_arrivals_rejects_bad_mean;
       ] );
     ( "service.latency",
-      [ Alcotest.test_case "matches Stats.percentile" `Quick test_latency_matches_stats ] );
+      [
+        Alcotest.test_case "matches Stats.percentile" `Quick test_latency_matches_stats;
+        Alcotest.test_case "rejects NaN and negative sojourns" `Quick
+          test_latency_rejects_bad_sojourns;
+        QCheck_alcotest.to_alcotest latency_selection_prop;
+      ] );
     ( "service.server",
       [
         Alcotest.test_case "FIFO backlog and shedding" `Quick test_server_fifo_and_shed;

@@ -120,15 +120,80 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
   done
 
-let test_pick_weighted_bias () =
+let test_weighted_pick_bias () =
   let r = Rng.create 21 in
-  let counts = Hashtbl.create 2 in
+  let sampler = Rng.weighted [| 9.0; 1.0 |] in
+  let a = ref 0 in
   for _ = 1 to 10_000 do
-    let v = Rng.pick_weighted r [| ("a", 9.0); ("b", 1.0) |] in
-    Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+    if Rng.pick r sampler = 0 then incr a
   done;
-  let a = Option.value ~default:0 (Hashtbl.find_opt counts "a") in
-  Alcotest.(check bool) "90/10 split approx" true (a > 8_700 && a < 9_300)
+  Alcotest.(check bool) "90/10 split approx" true (!a > 8_700 && !a < 9_300)
+
+(* Reference sampler: re-fold the total, then scan linearly for the first
+   index whose running sum exceeds one uniform draw of it.  [Rng.pick] must
+   reproduce its index stream draw for draw. *)
+let linear_pick r ws =
+  let total = Array.fold_left (fun acc w -> acc +. Float.max w 0.0) 0.0 ws in
+  let target = Rng.float r total in
+  let rec go i acc =
+    if i = Array.length ws - 1 then i
+    else
+      let acc = acc +. Float.max ws.(i) 0.0 in
+      if target < acc then i else go (i + 1) acc
+  in
+  go 0 0.0
+
+(* Weight arrays mixing zeros, negatives (clamped to zero) and positives of
+   wildly different scales, up to large n, plus single-positive-entry
+   arrays; every array has a positive total. *)
+let weights_gen =
+  let open QCheck.Gen in
+  let weight =
+    frequency
+      [
+        (3, return 0.0);
+        (2, float_range (-5.0) 0.0);
+        (4, float_range 0.0 10.0);
+        (1, map (fun e -> Float.ldexp 1.0 e) (int_range (-40) 40));
+      ]
+  in
+  let mixed =
+    let* n = frequency [ (4, int_range 1 64); (1, int_range 1000 30_000) ] in
+    let* ws = array_repeat n weight in
+    let* i = int_bound (n - 1) in
+    let* w = float_range 0.5 3.0 in
+    ws.(i) <- w;
+    return ws
+  in
+  let single =
+    let* n = int_range 1 200 in
+    let* i = int_bound (n - 1) in
+    let* w = float_range 1e-6 1e6 in
+    return (Array.init n (fun j -> if j = i then w else 0.0))
+  in
+  frequency [ (3, mixed); (1, single) ]
+
+let pick_matches_linear_prop =
+  QCheck.Test.make ~name:"weighted pick matches the linear scan draw for draw" ~count:200
+    (QCheck.make
+       ~print:(fun (seed, ws) -> Printf.sprintf "seed %d, %d weights" seed (Array.length ws))
+       QCheck.Gen.(pair small_nat weights_gen))
+    (fun (seed, ws) ->
+      let sampler = Rng.weighted ws in
+      let a = Rng.create seed and b = Rng.create seed in
+      List.init 200 (fun _ -> Rng.pick a sampler) = List.init 200 (fun _ -> linear_pick b ws))
+
+let test_weighted_rejects () =
+  let reject name msg ws =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (Rng.weighted ws))
+  in
+  reject "empty" "Rng.weighted: empty array" [||];
+  reject "all zero" "Rng.weighted: non-positive total weight" [| 0.0; -1.0 |];
+  (* Regression: a NaN weight made the total NaN, which passed the
+     non-positive guard, and every draw silently returned the last index. *)
+  reject "nan" "Rng.weighted: non-finite weight" [| 1.0; Float.nan; 1.0 |];
+  reject "infinity" "Rng.weighted: non-finite weight" [| 1.0; Float.infinity |];
+  reject "overflow" "Rng.weighted: total weight overflows" [| Float.max_float; Float.max_float |]
 
 let test_shuffle_permutation () =
   let r = Rng.create 31 in
@@ -680,7 +745,9 @@ let suite =
         Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
         Alcotest.test_case "chance rate" `Quick test_rng_chance_rate;
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
-        Alcotest.test_case "weighted pick bias" `Quick test_pick_weighted_bias;
+        Alcotest.test_case "weighted pick bias" `Quick test_weighted_pick_bias;
+        Alcotest.test_case "weighted rejects bad weights" `Quick test_weighted_rejects;
+        QCheck_alcotest.to_alcotest pick_matches_linear_prop;
         Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
         Alcotest.test_case "splitmix64 KAT seed 0" `Quick test_rng_kat_seed0;
         Alcotest.test_case "splitmix64 KAT seed 1234567" `Quick test_rng_kat_seed1234567;
