@@ -11,6 +11,10 @@
      bench/main.exe -j N            run experiment jobs on N domains
      bench/main.exe --no-bechamel   skip the microbenchmarks
 
+   An unknown --only label, or a malformed --scale or -j, exits 2.  The
+   speed of the reproduction itself is measured end to end by bench/e2e
+   (see bench/e2e/README.md).
+
    Parallel runs are deterministic: each (workload x scheme) measurement is
    a self-contained Pv_sim.Machine job and results are merged in declaration
    order, so every table is byte-identical for any -j (see test_pool.ml). *)
@@ -38,10 +42,6 @@ let no_cache = ref false
 
 let cache_stats = ref false
 
-let bench_out : string option ref = ref None
-
-let bench_guard = ref false
-
 (* The persistent result cache (used by the supervised fig-9.3-tail section;
    a warm run skips the expensive service-time calibrations). *)
 let rescache () =
@@ -53,6 +53,14 @@ let maybe_csv name tab =
   match !csv_dir with
   | Some dir -> Tab.save_csv tab (Filename.concat dir (name ^ ".csv"))
   | None -> ()
+
+(* Every section label [--only] accepts; anything else is a usage error. *)
+let labels =
+  [
+    "table-4.1"; "table-7.1"; "table-8.1"; "table-8.2"; "table-9.1"; "table-10.1";
+    "fig-9.1"; "fig-9.2"; "fig-9.3"; "fig-9.3-tail"; "poc-attacks"; "contracts";
+    "comparisons"; "sensitivity";
+  ]
 
 let want label = match !only with None -> true | Some l -> l = label
 
@@ -240,278 +248,6 @@ let service_section () =
       if !cache_stats then Option.iter Pv_util.Rescache.report cache)
 
 (* ------------------------------------------------------------------ *)
-(* Cycle-loop microbenchmark: the BENCH_<date>.json trajectory          *)
-(* ------------------------------------------------------------------ *)
-
-module Benchjson = Pv_util.Benchjson
-
-(* The trajectory cells are PINNED — fixed workloads, schemes, seed and
-   scale, independent of --quick/--scale — so simulated-cycles/sec is
-   comparable across PRs.  Changing any input here breaks the trajectory;
-   start a new label instead. *)
-let bench_scale = 0.5
-
-let bench_lebench = [ "read"; "select"; "poll" ]
-
-let bench_schemes = [ "UNSAFE"; "FENCE"; "PERSPECTIVE" ]
-
-let today () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let measure_cell ~workload ~scheme run =
-  let t0 = Unix.gettimeofday () in
-  let r : E.Perf.run = run () in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Benchjson.cell ~workload ~scheme ~sim_cycles:r.E.Perf.cycles
-    ~committed:r.E.Perf.committed ~wall_s
-
-let cycles_section () =
-  section "cycles" "Pipeline cycle-loop microbenchmark" (fun () ->
-      let variants =
-        try List.map E.Schemes.find bench_schemes
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-      in
-      let cells =
-        List.concat_map
-          (fun name ->
-            let test = Pv_workloads.Lebench.find name in
-            List.map
-              (fun (v : E.Schemes.variant) ->
-                measure_cell ~workload:name ~scheme:v.E.Schemes.label (fun () ->
-                    E.Perf.run_lebench ~scale:bench_scale v test))
-              variants)
-          bench_lebench
-        @ List.map
-            (fun (v : E.Schemes.variant) ->
-              measure_cell ~workload:"httpd" ~scheme:v.E.Schemes.label (fun () ->
-                  E.Perf.run_app ~scale:bench_scale v Pv_workloads.Apps.httpd))
-            variants
-      in
-      let date = today () in
-      let entry = Benchjson.make ~date ~label:"cycles" ~scale:bench_scale ~jobs:1 cells in
-      let tab =
-        Tab.create ~title:"Pipeline cycle-loop speed (pinned cells, serial)"
-          ~header:
-            [
-              ("Workload", Tab.Left); ("Scheme", Tab.Left); ("Sim cycles", Tab.Right);
-              ("Committed", Tab.Right); ("Wall s", Tab.Right); ("Mcycles/s", Tab.Right);
-            ]
-      in
-      List.iter
-        (fun (c : Benchjson.cell) ->
-          Tab.row tab
-            [
-              c.Benchjson.workload; c.Benchjson.scheme;
-              string_of_int c.Benchjson.sim_cycles; string_of_int c.Benchjson.committed;
-              Printf.sprintf "%.3f" c.Benchjson.wall_s;
-              Printf.sprintf "%.2f" (c.Benchjson.cps /. 1e6);
-            ])
-        entry.Benchjson.cells;
-      Tab.caption tab
-        (Printf.sprintf "aggregate: %d simulated cycles in %.3f s = %.2f Mcycles/s"
-           entry.Benchjson.total_sim_cycles entry.Benchjson.total_wall_s
-           (entry.Benchjson.agg_cps /. 1e6));
-      Tab.print tab;
-      let path =
-        match !bench_out with Some p -> p | None -> Benchjson.filename ~date
-      in
-      (match Benchjson.validate entry with
-      | Ok () -> ()
-      | Error msg ->
-        Printf.eprintf "BENCH: refusing to emit invalid entry: %s\n%!" msg;
-        exit 3);
-      let prev =
-        Benchjson.latest_in
-          ~dir:(Filename.dirname path)
-          ~excluding:(Filename.basename path) ~label:"cycles" ()
-      in
-      Benchjson.write ~path entry;
-      Printf.printf "\nBENCH: wrote %s (%.2f Mcycles/s aggregate)\n" path
-        (entry.Benchjson.agg_cps /. 1e6);
-      match prev with
-      | None -> Printf.printf "BENCH: no previous trajectory entry; guard skipped\n"
-      | Some prev_path -> (
-        match Benchjson.load ~path:prev_path with
-        | Error msg ->
-          Printf.eprintf "BENCH: previous entry %s unreadable (%s); guard skipped\n%!"
-            prev_path msg
-        | Ok prev ->
-          let delta = Benchjson.delta_pct ~prev ~cur:entry in
-          Printf.printf "BENCH: %+.1f%% cycles/sec vs %s (%.2f -> %.2f Mcycles/s)\n"
-            delta prev_path
-            (prev.Benchjson.agg_cps /. 1e6)
-            (entry.Benchjson.agg_cps /. 1e6);
-          if !bench_guard && delta < -20.0 then begin
-            Printf.eprintf
-              "BENCH: simulated-cycles/sec regressed %.1f%% (> 20%% guard) vs %s\n%!"
-              (-.delta) prev_path;
-            exit 3
-          end))
-
-(* ------------------------------------------------------------------ *)
-(* Pool scheduler microbenchmark: the BENCH_pool_<date>.json trajectory *)
-(* ------------------------------------------------------------------ *)
-
-(* Work-stealing vs the frozen shared-queue pool on two adversarial shapes:
-   10^4 tiny uniform cells (dequeue-rate bound — the PR 9 contract-matrix
-   shape, where the shared queue serializes every pop on one lock) and
-   4 huge + 96 tiny cells (skew bound — finishing the tiny tail early wins
-   nothing unless someone steals the huge cells' neighbours).  Cells are
-   pure LCG spins, so both pools compute identical results and the
-   measurement isolates scheduling cost.  Everything is PINNED (shapes,
-   iteration counts, jobs=8) — same trajectory discipline as [cycles]. *)
-let pool_jobs = 8
-
-let pool_reps = 25
-
-let pool_tiny_iters = 20
-
-let pool_huge_iters = 5_000_000
-
-let spin_cell (iters, seed) =
-  let r = ref seed in
-  for _ = 1 to iters do
-    r := (!r * 2862933555777941757) + 3037000493
-  done;
-  !r
-
-let pool_shapes =
-  [
-    ("tiny-10k", List.init 10_000 (fun i -> (pool_tiny_iters, i)));
-    ( "mixed-4huge-96tiny",
-      List.init 100 (fun i ->
-          ((if i < 4 then pool_huge_iters else pool_tiny_iters), i)) );
-  ]
-
-let pool_section () =
-  section "pool" "Pool scheduler microbenchmark (work stealing vs shared queue)"
-    (fun () ->
-      let date = today () in
-      let measured =
-        List.map
-          (fun (shape, items) ->
-            let n = List.length items in
-            (* Interleave the two schedulers rep by rep and keep each one's
-               best wall time: machine-load noise only ever ADDS time, so
-               best-of-N at alternating instants is far more stable than
-               timing one scheduler's whole block after the other's. *)
-            let ref_out = ref [] and ws_out = ref [] in
-            let ref_wall = ref infinity and ws_wall = ref infinity in
-            let ctr =
-              Pv_util.Pool_ref.with_pool ~jobs:pool_jobs (fun pref ->
-                  Pv_util.Pool.with_pool ~jobs:pool_jobs (fun pws ->
-                      for _ = 1 to pool_reps do
-                        let t0 = Unix.gettimeofday () in
-                        ref_out := Pv_util.Pool_ref.map pref spin_cell items;
-                        ref_wall := Float.min !ref_wall (Unix.gettimeofday () -. t0);
-                        let t0 = Unix.gettimeofday () in
-                        ws_out := Pv_util.Pool.map pws spin_cell items;
-                        ws_wall := Float.min !ws_wall (Unix.gettimeofday () -. t0)
-                      done;
-                      Pv_util.Pool.counters pws))
-            in
-            if !ref_out <> !ws_out then begin
-              Printf.eprintf
-                "POOL: %s: work-stealing results differ from shared-queue\n%!"
-                shape;
-              exit 3
-            end;
-            let cell scheme wall_s =
-              (* For this trajectory a "cycle" is one processed cell, so
-                 cps reads as cells per second (best of [pool_reps] reps). *)
-              Benchjson.cell ~workload:shape ~scheme ~sim_cycles:n ~committed:n
-                ~wall_s
-            in
-            (shape, ctr, cell "shared-queue" !ref_wall, cell "work-stealing" !ws_wall))
-          pool_shapes
-      in
-      let cells =
-        List.concat_map (fun (_, _, r, w) -> [ r; w ]) measured
-      in
-      let entry =
-        Benchjson.make ~date ~label:"pool" ~scale:1.0 ~jobs:pool_jobs cells
-      in
-      let tab =
-        Tab.create
-          ~title:
-            (Printf.sprintf "Pool scheduler throughput (pinned shapes, -j %d)"
-               pool_jobs)
-          ~header:
-            [
-              ("Shape", Tab.Left); ("Scheduler", Tab.Left); ("Cells", Tab.Right);
-              ("Wall s", Tab.Right); ("cells/s", Tab.Right);
-            ]
-      in
-      List.iter
-        (fun (c : Benchjson.cell) ->
-          Tab.row tab
-            [
-              c.Benchjson.workload; c.Benchjson.scheme;
-              string_of_int c.Benchjson.sim_cycles;
-              Printf.sprintf "%.3f" c.Benchjson.wall_s;
-              Printf.sprintf "%.0f" c.Benchjson.cps;
-            ])
-        entry.Benchjson.cells;
-      Tab.caption tab "Schedulers compute identical results; higher cells/s is better.";
-      Tab.print tab;
-      List.iter
-        (fun (shape, (ctr : Pv_util.Pool.counters), rf, ws) ->
-          Printf.printf
-            "POOL: %s: work-stealing %.0f cells/s vs shared-queue %.0f = %.2fx\n"
-            shape ws.Benchjson.cps rf.Benchjson.cps
-            (if rf.Benchjson.cps > 0.0 then ws.Benchjson.cps /. rf.Benchjson.cps
-             else 0.0);
-          Printf.printf
-            "POOL: %s: scheduler counters: %d local pops, %d steals, %d failed \
-             steals, %d parks, %d unparks\n"
-            shape ctr.Pv_util.Pool.local_pops ctr.Pv_util.Pool.steals
-            ctr.Pv_util.Pool.failed_steals ctr.Pv_util.Pool.parks
-            ctr.Pv_util.Pool.unparks)
-        measured;
-      (match Benchjson.validate entry with
-      | Ok () -> ()
-      | Error msg ->
-        Printf.eprintf "BENCH: refusing to emit invalid pool entry: %s\n%!" msg;
-        exit 3);
-      let path =
-        (* --bench-out redirects this section's file only when the pool
-           section was selected explicitly; a full run keeps the two
-           trajectories in their own files. *)
-        match (!bench_out, !only) with
-        | Some p, Some "pool" -> p
-        | _ -> Benchjson.filename_for ~label:"pool" ~date
-      in
-      let prev =
-        Benchjson.latest_in
-          ~dir:(Filename.dirname path)
-          ~excluding:(Filename.basename path) ~label:"pool" ()
-      in
-      Benchjson.write ~path entry;
-      Printf.printf "\nBENCH: wrote %s (%.0f cells/s aggregate)\n" path
-        entry.Benchjson.agg_cps;
-      match prev with
-      | None -> Printf.printf "BENCH: no previous pool trajectory entry; guard skipped\n"
-      | Some prev_path -> (
-        match Benchjson.load ~path:prev_path with
-        | Error msg ->
-          Printf.eprintf "BENCH: previous entry %s unreadable (%s); guard skipped\n%!"
-            prev_path msg
-        | Ok prev ->
-          let delta = Benchjson.delta_pct ~prev ~cur:entry in
-          Printf.printf "BENCH: %+.1f%% cells/sec vs %s (%.0f -> %.0f cells/s)\n"
-            delta prev_path prev.Benchjson.agg_cps entry.Benchjson.agg_cps;
-          if !bench_guard && delta < -20.0 then begin
-            Printf.eprintf
-              "BENCH: pool cells/sec regressed %.1f%% (> 20%% guard) vs %s\n%!"
-              (-.delta) prev_path;
-            exit 3
-          end))
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the core primitives                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -606,24 +342,26 @@ let bechamel_suite () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
       scale := 0.3;
       parse rest
     | "--scale" :: v :: rest ->
-      scale := float_of_string v;
+      (match float_of_string_opt v with
+      | Some s when s > 0.0 && Float.is_finite s -> scale := s
+      | _ -> usage_error "--scale: expected a positive number, got %S" v);
       parse rest
     | "--only" :: l :: rest ->
+      if not (List.mem l labels) then
+        usage_error "--only: unknown label %S (valid: %s)" l (String.concat ", " labels);
       only := Some l;
       parse rest
     | ("-j" | "--jobs") :: n :: rest ->
-      let n = int_of_string n in
-      if n < 1 then begin
-        Printf.eprintf "-j: need at least one worker\n";
-        exit 2
-      end;
-      jobs := n;
+      (match int_of_string_opt n with
+      | Some n when n >= 1 -> jobs := n
+      | _ -> usage_error "-j: expected a positive number of workers, got %S" n);
       parse rest
     | "--no-bechamel" :: rest ->
       run_bechamel := false;
@@ -647,23 +385,13 @@ let () =
     | "--cache-stats" :: rest ->
       cache_stats := true;
       parse rest
-    | "--bench-out" :: path :: rest ->
-      bench_out := Some path;
-      parse rest
-    | "--bench-guard" :: rest ->
-      bench_guard := true;
-      parse rest
     | arg :: _ ->
-      Printf.eprintf
+      usage_error
         "unknown argument %s\n\
          usage: main.exe [--quick] [--scale F] [--only LABEL] [-j N] [--no-bechamel] [--csv DIR]\n\
         \       [--metrics FILE.json] [--trace-dir DIR] [--cache DIR] [--no-cache] [--cache-stats]\n\
-        \       [--bench-out FILE.json] [--bench-guard]\n\
-         labels: table-4.1 table-7.1 table-8.1 table-8.2 table-9.1 table-10.1\n\
-        \        fig-9.1 fig-9.2 fig-9.3 fig-9.3-tail poc-attacks contracts comparisons\n\
-        \        sensitivity cycles pool\n"
-        arg;
-      exit 2
+         labels: %s"
+        arg (String.concat " " labels)
   in
   parse (List.tl (Array.to_list Sys.argv));
   Printf.printf "Perspective reproduction benchmark harness\n";
@@ -674,7 +402,5 @@ let () =
   contracts_section ();
   perf_sections ();
   service_section ();
-  cycles_section ();
-  pool_section ();
   if !run_bechamel && !only = None then bechamel_suite ();
   Printf.printf "\nDone.\n"

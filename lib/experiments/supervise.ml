@@ -531,14 +531,14 @@ let render_json exports =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" e.label);
+      Buffer.add_string buf (Printf.sprintf "    %s: {\n" (Metrics.json_string e.label));
       Buffer.add_string buf "      \"summary\": ";
       Buffer.add_string buf (Metrics.snapshot_to_json ~indent:8 e.summary);
       Buffer.add_string buf ",\n      \"cells\": {\n";
       List.iteri
         (fun j (k, snap) ->
           if j > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (Printf.sprintf "        %S: " k);
+          Buffer.add_string buf (Printf.sprintf "        %s: " (Metrics.json_string k));
           match snap with
           | None -> Buffer.add_string buf "null"
           | Some s -> Buffer.add_string buf (Metrics.snapshot_to_json ~indent:10 s))

@@ -65,6 +65,12 @@ val always : int
 val plan : spec list -> t
 (** Explicit per-index faults; indices not listed behave normally. *)
 
+val parse_index : string -> int option
+(** Strict non-negative decimal: [Some n] only for a non-empty run of ASCII
+    digits that fits an [int].  Rejects the ["-1"], ["+1"], ["0x1"],
+    ["0b1"] and ["1_000"] that [int_of_string] accepts.  Shared by the
+    [--fault] spec and the process-pool wire lines. *)
+
 val parse : string -> (t, string) result
 (** Parse a [--fault] spec: [KIND@INDEX[,KIND@INDEX...]] with [KIND] one of
     [crash] (every attempt), [flaky] (a crash on the first attempt only),

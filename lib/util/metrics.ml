@@ -132,18 +132,21 @@ let value_to_json = function
       Buffer.add_string buf (Printf.sprintf "],\"total\":%d,\"sum\":%d}" total sum);
       Buffer.contents buf
 
-let json_escape name =
-  (* Metric names are plain dotted identifiers, but render defensively. *)
-  let buf = Buffer.create (String.length name + 2) in
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    name;
+    s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
 let snapshot_to_json ?(indent = 2) snap =
@@ -155,7 +158,7 @@ let snapshot_to_json ?(indent = 2) snap =
     (fun i (name, v) ->
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf pad;
-      Buffer.add_string buf (Printf.sprintf "\"%s\": %s" (json_escape name) (value_to_json v)))
+      Buffer.add_string buf (Printf.sprintf "%s: %s" (json_string name) (value_to_json v)))
     snap;
   Buffer.add_char buf '\n';
   Buffer.add_string buf close_pad;

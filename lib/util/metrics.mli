@@ -85,6 +85,13 @@ val find : snapshot -> string -> value option
     inside histograms). *)
 val value_to_json : value -> string
 
+(** [json_string s] is [s] as a quoted JSON string: quote, backslash and
+    control bytes escaped ([\n], [\r], [\t] by name, the rest as [\u00XX]),
+    every other byte (UTF-8 included) copied verbatim.  The one string
+    escaper behind the metrics export, the result-cache envelope and the
+    sweep [--metrics] document. *)
+val json_string : string -> string
+
 (** [snapshot_to_json ~indent snap] renders the snapshot as a JSON object,
     one ["name": value] member per line, each line prefixed by [indent]
     spaces; the closing brace is indented by [indent - 2].  Keys come out

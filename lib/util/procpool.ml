@@ -12,7 +12,9 @@
                              ERR <index> <T|P> <hex reason>
 
    Keys and failure reasons travel hex-encoded so they can never smuggle a
-   newline or space into the framing.  Results never travel inside the
+   newline or space into the framing.  Indices and attempts are strict
+   decimals, and a line that does not parse is skipped; the coordinator
+   counts an OK/ERR only for the replying worker's own in-flight cell.  Results never travel inside the
    control protocol: a worker journals the value, replies [OK], and the
    coordinator reads the value back from the worker's journal after the
    sweep — so a kill between journal append and reply loses only the reply,
@@ -105,38 +107,66 @@ let worker_init () =
   worker := Some ctx;
   ctx
 
+(* --- wire lines ------------------------------------------------------------ *)
+
+type line =
+  | Run of { index : int; attempt : int; key : string }
+  | Fin
+  | Rdy
+  | Ok_ of int
+  | Err of { index : int; transient : bool; reason : string }
+
+let render_line = function
+  | Run { index; attempt; key } ->
+    Printf.sprintf "RUN %d %d %s" index attempt (Checksum.hex_of_string key)
+  | Fin -> "FIN"
+  | Rdy -> "RDY"
+  | Ok_ index -> Printf.sprintf "OK %d" index
+  | Err { index; transient; reason } ->
+    Printf.sprintf "ERR %d %s %s" index
+      (if transient then "T" else "P")
+      (Checksum.hex_of_string reason)
+
+let parse_line s =
+  let num = Fault.parse_index in
+  match String.split_on_char ' ' s with
+  | [ "FIN" ] -> Some Fin
+  | [ "RDY" ] -> Some Rdy
+  | [ "RUN"; index; attempt; key ] -> (
+    match (num index, num attempt, Checksum.string_of_hex key) with
+    | Some index, Some attempt, Some key -> Some (Run { index; attempt; key })
+    | _ -> None)
+  | [ "OK"; index ] -> Option.map (fun i -> Ok_ i) (num index)
+  | [ "ERR"; index; ("T" | "P" as cls); reason ] -> (
+    match (num index, Checksum.string_of_hex reason) with
+    | Some index, Some reason -> Some (Err { index; transient = cls = "T"; reason })
+    | _ -> None)
+  | _ -> None
+
 (* --- worker-side serving ----------------------------------------------- *)
 
 type verdict = Done | Fail of { transient : bool; reason : string }
 
 let reply_line oc line =
-  output_string oc line;
+  output_string oc (render_line line);
   output_char oc '\n';
   flush oc
 
 let serve ctx ~handle =
-  reply_line ctx.reply_out "RDY";
+  reply_line ctx.reply_out Rdy;
   let rec loop () =
     match input_line ctx.cmd_in with
     | exception End_of_file -> ()
-    | "FIN" -> ()
     | line -> (
-      match String.split_on_char ' ' line with
-      | [ "RUN"; idx; att; hexkey ] -> (
-        match
-          (int_of_string_opt idx, int_of_string_opt att, Checksum.string_of_hex hexkey)
-        with
-        | Some index, Some attempt, Some key ->
+      match parse_line line with
+      | Some Fin -> ()
+      | Some (Run { index; attempt; key }) ->
+        reply_line ctx.reply_out
           (match handle ~index ~attempt ~key with
-          | Done -> reply_line ctx.reply_out (Printf.sprintf "OK %d" index)
-          | Fail { transient; reason } ->
-            reply_line ctx.reply_out
-              (Printf.sprintf "ERR %d %s %s" index
-                 (if transient then "T" else "P")
-                 (Checksum.hex_of_string reason)));
-          loop ()
-        | _ -> loop () (* malformed command: skip, stay alive *))
-      | _ -> loop ())
+          | Done -> Ok_ index
+          | Fail { transient; reason } -> Err { index; transient; reason });
+        loop ()
+      | _ -> loop () (* malformed command: skip, stay alive *))
   in
   loop ()
 
@@ -299,33 +329,20 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
       if transient && attempt < retries then Queue.add (idx, attempt + 1) queue
       else resolve idx (Failed { attempts = attempt + 1; transient; reason })
     in
+    (* A reply counts only for the worker's own in-flight cell, which is
+       always in range: a malformed line, an out-of-range index or another
+       cell's index is dropped, never resolved. *)
     let handle_reply w line =
-      match String.split_on_char ' ' line with
-      | [ "RDY" ] -> w.ws_ready <- true
-      | [ "OK"; idx ] -> (
-        match int_of_string_opt idx with
-        | Some i ->
-          (match w.ws_inflight with
-          | Some (j, attempt) when j = i ->
-            resolve i (Completed { attempts = attempt + 1 });
-            w.ws_inflight <- None;
-            w.ws_ready <- true
-          | _ -> resolve i (Completed { attempts = 1 }))
-        | None -> ())
-      | [ "ERR"; idx; cls; hexreason ] -> (
-        match (int_of_string_opt idx, Checksum.string_of_hex hexreason) with
-        | Some i, Some reason ->
-          let transient = cls = "T" in
-          let attempt =
-            match w.ws_inflight with Some (j, a) when j = i -> a | _ -> 0
-          in
-          (match w.ws_inflight with
-          | Some (j, _) when j = i ->
-            w.ws_inflight <- None;
-            w.ws_ready <- true
-          | _ -> ());
-          fail_or_retry i attempt ~transient ~reason
-        | _ -> ())
+      match (parse_line line, w.ws_inflight) with
+      | Some Rdy, _ -> w.ws_ready <- true
+      | Some (Ok_ i), Some (j, attempt) when i = j ->
+        w.ws_inflight <- None;
+        w.ws_ready <- true;
+        resolve i (Completed { attempts = attempt + 1 })
+      | Some (Err { index; transient; reason }), Some (j, attempt) when index = j ->
+        w.ws_inflight <- None;
+        w.ws_ready <- true;
+        fail_or_retry index attempt ~transient ~reason
       | _ -> ()
     in
     let drain_buffer w =
@@ -418,9 +435,7 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
             let idx, attempt = Queue.pop queue in
             if outcomes.(idx) <> None then ()
             else if
-              send_line link.cmd
-                (Printf.sprintf "RUN %d %d %s" idx attempt
-                   (Checksum.hex_of_string keys.(idx)))
+              send_line link.cmd (render_line (Run { index = idx; attempt; key = keys.(idx) }))
             then begin
               w.ws_ready <- false;
               w.ws_inflight <- Some (idx, attempt)
@@ -465,7 +480,7 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
     (* Orderly shutdown: FIN, grace period, then SIGKILL stragglers (with a
        one-line warning naming the worker). *)
     Array.iter
-      (fun w -> Option.iter (fun l -> ignore (send_line l.cmd "FIN")) w.ws_link)
+      (fun w -> Option.iter (fun l -> ignore (send_line l.cmd (render_line Fin))) w.ws_link)
       pool;
     let deadline = Unix.gettimeofday () +. drain_timeout in
     let rec wait_exits () =

@@ -45,6 +45,26 @@ exception Worker_failure of string
     returns it verbatim — so failure reports render byte-identically to the
     single-process path. *)
 
+(** {1 Wire lines} *)
+
+(** One protocol line, either direction: [RUN]/[FIN] down, [RDY]/[OK]/[ERR]
+    up.  Keys and reasons are hex-encoded on the wire. *)
+type line =
+  | Run of { index : int; attempt : int; key : string }
+  | Fin
+  | Rdy
+  | Ok_ of int
+  | Err of { index : int; transient : bool; reason : string }
+
+val render_line : line -> string
+(** The line's wire form, without the newline. *)
+
+val parse_line : string -> line option
+(** Inverse of {!render_line}; never raises.  Indices and attempts must be
+    strict non-negative decimals ({!Fault.parse_index}), hex fields
+    lowercase and even-length, and the [ERR] class exactly [T] or [P];
+    anything else is [None]. *)
+
 (** {1 Worker side} *)
 
 type ctx = {

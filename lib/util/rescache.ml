@@ -85,31 +85,15 @@ let lease_path t ~key = Filename.concat t.root (entry_base t ~key ^ ".lease")
 
 (* --- envelope ---------------------------------------------------------- *)
 
-(* Minimal flat-JSON escaping: salts and keys are restricted or re-encoded
-   (key travels hex-encoded in the authoritative field), so only the
-   human-readable comment needs escaping. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Salts are charset-restricted and the key travels hex-encoded in the
+   authoritative field, so only the human-readable "key" needs escaping. *)
 let render_envelope t ~key payload =
   let b = Buffer.create (512 + (2 * String.length payload)) in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"rescache_version\": %d,\n" format_version);
   Buffer.add_string b (Printf.sprintf "  \"salt\": \"%s\"," t.salt);
   Buffer.add_char b '\n';
-  Buffer.add_string b (Printf.sprintf "  \"key\": \"%s\",\n" (json_escape key));
+  Buffer.add_string b (Printf.sprintf "  \"key\": %s,\n" (Metrics.json_string key));
   Buffer.add_string b (Printf.sprintf "  \"key_hex\": \"%s\",\n" (hex_of_string key));
   Buffer.add_string b (Printf.sprintf "  \"payload_digest\": \"%s\",\n" (digest_hex payload));
   Buffer.add_string b (Printf.sprintf "  \"payload_hex\": \"%s\"\n" (hex_of_string payload));
@@ -379,15 +363,6 @@ let stats t =
         evictions = t.evictions;
         corrupt_dropped = t.corrupt_dropped;
       })
-
-let observe_metrics m ~prefix t =
-  let s = stats t in
-  Metrics.set_int m (prefix ^ ".hits") s.hits;
-  Metrics.set_int m (prefix ^ ".misses") s.misses;
-  Metrics.set_int m (prefix ^ ".writes") s.writes;
-  Metrics.set_int m (prefix ^ ".write_errors") s.write_errors;
-  Metrics.set_int m (prefix ^ ".evictions") s.evictions;
-  Metrics.set_int m (prefix ^ ".corrupt_dropped") s.corrupt_dropped
 
 let report ?(out = stderr) t =
   let s = stats t in

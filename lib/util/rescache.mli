@@ -127,15 +127,10 @@ type stats = {
 
 val stats : t -> stats
 
-val observe_metrics : Metrics.t -> prefix:string -> t -> unit
-(** Register [<prefix>.hits], [<prefix>.misses], [<prefix>.writes],
-    [<prefix>.write_errors], [<prefix>.evictions] and
-    [<prefix>.corrupt_dropped].  Cache counters are run provenance (a warm
-    run hits where a cold run missed), so they are reported on stderr via
-    [--cache-stats] and never land in the [--metrics] export, which must
-    stay byte-identical between cold and warm runs. *)
-
 val report : ?out:out_channel -> t -> unit
 (** One-line [rescache: hits=... misses=... writes=... write_errors=...
     evictions=... corrupt_dropped=... dir=...] summary (the [--cache-stats]
-    output, default [stderr]). *)
+    output, default [stderr]).  Cache counters are run provenance (a warm
+    run hits where a cold run missed), so they never land in the
+    [--metrics] export, which must stay byte-identical between cold and
+    warm runs. *)

@@ -57,13 +57,6 @@ let sample_exp t mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let sample_geometric t p =
-  let p = if p < 1e-9 then 1e-9 else if p > 1.0 then 1.0 else p in
-  if p >= 1.0 then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
 (* Prefix sums of the clamped weights, built with the same left-to-right
    additions a linear scan would make, so every cumulative value (and the
    total, the last one) is bit-identical to the scan's running sum. *)

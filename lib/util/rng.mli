@@ -48,10 +48,6 @@ val shuffle : t -> 'a array -> unit
 val sample_exp : t -> float -> float
 (** [sample_exp t mean] draws from an exponential distribution. *)
 
-val sample_geometric : t -> float -> int
-(** [sample_geometric t p] is the number of failures before the first success
-    of a Bernoulli([p]) process; [p] is clamped away from 0. *)
-
 type weighted
 (** A prepared sampler over the indices of a weight array. *)
 

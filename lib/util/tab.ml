@@ -11,8 +11,6 @@ let create ~title ~header = { title; header; rows = []; captions = [] }
 
 let row t cells = t.rows <- cells :: t.rows
 
-let rowf t fmt = Printf.ksprintf (fun s -> row t [ s ]) fmt
-
 let caption t s = t.captions <- s :: t.captions
 
 let render t =

@@ -14,9 +14,6 @@ val create : title:string -> header:(string * align) list -> t
 val row : t -> string list -> unit
 (** Append a row; short rows are padded with empty cells. *)
 
-val rowf : t -> ('a, unit, string, unit) format4 -> 'a
-(** [rowf t fmt ...] appends a single-cell row (used for separators/notes). *)
-
 val caption : t -> string -> unit
 (** Add a caption line printed below the table. *)
 

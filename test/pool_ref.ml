@@ -1,10 +1,9 @@
 (* Frozen copy of the pre-work-stealing shared-queue pool.
 
    Kept verbatim (minus supervised mapping, which is scheduler-agnostic) as
-   the comparison baseline for [bench --only pool]: the speedup claims in
-   BENCH_pool_<date>.json are measured against this implementation, not a
-   reconstruction.  Do not "improve" this file — its value is that it does
-   not change. *)
+   the semantic oracle for test_matches_reference_pool: the work-stealing
+   pool must compute exactly what this scheduler computes.  Do not "improve"
+   this file — its value is that it does not change. *)
 
 type job = unit -> unit
 

@@ -274,7 +274,7 @@ let test_matches_reference_pool () =
   List.iter
     (fun jobs ->
       let ws = Pool.run ~jobs f xs in
-      let rf = Pv_util.Pool_ref.with_pool ~jobs (fun p -> Pv_util.Pool_ref.map p f xs) in
+      let rf = Pool_ref.with_pool ~jobs (fun p -> Pool_ref.map p f xs) in
       check Alcotest.(list int) (Printf.sprintf "clean batch at -j %d" jobs) rf ws)
     [ 1; 2; 4; 8 ];
   let g i = if i mod 50 = 37 then raise (Boom i) else i in
@@ -284,7 +284,7 @@ let test_matches_reference_pool () =
       let ws = first (fun () -> Pool.run ~jobs g xs) in
       let rf =
         first (fun () ->
-            Pv_util.Pool_ref.with_pool ~jobs (fun p -> Pv_util.Pool_ref.map p g xs))
+            Pool_ref.with_pool ~jobs (fun p -> Pool_ref.map p g xs))
       in
       check Alcotest.(option int) (Printf.sprintf "first failure at -j %d" jobs) rf ws)
     [ 1; 2; 4; 8 ]

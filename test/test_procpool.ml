@@ -488,6 +488,143 @@ let test_torn_line_discarded () =
             keys))
     [ (true, 1); (false, 2) ]
 
+(* --- hostile reply lines ---------------------------------------------------- *)
+
+(* Serves like [worker_body ~kill_on:[]], but after journaling each cell
+   writes [junk index] to the reply pipe ahead of its real reply. *)
+let junk_worker junk (ctx : Procpool.ctx) =
+  let w = Journal.open_writer ctx.Procpool.journal in
+  Procpool.serve ctx ~handle:(fun ~index ~attempt:_ ~key ->
+      Journal.append w ~key (2 * int_of_string (Filename.basename key));
+      List.iter (fun l -> output_string ctx.Procpool.reply_out (l ^ "\n")) (junk index);
+      flush ctx.Procpool.reply_out;
+      Procpool.Done)
+
+(* Run [n] cells on two junk-emitting workers; true iff every cell completed
+   on its first attempt with its value in a worker journal. *)
+let sweep_survives_junk ~n junk =
+  with_dir (fun scratch ->
+      let keys = keys_of n in
+      let outcomes, journals =
+        Procpool.run_jobs ~workers:2 ~respawns:0 ~retries:0 ~scratch
+          ~spawn:(Procpool.fork_spawner (junk_worker junk))
+          ~keys ()
+      in
+      let tbl = values_from journals in
+      Array.for_all (function Procpool.Completed { attempts = 1 } -> true | _ -> false) outcomes
+      && Array.for_all (fun k -> Hashtbl.mem tbl k) keys)
+
+let test_hostile_replies_dropped () =
+  (* The OK/ERR lines with a bad index or class once did damage: a
+     non-decimal or out-of-range index raised out of the coordinator or
+     resolved the wrong cell, an OK/ERR for a cell the worker was not
+     running resolved that cell without running it, and an unknown ERR
+     class failed the cell as permanent.  The rest are malformed shapes
+     that must stay harmless. *)
+  let n = 4 in
+  let hostile index =
+    let other = (index + 1) mod n in
+    [
+      "OK -1"; "OK +1"; "OK 0x1"; "OK 0b1"; "OK 1_000"; Printf.sprintf "OK %d" n;
+      "OK 99999"; "OK 99999999999999999999999"; Printf.sprintf "OK %d" other;
+      Printf.sprintf "ERR %d T %s" other (Checksum.hex_of_string "forged");
+      Printf.sprintf "ERR %d X %s" index (Checksum.hex_of_string "bad class");
+      Printf.sprintf "ERR %d T zz" index; Printf.sprintf "OK %d trailing" index; "";
+      "RUN 0 0 00"; "FIN";
+    ]
+  in
+  Alcotest.(check bool) "every cell completes once, its value journaled" true
+    (sweep_survives_junk ~n hostile)
+
+let hostile_line_gen =
+  let open QCheck.Gen in
+  let index = oneof [ int_range (-3) 8; oneofl [ max_int; min_int; 1 lsl 40 ] ] in
+  let hex = map Checksum.hex_of_string (string_size ~gen:char (int_bound 6)) in
+  let byte = char_range ' ' '~' in
+  let template =
+    oneof
+      [
+        map (Printf.sprintf "OK %d") index;
+        map (Printf.sprintf "OK 0x%x") index;
+        map3 (Printf.sprintf "ERR %d %c %s") index (oneofl [ 'T'; 'P'; 'X'; 't' ]) hex;
+        map2 (Printf.sprintf "RUN %d 0 %s") index hex;
+        oneofl [ "RDY"; "FIN"; "" ];
+      ]
+  in
+  let mutate s =
+    let len = String.length s in
+    let* pos = int_bound len in
+    let* c = byte in
+    let* op = int_bound 2 in
+    return
+      (match op with
+      | 0 when pos < len -> String.mapi (fun i x -> if i = pos then c else x) s
+      | 1 when pos < len -> String.sub s 0 pos ^ String.sub s (pos + 1) (len - pos - 1)
+      | _ -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (len - pos))
+  in
+  frequency
+    [
+      (3, template);
+      (3, template >>= mutate);
+      (1, string_size ~gen:byte (int_bound 12));
+    ]
+
+let print_lines ls = String.concat " " (List.map (Printf.sprintf "%S") ls)
+
+let test_hostile_replies_property =
+  (* Random and mutated reply lines ahead of every real reply: the sweep
+     must neither raise nor resolve a cell that is not in flight.  Lines
+     naming the replying worker's own cell are not sent — a lenient reading
+     of their index says they could legitimately resolve it. *)
+  let names_cell index l =
+    match String.split_on_char ' ' l with
+    | ("OK" | "ERR") :: i :: _ -> int_of_string_opt i = Some index
+    | _ -> false
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:30
+       ~name:"hostile reply lines never raise or resolve a cell out of flight"
+       (QCheck.make ~print:print_lines QCheck.Gen.(list_size (int_bound 6) hostile_line_gen))
+       (fun lines ->
+         sweep_survives_junk ~n:4 (fun index ->
+             List.filter (fun l -> not (names_cell index l)) lines)))
+
+let line_gen =
+  let open QCheck.Gen in
+  let key = string_size ~gen:char (int_bound 12) in
+  oneof
+    [
+      map3 (fun index attempt key -> Procpool.Run { index; attempt; key }) nat nat key;
+      return Procpool.Fin;
+      return Procpool.Rdy;
+      map (fun i -> Procpool.Ok_ i) nat;
+      map3
+        (fun index transient reason -> Procpool.Err { index; transient; reason })
+        nat bool key;
+    ]
+
+let test_wire_lines_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"wire lines: parse_line inverts render_line"
+       (QCheck.make ~print:Procpool.render_line line_gen)
+       (fun l -> Procpool.parse_line (Procpool.render_line l) = Some l))
+
+let test_wire_lines_hostile =
+  (* Whatever parse_line accepts carries non-negative numbers and survives a
+     render/parse round trip; nothing makes it raise. *)
+  let non_negative = function
+    | Procpool.Run { index; attempt; _ } -> index >= 0 && attempt >= 0
+    | Procpool.Ok_ index | Procpool.Err { index; _ } -> index >= 0
+    | Procpool.Fin | Procpool.Rdy -> true
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"wire lines: hostile input parses safely"
+       (QCheck.make ~print:(Printf.sprintf "%S") hostile_line_gen)
+       (fun s ->
+         match Procpool.parse_line s with
+         | None -> true
+         | Some l -> non_negative l && Procpool.parse_line (Procpool.render_line l) = Some l))
+
 let test_drain_timeout_kills_straggler () =
   (* A worker that survives FIN must be killed once the configured drain
      grace expires — promptly, with a warning naming it — instead of
@@ -564,5 +701,8 @@ let suite =
         Alcotest.test_case "torn reply line discarded" `Quick test_torn_line_discarded;
         Alcotest.test_case "drain timeout kills straggler" `Quick
           test_drain_timeout_kills_straggler;
+        Alcotest.test_case "hostile replies dropped" `Quick test_hostile_replies_dropped;
+        test_hostile_replies_property;
       ] );
+    ("procpool.wire", [ test_wire_lines_round_trip; test_wire_lines_hostile ]);
   ]

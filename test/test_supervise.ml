@@ -347,6 +347,20 @@ let test_metrics_export_deterministic_across_jobs () =
   Alcotest.(check bool) "view-cache counters exported" true
     (contains ~sub:"svcache.dsv.accesses" j1)
 
+let test_render_json_escapes_keys () =
+  (* Labels and cell keys are JSON strings, not OCaml literals: a control
+     byte renders as \u00XX and UTF-8 passes through raw (OCaml's %S would
+     write \001 and \195\169). *)
+  let doc =
+    Supervise.render_json
+      [ Supervise.export_cells ~label:"s\"w" [ ("cell/\x01/\xc3\xa9", None) ] ]
+  in
+  Alcotest.(check bool) "label escaped as JSON" true (contains ~sub:"\"s\\\"w\": {" doc);
+  Alcotest.(check bool)
+    (Printf.sprintf "cell key escaped as JSON in %s" doc)
+    true
+    (contains ~sub:"\"cell/\\u0001/\xc3\xa9\": null" doc)
+
 let test_event_trace_ring () =
   let traced = Perf.run_lebench ~scale:0.2 ~trace:true Schemes.perspective (Lebench.find "select") in
   let untraced = Perf.run_lebench ~scale:0.2 Schemes.perspective (Lebench.find "select") in
@@ -400,6 +414,8 @@ let suite =
           test_stall_classes_partition_total;
         Alcotest.test_case "metrics export byte-identical across -j" `Slow
           test_metrics_export_deterministic_across_jobs;
+        Alcotest.test_case "render_json escapes keys as JSON" `Quick
+          test_render_json_escapes_keys;
         Alcotest.test_case "event trace ring" `Slow test_event_trace_ring;
       ] );
     ( "supervise.acceptance",

@@ -680,6 +680,11 @@ let test_metrics_snapshot_json_pinned () =
     expected
     (Metrics.snapshot_to_json ~indent:2 (Metrics.snapshot r))
 
+let test_metrics_json_string () =
+  check Alcotest.string "quote, backslash and control bytes escaped; UTF-8 raw"
+    "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\x7f\xc3\xa9\""
+    (Metrics.json_string "a\"b\\c\n\r\t\x01\x1f\x7f\xc3\xa9")
+
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -810,6 +815,7 @@ let suite =
         Alcotest.test_case "json determinism" `Quick test_metrics_json_deterministic;
         Alcotest.test_case "handle = named observe" `Quick test_metrics_handle_equiv;
         Alcotest.test_case "snapshot JSON pinned" `Quick test_metrics_snapshot_json_pinned;
+        Alcotest.test_case "json_string escaping" `Quick test_metrics_json_string;
         QCheck_alcotest.to_alcotest metrics_bucket_of_prop;
       ] );
     ( "util.fault",
