@@ -9,15 +9,19 @@
      bench/main.exe --quick         scaled-down run
      bench/main.exe --only fig-9.2  one experiment (see labels below)
      bench/main.exe -j N            run experiment jobs on N domains
+     bench/main.exe --cache DIR     serve every supervised section's cells
+                                    from a persistent result cache
      bench/main.exe --no-bechamel   skip the microbenchmarks
 
    An unknown --only label, or a malformed --scale or -j, exits 2.  The
    speed of the reproduction itself is measured end to end by bench/e2e
    (see bench/e2e/README.md).
 
-   Parallel runs are deterministic: each (workload x scheme) measurement is
-   a self-contained Pv_sim.Machine job and results are merged in declaration
-   order, so every table is byte-identical for any -j (see test_pool.ml). *)
+   Every experiment matrix runs as a supervised sweep (Supervise.run) on one
+   config: -j domains and the --cache directory.  Cells are self-contained
+   Pv_sim.Machine jobs merged in declaration order, so every table is
+   byte-identical for any -j.  A failed cell keeps its row, marked FAILED,
+   the tables that need every run are skipped, and the harness exits 1. *)
 
 module E = Pv_experiments
 module Tab = Pv_util.Tab
@@ -42,12 +46,24 @@ let no_cache = ref false
 
 let cache_stats = ref false
 
-(* The persistent result cache (used by the supervised fig-9.3-tail section;
-   a warm run skips the expensive service-time calibrations). *)
-let rescache () =
-  match !cache_dir with
-  | Some dir when not !no_cache -> Some (Pv_util.Rescache.open_dir dir)
-  | _ -> None
+(* The one sweep config, built after argument parsing: -j and the
+   persistent result cache (a warm run skips every cached cell). *)
+let sweep_config () =
+  let cache =
+    match !cache_dir with
+    | Some dir when not !no_cache -> Some (Pv_util.Rescache.open_dir dir)
+    | _ -> None
+  in
+  { E.Supervise.default with jobs = !jobs; cache }
+
+(* Set by any sweep with a failed cell; the harness then exits 1. *)
+let degraded = ref false
+
+let supervised config ~label cells =
+  let sweep = E.Supervise.run ~config cells in
+  E.Supervise.report ~label sweep;
+  if E.Supervise.failed sweep > 0 then degraded := true;
+  sweep
 
 let maybe_csv name tab =
   match !csv_dir with
@@ -83,7 +99,7 @@ let static_sections () =
       Tab.print (E.Static_tables.hw_characterization ());
       Tab.print (E.Static_tables.hw_sensitivity ()))
 
-let isv_sections () =
+let isv_sections config =
   if want "table-8.1" || want "table-8.2" || want "fig-9.1" then begin
     let study = E.Isv_study.build () in
     section "table-8.1" "Attack surface reduction" (fun () ->
@@ -91,12 +107,14 @@ let isv_sections () =
     section "table-8.2" "Gadget reduction" (fun () ->
         Tab.print (E.Isv_study.gadget_table study));
     section "fig-9.1" "Kasper discovery-rate speedup" (fun () ->
-        Tab.print (E.Isv_study.speedup_table ~jobs:!jobs study))
+        let sweep = supervised config ~label:"speedup" (E.Isv_study.speedup_cells study) in
+        Tab.print (E.Isv_study.speedup_table_rows sweep.E.Supervise.results))
   end
 
-let poc_section () =
+let poc_section config =
   section "poc-attacks" "Chapter 8 proof-of-concept attacks" (fun () ->
-      Tab.print (E.Security.poc_table (E.Security.run_pocs ~jobs:!jobs ()));
+      let sweep = supervised config ~label:"pocs" (E.Security.run_pocs_cells ()) in
+      Tab.print (E.Security.poc_table_partial sweep.E.Supervise.results);
       (* 5.4: swift gadget patching on a live system *)
       let d = Pv_attacks.Spectre_v2.run_patch_demo () in
       let verdict (o : Pv_attacks.Spectre_v2.outcome) =
@@ -132,56 +150,49 @@ let poc_section () =
         ];
       Tab.print vtab)
 
-let contracts_section () =
+let contracts_section config =
   section "contracts" "Empirical leakage-contract matrix" (fun () ->
       let module C = Pv_contracts.Contracts in
-      let cache = rescache () in
-      let config = { E.Supervise.default with jobs = !jobs; cache } in
-      let sweep = E.Supervise.run ~config (C.cells ()) in
+      let sweep = supervised config ~label:"contracts" (C.cells ()) in
       let tab = C.matrix_table sweep.E.Supervise.results in
       Tab.print tab;
-      maybe_csv "contracts" tab;
-      E.Supervise.report ~label:"contracts" sweep;
-      if !cache_stats then Option.iter Pv_util.Rescache.report cache)
+      maybe_csv "contracts" tab)
 
-let perf_sections () =
+let perf_sections config =
   let needed =
     List.exists want
       [ "fig-9.2"; "fig-9.3"; "table-10.1"; "comparisons"; "sensitivity" ]
   in
   if needed then begin
     let variants = E.Schemes.standard @ E.Schemes.hardware @ E.Schemes.spot in
+    let labels = List.map (fun v -> v.E.Schemes.label) variants in
     (* stderr, so stdout stays byte-identical for every -j value *)
     Printf.eprintf "\n(running the cycle-level performance matrices, scale=%.2f, -j %d...)\n%!"
       !scale !jobs;
-    let t0 = Unix.gettimeofday () in
-    let micro = E.Perf.lebench_matrix ~scale:!scale ~jobs:!jobs ~variants () in
-    let macro = E.Perf.apps_matrix ~scale:!scale ~jobs:!jobs ~variants () in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (* Telemetry export: per-cell snapshots keyed like the supervised sweeps
-       ("<family>/<workload>/<scheme>"), plus per-family summaries. *)
-    (match !metrics_file with
-    | Some file ->
-      let cells_of family matrix =
-        List.concat_map
-          (fun (name, runs) ->
-            List.map
-              (fun r ->
-                ( Printf.sprintf "%s/%s/%s" family name r.E.Perf.label,
-                  Some r.E.Perf.metrics ))
-              runs)
-          matrix
-      in
-      E.Supervise.write_json ~file
-        [
-          E.Supervise.export_cells ~elapsed ~label:"lebench" (cells_of "lebench" micro);
-          E.Supervise.export_cells ~elapsed ~label:"apps" (cells_of "apps" macro);
-        ]
-    | None -> ());
+    let exports = ref [] in
+    let matrix ~label ~names cells =
+      let t0 = Unix.gettimeofday () in
+      let sweep = supervised config ~label cells in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      exports :=
+        E.Supervise.export ~elapsed ~metrics_of:(fun r -> r.E.Perf.metrics) ~label sweep
+        :: !exports;
+      E.Perf.matrix_of_sweep ~names ~width:(List.length variants) sweep
+    in
+    let micro =
+      matrix ~label:"lebench"
+        ~names:(List.map (fun t -> t.Pv_workloads.Lebench.name) Pv_workloads.Lebench.tests)
+        (E.Perf.lebench_cells ~scale:!scale ~variants ())
+    in
+    let macro =
+      matrix ~label:"apps"
+        ~names:(List.map (fun a -> a.Pv_workloads.Apps.name) Pv_workloads.Apps.all)
+        (E.Perf.apps_cells ~scale:!scale ~variants ())
+    in
+    Option.iter (fun file -> E.Supervise.write_json ~file (List.rev !exports)) !metrics_file;
     (match !trace_dir with
     | Some dir ->
-      (* The unsupervised matrices run untraced (tracing is a per-cell knob
-         on the supervised path); re-run one representative traced cell so
+      (* The matrices run untraced; re-run one representative traced cell so
          the harness still exercises the JSONL dump end to end. *)
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let r =
@@ -197,34 +208,46 @@ let perf_sections () =
         r.E.Perf.events;
       close_out oc
     | None -> ());
+    (* Tables that read every run render only from complete matrices. *)
+    let full f =
+      match (E.Perf.complete_matrix micro, E.Perf.complete_matrix macro) with
+      | Some micro, Some macro -> f ~micro ~macro
+      | _ -> print_endline "(skipped: the performance matrices have FAILED cells)"
+    in
     section "fig-9.2" "LEBench normalized latency" (fun () ->
-        let tab = E.Perf_report.fig_lebench micro in
+        let tab = E.Perf_report.fig_lebench_partial ~labels micro in
         Tab.print tab;
         maybe_csv "fig-9.2" tab);
     section "fig-9.3" "Datacenter throughput" (fun () ->
-        let tab = E.Perf_report.fig_apps macro in
+        let tab = E.Perf_report.fig_apps_partial ~labels macro in
         Tab.print tab;
         maybe_csv "fig-9.3" tab;
-        Tab.print (E.Perf_report.kernel_time_table macro));
+        full (fun ~micro:_ ~macro -> Tab.print (E.Perf_report.kernel_time_table macro)));
     section "table-10.1" "Fence breakdown (ISV vs DSV)" (fun () ->
-        Tab.print (E.Perf_report.fence_breakdown (micro @ macro));
-        Tab.print (E.Perf_report.stall_breakdown (micro @ macro)));
+        full (fun ~micro ~macro ->
+            Tab.print (E.Perf_report.fence_breakdown (micro @ macro));
+            Tab.print (E.Perf_report.stall_breakdown (micro @ macro))));
     section "comparisons" "Spot and hardware mitigation comparison" (fun () ->
-        Tab.print (E.Perf_report.comparison_summary ~micro ~macro));
+        full (fun ~micro ~macro -> Tab.print (E.Perf_report.comparison_summary ~micro ~macro)));
     section "sensitivity" "9.2 sensitivity analyses" (fun () ->
-        Tab.print (E.Sensitivity.hit_rates ~micro ~macro);
+        full (fun ~micro ~macro -> Tab.print (E.Sensitivity.hit_rates ~micro ~macro));
         let tab, _ =
           E.Sensitivity.unknown_allocations ~scale:(Float.min !scale 0.5) ~jobs:!jobs ()
         in
         Tab.print tab;
         Tab.print
           (E.Sensitivity.fragmentation_table (E.Sensitivity.fragmentation ~jobs:!jobs ()));
-        Tab.print (E.Sensitivity.domain_reassignment ~macro);
-        Tab.print (E.Sensitivity.isv_metadata ~macro);
-        Tab.print (E.Sensitivity.cache_size_sweep ~scale:(Float.min !scale 0.6) ~jobs:!jobs ()))
+        full (fun ~micro:_ ~macro ->
+            Tab.print (E.Sensitivity.domain_reassignment ~macro);
+            Tab.print (E.Sensitivity.isv_metadata ~macro));
+        let sweep =
+          supervised config ~label:"cache-size"
+            (E.Sensitivity.cache_size_cells ~scale:(Float.min !scale 0.6) ())
+        in
+        Tab.print (E.Sensitivity.cache_size_table sweep.E.Supervise.results))
   end
 
-let service_section () =
+let service_section config =
   section "fig-9.3-tail" "Open-loop load-latency curves" (fun () ->
       let requests = max 500 (int_of_float (5000.0 *. Float.min 1.0 !scale)) in
       let points = if !scale < 1.0 then 3 else 4 in
@@ -234,8 +257,6 @@ let service_section () =
       let loads = E.Loadsweep.default_loads in
       (* stderr, so stdout stays byte-identical for every -j value *)
       Printf.eprintf "\n(calibrating service-time cost models, -j %d...)\n%!" !jobs;
-      let cache = rescache () in
-      let config = { E.Supervise.default with jobs = !jobs; cache } in
       let outcome = E.Loadsweep.run ~config ~points ~requests ~loads ~apps ~variants () in
       let tab =
         E.Loadsweep.table ~requests ~apps ~labels ~loads outcome.E.Loadsweep.point_sweep
@@ -245,7 +266,7 @@ let service_section () =
       Tab.print (E.Loadsweep.knee_table ~apps ~labels ~loads outcome.E.Loadsweep.point_sweep);
       E.Supervise.report ~label:"service-cal" outcome.E.Loadsweep.cal_sweep;
       E.Supervise.report ~label:"service" outcome.E.Loadsweep.point_sweep;
-      if !cache_stats then Option.iter Pv_util.Rescache.report cache)
+      if E.Loadsweep.exit_code outcome <> 0 then degraded := true)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the core primitives                      *)
@@ -394,13 +415,16 @@ let () =
         arg (String.concat " " labels)
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let config = sweep_config () in
   Printf.printf "Perspective reproduction benchmark harness\n";
   Printf.printf "==========================================\n";
   static_sections ();
-  isv_sections ();
-  poc_section ();
-  contracts_section ();
-  perf_sections ();
-  service_section ();
+  isv_sections config;
+  poc_section config;
+  contracts_section config;
+  perf_sections config;
+  service_section config;
   if !run_bechamel && !only = None then bechamel_suite ();
-  Printf.printf "\nDone.\n"
+  if !cache_stats then Option.iter Pv_util.Rescache.report config.E.Supervise.cache;
+  Printf.printf "\nDone.\n";
+  if !degraded then exit 1

@@ -160,24 +160,14 @@ let workers_arg =
            $(b,--metrics) output are byte-identical to $(b,--workers 1).  \
            Composes with $(b,--cache): racing workers claim cells through the \
            shared result cache (lease, compute, atomic commit) instead of \
-           double-computing.")
-
-let pool_stats_arg =
-  Arg.(
-    value & flag
-    & info [ "pool-stats" ]
-        ~doc:
-          "Print the in-process pool's work-stealing scheduler counters (local \
-           pops, steals, failed steals, parks, unparks) to stderr after each \
-           sweep.  Diagnostics only: the counts depend on runtime \
-           interleaving, so they never appear in tables or $(b,--metrics) \
-           output.")
+           double-computing.  Worker processes run one cell at a time, so \
+           $(b,-j) has no effect when $(docv) > 1.")
 
 (* The supervision flags evaluate straight to a [Supervise.config], paired
    with the one flag that is not part of it ([--cache-stats]). *)
 let sup_term =
   let mk jobs retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats
-      workers pool_stats =
+      workers =
     let cache =
       match cache_dir with
       | Some dir when not no_cache -> Some (Pv_util.Rescache.open_dir dir)
@@ -193,14 +183,12 @@ let sup_term =
         resume;
         cache;
         workers;
-        pool_stats;
       },
       cache_stats )
   in
   Cmdliner.Term.(
     const mk $ jobs_arg $ retries_arg $ fault_arg $ max_cycles_arg $ checkpoint_arg
-    $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg $ workers_arg
-    $ pool_stats_arg)
+    $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg $ workers_arg)
 
 (* Validate the supervision flags, run [f] with the config, and print the
    cache counters afterwards if asked.  Validation failures are one-line
@@ -213,6 +201,7 @@ let with_sup_config ((config : E.Supervise.config), cache_stats) f =
     usage "--resume requires --checkpoint FILE"
   else if cache_stats && config.cache = None then
     usage "--cache-stats requires --cache DIR (and not --no-cache)"
+  else if config.jobs < 1 then usage "-j must be >= 1"
   else if config.workers < 1 then usage "--workers must be >= 1"
   else
     let resume_ok =

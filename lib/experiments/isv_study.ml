@@ -171,27 +171,12 @@ type speedup_row = {
   speedup : float;
 }
 
-let speedup_rows ?(seed = 42) ?(jobs = 1) t =
-  let graph = Kernel.graph t.kernel in
-  let full = Campaign.run graph t.corpus ~seed () in
-  (* Campaign.run only reads the shared graph/corpus (its own state is
-     local), so the per-workload bounded campaigns are pool-safe jobs. *)
-  Pv_util.Pool.run ~jobs
-    (fun v ->
-      let bounded = Campaign.run graph t.corpus ~scope:v.dynamic_nodes ~seed () in
-      {
-        workload = v.name;
-        full_rate = full.Campaign.rate;
-        bounded_rate = bounded.Campaign.rate;
-        speedup = Campaign.speedup ~bounded ~full;
-      })
-    t.views
-
 let average_speedup rows = Stats.mean (List.map (fun r -> r.speedup) rows)
 
-(* Supervised form: one cell per workload's bounded campaign.  The full-
-   kernel campaign is shared, computed up front (outside supervision — if it
-   fails nothing downstream is meaningful). *)
+(* One cell per workload's bounded campaign.  Campaign.run only reads the
+   shared graph/corpus (its own state is local), so the cells are pool-safe.
+   The full-kernel campaign is shared, computed up front (outside
+   supervision — if it fails nothing downstream is meaningful). *)
 let speedup_cells ?(seed = 42) t =
   let graph = Kernel.graph t.kernel in
   let full = Campaign.run graph t.corpus ~seed () in
@@ -239,7 +224,3 @@ let speedup_table_rows rows =
   | None -> Tab.row tab [ "average"; ""; ""; "n/a" ]);
   Tab.caption tab "Paper: 1.14-2.23x across workloads, 1.57x on average.";
   tab
-
-let speedup_table ?(seed = 42) ?(jobs = 1) t =
-  let rows = speedup_rows ~seed ~jobs t in
-  speedup_table_rows (List.map (fun r -> (r.workload, Some r)) rows)

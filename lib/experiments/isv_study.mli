@@ -57,11 +57,6 @@ type speedup_row = {
   speedup : float;
 }
 
-val speedup_rows : ?seed:int -> ?jobs:int -> t -> speedup_row list
-(** [jobs] parallelizes the per-workload bounded campaigns (read-only over
-    the shared kernel graph and corpus); row order is workload order. *)
-
-val speedup_table : ?seed:int -> ?jobs:int -> t -> Pv_util.Tab.t
 val average_speedup : speedup_row list -> float
 (** Arithmetic mean of the rows' speedups.  Raises [Invalid_argument] on an
     empty row list (the table renders that case as ["n/a"]). *)

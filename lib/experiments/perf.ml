@@ -36,7 +36,7 @@ let profile_reps = 25
 
 (* Each measurement is one self-contained Machine job: pure inputs in, a
    [run] record out.  Nothing here may touch state shared across runs — the
-   parallel matrices below ship these to worker domains.  [fuel] is the
+   supervised sweeps below ship these to worker domains.  [fuel] is the
    supervisor's cycle budget; a run that exhausts it raises the structured
    Machine.Run_timeout instead of spinning forever. *)
 let execute ?fuel ?(trace = false) ?on_commit ~seed ~block_unknown ~view_cache_entries
@@ -130,8 +130,8 @@ let run_app ?(seed = 42) ?(scale = 1.0) ?(block_unknown = true)
     ~iterations:app.Apps.requests ~user_work:app.Apps.user_work
     ~workload_name:app.Apps.name variant
 
-(* Deterministic merge: jobs are declared row-major (workload outer, variant
-   inner) and Pool.map returns results in declaration order, so the
+(* Deterministic merge: cells are declared row-major (workload outer,
+   variant inner) and a sweep returns results in declaration order, so the
    reassembled matrix — and any table rendered from it — is byte-identical
    for every worker count. *)
 let split_rows names ~width runs =
@@ -154,17 +154,6 @@ let split_rows names ~width runs =
       (name, row) :: go tl rest
   in
   go names runs
-
-let lebench_matrix ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(tests = Lebench.tests)
-    ~variants () =
-  let specs = List.concat_map (fun t -> List.map (fun v -> (t, v)) variants) tests in
-  let runs = Pv_util.Pool.run ~jobs (fun (t, v) -> run_lebench ~seed ~scale v t) specs in
-  split_rows (List.map (fun t -> t.Lebench.name) tests) ~width:(List.length variants) runs
-
-let apps_matrix ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(apps = Apps.all) ~variants () =
-  let specs = List.concat_map (fun a -> List.map (fun v -> (a, v)) variants) apps in
-  let runs = Pv_util.Pool.run ~jobs (fun (a, v) -> run_app ~seed ~scale v a) specs in
-  split_rows (List.map (fun a -> a.Apps.name) apps) ~width:(List.length variants) runs
 
 (* --- supervised sweeps ----------------------------------------------- *)
 
@@ -216,6 +205,11 @@ let apps_cells ?(seed = 42) ?(scale = 1.0) ?trace ?(apps = Apps.all) ~variants (
    (workload x variant) matrix shape, failed cells as None. *)
 let matrix_of_sweep ~names ~width (sweep : _ Supervise.sweep) =
   split_rows names ~width (List.map snd sweep.Supervise.results)
+
+let complete_matrix matrix =
+  if List.for_all (fun (_, runs) -> List.for_all Option.is_some runs) matrix then
+    Some (List.map (fun (name, runs) -> (name, List.map Option.get runs)) matrix)
+  else None
 
 let overhead_pct ~baseline run =
   (float_of_int run.cycles /. float_of_int baseline.cycles -. 1.0) *. 100.0

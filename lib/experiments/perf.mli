@@ -63,33 +63,9 @@ val run_app :
   Pv_workloads.Apps.app ->
   run
 
-val lebench_matrix :
-  ?seed:int ->
-  ?scale:float ->
-  ?jobs:int ->
-  ?tests:Pv_workloads.Lebench.test list ->
-  variants:Schemes.variant list ->
-  unit ->
-  (string * run list) list
-(** One row per LEBench test, one run per variant (same order).  [jobs > 1]
-    fans the (workload x variant) runs out over a {!Pv_util.Pool} of that
-    many domains; results are merged back in declaration order, so the
-    matrix is identical for every [jobs] value ([1], the default, is the
-    serial path). *)
-
-val apps_matrix :
-  ?seed:int ->
-  ?scale:float ->
-  ?jobs:int ->
-  ?apps:Pv_workloads.Apps.app list ->
-  variants:Schemes.variant list ->
-  unit ->
-  (string * run list) list
-(** Same contract as {!lebench_matrix} over the datacenter apps. *)
-
 (** {1 Supervised sweeps}
 
-    Cell-per-(workload, scheme) versions of the matrices for
+    The (workload x scheme) matrices as one cell per run for
     {!Supervise.run}: a failing cell degrades to a [None] entry of the
     reassembled matrix instead of aborting the sweep.  Cell keys
     (["lebench/<test>/<label>"], ["apps/<app>/<label>"]) are the checkpoint
@@ -103,7 +79,7 @@ val lebench_cells :
   variants:Schemes.variant list ->
   unit ->
   run Supervise.cell list
-(** Row-major (test outer, variant inner), matching {!lebench_matrix}. *)
+(** Row-major (test outer, variant inner). *)
 
 val apps_cells :
   ?seed:int ->
@@ -121,6 +97,11 @@ val matrix_of_sweep :
   (string * run option list) list
 (** Reassemble a sweep of {!lebench_cells}/{!apps_cells} into matrix shape;
     failed cells are [None]. *)
+
+val complete_matrix : (string * run option list) list -> (string * run list) list option
+(** The matrix with every cell present, or [None] if any cell failed — the
+    input of the renderers that need every run (Table 10.1, the 9.1
+    comparison, the 9.2 sensitivity tables). *)
 
 val overhead_pct : baseline:run -> run -> float
 (** Execution-time overhead vs the baseline run. *)

@@ -32,57 +32,13 @@ let average_throughput_overhead matrix =
   per_scheme_stats matrix (fun ~base run ->
       (1.0 -. Perf.normalized_throughput ~baseline:base run) *. 100.0)
 
-let fig_lebench matrix =
-  let labels = labels_of matrix in
-  let tab =
-    Tab.create ~title:"Figure 9.2: LEBench normalized latency (lower is better)"
-      ~header:(("Test", Tab.Left) :: List.map (fun l -> (l, Tab.Right)) labels)
-  in
-  List.iter
-    (fun (name, runs) ->
-      let base = baseline_of runs in
-      Tab.row tab
-        (name
-        :: List.map (fun r -> Tab.fl (Perf.normalized_latency ~baseline:base r)) runs))
-    matrix;
-  Tab.row tab
-    ("avg overhead"
-    :: List.map (fun (_, o) -> Tab.pct o) (average_overhead matrix));
-  Tab.caption tab
-    "Paper averages: FENCE 47.5% (select/poll up to 228%), PERSPECTIVE-STATIC 4.1%, \
-     PERSPECTIVE 3.6%, PERSPECTIVE++ 3.5%; DOM 23.1%, STT 3.7%.";
-  tab
+(* --- figures from supervised sweeps ----------------------------------- *)
 
-let fig_apps matrix =
-  let labels = labels_of matrix in
-  let tab =
-    Tab.create
-      ~title:"Figure 9.3: Datacenter requests/second normalized to UNSAFE (higher is better)"
-      ~header:(("App", Tab.Left) :: List.map (fun l -> (l, Tab.Right)) labels)
-  in
-  List.iter
-    (fun (name, runs) ->
-      let base = baseline_of runs in
-      Tab.row tab
-        (name
-        :: List.map (fun r -> Tab.fl (Perf.normalized_throughput ~baseline:base r)) runs))
-    matrix;
-  Tab.row tab
-    ("avg overhead"
-    :: List.map (fun (_, o) -> Tab.pct o) (average_throughput_overhead matrix));
-  Tab.caption tab
-    "Paper averages: FENCE 5.7%; PERSPECTIVE-STATIC 1.3%, PERSPECTIVE 1.2%, \
-     PERSPECTIVE++ 1.2%.";
-  tab
-
-(* --- partial (supervised) figures ------------------------------------ *)
-
-(* Degraded rendering for supervised sweeps: a failed cell prints FAILED; a
-   row whose UNSAFE baseline failed cannot be normalized, so its surviving
-   cells print "-" (their absolute numbers are still in the checkpoint).
-   Scheme averages are taken over the rows where both the baseline and the
-   scheme's cell survived; with no failures these figures are byte-identical
-   to the uninterrupted ones. *)
+(* Degraded rendering: a failed cell prints FAILED; a row whose UNSAFE
+   baseline failed cannot be normalized, so its surviving cells print "-"
+   (their absolute numbers are still in the checkpoint).  Scheme averages
+   are taken over the rows where both the baseline and the scheme's cell
+   survived, so with no failures they are the full-matrix averages. *)
 let failed_cell = "FAILED"
 
 let partial_scheme_stats ~labels matrix f =

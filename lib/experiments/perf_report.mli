@@ -2,25 +2,20 @@
     latency), Figure 9.3 (datacenter throughput), the §9.1 spot/hardware
     mitigation comparisons, and Table 10.1 (fence breakdown). *)
 
-val fig_lebench : (string * Perf.run list) list -> Pv_util.Tab.t
-(** Normalized latency per test per scheme; the first run of each row must be
-    the UNSAFE baseline.  Ends with the per-scheme averages. *)
-
-val fig_apps : (string * Perf.run list) list -> Pv_util.Tab.t
-(** Normalized requests/second per app per scheme. *)
-
 val fig_lebench_partial :
   labels:string list -> (string * Perf.run option list) list -> Pv_util.Tab.t
-(** Figure 9.2 from a supervised (possibly degraded) sweep: failed cells
-    print [FAILED]; a row whose UNSAFE baseline failed prints ["-"] for its
-    surviving cells; per-scheme averages cover only complete pairs.  With no
-    failures the rendering is byte-identical to {!fig_lebench}.  [labels]
-    names the scheme columns (a fully failed column has no run to read a
-    label from). *)
+(** Figure 9.2 from a supervised (possibly degraded) sweep: normalized
+    latency per test per scheme, ending with the per-scheme averages.  The
+    first run of each row must be the UNSAFE baseline.  Failed cells print
+    [FAILED]; a row whose UNSAFE baseline failed prints ["-"] for its
+    surviving cells; per-scheme averages cover only complete pairs.
+    [labels] names the scheme columns (a fully failed column has no run to
+    read a label from). *)
 
 val fig_apps_partial :
   labels:string list -> (string * Perf.run option list) list -> Pv_util.Tab.t
-(** Figure 9.3, degraded rendering; see {!fig_lebench_partial}. *)
+(** Figure 9.3: normalized requests/second per app per scheme, with the
+    degraded rendering of {!fig_lebench_partial}. *)
 
 val average_overhead : (string * Perf.run list) list -> (string * float) list
 (** Per-scheme average execution overhead (%) vs the leading UNSAFE run. *)

@@ -8,9 +8,9 @@ type poc = {
   fences : int;
 }
 
-(* Each PoC family is one self-contained job (a family's run_all builds a
-   fresh machine per scheme and shares nothing); the merge concatenates in
-   declaration order, so the verdict list is identical for every [jobs]. *)
+(* Each PoC family is one self-contained cell (a family's run_all builds a
+   fresh machine per scheme and shares nothing); a sweep returns families in
+   declaration order, so the verdict list is identical for every [-j]. *)
 let families ?(seed = 7) () =
   let v1 () =
     List.map
@@ -49,10 +49,6 @@ let families ?(seed = 7) () =
       (Pv_attacks.Spectre_rsb.run_all ~seed:(seed + 2) ())
   in
   [ ("v1", v1); ("v2", v2); ("rsb", rsb) ]
-
-let run_pocs ?(seed = 7) ?(jobs = 1) () =
-  List.concat
-    (Pv_util.Pool.run ~jobs (fun (_, family) -> family ()) (families ~seed ()))
 
 let family_names = [ "v1"; "v2"; "rsb" ]
 

@@ -11,12 +11,6 @@ type poc = {
   fences : int;
 }
 
-val run_pocs : ?seed:int -> ?jobs:int -> unit -> poc list
-(** [jobs] parallelizes the three attack families over a {!Pv_util.Pool};
-    the verdict list is identical for every [jobs] value. *)
-
-val poc_table : poc list -> Pv_util.Tab.t
-
 val family_names : string list
 (** [["v1"; "v2"; "rsb"]], in declaration order. *)
 
@@ -28,8 +22,8 @@ val run_pocs_cells : ?seed:int -> ?attacks:string list -> unit -> poc list Super
     kept); an unknown name raises [Invalid_argument] listing the valid ones. *)
 
 val poc_table_partial : (string * poc list option) list -> Pv_util.Tab.t
-(** {!poc_table} over the surviving families of a supervised sweep; failed
-    families are called out in the captions. *)
+(** The Chapter 8 verdict table over the surviving families of a supervised
+    sweep; failed families are called out in the captions. *)
 
 val cve_table : unit -> Pv_util.Tab.t
 (** Table 4.1. *)

@@ -280,14 +280,6 @@ let cache_size_table rows =
      working set per context is small; the sweep shows where that breaks down.";
   tab
 
-let cache_size_sweep ?(seed = 42) ?(scale = 0.6) ?(jobs = 1) () =
-  let rows =
-    Pv_util.Pool.run ~jobs (fun entries -> cache_size_point ~seed ~scale entries)
-      cache_size_entries
-  in
-  cache_size_table
-    (List.map (fun ((entries, _, _, _, _) as p) -> (string_of_int entries, Some p)) rows)
-
 let isv_metadata ~macro =
   let tab =
     Tab.create ~title:"ISV metadata pages populated on demand (Figure 6.1(a), extension)"

@@ -33,18 +33,16 @@ val domain_reassignment : macro:(string * Perf.run list) list -> Pv_util.Tab.t
 (** Slab frees that return a page to the buddy allocator, per app (paper:
     redis 0.23% / 96 per second; others at most 0.01% / 4 per second). *)
 
-val cache_size_sweep : ?seed:int -> ?scale:float -> ?jobs:int -> unit -> Pv_util.Tab.t
-(** Extension: PERSPECTIVE's view caches swept from 32 to 512 entries on a
-    cache-hostile microbenchmark (select) and a server (redis) — hit rates
-    and execution overhead vs the 128-entry design point of Table 7.1. *)
-
 type cache_size_point = int * Perf.run * Perf.run * Perf.run * Perf.run
 (** [(entries, select UNSAFE, select PERSPECTIVE, redis UNSAFE,
     redis PERSPECTIVE)]. *)
 
 val cache_size_cells :
   ?seed:int -> ?scale:float -> unit -> cache_size_point Supervise.cell list
-(** The capacity sweep as supervised cells (keys ["cache-size/<entries>"]). *)
+(** Extension: PERSPECTIVE's view caches swept from 32 to 512 entries on a
+    cache-hostile microbenchmark (select) and a server (redis) — hit rates
+    and execution overhead vs the 128-entry design point of Table 7.1.  One
+    supervised cell per capacity (keys ["cache-size/<entries>"]). *)
 
 val cache_size_table : (string * cache_size_point option) list -> Pv_util.Tab.t
 (** Render a (possibly degraded) supervised capacity sweep; failed points

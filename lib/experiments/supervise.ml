@@ -37,7 +37,6 @@ type config = {
   resume : bool;
   cache : Rescache.t option;
   workers : int;
-  pool_stats : bool;
 }
 
 let default =
@@ -51,7 +50,6 @@ let default =
     resume = false;
     cache = None;
     workers = 1;
-    pool_stats = false;
   }
 
 (* Dead-worker replacements allowed per multi-process sweep. *)
@@ -365,24 +363,10 @@ let run_coordinator ~config ~ordinal (cells : 'a cell list) =
           end
           else
             Pool.with_pool ~jobs:config.jobs (fun p ->
-                let outcomes =
-                  Pool.map_results ~retries:config.retries ~fault:config.fault
-                    ~on_outcome p
-                    (fun (i, c) -> c.run ~fuel:(fuel_for config i))
-                    (List.mapi (fun i c -> (i, c)) runnable)
-                in
-                (* Scheduler telemetry is stderr-only and opt-in: steal and
-                   park counts depend on runtime interleaving, so they must
-                   never reach the byte-identical tables or --metrics. *)
-                if config.pool_stats then begin
-                  let c = Pool.counters p in
-                  Printf.eprintf
-                    "supervise: pool stats (-j %d): %d local pops, %d steals, \
-                     %d failed steals, %d parks, %d unparks\n%!"
-                    config.jobs c.Pool.local_pops c.Pool.steals
-                    c.Pool.failed_steals c.Pool.parks c.Pool.unparks
-                end;
-                outcomes)
+                Pool.map_results ~retries:config.retries ~fault:config.fault
+                  ~on_outcome p
+                  (fun (i, c) -> c.run ~fuel:(fuel_for config i))
+                  (List.mapi (fun i c -> (i, c)) runnable))
         in
         (* Cache hits and dedup aliases still belong in the checkpoint: a
            later --resume must serve them without needing the cache. *)
@@ -518,12 +502,9 @@ let summary_snapshot ?elapsed cells =
   Option.iter (fun e -> Metrics.set_float reg "elapsed_s" e) elapsed;
   Metrics.snapshot reg
 
-let export_cells ?elapsed ~label cells =
-  { label; cells; summary = summary_snapshot ?elapsed cells }
-
 let export ?elapsed ~metrics_of ~label s =
-  export_cells ?elapsed ~label
-    (List.map (fun (k, v) -> (k, Option.map metrics_of v)) s.results)
+  let cells = List.map (fun (k, v) -> (k, Option.map metrics_of v)) s.results in
+  { label; cells; summary = summary_snapshot ?elapsed cells }
 
 let render_json exports =
   let buf = Buffer.create 4096 in

@@ -67,16 +67,11 @@ type config = {
           per sweep), each keeps a crash-safe journal that the coordinator
           folds into the checkpoint, and results are byte-identical to
           [workers = 1] up to wall-clock fields. *)
-  pool_stats : bool;
-      (** print the in-process pool's scheduler counters (local pops,
-          steals, failed steals, parks, unparks) to stderr after the sweep.
-          Stderr-only by design: the counts depend on runtime interleaving,
-          so they are excluded from every byte-identity artifact. *)
 }
 
 val default : config
 (** [jobs = 1], [retries = 0], no fault, no cycle override, no checkpoint,
-    no cache, [workers = 1], [pool_stats = false]. *)
+    no cache, [workers = 1]. *)
 
 val run : ?config:config -> 'a cell list -> 'a sweep
 (** Execute the sweep under supervision.  Cell keys must be unique.  With a
@@ -135,14 +130,6 @@ val export :
   label:string ->
   'a sweep ->
   exported
-
-val export_cells :
-  ?elapsed:float ->
-  label:string ->
-  (string * Pv_util.Metrics.snapshot option) list ->
-  exported
-(** Build an export directly from keyed snapshots (for unsupervised
-    matrices). *)
 
 val render_json : exported list -> string
 (** The [--metrics] JSON document ([{"sweeps": {<label>: {"summary": ...,

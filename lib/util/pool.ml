@@ -1,137 +1,22 @@
-(* Domain pool with an ordered job/result protocol over work-stealing
-   per-domain deques.
+(* Domain pool with an ordered job/result protocol over one shared FIFO.
 
-   Scheduling: every participant (the calling domain plus each worker
-   domain) owns one bounded-growable deque.  The owner pushes and pops at
-   its own tail (LIFO, cache-warm); an idle participant steals from a
-   victim's head (FIFO, oldest job first), probing victims round-robin from
-   its own slot.  Each deque is guarded by its own mutex — the Chase–Lev
-   lock-free refinement can replace the lock without touching any caller —
-   so producers and thieves contend per-deque instead of serializing on one
-   global queue.
+   Every participant — each worker domain, plus the calling domain while it
+   is inside [map] or [shutdown] — takes jobs from a single mutex-guarded
+   queue.  Experiment cells cost milliseconds, so one lock per job costs
+   nothing measurable.
 
-   Determinism is unchanged from the shared-queue pool: each job writes its
-   result into a dedicated slot of a per-[map] results array, so scheduling
-   order never influences result order, and exceptions are re-raised —
-   lowest job index first — only after the whole batch has finished.  The
-   scheduler decides only *where* a job runs, never what it computes or
-   where its result lands.
-
-   Parking: an idle domain that finds every deque empty sleeps on the pool
-   condition variable.  The sleeper count and the queued-job count are
-   atomics written on opposite sides of the classic flag/flag handshake
-   (producer: publish job, then read [sleepers]; consumer: increment
-   [sleepers] under the lock, then read [pending]) so at least one side
-   always observes the other and no wakeup is lost. *)
+   Determinism: each job writes its result into a dedicated slot of a
+   per-[map] results array, so scheduling order never influences result
+   order, and exceptions are re-raised — lowest job index first — only after
+   the whole batch has finished.  The queue decides only *where* a job runs,
+   never what it computes or where its result lands. *)
 
 type job = unit -> unit
 
-let dummy_job : job = fun () -> ()
-
-(* --- per-domain deque -------------------------------------------------- *)
-
-type deque = {
-  dlock : Mutex.t;
-  mutable buf : job array;  (* power-of-two ring, indexed by absolute counters *)
-  mutable head : int;  (* absolute index of the oldest job *)
-  mutable tail : int;  (* absolute index one past the newest job *)
-}
-
-let deque_create () =
-  { dlock = Mutex.create (); buf = Array.make 64 dummy_job; head = 0; tail = 0 }
-
-let deque_grow d =
-  let old = d.buf in
-  let cap = Array.length old in
-  let nb = Array.make (2 * cap) dummy_job in
-  for i = d.head to d.tail - 1 do
-    nb.(i land ((2 * cap) - 1)) <- old.(i land (cap - 1))
-  done;
-  d.buf <- nb
-
-let deque_push_unlocked d job =
-  if d.tail - d.head = Array.length d.buf then deque_grow d;
-  d.buf.(d.tail land (Array.length d.buf - 1)) <- job;
-  d.tail <- d.tail + 1
-
-let deque_push d job =
-  Mutex.lock d.dlock;
-  deque_push_unlocked d job;
-  Mutex.unlock d.dlock
-
-(* Push jobs [mk lo], [mk (lo+stride)], ... (indexes < n) under ONE lock
-   acquisition — batch submission pays per-deque, not per-job, locking. *)
-let deque_push_strided d mk lo stride n =
-  Mutex.lock d.dlock;
-  let i = ref lo in
-  while !i < n do
-    deque_push_unlocked d (mk !i);
-    i := !i + stride
-  done;
-  Mutex.unlock d.dlock
-
-(* Takes are batched: a participant moves up to [stash_max] jobs per lock
-   acquisition into a private stash and runs them lock-free, so the per-job
-   cost of a drained batch is one ring read instead of one mutex round
-   trip.  The stash is invisible to thieves, which is fine: it never holds
-   more than [stash_max] tiny units of work, and stealing takes half the
-   victim's *deque*, keeping redistribution exponential. *)
-let stash_max = 32
-
-(* Owner: up to [k] jobs, LIFO from the tail, into [dst.(0..)]. *)
-let deque_pop_upto d dst k =
-  Mutex.lock d.dlock;
-  let avail = d.tail - d.head in
-  let n = if avail < k then avail else k in
-  for j = 0 to n - 1 do
-    d.tail <- d.tail - 1;
-    let i = d.tail land (Array.length d.buf - 1) in
-    dst.(j) <- d.buf.(i);
-    d.buf.(i) <- dummy_job
-  done;
-  Mutex.unlock d.dlock;
-  n
-
-(* Thief: up to half the victim's jobs (capped at [k]), FIFO from the
-   head — the oldest jobs, which under round-robin placement are the ones
-   the owner would reach last anyway. *)
-let deque_steal_upto d dst k =
-  Mutex.lock d.dlock;
-  let avail = d.tail - d.head in
-  let half = (avail + 1) / 2 in
-  let n = if half < k then half else k in
-  for j = 0 to n - 1 do
-    let i = d.head land (Array.length d.buf - 1) in
-    dst.(j) <- d.buf.(i);
-    d.buf.(i) <- dummy_job;
-    d.head <- d.head + 1
-  done;
-  Mutex.unlock d.dlock;
-  n
-
-(* --- pool -------------------------------------------------------------- *)
-
-type counters = {
-  local_pops : int;
-  steals : int;
-  failed_steals : int;
-  parks : int;
-  unparks : int;
-}
-
 type t = {
-  size : int;
-  deques : deque array;  (* slot 0: the calling domain; slot i+1: worker i *)
   lock : Mutex.t;
   work : Condition.t;  (* signalled on new work, batch completion, shutdown *)
-  pending : int Atomic.t;  (* queued (not yet taken) jobs, up to transient skew *)
-  sleepers : int Atomic.t;  (* workers blocked in Condition.wait *)
-  rr : int Atomic.t;  (* round-robin cursor for [submit] placement *)
-  c_local : int Atomic.t;
-  c_steals : int Atomic.t;
-  c_failed : int Atomic.t;
-  c_parks : int Atomic.t;
-  c_unparks : int Atomic.t;
+  queue : job Queue.t;
   mutable closed : bool;
   mutable domains : unit Domain.t array;
 }
@@ -154,127 +39,61 @@ let run_isolated job =
         "pool: submitted job raised %s (swallowed; further warnings suppressed)\n%!"
         (Printexc.to_string e)
 
-(* Take work as participant [me] into [dst]: own deque first, then steal
-   round-robin from the other participants.  Returns the number of jobs
-   taken (0 = nothing anywhere at probe time). *)
-let try_take t me dst =
-  let got = deque_pop_upto t.deques.(me) dst stash_max in
-  if got > 0 then begin
-    ignore (Atomic.fetch_and_add t.pending (-got));
-    ignore (Atomic.fetch_and_add t.c_local got);
-    got
-  end
-  else begin
-    let n = t.size in
-    let rec probe k =
-      if k >= n then 0
-      else begin
-        let got = deque_steal_upto t.deques.((me + k) mod n) dst stash_max in
-        if got > 0 then begin
-          ignore (Atomic.fetch_and_add t.pending (-got));
-          ignore (Atomic.fetch_and_add t.c_steals got);
-          got
-        end
-        else begin
-          Atomic.incr t.c_failed;
-          probe (k + 1)
-        end
-      end
-    in
-    probe 1
-  end
+let take t =
+  Mutex.lock t.lock;
+  let job = Queue.take_opt t.queue in
+  Mutex.unlock t.lock;
+  job
 
-let run_stash dst n =
-  for j = 0 to n - 1 do
-    let job = dst.(j) in
-    dst.(j) <- dummy_job;
-    run_isolated job
-  done
+(* Run queued jobs on the calling domain until the queue is empty. *)
+let rec help t =
+  match take t with
+  | Some job ->
+    run_isolated job;
+    help t
+  | None -> ()
 
-let rec worker_loop t me dst =
-  let n = try_take t me dst in
-  if n > 0 then begin
-    run_stash dst n;
-    worker_loop t me dst
-  end
-  else begin
-    Mutex.lock t.lock;
-    (* Order matters: advertise the sleeper *before* re-reading [pending],
-       mirroring producers who publish work before reading [sleepers]. *)
-    Atomic.incr t.sleepers;
-    if Atomic.get t.pending > 0 then begin
-      (* Queued work we failed to find: a concurrent take raced us between
-         the probe and here.  Retry immediately — takes are batched, so
-         these races are rare and short-lived. *)
-      Atomic.decr t.sleepers;
-      Mutex.unlock t.lock;
-      Domain.cpu_relax ();
-      worker_loop t me dst
-    end
-    else if t.closed then begin
-      Atomic.decr t.sleepers;
-      Mutex.unlock t.lock
-    end
-    else begin
-      Atomic.incr t.c_parks;
-      Condition.wait t.work t.lock;
-      Atomic.incr t.c_unparks;
-      Atomic.decr t.sleepers;
-      Mutex.unlock t.lock;
-      worker_loop t me dst
-    end
-  end
+(* Workers exit once the pool is closed and the queue drained. *)
+let rec worker_loop t =
+  Mutex.lock t.lock;
+  while Queue.is_empty t.queue && not t.closed do
+    Condition.wait t.work t.lock
+  done;
+  let job = Queue.take_opt t.queue in
+  Mutex.unlock t.lock;
+  match job with
+  | Some job ->
+    run_isolated job;
+    worker_loop t
+  | None -> ()
 
 let create ~jobs =
-  let size = max 1 jobs in
+  let wanted = max 1 jobs in
   let t =
     {
-      size;
-      deques = Array.init size (fun _ -> deque_create ());
       lock = Mutex.create ();
       work = Condition.create ();
-      pending = Atomic.make 0;
-      sleepers = Atomic.make 0;
-      rr = Atomic.make 0;
-      c_local = Atomic.make 0;
-      c_steals = Atomic.make 0;
-      c_failed = Atomic.make 0;
-      c_parks = Atomic.make 0;
-      c_unparks = Atomic.make 0;
+      queue = Queue.create ();
       closed = false;
       domains = [||];
     }
   in
-  t.domains <-
-    Array.init (size - 1)
-      (fun i ->
-        Domain.spawn (fun () ->
-            worker_loop t (i + 1) (Array.make stash_max dummy_job)));
+  (* The runtime caps the number of live domains (128 in OCaml 5.1).  Stop
+     at the first refused spawn and run with what started: results do not
+     depend on the pool size. *)
+  let rec spawn acc k =
+    if k = wanted then acc
+    else
+      match Domain.spawn (fun () -> worker_loop t) with
+      | d -> spawn (d :: acc) (k + 1)
+      | exception Failure _ ->
+        Printf.eprintf "pool: started %d of %d domains\n%!" k wanted;
+        acc
+  in
+  t.domains <- Array.of_list (List.rev (spawn [] 1));
   t
 
-let size t = t.size
-
-let counters t =
-  {
-    local_pops = Atomic.get t.c_local;
-    steals = Atomic.get t.c_steals;
-    failed_steals = Atomic.get t.c_failed;
-    parks = Atomic.get t.c_parks;
-    unparks = Atomic.get t.c_unparks;
-  }
-
-let observe_metrics t reg =
-  let c = counters t in
-  Metrics.set_int reg "pool.local_pops" c.local_pops;
-  Metrics.set_int reg "pool.steals" c.steals;
-  Metrics.set_int reg "pool.failed_steals" c.failed_steals;
-  Metrics.set_int reg "pool.parks" c.parks;
-  Metrics.set_int reg "pool.unparks" c.unparks
-
-let wake_all t =
-  Mutex.lock t.lock;
-  Condition.broadcast t.work;
-  Mutex.unlock t.lock
+let size t = Array.length t.domains + 1
 
 type 'b slot = Empty | Ok_r of 'b | Error_r of exn * Printexc.raw_backtrace
 
@@ -282,68 +101,36 @@ let map t f xs =
   if t.closed then invalid_arg "Pool.map: pool is shut down";
   match xs with
   | [] -> []
-  | _ when t.size = 1 -> List.map f xs (* the exact serial path *)
+  | _ when Array.length t.domains = 0 -> List.map f xs (* the exact serial path *)
   | xs ->
     let items = Array.of_list xs in
     let n = Array.length items in
     let results = Array.make n Empty in
-    (* Loop grain: one queued job covers a contiguous index range of up to
-       [8 * size] chunks' worth of items, so per-item scheduling overhead
-       (closure, deque slot, completion decrement) is amortized while small
-       or skewed batches still split into one item per job.  Chunking does
-       not touch the determinism contract — every item writes its own slot,
-       whatever chunk ran it. *)
-    let chunk =
-      let per = n / (t.size * 8) in
-      if per < 1 then 1 else if per > 64 then 64 else per
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let remaining = Atomic.make nchunks in
-    let job c () =
-      let lo = c * chunk in
-      let hi = min n (lo + chunk) in
-      for i = lo to hi - 1 do
-        results.(i) <-
-          (try Ok_r (f items.(i))
-           with e -> Error_r (e, Printexc.get_raw_backtrace ()))
-      done;
+    let remaining = Atomic.make n in
+    let job i () =
+      results.(i) <-
+        (try Ok_r (f items.(i)) with e -> Error_r (e, Printexc.get_raw_backtrace ()));
       if Atomic.fetch_and_add remaining (-1) = 1 then begin
-        (* Last chunk of the batch: wake the caller if it is waiting. *)
+        (* Last job of the batch: wake the caller if it is waiting. *)
         Mutex.lock t.lock;
         Condition.broadcast t.work;
         Mutex.unlock t.lock
       end
     in
-    (* Round-robin initial placement: chunk c starts on deque (c mod size),
-       so a uniform batch begins balanced and stealing only has to fix up
-       cost skew, not distribution.  Each deque's slice goes in under one
-       lock. *)
-    for d = 0 to t.size - 1 do
-      deque_push_strided t.deques.(d) job d t.size nchunks
+    Mutex.lock t.lock;
+    for i = 0 to n - 1 do
+      Queue.push (job i) t.queue
     done;
-    ignore (Atomic.fetch_and_add t.pending nchunks);
-    wake_all t;
-    (* The caller participates as deque owner 0 until the batch drains.
-       [pending <= 0] means nothing is queued anywhere (takers decrement
-       only after removal, so the count never under-reports a queued job);
-       whatever remains is in flight on workers and the last job's broadcast
-       ends the wait. *)
-    let dst = Array.make stash_max dummy_job in
-    let rec drive () =
-      let got = try_take t 0 dst in
-      if got > 0 then begin
-        run_stash dst got;
-        drive ()
-      end
-      else if Atomic.get remaining > 0 then begin
-        Mutex.lock t.lock;
-        if Atomic.get remaining > 0 && Atomic.get t.pending <= 0 then
-          Condition.wait t.work t.lock;
-        Mutex.unlock t.lock;
-        drive ()
-      end
-    in
-    drive ();
+    Condition.broadcast t.work;
+    Mutex.unlock t.lock;
+    (* The caller helps until the queue is empty, then waits for the jobs
+       still in flight on workers. *)
+    help t;
+    Mutex.lock t.lock;
+    while Atomic.get remaining > 0 do
+      Condition.wait t.work t.lock
+    done;
+    Mutex.unlock t.lock;
     let collect i =
       match results.(i) with
       | Ok_r v -> v
@@ -434,10 +221,8 @@ let submit t job =
     Mutex.unlock t.lock;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  let k = Atomic.fetch_and_add t.rr 1 in
-  deque_push t.deques.(k mod t.size) job;
-  Atomic.incr t.pending;
-  Condition.signal t.work;
+  Queue.push job t.queue;
+  Condition.broadcast t.work;
   Mutex.unlock t.lock
 
 let shutdown t =
@@ -447,26 +232,12 @@ let shutdown t =
   Condition.broadcast t.work;
   Mutex.unlock t.lock;
   if not was_closed then begin
-    (* Accepted jobs are never lost: the caller helps drain every deque
+    (* Accepted jobs are never lost: the caller helps drain the queue
        (essential for fire-and-forget [submit]s on a pool of size 1, which
        has no worker domains), then joins the workers — who also drain
-       before exiting.  [pending > 0] with empty deques is the transient
-       taken-but-not-yet-decremented skew; spin it out rather than joining
-       while the count still claims queued work. *)
-    let dst = Array.make stash_max dummy_job in
-    let rec drain () =
-      let got = try_take t 0 dst in
-      if got > 0 then begin
-        run_stash dst got;
-        drain ()
-      end
-      else if Atomic.get t.pending > 0 then begin
-        Domain.cpu_relax ();
-        drain ()
-      end
-    in
-    drain ();
-    (* A worker that died of a runtime-fatal exception re-raises it here. *)
+       before exiting.  A worker that died of a runtime-fatal exception
+       re-raises it here. *)
+    help t;
     Array.iter Domain.join t.domains
   end
 

@@ -21,12 +21,10 @@
     The calling domain participates in draining the work during [map], so a
     pool of size [n] uses [n-1] spawned domains plus the caller.
 
-    {b Scheduling} is work stealing over per-domain deques: every
-    participant owns a deque, pushes/pops its own tail, and steals from a
-    victim's head when idle; [map] round-robins a batch's initial placement
-    across the deques.  Scheduling decides only {e where} a job runs — the
-    results contract above is independent of it, so [-j 1] and [-j N]
-    output stay byte-identical.
+    {b Scheduling} is one mutex-guarded FIFO shared by every participant.
+    Scheduling decides only {e where} a job runs — the results contract
+    above is independent of it, so [-j 1] and [-j N] output stay
+    byte-identical.
 
     {b Fatal exceptions}: [Out_of_memory] and [Stack_overflow] escaping a
     raw {!submit}ted job are never swallowed — they kill the worker domain
@@ -40,34 +38,16 @@ type t
 (** A pool of worker domains.  Not itself thread-safe: drive a given pool
     from one domain at a time. *)
 
-type counters = {
-  local_pops : int;  (** jobs a participant took from its own deque *)
-  steals : int;  (** jobs taken from another participant's deque *)
-  failed_steals : int;  (** victim probes that found an empty deque *)
-  parks : int;  (** times a worker went to sleep for lack of work *)
-  unparks : int;  (** times a sleeping worker was woken *)
-}
-(** Scheduler telemetry.  Genuinely nondeterministic (timing-dependent), so
-    it is exposed on demand rather than folded into any deterministic
-    metrics snapshot; the invariant [local_pops + steals = jobs executed]
-    holds at quiescence. *)
-
-val counters : t -> counters
-(** Snapshot of the pool's scheduler counters since {!create}. *)
-
-val observe_metrics : t -> Metrics.t -> unit
-(** [observe_metrics t reg] publishes {!counters} into [reg] as the integer
-    gauges [pool.local_pops], [pool.steals], [pool.failed_steals],
-    [pool.parks], [pool.unparks].  Callers must keep these out of registries
-    that feed byte-identity checks — steal counts vary run to run. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [-j] default of the CLI and
     bench harnesses. *)
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [max jobs 1 - 1] worker domains.  [jobs = 1] spawns
-    none: every subsequent [map] degenerates to [List.map]. *)
+    none: every subsequent [map] degenerates to [List.map].  If the runtime
+    refuses a spawn (OCaml caps the number of live domains), the pool keeps
+    the domains it has, prints [pool: started K of N domains] to stderr and
+    runs at size [K]. *)
 
 val size : t -> int
 (** Total workers, including the calling domain. *)
@@ -130,14 +110,13 @@ val map_results :
     Outcome lists are deterministic up to the [elapsed] field. *)
 
 val submit : t -> (unit -> unit) -> unit
-(** Fire-and-forget: enqueue a raw job on the next deque round-robin.  A
-    non-fatal exception escaping the job is swallowed (with a warn-once
-    stderr line) and the domain keeps serving work; [Out_of_memory] and
-    [Stack_overflow] propagate (see the module preamble).  Raises
-    [Invalid_argument] after {!shutdown}. *)
+(** Fire-and-forget: enqueue a raw job.  A non-fatal exception escaping the
+    job is swallowed (with a warn-once stderr line) and the domain keeps
+    serving work; [Out_of_memory] and [Stack_overflow] propagate (see the
+    module preamble).  Raises [Invalid_argument] after {!shutdown}. *)
 
 val shutdown : t -> unit
-(** Close the pool, drain every still-pending job (no accepted job is
+(** Close the pool, drain every still-queued job (no accepted job is
     lost — the caller helps, so this also works on a size-1 pool with no
     worker domains), then join all worker domains.  A worker domain killed
     by a runtime-fatal exception re-raises it here.  Idempotent; the pool

@@ -1,8 +1,8 @@
-(* Property tests for the work-stealing pool's determinism contract.
+(* Property tests for the pool's determinism contract.
 
-   The scheduler is free to run cells in any interleaving — local pops,
-   steals, caller help — but every observable artifact must be a pure
-   function of the inputs: sweep results and failure reports, the
+   The scheduler is free to run cells in any interleaving — on any worker
+   domain or on the helping caller — but every observable artifact must be
+   a pure function of the inputs: sweep results and failure reports, the
    [--metrics] JSON document, and the identity of the first re-raised
    failure.  These properties drive random tiny/huge cell-cost mixes and
    random crash plans through [Supervise.run] and [Pool.run] at every

@@ -18,9 +18,9 @@
       pipelines must also agree on cycle counts and stall attribution, which
       the ISS cannot check.
 
-   3. A small lebench matrix is rendered at -j 1 and -j 4: the experiment
-      tables must be byte-identical to each other and to the recorded golden
-      digest. *)
+   3. Small lebench and apps matrices run as supervised sweeps at -j 1 and
+      -j 4: the experiment tables must be byte-identical to each other and to
+      the recorded golden digests. *)
 
 module I = Pv_isa.Insn
 module Layout = Pv_isa.Layout
@@ -34,6 +34,7 @@ module Tab = Pv_util.Tab
 module Perf = Pv_experiments.Perf
 module Perf_report = Pv_experiments.Perf_report
 module Schemes = Pv_experiments.Schemes
+module Supervise = Pv_experiments.Supervise
 module Lebench = Pv_workloads.Lebench
 module Apps = Pv_workloads.Apps
 
@@ -99,20 +100,42 @@ let run_cell (family, workload, scheme) =
   in
   (key, line)
 
-(* --- small experiment matrix, -j 1 vs -j 4 ------------------------------ *)
+(* --- small experiment matrices, -j 1 vs -j 4 ---------------------------- *)
 
 let matrix_tests () = [ Lebench.find "read"; Lebench.find "select" ]
 
+let matrix_apps = [ Apps.httpd; Apps.memcached ]
+
 let matrix_variants = [ "UNSAFE"; "FENCE"; "PERSPECTIVE" ]
 
-let run_matrix ~jobs =
-  Perf.lebench_matrix ~scale:cell_scale ~jobs ~tests:(matrix_tests ())
-    ~variants:(List.map Schemes.find matrix_variants) ()
+let supervised_matrix ~jobs ~names cells =
+  let sweep = Supervise.run ~config:{ Supervise.default with jobs } cells in
+  let m = Perf.matrix_of_sweep ~names ~width:(List.length matrix_variants) sweep in
+  match Perf.complete_matrix m with
+  | Some full -> (m, full)
+  | None -> Alcotest.failf "matrix at -j %d has failed cells" jobs
 
-let matrix_bytes m =
-  Tab.to_string (Perf_report.fig_lebench m)
-  ^ Tab.to_string (Perf_report.fence_breakdown m)
-  ^ Tab.to_string (Perf_report.stall_breakdown m)
+let lebench_bytes ~jobs =
+  let tests = matrix_tests () in
+  let m, full =
+    supervised_matrix ~jobs
+      ~names:(List.map (fun t -> t.Lebench.name) tests)
+      (Perf.lebench_cells ~scale:cell_scale ~tests
+         ~variants:(List.map Schemes.find matrix_variants) ())
+  in
+  Tab.to_string (Perf_report.fig_lebench_partial ~labels:matrix_variants m)
+  ^ Tab.to_string (Perf_report.fence_breakdown full)
+  ^ Tab.to_string (Perf_report.stall_breakdown full)
+
+let apps_bytes ~jobs =
+  let m, full =
+    supervised_matrix ~jobs
+      ~names:(List.map (fun a -> a.Apps.name) matrix_apps)
+      (Perf.apps_cells ~scale:cell_scale ~apps:matrix_apps
+         ~variants:(List.map Schemes.find matrix_variants) ())
+  in
+  Tab.to_string (Perf_report.fig_apps_partial ~labels:matrix_variants m)
+  ^ Tab.to_string (Perf_report.kernel_time_table full)
 
 (* --- golden file -------------------------------------------------------- *)
 
@@ -146,12 +169,17 @@ let golden_key line =
 
 let current_lines () =
   let cells = List.map (fun spec -> snd (run_cell spec)) cell_specs in
-  let m1 = run_matrix ~jobs:1 in
-  let m4 = run_matrix ~jobs:4 in
-  let b1 = matrix_bytes m1 in
-  let b4 = matrix_bytes m4 in
-  check Alcotest.string "lebench tables byte-identical for -j 1 and -j 4" b1 b4;
-  cells @ [ Printf.sprintf "table lebench-matrix|digest=%s" (digest b1) ]
+  let b1 = lebench_bytes ~jobs:1 in
+  check Alcotest.string "lebench tables byte-identical for -j 1 and -j 4" b1
+    (lebench_bytes ~jobs:4);
+  let a1 = apps_bytes ~jobs:1 in
+  check Alcotest.string "apps tables byte-identical for -j 1 and -j 4" a1
+    (apps_bytes ~jobs:4);
+  cells
+  @ [
+      Printf.sprintf "table lebench-matrix|digest=%s" (digest b1);
+      Printf.sprintf "table apps-matrix|digest=%s" (digest a1);
+    ]
 
 let test_goldens () =
   let lines = current_lines () in

@@ -7,6 +7,7 @@ module Perf = E.Perf
 module Schemes = E.Schemes
 module Security = E.Security
 module Sensitivity = E.Sensitivity
+module Supervise = E.Supervise
 module Cacti = Pv_hwmodel.Cacti
 module Lebench = Pv_workloads.Lebench
 
@@ -45,8 +46,15 @@ let test_gadget_ranges () =
         (all3 r.Isv_study.plus_pct (fun x -> x = 100.0)))
     (Isv_study.gadget_rows (Lazy.force study))
 
+(* The values of a supervised sweep that must not have failed. *)
+let sweep_values cells =
+  List.map
+    (fun (key, v) ->
+      match v with Some v -> v | None -> Alcotest.failf "cell %s failed" key)
+    (Supervise.run cells).Supervise.results
+
 let test_speedup_ranges () =
-  let rows = Isv_study.speedup_rows (Lazy.force study) in
+  let rows = sweep_values (Isv_study.speedup_cells (Lazy.force study)) in
   List.iter
     (fun (r : Isv_study.speedup_row) ->
       Alcotest.(check bool)
@@ -101,7 +109,7 @@ let test_perf_throughput_normalization () =
     (unsafe.Perf.kernel_cycle_fraction > 0.3 && unsafe.Perf.kernel_cycle_fraction < 0.9)
 
 let test_security_pocs () =
-  let pocs = Security.run_pocs () in
+  let pocs = List.concat (sweep_values (Security.run_pocs_cells ())) in
   check Alcotest.int "28 verdicts" 28 (List.length pocs);
   let leaks = List.filter (fun p -> p.Security.correct) pocs in
   (* Exactly: v1 UNSAFE, v2 UNSAFE, v2 DSV-only, rsb UNSAFE. *)

@@ -7,6 +7,7 @@ module Perf = Pv_experiments.Perf
 module Perf_report = Pv_experiments.Perf_report
 module Schemes = Pv_experiments.Schemes
 module Security = Pv_experiments.Security
+module Supervise = Pv_experiments.Supervise
 module Tab = Pv_util.Tab
 module Lebench = Pv_workloads.Lebench
 module Apps = Pv_workloads.Apps
@@ -98,6 +99,17 @@ let test_results_actually_parallel () =
   match Pool.run ~jobs:4 job [ 0; 1 ] with
   | [ a; b ] -> Alcotest.(check bool) "two domains participated" true (a <> b)
   | _ -> Alcotest.fail "unexpected result shape"
+
+let test_jobs_above_domain_cap () =
+  (* The runtime caps live domains (128 in OCaml 5.1).  An oversized pool
+     runs with the domains it could start, still computes exactly List.map,
+     and hands every domain back on shutdown: a later pool gets two. *)
+  let xs = List.init 200 Fun.id in
+  let f i = (i * 31) + 7 in
+  Pool.with_pool ~jobs:1000 (fun p ->
+      Alcotest.(check bool) "size clamped below the request" true (Pool.size p < 1000);
+      check Alcotest.(list int) "-j 1000 is List.map" (List.map f xs) (Pool.map p f xs));
+  test_results_actually_parallel ()
 
 (* --- supervised mapping ----------------------------------------------- *)
 
@@ -242,100 +254,82 @@ let test_fatal_exception_escapes () =
       done);
   check Alcotest.int "clean jobs all ran" 10 (Atomic.get ran)
 
-let test_scheduler_counters () =
-  (* [local_pops + steals] counts exactly the jobs taken off the deques:
-     one per [submit] at quiescence; parks and unparks pair up once every
-     worker has been joined. *)
-  let p = Pool.create ~jobs:4 in
-  let hits = Atomic.make 0 in
-  for _ = 1 to 50 do
-    Pool.submit p (fun () -> Atomic.incr hits)
-  done;
-  Pool.shutdown p;
-  let c = Pool.counters p in
-  check Alcotest.int "all jobs ran" 50 (Atomic.get hits);
-  check Alcotest.int "local_pops + steals = jobs taken" 50
-    (c.Pool.local_pops + c.Pool.steals);
-  check Alcotest.bool "failed steals non-negative" true (c.Pool.failed_steals >= 0);
-  check Alcotest.int "parks match unparks after join" c.Pool.parks c.Pool.unparks;
-  (* The counters export is a plain metrics write, not a registry the
-     byte-identity contract covers. *)
-  let reg = Pv_util.Metrics.create () in
-  Pool.observe_metrics p reg;
-  let snap = Pv_util.Metrics.snapshot reg in
-  check Alcotest.bool "export carries the steal counter" true
-    (Pv_util.Metrics.find snap "pool.steals" <> None)
-
 let test_matches_reference_pool () =
-  (* The frozen shared-queue pool is the semantic oracle: same results on
-     a clean batch, same first failure on a dirty one, at every size. *)
+  (* The serial List.map is the contract's definition: same results on a
+     clean batch, same first failure on a dirty one, at every size. *)
   let xs = List.init 257 (fun i -> i) in
   let f i = (i * 7919) lxor (i lsl 3) in
   List.iter
     (fun jobs ->
-      let ws = Pool.run ~jobs f xs in
-      let rf = Pool_ref.with_pool ~jobs (fun p -> Pool_ref.map p f xs) in
-      check Alcotest.(list int) (Printf.sprintf "clean batch at -j %d" jobs) rf ws)
+      check Alcotest.(list int) (Printf.sprintf "clean batch at -j %d" jobs) (List.map f xs)
+        (Pool.run ~jobs f xs))
     [ 1; 2; 4; 8 ];
   let g i = if i mod 50 = 37 then raise (Boom i) else i in
+  let first run = match run () with _ -> None | exception Boom i -> Some i in
+  let want = first (fun () -> List.map g xs) in
   List.iter
     (fun jobs ->
-      let first p_run = match p_run () with _ -> None | exception Boom i -> Some i in
-      let ws = first (fun () -> Pool.run ~jobs g xs) in
-      let rf =
-        first (fun () ->
-            Pool_ref.with_pool ~jobs (fun p -> Pool_ref.map p g xs))
-      in
-      check Alcotest.(option int) (Printf.sprintf "first failure at -j %d" jobs) rf ws)
+      check Alcotest.(option int) (Printf.sprintf "first failure at -j %d" jobs) want
+        (first (fun () -> Pool.run ~jobs g xs)))
     [ 1; 2; 4; 8 ]
 
 (* --- determinism of the experiment layer ------------------------------ *)
 
+(* The experiment matrices run as supervised sweeps; a sweep's results are
+   merged in declaration order whatever the pool size. *)
+let sweep ~jobs cells = Supervise.run ~config:{ Supervise.default with jobs } cells
+
+let lebench_rows ~jobs ~scale ~tests ~variants =
+  Perf.matrix_of_sweep
+    ~names:(List.map (fun t -> t.Lebench.name) tests)
+    ~width:(List.length variants)
+    (sweep ~jobs (Perf.lebench_cells ~scale ~tests ~variants ()))
+
+let apps_rows ~jobs ~scale ~apps ~variants =
+  Perf.matrix_of_sweep
+    ~names:(List.map (fun a -> a.Apps.name) apps)
+    ~width:(List.length variants)
+    (sweep ~jobs (Perf.apps_cells ~scale ~apps ~variants ()))
+
 (* Structural identity of run records; counters are all-int records so
    polymorphic equality is exact, and floats must match bitwise — that is
-   the determinism claim. *)
-let runs_identical (a : Perf.run) (b : Perf.run) = a = b
-
+   the determinism claim.  Every cell must have succeeded. *)
 let matrices_identical m1 m2 =
-  List.length m1 = List.length m2
-  && List.for_all2
-       (fun (n1, rs1) (n2, rs2) ->
-         n1 = n2 && List.length rs1 = List.length rs2 && List.for_all2 runs_identical rs1 rs2)
-       m1 m2
+  Perf.complete_matrix m1 <> None && m1 = m2
+
+let labels variants = List.map (fun v -> v.Schemes.label) variants
 
 let fig92_variants = [ Schemes.unsafe; Schemes.fence; Schemes.perspective ]
 
-let test_lebench_matrix_deterministic () =
+let test_fig92_deterministic () =
   (* Fig 9.2-shaped job set: LEBench tests x schemes, scaled down. *)
   let tests = [ Lebench.find "ref"; Lebench.find "select"; Lebench.find "mmap" ] in
-  let serial = Perf.lebench_matrix ~scale:0.2 ~jobs:1 ~tests ~variants:fig92_variants () in
-  let parallel = Perf.lebench_matrix ~scale:0.2 ~jobs:4 ~tests ~variants:fig92_variants () in
+  let serial = lebench_rows ~scale:0.2 ~jobs:1 ~tests ~variants:fig92_variants in
+  let parallel = lebench_rows ~scale:0.2 ~jobs:4 ~tests ~variants:fig92_variants in
   Alcotest.(check bool) "-j 4 run records identical to -j 1" true
     (matrices_identical serial parallel);
   (* The acceptance criterion verbatim: rendered tables are byte-identical. *)
-  check Alcotest.string "fig 9.2 table bytes"
-    (Tab.to_string (Perf_report.fig_lebench serial))
-    (Tab.to_string (Perf_report.fig_lebench parallel))
+  let fig m = Tab.to_string (Perf_report.fig_lebench_partial ~labels:(labels fig92_variants) m) in
+  check Alcotest.string "fig 9.2 table bytes" (fig serial) (fig parallel)
 
-let test_apps_matrix_deterministic () =
+let test_fig93_deterministic () =
   (* Fig 9.3-shaped job set: apps x schemes. *)
   let apps = [ Apps.memcached; Apps.redis ] in
   let variants = [ Schemes.unsafe; Schemes.perspective ] in
-  let serial = Perf.apps_matrix ~scale:0.15 ~jobs:1 ~apps ~variants () in
-  let parallel = Perf.apps_matrix ~scale:0.15 ~jobs:4 ~apps ~variants () in
+  let serial = apps_rows ~scale:0.15 ~jobs:1 ~apps ~variants in
+  let parallel = apps_rows ~scale:0.15 ~jobs:4 ~apps ~variants in
   Alcotest.(check bool) "-j 4 run records identical to -j 1" true
     (matrices_identical serial parallel);
-  check Alcotest.string "fig 9.3 table bytes"
-    (Tab.to_string (Perf_report.fig_apps serial))
-    (Tab.to_string (Perf_report.fig_apps parallel))
+  let fig m = Tab.to_string (Perf_report.fig_apps_partial ~labels:(labels variants) m) in
+  check Alcotest.string "fig 9.3 table bytes" (fig serial) (fig parallel)
 
 let test_counters_and_fences_identical () =
   (* Spot-check the fields the tables are built from, including the nested
      counter record and fence counts. *)
   let tests = [ Lebench.find "poll" ] in
   let run jobs =
-    match Perf.lebench_matrix ~scale:0.2 ~jobs ~tests ~variants:[ Schemes.perspective ] () with
-    | [ (_, [ r ]) ] -> r
+    match lebench_rows ~scale:0.2 ~jobs ~tests ~variants:[ Schemes.perspective ] with
+    | [ (_, [ Some r ]) ] -> r
     | _ -> Alcotest.fail "unexpected matrix shape"
   in
   let a = run 1 and b = run 4 in
@@ -351,8 +345,13 @@ let test_counters_and_fences_identical () =
     "dsv hit rate (bitwise)" a.Perf.dsv_hit_rate b.Perf.dsv_hit_rate
 
 let test_pocs_deterministic () =
-  let serial = Security.run_pocs ~jobs:1 () in
-  let parallel = Security.run_pocs ~jobs:3 () in
+  let verdicts jobs =
+    List.concat_map
+      (fun (_, v) -> Option.get v)
+      (sweep ~jobs (Security.run_pocs_cells ())).Supervise.results
+  in
+  let serial = verdicts 1 in
+  let parallel = verdicts 3 in
   Alcotest.(check bool) "verdict lists identical" true (serial = parallel);
   check Alcotest.int "28 verdicts" 28 (List.length parallel)
 
@@ -369,6 +368,7 @@ let suite =
         Alcotest.test_case "pool survives failure" `Quick test_pool_survives_job_failure;
         Alcotest.test_case "shutdown" `Quick test_shutdown_semantics;
         Alcotest.test_case "uses several domains" `Quick test_results_actually_parallel;
+        Alcotest.test_case "-j above the domain cap" `Quick test_jobs_above_domain_cap;
       ] );
     ( "pool.supervised",
       [
@@ -381,13 +381,12 @@ let suite =
         Alcotest.test_case "submit crash-proof" `Quick test_submit_crash_proof;
         Alcotest.test_case "shutdown drains pending" `Quick test_shutdown_drains_pending;
         Alcotest.test_case "fatal exceptions escape" `Quick test_fatal_exception_escapes;
-        Alcotest.test_case "scheduler counters" `Quick test_scheduler_counters;
         Alcotest.test_case "matches reference pool" `Quick test_matches_reference_pool;
       ] );
     ( "pool.determinism",
       [
-        Alcotest.test_case "Fig 9.2 job set" `Slow test_lebench_matrix_deterministic;
-        Alcotest.test_case "Fig 9.3 job set" `Slow test_apps_matrix_deterministic;
+        Alcotest.test_case "Fig 9.2 job set" `Slow test_fig92_deterministic;
+        Alcotest.test_case "Fig 9.3 job set" `Slow test_fig93_deterministic;
         Alcotest.test_case "counters and fences" `Slow test_counters_and_fences_identical;
         Alcotest.test_case "PoC verdicts" `Slow test_pocs_deterministic;
       ] );

@@ -351,10 +351,10 @@ let test_render_json_escapes_keys () =
   (* Labels and cell keys are JSON strings, not OCaml literals: a control
      byte renders as \u00XX and UTF-8 passes through raw (OCaml's %S would
      write \001 and \195\169). *)
-  let doc =
-    Supervise.render_json
-      [ Supervise.export_cells ~label:"s\"w" [ ("cell/\x01/\xc3\xa9", None) ] ]
+  let sweep =
+    Supervise.run [ Supervise.cell "cell/\x01/\xc3\xa9" (fun ~fuel:_ -> failwith "no value") ]
   in
+  let doc = Supervise.render_json [ Supervise.export ~metrics_of:Fun.id ~label:"s\"w" sweep ] in
   Alcotest.(check bool) "label escaped as JSON" true (contains ~sub:"\"s\\\"w\": {" doc);
   Alcotest.(check bool)
     (Printf.sprintf "cell key escaped as JSON in %s" doc)
