@@ -152,16 +152,14 @@ let workers_arg =
     value & opt int 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Run sweep cells on $(docv) worker $(i,processes) (the CLI re-executes \
-           itself in a hidden worker mode) instead of in-process domains.  The \
-           coordinator survives worker death — including injected \
-           $(b,--fault kill@I) — by respawning workers (bounded) and recovering \
-           completed cells from each worker's crash-safe journal; tables and \
-           $(b,--metrics) output are byte-identical to $(b,--workers 1).  \
-           Composes with $(b,--cache): racing workers claim cells through the \
-           shared result cache (lease, compute, atomic commit) instead of \
-           double-computing.  Worker processes run one cell at a time, so \
-           $(b,-j) has no effect when $(docv) > 1.")
+          "Run sweep cells on $(docv) worker $(i,processes), forked for each \
+           sweep, instead of in-process domains.  The coordinator survives \
+           worker death — including injected $(b,--fault kill@I) — by \
+           respawning workers (bounded) and recovering completed cells from \
+           each worker's crash-safe journal; tables and $(b,--metrics) output \
+           are byte-identical to $(b,--workers 1).  With $(b,--cache), the \
+           coordinator stores what the workers computed.  Worker processes run \
+           one cell at a time, so $(b,-j) has no effect when $(docv) > 1.")
 
 (* The supervision flags evaluate straight to a [Supervise.config], paired
    with the one flag that is not part of it ([--cache-stats]). *)
@@ -190,20 +188,42 @@ let sup_term =
     const mk $ jobs_arg $ retries_arg $ fault_arg $ max_cycles_arg $ checkpoint_arg
     $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg $ workers_arg)
 
-(* Validate the supervision flags, run [f] with the config, and print the
+(* Where a run will write, checked before any cell runs: [path] must be
+   (or become) a file or, with [dir], a directory, in a directory that
+   exists. *)
+let output_error ~flag ?(dir = false) path =
+  let parent = Filename.dirname path in
+  if Sys.file_exists path && Sys.is_directory path <> dir then
+    Some
+      (Printf.sprintf "%s %S is %s" flag path
+         (if dir then "not a directory" else "a directory"))
+  else if not (Sys.file_exists parent && Sys.is_directory parent) then
+    Some (Printf.sprintf "%s %S: directory %S does not exist" flag path parent)
+  else None
+
+(* Validate the supervision flags and the [outputs] a command will write
+   (each an [output_error] check), run [f] with the config, and print the
    cache counters afterwards if asked.  Validation failures are one-line
    stderr diagnostics with exit code 2 (usage error) — notably a --resume
    pointing at a missing, empty or fully-torn checkpoint, which must not
    surface as an exception backtrace. *)
-let with_sup_config ((config : E.Supervise.config), cache_stats) f =
+let with_sup_config ?(outputs = []) ((config : E.Supervise.config), cache_stats) f =
   let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
-  if config.resume && config.checkpoint = None then
+  let checkpoint_error =
+    Option.bind config.checkpoint (output_error ~flag:"--checkpoint")
+  in
+  match List.find_map Fun.id (checkpoint_error :: outputs) with
+  | Some msg -> usage "%s" msg
+  | None when config.resume && config.checkpoint = None ->
     usage "--resume requires --checkpoint FILE"
-  else if cache_stats && config.cache = None then
+  | None when cache_stats && config.cache = None ->
     usage "--cache-stats requires --cache DIR (and not --no-cache)"
-  else if config.jobs < 1 then usage "-j must be >= 1"
-  else if config.workers < 1 then usage "--workers must be >= 1"
-  else
+  | None when config.jobs < 1 -> usage "-j must be >= 1"
+  | None when config.workers < 1 -> usage "--workers must be >= 1"
+  | None when config.retries < 0 -> usage "--retries must be >= 0, got %d" config.retries
+  | None when Option.value config.max_cycles ~default:1 < 1 ->
+    usage "--max-cycles must be >= 1, got %d" (Option.get config.max_cycles)
+  | None ->
     let resume_ok =
       match config.checkpoint with
       | Some file when config.resume -> (
@@ -226,14 +246,9 @@ let with_sup_config ((config : E.Supervise.config), cache_stats) f =
     match resume_ok with
     | Error msg -> usage "%s" msg
     | Ok () ->
-      (* A fresh checkpointed run must not inherit a previous run's cells.
-         Never in a worker: the "stale" file is the coordinator's live
-         journal, and workers keep their own (PV_WORKER_JOURNAL). *)
+      (* A fresh checkpointed run must not inherit a previous run's cells. *)
       (match config.checkpoint with
-      | Some f
-        when (not config.resume) && (not (Pv_util.Procpool.in_worker ()))
-             && Sys.file_exists f ->
-        Sys.remove f
+      | Some f when (not config.resume) && Sys.file_exists f -> Sys.remove f
       | _ -> ());
       let code = f config in
       if cache_stats then Option.iter Pv_util.Rescache.report config.cache;
@@ -263,8 +278,6 @@ let trace_dir_arg =
            $(docv).")
 
 let write_traces ~dir (sweep : _ E.Supervise.sweep) =
-  if Pv_util.Procpool.in_worker () then ()
-  else begin
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   List.iter
     (fun (key, run) ->
@@ -285,7 +298,6 @@ let write_traces ~dir (sweep : _ E.Supervise.sweep) =
                 output_char oc '\n')
               r.E.Perf.events))
     sweep.E.Supervise.results
-  end
 
 (* --- attack --- *)
 
@@ -406,7 +418,13 @@ let perf_cmd =
     else
       (* The two sweeps share the checkpoint journal (their key spaces are
          disjoint), so the stale-journal removal must happen exactly once. *)
-      with_sup_config sup (fun config ->
+      let outputs =
+        [
+          Option.bind metrics_file (output_error ~flag:"--metrics");
+          Option.bind trace_dir (output_error ~flag:"--trace-dir" ~dir:true);
+        ]
+      in
+      with_sup_config ~outputs sup (fun config ->
       let trace = trace_dir <> None in
       let labels = List.map (fun v -> v.E.Schemes.label) variants in
       let width = List.length variants in
@@ -584,7 +602,8 @@ let service_cmd =
               usage "--queue-bound must be non-negative (0 sheds every arrival)"
             else if requests <= 0 then usage "--requests must be positive"
             else
-              with_sup_config sup (fun config ->
+              let outputs = [ Option.bind metrics_file (output_error ~flag:"--metrics") ] in
+              with_sup_config ~outputs sup (fun config ->
               let server = { E.Loadsweep.Server.cores; queue_bound; dispatch } in
               let t0 = Unix.gettimeofday () in
               let outcome =
@@ -697,7 +716,8 @@ let contracts_cmd =
       with
       | Error msg -> usage "%s" msg
       | Ok (schemes, cells) ->
-        with_sup_config sup (fun config ->
+        let outputs = [ Option.bind csv (output_error ~flag:"--csv") ] in
+        with_sup_config ~outputs sup (fun config ->
             let sweep = E.Supervise.run ~config cells in
             let results = sweep.E.Supervise.results in
             Tab.print (C.matrix_table ?attacks ?schemes results);
@@ -766,30 +786,9 @@ let () =
   in
   (* Exit codes: 0 clean, 1 a sweep had failed cells (commands return it),
      2 usage error, 125 unexpected exception. *)
-  let eval_list args =
-    let argv =
-      Array.of_list
-        ((if Array.length Sys.argv > 0 then Sys.argv.(0) else "perspective") :: args)
-    in
-    match Cmd.eval_value ~argv group with
+  exit
+    (match Cmd.eval_value group with
     | Ok (`Ok code) -> code
     | Ok (`Version | `Help) -> 0
     | Error (`Parse | `Term) -> 2
-    | Error `Exn -> 125
-  in
-  (* Multi-process mode: a worker is this same binary re-executed with a
-     hidden __worker argv marker; it parses the identical command line (so
-     it rebuilds the identical sweep) but Supervise hands its cells out of
-     the coordinator's pipe instead of running the whole sweep.  The
-     original argv is recorded either way — it is what the coordinator
-     re-executes under --workers N. *)
-  let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
-  let args =
-    match args with
-    | marker :: rest when marker = Pv_util.Procpool.worker_arg ->
-      ignore (Pv_util.Procpool.worker_init ());
-      rest
-    | _ -> args
-  in
-  Pv_util.Procpool.set_reexec_argv args;
-  exit (eval_list args)
+    | Error `Exn -> 125)

@@ -55,48 +55,6 @@ let default =
 (* Dead-worker replacements allowed per multi-process sweep. *)
 let respawns = 8
 
-(* --- multi-process plumbing -------------------------------------------- *)
-
-(* Every Supervise.run call in a process gets an ordinal, counted identically
-   in the coordinator and in each worker (both execute the same CLI code
-   path).  A worker spawned for sweep [k] replays sweeps [< k] from the
-   coordinator's combined journal — dependent sweeps (calibration -> points)
-   capture earlier results in their closures, so the replay must reproduce
-   them — and serves cells for sweep [k] itself. *)
-let sweep_counter = ref 0
-
-let rm_rf_shallow dir =
-  match Sys.readdir dir with
-  | names ->
-    Array.iter
-      (fun n ->
-        let p = Filename.concat dir n in
-        if Sys.is_directory p then begin
-          (match Sys.readdir p with
-          | inner ->
-            Array.iter
-              (fun m -> try Sys.remove (Filename.concat p m) with Sys_error _ -> ())
-              inner
-          | exception Sys_error _ -> ());
-          try Unix.rmdir p with Unix.Unix_error _ -> ()
-        end
-        else try Sys.remove p with Sys_error _ -> ())
-      names;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  | exception Sys_error _ -> ()
-
-let scratch_dir =
-  lazy
-    (let d =
-       Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "pv-procpool-%d" (Unix.getpid ()))
-     in
-     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-     at_exit (fun () -> rm_rf_shallow d);
-     d)
-
-let combined_journal () = Filename.concat (Lazy.force scratch_dir) "combined.journal"
-
 let fuel_for config index =
   (* attempt 0 suffices: livelock decisions are attempt-independent in
      seeded plans, and a planned flaky livelock makes little sense. *)
@@ -104,43 +62,15 @@ let fuel_for config index =
   | Some Fault.Livelock -> Some config.livelock_fuel
   | _ -> config.max_cycles
 
-(* Worker role, earlier sweep: serve every cell from the combined journal.
-   Failures of the original run come back as [None] rows, same as the
-   coordinator saw them. *)
-let replay_sweep (ctx : Procpool.ctx) (cells : 'a cell list) =
-  let tbl : (string, 'a) Hashtbl.t =
-    match ctx.Procpool.replay with
-    | Some path -> Journal.load_table path
-    | None -> Hashtbl.create 0
-  in
-  let restored = ref 0 in
-  let results =
-    List.map
-      (fun (c : 'a cell) ->
-        match Hashtbl.find_opt tbl c.key with
-        | Some v ->
-          incr restored;
-          (c.key, Some v)
-        | None -> (c.key, None))
-      cells
-  in
-  {
-    results;
-    failures = [];
-    restored = !restored;
-    cached = 0;
-    deduped = 0;
-    executed = 0;
-  }
+(* --- multi-process execution --------------------------------------------- *)
 
-(* Worker role, target sweep: serve RUN commands until FIN, then leave the
-   process — continuing the CLI past this sweep would re-run later sweeps
-   as a bogus coordinator.  Cells are addressed by key (stable across
-   processes); the index in each command is the cell's position in the
-   *coordinator's* runnable list and exists only to key fault decisions. *)
-let serve_worker (ctx : Procpool.ctx) config (cells : 'a cell list) : 'b =
-  let by_key : (string, 'a cell) Hashtbl.t = Hashtbl.create (List.length cells) in
-  List.iter (fun (c : 'a cell) -> Hashtbl.replace by_key c.key c) cells;
+(* Worker process body: serve RUN commands until FIN.  The worker was forked
+   inside this sweep's [run], so it already holds the runnable cells and
+   everything their closures captured (upstream sweeps' results included).
+   The index in each command is the cell's position in [runnable] and keys
+   its fault decision.  Values go to the worker's journal only; the
+   coordinator reads them back and owns the checkpoint and the cache. *)
+let serve_worker config (runnable : 'a cell array) (ctx : Procpool.ctx) =
   let writer = Journal.open_writer ctx.Procpool.journal in
   let classify_fail e =
     Procpool.Fail
@@ -150,28 +80,18 @@ let serve_worker (ctx : Procpool.ctx) config (cells : 'a cell list) : 'b =
       }
   in
   let execute ~index (c : 'a cell) =
-    match
-      match (config.cache, c.cache) with
-      | Some rc, Some desc ->
-        (* Two-phase commit through the shared cache: claim the lease,
-           compute, store via atomic rename, release.  Racing workers (in
-           this run or a concurrent one) dedup instead of double-computing. *)
-        fst
-          (Rescache.compute_through rc ~key:desc (fun () ->
-               c.run ~fuel:(fuel_for config index)))
-      | _ -> c.run ~fuel:(fuel_for config index)
-    with
+    match c.run ~fuel:(fuel_for config index) with
     | v ->
       Journal.append writer ~key:c.key v;
       Procpool.Done
     | exception e -> classify_fail e
   in
   let handle ~index ~attempt ~key =
-    match Hashtbl.find_opt by_key key with
-    | None ->
+    if index >= Array.length runnable || runnable.(index).key <> key then
       Procpool.Fail
         { transient = false; reason = Printf.sprintf "unknown cell key %S" key }
-    | Some c -> (
+    else
+      let c = runnable.(index) in
       match Fault.decide config.fault ~index ~attempt with
       | Some Fault.Kill ->
         (* Real process death, mid-append: compute (burning the same work a
@@ -192,74 +112,67 @@ let serve_worker (ctx : Procpool.ctx) config (cells : 'a cell list) : 'b =
       | Some Fault.Slow ->
         Fault.spin ();
         execute ~index c
-      | Some Fault.Livelock | None -> execute ~index c)
+      | Some Fault.Livelock | None -> execute ~index c
   in
   Procpool.serve ctx ~handle;
-  Journal.close writer;
-  exit 0
+  Journal.close writer
 
-(* Coordinator role: run the runnable cells on the process pool instead of
-   the in-process domain pool, then lift worker-journal values back into
-   Pool.outcome records so everything downstream (checkpointing, result
-   assembly, failure reports) is shared with the single-process path. *)
-let run_procpool config ~ordinal (runnable : 'a cell list) : 'a Pool.outcome list =
-  let scratch =
-    let d =
-      Filename.concat (Lazy.force scratch_dir) (Printf.sprintf "sweep-%d" ordinal)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+(* Coordinator side: run [runnable] on forked worker processes in a scratch
+   directory of this sweep's own, then lift each verdict into a
+   Pool.outcome — a completed cell's value read back from the worker
+   journals — and hand it to [on_outcome] in index order, exactly as the
+   domain pool would. *)
+let run_procpool config ~on_outcome (runnable : 'a cell list) : 'a Pool.outcome list =
+  let cells = Array.of_list runnable in
+  let scratch = Filename.temp_dir "pv-procpool-" "" in
+  let remove_scratch () =
+    Array.iter
+      (fun n -> try Sys.remove (Filename.concat scratch n) with Sys_error _ -> ())
+      (try Sys.readdir scratch with Sys_error _ -> [||]);
+    try Sys.rmdir scratch with Sys_error _ -> ()
   in
-  let combined = combined_journal () in
-  let replay = if Sys.file_exists combined then Some combined else None in
-  let keys = Array.of_list (List.map (fun (c : 'a cell) -> c.key) runnable) in
-  let outs, journals =
-    Procpool.run_jobs ~workers:config.workers ~respawns ~retries:config.retries
-      ~scratch
-      ~spawn:(Procpool.reexec_spawner ~sweep:ordinal ~replay)
-      ~keys ()
-  in
-  let values : (string, 'a) Hashtbl.t = Hashtbl.create (Array.length keys) in
-  List.iter
-    (fun j ->
-      List.iter (fun (k, v) -> Hashtbl.replace values k v) (Journal.load j))
-    journals;
-  let lift i (c : 'a cell) : 'a Pool.outcome =
-    match outs.(i) with
-    | Procpool.Completed { attempts } -> (
-      match Hashtbl.find_opt values c.key with
-      | Some v -> { Pool.result = Ok v; attempts; elapsed = 0.0 }
-      | None ->
+  Fun.protect ~finally:remove_scratch (fun () ->
+      let outs, journals =
+        Procpool.run_jobs ~workers:config.workers ~respawns ~retries:config.retries
+          ~scratch ~worker:(serve_worker config cells)
+          ~keys:(Array.map (fun (c : 'a cell) -> c.key) cells)
+          ()
+      in
+      let values : (string, 'a) Hashtbl.t = Hashtbl.create (Array.length cells) in
+      List.iter
+        (fun j -> List.iter (fun (k, v) -> Hashtbl.replace values k v) (Journal.load j))
+        journals;
+      let failure ~attempts ~transient reason =
         {
           Pool.result =
             Error
               {
-                Pool.exn =
-                  Procpool.Worker_failure
-                    (Printf.sprintf "completed cell %S missing from worker journals"
-                       c.key);
+                Pool.exn = Procpool.Worker_failure reason;
                 backtrace = Printexc.get_callstack 0;
-                classification = Pool.Permanent;
+                classification = (if transient then Pool.Transient else Pool.Permanent);
               };
           attempts;
           elapsed = 0.0;
-        })
-    | Procpool.Failed { attempts; transient; reason } ->
-      {
-        Pool.result =
-          Error
-            {
-              Pool.exn = Procpool.Worker_failure reason;
-              backtrace = Printexc.get_callstack 0;
-              classification = (if transient then Pool.Transient else Pool.Permanent);
-            };
-        attempts;
-        elapsed = 0.0;
-      }
-  in
-  List.mapi lift runnable
+        }
+      in
+      List.mapi
+        (fun i (c : 'a cell) ->
+          let o =
+            match outs.(i) with
+            | Procpool.Completed { attempts } -> (
+              match Hashtbl.find_opt values c.key with
+              | Some v -> { Pool.result = Ok v; attempts; elapsed = 0.0 }
+              | None ->
+                failure ~attempts ~transient:false
+                  (Printf.sprintf "completed cell %S missing from worker journals" c.key))
+            | Procpool.Failed { attempts; transient; reason } ->
+              failure ~attempts ~transient reason
+          in
+          on_outcome i o;
+          o)
+        runnable)
 
-let run_coordinator ~config ~ordinal (cells : 'a cell list) =
+let run ?(config = default) (cells : 'a cell list) =
   let keys = List.map (fun (c : 'a cell) -> c.key) cells in
   let distinct = List.sort_uniq compare keys in
   if List.length distinct <> List.length keys then
@@ -320,47 +233,16 @@ let run_coordinator ~config ~ordinal (cells : 'a cell list) =
       | _ -> ())
     | Error _ -> ()
   in
-  let use_procpool =
-    config.workers > 1
-    && runnable <> []
-    &&
-    if Procpool.reexec_available () then true
-    else begin
-      Printf.eprintf
-        "supervise: --workers %d requested but no re-exec argv is registered \
-         (library caller?); falling back to the in-process pool\n%!"
-        config.workers;
-      false
-    end
-  in
   let outcomes =
     Fun.protect
       ~finally:(fun () -> Option.iter Journal.close writer)
       (fun () ->
+        (* Neither executor starts for an empty remainder, and with
+           [workers > 1] the domain pool never starts at all: a process
+           that has ever spawned a domain can no longer fork. *)
         let outcomes =
-          if use_procpool then begin
-            let outcomes = run_procpool config ~ordinal runnable in
-            (* Fold every worker journal into the user checkpoint (raw frame
-               merge), so a later --resume has one authoritative source just
-               like the single-process path.  Values were cached worker-side
-               through the lease protocol, so no store here. *)
-            Option.iter
-              (fun w ->
-                let scratch =
-                  Filename.concat (Lazy.force scratch_dir)
-                    (Printf.sprintf "sweep-%d" ordinal)
-                in
-                match Sys.readdir scratch with
-                | names ->
-                  Array.to_list names |> List.sort compare
-                  |> List.iter (fun n ->
-                         if Filename.check_suffix n ".journal" then
-                           ignore
-                             (Journal.merge_into w (Filename.concat scratch n)))
-                | exception Sys_error _ -> ())
-              writer;
-            outcomes
-          end
+          if runnable = [] then []
+          else if config.workers > 1 then run_procpool config ~on_outcome runnable
           else
             Pool.with_pool ~jobs:config.jobs (fun p ->
                 Pool.map_results ~retries:config.retries ~fault:config.fault
@@ -430,38 +312,14 @@ let run_coordinator ~config ~ordinal (cells : 'a cell list) =
               ((c.key, None) :: res, f :: fails))))
       ([], []) cells
   in
-  let sweep =
-    {
-      results = List.rev results;
-      failures = List.rev failures;
-      restored = !restored;
-      cached = !cached;
-      deduped = !deduped;
-      executed = List.length runnable;
-    }
-  in
-  (* Multi-process mode: record this sweep's values (whatever their
-     provenance) in the combined journal, so workers spawned for a *later*
-     sweep can replay this one — dependent sweeps capture these results in
-     their cell closures. *)
-  if config.workers > 1 && Procpool.reexec_available () then begin
-    let w = Journal.open_writer (combined_journal ()) in
-    Fun.protect
-      ~finally:(fun () -> Journal.close w)
-      (fun () ->
-        List.iter
-          (fun (k, v) -> match v with Some v -> Journal.append w ~key:k v | None -> ())
-          sweep.results)
-  end;
-  sweep
-
-let run ?(config = default) (cells : 'a cell list) =
-  let ordinal = !sweep_counter in
-  incr sweep_counter;
-  match Procpool.worker_ctx () with
-  | Some ctx when ordinal < ctx.Procpool.sweep -> replay_sweep ctx cells
-  | Some ctx -> serve_worker ctx config cells (* never returns: exits 0 *)
-  | None -> run_coordinator ~config ~ordinal cells
+  {
+    results = List.rev results;
+    failures = List.rev failures;
+    restored = !restored;
+    cached = !cached;
+    deduped = !deduped;
+    executed = List.length runnable;
+  }
 
 let failed s = List.length s.failures
 

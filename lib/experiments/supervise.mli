@@ -60,13 +60,14 @@ type config = {
           running and store their results after *)
   workers : int;
       (** [> 1]: execute runnable cells on a {!Pv_util.Procpool} of worker
-          {e processes} (spawned by re-exec; requires
-          [Procpool.set_reexec_argv], else falls back to the in-process
-          pool with a warning).  Workers survive SIGKILL injection
-          ([--fault kill@i]): dead workers are respawned (at most 8 times
-          per sweep), each keeps a crash-safe journal that the coordinator
-          folds into the checkpoint, and results are byte-identical to
-          [workers = 1] up to wall-clock fields. *)
+          {e processes} forked by {!run}, so they inherit the cells and
+          everything their closures captured.  Workers survive SIGKILL
+          injection ([--fault kill@i]): dead workers are respawned (at most
+          8 times per sweep), each keeps a crash-safe journal that the
+          coordinator reads back, and results are byte-identical to
+          [workers = 1] up to wall-clock fields.  The domain pool never
+          starts in this mode; a caller that has already started a domain
+          gets the [Failure] that [Unix.fork] raises. *)
 }
 
 val default : config
@@ -75,23 +76,25 @@ val default : config
 
 val run : ?config:config -> 'a cell list -> 'a sweep
 (** Execute the sweep under supervision.  Cell keys must be unique.  With a
-    checkpoint configured, each completed cell is appended (and flushed) from
-    the domain that ran it, so a crash or Ctrl-C loses at most in-flight
-    cells; the journal file is opened in append mode — callers starting a
-    {e fresh} checkpointed sweep should remove a stale file first (the CLI
-    does this when [--resume] is not given).
+    checkpoint configured, each completed cell is appended (and flushed) by
+    this process — from the domain that ran it, or, with [workers > 1],
+    once the sweep's workers finish — so a crash or Ctrl-C loses at most
+    in-flight cells; the journal file is opened in append mode — callers
+    starting a {e fresh} checkpointed sweep should remove a stale file
+    first (the CLI does this when [--resume] is not given).  The result
+    cache is likewise written only by this process.
 
     Ordering with a cache configured: checkpoint-restored cells are served
     first, then result-cache hits (counted [cached]; they skip fault
     injection and retries entirely — a cache hit never becomes pool work),
     then cells whose descriptor equals an earlier cell's this run are
     aliased to it (counted [deduped]; one simulation, many rows), and only
-    the remainder executes on the pool.  Fault-plan indices refer to
-    positions in that remainder.  Cache hits and aliases are journaled too,
-    so a later [--resume] works without the cache.  The table a sweep
-    produces is byte-identical whether its cells were executed, restored,
-    cached or deduped — provenance shows up only in {!report} and
-    {!sweep} counts. *)
+    the remainder executes — on no executor at all when it is empty.
+    Fault-plan indices refer to positions in that remainder.  Cache hits
+    and aliases are journaled too, so a later [--resume] works without the
+    cache.  The table a sweep produces is byte-identical whether its cells
+    were executed, restored, cached or deduped — provenance shows up only
+    in {!report} and {!sweep} counts. *)
 
 val failed : _ sweep -> int
 (** Number of failed cells. *)

@@ -145,21 +145,6 @@ let append_torn w ~key v =
       output_string w.ch (String.sub fr 0 cut);
       flush w.ch)
 
-let merge_into w src =
-  match scan src with
-  | { s_records = []; _ } -> 0
-  | { s_records; s_clean; s_body } ->
-    (* Raw frame copy of the verified prefix: no re-marshalling, so the
-       merged bytes are exactly the worker's committed bytes. *)
-    let frames = String.sub s_body magic_len (s_clean - magic_len) in
-    Mutex.lock w.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock w.lock)
-      (fun () ->
-        output_string w.ch frames;
-        flush w.ch);
-    List.length s_records
-
 let close w =
   Mutex.lock w.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) (fun () -> close_out w.ch)

@@ -57,14 +57,6 @@ val append_torn : writer -> key:string -> 'a -> unit
     injection and the recovery tests exercise the real torn-write path.  The
     writer must not be used again afterwards. *)
 
-val merge_into : writer -> string -> int
-(** [merge_into w src] appends every verified record of the journal file
-    [src] to [w] as a raw frame copy (no re-marshalling) and returns how
-    many records were merged; [0] if [src] does not exist or holds no
-    complete record.  Used by the multi-process coordinator to fold worker
-    journals into the user-visible checkpoint.  Raises {!Incompatible} if
-    [src] is a foreign format. *)
-
 val close : writer -> unit
 
 val path : writer -> string

@@ -31,81 +31,9 @@ let () =
     | Worker_failure reason -> Some reason
     | _ -> None)
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> default)
-  | None -> default
-
-let default_drain_timeout () = env_float "PV_PROCPOOL_DRAIN_S" 10.0
-
 (* --- worker-side context ----------------------------------------------- *)
 
-type ctx = {
-  wid : int;
-  journal : string;
-  sweep : int;
-  replay : string option;
-  cmd_in : in_channel;
-  reply_out : out_channel;
-}
-
-let worker : ctx option ref = ref None
-let worker_ctx () = !worker
-let in_worker () = !worker <> None
-
-let worker_arg = "__worker"
-
-let worker_init () =
-  let getenv name =
-    match Sys.getenv_opt name with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "procpool worker: missing %s in environment\n%!" name;
-      exit 70
-  in
-  let wid =
-    match int_of_string_opt (getenv "PV_WORKER_ID") with
-    | Some w -> w
-    | None ->
-      Printf.eprintf "procpool worker: malformed PV_WORKER_ID\n%!";
-      exit 70
-  in
-  let journal = getenv "PV_WORKER_JOURNAL" in
-  let sweep =
-    match int_of_string_opt (getenv "PV_WORKER_SWEEP") with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "procpool worker: malformed PV_WORKER_SWEEP\n%!";
-      exit 70
-  in
-  let replay =
-    match Sys.getenv_opt "PV_WORKER_REPLAY" with
-    | Some "" | None -> None
-    | Some p -> Some p
-  in
-  (* The reply channel is a private dup of stdout taken *before* stdout is
-     pointed at /dev/null: the worker re-runs the whole CLI code path, which
-     prints tables and reports as it goes, and none of that may leak into
-     the protocol stream (or the user's terminal). *)
-  let reply_fd = Unix.dup Unix.stdout in
-  Unix.set_close_on_exec reply_fd;
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Unix.dup2 devnull Unix.stdout;
-  if Sys.getenv_opt "PV_PROCPOOL_DEBUG" = None then Unix.dup2 devnull Unix.stderr;
-  Unix.close devnull;
-  let ctx =
-    {
-      wid;
-      journal;
-      sweep;
-      replay;
-      cmd_in = Unix.in_channel_of_descr Unix.stdin;
-      reply_out = Unix.out_channel_of_descr reply_fd;
-    }
-  in
-  worker := Some ctx;
-  ctx
+type ctx = { journal : string; cmd_in : in_channel; reply_out : out_channel }
 
 (* --- wire lines ------------------------------------------------------------ *)
 
@@ -170,89 +98,55 @@ let serve ctx ~handle =
   in
   loop ()
 
-(* --- spawners ------------------------------------------------------------ *)
+(* --- forking workers ------------------------------------------------------ *)
 
 (* The coordinator's end of one worker: its pid (death is authoritative via
    waitpid) and the parent ends of its command and reply pipes. *)
 type link = { pid : int; cmd : Unix.file_descr; reply : Unix.file_descr }
 
-type spawner = wid:int -> journal:string -> link
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let make_pipes () =
+let close_link l =
+  close_fd l.cmd;
+  close_fd l.reply
+
+(* Fork one worker running [worker] on a fresh context.  Buffers are flushed
+   first and the child leaves only through [_exit], so no coordinator buffer
+   or [at_exit] handler runs twice.  The child closes [siblings], the parent
+   ends of the other workers' pipes, so a dead coordinator leaves every
+   worker at EOF on its command pipe. *)
+let fork_worker ~worker ~journal ~siblings =
   let cmd_r, cmd_w = Unix.pipe () in
-  let reply_r, reply_w = Unix.pipe () in
-  (* Parent ends must not leak into workers spawned later: a worker holding
-     a sibling's write end would keep that sibling's reply pipe open past
-     its death.  (Only protects exec-based spawning; the fork spawner's
-     coordinator relies on waitpid, not EOF, for death detection.) *)
-  Unix.set_close_on_exec cmd_w;
-  Unix.set_close_on_exec reply_r;
-  (cmd_r, cmd_w, reply_r, reply_w)
-
-let fork_spawner f : spawner =
- fun ~wid ~journal ->
-  let cmd_r, cmd_w, reply_r, reply_w = make_pipes () in
+  let reply_r, reply_w =
+    try Unix.pipe () with e -> List.iter close_fd [ cmd_r; cmd_w ]; raise e
+  in
+  flush_all ();
   match Unix.fork () with
   | 0 ->
+    List.iter close_link siblings;
     Unix.close cmd_w;
     Unix.close reply_r;
     let ctx =
       {
-        wid;
         journal;
-        sweep = 0;
-        replay = None;
         cmd_in = Unix.in_channel_of_descr cmd_r;
         reply_out = Unix.out_channel_of_descr reply_w;
       }
     in
-    (match f ctx with () -> Unix._exit 0 | exception _ -> Unix._exit 71)
+    Unix._exit (match worker ctx with () -> 0 | exception _ -> 71)
   | pid ->
     Unix.close cmd_r;
     Unix.close reply_w;
     { pid; cmd = cmd_w; reply = reply_r }
-
-let reexec_argv : string list option ref = ref None
-let set_reexec_argv args = reexec_argv := Some args
-let reexec_available () = !reexec_argv <> None
-
-let reexec_spawner ~sweep ~replay : spawner =
- fun ~wid ~journal ->
-  let argv =
-    match !reexec_argv with
-    | Some a -> a
-    | None -> invalid_arg "Procpool.reexec_spawner: set_reexec_argv not called"
-  in
-  let cmd_r, cmd_w, reply_r, reply_w = make_pipes () in
-  let prog = Sys.executable_name in
-  let args = Array.of_list (prog :: worker_arg :: argv) in
-  let keep =
-    Unix.environment () |> Array.to_list
-    |> List.filter (fun kv ->
-           not
-             (String.length kv >= 10 && String.sub kv 0 10 = "PV_WORKER_"))
-  in
-  let env =
-    Array.of_list
-      (keep
-      @ [
-          Printf.sprintf "PV_WORKER_ID=%d" wid;
-          Printf.sprintf "PV_WORKER_JOURNAL=%s" journal;
-          Printf.sprintf "PV_WORKER_SWEEP=%d" sweep;
-          Printf.sprintf "PV_WORKER_REPLAY=%s" (Option.value replay ~default:"");
-        ])
-  in
-  let pid = Unix.create_process_env prog args env cmd_r reply_w Unix.stderr in
-  Unix.close cmd_r;
-  Unix.close reply_w;
-  { pid; cmd = cmd_w; reply = reply_r }
+  | exception e ->
+    List.iter close_fd [ cmd_r; cmd_w; reply_r; reply_w ];
+    raise e
 
 (* --- coordinator -------------------------------------------------------- *)
 
 type outcome =
   | Completed of { attempts : int }
   | Failed of { attempts : int; transient : bool; reason : string }
-
 
 type wstate = {
   ws_wid : int;
@@ -279,21 +173,14 @@ let send_line fd line =
   in
   go 0
 
-let close_link l =
-  (try Unix.close l.cmd with Unix.Unix_error _ -> ());
-  try Unix.close l.reply with Unix.Unix_error _ -> ()
-
 let journal_has path key =
   match Journal.load path with
   | records -> List.exists (fun (k, _) -> k = key) records
   | exception (Journal.Incompatible _ | Sys_error _) -> false
 
-let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
+let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worker
     ~(keys : string array) () =
   if workers < 1 then invalid_arg "Procpool.run_jobs: workers must be >= 1";
-  let drain_timeout =
-    match drain_timeout with Some t -> t | None -> default_drain_timeout ()
-  in
   let n = Array.length keys in
   let outcomes : outcome option array = Array.make n None in
   if n = 0 then ([||], [])
@@ -302,10 +189,6 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
     for i = 0 to n - 1 do
       Queue.add (i, 0) queue
     done;
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ -> None
-    in
     let respawn_budget = ref respawns in
     let nworkers = min workers n in
     let journal_for wid =
@@ -313,15 +196,22 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
     in
     let pool =
       Array.init nworkers (fun wid ->
-          let journal = journal_for wid in
           {
             ws_wid = wid;
-            ws_journal = journal;
-            ws_link = Some (spawn ~wid ~journal);
+            ws_journal = journal_for wid;
+            ws_link = None;
             ws_buf = Buffer.create 256;
             ws_ready = false;
             ws_inflight = None;
           })
+    in
+    let spawn w =
+      let siblings = Array.to_list pool |> List.filter_map (fun w -> w.ws_link) in
+      w.ws_link <- Some (fork_worker ~worker ~journal:w.ws_journal ~siblings)
+    in
+    let close w =
+      Option.iter close_link w.ws_link;
+      w.ws_link <- None
     in
     let unresolved () = Array.exists (fun o -> o = None) outcomes in
     let resolve idx o = if outcomes.(idx) = None then outcomes.(idx) <- Some o in
@@ -375,14 +265,10 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
           true
         | exception Unix.Unix_error _ -> false)
     in
-    let close w =
-      Option.iter close_link w.ws_link;
-      w.ws_link <- None
-    in
     (* Arbitration of a death: drain raced replies, then decide the fate of
        the inflight cell — if its record made it into the worker's journal
        the work *happened* (a kill between journal append and reply loses
-       nothing); an absent record is a lost transient attempt that re-queues
+       nothing); an absent record is a lost, transient attempt that re-queues
        under the retry budget. *)
     let reap_death w =
       (match w.ws_link with
@@ -403,8 +289,6 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
       Buffer.clear w.ws_buf;
       close w
     in
-    (* waitpid, not pipe EOF, is authoritative: fork-spawned siblings can
-       hold a dead worker's reply pipe open. *)
     let poll_deaths () =
       Array.iter
         (fun w ->
@@ -420,7 +304,7 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
                  record — the production torn-write recovery path). *)
               if unresolved () && !respawn_budget > 0 then begin
                 decr respawn_budget;
-                w.ws_link <- Some (spawn ~wid:w.ws_wid ~journal:w.ws_journal)
+                spawn w
               end
             | exception Unix.Unix_error (Unix.ECHILD, _, _) -> reap_death w
             | exception Unix.Unix_error _ -> ()))
@@ -459,65 +343,93 @@ let run_jobs ?drain_timeout ~workers ~respawns ~retries ~scratch ~spawn
           pool
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     in
-    (* Main loop: runs until every cell has an outcome or every worker is
-       dead with the respawn budget spent.  Invariant: every unresolved cell
-       is queued or inflight on a live worker; reaping a death either
-       requeues/resolves its inflight cell and respawns (budget permitting)
-       or leaves the slot dead — so "unresolved but no live worker" is
-       exactly the unrecoverable state. *)
-    while unresolved () && Array.exists (fun w -> w.ws_link <> None) pool do
-      poll_deaths ();
-      dispatch ();
-      select_replies ()
-    done;
-    (* Anything still unresolved lost its workers: fail it rather than hang. *)
-    let exhausted attempts =
-      Failed
-        { attempts; transient = true; reason = "worker pool exhausted (respawn budget spent)" }
-    in
-    Queue.iter (fun (idx, attempt) -> resolve idx (exhausted attempt)) queue;
-    Array.iteri (fun idx o -> if o = None then outcomes.(idx) <- Some (exhausted 0)) outcomes;
     (* Orderly shutdown: FIN, grace period, then SIGKILL stragglers (with a
        one-line warning naming the worker). *)
-    Array.iter
-      (fun w -> Option.iter (fun l -> ignore (send_line l.cmd (render_line Fin))) w.ws_link)
-      pool;
-    let deadline = Unix.gettimeofday () +. drain_timeout in
-    let rec wait_exits () =
+    let shutdown () =
+      Array.iter
+        (fun w -> Option.iter (fun l -> ignore (send_line l.cmd (render_line Fin))) w.ws_link)
+        pool;
+      let deadline = Unix.gettimeofday () +. drain_timeout in
+      let rec wait_exits () =
+        Array.iter
+          (fun w ->
+            match w.ws_link with
+            | None -> ()
+            | Some l -> (
+              match Unix.waitpid [ Unix.WNOHANG ] l.pid with
+              | 0, _ -> ()
+              | _ | (exception Unix.Unix_error _) -> close w))
+          pool;
+        if Array.exists (fun w -> w.ws_link <> None) pool then
+          if Unix.gettimeofday () > deadline then
+            Array.iter
+              (fun w ->
+                Option.iter
+                  (fun l ->
+                    Printf.eprintf
+                      "procpool: warning: worker %d (pid %d) did not exit within %.1fs \
+                       of FIN; killing it\n%!"
+                      w.ws_wid l.pid drain_timeout)
+                  w.ws_link)
+              pool
+          else begin
+            Unix.sleepf 0.02;
+            wait_exits ()
+          end
+      in
+      wait_exits ()
+    in
+    (* Whatever is still alive when run_jobs leaves — stragglers after the
+       grace period, or every worker when a fork or the loop raised — is
+       SIGKILLed and reaped, so no worker outlives the call. *)
+    let kill_all () =
       Array.iter
         (fun w ->
-          match w.ws_link with
-          | None -> ()
-          | Some l -> (
-            match Unix.waitpid [ Unix.WNOHANG ] l.pid with
-            | 0, _ -> ()
-            | _ | (exception Unix.Unix_error _) -> close w))
-        pool;
-      if Array.exists (fun w -> w.ws_link <> None) pool then
-        if Unix.gettimeofday () > deadline then
-          Array.iter
-            (fun w ->
-              match w.ws_link with
-              | None -> ()
-              | Some l ->
-                Printf.eprintf
-                  "procpool: warning: worker %d (pid %d) did not exit within %.1fs of \
-                   FIN (PV_PROCPOOL_DRAIN_S); killing it\n%!"
-                  w.ws_wid l.pid drain_timeout;
-                (try Unix.kill l.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] l.pid) with Unix.Unix_error _ -> ());
-                close w)
-            pool
-        else begin
-          Unix.sleepf 0.02;
-          wait_exits ()
-        end
+          Option.iter
+            (fun l ->
+              (try Unix.kill l.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              try ignore (Unix.waitpid [] l.pid) with Unix.Unix_error _ -> ())
+            w.ws_link;
+          close w)
+        pool
     in
-    wait_exits ();
-    (match old_sigpipe with
-    | Some b -> ( try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-    | None -> ());
-    let final = Array.map Option.get outcomes in
-    let journals = List.init nworkers journal_for |> List.filter Sys.file_exists in
-    (final, journals)
+    let old_sigpipe =
+      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+      with Invalid_argument _ -> None
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        kill_all ();
+        match old_sigpipe with
+        | Some b -> ( try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
+        | None -> ())
+      (fun () ->
+        Array.iter spawn pool;
+        (* Main loop: runs until every cell has an outcome or every worker
+           is dead with the respawn budget spent.  Invariant: every
+           unresolved cell is queued or inflight on a live worker; reaping
+           a death either requeues/resolves its inflight cell and respawns
+           (budget permitting) or leaves the slot dead — so "unresolved but
+           no live worker" is exactly the unrecoverable state. *)
+        while unresolved () && Array.exists (fun w -> w.ws_link <> None) pool do
+          poll_deaths ();
+          dispatch ();
+          select_replies ()
+        done;
+        (* Anything still unresolved lost its workers: fail it rather than
+           hang. *)
+        let exhausted attempts =
+          Failed
+            {
+              attempts;
+              transient = true;
+              reason = "worker pool exhausted (respawn budget spent)";
+            }
+        in
+        Queue.iter (fun (idx, attempt) -> resolve idx (exhausted attempt)) queue;
+        Array.iteri (fun idx o -> if o = None then outcomes.(idx) <- Some (exhausted 0)) outcomes;
+        shutdown ();
+        let final = Array.map Option.get outcomes in
+        let journals = List.init nworkers journal_for |> List.filter Sys.file_exists in
+        (final, journals))
   end

@@ -17,24 +17,12 @@
     before unmarshalling — a truncated, bit-flipped or otherwise damaged
     entry is {e dropped and recomputed, never trusted}.
 
-    {b Cross-process claims (two-phase commit).} When several worker
-    processes share one cache root, {!try_claim} arbitrates who computes a
-    missing entry: the winner creates [<digest>.lease] with [O_CREAT|O_EXCL]
-    (phase one), computes, then {!store}s the payload via temp-file + atomic
-    rename (phase two) and releases the lease.  Losers poll {!find} until
-    the winner commits.  A lease naming a dead holder (the worker was
-    killed mid-compute) is broken and re-claimed — the entry file itself is
-    either absent or complete, never torn, so a killed winner costs only a
-    recompute.  {!compute_through} packages the whole protocol.
-
-    {b Shared roots.} Independent runs on different machines may share one
-    cache root over a network filesystem; they commit through the same
-    lease protocol and see one set of entries.  The lease therefore records
-    ["<pid> <hostname>"], and staleness is only decided where it can be
-    observed: a claimant breaks a lease only when the recorded host is its
-    own and that pid is dead — a remote holder's pid means nothing locally,
-    and probing it would break live leases.  A genuinely wedged remote
-    holder is bounded by {!compute_through}'s patience instead.
+    {b Shared roots.} Several processes may share one cache root — the
+    runs of one machine, or independent runs over a network filesystem.
+    No locks are needed: an entry appears only through temp-file +
+    [rename], {!find} re-verifies the payload checksum, and the stored
+    descriptor must equal the key looked up.  Two runs that miss the same
+    entry both compute it, and the last rename wins with identical bytes.
 
     {b Invalidation.} The effective salt is [format_version ^ code_salt ^
     user salt]: bump {!code_salt} whenever a cached result type or the
@@ -62,8 +50,8 @@ val open_dir : ?salt:string -> ?max_entries:int -> string -> t
     digest filename, so the eviction set is deterministic even on
     filesystems with 1-second mtime granularity (warm-run byte-identity
     must not depend on readdir order).  Thread-safe: one [t] may be shared
-    across pool domains, and one directory may be shared across worker
-    processes (every mutation is temp-file + rename or [O_EXCL] create). *)
+    across pool domains, and one directory may be shared across processes
+    (every entry is written by temp-file + rename). *)
 
 val dir : t -> string
 
@@ -82,39 +70,6 @@ val store : t -> key:string -> 'a -> unit
     rename.  I/O errors do not raise — a cache that cannot write degrades to
     a cache that never hits — but each failure is counted in
     [write_errors] and the first one warns on stderr. *)
-
-(** {1 Cross-process claims} *)
-
-type lease
-(** A held claim on one cache entry (an on-disk [<digest>.lease] file naming
-    this process's pid and hostname). *)
-
-val try_claim : t -> key:string -> [ `Claimed of lease | `Busy of int option ]
-(** Attempt to claim the right to compute [key].  [`Claimed l]: this
-    process holds the lease and must eventually {!commit} or {!release} it.
-    [`Busy pid]: another live process (of that pid, when readable) holds
-    it.  A lease recorded by {e this} host (or a pre-hostname lease) whose
-    pid no longer exists is broken and re-claimed atomically; a remote
-    host's lease is never broken here (see the shared-roots note above). *)
-
-val commit : t -> lease -> 'a -> unit
-(** {!store} the computed value, then release the lease.  The entry becomes
-    visible to other processes' {!find} before the lease disappears, so a
-    loser that sees the lease vanish will hit. *)
-
-val release : t -> lease -> unit
-(** Drop the lease without storing (the compute failed); another process may
-    then claim it. *)
-
-val compute_through :
-  ?patience:float -> ?poll:float -> t -> key:string -> (unit -> 'a) ->
-  'a * [ `Hit | `Computed | `Raced ]
-(** The full claim protocol: hit if present; otherwise claim, compute, and
-    commit ([`Computed]); if another process holds the lease, poll {!find}
-    every [poll] seconds (default 0.02) until it commits ([`Raced]).  If the
-    holder neither commits nor dies within [patience] seconds (default 10),
-    compute anyway — duplicated work beats a deadlock.  If [f] raises, the
-    lease is released and the exception re-raised. *)
 
 type stats = {
   hits : int;

@@ -1,14 +1,17 @@
 (* Crash-safe multi-process execution: the checksummed journal format
-   (double-tear recovery, corruption quarantine, old-format rejection,
-   merge), the result cache's cross-process lease protocol and write-error
-   accounting, and the coordinator/worker pool itself (via fork-spawned
-   workers: completion, kill-respawn recovery, budget exhaustion, torn
-   replies, drain timeout). *)
+   (double-tear recovery, corruption quarantine, old-format rejection), the
+   result cache's write-error accounting, the coordinator/worker pool
+   itself (completion, kill-respawn recovery, budget exhaustion, torn
+   replies, drain timeout), and Supervise sweeps on worker processes.
+   This executable never starts a domain: OCaml 5 refuses to fork after
+   one. *)
 
 module Journal = Pv_util.Journal
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
 module Checksum = Pv_util.Checksum
+module Fault = Pv_util.Fault
+module Supervise = Pv_experiments.Supervise
 
 let check = Alcotest.check
 
@@ -203,118 +206,7 @@ let test_not_a_journal_rejected () =
           (contains ~sub:"not a journal" why)
       | _ -> Alcotest.fail "foreign file must be Unusable")
 
-let test_merge_into () =
-  with_journal (fun target ->
-      with_journal (fun src1 ->
-          with_journal (fun src2 ->
-              let w = Journal.open_writer src1 in
-              Journal.append w ~key:"s1/a" 1;
-              Journal.append w ~key:"s1/b" 2;
-              Journal.close w;
-              let w = Journal.open_writer src2 in
-              Journal.append w ~key:"s2/a" 3;
-              Journal.append_torn w ~key:"s2/torn" 4 (* killed mid-append *);
-              Journal.close w;
-              let w = Journal.open_writer target in
-              Journal.append w ~key:"own" 0;
-              check Alcotest.int "merged 2 from src1" 2 (Journal.merge_into w src1);
-              check Alcotest.int "merged only verified records from src2" 1
-                (Journal.merge_into w src2);
-              check Alcotest.int "missing source merges nothing" 0
-                (Journal.merge_into w "/nonexistent/worker.journal");
-              Journal.close w;
-              check
-                Alcotest.(list (pair string int))
-                "raw frame copy, in order"
-                [ ("own", 0); ("s1/a", 1); ("s1/b", 2); ("s2/a", 3) ]
-                (Journal.load target))))
-
-(* --- rescache: claims and write errors ---------------------------------- *)
-
-let test_claim_release_commit () =
-  with_dir (fun dir ->
-      let c = Rescache.open_dir dir in
-      let lease =
-        match Rescache.try_claim c ~key:"cell" with
-        | `Claimed l -> l
-        | `Busy _ -> Alcotest.fail "first claim must win"
-      in
-      (match Rescache.try_claim c ~key:"cell" with
-      | `Busy (Some pid) -> check Alcotest.int "holder pid recorded" (Unix.getpid ()) pid
-      | `Busy None -> Alcotest.fail "lease must record the holder pid"
-      | `Claimed _ -> Alcotest.fail "second claim must lose");
-      Rescache.release c lease;
-      let lease2 =
-        match Rescache.try_claim c ~key:"cell" with
-        | `Claimed l -> l
-        | `Busy _ -> Alcotest.fail "released lease must be claimable"
-      in
-      Rescache.commit c lease2 99;
-      check Alcotest.(option int) "commit stored the value" (Some 99)
-        (Rescache.find c ~key:"cell");
-      match Rescache.try_claim c ~key:"cell" with
-      | `Claimed l -> Rescache.release c l
-      | `Busy _ -> Alcotest.fail "commit must release the lease")
-
-let test_stale_lease_broken () =
-  (* A lease naming a dead pid is a worker killed mid-compute; it must be
-     broken and re-claimed, not honoured forever. *)
-  with_dir (fun dir ->
-      let c = Rescache.open_dir dir in
-      let dead_pid =
-        match Unix.fork () with
-        | 0 -> Unix._exit 0
-        | pid ->
-          ignore (Unix.waitpid [] pid);
-          pid
-      in
-      let lease =
-        match Rescache.try_claim c ~key:"cell" with
-        | `Claimed l -> l
-        | `Busy _ -> Alcotest.fail "claim must win on empty dir"
-      in
-      (* forge the dead holder *)
-      let lease_file =
-        Sys.readdir dir |> Array.to_list
-        |> List.find (fun n -> Filename.check_suffix n ".lease")
-      in
-      write_file (Filename.concat dir lease_file) (string_of_int dead_pid ^ "\n");
-      ignore lease;
-      match Rescache.try_claim c ~key:"cell" with
-      | `Claimed l -> Rescache.release c l
-      | `Busy _ -> Alcotest.fail "dead holder's lease must be broken")
-
-let test_compute_through () =
-  with_dir (fun dir ->
-      let c = Rescache.open_dir dir in
-      let runs = ref 0 in
-      let f () = incr runs; 7 in
-      let v, how = Rescache.compute_through c ~key:"k" f in
-      check Alcotest.int "computed value" 7 v;
-      Alcotest.(check bool) "first call computes" true (how = `Computed);
-      let v2, how2 = Rescache.compute_through c ~key:"k" f in
-      check Alcotest.int "hit value" 7 v2;
-      Alcotest.(check bool) "second call hits" true (how2 = `Hit);
-      check Alcotest.int "computed exactly once" 1 !runs;
-      (* patience: a wedged (live) holder must not deadlock the pool *)
-      let lease =
-        match Rescache.try_claim c ~key:"slow" with
-        | `Claimed l -> l
-        | `Busy _ -> Alcotest.fail "claim must win"
-      in
-      let v3, how3 = Rescache.compute_through ~patience:0.05 ~poll:0.01 c ~key:"slow" f in
-      check Alcotest.int "patience exhausted: computed anyway" 7 v3;
-      Alcotest.(check bool) "reported as computed" true (how3 = `Computed);
-      Rescache.release c lease;
-      (* a raising compute releases the lease for the next claimant *)
-      (match
-         Rescache.compute_through c ~key:"boom" (fun () -> failwith "compute failed")
-       with
-      | (_ : int * _) -> Alcotest.fail "exception must propagate"
-      | exception Failure _ -> ());
-      match Rescache.try_claim c ~key:"boom" with
-      | `Claimed l -> Rescache.release c l
-      | `Busy _ -> Alcotest.fail "failed compute must release its lease")
+(* --- rescache: write errors ----------------------------------------------- *)
 
 let test_write_errors_counted () =
   (* A cache that cannot write must degrade (count + warn), not raise and
@@ -338,9 +230,9 @@ let test_write_errors_counted () =
       Alcotest.(check bool) "report line carries write_errors" true
         (contains ~sub:"write_errors=2" (read_file buf_path)))
 
-(* --- the process pool (fork-spawned workers) ----------------------------- *)
+(* --- the process pool ------------------------------------------------------ *)
 
-(* A worker body for fork_spawner: journals DOUBLE(value-of-key) for each
+(* A worker body for run_jobs: journals DOUBLE(value-of-key) for each
    cell, optionally SIGKILLing itself mid-append for chosen (key, attempt)
    pairs — the same realization Supervise uses for --fault kill. *)
 let worker_body ~kill_on (ctx : Procpool.ctx) =
@@ -372,7 +264,7 @@ let test_pool_completes () =
       let keys = keys_of 6 in
       let outcomes, journals =
         Procpool.run_jobs ~workers:3 ~respawns:0 ~retries:0 ~scratch
-          ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[])) ~keys ()
+          ~worker:(worker_body ~kill_on:[]) ~keys ()
       in
       Array.iteri
         (fun i o ->
@@ -398,7 +290,7 @@ let test_pool_kill_respawn_recovers () =
       let keys = keys_of 4 in
       let outcomes, journals =
         Procpool.run_jobs ~workers:2 ~respawns:4 ~retries:1 ~scratch
-          ~spawn:(Procpool.fork_spawner (worker_body ~kill_on:[ ("cell/2", 0) ]))
+          ~worker:(worker_body ~kill_on:[ ("cell/2", 0) ])
           ~keys ()
       in
       (match outcomes.(2) with
@@ -426,7 +318,7 @@ let test_pool_budget_exhaustion_fails_cleanly () =
       let keys = keys_of 3 in
       let outcomes, journals =
         Procpool.run_jobs ~workers:2 ~respawns:1 ~retries:5 ~scratch
-          ~spawn:(Procpool.fork_spawner (worker_body ~kill_on))
+          ~worker:(worker_body ~kill_on)
           ~keys ()
       in
       (match outcomes.(1) with
@@ -466,7 +358,7 @@ let test_torn_line_discarded () =
           let keys = keys_of 3 in
           let outcomes, journals =
             Procpool.run_jobs ~workers:1 ~respawns:6 ~retries:1 ~scratch
-              ~spawn:(Procpool.fork_spawner (torn_reply_body ~journaled))
+              ~worker:(torn_reply_body ~journaled)
               ~keys ()
           in
           Array.iteri
@@ -507,7 +399,7 @@ let sweep_survives_junk ~n junk =
       let keys = keys_of n in
       let outcomes, journals =
         Procpool.run_jobs ~workers:2 ~respawns:0 ~retries:0 ~scratch
-          ~spawn:(Procpool.fork_spawner (junk_worker junk))
+          ~worker:(junk_worker junk)
           ~keys ()
       in
       let tbl = values_from journals in
@@ -648,10 +540,9 @@ let test_drain_timeout_kills_straggler () =
           (fun () ->
             Procpool.run_jobs ~drain_timeout:0.2 ~workers:1 ~respawns:0 ~retries:0
               ~scratch
-              ~spawn:
-                (Procpool.fork_spawner (fun ctx ->
-                     worker_body ~kill_on:[] ctx;
-                     Unix.sleep 60))
+              ~worker:(fun ctx ->
+                worker_body ~kill_on:[] ctx;
+                Unix.sleep 60)
               ~keys ())
       in
       let elapsed = Unix.gettimeofday () -. t0 in
@@ -668,6 +559,109 @@ let test_drain_timeout_kills_straggler () =
       Alcotest.(check bool) "warning names the straggler" true
         (contains ~sub:"did not exit within" (read_file stderr_copy)))
 
+(* --- Supervise on worker processes ----------------------------------------- *)
+
+let workers2 = { Supervise.default with workers = 2 }
+
+(* [n] cells whose value is [(i * i, pid of the process that ran it)], with
+   a cache descriptor per cell when [cache]. *)
+let pid_cells ?(cache = false) prefix n =
+  List.init n (fun i ->
+      let key = Printf.sprintf "%s/%d" prefix i in
+      let cache = if cache then Some (Printf.sprintf "%s|%d" prefix i) else None in
+      Supervise.cell ?cache key (fun ~fuel:_ -> (i * i, Unix.getpid ())))
+
+let squares (sweep : (int * int) Supervise.sweep) =
+  List.map (fun (k, v) -> (k, Option.map fst v)) sweep.Supervise.results
+
+let ran_elsewhere (sweep : (int * int) Supervise.sweep) =
+  List.for_all
+    (function _, Some (_, pid) -> pid <> Unix.getpid () | _, None -> false)
+    sweep.Supervise.results
+
+let results = Alcotest.(list (pair string (option int)))
+
+let test_sweep_forks_workers () =
+  (* A library caller gets real worker processes: no CLI, no fallback to
+     the in-process pool. *)
+  let serial = Supervise.run (pid_cells "sq" 6) in
+  let multi = Supervise.run ~config:workers2 (pid_cells "sq" 6) in
+  check results "results equal workers = 1" (squares serial) (squares multi);
+  check Alcotest.int "all executed" 6 multi.Supervise.executed;
+  Alcotest.(check bool) "every cell ran in a worker pid" true (ran_elsewhere multi)
+
+let test_dependent_sweeps () =
+  (* The second sweep's cells capture the first sweep's results: workers
+     forked for it must see exactly the values the coordinator holds. *)
+  let chain config =
+    let first = Supervise.run ~config (pid_cells "cal" 4) in
+    let upstream = List.fold_left (fun acc (_, v) -> acc + fst (Option.get v)) 0 first.results in
+    let second =
+      Supervise.run ~config
+        (List.init 3 (fun i ->
+             Supervise.cell (Printf.sprintf "point/%d" i) (fun ~fuel:_ ->
+                 ((i * 100) + upstream, Unix.getpid ()))))
+    in
+    (squares first, squares second)
+  in
+  let serial_first, serial_second = chain Supervise.default in
+  let multi_first, multi_second = chain workers2 in
+  check results "upstream sweep" serial_first multi_first;
+  check results "dependent sweep" serial_second multi_second
+
+let test_kill_injection () =
+  let kill = Result.get_ok (Fault.parse "kill@1") in
+  let clean = Supervise.run (pid_cells "k" 4) in
+  let healed = Supervise.run ~config:{ workers2 with fault = kill; retries = 1 } (pid_cells "k" 4) in
+  check results "kill@1 with one retry equals the clean run" (squares clean) (squares healed);
+  let failed = Supervise.run ~config:{ workers2 with fault = kill } (pid_cells "k" 4) in
+  match failed.Supervise.failures with
+  | [ f ] ->
+    check Alcotest.string "failed cell" "k/1" f.Supervise.key;
+    Alcotest.(check bool) ("reason: " ^ f.Supervise.reason) true
+      (contains ~sub:"injected worker kill" f.Supervise.reason)
+  | _ -> Alcotest.fail "expected exactly one failed cell"
+
+let test_checkpoint_resume () =
+  with_journal (fun path ->
+      let first =
+        Supervise.run ~config:{ workers2 with checkpoint = Some path } (pid_cells "ck" 5)
+      in
+      let resumed =
+        Supervise.run
+          ~config:{ workers2 with checkpoint = Some path; resume = true }
+          (pid_cells "ck" 5)
+      in
+      check Alcotest.int "nothing executed" 0 resumed.Supervise.executed;
+      check Alcotest.int "everything restored" 5 resumed.Supervise.restored;
+      check results "same results" (squares first) (squares resumed))
+
+let test_cached_sweep_starts_no_domain () =
+  (* A fully cached sweep has nothing to run, so no executor starts — not
+     even the domain pool its [jobs = 2] would pick at [workers = 1].  A
+     started domain would make every later fork in this process fail. *)
+  with_dir (fun dir ->
+      let rc = Rescache.open_dir dir in
+      ignore (Supervise.run ~config:{ Supervise.default with cache = Some rc }
+                (pid_cells ~cache:true "warm" 4));
+      let config = { workers2 with jobs = 2; cache = Some rc } in
+      let warm = Supervise.run ~config (pid_cells ~cache:true "warm" 4) in
+      check Alcotest.int "nothing executed" 0 warm.Supervise.executed;
+      check Alcotest.int "everything cached" 4 warm.Supervise.cached;
+      let next = Supervise.run ~config (pid_cells ~cache:true "cold" 3) in
+      Alcotest.(check bool) "the next sweep still forks" true (ran_elsewhere next))
+
+let test_worker_results_cached () =
+  (* Workers never touch the cache; the coordinator stores every value it
+     reads back, so its counters see each write. *)
+  with_dir (fun dir ->
+      let rc = Rescache.open_dir dir in
+      let sweep =
+        Supervise.run ~config:{ workers2 with cache = Some rc } (pid_cells ~cache:true "c" 5)
+      in
+      check Alcotest.int "executed" 5 sweep.Supervise.executed;
+      check Alcotest.int "one write per executed cell" 5 (Rescache.stats rc).Rescache.writes)
+
 let suite =
   [
     ( "journal2.recovery",
@@ -683,13 +677,9 @@ let suite =
       [
         Alcotest.test_case "pre-checksum format rejected" `Quick test_old_format_rejected;
         Alcotest.test_case "foreign file rejected" `Quick test_not_a_journal_rejected;
-        Alcotest.test_case "merge folds verified records" `Quick test_merge_into;
       ] );
     ( "rescache.claims",
       [
-        Alcotest.test_case "claim/release/commit" `Quick test_claim_release_commit;
-        Alcotest.test_case "stale lease broken" `Quick test_stale_lease_broken;
-        Alcotest.test_case "compute_through protocol" `Quick test_compute_through;
         Alcotest.test_case "write errors counted" `Quick test_write_errors_counted;
       ] );
     ( "procpool",
@@ -705,4 +695,15 @@ let suite =
         test_hostile_replies_property;
       ] );
     ("procpool.wire", [ test_wire_lines_round_trip; test_wire_lines_hostile ]);
+    ( "procpool.sweeps",
+      [
+        Alcotest.test_case "every cell runs in a worker" `Quick test_sweep_forks_workers;
+        Alcotest.test_case "dependent sweeps match serial" `Quick test_dependent_sweeps;
+        Alcotest.test_case "kill injection" `Quick test_kill_injection;
+        Alcotest.test_case "checkpoint then resume" `Quick test_checkpoint_resume;
+        Alcotest.test_case "cached sweep starts no domain" `Quick
+          test_cached_sweep_starts_no_domain;
+        Alcotest.test_case "coordinator caches worker results" `Quick
+          test_worker_results_cached;
+      ] );
   ]

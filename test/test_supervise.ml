@@ -199,6 +199,14 @@ let test_duplicate_keys_rejected () =
   Alcotest.check_raises "duplicate keys" (Invalid_argument "Supervise.run: duplicate cell keys")
     (fun () -> ignore (Supervise.run cells))
 
+let test_workers_after_domain_raise () =
+  (* OCaml 5 refuses to fork once a domain has been spawned: a
+     multi-process sweep then raises instead of running in-process. *)
+  Pv_util.Pool.with_pool ~jobs:2 (fun _ -> ());
+  match Supervise.run ~config:{ Supervise.default with workers = 2 } (square_cells 3) with
+  | _ -> Alcotest.fail "workers = 2 must not run in-process"
+  | exception Failure _ -> ()
+
 let test_checkpoint_resume_roundtrip () =
   with_journal (fun path ->
       (* First run: cell 3 crashes persistently; the other five checkpoint. *)
@@ -400,6 +408,8 @@ let suite =
         Alcotest.test_case "fault degrades one cell" `Quick test_sweep_degrades_on_fault;
         Alcotest.test_case "retry heals flaky cell" `Quick test_sweep_retry_heals_flaky;
         Alcotest.test_case "duplicate keys rejected" `Quick test_duplicate_keys_rejected;
+        Alcotest.test_case "workers after a domain raise" `Quick
+          test_workers_after_domain_raise;
         Alcotest.test_case "checkpoint/resume round-trip" `Quick test_checkpoint_resume_roundtrip;
         Alcotest.test_case "resume without journal" `Quick test_resume_without_journal_runs_everything;
       ] );
