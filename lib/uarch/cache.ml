@@ -59,6 +59,21 @@ let victim set =
     set;
   !best
 
+(* Floor division.  A wrong-path load can compute a negative address from
+   stale registers, and [/] rounds a negative quotient toward zero. *)
+let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
+
+(* The set holding [addr]'s line, and the line's tag within that set.  The
+   line and the tag are floor quotients and the set index is the Euclidean
+   remainder [line - tag * nsets], so every line, negative ones included,
+   gets its own in-range (set, tag); on non-negative addresses this is the
+   plain [/] and [mod] split.  Written as a continuation taking closed
+   functions so the per-access path allocates no pair. *)
+let[@inline] locate t addr k =
+  let line = fdiv addr t.line_bytes in
+  let tag = fdiv line t.nsets in
+  k t t.sets.(line - (tag * t.nsets)) tag
+
 let bump t w =
   t.tick <- t.tick + 1;
   w.lru <- t.tick
@@ -70,53 +85,42 @@ let fill t set tag =
   bump t w
 
 let access t addr =
-  let line = addr / t.line_bytes in
-  let set = t.sets.(line mod t.nsets) in
-  let tag = line / t.nsets in
-  let i = find_idx set tag in
-  if i >= 0 then begin
-    t.hits <- t.hits + 1;
-    bump t (Array.unsafe_get set i);
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    fill t set tag;
-    false
-  end
+  locate t addr (fun t set tag ->
+      let i = find_idx set tag in
+      if i >= 0 then begin
+        t.hits <- t.hits + 1;
+        bump t (Array.unsafe_get set i);
+        true
+      end
+      else begin
+        t.misses <- t.misses + 1;
+        fill t set tag;
+        false
+      end)
 
 let access_no_lru t addr =
-  let line = addr / t.line_bytes in
-  let set = t.sets.(line mod t.nsets) in
-  let tag = line / t.nsets in
-  if find_idx set tag >= 0 then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    fill t set tag;
-    false
-  end
+  locate t addr (fun t set tag ->
+      if find_idx set tag >= 0 then begin
+        t.hits <- t.hits + 1;
+        true
+      end
+      else begin
+        t.misses <- t.misses + 1;
+        fill t set tag;
+        false
+      end)
 
 let touch t addr =
-  let line = addr / t.line_bytes in
-  let set = t.sets.(line mod t.nsets) in
-  let tag = line / t.nsets in
-  let i = find_idx set tag in
-  if i >= 0 then bump t (Array.unsafe_get set i)
+  locate t addr (fun t set tag ->
+      let i = find_idx set tag in
+      if i >= 0 then bump t (Array.unsafe_get set i))
 
-let probe t addr =
-  let line = addr / t.line_bytes in
-  let tag = line / t.nsets in
-  find_idx t.sets.(line mod t.nsets) tag >= 0
+let probe t addr = locate t addr (fun _ set tag -> find_idx set tag >= 0)
 
 let flush_line t addr =
-  let line = addr / t.line_bytes in
-  let set = t.sets.(line mod t.nsets) in
-  let tag = line / t.nsets in
-  let i = find_idx set tag in
-  if i >= 0 then (Array.unsafe_get set i).valid <- false
+  locate t addr (fun _ set tag ->
+      let i = find_idx set tag in
+      if i >= 0 then (Array.unsafe_get set i).valid <- false)
 
 let flush_all t =
   Array.iter (fun set -> Array.iter (fun w -> w.valid <- false) set) t.sets

@@ -18,7 +18,9 @@ val ways : t -> int
 
 val access : t -> int -> bool
 (** [access t addr] looks up the line containing [addr]: on hit, updates LRU
-    and returns [true]; on miss, fills (evicting LRU) and returns [false]. *)
+    and returns [true]; on miss, fills (evicting LRU) and returns [false].
+    Every lookup below accepts any [addr], negative ones included (a
+    wrong-path load can compute one); each line has its own set and tag. *)
 
 val access_no_lru : t -> int -> bool
 (** Like {!access} but on a hit does not update recency — Perspective's

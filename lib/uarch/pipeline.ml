@@ -207,94 +207,12 @@ let observe_metrics reg c =
   set "pipeline.stall.total" c.stall_total;
   List.iter (fun (name, v) -> set ("pipeline.stall." ^ name) v) (stall_classes c)
 
-(* ------------------------------------------------------------------ *)
-(* Packed entry flags                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Every boolean and small-enum field of a ROB entry lives in one immediate
-   int, so the cycle loop tests and updates them with mask arithmetic on a
-   single word instead of loading a spread of record fields.  Layout:
-
-     bits 0-1   state         (0 waiting, 1 issued, 2 completed)
-     bit  2     is_ctrl
-     bit  3     pred_taken
-     bit  4     actual_taken
-     bit  5     resolved
-     bit  6     spec_at_issue
-     bit  7     vp_done
-     bit  8     addr_known
-     bit  9     kernel
-     bits 10-11 blocked_src   (0 none, 1 isv, 2 dsv, 3 baseline)
-     bit  12    is_load       (instruction class, fixed at dispatch: the
-     bit  13    is_store       per-entry scans test these instead of
-     bit  14    is_fence       matching on the instruction variant)
-
-   The encoding is exposed in the mli so property tests can prove that any
-   combination of fields round-trips and that fields never alias. *)
-module Pack = struct
-  type t = int
-
-  let bits = 15
-  let empty = 0
-
-  let state_waiting = 0
-  let state_issued = 1
-  let state_completed = 2
-
-  let blocked_none = 0
-  let blocked_isv = 1
-  let blocked_dsv = 2
-  let blocked_baseline = 3
-
-  let state f = f land 0x3
-  let with_state f s = f land lnot 0x3 lor s
-
-  let is_ctrl f = f land 0x4 <> 0
-  let with_is_ctrl f b = if b then f lor 0x4 else f land lnot 0x4
-
-  let pred_taken f = f land 0x8 <> 0
-  let with_pred_taken f b = if b then f lor 0x8 else f land lnot 0x8
-
-  let actual_taken f = f land 0x10 <> 0
-  let with_actual_taken f b = if b then f lor 0x10 else f land lnot 0x10
-
-  let resolved f = f land 0x20 <> 0
-  let with_resolved f b = if b then f lor 0x20 else f land lnot 0x20
-
-  let spec_at_issue f = f land 0x40 <> 0
-  let with_spec_at_issue f b = if b then f lor 0x40 else f land lnot 0x40
-
-  let vp_done f = f land 0x80 <> 0
-  let with_vp_done f b = if b then f lor 0x80 else f land lnot 0x80
-
-  let addr_known f = f land 0x100 <> 0
-  let with_addr_known f b = if b then f lor 0x100 else f land lnot 0x100
-
-  let kernel f = f land 0x200 <> 0
-  let with_kernel f b = if b then f lor 0x200 else f land lnot 0x200
-
-  let blocked_src f = (f lsr 10) land 0x3
-  let with_blocked_src f s = f land lnot 0xC00 lor (s lsl 10)
-
-  let is_load f = f land 0x1000 <> 0
-  let with_is_load f b = if b then f lor 0x1000 else f land lnot 0x1000
-
-  let is_store f = f land 0x2000 <> 0
-  let with_is_store f b = if b then f lor 0x2000 else f land lnot 0x2000
-
-  let is_fence f = f land 0x4000 <> 0
-  let with_is_fence f b = if b then f lor 0x4000 else f land lnot 0x4000
-end
-
-let blocked_code_of_source = function
-  | Guard.Isv -> Pack.blocked_isv
-  | Guard.Dsv -> Pack.blocked_dsv
-  | Guard.Baseline -> Pack.blocked_baseline
+type state = Waiting | Issued | Completed
 
 (* ROB entries are preallocated once per pipeline and reused in place: the
-   cycle loop never allocates one.  All scalar fields are mutable ints (the
-   packed [flags] word holds the booleans); only the squash snapshots
-   ([stack_snap], [tage_meta]) and the rare [fault] remain boxed. *)
+   cycle loop never allocates one.  All scalar fields are mutable ints and
+   bools; only the squash snapshots ([stack_snap], [tage_meta]), the guard's
+   [blocked] source and the rare [fault] are boxed. *)
 type entry = {
   mutable seq : int;
   mutable e_fid : int;
@@ -308,7 +226,20 @@ type entry = {
   mutable src_seq1 : int;
   mutable src_val0 : int;
   mutable src_val1 : int;
-  mutable flags : Pack.t;
+  mutable state : state;
+  (* Instruction class, fixed at dispatch: the per-entry scans test these
+     instead of matching on the instruction variant. *)
+  mutable is_ctrl : bool;
+  mutable is_load : bool;
+  mutable is_store : bool;
+  mutable is_fence : bool;
+  mutable kernel : bool;
+  mutable pred_taken : bool;
+  mutable actual_taken : bool;
+  mutable resolved : bool;
+  mutable vp_done : bool;
+  mutable addr_known : bool;
+  mutable blocked : Guard.source option; (* why the guard first fenced it *)
   mutable done_at : int;
   mutable value : int;
   mutable eff_addr : int;
@@ -322,16 +253,12 @@ type entry = {
   mutable ret_target : int;
   mutable ret_depth : int;
   mutable taint_root : int;
-  (* Dataflow parking: the value of [t.wake_epoch] at the last issue attempt
-     that failed purely on unavailable operands (-1 = not parked).  While the
-     stamp still matches, re-attempting is provably a no-op — a failed
-     operand capture has no side effects and its outcome can only change
-     when some entry completes — so the scan skips the whole dispatch. *)
-  mutable park_stamp : int;
-  (* Sharper parking for operand waits: the seq of the producer the failed
-     capture short-circuited on (-1 = none).  The dispatch attempt is skipped
-     with a single state test until that producer completes or retires, so an
-     unrelated completion does not wake the whole ROB. *)
+  (* Producer parking: the seq of the in-flight entry the last dispatch
+     attempt waited on — the operand producer its capture short-circuited
+     on, or a fence's oldest incomplete older entry (-1 = none).  The attempt
+     is skipped with a single state test until that entry completes or
+     retires: a failed attempt has no side effects, and its outcome cannot
+     change before then. *)
   mutable park_seq : int;
   mutable fault : string option;
 }
@@ -407,11 +334,10 @@ type t = {
      completion scan runs only when a completion can actually be due, so a
      long-latency stall (DRAM, fence) costs no per-cycle ROB walks. *)
   mutable next_done_at : int;
-  (* Issue-scan elision bookkeeping (see [issue_step]): the whole pass is
-     skipped when every Waiting entry is parked under the current completion
-     epoch, no load is awaiting its visibility-point transition, and no
-     guard-blocked load needs its per-cycle re-query. *)
-  mutable wake_epoch : int; (* bumped on completion, store issue, store retire *)
+  (* The settle rule (see the end of [issue_step]): set by an issue pass
+     after which the next pass is provably a no-op, cleared by [make_entry]
+     and by every completion.  While it is set the issue pass is skipped. *)
+  mutable settled : bool;
   (* Actionable list: seqs (strictly increasing) of the entries the issue
      scan still needs to visit — Waiting entries, in-flight stores (they
      feed store-to-load forwarding until retirement), unresolved controls,
@@ -420,10 +346,6 @@ type t = {
      matter, so the scan walks this list instead of the whole ROB. *)
   act : int array;
   mutable act_len : int;
-  mutable waiting_count : int; (* entries in state Waiting *)
-  mutable parked_current : int; (* Waiting entries parked at this epoch *)
-  mutable vp_pending : int; (* issued/completed loads without vp_done *)
-  mutable blocked_waiting : int; (* Waiting loads parked by the guard *)
   mutable now : int;
   mutable asid : int;
   mutable kernel_mode : bool;
@@ -447,7 +369,18 @@ let fresh_entry () =
     src_seq1 = -1;
     src_val0 = 0;
     src_val1 = 0;
-    flags = Pack.empty;
+    state = Waiting;
+    is_ctrl = false;
+    is_load = false;
+    is_store = false;
+    is_fence = false;
+    kernel = false;
+    pred_taken = false;
+    actual_taken = false;
+    resolved = false;
+    vp_done = false;
+    addr_known = false;
+    blocked = None;
     done_at = 0;
     value = 0;
     eff_addr = 0;
@@ -461,7 +394,6 @@ let fresh_entry () =
     ret_target = -1;
     ret_depth = 0;
     taint_root = -1;
-    park_stamp = -1;
     park_seq = -1;
     fault = None;
   }
@@ -499,13 +431,9 @@ let create ?(config = default_config) memsys prog =
     lq_used = 0;
     sq_used = 0;
     next_done_at = max_int;
-    wake_epoch = 0;
+    settled = false;
     act = Array.make (2 * cap) 0;
     act_len = 0;
-    waiting_count = 0;
-    parked_current = 0;
-    vp_pending = 0;
-    blocked_waiting = 0;
     now = 0;
     asid = 0;
     kernel_mode = false;
@@ -596,18 +524,18 @@ let root_active t root =
     if pos < 0 || pos >= t.count then false
     else
       let e = entry_at t pos in
-      e.seq = root && not (Pack.vp_done e.flags)
+      e.seq = root && not e.vp_done
 
 (* Whether an entry still needs issue-scan visits.  False is final: an
    issued non-load (other than stores, unresolved controls and incomplete
    fences) and a load past its visibility point can never matter to a later
    pass, so it can leave the actionable list for good. *)
-let act_keep fl =
-  Pack.state fl = Pack.state_waiting
-  || (Pack.is_load fl && not (Pack.vp_done fl))
-  || Pack.is_store fl
-  || (Pack.is_ctrl fl && not (Pack.resolved fl))
-  || (Pack.is_fence fl && Pack.state fl <> Pack.state_completed)
+let act_keep e =
+  e.state = Waiting
+  || (e.is_load && not e.vp_done)
+  || e.is_store
+  || (e.is_ctrl && not e.resolved)
+  || (e.is_fence && e.state <> Completed)
 
 (* Squeeze retired and drop-safe seqs out of the actionable list; called when
    an append finds the array full (the live subset always fits). *)
@@ -616,7 +544,7 @@ let compact_act t =
   for k = 0 to t.act_len - 1 do
     let seq = t.act.(k) in
     let pos = pos_of_seq t seq in
-    if pos >= 0 && pos < t.count && act_keep (entry_at t pos).flags then begin
+    if pos >= 0 && pos < t.count && act_keep (entry_at t pos) then begin
       t.act.(!out) <- seq;
       incr out
     end
@@ -682,20 +610,19 @@ let make_entry t fid idx ~va insn =
      e.src_seq1 <- -1;
      e.src_val1 <- 0
    end);
-  e.flags <-
-    (let f =
-       Pack.with_kernel
-         (Pack.with_is_ctrl Pack.empty
-            (match insn with
-            | Insn.Branch _ | Insn.Icall _ | Insn.Ret -> true
-            | _ -> false))
-         (is_kernel_fid t fid)
-     in
-     match insn with
-     | Insn.Load _ -> Pack.with_is_load f true
-     | Insn.Store _ -> Pack.with_is_store f true
-     | Insn.Fence -> Pack.with_is_fence f true
-     | _ -> f);
+  e.state <- Waiting;
+  e.is_ctrl <-
+    (match insn with Insn.Branch _ | Insn.Icall _ | Insn.Ret -> true | _ -> false);
+  e.is_load <- Insn.is_load insn;
+  e.is_store <- Insn.is_store insn;
+  e.is_fence <- (match insn with Insn.Fence -> true | _ -> false);
+  e.kernel <- is_kernel_fid t fid;
+  e.pred_taken <- false;
+  e.actual_taken <- false;
+  e.resolved <- false;
+  e.vp_done <- false;
+  e.addr_known <- false;
+  e.blocked <- None;
   e.done_at <- 0;
   e.value <- 0;
   e.eff_addr <- 0;
@@ -709,12 +636,11 @@ let make_entry t fid idx ~va insn =
   e.ret_target <- -1;
   e.ret_depth <- 0;
   e.taint_root <- -1;
-  e.park_stamp <- -1;
   e.park_seq <- -1;
   e.fault <- None;
   if dest >= 0 then t.rat.(dest) <- seq;
   t.count <- t.count + 1;
-  t.waiting_count <- t.waiting_count + 1;
+  t.settled <- false;
   if t.act_len >= Array.length t.act then compact_act t;
   t.act.(t.act_len) <- seq;
   t.act_len <- t.act_len + 1;
@@ -734,21 +660,10 @@ let rebuild_rat t =
 (* Remove all entries younger than position [pos] (exclusive). *)
 let truncate_rob t pos =
   for i = pos + 1 to t.count - 1 do
-    let e = entry_at t i in
-    let fl = e.flags in
-    (match e.insn with
+    match (entry_at t i).insn with
     | Insn.Load _ -> t.lq_used <- t.lq_used - 1
     | Insn.Store _ -> t.sq_used <- t.sq_used - 1
-    | _ -> ());
-    if Pack.state fl = Pack.state_waiting then begin
-      t.waiting_count <- t.waiting_count - 1;
-      if e.park_stamp = t.wake_epoch then
-        t.parked_current <- t.parked_current - 1;
-      if Pack.blocked_src fl <> Pack.blocked_none then
-        t.blocked_waiting <- t.blocked_waiting - 1
-    end
-    else if Pack.is_load fl && not (Pack.vp_done fl) then
-      t.vp_pending <- t.vp_pending - 1
+    | _ -> ()
   done;
   let removed = t.count - pos - 1 in
   t.count <- pos + 1;
@@ -769,7 +684,7 @@ let redirect_fetch t va delay =
 (* Resolution of a completed control-flow instruction at ROB position [pos].
    Returns true if younger entries were squashed. *)
 let resolve_ctrl t pos e =
-  e.flags <- Pack.with_resolved e.flags true;
+  e.resolved <- true;
   let squash target_va restore_stack restore_depth restore_ghr =
     t.ctrs.squashes <- t.ctrs.squashes + 1;
     record_event t Ev_squash ~va:e.va ~seq:e.seq;
@@ -788,12 +703,12 @@ let resolve_ctrl t pos e =
     (match e.tage_meta with
     | Some meta ->
       Tage.update t.tage ~pc:e.va ~hist:e.ghr_snap meta
-        ~taken:(Pack.actual_taken e.flags)
+        ~taken:e.actual_taken
     | None -> ());
-    if Pack.actual_taken e.flags <> Pack.pred_taken e.flags then begin
+    if e.actual_taken <> e.pred_taken then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
       let ghr' =
-        (e.ghr_snap lsl 1) lor (if Pack.actual_taken e.flags then 1 else 0)
+        (e.ghr_snap lsl 1) lor (if e.actual_taken then 1 else 0)
       in
       squash e.actual_target_va e.stack_snap e.depth_snap ghr';
       true
@@ -870,15 +785,11 @@ let completion_step t =
     let stop = ref false in
     while (not !stop) && !i < t.count do
       let e = entry_at t !i in
-      if Pack.state e.flags = Pack.state_issued then begin
+      if e.state = Issued then begin
         if e.done_at <= t.now then begin
-          e.flags <- Pack.with_state e.flags Pack.state_completed;
-          (* A completion opens a new parking epoch: operand captures that
-             failed before may now succeed, so every parked entry must
-             re-attempt. *)
-          t.wake_epoch <- t.wake_epoch + 1;
-          t.parked_current <- 0;
-          if Pack.is_ctrl e.flags then if resolve_ctrl t !i e then stop := true
+          e.state <- Completed;
+          t.settled <- false;
+          if e.is_ctrl then if resolve_ctrl t !i e then stop := true
         end
         else if e.done_at < !nxt then nxt := e.done_at
       end;
@@ -900,17 +811,8 @@ let retire_bookkeeping t e =
     if t.rat.(e.dest) = e.seq then t.rat.(e.dest) <- -1
   end;
   (match e.insn with
-  | Insn.Load _ ->
-    t.lq_used <- t.lq_used - 1;
-    (* A load can retire without ever reaching its visibility point (it
-       completed and committed in the same cycle, before the issue scan). *)
-    if not (Pack.vp_done e.flags) then t.vp_pending <- t.vp_pending - 1
-  | Insn.Store _ ->
-    t.sq_used <- t.sq_used - 1;
-    (* A retiring store leaves the forwarding window: loads it was hiding
-       now access memory, so parked store-gated loads must re-attempt. *)
-    t.wake_epoch <- t.wake_epoch + 1;
-    t.parked_current <- 0
+  | Insn.Load _ -> t.lq_used <- t.lq_used - 1
+  | Insn.Store _ -> t.sq_used <- t.sq_used - 1
   | _ -> ());
   let h = t.head + 1 in
   t.head <- (if h >= cap t then 0 else h);
@@ -921,7 +823,7 @@ let commit_step t =
   let stop = ref false in
   while (not !stop) && !budget > 0 && t.count > 0 && t.run_outcome = None do
     let e = entry_at t 0 in
-    if Pack.state e.flags <> Pack.state_completed then stop := true
+    if e.state <> Completed then stop := true
     else begin
       decr budget;
       (match e.fault with
@@ -929,7 +831,7 @@ let commit_step t =
       | None -> ());
       if t.run_outcome = None then begin
         t.ctrs.committed <- t.ctrs.committed + 1;
-        if Pack.kernel e.flags then
+        if e.kernel then
           t.ctrs.committed_kernel <- t.ctrs.committed_kernel + 1;
         (match t.hooks.on_commit with
         | Some f -> f e.e_fid e.e_idx e.insn
@@ -937,7 +839,7 @@ let commit_step t =
         (match e.insn with
         | Insn.Load _ ->
           t.ctrs.committed_loads <- t.ctrs.committed_loads + 1;
-          if Pack.kernel e.flags then
+          if e.kernel then
             t.ctrs.committed_kernel_loads <- t.ctrs.committed_kernel_loads + 1
         | Insn.Store _ ->
           let key = Layout.phys_key ~asid:t.asid e.eff_addr in
@@ -1031,7 +933,7 @@ let capture_operand0 t e =
     end
     else
       let p = entry_at t pos in
-      if Pack.state p.flags = Pack.state_completed then begin
+      if p.state = Completed then begin
         e.src_val0 <- p.value;
         e.src_seq0 <- -1;
         if root_active t p.taint_root then
@@ -1056,7 +958,7 @@ let capture_operand1 t e =
     end
     else
       let p = entry_at t pos in
-      if Pack.state p.flags = Pack.state_completed then begin
+      if p.state = Completed then begin
         e.src_val1 <- p.value;
         e.src_seq1 <- -1;
         if root_active t p.taint_root then
@@ -1082,13 +984,7 @@ let issue_load_to_memory t e ~speculative =
   in
   e.value <- Mem.load (Memsys.mem t.memsys) key;
   e.done_at <- t.now + lat;
-  t.vp_pending <- t.vp_pending + 1;
-  if Pack.blocked_src e.flags <> Pack.blocked_none then
-    t.blocked_waiting <- t.blocked_waiting - 1;
-  e.flags <-
-    Pack.with_spec_at_issue
-      (Pack.with_state e.flags Pack.state_issued)
-      speculative;
+  e.state <- Issued;
   if speculative then begin
     t.ctrs.spec_loads <- t.ctrs.spec_loads + 1;
     e.taint_root <- max e.taint_root e.seq
@@ -1110,47 +1006,30 @@ let fwd_push t word v =
   t.fwd_val.(t.fwd_len) <- v;
   t.fwd_len <- t.fwd_len + 1
 
-(* Park an entry whose operand capture failed purely (a producer has not
-   completed).  A failed capture has no side effects and its outcome can only
-   change when some entry completes, so the dispatch attempt is skipped until
-   the completion epoch moves. *)
-let park t e =
-  if e.park_stamp <> t.wake_epoch then begin
-    e.park_stamp <- t.wake_epoch;
-    t.parked_current <- t.parked_current + 1
-  end
+(* Park an entry whose operand capture failed on the producer it
+   short-circuited on. *)
+let park_dep e =
+  e.park_seq <- (if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1)
 
-(* Operand-wait parking: additionally remember which producer the failed
-   capture short-circuited on, so only that producer's completion (or
-   retirement) wakes the entry — not every epoch bump. *)
-let park_dep t e =
-  e.park_seq <- (if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1);
-  park t e
-
-(* Exact serialization check for a fence at position [pos]: every strictly
-   older entry is completed.  Evaluated directly against the ROB prefix, and
-   only on a fence's (epoch-gated, hence rare) dispatch attempts. *)
-let older_all_completed t pos =
+(* Seq of the oldest entry older than position [pos] that has not
+   completed, or -1 when all have: a fence at [pos] issues only then, and
+   otherwise parks on the entry found. *)
+let oldest_incomplete t pos =
   let rec go k =
-    k >= pos
-    || (Pack.state (entry_at t k).flags = Pack.state_completed && go (k + 1))
+    if k >= pos then -1
+    else
+      let p = entry_at t k in
+      if p.state <> Completed then p.seq else go (k + 1)
   in
   go 0
 
 let issue_step t =
-  (* The whole pass is elided when it is provably a no-op: every Waiting
-     entry is parked under the current completion epoch, no issued load is
-     awaiting its visibility-point transition, and no guard-blocked load
-     needs its per-cycle guard re-query (those re-queries mutate view-cache
-     statistics, so they are architecturally observable and cannot be
-     skipped).  Long DRAM and fence stalls then cost no ROB walk at all. *)
-  if
-    t.waiting_count = t.parked_current
-    && t.vp_pending = 0
-    && t.blocked_waiting = 0
-  then ()
-  else begin
+  if not t.settled then begin
   let budget = ref t.cfg.issue_width in
+  (* Cleared by a guard [Block] and by a non-speculative load issue: the two
+     things besides a completion that make the next pass act (see the settle
+     rule at the end). *)
+  let quiet = ref true in
   let older_unresolved_ctrl = ref false in
   let older_fence_incomplete = ref false in
   let older_store_unknown = ref false in
@@ -1172,101 +1051,78 @@ let issue_step t =
     let e = entry_at t pos in
     let speculative = !older_unresolved_ctrl in
     (* Visibility point: no older instruction can squash this one. *)
-    (let fl = e.flags in
-     let st = Pack.state fl in
-     if
-       Pack.is_load fl
-       && not (Pack.vp_done fl)
-       && (st = Pack.state_issued || st = Pack.state_completed)
-       && not speculative
-     then begin
-       e.flags <- Pack.with_vp_done fl true;
-       t.vp_pending <- t.vp_pending - 1;
-       (* Only architecturally-surviving loads reach here, so the dload trace
-          is the sequential projection of the D-cache access stream. *)
-       if Array.length t.trace_buf > 0 && Pack.addr_known fl then
-         record_event t
-           (Ev_dload (Layout.phys_key ~asid:t.asid e.eff_addr / Layout.line_bytes))
-           ~va:e.va ~seq:e.seq;
-       match t.guard.Guard.notify_vp with
-       | Some f when Pack.addr_known fl ->
-         f ~insn_va:e.va ~addr:e.eff_addr ~asid:t.asid
-           ~kernel_mode:(Pack.kernel fl)
-       | Some _ | None -> ()
-     end);
-    if
-      Pack.state e.flags = Pack.state_waiting
-      && !budget > 0
-      && not !older_fence_incomplete
+    if e.is_load && (not e.vp_done) && e.state <> Waiting && not speculative
     then begin
+      e.vp_done <- true;
+      (* Only architecturally-surviving loads reach here, so the dload trace
+         is the sequential projection of the D-cache access stream. *)
+      if Array.length t.trace_buf > 0 && e.addr_known then
+        record_event t
+          (Ev_dload (Layout.phys_key ~asid:t.asid e.eff_addr / Layout.line_bytes))
+          ~va:e.va ~seq:e.seq;
+      match t.guard.Guard.notify_vp with
+      | Some f when e.addr_known ->
+        f ~insn_va:e.va ~addr:e.eff_addr ~asid:t.asid ~kernel_mode:e.kernel
+      | Some _ | None -> ()
+    end;
+    if e.state = Waiting && !budget > 0 && not !older_fence_incomplete then begin
       let parked =
         if e.park_seq >= 0 then begin
           let pos = pos_of_seq t e.park_seq in
-          if
-            pos >= 0
-            && Pack.state (entry_at t pos).flags <> Pack.state_completed
-          then begin
-            (* Producer still executing: re-stamp so the pass-elision gate
-               sees this entry as settled for the current epoch. *)
-            park t e;
-            true
-          end
+          if pos >= 0 && (entry_at t pos).state <> Completed then true
           else begin
             e.park_seq <- -1;
             false
           end
         end
-        else e.park_stamp = t.wake_epoch
+        else false
       in
       if not parked then begin
       match e.insn with
       | Insn.Nop | Insn.Jump _ | Insn.Call _ | Insn.Syscall | Insn.Sysret
       | Insn.Halt ->
         decr budget;
-        e.flags <- Pack.with_state e.flags Pack.state_issued;
+        e.state <- Issued;
         e.done_at <- t.now + 1
       | Insn.Fence ->
-        (* The serialization condition can only flip on a completion, so a
-           gated fence parks under the same epoch discipline as operand
-           waits. *)
-        if older_all_completed t pos then begin
+        let blocker = oldest_incomplete t pos in
+        if blocker < 0 then begin
           decr budget;
-          e.flags <- Pack.with_state e.flags Pack.state_issued;
+          e.state <- Issued;
           e.done_at <- t.now + 1
         end
-        else park t e
+        else e.park_seq <- blocker
       | Insn.Limm (_, v) ->
         decr budget;
         e.value <- v;
-        e.flags <- Pack.with_state e.flags Pack.state_issued;
+        e.state <- Issued;
         e.done_at <- t.now + 1
       | Insn.Alu (op, _, _, _) ->
         if operands_ready t e then begin
           decr budget;
           e.value <- Insn.eval_binop op e.src_val0 e.src_val1;
-          e.flags <- Pack.with_state e.flags Pack.state_issued;
+          e.state <- Issued;
           e.done_at <- t.now + 1
         end
-        else park_dep t e
+        else park_dep e
       | Insn.Alui (op, _, _, v) ->
         if operands_ready t e then begin
           decr budget;
           e.value <- Insn.eval_binop op e.src_val0 v;
-          e.flags <- Pack.with_state e.flags Pack.state_issued;
+          e.state <- Issued;
           e.done_at <- t.now + 1
         end
-        else park_dep t e
+        else park_dep e
       | Insn.Branch (c, _, _, tgt) ->
         if operands_ready t e then begin
           decr budget;
-          let taken = Insn.eval_cond c e.src_val0 e.src_val1 in
-          e.flags <- Pack.with_actual_taken e.flags taken;
-          let next_idx = if taken then tgt else e.e_idx + 1 in
+          e.actual_taken <- Insn.eval_cond c e.src_val0 e.src_val1;
+          let next_idx = if e.actual_taken then tgt else e.e_idx + 1 in
           e.actual_target_va <- insn_va_of t e.e_fid next_idx;
-          e.flags <- Pack.with_state e.flags Pack.state_issued;
+          e.state <- Issued;
           e.done_at <- t.now + t.cfg.branch_latency
         end
-        else park_dep t e
+        else park_dep e
       | Insn.Icall _ ->
         if operands_ready t e then begin
           decr budget;
@@ -1277,10 +1133,10 @@ let issue_step t =
             e.actual_target_va <- target
           | Some _ | None ->
             e.fault <- Some (Printf.sprintf "icall to invalid VA %#x" target));
-          e.flags <- Pack.with_state e.flags Pack.state_issued;
+          e.state <- Issued;
           e.done_at <- t.now + t.cfg.branch_latency
         end
-        else park_dep t e
+        else park_dep e
       | Insn.Ret ->
         decr budget;
         (if e.ret_target < 0 then e.fault <- Some "ret with empty stack"
@@ -1289,49 +1145,43 @@ let issue_step t =
            delays resolution, widening the transient window (Spectre-RSB). *)
         let key = ret_stack_va ~asid:t.asid ~depth:e.ret_depth in
         let lat = Memsys.data_read_lat t.memsys key in
-        e.flags <- Pack.with_state e.flags Pack.state_issued;
+        e.state <- Issued;
         e.done_at <- t.now + lat
       | Insn.Flush (_, off) ->
         if operands_ready t e then begin
           decr budget;
           e.eff_addr <- e.src_val0 + off;
-          e.flags <-
-            Pack.with_state (Pack.with_addr_known e.flags true) Pack.state_issued;
+          e.addr_known <- true;
+          e.state <- Issued;
           e.done_at <- t.now + 1
         end
-        else park_dep t e
+        else park_dep e
       | Insn.Store (_, _, off) ->
         if operands_ready t e then begin
           decr budget;
           e.eff_addr <- e.src_val0 + off;
           e.store_val <- e.src_val1;
-          e.flags <-
-            Pack.with_state (Pack.with_addr_known e.flags true) Pack.state_issued;
-          e.done_at <- t.now + 1;
-          (* The store's address is now known: younger loads parked behind
-             [older_store_unknown] must re-attempt. *)
-          t.wake_epoch <- t.wake_epoch + 1;
-          t.parked_current <- 0
+          e.addr_known <- true;
+          e.state <- Issued;
+          e.done_at <- t.now + 1
         end
-        else park_dep t e
+        else park_dep e
       | Insn.Load (_, _, off) ->
-        if operands_ready t e then begin
-          if not !older_store_unknown then begin
+        (* Behind an older store with an unknown address the load waits
+           unparked: that store issues earlier in some later walk, and
+           retrying until then costs two int compares. *)
+        if not (operands_ready t e) then park_dep e
+        else if not !older_store_unknown then begin
           e.eff_addr <- e.src_val0 + off;
-          e.flags <- Pack.with_addr_known e.flags true;
+          e.addr_known <- true;
           let word = e.eff_addr lsr 3 in
           let j = fwd_find t word in
           if j >= 0 then begin
             (* Store-to-load forwarding: no cache access. *)
             decr budget;
+            if not speculative then quiet := false;
             e.value <- Array.unsafe_get t.fwd_val j;
-            t.vp_pending <- t.vp_pending + 1;
-            if Pack.blocked_src e.flags <> Pack.blocked_none then
-              t.blocked_waiting <- t.blocked_waiting - 1;
-            e.flags <-
-              Pack.with_spec_at_issue
-                (Pack.with_state e.flags Pack.state_issued)
-                speculative;
+            e.state <- Issued;
             e.done_at <- t.now + 1
           end
           else begin
@@ -1352,46 +1202,37 @@ let issue_step t =
             match t.guard.Guard.check query with
             | Guard.Allow ->
               decr budget;
+              if not speculative then quiet := false;
               issue_load_to_memory t e ~speculative
             | Guard.Block src ->
-              if Pack.blocked_src e.flags = Pack.blocked_none then begin
-                e.flags <-
-                  Pack.with_blocked_src e.flags (blocked_code_of_source src);
-                t.blocked_waiting <- t.blocked_waiting + 1;
+              quiet := false;
+              if Option.is_none e.blocked then begin
+                e.blocked <- Some src;
                 count_fence t src;
                 record_event t (Ev_fence src) ~va:e.va ~seq:e.seq
               end
           end
-          end
-          (* Operands ready but fenced behind a store with unknown address:
-             that status can only change when a store issues or retires or
-             an entry completes — all of which bump the wake epoch. *)
-          else park t e
         end
-        else park_dep t e
       end
     end
     else if
-      Pack.state e.flags = Pack.state_waiting
-      && !budget > 0
-      && Pack.blocked_src e.flags <> Pack.blocked_none
-      && not speculative
+      e.state = Waiting && !budget > 0 && Option.is_some e.blocked && not speculative
     then begin
       (* A fenced load at its visibility point issues non-speculatively. *)
       decr budget;
+      quiet := false;
       record_event t Ev_vp_release ~va:e.va ~seq:e.seq;
       issue_load_to_memory t e ~speculative:false
     end;
     (* Update running flags with this entry included. *)
-    let fl = e.flags in
-    if Pack.is_ctrl fl && not (Pack.resolved fl) then older_unresolved_ctrl := true;
-    (if Pack.is_fence fl then begin
-       if Pack.state fl <> Pack.state_completed then older_fence_incomplete := true
+    if e.is_ctrl && not e.resolved then older_unresolved_ctrl := true;
+    (if e.is_fence then begin
+       if e.state <> Completed then older_fence_incomplete := true
      end
-     else if Pack.is_store fl then
-       if Pack.addr_known fl then fwd_push t (e.eff_addr lsr 3) e.store_val
+     else if e.is_store then
+       if e.addr_known then fwd_push t (e.eff_addr lsr 3) e.store_val
        else older_store_unknown := true);
-    if act_keep fl then begin
+    if act_keep e then begin
       Array.unsafe_set t.act !out seq;
       incr out
     end
@@ -1405,13 +1246,23 @@ let issue_step t =
     incr k
   done;
   t.act_len <- !out;
-  (* Every spent unit of issue budget moved exactly one entry out of
-     Waiting, so the count is settled once per pass. *)
-  t.waiting_count <- t.waiting_count - (t.cfg.issue_width - !budget);
   (* Anything issued this pass finishes no earlier than the next cycle; the
      next completion scan recomputes the exact bound. *)
   if !budget < t.cfg.issue_width && t.now + 1 < t.next_done_at then
-    t.next_done_at <- t.now + 1
+    t.next_done_at <- t.now + 1;
+  (* The settle rule.  With budget left the walk visited every Waiting
+     entry, and each one either issued or waits on something only a
+     completion can change: an incomplete producer or fence blocker, an
+     older store with an unknown address (a store's address becomes known
+     when it issues, earlier in the same walk as any younger load), an older
+     incomplete fence or an older unresolved control.  A [Block] forces
+     another pass, because a blocked load re-queries its guard on every pass
+     and those queries move the view-cache statistics the goldens digest.
+     So does a non-speculative load issue: that load reaches its Visibility
+     Point ([notify_vp], [Ev_dload]) on the next pass.  Otherwise the next
+     pass would change nothing, and neither would any pass after it until
+     [make_entry] or a completion clears the flag. *)
+  t.settled <- !budget > 0 && !quiet
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1434,8 +1285,7 @@ let fetch_step t =
            commits; on a wrong path the squash will discard it. *)
         let e = make_entry t fid idx ~va:(insn_va_of t fid idx) Insn.Halt in
         e.fault <- Some (Printf.sprintf "fell off function f%d at %d" fid idx);
-        e.flags <- Pack.with_state e.flags Pack.state_issued;
-        t.waiting_count <- t.waiting_count - 1;
+        e.state <- Issued;
         e.done_at <- t.now + 1;
         if t.now + 1 < t.next_done_at then t.next_done_at <- t.now + 1;
         t.fetch <- Stopped;
@@ -1461,7 +1311,7 @@ let fetch_step t =
             match insn with
             | Insn.Branch (_, _, _, tgt) ->
               let pred, meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
-              e.flags <- Pack.with_pred_taken e.flags pred;
+              e.pred_taken <- pred;
               e.tage_meta <- Some meta;
               e.ghr_snap <- t.ghr;
               e.stack_snap <- t.dispatch_stack;
@@ -1553,10 +1403,7 @@ let reset_run_state t ~asid ~start regs =
   t.sq_used <- 0;
   t.next_done_at <- max_int;
   t.act_len <- 0;
-  t.waiting_count <- 0;
-  t.parked_current <- 0;
-  t.vp_pending <- 0;
-  t.blocked_waiting <- 0;
+  t.settled <- false;
   t.asid <- asid;
   t.kernel_mode <- is_kernel_fid t start;
   t.run_outcome <- None
@@ -1573,25 +1420,25 @@ let classify_stall t =
   if t.count = 0 then c.stall_fetch <- c.stall_fetch + 1
   else begin
     let e = entry_at t 0 in
-    let fl = e.flags in
-    let b = Pack.blocked_src fl in
-    if b <> Pack.blocked_none && Pack.state fl <> Pack.state_completed then begin
+    match e.blocked with
+    | Some src when e.state <> Completed -> (
       (* Still blocked at the guard (Waiting), or released at the
          visibility point and now waiting out memory latency the fence
          exposed by delaying the issue (Issued): either way the fence is
          what keeps the head from committing, so it gets the cycle. *)
-      if b = Pack.blocked_isv then c.stall_fence_isv <- c.stall_fence_isv + 1
-      else if b = Pack.blocked_dsv then c.stall_fence_dsv <- c.stall_fence_dsv + 1
-      else c.stall_fence_baseline <- c.stall_fence_baseline + 1
-    end
-    else if Pack.state fl = Pack.state_issued then (
-      match e.insn with
-      | Insn.Load _ | Insn.Ret -> c.stall_dram <- c.stall_dram + 1
-      | _ -> c.stall_exec <- c.stall_exec + 1)
-    else if t.count = cap t then c.stall_rob_full <- c.stall_rob_full + 1
-    else if t.lq_used >= t.cfg.lq_entries || t.sq_used >= t.cfg.sq_entries then
-      c.stall_lsq <- c.stall_lsq + 1
-    else c.stall_exec <- c.stall_exec + 1
+      match src with
+      | Guard.Isv -> c.stall_fence_isv <- c.stall_fence_isv + 1
+      | Guard.Dsv -> c.stall_fence_dsv <- c.stall_fence_dsv + 1
+      | Guard.Baseline -> c.stall_fence_baseline <- c.stall_fence_baseline + 1)
+    | Some _ | None ->
+      if e.state = Issued then (
+        match e.insn with
+        | Insn.Load _ | Insn.Ret -> c.stall_dram <- c.stall_dram + 1
+        | _ -> c.stall_exec <- c.stall_exec + 1)
+      else if t.count = cap t then c.stall_rob_full <- c.stall_rob_full + 1
+      else if t.lq_used >= t.cfg.lq_entries || t.sq_used >= t.cfg.sq_entries then
+        c.stall_lsq <- c.stall_lsq + 1
+      else c.stall_exec <- c.stall_exec + 1
   end
 
 let run ?fuel ?regs ?(hooks = null_hooks) t ~asid ~start =

@@ -43,8 +43,10 @@ type config = {
           simulation terminates with a structured [Out_of_fuel] outcome
           instead of spinning forever *)
   trace_events : bool;
-      (** record squash / fence / VP-release events in a bounded ring (off by
-          default: the disabled path is a single array-length test) *)
+      (** record squash / fence / VP-release events and the D-cache line of
+          every load reaching its Visibility Point ([Ev_dload]) in a bounded
+          ring (off by default: the disabled path is a single array-length
+          test) *)
   trace_capacity : int;  (** ring size when tracing; the last N events win *)
 }
 
@@ -103,77 +105,6 @@ val stall_classes : counters -> (string * int) list
 val observe_metrics : Pv_util.Metrics.t -> counters -> unit
 (** Register every counter under [pipeline.*] names ([pipeline.cycles],
     [pipeline.fences.dsv], [pipeline.stall.fence_isv], ...). *)
-
-(** {2 Packed entry flags}
-
-    Every boolean and small-enum field of a ROB entry is packed into one
-    immediate int, so the cycle loop reads and updates them with mask
-    arithmetic on a single word.  The accessors below are the complete
-    encoding; property tests prove that each field round-trips and that no
-    two fields alias (see test/test_pack.ml).  States and blocked-source
-    codes are small ints rather than variants so they pack directly. *)
-module Pack : sig
-  type t = int
-  (** One flag word.  Only the low {!bits} bits are used. *)
-
-  val bits : int
-  (** Number of significant bits in a flag word (15). *)
-
-  val empty : t
-  (** All fields zero: state {!state_waiting}, every boolean false,
-      blocked source {!blocked_none}. *)
-
-  val state_waiting : int
-  val state_issued : int
-  val state_completed : int
-
-  val state : t -> int
-  val with_state : t -> int -> t
-
-  val is_ctrl : t -> bool
-  val with_is_ctrl : t -> bool -> t
-
-  val pred_taken : t -> bool
-  val with_pred_taken : t -> bool -> t
-
-  val actual_taken : t -> bool
-  val with_actual_taken : t -> bool -> t
-
-  val resolved : t -> bool
-  val with_resolved : t -> bool -> t
-
-  val spec_at_issue : t -> bool
-  val with_spec_at_issue : t -> bool -> t
-
-  val vp_done : t -> bool
-  val with_vp_done : t -> bool -> t
-
-  val addr_known : t -> bool
-  val with_addr_known : t -> bool -> t
-
-  val kernel : t -> bool
-  val with_kernel : t -> bool -> t
-
-  val blocked_none : int
-  val blocked_isv : int
-  val blocked_dsv : int
-  val blocked_baseline : int
-
-  val blocked_src : t -> int
-  val with_blocked_src : t -> int -> t
-
-  (** Instruction class, fixed at dispatch — lets the per-entry scans avoid
-      re-matching the instruction variant every cycle. *)
-
-  val is_load : t -> bool
-  val with_is_load : t -> bool -> t
-
-  val is_store : t -> bool
-  val with_is_store : t -> bool -> t
-
-  val is_fence : t -> bool
-  val with_is_fence : t -> bool -> t
-end
 
 type t
 

@@ -1,11 +1,17 @@
 (* Frozen record-based reference pipeline: a verbatim copy of the seed
-   [Pipeline] implementation, kept as the equivalence oracle for the
-   int-packed/preallocated fast path that replaced it.  The equivalence and
-   QCheck suites (test_equiv.ml, test_pipeline.ml) run programs through both
-   and assert identical commit streams, cycle counts, architectural state and
-   stall attribution.  Do not optimize this module — its value is that it
-   stays byte-for-byte the seed model. *)
+   [Pv_uarch.Pipeline] implementation, kept as the equivalence oracle for the
+   preallocated, work-skipping fast path that replaced it.  The equivalence
+   and contract suites (test_equiv.ml, test_contracts.ml) run programs
+   through both and assert identical commit streams, cycle counts,
+   architectural state, stall attribution and event traces.  Do not optimize
+   this module — its value is that it stays byte-for-byte the seed model. *)
 
+module Btb = Pv_uarch.Btb
+module Cache = Pv_uarch.Cache
+module Guard = Pv_uarch.Guard
+module Memsys = Pv_uarch.Memsys
+module Ras = Pv_uarch.Ras
+module Tage = Pv_uarch.Tage
 module Insn = Pv_isa.Insn
 module Layout = Pv_isa.Layout
 module Program = Pv_isa.Program

@@ -1,6 +1,6 @@
 (** Frozen record-based reference pipeline — the seed [Pipeline]
     implementation kept verbatim as the equivalence oracle for the optimized
-    fast path.  Test-only; experiments must use {!Pipeline}.
+    fast path.  Test-only; experiments must use {!Pv_uarch.Pipeline}.
 
     Models the parts of an OOO core that matter for transient-execution
     attacks and defenses:
@@ -21,6 +21,11 @@
     Microarchitectural state (caches, predictors, counters) persists across
     {!run} calls so that one process can mistrain structures that a later run
     of another process consults. *)
+
+module Btb = Pv_uarch.Btb
+module Guard = Pv_uarch.Guard
+module Memsys = Pv_uarch.Memsys
+module Ras = Pv_uarch.Ras
 
 type config = {
   fetch_width : int;

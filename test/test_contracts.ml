@@ -19,7 +19,6 @@ module Defense = Perspective.Defense
 module Shadow = Perspective.Shadow
 module Guard = Pv_uarch.Guard
 module Pipeline = Pv_uarch.Pipeline
-module Pipeline_ref = Pv_uarch.Pipeline_ref
 module Memsys = Pv_uarch.Memsys
 module Cache = Pv_uarch.Cache
 module Mem = Pv_isa.Mem

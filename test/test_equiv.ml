@@ -1,9 +1,10 @@
 (* Golden commit-stream equivalence suite.
 
-   The pipeline cycle loop was rewritten for speed (preallocated int-packed
-   ROB pool, allocation-free cache paths); Perspective's security claims rest
-   on exact microarchitectural state, so the rewrite must be provably
-   byte-identical to the seed model.  Three gates enforce that:
+   The pipeline cycle loop was rewritten for speed (preallocated ROB entry
+   pool, allocation-free cache paths, sound work-skipping); Perspective's
+   security claims rest on exact microarchitectural state, so the rewrite
+   must be provably byte-identical to the seed model.  Three gates enforce
+   that:
 
    1. Pinned (workload x scheme) cells run through the full Machine and are
       compared — commit-stream digest, cycles, committed count, stall-class
@@ -16,7 +17,11 @@
       seed copy [Pipeline_ref] and the in-order ISS: all three must agree on
       the architectural commit stream, final registers and memory; the two
       pipelines must also agree on cycle counts and stall attribution, which
-      the ISS cannot check.
+      the ISS cannot check.  Each program then runs through both pipelines
+      again, traced, under two logging guards (fence every speculative load;
+      fence only speculative L1 misses), and the two must agree on the event
+      trace, every guard query and Visibility-Point notification, cycles and
+      stall attribution.
 
    3. Small lebench and apps matrices run as supervised sweeps at -j 1 and
       -j 4: the experiment tables must be byte-identical to each other and to
@@ -25,9 +30,11 @@
 module I = Pv_isa.Insn
 module Layout = Pv_isa.Layout
 module Mem = Pv_isa.Mem
+module Program = Pv_isa.Program
+module Asm = Pv_isa.Asm
+module Guard = Pv_uarch.Guard
 module Memsys = Pv_uarch.Memsys
 module Pipeline = Pv_uarch.Pipeline
-module Pipeline_ref = Pv_uarch.Pipeline_ref
 module Rng = Pv_util.Rng
 module Metrics = Pv_util.Metrics
 module Tab = Pv_util.Tab
@@ -239,11 +246,64 @@ let mem_words mem =
 
 let event_to_string (fid, idx) = Printf.sprintf "%d:%d" fid idx
 
-let assert_three_way ~seed prog =
+(* A guard that fences the speculative loads [block] picks and logs every
+   query with its decision and every Visibility-Point notification to [log],
+   newest first. *)
+let logging_guard block log =
+  let check q =
+    let d =
+      if q.Guard.speculative && block q then Guard.Block Guard.Baseline
+      else Guard.Allow
+    in
+    log :=
+      Printf.sprintf "check %#x addr=%d kernel=%b spec=%b l1=%b tainted=%b -> %s"
+        q.Guard.insn_va q.Guard.addr q.Guard.kernel_mode q.Guard.speculative
+        q.Guard.l1_hit q.Guard.tainted
+        (if d = Guard.Allow then "allow" else "block")
+      :: !log;
+    d
+  in
+  let notify_vp ~insn_va ~addr ~asid ~kernel_mode =
+    log :=
+      Printf.sprintf "vp %#x addr=%d asid=%d kernel=%b" insn_va addr asid kernel_mode
+      :: !log
+  in
+  { Guard.allow_all with Guard.name = "log"; check; notify_vp = Some notify_vp }
+
+(* Fence every speculative load, or (DOM-style) only the speculative L1
+   misses. *)
+let logged_guards =
+  [ ("block-all", fun _ -> true); ("dom", fun q -> not q.Guard.l1_hit) ]
+
+(* Traced run under a logging guard: cycles, stall classes, the event ring
+   as JSON lines and the guard log, oldest first. *)
+let guarded_opt block prog =
+  let log = ref [] in
+  let config = { Pipeline.default_config with Pipeline.trace_events = true } in
+  let pipe = Pipeline.create ~config (Memsys.create (Mem.create ())) prog in
+  Pipeline.set_guard pipe (logging_guard block log);
+  let r = Pipeline.run pipe ~asid:1 ~start:0 in
+  ( r.Pipeline.cycles,
+    Pipeline.stall_classes (Pipeline.counters pipe),
+    List.map Pipeline.event_to_json (Pipeline.events pipe),
+    List.rev !log )
+
+let guarded_ref block prog =
+  let log = ref [] in
+  let config = { Pipeline_ref.default_config with Pipeline_ref.trace_events = true } in
+  let pipe = Pipeline_ref.create ~config (Memsys.create (Mem.create ())) prog in
+  Pipeline_ref.set_guard pipe (logging_guard block log);
+  let r = Pipeline_ref.run pipe ~asid:1 ~start:0 in
+  ( r.Pipeline_ref.cycles,
+    Pipeline_ref.stall_classes (Pipeline_ref.counters pipe),
+    List.map Pipeline_ref.event_to_json (Pipeline_ref.events pipe),
+    List.rev !log )
+
+let assert_three_way ~name prog =
   let iss, iss_stream, iss_mem = Test_oracle.run_iss prog in
   let opt, opt_stream, opt_mem, opt_ctrs = run_opt prog in
   let rf, ref_stream, ref_mem, ref_ctrs = run_ref prog in
-  let label fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
+  let label fmt = Printf.sprintf ("%s: " ^^ fmt) name in
   Alcotest.(check bool)
     (label "all three halted")
     true
@@ -278,15 +338,69 @@ let assert_three_way ~seed prog =
   check Alcotest.int (label "squashes = reference") ref_ctrs.Pipeline_ref.squashes
     opt_ctrs.Pipeline.squashes;
   check Alcotest.int (label "spec loads = reference") ref_ctrs.Pipeline_ref.spec_loads
-    opt_ctrs.Pipeline.spec_loads
+    opt_ctrs.Pipeline.spec_loads;
+  List.iter
+    (fun (guard, block) ->
+      let o_cycles, o_stalls, o_events, o_log = guarded_opt block prog in
+      let r_cycles, r_stalls, r_events, r_log = guarded_ref block prog in
+      let label fmt = Printf.sprintf ("%s, %s guard: " ^^ fmt) name guard in
+      check Alcotest.(list string) (label "guard log = reference") r_log o_log;
+      check Alcotest.(list string) (label "events = reference") r_events o_events;
+      check Alcotest.int (label "cycle count = reference") r_cycles o_cycles;
+      check
+        Alcotest.(list (pair string int))
+        (label "stall classes = reference") r_stalls o_stalls)
+    logged_guards
 
 let test_random_three_way () =
   (* A different seed base from test_oracle, so the two suites cover
      disjoint program samples. *)
   for seed = 1 to 40 do
     let rng = Rng.create (0xE0_1D_5E + seed) in
-    assert_three_way ~seed (Test_oracle.gen_program rng)
+    assert_three_way ~name:(Printf.sprintf "seed %d" seed) (Test_oracle.gen_program rng)
   done
+
+(* QCheck-driven seeds on top of the fixed sweep above (CI also runs it at
+   25 times its count). *)
+let random_program_prop =
+  QCheck.Test.make ~name:"random program: pipeline = seed reference" ~count:20
+    QCheck.(int_bound 0xFFFF)
+    (fun seed ->
+      let rng = Rng.create (0xAC4_000 + seed) in
+      assert_three_way ~name:(Printf.sprintf "qcheck seed %d" seed)
+        (Test_oracle.gen_program rng);
+      true)
+
+(* A load from a negative address ([li r1,-64; load r3,r1,0]): bare, and at
+   the target of a branch on a cold load, which resolves ~100 cycles later.
+   A cold predictor guesses taken, so the load issues speculatively: on the
+   architectural path when the branch is taken, only on the wrong path when
+   it is not. *)
+let negative_load_program branch =
+  let a = Asm.create () in
+  let target = Asm.fresh_label a in
+  Asm.li a 1 (-64);
+  Option.iter
+    (fun taken ->
+      Asm.li a 8 Layout.user_data_base;
+      Asm.load a 2 8 0;
+      Asm.branch a (if taken then I.Eq else I.Ne) 2 14 target;
+      Asm.halt a)
+    branch;
+  Asm.place a target;
+  Asm.load a 3 1 0;
+  Asm.halt a;
+  Program.of_funcs
+    [ { Program.fid = 0; name = "neg"; space = Layout.User; body = Asm.finish a } ]
+
+let test_negative_addresses () =
+  List.iter
+    (fun (name, branch) -> assert_three_way ~name (negative_load_program branch))
+    [
+      ("bare negative load", None);
+      ("negative load behind a taken branch", Some true);
+      ("negative load on a not-taken branch's wrong path", Some false);
+    ]
 
 let suite =
   [
@@ -295,5 +409,8 @@ let suite =
         Alcotest.test_case "pinned cells + tables vs seed goldens" `Slow test_goldens;
         Alcotest.test_case "random programs: ISS = optimized = reference" `Slow
           test_random_three_way;
+        QCheck_alcotest.to_alcotest random_program_prop;
+        Alcotest.test_case "negative addresses: ISS = optimized = reference" `Quick
+          test_negative_addresses;
       ] );
   ]

@@ -24,7 +24,7 @@ let func fid name space body = { Program.fid; name; space; body }
    seed.  Registers 8..10 and 14 are reserved for the loop harness. *)
 let gen_insn rng =
   let reg () = Rng.in_range rng 1 7 in
-  match Rng.int rng 21 with
+  match Rng.int rng 23 with
   | 0 | 1 | 2 | 3 -> I.Limm (reg (), Rng.int rng 1000)
   | 4 | 5 | 6 ->
     I.Alu (Rng.choose rng [| I.Add; I.Sub; I.Mul; I.And; I.Or; I.Xor |], reg (), reg (), reg ())
@@ -34,6 +34,10 @@ let gen_insn rng =
   | 13 | 14 | 15 -> I.Store (8, reg (), Rng.int rng 64 * 8)
   | 16 -> I.Fence
   | 17 -> I.Flush (8, Rng.int rng 64 * 8)
+  (* Addresses computed from data: the base register may hold an in-flight
+     load's value (STT taint) or a negative number. *)
+  | 18 -> I.Load (reg (), reg (), Rng.int rng 64 * 8)
+  | 19 -> I.Store (reg (), reg (), Rng.int rng 64 * 8)
   | _ -> I.Nop
 
 (* Wrap a random body in a bounded countdown loop with a data-dependent

@@ -63,6 +63,35 @@ let test_cache_geometry_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A wrong-path load can compute a negative address.  Every line, negative
+   or not, must get its own (set, tag) — a fill of one line is visible at
+   exactly that line — and no call may raise.  Splitting the set index alone
+   correctly would still alias line -1 with line [sets - 1]. *)
+let test_cache_negative_lines () =
+  let n = Cache.sets (small_cache ()) in
+  let lines = List.init (6 * n) (fun i -> i - (3 * n)) in
+  List.iter
+    (fun a ->
+      let c = small_cache () in
+      ignore (Cache.access c ((a * 64) + 5));
+      List.iter
+        (fun b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "line %d resident after filling line %d" b a)
+            (a = b)
+            (Cache.probe c (b * 64)))
+        lines)
+    lines;
+  let c = small_cache () in
+  List.iter
+    (fun addr ->
+      Alcotest.(check bool) "cold miss" false (Cache.access_no_lru c addr);
+      Cache.touch c addr;
+      Alcotest.(check bool) "hit" true (Cache.access c addr);
+      Cache.flush_line c addr;
+      Alcotest.(check bool) "flushed" false (Cache.probe c addr))
+    [ -1; -64; -65; min_int; max_int ]
+
 let cache_lru_prop =
   QCheck.Test.make ~name:"most recently accessed line always survives" ~count:100
     QCheck.(small_list (int_bound 31))
@@ -197,6 +226,8 @@ let suite =
         Alcotest.test_case "flush" `Quick test_cache_flush;
         Alcotest.test_case "stats" `Quick test_cache_stats;
         Alcotest.test_case "geometry validation" `Quick test_cache_geometry_validation;
+        Alcotest.test_case "negative lines map to distinct slots" `Quick
+          test_cache_negative_lines;
         QCheck_alcotest.to_alcotest cache_lru_prop;
       ] );
     ( "uarch.memsys",
