@@ -13,27 +13,31 @@
     - per-syscall private subtrees (the long tail of handler code);
     - an indirect pool: functions reachable {e only} through function-pointer
       dispatch sites (file_ops-style), invisible to static analysis;
-    - hot/cold labelling that drives dynamic tracing. *)
+    - hot/cold labelling that drives dynamic tracing.
 
-type config = {
-  nodes : int;
-  shared_core : int;
-  indirect_pool : int;
-  core_fanout : int;  (** max callees of a core node *)
-  entry_core_calls : int;  (** core roots each syscall entry calls *)
-  cross_call_prob : float;  (** private node calls into the core *)
-  icall_site_prob : float;  (** private/core node hosts an indirect dispatch site *)
-  icall_targets : int;  (** candidate targets per dispatch site *)
-  cold_prob : float;  (** fraction of non-entry nodes that are cold *)
-}
+    The shape is fixed: 28_000 nodes, of which 340 syscall entries, a
+    1_200-node shared core and a 2_600-node indirect pool.
 
-val default_config : config
-(** 28_000 nodes, 1_200 shared core, 2_600 indirect pool. *)
+    {b Representation.}  A graph is flat and immutable: direct and indirect
+    edges are compressed sparse rows (an offset array plus one target
+    array), cold flags a [Bytes], and depths an [int array] from which
+    {!indirect_only} is derived.  Entry lookup is a range check and node
+    names are formatted on demand.  A graph lives in about 1 MiB.
+
+    {b Sharing.}  {!synthesize} keeps the most recent seed's graph in one
+    mutex-guarded slot shared by every domain, so the cells of a sweep,
+    which all run on one seed, build it once per process.  Nothing about a
+    graph is mutable, so sharing it cannot make results depend on which
+    cell or domain asked first.  One slot rather than a table: a
+    calibration that cycles through derived seeds keeps one graph alive,
+    not one per seed. *)
 
 type t
 
-val synthesize : ?config:config -> int -> t
-(** [synthesize seed] builds the graph deterministically from [seed]. *)
+val synthesize : int -> t
+(** [synthesize seed] is the graph of [seed], built deterministically from
+    it.  If the most recent call asked for the same seed, it returns that
+    call's value rather than building a new one. *)
 
 val nnodes : t -> int
 val node_name : t -> int -> string

@@ -1,22 +1,9 @@
 module Layout = Pv_isa.Layout
 module Rng = Pv_util.Rng
 
-type config = {
-  frames : int;
-  slab_mode : Slab.mode;
-  graph_config : Callgraph.config;
-  data_frames_per_proc : int;
-  resident_objects : int;
-}
-
-let default_config =
-  {
-    frames = 65_536;
-    slab_mode = Slab.Secure;
-    graph_config = Callgraph.default_config;
-    data_frames_per_proc = 8;
-    resident_objects = 192;
-  }
+let frames = 65_536 (* physical frames (4 KiB each) *)
+let data_frames_per_proc = 8 (* kernel-side working-set frames per process *)
+let resident_objects = 192 (* long-lived kmalloc objects per process *)
 
 type proc_state = {
   mutable rotor : int; (* round-robin index into working-set frames *)
@@ -27,7 +14,6 @@ type proc_state = {
 }
 
 type t = {
-  cfg : config;
   phys : Physmem.t;
   slab : Slab.t;
   cgroups : Cgroup.t;
@@ -41,18 +27,17 @@ type t = {
   states : (int, proc_state) Hashtbl.t; (* pid -> state *)
 }
 
-let create ?(config = default_config) ~seed () =
-  let phys = Physmem.create ~frames:config.frames in
+let create ~seed () =
+  let phys = Physmem.create ~frames in
   let shared_frame =
     match Physmem.alloc_pages phys ~order:2 Physmem.Kernel with
     | Some f -> f
     | None -> invalid_arg "Kernel.create: not enough frames"
   in
-  let graph = Callgraph.synthesize ~config:config.graph_config seed in
+  let graph = Callgraph.synthesize seed in
   {
-    cfg = config;
     phys;
-    slab = Slab.create ~mode:config.slab_mode phys;
+    slab = Slab.create ~mode:Slab.Secure phys;
     cgroups = Cgroup.create ();
     graph;
     trace = Trace.create graph;
@@ -104,11 +89,11 @@ let spawn t ~name =
   (* Kernel stack (vmalloc-style, tracked into the DSV; paper §6.1). *)
   Process.set_kstack p (alloc_frame_exn t owner);
   (* Kernel-side working set. *)
-  for _ = 1 to t.cfg.data_frames_per_proc do
+  for _ = 1 to data_frames_per_proc do
     Process.note_data_frame p (alloc_frame_exn t owner)
   done;
   (* Resident slab objects (file table, task bookkeeping, ...). *)
-  for i = 1 to t.cfg.resident_objects do
+  for i = 1 to resident_objects do
     let size = Slab.size_classes.(i mod Array.length Slab.size_classes) in
     ignore (Slab.kmalloc t.slab ~owner ~size)
   done;

@@ -9,19 +9,11 @@
     [Pv_sim]; {!exec_syscall} returns the parameters the machine loads into
     the kernel-mode registers before redirecting fetch to the entry. *)
 
-type config = {
-  frames : int;  (** physical frames (4 KiB each) *)
-  slab_mode : Slab.mode;
-  graph_config : Callgraph.config;
-  data_frames_per_proc : int;  (** kernel-side working-set frames per process *)
-  resident_objects : int;  (** long-lived kmalloc objects per process *)
-}
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> seed:int -> unit -> t
+val create : seed:int -> unit -> t
+(** A kernel over 65_536 physical frames (4 KiB each) with the secure slab
+    allocator and the call graph of [seed] ({!Callgraph.synthesize}). *)
 
 val phys : t -> Physmem.t
 val slab : t -> Slab.t

@@ -40,13 +40,9 @@ type t = {
   mutable pending_ret : int;
 }
 
-let create ?kernel_config ?(pipe_config = Pipeline.default_config)
-    ?(mem_config = Memsys.default_config) ~seed ~syscalls () =
-  let kernel =
-    match kernel_config with
-    | Some c -> Kernel.create ~config:c ~seed ()
-    | None -> Kernel.create ~seed ()
-  in
+let create ?(pipe_config = Pipeline.default_config) ?(mem_config = Memsys.default_config) ~seed
+    ~syscalls () =
+  let kernel = Kernel.create ~seed () in
   let kimage = Kimage.build (Kernel.graph kernel) ~seed ~fid_base:0 ~syscalls in
   {
     seed;
@@ -349,8 +345,9 @@ let check_result ~name (r : Pipeline.result) =
 (* A job bundles every input of a single-workload measurement run.  All
    fields are plain data (or pure closures), so a job can be shipped to any
    domain of a Pv_util.Pool: run_job builds a private machine — kernel,
-   memory, pipeline, RNGs, view caches — from scratch and shares nothing
-   with concurrent jobs. *)
+   memory, pipeline, RNGs, view caches — from scratch.  Jobs of one seed
+   share that seed's call graph, which is immutable; nothing mutable is
+   shared with concurrent jobs. *)
 type job = {
   job_seed : int;
   job_syscalls : int list;

@@ -20,7 +20,6 @@ type handle
 (** A spawned process together with its user code. *)
 
 val create :
-  ?kernel_config:Pv_kernel.Kernel.config ->
   ?pipe_config:Pv_uarch.Pipeline.config ->
   ?mem_config:Pv_uarch.Memsys.config ->
   seed:int ->
@@ -109,7 +108,9 @@ val seed_frame : t -> int -> unit
     {!run_job} executes the whole lifecycle (create, add_process, freeze,
     profile, install_defense, run) on a {e private} machine, sharing no
     mutable state — kernel, memory, pipeline, RNG, view caches — with any
-    concurrent job.  Equal jobs yield bit-identical results on any domain. *)
+    concurrent job.  Jobs of one seed share that seed's call graph
+    ({!Pv_kernel.Callgraph.synthesize}), which is immutable.  Equal jobs
+    yield bit-identical results on any domain. *)
 
 type job = {
   job_seed : int;

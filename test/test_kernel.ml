@@ -12,6 +12,7 @@ module Trace = Pv_kernel.Trace
 module Kernel = Pv_kernel.Kernel
 module Kimage = Pv_kernel.Kimage
 module Codegen = Pv_kernel.Codegen
+module Pool = Pv_util.Pool
 module Layout = Pv_isa.Layout
 module Bitset = Pv_util.Bitset
 module Rng = Pv_util.Rng
@@ -255,15 +256,52 @@ let test_graph_shape () =
     check Alcotest.(option int) "entry inverse" (Some nr) (Callgraph.syscall_of_entry graph e)
   done
 
+(* Known answers recorded on the list-of-callees representation: an MD5
+   over every node's name, direct callees in order, dispatch targets, cold
+   flag, depth and indirect-only flag.  A representation change that
+   reorders a single edge fails here. *)
+let graph_digest g =
+  let b = Buffer.create (1 lsl 20) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  for n = 0 to Callgraph.nnodes g - 1 do
+    Printf.bprintf b "%s:%s|%s|%b|%d|%b;" (Callgraph.node_name g n)
+      (ints (Callgraph.direct_callees g n))
+      (ints (Callgraph.indirect_targets g n))
+      (Callgraph.is_cold g n) (Callgraph.depth g n) (Callgraph.indirect_only g n)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let graph_kat =
+  [
+    (42, "53ee73669bef56e9c45039780896777a");
+    (7, "c2a9359f95f21b56634858eb23d5123e");
+    (43, "f642f046e992c575d65ddda3037a0fd7");
+  ]
+
+let test_graph_kat () =
+  check Alcotest.string "seed 42" (List.assoc 42 graph_kat) (graph_digest graph);
+  check Alcotest.string "seed 7" (List.assoc 7 graph_kat) (graph_digest (Callgraph.synthesize 7))
+
+(* One shared slot: a repeated seed returns the very same value, and
+   another seed evicts it, so the next request rebuilds an equal graph. *)
 let test_graph_determinism () =
-  let g2 = Callgraph.synthesize 42 in
-  check Alcotest.(list int) "same edges" (Callgraph.direct_callees graph 100)
-    (Callgraph.direct_callees g2 100);
-  let g3 = Callgraph.synthesize 43 in
+  let g42 = Callgraph.synthesize 42 in
+  Alcotest.(check bool) "same seed, same value" true (Callgraph.synthesize 42 == g42);
+  let g43 = Callgraph.synthesize 43 in
   Alcotest.(check bool) "different seed differs" true
     (List.exists
-       (fun n -> Callgraph.direct_callees graph n <> Callgraph.direct_callees g3 n)
-       (List.init 500 (fun i -> i)))
+       (fun n -> Callgraph.direct_callees g42 n <> Callgraph.direct_callees g43 n)
+       (List.init 500 (fun i -> i)));
+  let again = Callgraph.synthesize 42 in
+  Alcotest.(check bool) "evicted, then rebuilt" true (again != g42);
+  check Alcotest.string "rebuilt graph" (List.assoc 42 graph_kat) (graph_digest again)
+
+let test_graph_shared_across_domains () =
+  let seeds = List.concat (List.init 4 (fun _ -> [ 42; 43; 7 ])) in
+  let digests = Pool.run ~jobs:4 (fun seed -> graph_digest (Callgraph.synthesize seed)) seeds in
+  List.iter2
+    (fun seed d -> check Alcotest.string (Printf.sprintf "seed %d" seed) (List.assoc seed graph_kat) d)
+    seeds digests
 
 let test_graph_static_reachability () =
   let entry = Callgraph.entry_of_syscall graph Sysno.sys_read in
@@ -523,7 +561,9 @@ let suite =
     ( "kernel.callgraph",
       [
         Alcotest.test_case "shape" `Quick test_graph_shape;
+        Alcotest.test_case "known answers" `Quick test_graph_kat;
         Alcotest.test_case "determinism" `Quick test_graph_determinism;
+        Alcotest.test_case "shared across domains" `Quick test_graph_shared_across_domains;
         Alcotest.test_case "static reachability" `Quick test_graph_static_reachability;
         Alcotest.test_case "indirect pool invisibility" `Quick test_graph_indirect_only;
         Alcotest.test_case "trace subset" `Quick test_graph_trace_subset;
