@@ -8,11 +8,13 @@
      security     PoC verdict matrix as a supervised sweep (Chapter 8)
      contracts    empirical leakage-contract matrix (attacks x schemes)
      sensitivity  view-cache capacity sweep, supervised
-     hw           view-cache hardware characterization (Table 9.1)
-     params       simulation parameters (Table 7.1)
-     cves         the kernel CVE taxonomy (Table 4.1) *)
+     reproduce    every table and figure of the evaluation, section by section
+
+   The sweeps and tables of each experiment live in [Pv_reproduce.Reproduce],
+   so a subcommand and its reproduce section print the same bytes. *)
 
 module E = Pv_experiments
+module R = Pv_reproduce.Reproduce
 module Tab = Pv_util.Tab
 module Defense = Perspective.Defense
 module Isv = Perspective.Isv
@@ -47,10 +49,11 @@ let scheme_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let scale_arg =
+let scale_arg default =
   Arg.(
-    value & opt float 1.0
-    & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (iterations/requests).")
+    value & opt float default
+    & info [ "scale" ] ~docv:"F"
+        ~doc:"Workload scale factor (iterations/requests); must be positive and finite.")
 
 let jobs_arg =
   Arg.(
@@ -206,8 +209,10 @@ let output_error ~flag ?(dir = false) path =
    cache counters afterwards if asked.  Validation failures are one-line
    stderr diagnostics with exit code 2 (usage error) — notably a --resume
    pointing at a missing, empty or fully-torn checkpoint, which must not
-   surface as an exception backtrace. *)
-let with_sup_config ?(outputs = []) ((config : E.Supervise.config), cache_stats) f =
+   surface as an exception backtrace.  Commands with a --scale pass it as
+   [scale]. *)
+let with_sup_config ?(outputs = []) ?(scale = 1.0) ((config : E.Supervise.config), cache_stats)
+    f =
   let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
   let checkpoint_error =
     Option.bind config.checkpoint (output_error ~flag:"--checkpoint")
@@ -216,6 +221,8 @@ let with_sup_config ?(outputs = []) ((config : E.Supervise.config), cache_stats)
   | Some msg -> usage "%s" msg
   | None when config.resume && config.checkpoint = None ->
     usage "--resume requires --checkpoint FILE"
+  | None when not (scale > 0.0 && Float.is_finite scale) ->
+    usage "--scale must be a positive finite number, got %g" scale
   | None when cache_stats && config.cache = None ->
     usage "--cache-stats requires --cache DIR (and not --no-cache)"
   | None when config.jobs < 1 -> usage "-j must be >= 1"
@@ -254,7 +261,7 @@ let with_sup_config ?(outputs = []) ((config : E.Supervise.config), cache_stats)
       if cache_stats then Option.iter Pv_util.Rescache.report config.cache;
       code
 
-(* --- telemetry flags (perf) --- *)
+(* --- telemetry flags (perf, service, reproduce) --- *)
 
 let metrics_arg =
   Arg.(
@@ -277,28 +284,6 @@ let trace_dir_arg =
            with cycle stamps) for every cell and dump one JSONL file per cell into \
            $(docv).")
 
-let write_traces ~dir (sweep : _ E.Supervise.sweep) =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  List.iter
-    (fun (key, run) ->
-      match run with
-      | None -> ()
-      | Some r ->
-        let file =
-          Filename.concat dir
-            (String.map (fun c -> if c = '/' then '_' else c) key ^ ".jsonl")
-        in
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            List.iter
-              (fun ev ->
-                output_string oc (Pv_uarch.Pipeline.event_to_json ev);
-                output_char oc '\n')
-              r.E.Perf.events))
-    sweep.E.Supervise.results
-
 (* --- attack --- *)
 
 let attack_kinds = [ "v1"; "v2"; "rsb"; "all" ]
@@ -310,27 +295,6 @@ let attack_cmd =
       & info [] ~docv:"ATTACK" ~doc:"v1 (active), v2 (passive), rsb (passive), or all.")
   in
   let run kind scheme seed =
-    let verdict label secret leaked fences =
-      Printf.printf "  %-22s secret=%3d leaked=%-4s fences=%-3d -> %s\n" label secret
-        (match leaked with Some v -> string_of_int v | None -> "none")
-        fences
-        (if leaked = Some secret then "SECRET LEAKED" else "blocked")
-    in
-    let v1 s =
-      let o = Pv_attacks.Spectre_v1.run ~seed ~scheme:s () in
-      verdict o.Pv_attacks.Spectre_v1.scheme o.Pv_attacks.Spectre_v1.secret
-        o.Pv_attacks.Spectre_v1.leaked o.Pv_attacks.Spectre_v1.fences
-    in
-    let v2 s =
-      let o = Pv_attacks.Spectre_v2.run ~seed ~scheme:s () in
-      verdict o.Pv_attacks.Spectre_v2.scheme o.Pv_attacks.Spectre_v2.secret
-        o.Pv_attacks.Spectre_v2.leaked o.Pv_attacks.Spectre_v2.fences
-    in
-    let rsb s =
-      let o = Pv_attacks.Spectre_rsb.run ~seed ~scheme:s () in
-      verdict o.Pv_attacks.Spectre_rsb.scheme o.Pv_attacks.Spectre_rsb.secret
-        o.Pv_attacks.Spectre_rsb.leaked o.Pv_attacks.Spectre_rsb.fences
-    in
     let schemes =
       match scheme with
       | Some s -> [ s ]
@@ -342,18 +306,32 @@ let attack_cmd =
           Defense.Safespec; Defense.Specbox;
         ]
     in
-    let section name f =
-      Printf.printf "%s:\n" name;
-      List.iter f schemes
+    let families =
+      [
+        ("v1", "Spectre v1 (active)", fun scheme -> Pv_attacks.Spectre_v1.run ~seed ~scheme ());
+        ( "v2",
+          "Spectre v2 (passive, type confusion)",
+          fun scheme -> Pv_attacks.Spectre_v2.run ~seed ~scheme () );
+        ( "rsb",
+          "Spectre-RSB (passive, ret2spec)",
+          fun scheme -> Pv_attacks.Spectre_rsb.run ~seed ~scheme () );
+      ]
     in
-    (match kind with
-    | "v1" -> section "Spectre v1 (active)" v1
-    | "v2" -> section "Spectre v2 (passive, type confusion)" v2
-    | "rsb" -> section "Spectre-RSB (passive, ret2spec)" rsb
-    | _ ->
-      section "Spectre v1 (active)" v1;
-      section "Spectre v2 (passive, type confusion)" v2;
-      section "Spectre-RSB (passive, ret2spec)" rsb);
+    List.iter
+      (fun (name, title, attack) ->
+        if kind = name || kind = "all" then begin
+          Printf.printf "%s:\n" title;
+          List.iter
+            (fun scheme ->
+              let (o : Pv_attacks.Lab.outcome) = attack scheme in
+              Printf.printf "  %-22s secret=%3d leaked=%-4s fences=%-3d -> %s\n" o.scheme
+                o.secret
+                (match o.leaked with Some v -> string_of_int v | None -> "none")
+                o.fences
+                (if o.success then "SECRET LEAKED" else "blocked"))
+            schemes
+        end)
+      families;
     0
   in
   let doc = "Run transient-execution attack PoCs on the simulator." in
@@ -362,16 +340,7 @@ let attack_cmd =
 (* --- surface --- *)
 
 let surface_cmd =
-  let run seed sup =
-    with_sup_config sup (fun config ->
-        let study = E.Isv_study.build ~seed () in
-        Tab.print (E.Isv_study.surface_table study);
-        Tab.print (E.Isv_study.gadget_table study);
-        let sweep = E.Supervise.run ~config (E.Isv_study.speedup_cells ~seed study) in
-        Tab.print (E.Isv_study.speedup_table_rows sweep.E.Supervise.results);
-        E.Supervise.report ~label:"surface" sweep;
-        E.Supervise.exit_code [ sweep ])
-  in
+  let run seed sup = with_sup_config sup (R.sections (fun r -> R.surface r ~seed)) in
   let doc = "ISV attack-surface study: Tables 8.1/8.2 and Figure 9.1." in
   Cmd.v (Cmd.info "surface" ~doc) Term.(const run $ seed_arg $ sup_term)
 
@@ -384,7 +353,7 @@ let perf_cmd =
       & info [ "w"; "workload" ] ~docv:"NAME"
           ~doc:"One LEBench test or app name; default: everything.")
   in
-  let run workload scheme seed scale sup metrics_file trace_dir =
+  let run workload scheme seed scale sup metrics trace_dir =
     let variants =
       match scheme with
       | Some s ->
@@ -398,7 +367,7 @@ let perf_cmd =
              (E.Schemes.standard @ E.Schemes.hardware)
       | None -> E.Schemes.standard @ E.Schemes.hardware
     in
-    let micro_tests =
+    let tests =
       match workload with
       | None -> Pv_workloads.Lebench.tests
       | Some w -> (
@@ -411,70 +380,31 @@ let perf_cmd =
       | None -> Pv_workloads.Apps.all
       | Some w -> List.filter (fun a -> a.Pv_workloads.Apps.name = w) Pv_workloads.Apps.all
     in
-    if micro_tests = [] && apps = [] then begin
+    if tests = [] && apps = [] then begin
       Printf.eprintf "unknown workload\n";
       2
     end
     else
-      (* The two sweeps share the checkpoint journal (their key spaces are
-         disjoint), so the stale-journal removal must happen exactly once. *)
       let outputs =
         [
-          Option.bind metrics_file (output_error ~flag:"--metrics");
+          Option.bind metrics (output_error ~flag:"--metrics");
           Option.bind trace_dir (output_error ~flag:"--trace-dir" ~dir:true);
         ]
       in
-      with_sup_config ~outputs sup (fun config ->
-      let trace = trace_dir <> None in
-      let labels = List.map (fun v -> v.E.Schemes.label) variants in
-      let width = List.length variants in
-      let sweeps = ref [] in
-      let exports = ref [] in
-      let supervised ~label cells =
-        let t0 = Unix.gettimeofday () in
-        let sweep = E.Supervise.run ~config cells in
-        (if metrics_file <> None then
-           let elapsed = Unix.gettimeofday () -. t0 in
-           exports :=
-             E.Supervise.export ~elapsed
-               ~metrics_of:(fun r -> r.E.Perf.metrics)
-               ~label sweep
-             :: !exports);
-        Option.iter (fun dir -> write_traces ~dir sweep) trace_dir;
-        sweep
-      in
-      if micro_tests <> [] then begin
-        let sweep =
-          supervised ~label:"lebench"
-            (E.Perf.lebench_cells ~seed ~scale ~trace ~tests:micro_tests ~variants ())
-        in
-        let names = List.map (fun t -> t.Pv_workloads.Lebench.name) micro_tests in
-        Tab.print
-          (E.Perf_report.fig_lebench_partial ~labels
-             (E.Perf.matrix_of_sweep ~names ~width sweep));
-        E.Supervise.report ~label:"lebench" sweep;
-        sweeps := sweep :: !sweeps
-      end;
-      if apps <> [] then begin
-        let sweep =
-          supervised ~label:"apps"
-            (E.Perf.apps_cells ~seed ~scale ~trace ~apps ~variants ())
-        in
-        let names = List.map (fun a -> a.Pv_workloads.Apps.name) apps in
-        Tab.print
-          (E.Perf_report.fig_apps_partial ~labels
-             (E.Perf.matrix_of_sweep ~names ~width sweep));
-        E.Supervise.report ~label:"apps" sweep;
-        sweeps := sweep :: !sweeps
-      end;
-      Option.iter (fun file -> E.Supervise.write_json ~file (List.rev !exports)) metrics_file;
-      E.Supervise.exit_code !sweeps)
+      with_sup_config ~outputs ~scale sup
+        (R.sections (fun r ->
+             let labels = List.map (fun v -> v.E.Schemes.label) variants in
+             let micro, macro =
+               R.perf_matrices r ~seed ~scale ~variants ~tests ~apps ?metrics ?trace_dir ()
+             in
+             if tests <> [] then Tab.print (E.Perf_report.fig_lebench_partial ~labels micro);
+             if apps <> [] then Tab.print (E.Perf_report.fig_apps_partial ~labels macro)))
   in
   let doc = "Cycle-level performance runs (Figures 9.2/9.3)." in
   Cmd.v
     (Cmd.info "perf" ~doc)
     Term.(
-      const run $ workload $ scheme_arg $ seed_arg $ scale_arg $ sup_term
+      const run $ workload $ scheme_arg $ seed_arg $ scale_arg 1.0 $ sup_term
       $ metrics_arg $ trace_dir_arg)
 
 (* --- service --- *)
@@ -603,26 +533,11 @@ let service_cmd =
             else if requests <= 0 then usage "--requests must be positive"
             else
               let outputs = [ Option.bind metrics_file (output_error ~flag:"--metrics") ] in
-              with_sup_config ~outputs sup (fun config ->
-              let server = { E.Loadsweep.Server.cores; queue_bound; dispatch } in
-              let t0 = Unix.gettimeofday () in
-              let outcome =
-                E.Loadsweep.run ~config ~seed ~requests ~server ~loads ~apps ~variants ()
-              in
-              Tab.print
-                (E.Loadsweep.table ~server ~requests ~apps ~labels ~loads
-                   outcome.E.Loadsweep.point_sweep);
-              Tab.print
-                (E.Loadsweep.knee_table ~apps ~labels ~loads
-                   outcome.E.Loadsweep.point_sweep);
-              E.Supervise.report ~label:"service-cal" outcome.E.Loadsweep.cal_sweep;
-              E.Supervise.report ~label:"service" outcome.E.Loadsweep.point_sweep;
-              Option.iter
-                (fun file ->
-                  let elapsed = Unix.gettimeofday () -. t0 in
-                  E.Supervise.write_json ~file (E.Loadsweep.exports ~elapsed outcome))
-                metrics_file;
-              E.Loadsweep.exit_code outcome))))
+              with_sup_config ~outputs sup
+                (R.sections (fun r ->
+                     let server = { E.Loadsweep.Server.cores; queue_bound; dispatch } in
+                     R.service r ~seed ~requests ~server ~loads ~apps ~variants
+                       ?metrics:metrics_file ())))))
   in
   let doc =
     "Open-loop request serving: load-latency curves, saturation knees and overload \
@@ -656,12 +571,7 @@ let security_cmd =
         with Invalid_argument msg -> Error msg
       with
       | Error msg -> usage "%s" msg
-      | Ok cells ->
-        with_sup_config sup (fun config ->
-            let sweep = E.Supervise.run ~config cells in
-            Tab.print (E.Security.poc_table_partial sweep.E.Supervise.results);
-            E.Supervise.report ~label:"pocs" sweep;
-            E.Supervise.exit_code [ sweep ])
+      | Ok cells -> with_sup_config sup (R.sections (fun r -> R.pocs r cells))
   in
   let doc =
     "Proof-of-concept transient-execution attacks under every scheme (Chapter 8), \
@@ -717,18 +627,8 @@ let contracts_cmd =
       | Error msg -> usage "%s" msg
       | Ok (schemes, cells) ->
         let outputs = [ Option.bind csv (output_error ~flag:"--csv") ] in
-        with_sup_config ~outputs sup (fun config ->
-            let sweep = E.Supervise.run ~config cells in
-            let results = sweep.E.Supervise.results in
-            Tab.print (C.matrix_table ?attacks ?schemes results);
-            Option.iter
-              (fun file ->
-                let oc = open_out file in
-                output_string oc (C.matrix_csv ?attacks ?schemes results);
-                close_out oc)
-              csv;
-            E.Supervise.report ~label:"contracts" sweep;
-            E.Supervise.exit_code [ sweep ])
+        with_sup_config ~outputs sup
+          (R.sections (fun r -> R.contracts r ?attacks ?schemes ?csv cells))
   in
   let doc =
     "Empirical leakage-contract matrix: run every attack twice with differing \
@@ -742,37 +642,57 @@ let contracts_cmd =
 
 let sensitivity_cmd =
   let run seed scale sup =
-    with_sup_config sup (fun config ->
-        let sweep = E.Supervise.run ~config (E.Sensitivity.cache_size_cells ~seed ~scale ()) in
-        Tab.print (E.Sensitivity.cache_size_table sweep.E.Supervise.results);
-        E.Supervise.report ~label:"cache-size" sweep;
-        E.Supervise.exit_code [ sweep ])
-  in
-  let scale_arg =
-    Arg.(
-      value & opt float 0.6
-      & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (iterations/requests).")
+    with_sup_config ~scale sup (R.sections (fun r -> R.cache_size r ~seed ~scale))
   in
   let doc = "View-cache capacity sensitivity sweep (32..512 entries), supervised." in
   Cmd.v
     (Cmd.info "sensitivity" ~doc)
-    Term.(const run $ seed_arg $ scale_arg $ sup_term)
+    Term.(const run $ seed_arg $ scale_arg 0.6 $ sup_term)
 
-(* --- small static commands --- *)
+(* --- reproduce --- *)
 
-let table_cmd name doc table =
-  let run () =
-    Tab.print (table ());
-    0
+let reproduce_cmd =
+  let only_arg =
+    Arg.(
+      value
+      & opt (some (enum (List.map (fun l -> (l, l)) R.labels))) None
+      & info [ "only" ] ~docv:"LABEL"
+          ~doc:(Printf.sprintf "Run one section only: %s." (Arg.doc_alts R.labels)))
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ const ())
-
-let hw_cmd = table_cmd "hw" "View-cache hardware characterization (Table 9.1)."
-    E.Static_tables.hw_characterization
-
-let params_cmd = table_cmd "params" "Simulation parameters (Table 7.1)." E.Static_tables.sim_params
-
-let cves_cmd = table_cmd "cves" "Kernel CVE taxonomy (Table 4.1)." E.Security.cve_table
+  let quick_arg =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Scaled-down run: the same as $(b,--scale 0.3).")
+  in
+  let csv_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:
+            "Also write Figures 9.2, 9.3 and 9.3-tail and the contract matrix as CSV \
+             files into $(docv), created if missing.")
+  in
+  let run only quick scale csv metrics trace_dir sup =
+    let scale = if quick then 0.3 else scale in
+    let outputs =
+      [
+        Option.bind csv (output_error ~flag:"--csv" ~dir:true);
+        Option.bind metrics (output_error ~flag:"--metrics");
+        Option.bind trace_dir (output_error ~flag:"--trace-dir" ~dir:true);
+      ]
+    in
+    with_sup_config ~outputs ~scale sup (fun config ->
+        R.run ~config ~scale ?only ?csv ?metrics ?trace_dir ())
+  in
+  let doc =
+    "Regenerate every table and figure of the evaluation (several minutes at full \
+     scale), section by section, as the per-experiment subcommands print them.  \
+     $(b,--metrics) and $(b,--trace-dir) cover the performance matrices."
+  in
+  Cmd.v
+    (Cmd.info "reproduce" ~doc)
+    Term.(
+      const run $ only_arg $ quick_arg $ scale_arg 1.0 $ csv_arg $ metrics_arg $ trace_dir_arg
+      $ sup_term)
 
 let () =
   let doc = "Perspective: pliable and secure speculation in operating systems (reproduction)" in
@@ -781,7 +701,7 @@ let () =
     Cmd.group info
       [
         attack_cmd; surface_cmd; perf_cmd; service_cmd; security_cmd; contracts_cmd;
-        sensitivity_cmd; hw_cmd; params_cmd; cves_cmd;
+        sensitivity_cmd; reproduce_cmd;
       ]
   in
   (* Exit codes: 0 clean, 1 a sweep had failed cells (commands return it),

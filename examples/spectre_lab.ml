@@ -43,13 +43,13 @@ let () =
   in
   row "Spectre v1 (active)" (fun scheme ->
       let o = Pv_attacks.Spectre_v1.run ~scheme () in
-      (o.Pv_attacks.Spectre_v1.secret, o.Pv_attacks.Spectre_v1.leaked));
+      (o.Pv_attacks.Lab.secret, o.Pv_attacks.Lab.leaked));
   row "Spectre v2 (passive)" (fun scheme ->
       let o = Pv_attacks.Spectre_v2.run ~scheme () in
-      (o.Pv_attacks.Spectre_v2.secret, o.Pv_attacks.Spectre_v2.leaked));
+      (o.Pv_attacks.Lab.secret, o.Pv_attacks.Lab.leaked));
   row "Spectre-RSB (passive)" (fun scheme ->
       let o = Pv_attacks.Spectre_rsb.run ~scheme () in
-      (o.Pv_attacks.Spectre_rsb.secret, o.Pv_attacks.Spectre_rsb.leaked));
+      (o.Pv_attacks.Lab.secret, o.Pv_attacks.Lab.leaked));
   Printf.printf "%s\n" (String.make 80 '-');
   Printf.printf
     "Every verdict above is read back from simulated microarchitectural state:\n\

@@ -75,18 +75,33 @@ let warm t va = ignore (Memsys.data_read t.ms va)
 let warm_code t ~asid va =
   ignore (Memsys.inst_read t.ms (Pv_isa.Layout.phys_key ~asid va))
 
-let reload_cycles t va = Memsys.reload_latency t.ms va
+type outcome = {
+  scheme : string;
+  secret : int;
+  leaked : int option;
+  success : bool;
+  fences : int;
+  hot_slot_count : int;
+}
 
 (* Anything faster than an L2 round trip counts as a cache hit for the
    reload decoder. *)
 let hit_threshold = 9
 
-let hot_slots t ~base ~slots =
-  let hits = ref [] in
-  for s = slots - 1 downto 0 do
-    if reload_cycles t (base + (s * 64)) < hit_threshold then hits := s :: !hits
+let readout t ~scheme ~secret ~fences ~transmit =
+  let hot = ref [] in
+  for s = 255 downto 0 do
+    if Memsys.reload_latency t.ms (transmit + (s * 64)) < hit_threshold then hot := s :: !hot
   done;
-  !hits
+  let leaked = match !hot with [ s ] -> Some s | _ -> None in
+  {
+    scheme = Defense.scheme_name scheme;
+    secret;
+    leaked;
+    success = leaked = Some secret;
+    fences;
+    hot_slot_count = List.length !hot;
+  }
 
 let store t va v = Mem.store t.mem va v
 

@@ -50,11 +50,26 @@ val warm_code : t -> asid:int -> int -> unit
 (** Warm the instruction line holding a code VA for the given address space
     (models gadget code living in a hot shared-library text page). *)
 
-val reload_cycles : t -> int -> int
+type outcome = {
+  scheme : string;
+  secret : int;  (** the planted secret byte *)
+  leaked : int option;  (** what flush+reload recovered, if anything *)
+  success : bool;  (** [leaked = Some secret] *)
+  fences : int;  (** fences during the attack run *)
+  hot_slot_count : int;  (** covert-channel lines observed hot *)
+}
+(** What one attack run measured; every PoC returns one. *)
 
-val hot_slots : t -> base:int -> slots:int -> int list
-(** Reload-timing sweep over [slots] 64-byte slots; returns those that hit
-    (latency below the L2 threshold). *)
+val readout :
+  t ->
+  scheme:Perspective.Defense.scheme ->
+  secret:int ->
+  fences:int ->
+  transmit:int ->
+  outcome
+(** The attacker's reload: time the 256 64-byte covert-channel slots from
+    [transmit]; a slot hits when its latency is below the L2 threshold, and
+    the secret is recovered when exactly one slot hits. *)
 
 val store : t -> int -> int -> unit
 val load : t -> int -> int

@@ -10,15 +10,6 @@ module Isv = Perspective.Isv
 module Bitset = Pv_util.Bitset
 module Rng = Pv_util.Rng
 
-type outcome = {
-  scheme : string;
-  secret : int;
-  leaked : int option;
-  success : bool;
-  fences : int;
-  hot_slot_count : int;
-}
-
 (* fids: 0 = victim syscall V (kernel), 1 = small callee D (user),
    2 = attacker poisoner with embedded gadget (user), 3 = victim driver. *)
 let v_fid = 0
@@ -145,16 +136,7 @@ let run ?(seed = 13) ?secret ?(trace = false) ?on_commit ?observe ~scheme () =
   let delta = Pipeline.diff_counters (Pipeline.counters pipe) before in
   (* Observation point for the contract checker (pre-reload). *)
   (match observe with Some f -> f lab | None -> ());
-  let hot = Lab.hot_slots lab ~base:transmit ~slots:256 in
-  let leaked = match hot with [ s ] -> Some s | _ -> None in
-  {
-    scheme = Defense.scheme_name scheme;
-    secret;
-    leaked;
-    success = leaked = Some secret;
-    fences = Pipeline.total_fences delta;
-    hot_slot_count = List.length hot;
-  }
+  Lab.readout lab ~scheme ~secret ~fences:(Pipeline.total_fences delta) ~transmit
 
 let run_all ?(seed = 13) () =
   let schemes =

@@ -11,15 +11,6 @@
     The victim's ISV cannot contain attacker user code, so Perspective fences
     the gadget's transmitters regardless of how the ISV was generated. *)
 
-type outcome = {
-  scheme : string;
-  secret : int;
-  leaked : int option;
-  success : bool;
-  fences : int;
-  hot_slot_count : int;
-}
-
 val run :
   ?seed:int ->
   ?secret:int ->
@@ -28,9 +19,9 @@ val run :
   ?observe:(Lab.t -> unit) ->
   scheme:Perspective.Defense.scheme ->
   unit ->
-  outcome
+  Lab.outcome
 (** [secret] overrides the seed-derived planted byte (masked to 0–255;
     layout is secret-independent).  [trace]/[on_commit]/[observe] are the
     contract checker's observation taps — see {!Spectre_v1.run}. *)
 
-val run_all : ?seed:int -> unit -> outcome list
+val run_all : ?seed:int -> unit -> Lab.outcome list

@@ -16,15 +16,6 @@ let variant_name = function
   | Pointer_arith -> "pointer-arith (eBPF CVEs)"
   | Type_confusion -> "type-confusion (CVE-2021-33624)"
 
-type outcome = {
-  scheme : string;
-  secret : int;
-  leaked : int option;
-  success : bool;
-  fences : int;
-  hot_slot_count : int;
-}
-
 (* Function ids: 0 = vulnerable syscall (kernel), 1 = attacker train loop
    (user), 2 = attacker out-of-bounds trigger (user). *)
 let vuln_fid = 0
@@ -208,16 +199,7 @@ let run ?(seed = 7) ?(variant = Array_index) ?secret ?(trace = false) ?on_commit
      sweep perturbs them. *)
   (match observe with Some f -> f lab | None -> ());
   (* 5. Reload: which covert-channel line became hot? *)
-  let hot = Lab.hot_slots lab ~base:transmit ~slots:256 in
-  let leaked = match hot with [ s ] -> Some s | _ -> None in
-  {
-    scheme = Defense.scheme_name scheme;
-    secret;
-    leaked;
-    success = leaked = Some secret;
-    fences = Pipeline.total_fences delta;
-    hot_slot_count = List.length hot;
-  }
+  Lab.readout lab ~scheme ~secret ~fences:(Pipeline.total_fences delta) ~transmit
 
 let run_all ?(seed = 7) () =
   let schemes =
@@ -235,7 +217,7 @@ let run_all ?(seed = 7) () =
   in
   List.map (fun scheme -> run ~seed ~scheme ()) schemes
 
+let variants = [ Array_index; Pointer_arith; Type_confusion ]
+
 let run_variants ?(seed = 7) ~scheme () =
-  List.map
-    (fun variant -> run ~seed ~variant ~scheme ())
-    [ Array_index; Pointer_arith; Type_confusion ]
+  List.map (fun variant -> run ~seed ~variant ~scheme ()) variants

@@ -26,15 +26,6 @@ type variant =
 
 val variant_name : variant -> string
 
-type outcome = {
-  scheme : string;
-  secret : int;  (** the planted secret byte *)
-  leaked : int option;  (** what flush+reload recovered, if anything *)
-  success : bool;  (** [leaked = Some secret] *)
-  fences : int;  (** fences during the attack run *)
-  hot_slot_count : int;  (** covert-channel lines observed hot *)
-}
-
 val run :
   ?seed:int ->
   ?variant:variant ->
@@ -44,7 +35,7 @@ val run :
   ?observe:(Lab.t -> unit) ->
   scheme:Perspective.Defense.scheme ->
   unit ->
-  outcome
+  Lab.outcome
 (** Default variant: [Array_index].  [secret] overrides the seed-derived
     planted byte (masked to 0–255); the memory layout is secret-independent,
     which is what makes the contract checker's two-secret diff meaningful.
@@ -52,8 +43,11 @@ val run :
     commit stream; [observe] runs after the attack but {e before} the
     flush+reload sweep, on pristine post-attack cache state. *)
 
-val run_all : ?seed:int -> unit -> outcome list
+val run_all : ?seed:int -> unit -> Lab.outcome list
 (** One outcome per scheme in {!Perspective.Defense.all_schemes}. *)
 
-val run_variants : ?seed:int -> scheme:Perspective.Defense.scheme -> unit -> outcome list
-(** All three Table 4.1 gadget shapes under one scheme. *)
+val variants : variant list
+(** The three Table 4.1 gadget shapes, in table order. *)
+
+val run_variants : ?seed:int -> scheme:Perspective.Defense.scheme -> unit -> Lab.outcome list
+(** Every {!variants} entry under one scheme, in order. *)

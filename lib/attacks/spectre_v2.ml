@@ -10,15 +10,6 @@ module Isv = Perspective.Isv
 module Bitset = Pv_util.Bitset
 module Rng = Pv_util.Rng
 
-type outcome = {
-  scheme : string;
-  secret : int;
-  leaked : int option;
-  success : bool;
-  fences : int;
-  hot_slot_count : int;
-}
-
 (* fids: 0 = dispatching syscall V (kernel), 1 = benign ops T (kernel),
    2 = gadget ops G (kernel), 3 = attacker driver, 4 = victim driver. *)
 let v_fid = 0
@@ -184,16 +175,7 @@ let run ?(seed = 11) ?secret ?(trace = false) ?on_commit ?observe ~scheme () =
   (* Observation point for the contract checker (pre-reload). *)
   (match observe with Some f -> f lab | None -> ());
   (* 4. Attacker decodes the covert channel. *)
-  let hot = Lab.hot_slots lab ~base:transmit ~slots:256 in
-  let leaked = match hot with [ s ] -> Some s | _ -> None in
-  {
-    scheme = Defense.scheme_name scheme;
-    secret;
-    leaked;
-    success = leaked = Some secret;
-    fences = Pipeline.total_fences delta;
-    hot_slot_count = List.length hot;
-  }
+  Lab.readout lab ~scheme ~secret ~fences:(Pipeline.total_fences delta) ~transmit
 
 let run_all ?(seed = 11) () =
   let schemes =
@@ -212,7 +194,7 @@ let run_all ?(seed = 11) () =
   in
   List.map (fun scheme -> run ~seed ~scheme ()) schemes
 
-type patch_outcome = { before_patch : outcome; after_patch : outcome }
+type patch_outcome = { before_patch : Lab.outcome; after_patch : Lab.outcome }
 
 let run_patch_demo ?(seed = 17) () =
   let rng = Rng.create seed in
@@ -287,16 +269,7 @@ let run_patch_demo ?(seed = 17) () =
     | Pipeline.Halted -> ()
     | Pipeline.Out_of_fuel | Pipeline.Fault _ -> failwith "patch demo: victim failed");
     let delta = Pipeline.diff_counters (Pipeline.counters pipe) before in
-    let hot = Lab.hot_slots lab ~base:transmit ~slots:256 in
-    let leaked = match hot with [ s ] -> Some s | _ -> None in
-    {
-      scheme = Defense.scheme_name scheme;
-      secret;
-      leaked;
-      success = leaked = Some secret;
-      fences = Pipeline.total_fences delta;
-      hot_slot_count = List.length hot;
-    }
+    Lab.readout lab ~scheme ~secret ~fences:(Pipeline.total_fences delta) ~transmit
   in
   let before_patch = attack () in
   (* A CVE lands for k_gadget_ops: exclude it from the victim's live view

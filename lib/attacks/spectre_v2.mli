@@ -15,15 +15,6 @@
     cannot stop it ([Perspective Isv.All] leaks); the victim's ISV — which
     does not contain the gadget function — does (paper §5.1). *)
 
-type outcome = {
-  scheme : string;
-  secret : int;
-  leaked : int option;
-  success : bool;
-  fences : int;
-  hot_slot_count : int;
-}
-
 val run :
   ?seed:int ->
   ?secret:int ->
@@ -32,18 +23,18 @@ val run :
   ?observe:(Lab.t -> unit) ->
   scheme:Perspective.Defense.scheme ->
   unit ->
-  outcome
+  Lab.outcome
 (** [secret] overrides the seed-derived planted byte (masked to 0–255;
     layout is secret-independent).  [trace]/[on_commit]/[observe] are the
     contract checker's observation taps — see {!Spectre_v1.run}. *)
 
-val run_all : ?seed:int -> unit -> outcome list
+val run_all : ?seed:int -> unit -> Lab.outcome list
 (** All baseline schemes, the DSV-only configuration
     ([Perspective Isv.All]) and the ISV configurations. *)
 
 type patch_outcome = {
-  before_patch : outcome;  (** gadget (wrongly) trusted by the victim's ISV *)
-  after_patch : outcome;  (** same live system after excluding the gadget *)
+  before_patch : Lab.outcome;  (** gadget (wrongly) trusted by the victim's ISV *)
+  after_patch : Lab.outcome;  (** same live system after excluding the gadget *)
 }
 
 val run_patch_demo : ?seed:int -> unit -> patch_outcome

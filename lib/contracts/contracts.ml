@@ -116,20 +116,13 @@ let observe_run ~attack ~scheme ~seed ~secret =
           c.Pipeline.spec_loads,
           Pipeline.total_fences c )
   in
-  let leaked, hot_slots =
+  let run =
     match attack with
-    | A_v1 variant ->
-      let o =
-        V1.run ~seed ~variant ~secret ~trace:true ~on_commit ~observe ~scheme ()
-      in
-      (o.V1.leaked, o.V1.hot_slot_count)
-    | A_v2 ->
-      let o = V2.run ~seed ~secret ~trace:true ~on_commit ~observe ~scheme () in
-      (o.V2.leaked, o.V2.hot_slot_count)
-    | A_rsb ->
-      let o = Rsb.run ~seed ~secret ~trace:true ~on_commit ~observe ~scheme () in
-      (o.Rsb.leaked, o.Rsb.hot_slot_count)
+    | A_v1 variant -> V1.run ~variant
+    | A_v2 -> V2.run
+    | A_rsb -> Rsb.run
   in
+  let o = run ~seed ~secret ~trace:true ~on_commit ~observe ~scheme () in
   match !captured with
   | None -> failwith "Contracts.observe_run: attack never reached its observation point"
   | Some (cache_digest, event_digest, spec_loads, fences) ->
@@ -137,8 +130,8 @@ let observe_run ~attack ~scheme ~seed ~secret =
       commit_digest = Checksum.digest_hex (Buffer.contents commit_buf);
       event_digest;
       cache_digest;
-      leaked;
-      hot_slots;
+      leaked = o.Lab.leaked;
+      hot_slots = o.Lab.hot_slot_count;
       spec_loads;
       fences;
     }
@@ -246,6 +239,3 @@ let matrix_table ?(attacks = attack_names) ?(schemes = scheme_labels) results =
      CT-SPEC: observations depend on the secret - the scheme leaks under this \
      attack, via the listed components.";
   tab
-
-let matrix_csv ?(attacks = attack_names) ?(schemes = scheme_labels) results =
-  Tab.to_csv (matrix_table ~attacks ~schemes results)

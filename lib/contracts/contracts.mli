@@ -110,5 +110,3 @@ val matrix_table :
 (** Render a sweep's results as the schemes × attacks matrix (rows =
     schemes, columns = attacks); failed cells render as ["FAILED"]. *)
 
-val matrix_csv :
-  ?attacks:string list -> ?schemes:string list -> (string * result option) list -> string

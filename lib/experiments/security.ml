@@ -12,43 +12,23 @@ type poc = {
    fresh machine per scheme and shares nothing); a sweep returns families in
    declaration order, so the verdict list is identical for every [-j]. *)
 let families ?(seed = 7) () =
-  let v1 () =
+  let family attack outcomes () =
     List.map
-      (fun (o : Pv_attacks.Spectre_v1.outcome) ->
+      (fun (o : Pv_attacks.Lab.outcome) ->
         {
-          attack = "Spectre v1 (active)";
+          attack;
           scheme = o.scheme;
           leaked = o.leaked <> None;
           correct = o.success;
           fences = o.fences;
         })
-      (Pv_attacks.Spectre_v1.run_all ~seed ())
+      (outcomes ())
   in
-  let v2 () =
-    List.map
-      (fun (o : Pv_attacks.Spectre_v2.outcome) ->
-        {
-          attack = "Spectre v2 (passive)";
-          scheme = o.scheme;
-          leaked = o.leaked <> None;
-          correct = o.success;
-          fences = o.fences;
-        })
-      (Pv_attacks.Spectre_v2.run_all ~seed:(seed + 1) ())
-  in
-  let rsb () =
-    List.map
-      (fun (o : Pv_attacks.Spectre_rsb.outcome) ->
-        {
-          attack = "Spectre-RSB (passive)";
-          scheme = o.scheme;
-          leaked = o.leaked <> None;
-          correct = o.success;
-          fences = o.fences;
-        })
-      (Pv_attacks.Spectre_rsb.run_all ~seed:(seed + 2) ())
-  in
-  [ ("v1", v1); ("v2", v2); ("rsb", rsb) ]
+  [
+    ("v1", family "Spectre v1 (active)" (Pv_attacks.Spectre_v1.run_all ~seed));
+    ("v2", family "Spectre v2 (passive)" (Pv_attacks.Spectre_v2.run_all ~seed:(seed + 1)));
+    ("rsb", family "Spectre-RSB (passive)" (Pv_attacks.Spectre_rsb.run_all ~seed:(seed + 2)));
+  ]
 
 let family_names = [ "v1"; "v2"; "rsb" ]
 

@@ -39,36 +39,51 @@ let hit_rates ~micro ~macro =
      datacenter rows, with more invocations per machine, show the steady state.";
   tab
 
-let unknown_allocations ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) () =
-  let variant = Schemes.perspective in
-  let unsafe = Schemes.unsafe in
-  (* One pure job per (blocking mode x test): a baseline/variant run pair. *)
-  let specs =
-    List.concat_map
-      (fun block_unknown -> List.map (fun test -> (block_unknown, test)) Lebench.tests)
-      [ true; false ]
-  in
-  let overheads =
-    Pv_util.Pool.run ~jobs
-      (fun (block_unknown, test) ->
-        let base = Perf.run_lebench ~seed ~scale ~block_unknown unsafe test in
-        let run = Perf.run_lebench ~seed ~scale ~block_unknown variant test in
-        Perf.overhead_pct ~baseline:base run)
-      specs
-  in
+(* One cell per (blocking mode x test): a baseline/PERSPECTIVE run pair,
+   reduced to PERSPECTIVE's overhead.  Blocking cells come first. *)
+let unknown_allocation_cells ?(seed = 42) ?(scale = 1.0) () =
+  List.concat_map
+    (fun block_unknown ->
+      List.map
+        (fun test ->
+          Supervise.cell
+            ~cache:
+              (Printf.sprintf
+                 "sensitivity/unknown-alloc|test=%s|block_unknown=%b|seed=%d|scale=%.17g"
+                 test.Lebench.name block_unknown seed scale)
+            (Printf.sprintf "unknown-alloc/%s/%s"
+               (if block_unknown then "block" else "allow")
+               test.Lebench.name)
+            (fun ~fuel ->
+              let run v = Perf.run_lebench ~seed ~scale ~block_unknown ?fuel v test in
+              let base = run Schemes.unsafe in
+              Perf.overhead_pct ~baseline:base (run Schemes.perspective)))
+        Lebench.tests)
+    [ true; false ]
+
+let unknown_allocations_table results =
   let ntests = List.length Lebench.tests in
-  let with_blocking = Stats.mean (List.filteri (fun i _ -> i < ntests) overheads) in
-  let without = Stats.mean (List.filteri (fun i _ -> i >= ntests) overheads) in
-  let attributable = with_blocking -. without in
+  let mean keep =
+    let overheads = List.filteri (fun i _ -> keep i) (List.map snd results) in
+    if List.mem None overheads then None
+    else Some (Stats.mean (List.filter_map Fun.id overheads))
+  in
+  let with_blocking = mean (fun i -> i < ntests) and without = mean (fun i -> i >= ntests) in
+  let attributable =
+    match (with_blocking, without) with
+    | Some w, Some wo -> Some (w -. wo)
+    | _ -> None
+  in
   let tab =
     Tab.create ~title:"9.2: Overhead attributable to unknown allocations (LEBench)"
       ~header:[ ("Configuration", Tab.Left); ("Avg overhead", Tab.Right) ]
   in
-  Tab.row tab [ "PERSPECTIVE (blocking unknown)"; Tab.pct with_blocking ];
-  Tab.row tab [ "PERSPECTIVE (unknown allowed)"; Tab.pct without ];
-  Tab.row tab [ "attributable to unknown allocations"; Tab.pct attributable ];
+  let row name v = Tab.row tab [ name; Option.fold ~none:"FAILED" ~some:Tab.pct v ] in
+  row "PERSPECTIVE (blocking unknown)" with_blocking;
+  row "PERSPECTIVE (unknown allowed)" without;
+  row "attributable to unknown allocations" attributable;
   Tab.caption tab "Paper: unknown allocations account for about 1.5% on LEBench.";
-  (tab, attributable)
+  tab
 
 type fragmentation_result = {
   shared_utilization : float;
@@ -78,92 +93,104 @@ type fragmentation_result = {
   memory_overhead_pct : float;
 }
 
-(* Replay one allocation trace against both slab modes: four tenants with
+(* Replay one allocation trace against one slab mode: four tenants with
    app-like mixes of resident objects and request churn.  Frees pick random
    live objects (object lifetimes are not stack-like in a kernel), which is
    what creates the partial-page fragmentation the secure allocator pays
    for. *)
-let fragmentation ?(seed = 42) ?(jobs = 1) () =
-  let run_mode mode =
-    let phys = Physmem.create ~frames:16_384 in
-    let slab = Slab.create ~mode phys in
-    let rng = Rng.create seed in
-    let ntenants = 4 in
-    (* Per-tenant growable object array with O(1) swap-remove. *)
-    let live = Array.init ntenants (fun _ -> ref (Array.make 64 0)) in
-    let len = Array.make ntenants 0 in
-    let push t va =
-      let arr = live.(t) in
-      if len.(t) = Array.length !arr then begin
-        let bigger = Array.make (2 * Array.length !arr) 0 in
-        Array.blit !arr 0 bigger 0 len.(t);
-        arr := bigger
-      end;
-      !arr.(len.(t)) <- va;
-      len.(t) <- len.(t) + 1
-    in
-    let remove_random t =
-      if len.(t) > 0 then begin
-        let i = Rng.int rng len.(t) in
-        let arr = !(live.(t)) in
-        let va = arr.(i) in
-        arr.(i) <- arr.(len.(t) - 1);
-        len.(t) <- len.(t) - 1;
-        Slab.kfree slab va
-      end
-    in
-    (* Resident objects. *)
-    for t = 0 to ntenants - 1 do
-      for _ = 1 to 2_000 do
-        let size = Slab.size_classes.(Rng.int rng 6) in
-        match Slab.kmalloc slab ~owner:(Physmem.Cgroup (t + 1)) ~size with
-        | Some va -> push t va
-        | None -> ()
-      done
-    done;
-    (* Request churn. *)
-    for _ = 1 to 30_000 do
-      let t = Rng.int rng ntenants in
-      if Rng.chance rng 0.5 || len.(t) = 0 then begin
-        let size = Slab.size_classes.(Rng.int rng (Array.length Slab.size_classes)) in
-        match Slab.kmalloc slab ~owner:(Physmem.Cgroup (t + 1)) ~size with
-        | Some va -> push t va
-        | None -> ()
-      end
-      else remove_random t
-    done;
-    (Slab.utilization slab, Slab.peak_pages slab)
+let replay_trace ~seed mode =
+  let phys = Physmem.create ~frames:16_384 in
+  let slab = Slab.create ~mode phys in
+  let rng = Rng.create seed in
+  let ntenants = 4 in
+  (* Per-tenant growable object array with O(1) swap-remove. *)
+  let live = Array.init ntenants (fun _ -> ref (Array.make 64 0)) in
+  let len = Array.make ntenants 0 in
+  let push t va =
+    let arr = live.(t) in
+    if len.(t) = Array.length !arr then begin
+      let bigger = Array.make (2 * Array.length !arr) 0 in
+      Array.blit !arr 0 bigger 0 len.(t);
+      arr := bigger
+    end;
+    !arr.(len.(t)) <- va;
+    len.(t) <- len.(t) + 1
   in
-  let shared_utilization, shared_pages, secure_utilization, secure_pages =
-    match Pv_util.Pool.run ~jobs run_mode [ Slab.Shared; Slab.Secure ] with
-    | [ (su, sp); (eu, ep) ] -> (su, sp, eu, ep)
-    | _ -> assert false
+  let remove_random t =
+    if len.(t) > 0 then begin
+      let i = Rng.int rng len.(t) in
+      let arr = !(live.(t)) in
+      let va = arr.(i) in
+      arr.(i) <- arr.(len.(t) - 1);
+      len.(t) <- len.(t) - 1;
+      Slab.kfree slab va
+    end
   in
-  {
-    shared_utilization;
-    secure_utilization;
-    shared_pages;
-    secure_pages;
-    memory_overhead_pct =
-      100.0
-      *. (float_of_int secure_pages -. float_of_int shared_pages)
-      /. float_of_int (max 1 shared_pages);
-  }
+  (* Resident objects. *)
+  for t = 0 to ntenants - 1 do
+    for _ = 1 to 2_000 do
+      let size = Slab.size_classes.(Rng.int rng 6) in
+      match Slab.kmalloc slab ~owner:(Physmem.Cgroup (t + 1)) ~size with
+      | Some va -> push t va
+      | None -> ()
+    done
+  done;
+  (* Request churn. *)
+  for _ = 1 to 30_000 do
+    let t = Rng.int rng ntenants in
+    if Rng.chance rng 0.5 || len.(t) = 0 then begin
+      let size = Slab.size_classes.(Rng.int rng (Array.length Slab.size_classes)) in
+      match Slab.kmalloc slab ~owner:(Physmem.Cgroup (t + 1)) ~size with
+      | Some va -> push t va
+      | None -> ()
+    end
+    else remove_random t
+  done;
+  (Slab.utilization slab, Slab.peak_pages slab)
+
+(* One cell per slab mode, shared first; both replay the same trace. *)
+let fragmentation_cells ?(seed = 42) () =
+  List.map
+    (fun (name, mode) ->
+      Supervise.cell
+        ~cache:(Printf.sprintf "sensitivity/fragmentation|slab=%s|seed=%d" name seed)
+        ("fragmentation/" ^ name)
+        (fun ~fuel:_ -> replay_trace ~seed mode))
+    [ ("shared", Slab.Shared); ("secure", Slab.Secure) ]
+
+let fragmentation results =
+  match List.map snd results with
+  | [ Some (shared_utilization, shared_pages); Some (secure_utilization, secure_pages) ] ->
+    Some
+      {
+        shared_utilization;
+        secure_utilization;
+        shared_pages;
+        secure_pages;
+        memory_overhead_pct =
+          100.0
+          *. (float_of_int secure_pages -. float_of_int shared_pages)
+          /. float_of_int (max 1 shared_pages);
+      }
+  | _ -> None
 
 let fragmentation_table r =
   let tab =
     Tab.create ~title:"9.2: Secure slab allocator memory fragmentation"
       ~header:[ ("Metric", Tab.Left); ("Shared slab", Tab.Right); ("Secure slab", Tab.Right) ]
   in
-  Tab.row tab
-    [
-      "utilization (active/total)";
-      Tab.pct (100.0 *. r.shared_utilization);
-      Tab.pct (100.0 *. r.secure_utilization);
-    ];
-  Tab.row tab
-    [ "peak slab pages"; string_of_int r.shared_pages; string_of_int r.secure_pages ];
-  Tab.row tab [ "memory overhead"; ""; Tab.pct r.memory_overhead_pct ];
+  (match r with
+  | Some r ->
+    Tab.row tab
+      [
+        "utilization (active/total)";
+        Tab.pct (100.0 *. r.shared_utilization);
+        Tab.pct (100.0 *. r.secure_utilization);
+      ];
+    Tab.row tab
+      [ "peak slab pages"; string_of_int r.shared_pages; string_of_int r.secure_pages ];
+    Tab.row tab [ "memory overhead"; ""; Tab.pct r.memory_overhead_pct ]
+  | None -> Tab.row tab [ "FAILED"; "-"; "-" ]);
   Tab.caption tab "Paper: the secure slab allocator costs 0.91% extra memory.";
   tab
 

@@ -8,12 +8,18 @@ val hit_rates :
   Pv_util.Tab.t
 (** ISV/DSV cache hit rates of the PERSPECTIVE runs (paper: ~99%). *)
 
-val unknown_allocations :
-  ?seed:int -> ?scale:float -> ?jobs:int -> unit -> Pv_util.Tab.t * float
+val unknown_allocation_cells :
+  ?seed:int -> ?scale:float -> unit -> float Supervise.cell list
 (** LEBench under PERSPECTIVE with and without blocking of unknown
-    allocations; returns the table and the average overhead attributable to
-    unknown allocations (paper: 1.5%).  [jobs] parallelizes the per-test
-    run pairs; results are order-merged, so output is [jobs]-independent. *)
+    allocations: one cell per (mode, test), keyed
+    ["unknown-alloc/block/<test>"] then ["unknown-alloc/allow/<test>"],
+    whose value is PERSPECTIVE's overhead over UNSAFE.  Descriptors spell
+    out test, mode, seed and scale. *)
+
+val unknown_allocations_table : (string * float option) list -> Pv_util.Tab.t
+(** The average overhead per mode and their difference, the part
+    attributable to unknown allocations (paper: 1.5%); a mode with a failed
+    cell renders FAILED. *)
 
 type fragmentation_result = {
   shared_utilization : float;
@@ -23,11 +29,18 @@ type fragmentation_result = {
   memory_overhead_pct : float;
 }
 
-val fragmentation : ?seed:int -> ?jobs:int -> unit -> fragmentation_result
+val fragmentation_cells : ?seed:int -> unit -> (float * int) Supervise.cell list
 (** The same allocation trace against the shared and the secure slab
-    allocator (paper: 0.91% memory overhead). *)
+    allocator, one cell each (keys ["fragmentation/shared"],
+    ["fragmentation/secure"]), valued (utilization, peak pages).  The trace
+    has no scale input, so descriptors spell out mode and seed. *)
 
-val fragmentation_table : fragmentation_result -> Pv_util.Tab.t
+val fragmentation : (string * (float * int) option) list -> fragmentation_result option
+(** Combine the two cells' results (paper: 0.91% memory overhead); [None]
+    if either failed. *)
+
+val fragmentation_table : fragmentation_result option -> Pv_util.Tab.t
+(** A failed sweep keeps the table, with one FAILED row. *)
 
 val domain_reassignment : macro:(string * Perf.run list) list -> Pv_util.Tab.t
 (** Slab frees that return a page to the buddy allocator, per app (paper:

@@ -7,14 +7,15 @@ module Isv = Perspective.Isv
 module V1 = Pv_attacks.Spectre_v1
 module V2 = Pv_attacks.Spectre_v2
 module Rsb = Pv_attacks.Spectre_rsb
+module Lab = Pv_attacks.Lab
 module Cve = Pv_attacks.Cve_study
 
 let check = Alcotest.check
 
 let test_v1_leaks_on_unsafe () =
   let o = V1.run ~scheme:Defense.Unsafe () in
-  Alcotest.(check bool) "leaks" true o.V1.success;
-  check Alcotest.(option int) "exact secret" (Some o.V1.secret) o.V1.leaked
+  Alcotest.(check bool) "leaks" true o.Lab.success;
+  check Alcotest.(option int) "exact secret" (Some o.Lab.secret) o.Lab.leaked
 
 let test_v1_different_seeds () =
   List.iter
@@ -22,7 +23,7 @@ let test_v1_different_seeds () =
       let o = V1.run ~seed ~scheme:Defense.Unsafe () in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d leaks" seed)
-        true o.V1.success)
+        true o.Lab.success)
     [ 1; 2; 3; 99 ]
 
 let test_v1_blocked_by_defenses () =
@@ -31,8 +32,8 @@ let test_v1_blocked_by_defenses () =
       let o = V1.run ~scheme () in
       Alcotest.(check bool)
         (Defense.scheme_name scheme ^ " blocks v1")
-        false o.V1.success;
-      Alcotest.(check bool) "and fences fired" true (o.V1.fences > 0))
+        false o.Lab.success;
+      Alcotest.(check bool) "and fences fired" true (o.Lab.fences > 0))
     [
       Defense.Fence;
       Defense.Stt;
@@ -45,35 +46,35 @@ let test_v1_cve_variants_leak () =
   (* Table 4.1 gadget shapes: every variant leaks the exact secret on
      unprotected hardware. *)
   List.iter
-    (fun (o : V1.outcome) ->
-      Alcotest.(check bool) "variant leaks" true o.V1.success)
+    (fun (o : Lab.outcome) ->
+      Alcotest.(check bool) "variant leaks" true o.Lab.success)
     (V1.run_variants ~scheme:Defense.Unsafe ())
 
 let test_v1_cve_variants_blocked () =
   List.iter
-    (fun (o : V1.outcome) ->
-      Alcotest.(check bool) "variant blocked by Perspective" false o.V1.success)
+    (fun (o : Lab.outcome) ->
+      Alcotest.(check bool) "variant blocked by Perspective" false o.Lab.success)
     (V1.run_variants ~scheme:(Defense.Perspective Isv.Dynamic) ())
 
 let test_v1_blocked_by_dom () =
   let o = V1.run ~scheme:Defense.Dom () in
-  Alcotest.(check bool) "dom blocks v1" false o.V1.success
+  Alcotest.(check bool) "dom blocks v1" false o.Lab.success
 
 let test_v2_leaks_on_unsafe () =
   let o = V2.run ~scheme:Defense.Unsafe () in
-  Alcotest.(check bool) "leaks" true o.V2.success
+  Alcotest.(check bool) "leaks" true o.Lab.success
 
 let test_v2_dsv_only_cannot_stop_passive () =
   (* The paper's taxonomy claim: DSVs are powerless against passive attacks
      because every access is to victim-owned data. *)
   let o = V2.run ~scheme:(Defense.Perspective Isv.All) () in
-  Alcotest.(check bool) "DSV-only leaks" true o.V2.success
+  Alcotest.(check bool) "DSV-only leaks" true o.Lab.success
 
 let test_v2_blocked_by_isv () =
   List.iter
     (fun scheme ->
       let o = V2.run ~scheme () in
-      Alcotest.(check bool) (Defense.scheme_name scheme ^ " blocks v2") false o.V2.success)
+      Alcotest.(check bool) (Defense.scheme_name scheme ^ " blocks v2") false o.Lab.success)
     [
       Defense.Perspective Isv.Static;
       Defense.Perspective Isv.Dynamic;
@@ -85,13 +86,13 @@ let test_v2_blocked_by_isv () =
 
 let test_rsb_leaks_on_unsafe () =
   let o = Rsb.run ~scheme:Defense.Unsafe () in
-  Alcotest.(check bool) "leaks" true o.Rsb.success
+  Alcotest.(check bool) "leaks" true o.Lab.success
 
 let test_rsb_blocked_by_defenses () =
   List.iter
     (fun scheme ->
       let o = Rsb.run ~scheme () in
-      Alcotest.(check bool) (Defense.scheme_name scheme ^ " blocks rsb") false o.Rsb.success)
+      Alcotest.(check bool) (Defense.scheme_name scheme ^ " blocks rsb") false o.Lab.success)
     [
       Defense.Fence;
       Defense.Perspective Isv.Static;
@@ -103,17 +104,17 @@ let test_run_all_shapes () =
   let v1 = V1.run_all () in
   check Alcotest.int "v1 schemes" 9 (List.length v1);
   Alcotest.(check bool) "exactly one v1 success (UNSAFE)" true
-    (List.length (List.filter (fun o -> o.V1.success) v1) = 1);
+    (List.length (List.filter (fun o -> o.Lab.success) v1) = 1);
   let v2 = V2.run_all () in
   check Alcotest.int "v2 schemes" 10 (List.length v2);
   Alcotest.(check bool) "exactly two v2 successes (UNSAFE, DSV-only)" true
-    (List.length (List.filter (fun o -> o.V2.success) v2) = 2)
+    (List.length (List.filter (fun o -> o.Lab.success) v2) = 2)
 
 let test_patch_demo () =
   let d = V2.run_patch_demo () in
   Alcotest.(check bool) "trusted gadget leaks despite PERSPECTIVE" true
-    d.V2.before_patch.V2.success;
-  Alcotest.(check bool) "live exclusion blocks it" false d.V2.after_patch.V2.success
+    d.V2.before_patch.Lab.success;
+  Alcotest.(check bool) "live exclusion blocks it" false d.V2.after_patch.Lab.success
 
 let test_cve_study () =
   check Alcotest.int "nine rows" 9 (List.length Cve.rows);

@@ -134,7 +134,14 @@ let test_cacti_calibration () =
     (big.Cacti.area_mm2 > d.Cacti.area_mm2 && big.Cacti.access_ps > d.Cacti.access_ps)
 
 let test_fragmentation () =
-  let r = Sensitivity.fragmentation () in
+  let r =
+    match
+      Sensitivity.fragmentation
+        (Supervise.run (Sensitivity.fragmentation_cells ())).Supervise.results
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "a fragmentation cell failed"
+  in
   (* The paper's claim is that the secure allocator's memory cost is tiny
      (0.91%); placement noise between the two runs can swing the sign, so we
      assert the magnitude. *)
@@ -174,6 +181,25 @@ let test_static_tables_render () =
     (fun t -> Alcotest.(check bool) "renders" true (String.length (Pv_util.Tab.to_string t) > 100))
     [ t1; t2; t3 ]
 
+(* reproduce runs all its sweeps against one --checkpoint journal, and
+   --resume restores cells by key through Marshal: a key that two sweeps
+   share would be restored at the wrong type. *)
+let test_reproduce_keys_disjoint () =
+  let sweeps = Pv_reproduce.Reproduce.sweep_keys ~scale:0.1 in
+  check Alcotest.int "ten sweeps" 10 (List.length sweeps);
+  let owner = Hashtbl.create 1024 in
+  List.iter
+    (fun (label, keys) ->
+      Alcotest.(check bool) (label ^ " declares cells") true (keys <> []);
+      List.iter
+        (fun key ->
+          match Hashtbl.find_opt owner key with
+          | Some other when other <> label ->
+            Alcotest.failf "key %S is in sweeps %s and %s" key other label
+          | _ -> Hashtbl.replace owner key label)
+        keys)
+    sweeps
+
 let suite =
   [
     ( "experiments.isv_study",
@@ -197,4 +223,6 @@ let suite =
         Alcotest.test_case "scheme registry" `Quick test_schemes_registry;
         Alcotest.test_case "static tables render" `Quick test_static_tables_render;
       ] );
+    ( "experiments.reproduce",
+      [ Alcotest.test_case "sweep keys disjoint" `Quick test_reproduce_keys_disjoint ] );
   ]
