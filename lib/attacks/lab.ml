@@ -17,8 +17,9 @@ type t = {
   mutable defense : Defense.t option;
 }
 
-let create ~prog ~node_of_fid ~nnodes ?(frames = 1024) ?(trace = false) ~seed () =
-  ignore seed;
+let frames = 1024
+
+let create ~prog ~node_of_fid ~nnodes ?(trace = false) () =
   let phys = Physmem.create ~frames in
   let mem = Mem.create () in
   let ms = Memsys.create mem in

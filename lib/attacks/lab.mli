@@ -10,17 +10,20 @@
 
 type t
 
+val frames : int
+(** Frames in every lab's physical memory (1024), free until {!alloc}. *)
+
 val create :
   prog:Pv_isa.Program.t ->
   node_of_fid:(int -> int option) ->
   nnodes:int ->
-  ?frames:int ->
   ?trace:bool ->
-  seed:int ->
   unit ->
   t
-(** [trace] (default false) turns on the pipeline's event-trace ring with a
-    64 K capacity — the contract checker's observation tap. *)
+(** [trace] (default false) turns on the pipeline's event-trace ring — the
+    contract checker's observation tap.  Its 64 K events are a capacity,
+    not an up-front allocation: the ring starts empty and doubles as events
+    arrive, and only a run that records more than 64 K wraps it. *)
 
 val phys : t -> Pv_kernel.Physmem.t
 val mem : t -> Pv_isa.Mem.t

@@ -83,7 +83,7 @@ let run ?(seed = 13) ?secret ?(trace = false) ?on_commit ?observe ~scheme () =
         { Program.fid = victim_fid; name = "victim"; space = Layout.User; body = victim_driver () };
       ]
   in
-  let lab = Lab.create ~prog ~node_of_fid ~nnodes:2 ~trace ~seed () in
+  let lab = Lab.create ~prog ~node_of_fid ~nnodes:2 ~trace () in
   let alloc1 owner =
     match Lab.alloc lab ~owner ~count:1 with [ va ] -> va | _ -> assert false
   in

@@ -86,10 +86,24 @@ let victim_ctx = 2
 
 let attacker_ctx = 1
 
-(* Memory layout is allocated deterministically, so the lab can be rebuilt
-   with the final program once the attack argument (which depends on the
-   victim's address) is known. *)
-let build_lab ?(trace = false) ~seed ~variant ~train_idx ~attack_idx () =
+(* The attack's frames, in allocation order: array1, the bound/tag word,
+   the 4-page covert channel and the victim's secret.  Addresses depend only
+   on the order of [Physmem] calls, so running this on a bare pool of a
+   lab's size yields the addresses the attack argument needs before the lab
+   is built, and running it again on the lab's pool yields the same ones. *)
+let alloc_layout phys =
+  let page ~order owner =
+    match Physmem.alloc_pages phys ~order owner with
+    | Some f -> Physmem.frame_va f
+    | None -> failwith "v1: out of frames"
+  in
+  let array1 = page ~order:0 (Physmem.Cgroup attacker_ctx) in
+  let bound_va = page ~order:0 (Physmem.Cgroup attacker_ctx) in
+  let transmit = page ~order:2 (Physmem.Cgroup attacker_ctx) in
+  let secret_va = page ~order:0 (Physmem.Cgroup victim_ctx) in
+  (array1, bound_va, transmit, secret_va)
+
+let build_lab ~trace ~variant ~train_idx ~attack_idx =
   let prog =
     Program.of_funcs
       [
@@ -108,42 +122,25 @@ let build_lab ?(trace = false) ~seed ~variant ~train_idx ~attack_idx () =
           body = user_loop ~count:1 ~idx:attack_idx };
       ]
   in
-  let lab =
-    Lab.create ~prog
-      ~node_of_fid:(fun fid -> if fid = vuln_fid then Some 0 else None)
-      ~nnodes:4 ~trace ~seed ()
-  in
-  let alloc1 owner =
-    match Lab.alloc lab ~owner ~count:1 with [ va ] -> va | _ -> assert false
-  in
-  let array1 = alloc1 (Physmem.Cgroup attacker_ctx) in
-  let bound_va = alloc1 (Physmem.Cgroup attacker_ctx) in
-  let transmit =
-    match Physmem.alloc_pages (Lab.phys lab) ~order:2 (Physmem.Cgroup attacker_ctx) with
-    | Some f -> Physmem.frame_va f
-    | None -> failwith "no frames"
-  in
-  let secret_va = alloc1 (Physmem.Cgroup victim_ctx) in
-  (lab, array1, bound_va, transmit, secret_va)
+  Lab.create ~prog
+    ~node_of_fid:(fun fid -> if fid = vuln_fid then Some 0 else None)
+    ~nnodes:4 ~trace ()
 
 let run ?(seed = 7) ?(variant = Array_index) ?secret ?(trace = false) ?on_commit
     ?observe ~scheme () =
   let rng = Rng.create seed in
   let secret = match secret with Some s -> s land 255 | None -> Rng.int rng 256 in
-  (* First pass discovers the address layout; second pass bakes the real
-     attack argument into the trigger program. *)
-  let _, array1_0, _, _, secret_va_0 =
-    build_lab ~seed ~variant ~train_idx:0 ~attack_idx:0 ()
-  in
+  (* The layout on a bare pool gives the addresses the trigger program's
+     attack argument is baked from; the lab then allocates the same frames. *)
+  let array1_0, _, _, secret_va_0 = alloc_layout (Physmem.create ~frames:Lab.frames) in
   let train_idx, attack_idx =
     match variant with
     | Array_index -> (8, secret_va_0 - array1_0)
     | Pointer_arith -> (1, (secret_va_0 - array1_0) / 512)
     | Type_confusion -> (array1_0 (* its own buffer, a legal pointer *), secret_va_0)
   in
-  let lab, array1, bound_va, transmit, secret_va =
-    build_lab ~trace ~seed ~variant ~train_idx ~attack_idx ()
-  in
+  let lab = build_lab ~trace ~variant ~train_idx ~attack_idx in
+  let array1, bound_va, transmit, secret_va = alloc_layout (Lab.phys lab) in
   assert (array1 = array1_0 && secret_va = secret_va_0);
   (match variant with
   | Array_index -> Lab.store lab bound_va 64

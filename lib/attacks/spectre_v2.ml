@@ -95,7 +95,7 @@ let run ?(seed = 11) ?secret ?(trace = false) ?on_commit ?observe ~scheme () =
         { Program.fid = victim_fid; name = "victim"; space = Layout.User; body = driver ~count:1 };
       ]
   in
-  let lab = Lab.create ~prog ~node_of_fid ~nnodes:4 ~trace ~seed () in
+  let lab = Lab.create ~prog ~node_of_fid ~nnodes:4 ~trace () in
   let alloc1 owner =
     match Lab.alloc lab ~owner ~count:1 with [ va ] -> va | _ -> assert false
   in
@@ -209,7 +209,7 @@ let run_patch_demo ?(seed = 17) () =
         { Program.fid = victim_fid; name = "victim"; space = Layout.User; body = driver ~count:1 };
       ]
   in
-  let lab = Lab.create ~prog ~node_of_fid ~nnodes:4 ~seed () in
+  let lab = Lab.create ~prog ~node_of_fid ~nnodes:4 () in
   let alloc1 owner =
     match Lab.alloc lab ~owner ~count:1 with [ va ] -> va | _ -> assert false
   in

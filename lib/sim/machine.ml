@@ -29,7 +29,6 @@ type t = {
   kernel : Kernel.t;
   kimage : Kimage.t;
   pipe_config : Pipeline.config;
-  mem_config : Memsys.config;
   rng : Rng.t;
   mutable handles : handle list; (* reversed *)
   mutable frozen :
@@ -40,8 +39,7 @@ type t = {
   mutable pending_ret : int;
 }
 
-let create ?(pipe_config = Pipeline.default_config) ?(mem_config = Memsys.default_config) ~seed
-    ~syscalls () =
+let create ?(pipe_config = Pipeline.default_config) ~seed ~syscalls () =
   let kernel = Kernel.create ~seed () in
   let kimage = Kimage.build (Kernel.graph kernel) ~seed ~fid_base:0 ~syscalls in
   {
@@ -49,7 +47,6 @@ let create ?(pipe_config = Pipeline.default_config) ?(mem_config = Memsys.defaul
     kernel;
     kimage;
     pipe_config;
-    mem_config;
     rng = Rng.create (seed lxor 0x6D616368);
     handles = [];
     frozen = None;
@@ -169,7 +166,7 @@ let freeze t =
   in
   let prog = Program.of_funcs (kernel_funcs @ user_funcs) in
   let memory = Mem.create () in
-  let ms = Memsys.create ~config:t.mem_config memory in
+  let ms = Memsys.create memory in
   let pipe = Pipeline.create ~config:t.pipe_config ms prog in
   t.frozen <- Some (prog, ms, pipe);
   (* Seed kernel-shared data and per-process working sets; build dispatch

@@ -21,7 +21,6 @@ type handle
 
 val create :
   ?pipe_config:Pv_uarch.Pipeline.config ->
-  ?mem_config:Pv_uarch.Memsys.config ->
   seed:int ->
   syscalls:int list ->
   unit ->

@@ -1,23 +1,26 @@
-type entry = { mutable tag : int; mutable target : int; mutable valid : bool; mutable lru : int }
-
+(* Flat layout, as in [Cache]: way [w] of set [s] is slot [s * ways + w] of
+   [tags], [targets] and [lru], and byte [s * ways + w] of [valid]. *)
 type t = {
   nsets : int;
-  nways : int;
-  sets : entry array array;
+  tags : int array;
+  targets : int array;
+  lru : int array;
+  valid : Bytes.t;
   mutable tick : int;
 }
 
 let tag_bits = 12
 
-let create ?(entries = 4096) ?(ways = 4) () =
+let ways = 4
+
+let create ?(entries = 4096) () =
   if entries mod ways <> 0 then invalid_arg "Btb.create: entries not divisible by ways";
-  let nsets = entries / ways in
   {
-    nsets;
-    nways = ways;
-    sets =
-      Array.init nsets (fun _ ->
-          Array.init ways (fun _ -> { tag = 0; target = 0; valid = false; lru = 0 }));
+    nsets = entries / ways;
+    tags = Array.make entries 0;
+    targets = Array.make entries 0;
+    lru = Array.make entries 0;
+    valid = Bytes.make entries '\000';
     tick = 0;
   }
 
@@ -27,41 +30,47 @@ let tag_of t pc = ((pc lsr 2) / t.nsets) land ((1 lsl tag_bits) - 1)
 
 let aliases t pc1 pc2 = index_of t pc1 = index_of t pc2 && tag_of t pc1 = tag_of t pc2
 
-let lookup t pc =
-  let set = t.sets.(index_of t pc) in
-  let tag = tag_of t pc in
-  let n = Array.length set in
+let is_valid t i = Bytes.get t.valid i <> '\000'
+
+(* Slot holding [tag] in the set starting at [base], -1 when absent. *)
+let find_slot t base tag =
   let rec go i =
-    if i = n then None
-    else if set.(i).valid && set.(i).tag = tag then begin
-      t.tick <- t.tick + 1;
-      set.(i).lru <- t.tick;
-      Some set.(i).target
-    end
+    if i = base + ways then -1
+    else if is_valid t i && t.tags.(i) = tag then i
     else go (i + 1)
   in
-  go 0
+  go base
 
+let lookup t pc =
+  let i = find_slot t (index_of t pc * ways) (tag_of t pc) in
+  if i < 0 then None
+  else begin
+    t.tick <- t.tick + 1;
+    t.lru.(i) <- t.tick;
+    Some t.targets.(i)
+  end
+
+(* The entry already holding [pc]'s tag, else the set's highest-index
+   invalid way, else its first least-recently-used way. *)
 let update t pc target =
-  let set = t.sets.(index_of t pc) in
+  let base = index_of t pc * ways in
   let tag = tag_of t pc in
-  let existing = Array.to_seq set |> Seq.find (fun e -> e.valid && e.tag = tag) in
-  let e =
-    match existing with
-    | Some e -> e
-    | None ->
-      let best = ref set.(0) in
-      Array.iter
-        (fun w ->
-          if not w.valid then best := w
-          else if !best.valid && w.lru < !best.lru then best := w)
-        set;
+  let i =
+    let hit = find_slot t base tag in
+    if hit >= 0 then hit
+    else begin
+      let best = ref base in
+      for w = base to base + ways - 1 do
+        if not (is_valid t w) then best := w
+        else if is_valid t !best && t.lru.(w) < t.lru.(!best) then best := w
+      done;
       !best
+    end
   in
   t.tick <- t.tick + 1;
-  e.tag <- tag;
-  e.target <- target;
-  e.valid <- true;
-  e.lru <- t.tick
+  t.tags.(i) <- tag;
+  t.targets.(i) <- target;
+  Bytes.set t.valid i '\001';
+  t.lru.(i) <- t.tick
 
-let flush t = Array.iter (fun set -> Array.iter (fun e -> e.valid <- false) set) t.sets
+let flush t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'

@@ -8,8 +8,9 @@
 
 type t
 
-val create : ?entries:int -> ?ways:int -> unit -> t
-(** Defaults: 4096 entries, 4 ways (Table 7.1). *)
+val create : ?entries:int -> unit -> t
+(** 4 ways; [entries] defaults to 4096 (Table 7.1).  Raises
+    [Invalid_argument] unless [entries] is a multiple of 4. *)
 
 val lookup : t -> int -> int option
 (** [lookup t pc] is the predicted target VA, if any. *)

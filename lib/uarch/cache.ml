@@ -1,12 +1,16 @@
-type way = { mutable tag : int; mutable valid : bool; mutable lru : int }
-
+(* Flat layout: way [w] of set [s] is slot [s * nways + w] of [tags] and
+   [lru], and byte [s * nways + w] of [valid] ('\001' when the slot holds a
+   line).  Building a cache is three allocations however many ways it has,
+   and a lookup reads [nways] adjacent ints. *)
 type t = {
   name : string;
   line_bytes : int;
   nsets : int;
   nways : int;
   latency : int;
-  sets : way array array;
+  tags : int array;
+  lru : int array;
+  valid : Bytes.t;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -18,16 +22,15 @@ let create ~name ~size_bytes ~line_bytes ~ways ~latency =
   let lines = size_bytes / line_bytes in
   if lines mod ways <> 0 || lines = 0 then
     invalid_arg "Cache.create: geometry does not divide";
-  let nsets = lines / ways in
   {
     name;
     line_bytes;
-    nsets;
+    nsets = lines / ways;
     nways = ways;
     latency;
-    sets =
-      Array.init nsets (fun _ ->
-          Array.init ways (fun _ -> { tag = 0; valid = false; lru = 0 }));
+    tags = Array.make lines 0;
+    lru = Array.make lines 0;
+    valid = Bytes.make lines '\000';
     tick = 0;
     hits = 0;
     misses = 0;
@@ -38,112 +41,119 @@ let latency t = t.latency
 let sets t = t.nsets
 let ways t = t.nways
 
-(* Way index of [tag] in [set], -1 when absent — index-based so the hit
-   path (one lookup per simulated memory access) allocates nothing. *)
-let find_idx set tag =
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then -1
-    else
-      let w = Array.unsafe_get set i in
-      if w.valid && w.tag = tag then i else go (i + 1)
-  in
-  go 0
+let[@inline] is_valid t i = Bytes.unsafe_get t.valid i <> '\000'
 
-let victim set =
-  let best = ref set.(0) in
-  Array.iter
-    (fun w ->
-      if not w.valid then best := w
-      else if !best.valid && w.lru < !best.lru then best := w)
-    set;
+(* Slot of [tag] among slots [i, stop), -1 when absent.  Top-level with the
+   arrays as arguments, so the per-access scan allocates no closure; the
+   annotation keeps the tag test an integer compare. *)
+let rec scan (tags : int array) valid (tag : int) i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get valid i <> '\000' && Array.unsafe_get tags i = tag then i
+  else scan tags valid tag (i + 1) stop
+
+let find_slot t base tag = scan t.tags t.valid tag base (base + t.nways)
+
+(* The highest-index invalid way, else the first least-recently-used one. *)
+let victim t base =
+  let best = ref base in
+  for i = base to base + t.nways - 1 do
+    if not (is_valid t i) then best := i
+    else if is_valid t !best && t.lru.(i) < t.lru.(!best) then best := i
+  done;
   !best
 
 (* Floor division.  A wrong-path load can compute a negative address from
    stale registers, and [/] rounds a negative quotient toward zero. *)
 let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
 
-(* The set holding [addr]'s line, and the line's tag within that set.  The
-   line and the tag are floor quotients and the set index is the Euclidean
-   remainder [line - tag * nsets], so every line, negative ones included,
-   gets its own in-range (set, tag); on non-negative addresses this is the
-   plain [/] and [mod] split.  Written as a continuation taking closed
-   functions so the per-access path allocates no pair. *)
+(* The first slot of the set holding [addr]'s line, and the line's tag
+   within that set.  The line and the tag are floor quotients and the set
+   index is the Euclidean remainder [line - tag * nsets], so every line,
+   negative ones included, gets its own in-range (set, tag); on
+   non-negative addresses this is the plain [/] and [mod] split.  Written
+   as a continuation taking closed functions so the per-access path
+   allocates no pair. *)
 let[@inline] locate t addr k =
   let line = fdiv addr t.line_bytes in
   let tag = fdiv line t.nsets in
-  k t t.sets.(line - (tag * t.nsets)) tag
+  k t ((line - (tag * t.nsets)) * t.nways) tag
 
-let bump t w =
+let bump t i =
   t.tick <- t.tick + 1;
-  w.lru <- t.tick
+  Array.unsafe_set t.lru i t.tick
 
-let fill t set tag =
-  let w = victim set in
-  w.tag <- tag;
-  w.valid <- true;
-  bump t w
+let fill t base tag =
+  let i = victim t base in
+  t.tags.(i) <- tag;
+  Bytes.unsafe_set t.valid i '\001';
+  bump t i
 
 let access t addr =
-  locate t addr (fun t set tag ->
-      let i = find_idx set tag in
+  locate t addr (fun t base tag ->
+      let i = find_slot t base tag in
       if i >= 0 then begin
         t.hits <- t.hits + 1;
-        bump t (Array.unsafe_get set i);
+        bump t i;
         true
       end
       else begin
         t.misses <- t.misses + 1;
-        fill t set tag;
+        fill t base tag;
         false
       end)
 
 let access_no_lru t addr =
-  locate t addr (fun t set tag ->
-      if find_idx set tag >= 0 then begin
+  locate t addr (fun t base tag ->
+      if find_slot t base tag >= 0 then begin
         t.hits <- t.hits + 1;
         true
       end
       else begin
         t.misses <- t.misses + 1;
-        fill t set tag;
+        fill t base tag;
         false
       end)
 
 let touch t addr =
-  locate t addr (fun t set tag ->
-      let i = find_idx set tag in
-      if i >= 0 then bump t (Array.unsafe_get set i))
+  locate t addr (fun t base tag ->
+      let i = find_slot t base tag in
+      if i >= 0 then bump t i)
 
-let probe t addr = locate t addr (fun _ set tag -> find_idx set tag >= 0)
+let probe t addr = locate t addr (fun t base tag -> find_slot t base tag >= 0)
 
 let flush_line t addr =
-  locate t addr (fun _ set tag ->
-      let i = find_idx set tag in
-      if i >= 0 then (Array.unsafe_get set i).valid <- false)
+  locate t addr (fun t base tag ->
+      let i = find_slot t base tag in
+      if i >= 0 then Bytes.unsafe_set t.valid i '\000')
 
-let flush_all t =
-  Array.iter (fun set -> Array.iter (fun w -> w.valid <- false) set) t.sets
+let flush_all t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
 
 let state_signature t =
   let buf = Buffer.create 256 in
-  Array.iteri
-    (fun si set ->
-      Array.iteri
-        (fun wi w ->
-          if w.valid then begin
-            (* Recency as ordinal rank within the set, not the raw tick, so
-               two caches holding the same lines in the same order render
-               identically regardless of access counts. *)
-            let rank =
-              Array.fold_left
-                (fun acc o -> if o.valid && o.lru < w.lru then acc + 1 else acc)
-                0 set
-            in
-            Buffer.add_string buf (Printf.sprintf "%d.%d:%d@%d;" si wi w.tag rank)
-          end)
-        set)
-    t.sets;
+  let add_int n = Buffer.add_string buf (string_of_int n) in
+  for si = 0 to t.nsets - 1 do
+    let base = si * t.nways in
+    for wi = 0 to t.nways - 1 do
+      let i = base + wi in
+      if is_valid t i then begin
+        (* Recency as ordinal rank within the set, not the raw tick, so two
+           caches holding the same lines in the same order render
+           identically regardless of access counts. *)
+        let rank = ref 0 in
+        for o = base to base + t.nways - 1 do
+          if is_valid t o && t.lru.(o) < t.lru.(i) then incr rank
+        done;
+        add_int si;
+        Buffer.add_char buf '.';
+        add_int wi;
+        Buffer.add_char buf ':';
+        add_int t.tags.(i);
+        Buffer.add_char buf '@';
+        add_int !rank;
+        Buffer.add_char buf ';'
+      end
+    done
+  done;
   Buffer.contents buf
 
 let hits t = t.hits

@@ -3,7 +3,11 @@
     Caches hold only presence (tags), never data — data lives in {!Pv_isa.Mem}.
     Crucially for transient-execution modelling, a fill performed by a
     speculatively executed load persists after a squash; that persistence is
-    the covert channel every attack in this repository uses. *)
+    the covert channel every attack in this repository uses.
+
+    Tags and LRU stamps are two flat int arrays and the valid bits one
+    [Bytes], indexed [set * ways + way]: {!create} makes three blocks
+    however many ways the cache has, not one record per way. *)
 
 type t
 

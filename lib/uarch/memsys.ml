@@ -35,8 +35,8 @@ type t = {
   dram_latency : int;
 }
 
-let create ?(config = default_config) mem =
-  let c = config in
+let create mem =
+  let c = default_config in
   {
     mem;
     l1i =

@@ -23,7 +23,8 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> Pv_isa.Mem.t -> t
+val create : Pv_isa.Mem.t -> t
+(** A cold hierarchy of {!default_config}'s geometry. *)
 
 val mem : t -> Pv_isa.Mem.t
 val l1i : t -> Cache.t

@@ -352,8 +352,11 @@ type t = {
   mutable run_outcome : outcome option;
   mutable saved_user_regs : int array option;
   mutable hooks : hooks;
-  (* [| |] when tracing is off, so the disabled path costs one length test *)
-  trace_buf : event array;
+  (* Event ring: [trace_cap] is 0 when tracing is off, so the disabled path
+     costs one test.  [trace_buf] starts empty and doubles as events arrive,
+     up to [trace_cap] slots; once full it wraps. *)
+  trace_cap : int;
+  mutable trace_buf : event array;
   mutable trace_count : int;
 }
 
@@ -440,10 +443,8 @@ let create ?(config = default_config) memsys prog =
     run_outcome = None;
     saved_user_regs = None;
     hooks = null_hooks;
-    trace_buf =
-      (if config.trace_events && config.trace_capacity > 0 then
-         Array.make config.trace_capacity dummy_event
-       else [||]);
+    trace_cap = (if config.trace_events then max 0 config.trace_capacity else 0);
+    trace_buf = [||];
     trace_count = 0;
   }
 
@@ -455,10 +456,18 @@ let counters t = t.ctrs
 let set_guard t g = t.guard <- g
 let guard t = t.guard
 
+(* Until the ring first fills, [trace_count] is below the buffer's length
+   and events sit at their own index; growing copies that prefix, so the
+   wrap-around below starts only once the buffer has [trace_cap] slots. *)
 let record_event t kind ~va ~seq =
-  let n = Array.length t.trace_buf in
-  if n > 0 then begin
-    t.trace_buf.(t.trace_count mod n) <-
+  if t.trace_cap > 0 then begin
+    let n = Array.length t.trace_buf in
+    if t.trace_count = n && n < t.trace_cap then begin
+      let grown = Array.make (min t.trace_cap (max 16 (2 * n))) dummy_event in
+      Array.blit t.trace_buf 0 grown 0 n;
+      t.trace_buf <- grown
+    end;
+    t.trace_buf.(t.trace_count mod Array.length t.trace_buf) <-
       { ev_cycle = t.now; ev_kind = kind; ev_va = va; ev_seq = seq };
     t.trace_count <- t.trace_count + 1
   end
@@ -1056,7 +1065,7 @@ let issue_step t =
       e.vp_done <- true;
       (* Only architecturally-surviving loads reach here, so the dload trace
          is the sequential projection of the D-cache access stream. *)
-      if Array.length t.trace_buf > 0 && e.addr_known then
+      if t.trace_cap > 0 && e.addr_known then
         record_event t
           (Ev_dload (Layout.phys_key ~asid:t.asid e.eff_addr / Layout.line_bytes))
           ~va:e.va ~seq:e.seq;

@@ -45,9 +45,12 @@ type config = {
   trace_events : bool;
       (** record squash / fence / VP-release events and the D-cache line of
           every load reaching its Visibility Point ([Ev_dload]) in a bounded
-          ring (off by default: the disabled path is a single array-length
-          test) *)
-  trace_capacity : int;  (** ring size when tracing; the last N events win *)
+          ring (off by default: the disabled path is a single test) *)
+  trace_capacity : int;
+      (** the ring's capacity when tracing; the last N events win.  It is
+          not allocated up front: the ring starts empty and doubles (from 16
+          slots) as events arrive, so a short traced run costs what it
+          records *)
 }
 
 val default_config : config

@@ -10,14 +10,19 @@ let tag_bits = 9
 
 let base_bits = 12 (* 4096-entry bimodal *)
 
-type tagged_entry = { mutable tag : int; mutable ctr : int; mutable u : int }
-
+(* The tagged tables are flat: entry [idx] of table [i] is slot
+   [i * table_size + idx] of [slot_tag], [slot_ctr] (signed 3-bit, -4..3)
+   and [slot_u] (the 2-bit useful counter). *)
 type t = {
   base : int array; (* 2-bit counters, 0..3 *)
-  tables : tagged_entry array array;
+  slot_tag : int array;
+  slot_ctr : int array;
+  slot_u : int array;
   mutable lookups : int;
   mutable alloc_tick : int; (* deterministic tie-breaking for allocation *)
 }
+
+let slot table idx = (table * table_size) + idx
 
 type meta = {
   provider : int; (* table index, -1 = base *)
@@ -32,9 +37,9 @@ type meta = {
 let create () =
   {
     base = Array.make (1 lsl base_bits) 2;
-    tables =
-      Array.init num_tables (fun _ ->
-          Array.init table_size (fun _ -> { tag = 0; ctr = 0; u = 0 }));
+    slot_tag = Array.make (num_tables * table_size) 0;
+    slot_ctr = Array.make (num_tables * table_size) 0;
+    slot_u = Array.make (num_tables * table_size) 0;
     lookups = 0;
     alloc_tick = 0;
   }
@@ -64,11 +69,11 @@ let predict t ~pc ~hist =
   let altpred = ref base_pred in
   let pred = ref base_pred in
   for i = 0 to num_tables - 1 do
-    let e = t.tables.(i).(indices.(i)) in
-    if e.tag = tags.(i) then begin
+    let s = slot i indices.(i) in
+    if t.slot_tag.(s) = tags.(i) then begin
       if !provider >= 0 then altpred := !pred;
       provider := i;
-      pred := e.ctr >= 0
+      pred := t.slot_ctr.(s) >= 0
     end
   done;
   let meta =
@@ -92,11 +97,14 @@ let update t ~pc:_ ~hist:_ meta ~taken =
   let mispred = meta.provider_pred <> taken in
   (* Update the provider (or base) counter. *)
   (if meta.provider >= 0 then begin
-     let e = t.tables.(meta.provider).(meta.provider_idx) in
-     e.ctr <- (if taken then sat_inc e.ctr 3 else sat_dec e.ctr (-4));
+     let s = slot meta.provider meta.provider_idx in
+     t.slot_ctr.(s) <-
+       (if taken then sat_inc t.slot_ctr.(s) 3 else sat_dec t.slot_ctr.(s) (-4));
      (* Useful bit: provider differed from alternate and was right/wrong. *)
      if meta.provider_pred <> meta.alt_pred then
-       e.u <- (if meta.provider_pred = taken then sat_inc e.u 3 else sat_dec e.u 0)
+       t.slot_u.(s) <-
+         (if meta.provider_pred = taken then sat_inc t.slot_u.(s) 3
+          else sat_dec t.slot_u.(s) 0)
    end
    else
      t.base.(meta.base_idx) <-
@@ -108,21 +116,21 @@ let update t ~pc:_ ~hist:_ meta ~taken =
     let start = meta.provider + 1 in
     let candidates = ref [] in
     for i = num_tables - 1 downto start do
-      if t.tables.(i).(meta.indices.(i)).u = 0 then candidates := i :: !candidates
+      if t.slot_u.(slot i meta.indices.(i)) = 0 then candidates := i :: !candidates
     done;
     match !candidates with
     | [] ->
       (* Nothing available: decay usefulness so progress is eventually made. *)
       for i = start to num_tables - 1 do
-        let e = t.tables.(i).(meta.indices.(i)) in
-        e.u <- sat_dec e.u 0
+        let s = slot i meta.indices.(i) in
+        t.slot_u.(s) <- sat_dec t.slot_u.(s) 0
       done
     | cs ->
       let pick = List.nth cs (t.alloc_tick mod List.length cs) in
-      let e = t.tables.(pick).(meta.indices.(pick)) in
-      e.tag <- meta.tags.(pick);
-      e.ctr <- (if taken then 0 else -1);
-      e.u <- 0
+      let s = slot pick meta.indices.(pick) in
+      t.slot_tag.(s) <- meta.tags.(pick);
+      t.slot_ctr.(s) <- (if taken then 0 else -1);
+      t.slot_u.(s) <- 0
   end
 
 let lookups t = t.lookups

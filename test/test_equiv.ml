@@ -276,10 +276,13 @@ let logged_guards =
   [ ("block-all", fun _ -> true); ("dom", fun q -> not q.Guard.l1_hit) ]
 
 (* Traced run under a logging guard: cycles, stall classes, the event ring
-   as JSON lines and the guard log, oldest first. *)
-let guarded_opt block prog =
+   as JSON lines and the guard log, oldest first.  [capacity] is the ring's
+   size (default 4096). *)
+let guarded_opt ?(capacity = Pipeline.default_config.trace_capacity) block prog =
   let log = ref [] in
-  let config = { Pipeline.default_config with Pipeline.trace_events = true } in
+  let config =
+    { Pipeline.default_config with Pipeline.trace_events = true; trace_capacity = capacity }
+  in
   let pipe = Pipeline.create ~config (Memsys.create (Mem.create ())) prog in
   Pipeline.set_guard pipe (logging_guard block log);
   let r = Pipeline.run pipe ~asid:1 ~start:0 in
@@ -288,9 +291,15 @@ let guarded_opt block prog =
     List.map Pipeline.event_to_json (Pipeline.events pipe),
     List.rev !log )
 
-let guarded_ref block prog =
+let guarded_ref ?(capacity = Pipeline_ref.default_config.trace_capacity) block prog =
   let log = ref [] in
-  let config = { Pipeline_ref.default_config with Pipeline_ref.trace_events = true } in
+  let config =
+    {
+      Pipeline_ref.default_config with
+      Pipeline_ref.trace_events = true;
+      trace_capacity = capacity;
+    }
+  in
   let pipe = Pipeline_ref.create ~config (Memsys.create (Mem.create ())) prog in
   Pipeline_ref.set_guard pipe (logging_guard block log);
   let r = Pipeline_ref.run pipe ~asid:1 ~start:0 in
@@ -349,7 +358,19 @@ let assert_three_way ~name prog =
       check Alcotest.int (label "cycle count = reference") r_cycles o_cycles;
       check
         Alcotest.(list (pair string int))
-        (label "stall classes = reference") r_stalls o_stalls)
+        (label "stall classes = reference") r_stalls o_stalls;
+      (* Small rings: the optimized ring grows on demand (16 slots, then
+         doubling) while the reference allocates all of it up front.  These
+         capacities make it wrap at once, wrap before its first growth, and
+         grow twice (16, 32, 33) before wrapping. *)
+      List.iter
+        (fun capacity ->
+          let _, _, o_events, _ = guarded_opt ~capacity block prog in
+          let _, _, r_events, _ = guarded_ref ~capacity block prog in
+          check Alcotest.(list string)
+            (label "events at capacity %d = reference" capacity)
+            r_events o_events)
+        [ 1; 3; 33 ])
     logged_guards
 
 let test_random_three_way () =

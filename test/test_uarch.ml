@@ -190,6 +190,127 @@ let test_btb_flush () =
   Btb.flush b;
   Alcotest.(check bool) "flushed" true (Btb.lookup b 0x4000 = None)
 
+(* --- known answers ---
+
+   MD5 digests recorded on the one-record-per-way representation of
+   [Cache], [Tage] and [Btb].  Each stream is seeded and long enough to hit
+   every replacement rule: hot sets see more tags than ways (LRU victims),
+   single-line flushes leave holes that later fills must pick (the
+   highest-index invalid way), and the TAGE stream reaches both the
+   allocation and the useful-bit decay paths.  A layout change that moves
+   one fill to another way, or one counter by one step, fails here. *)
+
+let kat_digest b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Ops on a few hot sets (plus stray ones), tags from -3 up to [ways + 2]
+   so lines go negative and sets overflow; the signature is sampled every
+   1000 ops and at the end. *)
+let cache_stream c ~seed ~ops =
+  let rng = Pv_util.Rng.create seed in
+  let rnd n = Pv_util.Rng.int rng n in
+  let nsets = Cache.sets c and ways = Cache.ways c in
+  let b = Buffer.create (4 * ops) in
+  for i = 1 to ops do
+    let set = if rnd 4 = 0 then rnd nsets else rnd 3 in
+    let tag = rnd (ways + 6) - 3 in
+    let addr = (((tag * nsets) + set) * 64) + rnd 64 in
+    (match rnd 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 ->
+      Buffer.add_char b (if Cache.access c addr then 'H' else 'M')
+    | 8 | 9 | 10 -> Buffer.add_char b (if Cache.access_no_lru c addr then 'h' else 'm')
+    | 11 | 12 | 13 ->
+      Cache.touch c addr;
+      Buffer.add_char b 't'
+    | 14 | 15 | 16 -> Buffer.add_char b (if Cache.probe c addr then 'P' else 'p')
+    | 17 | 18 ->
+      Cache.flush_line c addr;
+      Buffer.add_char b 'f'
+    | _ ->
+      if rnd 40 = 0 then begin
+        Cache.flush_all c;
+        Buffer.add_char b 'F'
+      end);
+    if i mod 1000 = 0 then Buffer.add_string b (Cache.state_signature c)
+  done;
+  Printf.bprintf b "|%d/%d|%s" (Cache.hits c) (Cache.misses c) (Cache.state_signature c);
+  kat_digest b
+
+(* Forty-eight branches of four kinds (biased, loop, history-correlated,
+   random) under one global history, as the pipeline keeps it. *)
+let tage_stream ~seed ~branches =
+  let rng = Pv_util.Rng.create seed in
+  let rnd n = Pv_util.Rng.int rng n in
+  let t = Tage.create () in
+  let npcs = 48 in
+  let pcs = Array.init npcs (fun i -> 0x40_0000 + (i * 0x4c4)) in
+  let trips = Array.make npcs 0 in
+  let b = Buffer.create branches in
+  let hist = ref 0 in
+  for _ = 1 to branches do
+    let k = rnd npcs in
+    let taken =
+      match k mod 4 with
+      | 0 -> rnd 10 <> 0
+      | 1 ->
+        trips.(k) <- (trips.(k) + 1) mod (3 + (k mod 7));
+        trips.(k) <> 0
+      | 2 -> (!hist lsr (1 + (k mod 5))) land 1 = 1
+      | _ -> rnd 2 = 0
+    in
+    let pred, meta = Tage.predict t ~pc:pcs.(k) ~hist:!hist in
+    Buffer.add_char b (if pred then '1' else '0');
+    Tage.update t ~pc:pcs.(k) ~hist:!hist meta ~taken;
+    hist := ((!hist lsl 1) lor if taken then 1 else 0) land max_int
+  done;
+  Printf.bprintf b "|%d" (Tage.lookups t);
+  kat_digest b
+
+(* Updates and lookups on a few hot sets with eight tags each (twice the
+   ways) and three aliases per tag (PCs equal in index and partial tag). *)
+let btb_stream ~seed ~ops =
+  let rng = Pv_util.Rng.create seed in
+  let rnd n = Pv_util.Rng.int rng n in
+  let t = Btb.create () in
+  let b = Buffer.create (8 * ops) in
+  for _ = 1 to ops do
+    let set = if rnd 4 = 0 then rnd 1024 else rnd 3 in
+    let tag = rnd 8 and alias = rnd 3 in
+    let pc = ((((alias lsl 12) + tag) * 1024) + set) lsl 2 in
+    match rnd 20 with
+    | 0 ->
+      Btb.flush t;
+      Buffer.add_char b 'F'
+    | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 -> Btb.update t pc (rnd 100_000 * 4)
+    | _ -> (
+      match Btb.lookup t pc with
+      | Some target -> Printf.bprintf b "%d;" target
+      | None -> Buffer.add_char b '-')
+  done;
+  kat_digest b
+
+let l1d_geometry () =
+  Cache.create ~name:"L1D" ~size_bytes:(32 * 1024) ~line_bytes:64 ~ways:8 ~latency:2
+
+let l2_geometry () =
+  Cache.create ~name:"L2" ~size_bytes:(2 * 1024 * 1024) ~line_bytes:64 ~ways:16 ~latency:8
+
+let test_cache_kat () =
+  List.iter
+    (fun (label, make, seed, digest) ->
+      check Alcotest.string label digest (cache_stream (make ()) ~seed ~ops:20_000))
+    [
+      ("L1D seed 1", l1d_geometry, 1, "cc4debe53402ad5c49b0cb6d2dd09e81");
+      ("L1D seed 2", l1d_geometry, 2, "e331380df3c8d1c4107196f08eb7c33f");
+      ("L2 seed 3", l2_geometry, 3, "afb56bec49ae631190cc671cc607e60f");
+    ]
+
+let test_tage_kat () =
+  check Alcotest.string "seed 4" "9a0bf3d2fcde5e7aebd82e9f0a298ada"
+    (tage_stream ~seed:4 ~branches:200_000)
+
+let test_btb_kat () =
+  check Alcotest.string "seed 5" "617fbb7bcaf1e6105d9785de85a317a6" (btb_stream ~seed:5 ~ops:20_000)
+
 let test_ras_lifo () =
   let r = Ras.create ~entries:4 () in
   Alcotest.(check bool) "empty" true (Ras.pop r = None);
@@ -247,6 +368,12 @@ let suite =
         Alcotest.test_case "update/lookup" `Quick test_btb_update_lookup;
         Alcotest.test_case "partial-tag aliasing" `Quick test_btb_aliasing;
         Alcotest.test_case "flush" `Quick test_btb_flush;
+      ] );
+    ( "uarch.kat",
+      [
+        Alcotest.test_case "cache streams" `Quick test_cache_kat;
+        Alcotest.test_case "TAGE stream" `Quick test_tage_kat;
+        Alcotest.test_case "BTB stream" `Quick test_btb_kat;
       ] );
     ( "uarch.ras",
       [
