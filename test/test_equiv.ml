@@ -373,13 +373,22 @@ let assert_three_way ~name prog =
         [ 1; 3; 33 ])
     logged_guards
 
+(* Both program generators: [gen_program]'s instruction mix, and
+   [gen_program_wide]'s load chains, fences, unknown-address stores,
+   flipping indirect calls and over-deep call nesting. *)
+let generators =
+  [ ("", Test_oracle.gen_program); ("wide ", Test_oracle.gen_program_wide) ]
+
 let test_random_three_way () =
   (* A different seed base from test_oracle, so the two suites cover
      disjoint program samples. *)
-  for seed = 1 to 40 do
-    let rng = Rng.create (0xE0_1D_5E + seed) in
-    assert_three_way ~name:(Printf.sprintf "seed %d" seed) (Test_oracle.gen_program rng)
-  done
+  List.iter
+    (fun (kind, gen) ->
+      for seed = 1 to 40 do
+        let rng = Rng.create (0xE0_1D_5E + seed) in
+        assert_three_way ~name:(Printf.sprintf "%sseed %d" kind seed) (gen rng)
+      done)
+    generators
 
 (* QCheck-driven seeds on top of the fixed sweep above (CI also runs it at
    25 times its count). *)
@@ -387,9 +396,11 @@ let random_program_prop =
   QCheck.Test.make ~name:"random program: pipeline = seed reference" ~count:20
     QCheck.(int_bound 0xFFFF)
     (fun seed ->
-      let rng = Rng.create (0xAC4_000 + seed) in
-      assert_three_way ~name:(Printf.sprintf "qcheck seed %d" seed)
-        (Test_oracle.gen_program rng);
+      List.iter
+        (fun (kind, gen) ->
+          let rng = Rng.create (0xAC4_000 + seed) in
+          assert_three_way ~name:(Printf.sprintf "qcheck %sseed %d" kind seed) (gen rng))
+        generators;
       true)
 
 (* A load from a negative address ([li r1,-64; load r3,r1,0]): bare, and at

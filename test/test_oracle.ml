@@ -79,6 +79,109 @@ let gen_program rng =
   in
   Program.of_funcs funcs
 
+(* A second generator aimed at the pipeline's wakeup paths rather than at
+   the instruction mix.  Its loop body mixes [gen_insn] with blocks of:
+
+   - chains of dependent loads through pointer words set up before the loop;
+   - fences between loads and stores;
+   - a store whose address comes from a load, followed by younger loads of
+     the same word (one through the loaded pointer, one through r8), so loads
+     wait on an unknown store address and then forward;
+   - an indirect call through a two-entry table in memory whose target flips
+     from one callee to the other at iteration [flip] (BTB mispredicts, and
+     squashes while consumers wait on surviving producers);
+   - a call into a chain of [depth] > 16 nested functions, deeper than the
+     RAS, so returns past its capacity mispredict.
+
+   Data words 0..63 are [gen_insn]'s; words 64..67 hold pointers into them.
+   The call table sits 1 MiB above the data base, out of reach of every
+   store.  r11 holds [flip], r12/r13 the table slot, and 8..10 and 14 are the
+   loop harness as in [gen_program]. *)
+let gen_program_wide rng =
+  let data_word k = Layout.user_data_base + (8 * k) in
+  let table_off = 0x10_0000 in
+  let reg () = Rng.in_range rng 1 7 in
+  let ptr_word () = 64 + Rng.int rng 4 in
+  let ptr_targets = Array.init 4 (fun _ -> Rng.int rng 64) in
+  let depth = Rng.in_range rng 17 22 in
+  let chain_fid k = 3 + k in
+  let a = Asm.create () in
+  let loop = Asm.fresh_label a in
+  let done_ = Asm.fresh_label a in
+  Asm.li a 9 0;
+  Asm.li a 10 (Rng.in_range rng 8 16);
+  Asm.li a 8 Layout.user_data_base;
+  Asm.li a 14 0;
+  Asm.li a 13 0;
+  Asm.li a 11 (Rng.in_range rng 2 7);
+  Array.iteri
+    (fun j k ->
+      Asm.li a 1 (data_word k);
+      Asm.store a 8 1 (8 * (64 + j)))
+    ptr_targets;
+  Asm.li a 1 (Layout.insn_va Layout.User 1 0);
+  Asm.store a 8 1 table_off;
+  Asm.li a 1 (Layout.insn_va Layout.User 2 0);
+  Asm.store a 8 1 (table_off + 8);
+  Asm.place a loop;
+  Asm.branch a I.Ge 9 10 done_;
+  let block () =
+    match Rng.int rng 6 with
+    | 0 ->
+      let r = ref (reg ()) in
+      Asm.load a !r 8 (8 * ptr_word ());
+      for _ = 1 to Rng.in_range rng 1 3 do
+        let d = reg () in
+        Asm.load a d !r (8 * Rng.int rng 4);
+        r := d
+      done
+    | 1 ->
+      Asm.load a (reg ()) 8 (8 * Rng.int rng 64);
+      Asm.fence a;
+      Asm.store a 8 (reg ()) (8 * Rng.int rng 64);
+      if Rng.bool rng then Asm.fence a
+    | 2 ->
+      let j = Rng.int rng 4 in
+      let off = 8 * Rng.int rng 4 in
+      let p = Rng.in_range rng 1 7 in
+      Asm.load a p 8 (8 * (64 + j));
+      Asm.store a p (reg ()) off;
+      Asm.load a (reg ()) p off;
+      Asm.load a (reg ()) 8 ((8 * ptr_targets.(j)) + off)
+    | 3 ->
+      let same = Asm.fresh_label a in
+      Asm.branch a I.Ne 9 11 same;
+      Asm.li a 13 8;
+      Asm.place a same;
+      Asm.alu a I.Add 12 8 13;
+      Asm.load a 12 12 table_off;
+      Asm.icall a 12
+    | 4 -> Asm.call a (chain_fid 0)
+    | _ -> Asm.emit a (gen_insn rng)
+  in
+  for _ = 1 to Rng.in_range rng 4 10 do
+    block ()
+  done;
+  Asm.alui a I.Add 9 9 1;
+  Asm.jump a loop;
+  Asm.place a done_;
+  Asm.halt a;
+  let leaf fid name =
+    let body = Array.init (Rng.in_range rng 2 6) (fun _ -> gen_insn rng) in
+    func fid name Layout.User (Array.append body [| I.Ret |])
+  in
+  let main = func 0 "wide" Layout.User (Asm.finish a) in
+  let callees = [ leaf 1 "icall_a"; leaf 2 "icall_b" ] in
+  let chain =
+    List.init depth (fun k ->
+        let pre = Array.init (Rng.in_range rng 0 3) (fun _ -> gen_insn rng) in
+        let post = Array.init (Rng.in_range rng 0 2) (fun _ -> gen_insn rng) in
+        let call = if k + 1 < depth then [| I.Call (chain_fid (k + 1)) |] else [||] in
+        func (chain_fid k) (Printf.sprintf "nest%d" k) Layout.User
+          (Array.concat [ pre; call; post; [| I.Ret |] ]))
+  in
+  Program.of_funcs ((main :: callees) @ chain)
+
 (* One architectural event as observed at retirement. *)
 let event_to_string (fid, idx) = Printf.sprintf "%d:%d" fid idx
 
