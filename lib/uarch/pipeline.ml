@@ -211,7 +211,7 @@ type state = Waiting | Issued | Completed
 
 (* ROB entries are preallocated once per pipeline and reused in place: the
    cycle loop never allocates one.  All scalar fields are mutable ints and
-   bools; only the squash snapshots ([stack_snap], [tage_meta]), the guard's
+   bools; only the return-stack snapshot ([stack_snap]), the guard's
    [blocked] source and the rare [fault] are boxed. *)
 type entry = {
   mutable seq : int;
@@ -227,7 +227,7 @@ type entry = {
   mutable src_val0 : int;
   mutable src_val1 : int;
   mutable state : state;
-  (* Instruction class, fixed at dispatch: the per-entry scans test these
+  (* Instruction class, fixed at dispatch: the per-entry paths test these
      instead of matching on the instruction variant. *)
   mutable is_ctrl : bool;
   mutable is_load : bool;
@@ -246,28 +246,19 @@ type entry = {
   mutable store_val : int;
   mutable pred_target_va : int; (* -1 when fetch stalled on this entry *)
   mutable actual_target_va : int;
-  mutable tage_meta : Tage.meta option;
+  mutable tage_meta : Tage.meta;
   mutable ghr_snap : int;
   mutable stack_snap : int list;
   mutable depth_snap : int;
   mutable ret_target : int;
   mutable ret_depth : int;
   mutable taint_root : int;
-  (* Producer parking: the seq of the in-flight entry the last dispatch
-     attempt waited on — the operand producer its capture short-circuited
-     on, or a fence's oldest incomplete older entry (-1 = none).  The attempt
-     is skipped with a single state test until that entry completes or
-     retires: a failed attempt has no side effects, and its outcome cannot
-     change before then. *)
-  mutable park_seq : int;
   mutable fault : string option;
 }
 
-type fetch_state =
-  | Fetching of int * int
-  | Stalled_ctrl of int (* seq *)
-  | Stalled_serial
-  | Stopped
+(* [Fetching] reads [fetch_fid]/[fetch_idx]; [Stalled_ctrl] waits for the
+   control in flight with seq [fetch_seq] to resolve. *)
+type fetch_state = Fetching | Stalled_ctrl | Stalled_serial | Stopped
 
 type hooks = {
   on_syscall : int array -> Iss.trap_action;
@@ -311,17 +302,30 @@ type t = {
   retired_val : int array;
   arf : int array;
   rat : int array;
-  (* store-to-load forwarding scratch, rebuilt by each issue pass: word
-     addresses and values of older address-known stores, oldest first (so a
-     backward scan finds the youngest match).  Bounded by [sq_entries]. *)
-  fwd_word : int array;
-  fwd_val : int array;
-  mutable fwd_len : int;
+  (* Slot sets: bitsets over ROB slots, 32 slots per word, walked from
+     [head] in ROB order, so they keep seq order with no sorting.  Bits of
+     slots outside the live window are stale and never read; [make_entry]
+     resets every set's bit for the slot it fills. *)
+  nw : int; (* words per set *)
+  vis : int array; (* Waiting entries the issue pass must visit *)
+  vpp : int array; (* issued loads short of their visibility point *)
+  iss : int array; (* Issued entries: what completion checks *)
+  inc : int array; (* entries not yet Completed: fence blockers *)
+  unres : int array; (* unresolved controls *)
+  ifence : int array; (* incomplete fences *)
+  stq : int array; (* stores: forwarding candidates *)
+  unk : int array; (* stores whose address is not yet known *)
+  (* Wait lists: words [target * nw ..] hold the slots waiting on the entry
+     in slot [target]; waking ORs them into [vis]. *)
+  wl : int array;
   mutable head : int;
   mutable count : int;
   mutable next_seq : int;
   mutable ghr : int;
   mutable fetch : fetch_state;
+  mutable fetch_fid : int;
+  mutable fetch_idx : int;
+  mutable fetch_seq : int;
   mutable fetch_ready_at : int;
   mutable last_fetch_line : int;
   mutable dispatch_stack : int list;
@@ -330,22 +334,9 @@ type t = {
   mutable commit_depth : int;
   mutable lq_used : int;
   mutable sq_used : int;
-  (* Lower bound on the earliest [done_at] of any Issued entry: the
-     completion scan runs only when a completion can actually be due, so a
-     long-latency stall (DRAM, fence) costs no per-cycle ROB walks. *)
+  (* Lower bound on the earliest [done_at] of any Issued entry: completion
+     runs only when one can be due, and it recomputes the exact bound. *)
   mutable next_done_at : int;
-  (* The settle rule (see the end of [issue_step]): set by an issue pass
-     after which the next pass is provably a no-op, cleared by [make_entry]
-     and by every completion.  While it is set the issue pass is skipped. *)
-  mutable settled : bool;
-  (* Actionable list: seqs (strictly increasing) of the entries the issue
-     scan still needs to visit — Waiting entries, in-flight stores (they
-     feed store-to-load forwarding until retirement), unresolved controls,
-     incomplete fences and loads short of their visibility point.  Entries
-     are appended at dispatch and dropped lazily once no future visit can
-     matter, so the scan walks this list instead of the whole ROB. *)
-  act : int array;
-  mutable act_len : int;
   mutable now : int;
   mutable asid : int;
   mutable kernel_mode : bool;
@@ -390,19 +381,20 @@ let fresh_entry () =
     store_val = 0;
     pred_target_va = -1;
     actual_target_va = -1;
-    tage_meta = None;
+    tage_meta = 0;
     ghr_snap = 0;
     stack_snap = [];
     depth_snap = 0;
     ret_target = -1;
     ret_depth = 0;
     taint_root = -1;
-    park_seq = -1;
     fault = None;
   }
 
 let create ?(config = default_config) memsys prog =
   let cap = config.rob_entries in
+  let nw = (cap + 31) / 32 in
+  let set () = Array.make nw 0 in
   {
     cfg = config;
     memsys;
@@ -417,14 +409,24 @@ let create ?(config = default_config) memsys prog =
     retired_val = Array.make cap 0;
     arf = Array.make Insn.num_regs 0;
     rat = Array.make Insn.num_regs (-1);
-    fwd_word = Array.make (max 1 config.sq_entries) 0;
-    fwd_val = Array.make (max 1 config.sq_entries) 0;
-    fwd_len = 0;
+    nw;
+    vis = set ();
+    vpp = set ();
+    iss = set ();
+    inc = set ();
+    unres = set ();
+    ifence = set ();
+    stq = set ();
+    unk = set ();
+    wl = Array.make (cap * nw) 0;
     head = 0;
     count = 0;
     next_seq = 0;
     ghr = 0;
     fetch = Stopped;
+    fetch_fid = 0;
+    fetch_idx = 0;
+    fetch_seq = -1;
     fetch_ready_at = 0;
     last_fetch_line = -1;
     dispatch_stack = [];
@@ -434,9 +436,6 @@ let create ?(config = default_config) memsys prog =
     lq_used = 0;
     sq_used = 0;
     next_done_at = max_int;
-    settled = false;
-    act = Array.make (2 * cap) 0;
-    act_len = 0;
     now = 0;
     asid = 0;
     kernel_mode = false;
@@ -513,12 +512,107 @@ let pos_of_seq t s = s - head_seq t
 
 (* [pos] is always within the live window, and head + pos < 2*capacity, so
    the ring wrap is a compare-and-subtract rather than a division. *)
-let entry_at t pos =
-  let c = Array.length t.rob in
+let slot_at t pos =
   let i = t.head + pos in
-  Array.unsafe_get t.rob (if i >= c then i - c else i)
+  if i >= Array.length t.rob then i - Array.length t.rob else i
+
+let entry_at t pos = Array.unsafe_get t.rob (slot_at t pos)
+
+(* ------------------------------------------------------------------ *)
+(* Slot sets                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let bit_set bs s =
+  let w = s lsr 5 in
+  Array.unsafe_set bs w (Array.unsafe_get bs w lor (1 lsl (s land 31)))
+
+let bit_clear bs s =
+  let w = s lsr 5 in
+  Array.unsafe_set bs w (Array.unsafe_get bs w land lnot (1 lsl (s land 31)))
+
+let bit_put bs s b = if b then bit_set bs s else bit_clear bs s
+
+(* Index of the lowest set bit of a non-zero 32-bit word (de Bruijn). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz x = Array.unsafe_get debruijn ((((x land (-x)) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
+(* Lowest set slot >= [s] (words [s lsr 5 .. nw-1]), or -1. *)
+let next_slot bs nw s =
+  let w = ref (s lsr 5) in
+  let x = ref (Array.unsafe_get bs !w land (-1 lsl (s land 31))) in
+  while !x = 0 && !w < nw - 1 do
+    incr w;
+    x := Array.unsafe_get bs !w
+  done;
+  if !x = 0 then -1 else (!w lsl 5) + ctz !x
+
+(* First live position >= [p] whose slot is in [bs], or [count]: slots
+   [head + p ..] first, then the wrapped part [0 .. head). *)
+let next_pos_scan t bs p =
+  if p >= t.count then t.count
+  else begin
+    let c = Array.length t.rob in
+    let s = t.head + p in
+    let r =
+      if s < c then begin
+        let r = next_slot bs t.nw s in
+        if r >= 0 then r - t.head
+        else
+          let r = next_slot bs t.nw 0 in
+          if r >= 0 && r < t.head then r + c - t.head else t.count
+      end
+      else
+        let r = next_slot bs t.nw (s - c) in
+        if r >= 0 && r < t.head then r + c - t.head else t.count
+    in
+    if r < t.count then r else t.count
+  end
+
+(* [next_pos_scan] with the common case first: a member in the rest of the
+   word holding position [p]'s slot.  Its position [q] lies past the window
+   when [q >= count]; [q < p] means the search crossed from the wrapped part
+   into [head ..], so nothing is left before the window's end either. *)
+let next_pos t bs p =
+  let n = t.count in
+  if p >= n then n
+  else begin
+    let c = Array.length t.rob and h = t.head in
+    let s = h + p in
+    let s = if s >= c then s - c else s in
+    let x = Array.unsafe_get bs (s lsr 5) land (-1 lsl (s land 31)) in
+    if x = 0 then next_pos_scan t bs p
+    else
+      let r = (s land lnot 31) + ctz x in
+      let q = if r >= h then r - h else r + c - h in
+      if q < p || q >= n then n else q
+  end
+
+(* Put the Waiting entry in [slot] on the wait list of the entry in
+   [target]: it leaves the issue pass until that entry wakes it. *)
+let wait_on t slot target =
+  let w = (target * t.nw) + (slot lsr 5) in
+  Array.unsafe_set t.wl w (Array.unsafe_get t.wl w lor (1 lsl (slot land 31)));
+  bit_clear t.vis slot
+
+let wake t target =
+  let base = target * t.nw in
+  for w = 0 to t.nw - 1 do
+    let x = Array.unsafe_get t.wl (base + w) in
+    if x <> 0 then begin
+      Array.unsafe_set t.vis w (Array.unsafe_get t.vis w lor x);
+      Array.unsafe_set t.wl (base + w) 0
+    end
+  done
 
 let func_space t fid = (Program.func t.prog fid).Program.space
+
+(* The body of function [fid], or [||] past the program's end. *)
+let body_of t fid =
+  if fid >= 0 && fid < Program.length t.prog then (Program.func t.prog fid).Program.body
+  else [||]
 
 let is_kernel_fid t fid = func_space t fid = Layout.Kernel
 
@@ -535,52 +629,23 @@ let root_active t root =
       let e = entry_at t pos in
       e.seq = root && not e.vp_done
 
-(* Whether an entry still needs issue-scan visits.  False is final: an
-   issued non-load (other than stores, unresolved controls and incomplete
-   fences) and a load past its visibility point can never matter to a later
-   pass, so it can leave the actionable list for good. *)
-let act_keep e =
-  e.state = Waiting
-  || (e.is_load && not e.vp_done)
-  || e.is_store
-  || (e.is_ctrl && not e.resolved)
-  || (e.is_fence && e.state <> Completed)
-
-(* Squeeze retired and drop-safe seqs out of the actionable list; called when
-   an append finds the array full (the live subset always fits). *)
-let compact_act t =
-  let out = ref 0 in
-  for k = 0 to t.act_len - 1 do
-    let seq = t.act.(k) in
-    let pos = pos_of_seq t seq in
-    if pos >= 0 && pos < t.count && act_keep (entry_at t pos) then begin
-      t.act.(!out) <- seq;
-      incr out
-    end
-  done;
-  t.act_len <- !out
-
-let src_info insn =
-  (* (dest, src0, src1) register indices, -1 when absent. *)
-  match insn with
-  | Insn.Nop | Insn.Fence | Insn.Syscall | Insn.Sysret | Insn.Halt | Insn.Ret
-  | Insn.Jump _ | Insn.Call _ ->
-    (-1, -1, -1)
-  | Insn.Limm (rd, _) -> (rd, -1, -1)
-  | Insn.Alu (_, rd, r1, r2) -> (rd, r1, r2)
-  | Insn.Alui (_, rd, r1, _) -> (rd, r1, -1)
-  | Insn.Load (rd, ra, _) -> (rd, ra, -1)
-  | Insn.Store (ra, rv, _) -> (-1, ra, rv)
-  | Insn.Branch (_, r1, r2, _) -> (-1, r1, r2)
-  | Insn.Icall r -> (-1, r, -1)
-  | Insn.Flush (ra, _) -> (-1, ra, -1)
+(* Rename source registers [r0] and [r1] (-1 when absent): the seq of the
+   in-flight producer, or the architectural value. *)
+let rename_srcs t e r0 r1 =
+  let p = if r0 >= 0 then t.rat.(r0) else -1 in
+  e.src_seq0 <- p;
+  e.src_val0 <- (if r0 >= 0 && p < 0 then t.arf.(r0) else 0);
+  let p = if r1 >= 0 then t.rat.(r1) else -1 in
+  e.src_seq1 <- p;
+  e.src_val1 <- (if r1 >= 0 && p < 0 then t.arf.(r1) else 0)
 
 (* Reinitialize the pool entry at the ROB tail — the allocation-free
    equivalent of the seed model's fresh record per fetched instruction.
-   [va] is the already-computed VA of (fid, idx). *)
-let make_entry t fid idx ~va insn =
-  let dest, s0, s1 = src_info insn in
-  let e = entry_at t t.count in
+   [va] is the already-computed VA of (fid, idx).  The new entry is Waiting,
+   so it joins the issue pass. *)
+let make_entry t fid idx ~va ~kernel insn =
+  let slot = slot_at t t.count in
+  let e = Array.unsafe_get t.rob slot in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   e.seq <- seq;
@@ -588,44 +653,47 @@ let make_entry t fid idx ~va insn =
   e.e_idx <- idx;
   e.va <- va;
   e.insn <- insn;
-  e.dest <- dest;
-  (if s0 >= 0 then begin
-     let p = t.rat.(s0) in
-     if p >= 0 then begin
-       e.src_seq0 <- p;
-       e.src_val0 <- 0
-     end
-     else begin
-       e.src_seq0 <- -1;
-       e.src_val0 <- t.arf.(s0)
-     end
-   end
-   else begin
-     e.src_seq0 <- -1;
-     e.src_val0 <- 0
-   end);
-  (if s1 >= 0 then begin
-     let p = t.rat.(s1) in
-     if p >= 0 then begin
-       e.src_seq1 <- p;
-       e.src_val1 <- 0
-     end
-     else begin
-       e.src_seq1 <- -1;
-       e.src_val1 <- t.arf.(s1)
-     end
-   end
-   else begin
-     e.src_seq1 <- -1;
-     e.src_val1 <- 0
-   end);
+  e.dest <- -1;
+  e.is_ctrl <- false;
+  e.is_load <- false;
+  e.is_store <- false;
+  e.is_fence <- false;
+  (match insn with
+  | Insn.Nop | Insn.Syscall | Insn.Sysret | Insn.Halt | Insn.Jump _ | Insn.Call _ ->
+    rename_srcs t e (-1) (-1)
+  | Insn.Fence ->
+    e.is_fence <- true;
+    rename_srcs t e (-1) (-1)
+  | Insn.Ret ->
+    e.is_ctrl <- true;
+    rename_srcs t e (-1) (-1)
+  | Insn.Limm (rd, _) ->
+    e.dest <- rd;
+    rename_srcs t e (-1) (-1)
+  | Insn.Alu (_, rd, r1, r2) ->
+    e.dest <- rd;
+    rename_srcs t e r1 r2
+  | Insn.Alui (_, rd, r1, _) ->
+    e.dest <- rd;
+    rename_srcs t e r1 (-1)
+  | Insn.Load (rd, r1, _) ->
+    e.dest <- rd;
+    e.is_load <- true;
+    t.lq_used <- t.lq_used + 1;
+    rename_srcs t e r1 (-1)
+  | Insn.Store (r1, r2, _) ->
+    e.is_store <- true;
+    t.sq_used <- t.sq_used + 1;
+    rename_srcs t e r1 r2
+  | Insn.Branch (_, r1, r2, _) ->
+    e.is_ctrl <- true;
+    rename_srcs t e r1 r2
+  | Insn.Icall r1 ->
+    e.is_ctrl <- true;
+    rename_srcs t e r1 (-1)
+  | Insn.Flush (r1, _) -> rename_srcs t e r1 (-1));
   e.state <- Waiting;
-  e.is_ctrl <-
-    (match insn with Insn.Branch _ | Insn.Icall _ | Insn.Ret -> true | _ -> false);
-  e.is_load <- Insn.is_load insn;
-  e.is_store <- Insn.is_store insn;
-  e.is_fence <- (match insn with Insn.Fence -> true | _ -> false);
-  e.kernel <- is_kernel_fid t fid;
+  e.kernel <- kernel;
   e.pred_taken <- false;
   e.actual_taken <- false;
   e.resolved <- false;
@@ -638,25 +706,33 @@ let make_entry t fid idx ~va insn =
   e.store_val <- 0;
   e.pred_target_va <- -1;
   e.actual_target_va <- -1;
-  e.tage_meta <- None;
+  e.tage_meta <- 0;
   e.ghr_snap <- 0;
   e.stack_snap <- [];
   e.depth_snap <- 0;
   e.ret_target <- -1;
   e.ret_depth <- 0;
   e.taint_root <- -1;
-  e.park_seq <- -1;
   e.fault <- None;
-  if dest >= 0 then t.rat.(dest) <- seq;
+  bit_clear t.vpp slot;
+  bit_clear t.iss slot;
+  bit_set t.inc slot;
+  bit_put t.unres slot e.is_ctrl;
+  bit_put t.ifence slot e.is_fence;
+  bit_put t.stq slot e.is_store;
+  bit_put t.unk slot e.is_store;
+  if e.dest >= 0 then t.rat.(e.dest) <- seq;
   t.count <- t.count + 1;
-  t.settled <- false;
-  if t.act_len >= Array.length t.act then compact_act t;
-  t.act.(t.act_len) <- seq;
-  t.act_len <- t.act_len + 1;
-  (match insn with
-  | Insn.Load _ -> t.lq_used <- t.lq_used + 1
-  | Insn.Store _ -> t.sq_used <- t.sq_used + 1
-  | _ -> ());
+  (* The new entry joins the issue pass, unless the operand capture it would
+     try first is short-circuited by an incomplete producer: that attempt
+     would fail with no effect, so it waits on the producer right away.  (A
+     captured first operand still needs its visit: capturing it copies the
+     value and the taint.) *)
+  let dep = if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1 in
+  let dep_slot = if dep >= 0 then slot_at t (pos_of_seq t dep) else -1 in
+  if dep_slot >= 0 && (Array.unsafe_get t.rob dep_slot).state <> Completed then
+    wait_on t slot dep_slot
+  else bit_set t.vis slot;
   e
 
 let rebuild_rat t =
@@ -666,10 +742,17 @@ let rebuild_rat t =
     if e.dest >= 0 then t.rat.(e.dest) <- e.seq
   done
 
-(* Remove all entries younger than position [pos] (exclusive). *)
+(* Remove all entries younger than position [pos] (exclusive).  Their slots
+   leave the live window, so the slot sets ignore them until [make_entry]
+   reuses the slot.  Their own wait lists are emptied (an entry that
+   completes or retires has already emptied its own).  A squashed waiter's
+   bit left on a survivor's list only wakes the slot's next occupant for a
+   visit that finds it still waiting. *)
 let truncate_rob t pos =
   for i = pos + 1 to t.count - 1 do
-    match (entry_at t i).insn with
+    let slot = slot_at t i in
+    Array.fill t.wl (slot * t.nw) t.nw 0;
+    match (Array.unsafe_get t.rob slot).insn with
     | Insn.Load _ -> t.lq_used <- t.lq_used - 1
     | Insn.Store _ -> t.sq_used <- t.sq_used - 1
     | _ -> ()
@@ -677,15 +760,20 @@ let truncate_rob t pos =
   let removed = t.count - pos - 1 in
   t.count <- pos + 1;
   t.next_seq <- t.next_seq - removed;
-  (* Squashed seqs are a suffix of the (sorted) actionable list. *)
-  while t.act_len > 0 && t.act.(t.act_len - 1) >= t.next_seq do
-    t.act_len <- t.act_len - 1
-  done;
   rebuild_rat t
+
+let fetch_at t fid idx =
+  t.fetch <- Fetching;
+  t.fetch_fid <- fid;
+  t.fetch_idx <- idx
+
+let stall_on t e =
+  t.fetch <- Stalled_ctrl;
+  t.fetch_seq <- e.seq
 
 let redirect_fetch t va delay =
   (match Layout.decode_code_va va with
-  | Some (_, fid, idx) -> t.fetch <- Fetching (fid, idx)
+  | Some (_, fid, idx) -> fetch_at t fid idx
   | None -> t.fetch <- Stopped);
   t.fetch_ready_at <- t.now + delay;
   t.last_fetch_line <- -1
@@ -709,11 +797,7 @@ let resolve_ctrl t pos e =
   in
   match e.insn with
   | Insn.Branch _ ->
-    (match e.tage_meta with
-    | Some meta ->
-      Tage.update t.tage ~pc:e.va ~hist:e.ghr_snap meta
-        ~taken:e.actual_taken
-    | None -> ());
+    Tage.update t.tage ~pc:e.va ~hist:e.ghr_snap e.tage_meta ~taken:e.actual_taken;
     if e.actual_taken <> e.pred_taken then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
       let ghr' =
@@ -732,15 +816,14 @@ let resolve_ctrl t pos e =
     let depth' = e.depth_snap + 1 in
     if e.pred_target_va = -1 then begin
       (* Fetch was stalled on this instruction: resume, no squash. *)
-      (match t.fetch with
-      | Stalled_ctrl s when s = e.seq ->
+      if t.fetch = Stalled_ctrl && t.fetch_seq = e.seq then begin
         if e.fault <> None then t.fetch <- Stopped
         else begin
           Ras.push t.ras (e.va + Layout.insn_bytes);
           (* A retpolined indirect call pays for the capture sequence. *)
           redirect_fetch t e.actual_target_va (if t.cfg.retpoline then 24 else 1)
         end
-      | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ());
+      end;
       false
     end
     else if e.fault <> None then begin
@@ -757,11 +840,10 @@ let resolve_ctrl t pos e =
     let stack' = match e.stack_snap with [] -> [] | _ :: rest -> rest in
     let depth' = max 0 (e.depth_snap - 1) in
     if e.pred_target_va = -1 then begin
-      (match t.fetch with
-      | Stalled_ctrl s when s = e.seq ->
+      if t.fetch = Stalled_ctrl && t.fetch_seq = e.seq then begin
         if e.fault <> None then t.fetch <- Stopped
         else redirect_fetch t e.actual_target_va 1
-      | Fetching _ | Stalled_ctrl _ | Stalled_serial | Stopped -> ());
+      end;
       false
     end
     else if e.fault <> None then begin
@@ -781,48 +863,70 @@ let resolve_ctrl t pos e =
    control flow, oldest first.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* No-op unless a completion can be due ([next_done_at] is a sound lower
-   bound: every issue site raises awareness via the end of [issue_step], and
-   entry removal only ever raises the true minimum).  When the scan does
-   run it recomputes the exact bound over the surviving entries — a squash
-   only removes entries younger than the stop position, so every survivor
-   was visited. *)
+(* Complete the due entries among the Issued slots in [lo, hi), in slot
+   order, and lower [next_done_at] to the [done_at] of the others.  True
+   when a resolved control squashed: everything after it is gone. *)
+let complete_slots t lo hi =
+  let squashed = ref false in
+  let w = ref (lo lsr 5) in
+  while (not !squashed) && !w lsl 5 < hi do
+    let base = !w lsl 5 in
+    let x = ref (Array.unsafe_get t.iss !w) in
+    if base < lo then x := !x land (-1 lsl (lo - base));
+    if base + 32 > hi then x := !x land ((1 lsl (hi - base)) - 1);
+    while !x <> 0 && not !squashed do
+      let slot = base + ctz !x in
+      x := !x land (!x - 1);
+      let e = Array.unsafe_get t.rob slot in
+      if e.done_at <= t.now then begin
+        e.state <- Completed;
+        bit_clear t.iss slot;
+        bit_clear t.inc slot;
+        bit_clear t.unres slot;
+        bit_clear t.ifence slot;
+        wake t slot;
+        if e.is_ctrl then begin
+          let pos = if slot >= t.head then slot - t.head else slot + cap t - t.head in
+          squashed := resolve_ctrl t pos e
+        end
+      end
+      else if e.done_at < t.next_done_at then t.next_done_at <- e.done_at
+    done;
+    incr w
+  done;
+  !squashed
+
+(* No-op unless a completion can be due ([next_done_at] is a lower bound).
+   The walk visits only the Issued set, in ROB order, so same-cycle
+   completions resolve oldest first; a completion wakes the entry's wait
+   list.  The walk recomputes the exact bound over the surviving entries — a
+   squash only removes entries younger than the stop position, so every
+   survivor was visited. *)
 let completion_step t =
   if t.now >= t.next_done_at then begin
-    let nxt = ref max_int in
-    let i = ref 0 in
-    let stop = ref false in
-    while (not !stop) && !i < t.count do
-      let e = entry_at t !i in
-      if e.state = Issued then begin
-        if e.done_at <= t.now then begin
-          e.state <- Completed;
-          t.settled <- false;
-          if e.is_ctrl then if resolve_ctrl t !i e then stop := true
-        end
-        else if e.done_at < !nxt then nxt := e.done_at
-      end;
-      incr i
-    done;
-    t.next_done_at <- !nxt
+    t.next_done_at <- max_int;
+    let h = t.head and c = cap t and n = t.count in
+    if (not (complete_slots t h (min c (h + n)))) && h + n > c then
+      ignore (complete_slots t 0 (h + n - c))
   end
 
 (* ------------------------------------------------------------------ *)
 (* Commit                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A run starts at seq 0 in slot 0 and slots are taken in seq order, so an
+   entry's slot is its seq modulo the capacity: the head's slot indexes the
+   retired-value ring. *)
 let retire_bookkeeping t e =
-  let slot = e.seq mod cap t in
+  let slot = t.head in
   t.retired_seq.(slot) <- e.seq;
   t.retired_val.(slot) <- e.value;
   if e.dest >= 0 then begin
     t.arf.(e.dest) <- e.value;
     if t.rat.(e.dest) = e.seq then t.rat.(e.dest) <- -1
   end;
-  (match e.insn with
-  | Insn.Load _ -> t.lq_used <- t.lq_used - 1
-  | Insn.Store _ -> t.sq_used <- t.sq_used - 1
-  | _ -> ());
+  if e.is_load then t.lq_used <- t.lq_used - 1
+  else if e.is_store then t.sq_used <- t.sq_used - 1;
   let h = t.head + 1 in
   t.head <- (if h >= cap t then 0 else h);
   t.count <- t.count - 1
@@ -877,7 +981,7 @@ let commit_step t =
           match t.hooks.on_syscall t.arf with
           | Iss.Stop -> t.run_outcome <- Some Halted
           | Iss.Skip ->
-            t.fetch <- Fetching (e.e_fid, e.e_idx + 1);
+            fetch_at t e.e_fid (e.e_idx + 1);
             t.fetch_ready_at <- t.now + 1;
             t.last_fetch_line <- -1
           | Iss.Redirect (f, assigns) ->
@@ -888,7 +992,7 @@ let commit_step t =
             t.dispatch_stack <- t.commit_stack;
             t.dispatch_depth <- t.commit_depth;
             t.kernel_mode <- true;
-            t.fetch <- Fetching (f, 0);
+            fetch_at t f 0;
             t.fetch_ready_at <- t.now + t.cfg.kernel_entry_cycles;
             t.last_fetch_line <- -1)
         | Insn.Sysret -> (
@@ -923,7 +1027,6 @@ let commit_step t =
 (* ------------------------------------------------------------------ *)
 (* Issue                                                                *)
 (* ------------------------------------------------------------------ *)
-
 (* Operand capture, one specialized copy per source slot so the common case
    (value already captured) is a single int compare. *)
 let capture_operand0 t e =
@@ -984,7 +1087,22 @@ let count_fence t src =
   | Guard.Dsv -> t.ctrs.fences_dsv <- t.ctrs.fences_dsv + 1
   | Guard.Baseline -> t.ctrs.fences_baseline <- t.ctrs.fences_baseline + 1
 
-let issue_load_to_memory t e ~speculative =
+
+(* Waiting -> Issued, finishing [lat] cycles from now: the entry leaves the
+   issue pass and joins the completion set. *)
+let issue t e slot lat =
+  let d = t.now + lat in
+  e.state <- Issued;
+  e.done_at <- d;
+  if d < t.next_done_at then t.next_done_at <- d;
+  bit_clear t.vis slot;
+  bit_set t.iss slot
+
+let issue_load t e slot lat =
+  issue t e slot lat;
+  bit_set t.vpp slot
+
+let issue_load_to_memory t e slot ~speculative =
   let key = Layout.phys_key ~asid:t.asid e.eff_addr in
   let lat =
     match t.guard.Guard.spec_read with
@@ -992,77 +1110,97 @@ let issue_load_to_memory t e ~speculative =
     | _ -> Memsys.data_read_lat t.memsys key
   in
   e.value <- Mem.load (Memsys.mem t.memsys) key;
-  e.done_at <- t.now + lat;
-  e.state <- Issued;
+  issue_load t e slot lat;
   if speculative then begin
     t.ctrs.spec_loads <- t.ctrs.spec_loads + 1;
     e.taint_root <- max e.taint_root e.seq
   end
 
-(* Youngest older store to [word], or -1: the scratch arrays are filled in
-   scan order (oldest first), so the backward scan matches the head-first
-   lookup of an assoc list consed youngest-first. *)
-let fwd_find t word =
-  let rec go j =
-    if j < 0 then -1
-    else if Array.unsafe_get t.fwd_word j = word then j
-    else go (j - 1)
+(* Ask the guard about a load whose address is known and that nothing
+   forwards to: issue it to memory (true), or keep it blocked.  A blocked
+   load stays in the pass: it re-queries its guard on every pass, and the
+   goldens digest those queries. *)
+let guard_load t e slot ~speculative =
+  let query =
+    {
+      Guard.insn_va = e.va;
+      fid = e.e_fid;
+      addr = e.eff_addr;
+      asid = t.asid;
+      kernel_mode = t.kernel_mode;
+      speculative;
+      l1_hit = Memsys.would_hit_l1d t.memsys (Layout.phys_key ~asid:t.asid e.eff_addr);
+      tainted = root_active t e.taint_root;
+    }
   in
-  go (t.fwd_len - 1)
+  match t.guard.Guard.check query with
+  | Guard.Allow ->
+    issue_load_to_memory t e slot ~speculative;
+    true
+  | Guard.Block src ->
+    if Option.is_none e.blocked then begin
+      e.blocked <- Some src;
+      count_fence t src;
+      record_event t (Ev_fence src) ~va:e.va ~seq:e.seq
+    end;
+    false
 
-let fwd_push t word v =
-  t.fwd_word.(t.fwd_len) <- word;
-  t.fwd_val.(t.fwd_len) <- v;
-  t.fwd_len <- t.fwd_len + 1
+(* Position of the youngest store older than [pos] that writes [word], or
+   -1.  Only called when every older store's address is known. *)
+let rec fwd_find t pos word q best =
+  let q = next_pos t t.stq q in
+  if q >= pos then best
+  else fwd_find t pos word (q + 1) (if (entry_at t q).eff_addr lsr 3 = word then q else best)
 
-(* Park an entry whose operand capture failed on the producer it
-   short-circuited on. *)
-let park_dep e =
-  e.park_seq <- (if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1)
+(* Wait on the in-flight producer an operand capture short-circuited on. *)
+let wait_dep t e slot =
+  let s = if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1 in
+  wait_on t slot (slot_at t (pos_of_seq t s))
 
-(* Seq of the oldest entry older than position [pos] that has not
-   completed, or -1 when all have: a fence at [pos] issues only then, and
-   otherwise parks on the entry found. *)
-let oldest_incomplete t pos =
-  let rec go k =
-    if k >= pos then -1
-    else
-      let p = entry_at t k in
-      if p.state <> Completed then p.seq else go (k + 1)
-  in
-  go 0
 
+(* The walk's next position: the first of the next [vis] entry at or after
+   [p] (while budget is left) and [next_vp], the next load short of its
+   visibility point, if that is older than the oldest unresolved control. *)
+let next_visit t p ~vis ~next_vp ~first_unres =
+  let v = if vis then next_pos t t.vis p else t.count in
+  if next_vp < first_unres && next_vp < v then next_vp else v
+
+(* The issue pass visits, in ROB order, only entries that can act: Waiting
+   entries not on a wait list, and loads that may reach their visibility
+   point.  Every other entry is on the wait list of the one entry whose
+   change can unblock it: the operand producer its capture short-circuited
+   on, the oldest incomplete fence older than it, a fence's oldest
+   incomplete older entry, or a load's oldest older store with an unknown
+   address.  Producers and fences wake their lists when they complete, a
+   store also when its address becomes known — within the pass, ahead of
+   every load waiting on it.  The prefix conditions of the seed model's
+   whole-ROB walk are first-set-bit queries: the oldest unresolved control
+   and the oldest incomplete fence cannot change during a pass, and the
+   unknown-address set is updated as stores issue. *)
 let issue_step t =
-  if not t.settled then begin
+  let first_unres = next_pos t t.unres 0 in
+  let first_fence = next_pos t t.ifence 0 in
   let budget = ref t.cfg.issue_width in
-  (* Cleared by a guard [Block] and by a non-speculative load issue: the two
-     things besides a completion that make the next pass act (see the settle
-     rule at the end). *)
-  let quiet = ref true in
-  let older_unresolved_ctrl = ref false in
-  let older_fence_incomplete = ref false in
-  let older_store_unknown = ref false in
-  t.fwd_len <- 0;
-  let k = ref 0 in
-  let out = ref 0 in
-  (* Walk the actionable list (ascending seq = ROB order), compacting it in
-     place.  The running prefix flags stay exact because every entry that
-     can contribute to them is kept on the list.  Once the issue budget is
-     spent AND an older control is unresolved, the rest of the scan is
-     provably a no-op: both issue branches are budget-gated, visibility
-     points are disabled while speculative, and the running flags only feed
-     those disabled paths — so stop walking. *)
-  while !k < t.act_len && not (!budget = 0 && !older_unresolved_ctrl) do
-    let seq = Array.unsafe_get t.act !k in
-    let pos = pos_of_seq t seq in
-    (* A negative position is a retired store still on the list: drop it. *)
-    if pos >= 0 then begin
-    let e = entry_at t pos in
-    let speculative = !older_unresolved_ctrl in
+  (* The walk merges two sets: Waiting entries in [vis] while budget is
+     left, and loads short of their visibility point older than the oldest
+     unresolved control.  A pass only changes [vpp] at the entry it visits,
+     so the next [vpp] position is kept; [vis] gains bits ahead of the walk
+     when a store's address becomes known, so it is searched afresh. *)
+  let next_vp = ref (next_pos t t.vpp 0) in
+  let p = ref (next_visit t 0 ~vis:true ~next_vp:!next_vp ~first_unres) in
+  (* Once the budget is spent past an unresolved control, nothing younger
+     can act: both issue paths are budget-gated and visibility points are
+     disabled while speculative. *)
+  while !p < t.count && not (!budget = 0 && !p > first_unres) do
+    let pos = !p in
+    let slot = slot_at t pos in
+    let e = Array.unsafe_get t.rob slot in
+    let speculative = pos > first_unres in
     (* Visibility point: no older instruction can squash this one. *)
     if e.is_load && (not e.vp_done) && e.state <> Waiting && not speculative
     then begin
       e.vp_done <- true;
+      bit_clear t.vpp slot;
       (* Only architecturally-surviving loads reach here, so the dload trace
          is the sequential projection of the D-cache access stream. *)
       if t.trace_cap > 0 && e.addr_known then
@@ -1074,64 +1212,58 @@ let issue_step t =
         f ~insn_va:e.va ~addr:e.eff_addr ~asid:t.asid ~kernel_mode:e.kernel
       | Some _ | None -> ()
     end;
-    if e.state = Waiting && !budget > 0 && not !older_fence_incomplete then begin
-      let parked =
-        if e.park_seq >= 0 then begin
-          let pos = pos_of_seq t e.park_seq in
-          if pos >= 0 && (entry_at t pos).state <> Completed then true
-          else begin
-            e.park_seq <- -1;
-            false
-          end
+    if e.state <> Waiting then bit_clear t.vis slot
+    else if !budget > 0 && pos > first_fence then begin
+      if Option.is_some e.blocked then begin
+        if not speculative then begin
+          (* A fenced load at its visibility point issues non-speculatively. *)
+          decr budget;
+          record_event t Ev_vp_release ~va:e.va ~seq:e.seq;
+          issue_load_to_memory t e slot ~speculative:false
         end
-        else false
-      in
-      if not parked then begin
+      end
+      else wait_on t slot (slot_at t first_fence)
+    end
+    else if !budget > 0 then begin
       match e.insn with
       | Insn.Nop | Insn.Jump _ | Insn.Call _ | Insn.Syscall | Insn.Sysret
       | Insn.Halt ->
         decr budget;
-        e.state <- Issued;
-        e.done_at <- t.now + 1
+        issue t e slot 1
       | Insn.Fence ->
-        let blocker = oldest_incomplete t pos in
-        if blocker < 0 then begin
+        let blocker = next_pos t t.inc 0 in
+        if blocker < pos then wait_on t slot (slot_at t blocker)
+        else begin
           decr budget;
-          e.state <- Issued;
-          e.done_at <- t.now + 1
+          issue t e slot 1
         end
-        else e.park_seq <- blocker
       | Insn.Limm (_, v) ->
         decr budget;
         e.value <- v;
-        e.state <- Issued;
-        e.done_at <- t.now + 1
+        issue t e slot 1
       | Insn.Alu (op, _, _, _) ->
         if operands_ready t e then begin
           decr budget;
           e.value <- Insn.eval_binop op e.src_val0 e.src_val1;
-          e.state <- Issued;
-          e.done_at <- t.now + 1
+          issue t e slot 1
         end
-        else park_dep e
+        else wait_dep t e slot
       | Insn.Alui (op, _, _, v) ->
         if operands_ready t e then begin
           decr budget;
           e.value <- Insn.eval_binop op e.src_val0 v;
-          e.state <- Issued;
-          e.done_at <- t.now + 1
+          issue t e slot 1
         end
-        else park_dep e
+        else wait_dep t e slot
       | Insn.Branch (c, _, _, tgt) ->
         if operands_ready t e then begin
           decr budget;
           e.actual_taken <- Insn.eval_cond c e.src_val0 e.src_val1;
           let next_idx = if e.actual_taken then tgt else e.e_idx + 1 in
           e.actual_target_va <- insn_va_of t e.e_fid next_idx;
-          e.state <- Issued;
-          e.done_at <- t.now + t.cfg.branch_latency
+          issue t e slot t.cfg.branch_latency
         end
-        else park_dep e
+        else wait_dep t e slot
       | Insn.Icall _ ->
         if operands_ready t e then begin
           decr budget;
@@ -1142,10 +1274,9 @@ let issue_step t =
             e.actual_target_va <- target
           | Some _ | None ->
             e.fault <- Some (Printf.sprintf "icall to invalid VA %#x" target));
-          e.state <- Issued;
-          e.done_at <- t.now + t.cfg.branch_latency
+          issue t e slot t.cfg.branch_latency
         end
-        else park_dep e
+        else wait_dep t e slot
       | Insn.Ret ->
         decr budget;
         (if e.ret_target < 0 then e.fault <- Some "ret with empty stack"
@@ -1153,126 +1284,54 @@ let issue_step t =
         (* Returning reads the architectural stack: a flushed stack line
            delays resolution, widening the transient window (Spectre-RSB). *)
         let key = ret_stack_va ~asid:t.asid ~depth:e.ret_depth in
-        let lat = Memsys.data_read_lat t.memsys key in
-        e.state <- Issued;
-        e.done_at <- t.now + lat
+        issue t e slot (Memsys.data_read_lat t.memsys key)
       | Insn.Flush (_, off) ->
         if operands_ready t e then begin
           decr budget;
           e.eff_addr <- e.src_val0 + off;
           e.addr_known <- true;
-          e.state <- Issued;
-          e.done_at <- t.now + 1
+          issue t e slot 1
         end
-        else park_dep e
+        else wait_dep t e slot
       | Insn.Store (_, _, off) ->
         if operands_ready t e then begin
           decr budget;
           e.eff_addr <- e.src_val0 + off;
           e.store_val <- e.src_val1;
           e.addr_known <- true;
-          e.state <- Issued;
-          e.done_at <- t.now + 1
+          issue t e slot 1;
+          bit_clear t.unk slot;
+          wake t slot
         end
-        else park_dep e
+        else wait_dep t e slot
       | Insn.Load (_, _, off) ->
-        (* Behind an older store with an unknown address the load waits
-           unparked: that store issues earlier in some later walk, and
-           retrying until then costs two int compares. *)
-        if not (operands_ready t e) then park_dep e
-        else if not !older_store_unknown then begin
-          e.eff_addr <- e.src_val0 + off;
-          e.addr_known <- true;
-          let word = e.eff_addr lsr 3 in
-          let j = fwd_find t word in
-          if j >= 0 then begin
-            (* Store-to-load forwarding: no cache access. *)
-            decr budget;
-            if not speculative then quiet := false;
-            e.value <- Array.unsafe_get t.fwd_val j;
-            e.state <- Issued;
-            e.done_at <- t.now + 1
-          end
+        (* A load the guard blocked goes straight back to it: its operand is
+           captured, and its older stores, all with known addresses and no
+           match for its word, can only retire. *)
+        if Option.is_some e.blocked then begin
+          if guard_load t e slot ~speculative then decr budget
+        end
+        else if not (operands_ready t e) then wait_dep t e slot
+        else begin
+          let unknown = next_pos t t.unk 0 in
+          if unknown < pos then wait_on t slot (slot_at t unknown)
           else begin
-            let query =
-              {
-                Guard.insn_va = e.va;
-                fid = e.e_fid;
-                addr = e.eff_addr;
-                asid = t.asid;
-                kernel_mode = t.kernel_mode;
-                speculative;
-                l1_hit =
-                  Memsys.would_hit_l1d t.memsys
-                    (Layout.phys_key ~asid:t.asid e.eff_addr);
-                tainted = root_active t e.taint_root;
-              }
-            in
-            match t.guard.Guard.check query with
-            | Guard.Allow ->
+            e.eff_addr <- e.src_val0 + off;
+            e.addr_known <- true;
+            let j = fwd_find t pos (e.eff_addr lsr 3) 0 (-1) in
+            if j >= 0 then begin
+              (* Store-to-load forwarding: no cache access. *)
               decr budget;
-              if not speculative then quiet := false;
-              issue_load_to_memory t e ~speculative
-            | Guard.Block src ->
-              quiet := false;
-              if Option.is_none e.blocked then begin
-                e.blocked <- Some src;
-                count_fence t src;
-                record_event t (Ev_fence src) ~va:e.va ~seq:e.seq
-              end
+              e.value <- (entry_at t j).store_val;
+              issue_load t e slot 1
+            end
+            else if guard_load t e slot ~speculative then decr budget
           end
         end
-      end
-    end
-    else if
-      e.state = Waiting && !budget > 0 && Option.is_some e.blocked && not speculative
-    then begin
-      (* A fenced load at its visibility point issues non-speculatively. *)
-      decr budget;
-      quiet := false;
-      record_event t Ev_vp_release ~va:e.va ~seq:e.seq;
-      issue_load_to_memory t e ~speculative:false
     end;
-    (* Update running flags with this entry included. *)
-    if e.is_ctrl && not e.resolved then older_unresolved_ctrl := true;
-    (if e.is_fence then begin
-       if e.state <> Completed then older_fence_incomplete := true
-     end
-     else if e.is_store then
-       if e.addr_known then fwd_push t (e.eff_addr lsr 3) e.store_val
-       else older_store_unknown := true);
-    if act_keep e then begin
-      Array.unsafe_set t.act !out seq;
-      incr out
-    end
-    end;
-    incr k
-  done;
-  (* On an early exit the unprocessed tail is kept verbatim. *)
-  while !k < t.act_len do
-    Array.unsafe_set t.act !out (Array.unsafe_get t.act !k);
-    incr out;
-    incr k
-  done;
-  t.act_len <- !out;
-  (* Anything issued this pass finishes no earlier than the next cycle; the
-     next completion scan recomputes the exact bound. *)
-  if !budget < t.cfg.issue_width && t.now + 1 < t.next_done_at then
-    t.next_done_at <- t.now + 1;
-  (* The settle rule.  With budget left the walk visited every Waiting
-     entry, and each one either issued or waits on something only a
-     completion can change: an incomplete producer or fence blocker, an
-     older store with an unknown address (a store's address becomes known
-     when it issues, earlier in the same walk as any younger load), an older
-     incomplete fence or an older unresolved control.  A [Block] forces
-     another pass, because a blocked load re-queries its guard on every pass
-     and those queries move the view-cache statistics the goldens digest.
-     So does a non-speculative load issue: that load reaches its Visibility
-     Point ([notify_vp], [Ev_dload]) on the next pass.  Otherwise the next
-     pass would change nothing, and neither would any pass after it until
-     [make_entry] or a completion clears the flag. *)
-  t.settled <- !budget > 0 && !quiet
-  end
+    if !next_vp <= pos then next_vp := next_pos t t.vpp (pos + 1);
+    p := next_visit t (pos + 1) ~vis:(!budget > 0) ~next_vp:!next_vp ~first_unres
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Fetch / dispatch                                                     *)
@@ -1286,21 +1345,26 @@ let fetch_step t =
     && t.fetch_ready_at <= t.now
   do
     match t.fetch with
-    | Stopped | Stalled_ctrl _ | Stalled_serial -> continue_fetch := false
-    | Fetching (fid, idx) -> (
-      match Program.fetch t.prog fid idx with
-      | None ->
+    | Stopped | Stalled_ctrl | Stalled_serial -> continue_fetch := false
+    | Fetching ->
+      let fid = t.fetch_fid and idx = t.fetch_idx in
+      let body = body_of t fid in
+      if idx < 0 || idx >= Array.length body then begin
         (* Fell off the end of a function body: architectural fault if it
            commits; on a wrong path the squash will discard it. *)
-        let e = make_entry t fid idx ~va:(insn_va_of t fid idx) Insn.Halt in
+        let e =
+          make_entry t fid idx ~va:(insn_va_of t fid idx) ~kernel:(is_kernel_fid t fid)
+            Insn.Halt
+        in
         e.fault <- Some (Printf.sprintf "fell off function f%d at %d" fid idx);
-        e.state <- Issued;
-        e.done_at <- t.now + 1;
-        if t.now + 1 < t.next_done_at then t.next_done_at <- t.now + 1;
+        issue t e (slot_at t (t.count - 1)) 1;
         t.fetch <- Stopped;
         continue_fetch := false
-      | Some insn ->
-        let va = insn_va_of t fid idx in
+      end
+      else begin
+        let insn = Array.unsafe_get body idx in
+        let space = func_space t fid in
+        let va = Layout.insn_va space fid idx in
         let line = Layout.line_of (Layout.phys_key ~asid:t.asid va) in
         if line <> t.last_fetch_line then begin
           let lat = Memsys.inst_read t.memsys (Layout.phys_key ~asid:t.asid va) in
@@ -1316,24 +1380,25 @@ let fetch_step t =
           if lq_full || sq_full then continue_fetch := false
           else begin
             decr budget;
-            let e = make_entry t fid idx ~va insn in
+            let e = make_entry t fid idx ~va ~kernel:(space = Layout.Kernel) insn in
             match insn with
             | Insn.Branch (_, _, _, tgt) ->
-              let pred, meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
+              let meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
+              let pred = Tage.predicted meta in
               e.pred_taken <- pred;
-              e.tage_meta <- Some meta;
+              e.tage_meta <- meta;
               e.ghr_snap <- t.ghr;
               e.stack_snap <- t.dispatch_stack;
               e.depth_snap <- t.dispatch_depth;
               e.pred_target_va <- 0;
               t.ghr <- ((t.ghr lsl 1) lor if pred then 1 else 0) land max_int;
-              t.fetch <- Fetching (fid, if pred then tgt else idx + 1)
-            | Insn.Jump tgt -> t.fetch <- Fetching (fid, tgt)
+              fetch_at t fid (if pred then tgt else idx + 1)
+            | Insn.Jump tgt -> fetch_at t fid tgt
             | Insn.Call callee ->
               Ras.push t.ras (va + Layout.insn_bytes);
               t.dispatch_stack <- (va + Layout.insn_bytes) :: t.dispatch_stack;
               t.dispatch_depth <- t.dispatch_depth + 1;
-              t.fetch <- Fetching (callee, 0)
+              fetch_at t callee 0
             | Insn.Icall _ -> (
               e.ghr_snap <- t.ghr;
               e.stack_snap <- t.dispatch_stack;
@@ -1346,12 +1411,12 @@ let fetch_step t =
                 | Some (_, tf, ti) ->
                   e.pred_target_va <- target;
                   Ras.push t.ras (va + Layout.insn_bytes);
-                  t.fetch <- Fetching (tf, ti)
+                  fetch_at t tf ti
                 | None ->
-                  t.fetch <- Stalled_ctrl e.seq;
+                  stall_on t e;
                   continue_fetch := false)
               | None ->
-                t.fetch <- Stalled_ctrl e.seq;
+                stall_on t e;
                 continue_fetch := false)
             | Insn.Ret -> (
               e.ghr_snap <- t.ghr;
@@ -1369,21 +1434,22 @@ let fetch_step t =
                 match Layout.decode_code_va pred_va with
                 | Some (_, pf, pi) ->
                   e.pred_target_va <- pred_va;
-                  t.fetch <- Fetching (pf, pi)
+                  fetch_at t pf pi
                 | None ->
-                  t.fetch <- Stalled_ctrl e.seq;
+                  stall_on t e;
                   continue_fetch := false)
               | None ->
-                t.fetch <- Stalled_ctrl e.seq;
+                stall_on t e;
                 continue_fetch := false)
             | Insn.Syscall | Insn.Sysret | Insn.Halt ->
               t.fetch <- Stalled_serial;
               continue_fetch := false
             | Insn.Nop | Insn.Limm _ | Insn.Alu _ | Insn.Alui _ | Insn.Load _
             | Insn.Store _ | Insn.Fence | Insn.Flush _ ->
-              t.fetch <- Fetching (fid, idx + 1)
+              fetch_at t fid (idx + 1)
           end
-        end)
+        end
+      end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1391,17 +1457,18 @@ let fetch_step t =
 (* ------------------------------------------------------------------ *)
 
 let reset_run_state t ~asid ~start regs =
-  (* Pool entries need no clearing: [make_entry] reinitializes every field
-     and nothing reads outside the head/count window. *)
+  (* Pool entries and slot sets need no clearing: [make_entry] reinitializes
+     every field and bit of the slot it fills, and nothing reads outside the
+     head/count window.  Wait lists are emptied: entries left in flight by the
+     last run never completed. *)
   Array.fill t.retired_seq 0 (cap t) (-1);
   Array.blit regs 0 t.arf 0 Insn.num_regs;
   Array.fill t.rat 0 Insn.num_regs (-1);
-  t.fwd_len <- 0;
   t.head <- 0;
   t.count <- 0;
   t.next_seq <- 0;
   t.ghr <- 0;
-  t.fetch <- Fetching (start, 0);
+  fetch_at t start 0;
   t.fetch_ready_at <- 0;
   t.last_fetch_line <- -1;
   t.dispatch_stack <- [];
@@ -1411,22 +1478,21 @@ let reset_run_state t ~asid ~start regs =
   t.lq_used <- 0;
   t.sq_used <- 0;
   t.next_done_at <- max_int;
-  t.act_len <- 0;
-  t.settled <- false;
+  Array.fill t.wl 0 (Array.length t.wl) 0;
   t.asid <- asid;
   t.kernel_mode <- is_kernel_fid t start;
   t.run_outcome <- None
 
-(* Charge a zero-commit cycle to one stall class by inspecting the ROB head,
-   root cause first: an empty ROB is a fetch stall; a head load parked by the
-   guard is a fence stall of that source; a head still executing is memory
-   (loads/returns) or execution latency; otherwise back-pressure (ROB/LSQ
-   full) and finally the residual [exec] class (e.g. operands in flight), so
-   the classes always sum to [stall_total]. *)
-let classify_stall t =
+(* Charge [n] zero-commit cycles to one stall class by inspecting the ROB
+   head, root cause first: an empty ROB is a fetch stall; a head load parked
+   by the guard is a fence stall of that source; a head still executing is
+   memory (loads/returns) or execution latency; otherwise back-pressure
+   (ROB/LSQ full) and finally the residual [exec] class (e.g. operands in
+   flight), so the classes always sum to [stall_total]. *)
+let classify_stall t n =
   let c = t.ctrs in
-  c.stall_total <- c.stall_total + 1;
-  if t.count = 0 then c.stall_fetch <- c.stall_fetch + 1
+  c.stall_total <- c.stall_total + n;
+  if t.count = 0 then c.stall_fetch <- c.stall_fetch + n
   else begin
     let e = entry_at t 0 in
     match e.blocked with
@@ -1436,19 +1502,51 @@ let classify_stall t =
          exposed by delaying the issue (Issued): either way the fence is
          what keeps the head from committing, so it gets the cycle. *)
       match src with
-      | Guard.Isv -> c.stall_fence_isv <- c.stall_fence_isv + 1
-      | Guard.Dsv -> c.stall_fence_dsv <- c.stall_fence_dsv + 1
-      | Guard.Baseline -> c.stall_fence_baseline <- c.stall_fence_baseline + 1)
+      | Guard.Isv -> c.stall_fence_isv <- c.stall_fence_isv + n
+      | Guard.Dsv -> c.stall_fence_dsv <- c.stall_fence_dsv + n
+      | Guard.Baseline -> c.stall_fence_baseline <- c.stall_fence_baseline + n)
     | Some _ | None ->
       if e.state = Issued then (
         match e.insn with
-        | Insn.Load _ | Insn.Ret -> c.stall_dram <- c.stall_dram + 1
-        | _ -> c.stall_exec <- c.stall_exec + 1)
-      else if t.count = cap t then c.stall_rob_full <- c.stall_rob_full + 1
+        | Insn.Load _ | Insn.Ret -> c.stall_dram <- c.stall_dram + n
+        | _ -> c.stall_exec <- c.stall_exec + n)
+      else if t.count = cap t then c.stall_rob_full <- c.stall_rob_full + n
       else if t.lq_used >= t.cfg.lq_entries || t.sq_used >= t.cfg.sq_entries then
-        c.stall_lsq <- c.stall_lsq + 1
-      else c.stall_exec <- c.stall_exec + 1
+        c.stall_lsq <- c.stall_lsq + n
+      else c.stall_exec <- c.stall_exec + n
   end
+
+(* The first cycle after [now] that may do anything; every cycle before it
+   is idle.  A cycle is idle when no completion is due, the head cannot
+   commit, the issue pass has nothing to visit, and fetch cannot proceed:
+   it is stalled, not yet ready, facing a full ROB, or facing a full LQ/SQ
+   on a line it has already read (the first cycle of that stall reads the
+   I-cache, so it is not idle). *)
+let next_active_cycle t =
+  let soon = t.now + 1 in
+  if t.count > 0 && (entry_at t 0).state = Completed then soon
+  else if next_pos t t.vis 0 < t.count then soon
+  else if next_pos t t.vpp 0 < next_pos t t.unres 0 then soon
+  else
+    let fetch_at =
+      if t.fetch <> Fetching || t.count >= cap t then max_int
+      else if t.fetch_ready_at > soon then t.fetch_ready_at
+      else if t.lq_used < t.cfg.lq_entries && t.sq_used < t.cfg.sq_entries then soon
+      else begin
+        let fid = t.fetch_fid and idx = t.fetch_idx in
+        let body = body_of t fid in
+        if idx < 0 || idx >= Array.length body then soon
+        else
+          let insn = Array.unsafe_get body idx in
+          if Layout.line_of (Layout.phys_key ~asid:t.asid (insn_va_of t fid idx))
+             = t.last_fetch_line
+             && ((Insn.is_load insn && t.lq_used >= t.cfg.lq_entries)
+                || (Insn.is_store insn && t.sq_used >= t.cfg.sq_entries))
+          then max_int
+          else soon
+      end
+    in
+    min t.next_done_at fetch_at
 
 let run ?fuel ?regs ?(hooks = null_hooks) t ~asid ~start =
   let fuel = match fuel with Some f -> f | None -> t.cfg.max_cycles in
@@ -1461,16 +1559,23 @@ let run ?fuel ?regs ?(hooks = null_hooks) t ~asid ~start =
   let start_committed = t.ctrs.committed in
   let elapsed () = t.ctrs.cycles - start_cycles in
   while t.run_outcome = None && elapsed () < fuel do
-    t.now <- t.now + 1;
-    t.ctrs.cycles <- t.ctrs.cycles + 1;
-    if t.kernel_mode then t.ctrs.kernel_cycles <- t.ctrs.kernel_cycles + 1;
-    completion_step t;
-    let committed_before = t.ctrs.committed in
-    commit_step t;
-    if t.run_outcome = None then begin
-      if t.ctrs.committed = committed_before then classify_stall t;
-      issue_step t;
-      fetch_step t
+    (* Idle cycles are skipped in one step, charged as the loop would
+       charge them one by one, and never past the fuel. *)
+    let idle = min (next_active_cycle t - t.now - 1) (fuel - elapsed ()) in
+    let n = if idle > 0 then idle else 1 in
+    t.now <- t.now + n;
+    t.ctrs.cycles <- t.ctrs.cycles + n;
+    if t.kernel_mode then t.ctrs.kernel_cycles <- t.ctrs.kernel_cycles + n;
+    if idle > 0 then classify_stall t n
+    else begin
+      completion_step t;
+      let committed_before = t.ctrs.committed in
+      commit_step t;
+      if t.run_outcome = None then begin
+        if t.ctrs.committed = committed_before then classify_stall t 1;
+        issue_step t;
+        fetch_step t
+      end
     end
   done;
   let outcome = match t.run_outcome with Some o -> o | None -> Out_of_fuel in

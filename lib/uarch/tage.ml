@@ -24,15 +24,11 @@ type t = {
 
 let slot table idx = (table * table_size) + idx
 
-type meta = {
-  provider : int; (* table index, -1 = base *)
-  provider_idx : int;
-  alt_pred : bool;
-  provider_pred : bool;
-  indices : int array;
-  tags : int array;
-  base_idx : int;
-}
+(* Provider/alternate information packed into an int, so a prediction
+   allocates nothing: bits 0-2 hold the provider table + 1 (0 = the bimodal
+   base), bit 3 the provider's prediction, bit 4 the alternate's.  Indices
+   and tags are recomputed from [pc] and [hist] when the branch resolves. *)
+type meta = int
 
 let create () =
   {
@@ -45,12 +41,13 @@ let create () =
   }
 
 (* Fold [len] bits of history together with the pc into [bits] bits. *)
+let rec fold_bits acc h mask bits =
+  if h = 0 then acc else fold_bits (acc lxor (h land mask)) (h lsr bits) mask bits
+
 let fold pc hist len bits =
   let mask = (1 lsl bits) - 1 in
   let h = if len >= 63 then hist else hist land ((1 lsl len) - 1) in
-  let rec go acc h = if h = 0 then acc else go (acc lxor (h land mask)) (h lsr bits) in
-  let folded = go 0 h in
-  (folded lxor (pc lsr 2) lxor (pc lsr (2 + bits))) land mask
+  (fold_bits 0 h mask bits lxor (pc lsr 2) lxor (pc lsr (2 + bits))) land mask
 
 let tag_of pc hist len =
   let mask = (1 lsl tag_bits) - 1 in
@@ -58,79 +55,79 @@ let tag_of pc hist len =
 
 let base_index pc = (pc lsr 2) land ((1 lsl base_bits) - 1)
 
+(* Slot of table [i]'s entry for ([pc], [hist]). *)
+let slot_for pc hist i = slot i (fold pc hist (Array.unsafe_get history_lengths i) table_bits)
+
 let predict t ~pc ~hist =
   t.lookups <- t.lookups + 1;
-  let indices = Array.init num_tables (fun i -> fold pc hist history_lengths.(i) table_bits) in
-  let tags = Array.init num_tables (fun i -> tag_of pc hist history_lengths.(i)) in
-  let base_idx = base_index pc in
-  let base_pred = t.base.(base_idx) >= 2 in
+  let base_pred = t.base.(base_index pc) >= 2 in
   (* Longest matching component provides; second longest is the alternate. *)
   let provider = ref (-1) in
   let altpred = ref base_pred in
   let pred = ref base_pred in
   for i = 0 to num_tables - 1 do
-    let s = slot i indices.(i) in
-    if t.slot_tag.(s) = tags.(i) then begin
+    let s = slot_for pc hist i in
+    if t.slot_tag.(s) = tag_of pc hist history_lengths.(i) then begin
       if !provider >= 0 then altpred := !pred;
       provider := i;
       pred := t.slot_ctr.(s) >= 0
     end
   done;
-  let meta =
-    {
-      provider = !provider;
-      provider_idx = (if !provider >= 0 then indices.(!provider) else base_idx);
-      alt_pred = !altpred;
-      provider_pred = !pred;
-      indices;
-      tags;
-      base_idx;
-    }
-  in
-  (!pred, meta)
+  (!provider + 1) lor (if !pred then 8 else 0) lor if !altpred then 16 else 0
+
+let predicted meta = meta land 8 <> 0
 
 let sat_inc v hi = if v < hi then v + 1 else v
 
 let sat_dec v lo = if v > lo then v - 1 else v
 
-let update t ~pc:_ ~hist:_ meta ~taken =
-  let mispred = meta.provider_pred <> taken in
+let update t ~pc ~hist meta ~taken =
+  let provider = (meta land 7) - 1 in
+  let provider_pred = predicted meta in
+  let alt_pred = meta land 16 <> 0 in
+  let mispred = provider_pred <> taken in
   (* Update the provider (or base) counter. *)
-  (if meta.provider >= 0 then begin
-     let s = slot meta.provider meta.provider_idx in
+  (if provider >= 0 then begin
+     let s = slot_for pc hist provider in
      t.slot_ctr.(s) <-
        (if taken then sat_inc t.slot_ctr.(s) 3 else sat_dec t.slot_ctr.(s) (-4));
      (* Useful bit: provider differed from alternate and was right/wrong. *)
-     if meta.provider_pred <> meta.alt_pred then
+     if provider_pred <> alt_pred then
        t.slot_u.(s) <-
-         (if meta.provider_pred = taken then sat_inc t.slot_u.(s) 3
+         (if provider_pred = taken then sat_inc t.slot_u.(s) 3
           else sat_dec t.slot_u.(s) 0)
    end
    else
-     t.base.(meta.base_idx) <-
-       (if taken then sat_inc t.base.(meta.base_idx) 3
-        else sat_dec t.base.(meta.base_idx) 0));
-  (* Allocate a new entry in a longer-history table on misprediction. *)
-  if mispred && meta.provider < num_tables - 1 then begin
+     let b = base_index pc in
+     t.base.(b) <- (if taken then sat_inc t.base.(b) 3 else sat_dec t.base.(b) 0));
+  (* Allocate a new entry in a longer-history table on misprediction: the
+     candidates are the longer tables whose entry is not useful, and the
+     allocation tick picks among them in table order. *)
+  if mispred && provider < num_tables - 1 then begin
     t.alloc_tick <- t.alloc_tick + 1;
-    let start = meta.provider + 1 in
-    let candidates = ref [] in
-    for i = num_tables - 1 downto start do
-      if t.slot_u.(slot i meta.indices.(i)) = 0 then candidates := i :: !candidates
+    let start = provider + 1 in
+    let ncand = ref 0 in
+    for i = start to num_tables - 1 do
+      if t.slot_u.(slot_for pc hist i) = 0 then incr ncand
     done;
-    match !candidates with
-    | [] ->
+    if !ncand = 0 then
       (* Nothing available: decay usefulness so progress is eventually made. *)
       for i = start to num_tables - 1 do
-        let s = slot i meta.indices.(i) in
+        let s = slot_for pc hist i in
         t.slot_u.(s) <- sat_dec t.slot_u.(s) 0
       done
-    | cs ->
-      let pick = List.nth cs (t.alloc_tick mod List.length cs) in
-      let s = slot pick meta.indices.(pick) in
-      t.slot_tag.(s) <- meta.tags.(pick);
+    else begin
+      let k = ref (t.alloc_tick mod !ncand) in
+      let pick = ref start in
+      while !k > 0 || t.slot_u.(slot_for pc hist !pick) <> 0 do
+        if t.slot_u.(slot_for pc hist !pick) = 0 then decr k;
+        incr pick
+      done;
+      let s = slot_for pc hist !pick in
+      t.slot_tag.(s) <- tag_of pc hist history_lengths.(!pick);
       t.slot_ctr.(s) <- (if taken then 0 else -1);
       t.slot_u.(s) <- 0
+    end
   end
 
 let lookups t = t.lookups

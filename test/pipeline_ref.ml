@@ -1036,7 +1036,8 @@ let fetch_step t =
             let e = make_entry t fid idx insn in
             match insn with
             | Insn.Branch (_, _, _, tgt) ->
-              let pred, meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
+              let meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
+              let pred = Tage.predicted meta in
               e.pred_taken <- pred;
               e.tage_meta <- Some meta;
               e.ghr_snap <- t.ghr;

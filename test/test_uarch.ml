@@ -134,7 +134,8 @@ let test_tage_learns_loop_branch () =
   let mispredicts = ref 0 in
   for i = 0 to 799 do
     let actual = i mod 8 <> 7 in
-    let pred, meta = Tage.predict t ~pc ~hist:!hist in
+    let meta = Tage.predict t ~pc ~hist:!hist in
+    let pred = Tage.predicted meta in
     if pred <> actual then incr mispredicts;
     Tage.update t ~pc ~hist:!hist meta ~taken:actual;
     hist := (!hist lsl 1) lor (if actual then 1 else 0)
@@ -148,7 +149,8 @@ let test_tage_biased_branch () =
   let t = Tage.create () in
   let mis = ref 0 in
   for _ = 1 to 200 do
-    let pred, meta = Tage.predict t ~pc:0x2000 ~hist:0 in
+    let meta = Tage.predict t ~pc:0x2000 ~hist:0 in
+    let pred = Tage.predicted meta in
     if not pred then incr mis;
     Tage.update t ~pc:0x2000 ~hist:0 meta ~taken:true
   done;
@@ -160,10 +162,10 @@ let test_tage_mistraining () =
   let t = Tage.create () in
   let hist = 0 in
   for _ = 1 to 64 do
-    let _, meta = Tage.predict t ~pc:0x3000 ~hist in
+    let meta = Tage.predict t ~pc:0x3000 ~hist in
     Tage.update t ~pc:0x3000 ~hist meta ~taken:false
   done;
-  let pred, _ = Tage.predict t ~pc:0x3000 ~hist in
+  let pred = Tage.predicted (Tage.predict t ~pc:0x3000 ~hist) in
   Alcotest.(check bool) "predicts the trained direction" false pred
 
 let test_btb_update_lookup () =
@@ -257,7 +259,8 @@ let tage_stream ~seed ~branches =
       | 2 -> (!hist lsr (1 + (k mod 5))) land 1 = 1
       | _ -> rnd 2 = 0
     in
-    let pred, meta = Tage.predict t ~pc:pcs.(k) ~hist:!hist in
+    let meta = Tage.predict t ~pc:pcs.(k) ~hist:!hist in
+    let pred = Tage.predicted meta in
     Buffer.add_char b (if pred then '1' else '0');
     Tage.update t ~pc:pcs.(k) ~hist:!hist meta ~taken;
     hist := ((!hist lsl 1) lor if taken then 1 else 0) land max_int
