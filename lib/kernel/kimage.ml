@@ -16,6 +16,7 @@ type t = {
   by_nr : (int, sysdesc) Hashtbl.t;
   node_fid : (int, int) Hashtbl.t;
   fid_node : (int, int) Hashtbl.t;
+  node_table : (int, int array) Hashtbl.t; (* helper realized as a Dispatch body -> its table *)
 }
 
 let table_slots = 8
@@ -154,6 +155,35 @@ let dispatch_targets graph rng site =
   Array.init table_slots (fun i ->
       if i < 6 || n = 1 then arr.(0) else arr.(1 + ((i - 6) mod (n - 1))))
 
+(* Reject an image in which a realized syscall reaches an [Icall] (through
+   its entry's direct calls) but has no dispatch table: the call would load
+   its target from whatever r13 points at. *)
+let check_tables t =
+  let body = Hashtbl.create 256 in
+  List.iter (fun f -> Hashtbl.replace body f.Program.fid f.Program.body) t.funcs_rev;
+  Hashtbl.iter
+    (fun nr d ->
+      if d.table_nodes = [||] then begin
+        let seen = Hashtbl.create 16 in
+        let rec reaches_icall fid =
+          (not (Hashtbl.mem seen fid))
+          && begin
+               Hashtbl.replace seen fid ();
+               Array.exists
+                 (function
+                   | Pv_isa.Insn.Icall _ -> true
+                   | Pv_isa.Insn.Call f -> reaches_icall f
+                   | _ -> false)
+                 (Option.value (Hashtbl.find_opt body fid) ~default:[||])
+             end
+        in
+        if reaches_icall d.entry_fid then
+          invalid_arg
+            (Printf.sprintf
+               "Kimage.build: syscall %d reaches an indirect call but has no dispatch table" nr)
+      end)
+    t.by_nr
+
 let build graph ~seed ~fid_base ~syscalls =
   let rng = Rng.create (seed lxor 0x6B696D67) in
   let t =
@@ -163,6 +193,7 @@ let build graph ~seed ~fid_base ~syscalls =
       by_nr = Hashtbl.create 32;
       node_fid = Hashtbl.create 256;
       fid_node = Hashtbl.create 256;
+      node_table = Hashtbl.create 16;
     }
   in
   let realize_syscall nr =
@@ -183,10 +214,24 @@ let build graph ~seed ~fid_base ~syscalls =
             | Codegen.Dispatch _ | Codegen.Loop _ | Codegen.Leaf _ -> ());
             match Hashtbl.find_opt t.node_fid node with
             | Some fid -> fid
-            | None -> add_func t graph node (Codegen.gen_body shape ~tail:`Ret))
+            | None ->
+              (match shape with
+              | Codegen.Dispatch _ -> Hashtbl.replace t.node_table node !table
+              | Codegen.Loop _ | Codegen.Leaf _ -> ());
+              add_func t graph node (Codegen.gen_body shape ~tail:`Ret))
           (List.filteri (fun i _ -> i < n) nodes)
           (List.filteri (fun i _ -> i < n) shapes)
       in
+      (* A syscall with no dispatch shape of its own may still reach a
+         helper an earlier syscall realized as a Dispatch body: its indirect
+         call then goes through that helper's table. *)
+      if !table = [||] then
+        List.iter
+          (fun node ->
+            match Hashtbl.find_opt t.node_table node with
+            | Some tbl when !table = [||] -> table := tbl
+            | Some _ | None -> ())
+          nodes;
       let entry_fid =
         add_func t graph entry_node (Codegen.gen_entry ~callees:helper_fids)
       in
@@ -195,6 +240,7 @@ let build graph ~seed ~fid_base ~syscalls =
     end
   in
   List.iter realize_syscall syscalls;
+  check_tables t;
   t
 
 let funcs t = List.rev t.funcs_rev

@@ -23,6 +23,10 @@ type t
 
 val build :
   Callgraph.t -> seed:int -> fid_base:int -> syscalls:int list -> t
+(** A syscall whose own helpers include no dispatch shape but that reuses a
+    helper an earlier syscall realized as a dispatch body gets that helper's
+    table.  Raises [Invalid_argument] if a realized syscall can still reach
+    an indirect call without a table. *)
 
 val funcs : t -> Pv_isa.Program.func list
 (** Kernel functions, fids dense in [fid_base, fid_base + length). *)

@@ -136,56 +136,106 @@ let test_labeled_isolation () =
 
 (* --- opt vs ref agreement under the shadow guards ---------------------- *)
 
+(* A run's architectural result, timing, final L1D/L2 state and, under a
+   shadow guard, the shadow's size and fill/discard/promotion counts. *)
+type shadow_run = {
+  regs : int array;
+  stream : (int * int) list;
+  cycles : int;
+  committed : int;
+  caches : string list;
+  shadow : int list;
+}
+
+let observed ms sh ~regs ~stream ~cycles ~committed =
+  {
+    regs;
+    stream = List.rev stream;
+    cycles;
+    committed;
+    caches = [ Cache.state_signature (Memsys.l1d ms); Cache.state_signature (Memsys.l2 ms) ];
+    shadow =
+      (match sh with
+      | Some (s, _) -> [ Shadow.size s; Shadow.fills s; Shadow.discards s; Shadow.promotions s ]
+      | None -> []);
+  }
+
 let run_opt ?guard prog =
-  let stream = ref [] in
   let ms = Memsys.create (Mem.create ()) in
+  let sh = Option.map (fun mode -> shadow_guard mode ms) guard in
   let pipe = Pipeline.create ms prog in
-  Option.iter (fun mode -> Pipeline.set_guard pipe (snd (shadow_guard mode ms))) guard;
-  let hooks =
-    {
-      Pipeline.null_hooks with
-      Pipeline.on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
-    }
+  Option.iter (fun (_, g) -> Pipeline.set_guard pipe g) sh;
+  let stream = ref [] in
+  let on_commit fid idx _ = stream := (fid, idx) :: !stream in
+  let r =
+    Pipeline.run ~hooks:{ Pipeline.null_hooks with Pipeline.on_commit = Some on_commit } pipe
+      ~asid:1 ~start:0
   in
-  let r = Pipeline.run ~hooks pipe ~asid:1 ~start:0 in
-  (r.Pipeline.regs, List.rev !stream, r.Pipeline.cycles, r.Pipeline.committed)
+  observed ms sh ~regs:r.Pipeline.regs ~stream:!stream ~cycles:r.Pipeline.cycles
+    ~committed:r.Pipeline.committed
 
 let run_ref ?guard prog =
-  let stream = ref [] in
   let ms = Memsys.create (Mem.create ()) in
+  let sh = Option.map (fun mode -> shadow_guard mode ms) guard in
   let pipe = Pipeline_ref.create ms prog in
-  Option.iter (fun mode -> Pipeline_ref.set_guard pipe (snd (shadow_guard mode ms))) guard;
-  let hooks =
-    {
-      Pipeline_ref.null_hooks with
-      Pipeline_ref.on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
-    }
+  Option.iter (fun (_, g) -> Pipeline_ref.set_guard pipe g) sh;
+  let stream = ref [] in
+  let on_commit fid idx _ = stream := (fid, idx) :: !stream in
+  let r =
+    Pipeline_ref.run
+      ~hooks:{ Pipeline_ref.null_hooks with Pipeline_ref.on_commit = Some on_commit }
+      pipe ~asid:1 ~start:0
   in
-  let r = Pipeline_ref.run ~hooks pipe ~asid:1 ~start:0 in
-  (r.Pipeline_ref.regs, List.rev !stream, r.Pipeline_ref.cycles, r.Pipeline_ref.committed)
+  observed ms sh ~regs:r.Pipeline_ref.regs ~stream:!stream ~cycles:r.Pipeline_ref.cycles
+    ~committed:r.Pipeline_ref.committed
+
+let assert_shadow_agrees ~name prog =
+  let base = run_opt prog in
+  List.iter
+    (fun mode ->
+      let o = run_opt ~guard:mode prog in
+      let r = run_ref ~guard:mode prog in
+      let label fmt = Printf.sprintf ("%s: " ^^ fmt) name in
+      check Alcotest.(array int) (label "shadow regs = unguarded regs") base.regs o.regs;
+      check
+        Alcotest.(list (pair int int))
+        (label "shadow commit stream = unguarded") base.stream o.stream;
+      check Alcotest.(array int) (label "opt regs = ref regs") r.regs o.regs;
+      check Alcotest.(list (pair int int)) (label "opt commit stream = ref") r.stream o.stream;
+      check Alcotest.int (label "opt cycles = ref cycles") r.cycles o.cycles;
+      check Alcotest.int (label "opt committed = ref committed") r.committed o.committed;
+      check Alcotest.(list string) (label "opt L1D/L2 state = ref") r.caches o.caches;
+      check
+        Alcotest.(list int)
+        (label "opt shadow size/fills/discards/promotions = ref")
+        r.shadow o.shadow)
+    [ Shadow.Shared; Shadow.Labeled ]
+
+(* Both program generators, as in the equivalence suite. *)
+let generators =
+  [ ("", Test_oracle.gen_program); ("wide ", Test_oracle.gen_program_wide) ]
 
 let test_shadow_opt_matches_ref () =
-  for seed = 1 to 25 do
-    let rng = Rng.create (0x5AFE + seed) in
-    let prog = Test_oracle.gen_program rng in
-    let base_regs, base_stream, _, _ = run_opt prog in
-    List.iter
-      (fun mode ->
-        let o_regs, o_stream, o_cycles, o_committed = run_opt ~guard:mode prog in
-        let r_regs, r_stream, r_cycles, r_committed = run_ref ~guard:mode prog in
-        let label fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
-        check Alcotest.(array int) (label "shadow regs = unguarded regs") base_regs o_regs;
-        check
-          Alcotest.(list (pair int int))
-          (label "shadow commit stream = unguarded") base_stream o_stream;
-        check Alcotest.(array int) (label "opt regs = ref regs") r_regs o_regs;
-        check
-          Alcotest.(list (pair int int))
-          (label "opt commit stream = ref") r_stream o_stream;
-        check Alcotest.int (label "opt cycles = ref cycles") r_cycles o_cycles;
-        check Alcotest.int (label "opt committed = ref committed") r_committed o_committed)
-      [ Shadow.Shared; Shadow.Labeled ]
-  done
+  List.iter
+    (fun (kind, gen) ->
+      for seed = 1 to 25 do
+        let rng = Rng.create (0x5AFE + seed) in
+        assert_shadow_agrees ~name:(Printf.sprintf "%sseed %d" kind seed) (gen rng)
+      done)
+    generators
+
+(* QCheck-driven seeds on top of the fixed sweep (CI runs it at 25 times
+   its count). *)
+let shadow_program_prop =
+  QCheck.Test.make ~name:"random program: shadow opt = ref" ~count:10
+    QCheck.(int_bound 0xFFFF)
+    (fun seed ->
+      List.iter
+        (fun (kind, gen) ->
+          let rng = Rng.create (0x5AFE_000 + seed) in
+          assert_shadow_agrees ~name:(Printf.sprintf "qcheck %sseed %d" kind seed) (gen rng))
+        generators;
+      true)
 
 (* --- checker verdicts --------------------------------------------------- *)
 
@@ -313,6 +363,7 @@ let suite =
         Alcotest.test_case "labeled vs shared squash isolation" `Quick test_labeled_isolation;
         Alcotest.test_case "random programs: shadow opt = ref = unguarded arch" `Slow
           test_shadow_opt_matches_ref;
+        QCheck_alcotest.to_alcotest shadow_program_prop;
       ] );
     ( "contracts.checker",
       [

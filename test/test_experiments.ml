@@ -200,6 +200,23 @@ let test_reproduce_keys_disjoint () =
         keys)
     sweeps
 
+(* A short UNSAFE cell of any row never faults, whatever the machine seed
+   (seeds 2, 5 and 12 used to reach an indirect call through a missing
+   dispatch table). *)
+let unsafe_never_faults_prop =
+  let rows =
+    List.map (fun t -> `Lebench t) Lebench.tests
+    @ List.map (fun a -> `App a) Pv_workloads.Apps.all
+  in
+  QCheck.Test.make ~name:"short UNSAFE perf cell never faults" ~count:30
+    QCheck.(pair (int_range 1 1000) (int_bound (List.length rows - 1)))
+    (fun (seed, i) ->
+      let scale = 0.05 in
+      (match List.nth rows i with
+      | `Lebench t -> ignore (Perf.run_lebench ~seed ~scale Schemes.unsafe t)
+      | `App a -> ignore (Perf.run_app ~seed ~scale Schemes.unsafe a));
+      true)
+
 let suite =
   [
     ( "experiments.isv_study",
@@ -213,6 +230,7 @@ let suite =
         Alcotest.test_case "select scheme ordering" `Slow test_perf_select_ordering;
         Alcotest.test_case "fence accounting" `Slow test_perf_fence_accounting;
         Alcotest.test_case "throughput normalization" `Slow test_perf_throughput_normalization;
+        QCheck_alcotest.to_alcotest unsafe_never_faults_prop;
       ] );
     ("experiments.security", [ Alcotest.test_case "PoC verdicts" `Slow test_security_pocs ]);
     ( "experiments.analytic",
