@@ -120,31 +120,7 @@ let add_counters a c =
   a.stall_dram <- a.stall_dram + c.stall_dram;
   a.stall_exec <- a.stall_exec + c.stall_exec
 
-let copy_counters c =
-  {
-    cycles = c.cycles;
-    kernel_cycles = c.kernel_cycles;
-    committed = c.committed;
-    committed_kernel = c.committed_kernel;
-    committed_loads = c.committed_loads;
-    committed_kernel_loads = c.committed_kernel_loads;
-    syscalls = c.syscalls;
-    squashes = c.squashes;
-    branch_mispredicts = c.branch_mispredicts;
-    spec_loads = c.spec_loads;
-    fences_isv = c.fences_isv;
-    fences_dsv = c.fences_dsv;
-    fences_baseline = c.fences_baseline;
-    stall_total = c.stall_total;
-    stall_fetch = c.stall_fetch;
-    stall_rob_full = c.stall_rob_full;
-    stall_lsq = c.stall_lsq;
-    stall_fence_isv = c.stall_fence_isv;
-    stall_fence_dsv = c.stall_fence_dsv;
-    stall_fence_baseline = c.stall_fence_baseline;
-    stall_dram = c.stall_dram;
-    stall_exec = c.stall_exec;
-  }
+let copy_counters c = { c with cycles = c.cycles }
 
 let diff_counters a b =
   {
@@ -302,6 +278,7 @@ type t = {
   retired_val : int array;
   arf : int array;
   rat : int array;
+  mutable captured : int; (* the value [capture] found *)
   (* Slot sets: bitsets over ROB slots, 32 slots per word, walked from
      [head] in ROB order, so they keep seq order with no sorting.  Bits of
      slots outside the live window are stale and never read; [make_entry]
@@ -409,6 +386,7 @@ let create ?(config = default_config) memsys prog =
     retired_val = Array.make cap 0;
     arf = Array.make Insn.num_regs 0;
     rat = Array.make Insn.num_regs (-1);
+    captured = 0;
     nw;
     vis = set ();
     vpp = set ();
@@ -537,7 +515,8 @@ let debruijn =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-let ctz x = Array.unsafe_get debruijn ((((x land (-x)) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+let ctz x =
+  Array.unsafe_get debruijn ((((x land (-x)) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
 
 (* Lowest set slot >= [s] (words [s lsr 5 .. nw-1]), or -1. *)
 let next_slot bs nw s =
@@ -551,43 +530,25 @@ let next_slot bs nw s =
 
 (* First live position >= [p] whose slot is in [bs], or [count]: slots
    [head + p ..] first, then the wrapped part [0 .. head). *)
-let next_pos_scan t bs p =
-  if p >= t.count then t.count
-  else begin
-    let c = Array.length t.rob in
-    let s = t.head + p in
-    let r =
-      if s < c then begin
-        let r = next_slot bs t.nw s in
-        if r >= 0 then r - t.head
-        else
-          let r = next_slot bs t.nw 0 in
-          if r >= 0 && r < t.head then r + c - t.head else t.count
-      end
-      else
-        let r = next_slot bs t.nw (s - c) in
-        if r >= 0 && r < t.head then r + c - t.head else t.count
-    in
-    if r < t.count then r else t.count
-  end
-
-(* [next_pos_scan] with the common case first: a member in the rest of the
-   word holding position [p]'s slot.  Its position [q] lies past the window
-   when [q >= count]; [q < p] means the search crossed from the wrapped part
-   into [head ..], so nothing is left before the window's end either. *)
 let next_pos t bs p =
   let n = t.count in
   if p >= n then n
   else begin
     let c = Array.length t.rob and h = t.head in
     let s = h + p in
-    let s = if s >= c then s - c else s in
-    let x = Array.unsafe_get bs (s lsr 5) land (-1 lsl (s land 31)) in
-    if x = 0 then next_pos_scan t bs p
-    else
-      let r = (s land lnot 31) + ctz x in
-      let q = if r >= h then r - h else r + c - h in
-      if q < p || q >= n then n else q
+    let r =
+      if s < c then begin
+        let r = next_slot bs t.nw s in
+        if r >= 0 then r - h
+        else
+          let r = next_slot bs t.nw 0 in
+          if r >= 0 && r < h then r + c - h else n
+      end
+      else
+        let r = next_slot bs t.nw (s - c) in
+        if r >= 0 && r < h then r + c - h else n
+    in
+    if r < n then r else n
   end
 
 (* Put the Waiting entry in [slot] on the wait list of the entry in
@@ -614,8 +575,6 @@ let body_of t fid =
   if fid >= 0 && fid < Program.length t.prog then (Program.func t.prog fid).Program.body
   else [||]
 
-let is_kernel_fid t fid = func_space t fid = Layout.Kernel
-
 let insn_va_of t fid idx = Layout.insn_va (func_space t fid) fid idx
 
 (* A taint root is an in-flight speculative load that has not yet reached its
@@ -632,17 +591,16 @@ let root_active t root =
 (* Rename source registers [r0] and [r1] (-1 when absent): the seq of the
    in-flight producer, or the architectural value. *)
 let rename_srcs t e r0 r1 =
-  let p = if r0 >= 0 then t.rat.(r0) else -1 in
-  e.src_seq0 <- p;
-  e.src_val0 <- (if r0 >= 0 && p < 0 then t.arf.(r0) else 0);
-  let p = if r1 >= 0 then t.rat.(r1) else -1 in
-  e.src_seq1 <- p;
-  e.src_val1 <- (if r1 >= 0 && p < 0 then t.arf.(r1) else 0)
+  e.src_seq0 <- (if r0 >= 0 then t.rat.(r0) else -1);
+  e.src_val0 <- (if r0 >= 0 && e.src_seq0 < 0 then t.arf.(r0) else 0);
+  e.src_seq1 <- (if r1 >= 0 then t.rat.(r1) else -1);
+  e.src_val1 <- (if r1 >= 0 && e.src_seq1 < 0 then t.arf.(r1) else 0)
 
 (* Reinitialize the pool entry at the ROB tail — the allocation-free
    equivalent of the seed model's fresh record per fetched instruction.
-   [va] is the already-computed VA of (fid, idx).  The new entry is Waiting,
-   so it joins the issue pass. *)
+   Fields that only one class reads (prediction and return-stack snapshots,
+   [done_at], [store_val]) are left to the fetch or issue that sets them.
+   [va] is the already-computed VA of (fid, idx). *)
 let make_entry t fid idx ~va ~kernel insn =
   let slot = slot_at t t.count in
   let e = Array.unsafe_get t.rob slot in
@@ -694,24 +652,14 @@ let make_entry t fid idx ~va ~kernel insn =
   | Insn.Flush (r1, _) -> rename_srcs t e r1 (-1));
   e.state <- Waiting;
   e.kernel <- kernel;
-  e.pred_taken <- false;
-  e.actual_taken <- false;
   e.resolved <- false;
   e.vp_done <- false;
   e.addr_known <- false;
   e.blocked <- None;
-  e.done_at <- 0;
   e.value <- 0;
   e.eff_addr <- 0;
-  e.store_val <- 0;
   e.pred_target_va <- -1;
   e.actual_target_va <- -1;
-  e.tage_meta <- 0;
-  e.ghr_snap <- 0;
-  e.stack_snap <- [];
-  e.depth_snap <- 0;
-  e.ret_target <- -1;
-  e.ret_depth <- 0;
   e.taint_root <- -1;
   e.fault <- None;
   bit_clear t.vpp slot;
@@ -778,32 +726,55 @@ let redirect_fetch t va delay =
   t.fetch_ready_at <- t.now + delay;
   t.last_fetch_line <- -1
 
+let squash t pos e target_va restore_stack restore_depth restore_ghr =
+  t.ctrs.squashes <- t.ctrs.squashes + 1;
+  record_event t Ev_squash ~va:e.va ~seq:e.seq;
+  (match t.guard.Guard.notify_squash with
+  | Some f -> f ~asid:t.asid
+  | None -> ());
+  truncate_rob t pos;
+  t.dispatch_stack <- restore_stack;
+  t.dispatch_depth <- restore_depth;
+  t.ghr <- restore_ghr;
+  if target_va >= 0 then redirect_fetch t target_va t.cfg.mispredict_penalty
+  else t.fetch <- Stopped
+
+(* An indirect call or return checked against its predicted target: resume
+   a fetch that stalled on it (after [delay] cycles; a call also pushes its
+   return address), or squash on a fault or a wrong target. *)
+let resolve_target t pos e stack' depth' ~push ~delay =
+  if e.pred_target_va = -1 then begin
+    if t.fetch = Stalled_ctrl && t.fetch_seq = e.seq then begin
+      if e.fault <> None then t.fetch <- Stopped
+      else begin
+        if push then Ras.push t.ras (e.va + Layout.insn_bytes);
+        redirect_fetch t e.actual_target_va delay
+      end
+    end;
+    false
+  end
+  else if e.fault <> None then begin
+    squash t pos e (-1) stack' depth' t.ghr;
+    true
+  end
+  else if e.actual_target_va <> e.pred_target_va then begin
+    t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
+    squash t pos e e.actual_target_va stack' depth' t.ghr;
+    true
+  end
+  else false
+
 (* Resolution of a completed control-flow instruction at ROB position [pos].
    Returns true if younger entries were squashed. *)
 let resolve_ctrl t pos e =
   e.resolved <- true;
-  let squash target_va restore_stack restore_depth restore_ghr =
-    t.ctrs.squashes <- t.ctrs.squashes + 1;
-    record_event t Ev_squash ~va:e.va ~seq:e.seq;
-    (match t.guard.Guard.notify_squash with
-    | Some f -> f ~asid:t.asid
-    | None -> ());
-    truncate_rob t pos;
-    t.dispatch_stack <- restore_stack;
-    t.dispatch_depth <- restore_depth;
-    t.ghr <- restore_ghr;
-    if target_va >= 0 then redirect_fetch t target_va t.cfg.mispredict_penalty
-    else t.fetch <- Stopped
-  in
   match e.insn with
   | Insn.Branch _ ->
     Tage.update t.tage ~pc:e.va ~hist:e.ghr_snap e.tage_meta ~taken:e.actual_taken;
     if e.actual_taken <> e.pred_taken then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
-      let ghr' =
-        (e.ghr_snap lsl 1) lor (if e.actual_taken then 1 else 0)
-      in
-      squash e.actual_target_va e.stack_snap e.depth_snap ghr';
+      let ghr' = (e.ghr_snap lsl 1) lor if e.actual_taken then 1 else 0 in
+      squash t pos e e.actual_target_va e.stack_snap e.depth_snap ghr';
       true
     end
     else false
@@ -812,50 +783,16 @@ let resolve_ctrl t pos e =
        indirect call must leave no predictor state behind. *)
     if e.actual_target_va >= 0 && not t.guard.Guard.shadow_btb then
       Btb.update t.btb e.va e.actual_target_va;
-    let stack' = (e.va + Layout.insn_bytes) :: e.stack_snap in
-    let depth' = e.depth_snap + 1 in
-    if e.pred_target_va = -1 then begin
-      (* Fetch was stalled on this instruction: resume, no squash. *)
-      if t.fetch = Stalled_ctrl && t.fetch_seq = e.seq then begin
-        if e.fault <> None then t.fetch <- Stopped
-        else begin
-          Ras.push t.ras (e.va + Layout.insn_bytes);
-          (* A retpolined indirect call pays for the capture sequence. *)
-          redirect_fetch t e.actual_target_va (if t.cfg.retpoline then 24 else 1)
-        end
-      end;
-      false
-    end
-    else if e.fault <> None then begin
-      squash (-1) stack' depth' t.ghr;
-      true
-    end
-    else if e.actual_target_va <> e.pred_target_va then begin
-      t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
-      squash e.actual_target_va stack' depth' t.ghr;
-      true
-    end
-    else false
+    (* A retpolined indirect call pays for the capture sequence. *)
+    resolve_target t pos e
+      ((e.va + Layout.insn_bytes) :: e.stack_snap)
+      (e.depth_snap + 1) ~push:true
+      ~delay:(if t.cfg.retpoline then 24 else 1)
   | Insn.Ret ->
-    let stack' = match e.stack_snap with [] -> [] | _ :: rest -> rest in
-    let depth' = max 0 (e.depth_snap - 1) in
-    if e.pred_target_va = -1 then begin
-      if t.fetch = Stalled_ctrl && t.fetch_seq = e.seq then begin
-        if e.fault <> None then t.fetch <- Stopped
-        else redirect_fetch t e.actual_target_va 1
-      end;
-      false
-    end
-    else if e.fault <> None then begin
-      squash (-1) stack' depth' t.ghr;
-      true
-    end
-    else if e.actual_target_va <> e.pred_target_va then begin
-      t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
-      squash e.actual_target_va stack' depth' t.ghr;
-      true
-    end
-    else false
+    resolve_target t pos e
+      (match e.stack_snap with [] -> [] | _ :: rest -> rest)
+      (max 0 (e.depth_snap - 1))
+      ~push:false ~delay:1
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -1027,59 +964,46 @@ let commit_step t =
 (* ------------------------------------------------------------------ *)
 (* Issue                                                                *)
 (* ------------------------------------------------------------------ *)
-(* Operand capture, one specialized copy per source slot so the common case
-   (value already captured) is a single int compare. *)
-let capture_operand0 t e =
-  let s = e.src_seq0 in
-  if s < 0 then true
-  else
-    let pos = pos_of_seq t s in
-    if pos < 0 then begin
-      let slot = s mod cap t in
-      if t.retired_seq.(slot) = s then begin
-        e.src_val0 <- t.retired_val.(slot);
-        e.src_seq0 <- -1;
-        true
-      end
-      else false
-    end
-    else
-      let p = entry_at t pos in
-      if p.state = Completed then begin
-        e.src_val0 <- p.value;
-        e.src_seq0 <- -1;
-        if root_active t p.taint_root then
-          e.taint_root <- max e.taint_root p.taint_root;
-        true
-      end
-      else false
+(* Operand capture: whether producer [s] (in flight or retired) has its
+   value, left in [t.captured]; an in-flight producer also passes on its
+   active taint root. *)
+let capture t e s =
+  let pos = pos_of_seq t s in
+  if pos < 0 then begin
+    let slot = s mod cap t in
+    t.retired_seq.(slot) = s
+    && begin
+         t.captured <- t.retired_val.(slot);
+         true
+       end
+  end
+  else begin
+    let p = entry_at t pos in
+    p.state = Completed
+    && begin
+         t.captured <- p.value;
+         if root_active t p.taint_root then e.taint_root <- max e.taint_root p.taint_root;
+         true
+       end
+  end
 
-let capture_operand1 t e =
-  let s = e.src_seq1 in
-  if s < 0 then true
-  else
-    let pos = pos_of_seq t s in
-    if pos < 0 then begin
-      let slot = s mod cap t in
-      if t.retired_seq.(slot) = s then begin
-        e.src_val1 <- t.retired_val.(slot);
-        e.src_seq1 <- -1;
-        true
-      end
-      else false
-    end
-    else
-      let p = entry_at t pos in
-      if p.state = Completed then begin
-        e.src_val1 <- p.value;
-        e.src_seq1 <- -1;
-        if root_active t p.taint_root then
-          e.taint_root <- max e.taint_root p.taint_root;
-        true
-      end
-      else false
-
-let operands_ready t e = capture_operand0 t e && capture_operand1 t e
+(* Capture both operands, the first before the second; the common case (both
+   already captured) is two int compares. *)
+let operands_ready t e =
+  (e.src_seq0 < 0
+  || capture t e e.src_seq0
+     && begin
+          e.src_val0 <- t.captured;
+          e.src_seq0 <- -1;
+          true
+        end)
+  && (e.src_seq1 < 0
+     || capture t e e.src_seq1
+        && begin
+             e.src_val1 <- t.captured;
+             e.src_seq1 <- -1;
+             true
+           end)
 
 let count_fence t src =
   match src with
@@ -1150,13 +1074,57 @@ let guard_load t e slot ~speculative =
 let rec fwd_find t pos word q best =
   let q = next_pos t t.stq q in
   if q >= pos then best
-  else fwd_find t pos word (q + 1) (if (entry_at t q).eff_addr lsr 3 = word then q else best)
+  else
+    fwd_find t pos word (q + 1) (if (entry_at t q).eff_addr lsr 3 = word then q else best)
 
 (* Wait on the in-flight producer an operand capture short-circuited on. *)
 let wait_dep t e slot =
   let s = if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1 in
   wait_on t slot (slot_at t (pos_of_seq t s))
 
+
+(* Execute a non-load, non-fence instruction whose operands are captured;
+   its latency. *)
+let execute t e = function
+  | Insn.Limm (_, v) ->
+    e.value <- v;
+    1
+  | Insn.Alu (op, _, _, _) ->
+    e.value <- Insn.eval_binop op e.src_val0 e.src_val1;
+    1
+  | Insn.Alui (op, _, _, v) ->
+    e.value <- Insn.eval_binop op e.src_val0 v;
+    1
+  | Insn.Branch (c, _, _, tgt) ->
+    e.actual_taken <- Insn.eval_cond c e.src_val0 e.src_val1;
+    let next_idx = if e.actual_taken then tgt else e.e_idx + 1 in
+    e.actual_target_va <- insn_va_of t e.e_fid next_idx;
+    t.cfg.branch_latency
+  | Insn.Icall _ ->
+    let target = e.src_val0 in
+    (match Layout.decode_code_va target with
+    | Some (space, f, _) when f < Program.length t.prog && func_space t f = space ->
+      e.actual_target_va <- target
+    | Some _ | None -> e.fault <- Some (Printf.sprintf "icall to invalid VA %#x" target));
+    t.cfg.branch_latency
+  | Insn.Ret ->
+    (if e.ret_target < 0 then e.fault <- Some "ret with empty stack"
+     else e.actual_target_va <- e.ret_target);
+    (* Returning reads the architectural stack: a flushed stack line delays
+       resolution, widening the transient window (Spectre-RSB). *)
+    Memsys.data_read_lat t.memsys (ret_stack_va ~asid:t.asid ~depth:e.ret_depth)
+  | Insn.Flush (_, off) ->
+    e.eff_addr <- e.src_val0 + off;
+    e.addr_known <- true;
+    1
+  | Insn.Store (_, _, off) ->
+    e.eff_addr <- e.src_val0 + off;
+    e.store_val <- e.src_val1;
+    e.addr_known <- true;
+    1
+  | Insn.Nop | Insn.Jump _ | Insn.Call _ | Insn.Syscall | Insn.Sysret | Insn.Halt
+  | Insn.Fence | Insn.Load _ ->
+    1
 
 (* The walk's next position: the first of the next [vis] entry at or after
    [p] (while budget is left) and [next_vp], the next load short of its
@@ -1225,109 +1193,49 @@ let issue_step t =
       else wait_on t slot (slot_at t first_fence)
     end
     else if !budget > 0 then begin
-      match e.insn with
-      | Insn.Nop | Insn.Jump _ | Insn.Call _ | Insn.Syscall | Insn.Sysret
-      | Insn.Halt ->
-        decr budget;
-        issue t e slot 1
-      | Insn.Fence ->
-        let blocker = next_pos t t.inc 0 in
-        if blocker < pos then wait_on t slot (slot_at t blocker)
-        else begin
-          decr budget;
-          issue t e slot 1
-        end
-      | Insn.Limm (_, v) ->
-        decr budget;
-        e.value <- v;
-        issue t e slot 1
-      | Insn.Alu (op, _, _, _) ->
-        if operands_ready t e then begin
-          decr budget;
-          e.value <- Insn.eval_binop op e.src_val0 e.src_val1;
-          issue t e slot 1
-        end
-        else wait_dep t e slot
-      | Insn.Alui (op, _, _, v) ->
-        if operands_ready t e then begin
-          decr budget;
-          e.value <- Insn.eval_binop op e.src_val0 v;
-          issue t e slot 1
-        end
-        else wait_dep t e slot
-      | Insn.Branch (c, _, _, tgt) ->
-        if operands_ready t e then begin
-          decr budget;
-          e.actual_taken <- Insn.eval_cond c e.src_val0 e.src_val1;
-          let next_idx = if e.actual_taken then tgt else e.e_idx + 1 in
-          e.actual_target_va <- insn_va_of t e.e_fid next_idx;
-          issue t e slot t.cfg.branch_latency
-        end
-        else wait_dep t e slot
-      | Insn.Icall _ ->
-        if operands_ready t e then begin
-          decr budget;
-          let target = e.src_val0 in
-          (match Layout.decode_code_va target with
-          | Some (space, f, _)
-            when f < Program.length t.prog && func_space t f = space ->
-            e.actual_target_va <- target
-          | Some _ | None ->
-            e.fault <- Some (Printf.sprintf "icall to invalid VA %#x" target));
-          issue t e slot t.cfg.branch_latency
-        end
-        else wait_dep t e slot
-      | Insn.Ret ->
-        decr budget;
-        (if e.ret_target < 0 then e.fault <- Some "ret with empty stack"
-         else e.actual_target_va <- e.ret_target);
-        (* Returning reads the architectural stack: a flushed stack line
-           delays resolution, widening the transient window (Spectre-RSB). *)
-        let key = ret_stack_va ~asid:t.asid ~depth:e.ret_depth in
-        issue t e slot (Memsys.data_read_lat t.memsys key)
-      | Insn.Flush (_, off) ->
-        if operands_ready t e then begin
-          decr budget;
-          e.eff_addr <- e.src_val0 + off;
-          e.addr_known <- true;
-          issue t e slot 1
-        end
-        else wait_dep t e slot
-      | Insn.Store (_, _, off) ->
-        if operands_ready t e then begin
-          decr budget;
-          e.eff_addr <- e.src_val0 + off;
-          e.store_val <- e.src_val1;
-          e.addr_known <- true;
-          issue t e slot 1;
-          bit_clear t.unk slot;
-          wake t slot
-        end
-        else wait_dep t e slot
-      | Insn.Load (_, _, off) ->
-        (* A load the guard blocked goes straight back to it: its operand is
-           captured, and its older stores, all with known addresses and no
-           match for its word, can only retire. *)
-        if Option.is_some e.blocked then begin
-          if guard_load t e slot ~speculative then decr budget
-        end
-        else if not (operands_ready t e) then wait_dep t e slot
-        else begin
-          let unknown = next_pos t t.unk 0 in
-          if unknown < pos then wait_on t slot (slot_at t unknown)
+      (* Every attempt starts with operand capture (trivially true for an
+         instruction without sources, and for a blocked load, whose operand
+         is captured). *)
+      if not (operands_ready t e) then wait_dep t e slot
+      else
+        match e.insn with
+        | Insn.Fence ->
+          let blocker = next_pos t t.inc 0 in
+          if blocker < pos then wait_on t slot (slot_at t blocker)
           else begin
-            e.eff_addr <- e.src_val0 + off;
-            e.addr_known <- true;
-            let j = fwd_find t pos (e.eff_addr lsr 3) 0 (-1) in
-            if j >= 0 then begin
-              (* Store-to-load forwarding: no cache access. *)
-              decr budget;
-              e.value <- (entry_at t j).store_val;
-              issue_load t e slot 1
-            end
-            else if guard_load t e slot ~speculative then decr budget
+            decr budget;
+            issue t e slot 1
           end
-        end
+        | Insn.Load (_, _, off) ->
+          (* A load the guard blocked goes straight back to it: its older
+             stores, all with known addresses and no match for its word,
+             can only retire. *)
+          if Option.is_some e.blocked then begin
+            if guard_load t e slot ~speculative then decr budget
+          end
+          else begin
+            let unknown = next_pos t t.unk 0 in
+            if unknown < pos then wait_on t slot (slot_at t unknown)
+            else begin
+              e.eff_addr <- e.src_val0 + off;
+              e.addr_known <- true;
+              let j = fwd_find t pos (e.eff_addr lsr 3) 0 (-1) in
+              if j >= 0 then begin
+                (* Store-to-load forwarding: no cache access. *)
+                decr budget;
+                e.value <- (entry_at t j).store_val;
+                issue_load t e slot 1
+              end
+              else if guard_load t e slot ~speculative then decr budget
+            end
+          end
+        | insn ->
+          decr budget;
+          issue t e slot (execute t e insn);
+          if e.is_store then begin
+            bit_clear t.unk slot;
+            wake t slot
+          end
     end;
     if !next_vp <= pos then next_vp := next_pos t t.vpp (pos + 1);
     p := next_visit t (pos + 1) ~vis:(!budget > 0) ~next_vp:!next_vp ~first_unres
@@ -1336,6 +1244,26 @@ let issue_step t =
 (* ------------------------------------------------------------------ *)
 (* Fetch / dispatch                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Fetch on at a predicted target VA, or stall until [e] resolves when there
+   is none (or it is not code); false when fetch stalled. *)
+let follow t e = function
+  | Some va -> (
+    match Layout.decode_code_va va with
+    | Some (_, f, i) ->
+      e.pred_target_va <- va;
+      fetch_at t f i;
+      true
+    | None ->
+      stall_on t e;
+      false)
+  | None ->
+    stall_on t e;
+    false
+
+let lsq_full t insn =
+  (Insn.is_load insn && t.lq_used >= t.cfg.lq_entries)
+  || (Insn.is_store insn && t.sq_used >= t.cfg.sq_entries)
 
 let fetch_step t =
   let budget = ref t.cfg.fetch_width in
@@ -1352,10 +1280,8 @@ let fetch_step t =
       if idx < 0 || idx >= Array.length body then begin
         (* Fell off the end of a function body: architectural fault if it
            commits; on a wrong path the squash will discard it. *)
-        let e =
-          make_entry t fid idx ~va:(insn_va_of t fid idx) ~kernel:(is_kernel_fid t fid)
-            Insn.Halt
-        in
+        let kernel = func_space t fid = Layout.Kernel in
+        let e = make_entry t fid idx ~va:(insn_va_of t fid idx) ~kernel Insn.Halt in
         e.fault <- Some (Printf.sprintf "fell off function f%d at %d" fid idx);
         issue t e (slot_at t (t.count - 1)) 1;
         t.fetch <- Stopped;
@@ -1375,21 +1301,22 @@ let fetch_step t =
           end
         end;
         if !continue_fetch then begin
-          let lq_full = Insn.is_load insn && t.lq_used >= t.cfg.lq_entries in
-          let sq_full = Insn.is_store insn && t.sq_used >= t.cfg.sq_entries in
-          if lq_full || sq_full then continue_fetch := false
+          if lsq_full t insn then continue_fetch := false
           else begin
             decr budget;
             let e = make_entry t fid idx ~va ~kernel:(space = Layout.Kernel) insn in
+            if e.is_ctrl then begin
+              (* Squash snapshots, taken before this control updates them. *)
+              e.ghr_snap <- t.ghr;
+              e.stack_snap <- t.dispatch_stack;
+              e.depth_snap <- t.dispatch_depth
+            end;
             match insn with
             | Insn.Branch (_, _, _, tgt) ->
               let meta = Tage.predict t.tage ~pc:va ~hist:t.ghr in
               let pred = Tage.predicted meta in
               e.pred_taken <- pred;
               e.tage_meta <- meta;
-              e.ghr_snap <- t.ghr;
-              e.stack_snap <- t.dispatch_stack;
-              e.depth_snap <- t.dispatch_depth;
               e.pred_target_va <- 0;
               t.ghr <- ((t.ghr lsl 1) lor if pred then 1 else 0) land max_int;
               fetch_at t fid (if pred then tgt else idx + 1)
@@ -1400,28 +1327,12 @@ let fetch_step t =
               t.dispatch_depth <- t.dispatch_depth + 1;
               fetch_at t callee 0
             | Insn.Icall _ -> (
-              e.ghr_snap <- t.ghr;
-              e.stack_snap <- t.dispatch_stack;
-              e.depth_snap <- t.dispatch_depth;
               t.dispatch_stack <- (va + Layout.insn_bytes) :: t.dispatch_stack;
               t.dispatch_depth <- t.dispatch_depth + 1;
-              match (if t.cfg.retpoline then None else Btb.lookup t.btb va) with
-              | Some target -> (
-                match Layout.decode_code_va target with
-                | Some (_, tf, ti) ->
-                  e.pred_target_va <- target;
-                  Ras.push t.ras (va + Layout.insn_bytes);
-                  fetch_at t tf ti
-                | None ->
-                  stall_on t e;
-                  continue_fetch := false)
-              | None ->
-                stall_on t e;
-                continue_fetch := false)
+              if follow t e (if t.cfg.retpoline then None else Btb.lookup t.btb va) then
+                Ras.push t.ras (va + Layout.insn_bytes)
+              else continue_fetch := false)
             | Insn.Ret -> (
-              e.ghr_snap <- t.ghr;
-              e.stack_snap <- t.dispatch_stack;
-              e.depth_snap <- t.dispatch_depth;
               e.ret_depth <- t.dispatch_depth;
               (match t.dispatch_stack with
               | [] -> e.ret_target <- -1
@@ -1429,18 +1340,7 @@ let fetch_step t =
                 e.ret_target <- target;
                 t.dispatch_stack <- rest;
                 t.dispatch_depth <- t.dispatch_depth - 1);
-              match Ras.pop t.ras with
-              | Some pred_va -> (
-                match Layout.decode_code_va pred_va with
-                | Some (_, pf, pi) ->
-                  e.pred_target_va <- pred_va;
-                  fetch_at t pf pi
-                | None ->
-                  stall_on t e;
-                  continue_fetch := false)
-              | None ->
-                stall_on t e;
-                continue_fetch := false)
+              if not (follow t e (Ras.pop t.ras)) then continue_fetch := false)
             | Insn.Syscall | Insn.Sysret | Insn.Halt ->
               t.fetch <- Stalled_serial;
               continue_fetch := false
@@ -1480,7 +1380,7 @@ let reset_run_state t ~asid ~start regs =
   t.next_done_at <- max_int;
   Array.fill t.wl 0 (Array.length t.wl) 0;
   t.asid <- asid;
-  t.kernel_mode <- is_kernel_fid t start;
+  t.kernel_mode <- func_space t start = Layout.Kernel;
   t.run_outcome <- None
 
 (* Charge [n] zero-commit cycles to one stall class by inspecting the ROB
@@ -1531,20 +1431,14 @@ let next_active_cycle t =
     let fetch_at =
       if t.fetch <> Fetching || t.count >= cap t then max_int
       else if t.fetch_ready_at > soon then t.fetch_ready_at
-      else if t.lq_used < t.cfg.lq_entries && t.sq_used < t.cfg.sq_entries then soon
-      else begin
+      else
         let fid = t.fetch_fid and idx = t.fetch_idx in
         let body = body_of t fid in
-        if idx < 0 || idx >= Array.length body then soon
-        else
-          let insn = Array.unsafe_get body idx in
-          if Layout.line_of (Layout.phys_key ~asid:t.asid (insn_va_of t fid idx))
-             = t.last_fetch_line
-             && ((Insn.is_load insn && t.lq_used >= t.cfg.lq_entries)
-                || (Insn.is_store insn && t.sq_used >= t.cfg.sq_entries))
-          then max_int
-          else soon
-      end
+        if idx < Array.length body && lsq_full t (Array.unsafe_get body idx)
+           && Layout.line_of (Layout.phys_key ~asid:t.asid (insn_va_of t fid idx))
+              = t.last_fetch_line
+        then max_int
+        else soon
     in
     min t.next_done_at fetch_at
 
