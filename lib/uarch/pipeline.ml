@@ -1133,19 +1133,13 @@ let next_visit t p ~vis ~next_vp ~first_unres =
   let v = if vis then next_pos t t.vis p else t.count in
   if next_vp < first_unres && next_vp < v then next_vp else v
 
-(* The issue pass visits, in ROB order, only entries that can act: Waiting
-   entries not on a wait list, and loads that may reach their visibility
-   point.  Every other entry is on the wait list of the one entry whose
-   change can unblock it: the operand producer its capture short-circuited
-   on, the oldest incomplete fence older than it, a fence's oldest
-   incomplete older entry, or a load's oldest older store with an unknown
-   address.  Producers and fences wake their lists when they complete, a
-   store also when its address becomes known — within the pass, ahead of
-   every load waiting on it.  The prefix conditions of the seed model's
-   whole-ROB walk are first-set-bit queries: the oldest unresolved control
-   and the oldest incomplete fence cannot change during a pass, and the
-   unknown-address set is updated as stores issue. *)
-let issue_step t =
+(* The issue pass visits, in ROB order, only entries that can act; every
+   other Waiting entry is on the wait list of the one entry whose change can
+   unblock it (DESIGN.md §10).  The seed model's running prefix flags are
+   first-member queries: the oldest unresolved control and the oldest
+   incomplete fence cannot change during a pass, and [unk] is updated as
+   stores issue, before any younger load is visited. *)
+let issue_pass t ~first_vis ~first_vp =
   let first_unres = next_pos t t.unres 0 in
   let first_fence = next_pos t t.ifence 0 in
   let budget = ref t.cfg.issue_width in
@@ -1154,8 +1148,8 @@ let issue_step t =
      unresolved control.  A pass only changes [vpp] at the entry it visits,
      so the next [vpp] position is kept; [vis] gains bits ahead of the walk
      when a store's address becomes known, so it is searched afresh. *)
-  let next_vp = ref (next_pos t t.vpp 0) in
-  let p = ref (next_visit t 0 ~vis:true ~next_vp:!next_vp ~first_unres) in
+  let next_vp = ref first_vp in
+  let p = ref (if first_vp < first_unres && first_vp < first_vis then first_vp else first_vis) in
   (* Once the budget is spent past an unresolved control, nothing younger
      can act: both issue paths are budget-gated and visibility points are
      disabled while speculative. *)
@@ -1240,6 +1234,10 @@ let issue_step t =
     if !next_vp <= pos then next_vp := next_pos t t.vpp (pos + 1);
     p := next_visit t (pos + 1) ~vis:(!budget > 0) ~next_vp:!next_vp ~first_unres
   done
+
+let issue_step t =
+  let first_vis = next_pos t t.vis 0 and first_vp = next_pos t t.vpp 0 in
+  if first_vis < t.count || first_vp < t.count then issue_pass t ~first_vis ~first_vp
 
 (* ------------------------------------------------------------------ *)
 (* Fetch / dispatch                                                     *)
@@ -1424,9 +1422,12 @@ let classify_stall t n =
    I-cache, so it is not idle). *)
 let next_active_cycle t =
   let soon = t.now + 1 in
-  if t.count > 0 && (entry_at t 0).state = Completed then soon
-  else if next_pos t t.vis 0 < t.count then soon
-  else if next_pos t t.vpp 0 < next_pos t t.unres 0 then soon
+  if
+    (t.count > 0 && (entry_at t 0).state = Completed)
+    || next_pos t t.vis 0 < t.count
+    || (let vp = next_pos t t.vpp 0 in
+        vp < t.count && vp < next_pos t t.unres 0)
+  then soon
   else
     let fetch_at =
       if t.fetch <> Fetching || t.count >= cap t then max_int

@@ -18,7 +18,16 @@
 
     Microarchitectural state (caches, predictors, counters) persists across
     {!run} calls so that one process can mistrain structures that a later run
-    of another process consults. *)
+    of another process consults.
+
+    The cycle loop is event-driven and cycle-exact against the seed model
+    (DESIGN.md §10).  An issue pass visits, in ROB order, only Waiting
+    entries that can act and loads that may reach their Visibility Point;
+    every other Waiting entry sits on the wait list of the one in-flight
+    entry whose completion (or, for a store, address) can unblock it.
+    Completion walks only the Issued entries.  A cycle in which nothing can
+    happen is skipped, its stall class, kernel cycles and fuel charged in
+    bulk up to the next completion or fetch-ready cycle. *)
 
 type config = {
   fetch_width : int;
