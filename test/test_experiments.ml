@@ -200,9 +200,8 @@ let test_reproduce_keys_disjoint () =
         keys)
     sweeps
 
-(* A short UNSAFE cell of any row never faults, whatever the machine seed
-   (seeds 2, 5 and 12 used to reach an indirect call through a missing
-   dispatch table). *)
+(* A short UNSAFE cell of any row never faults, whatever the machine seed:
+   every indirect call its kernel image can reach goes through a table. *)
 let unsafe_never_faults_prop =
   let rows =
     List.map (fun t -> `Lebench t) Lebench.tests

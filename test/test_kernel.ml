@@ -528,8 +528,7 @@ let test_kimage_program_valid () =
 
 (* Every image of seeds 1..200 over both syscall sets builds: [Kimage.build]
    rejects one in which a syscall reaches an indirect call with no dispatch
-   table (52 of these 400 images did on the code before syscalls borrowed a
-   reused dispatch helper's table). *)
+   table. *)
 let test_kimage_tables_all_seeds () =
   List.iter
     (fun syscalls ->
