@@ -1,23 +1,13 @@
-(* Keyed by word address with int equality and an int mix: the generic
-   table's polymorphic hash and compare cost a C call each per access, and
-   every simulated load and committed store makes one. *)
-module Words = Hashtbl.Make (struct
-  type t = int
+type t = (int, int) Hashtbl.t
 
-  let equal = Int.equal
-  let hash w = (w lxor (w lsr 17) lxor (w lsr 41)) land max_int
-end)
-
-type t = int Words.t
-
-let create () = Words.create 4096
+let create () = Hashtbl.create 4096
 
 let word key = key lsr 3
 
-let load t key = match Words.find_opt t (word key) with Some v -> v | None -> 0
+let load t key = match Hashtbl.find_opt t (word key) with Some v -> v | None -> 0
 
-let store t key v = Words.replace t (word key) v
+let store t key v = Hashtbl.replace t (word key) v
 
-let clear t = Words.reset t
+let clear t = Hashtbl.reset t
 
-let size t = Words.length t
+let size t = Hashtbl.length t

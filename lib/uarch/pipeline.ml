@@ -120,7 +120,31 @@ let add_counters a c =
   a.stall_dram <- a.stall_dram + c.stall_dram;
   a.stall_exec <- a.stall_exec + c.stall_exec
 
-let copy_counters c = { c with cycles = c.cycles }
+let copy_counters c =
+  {
+    cycles = c.cycles;
+    kernel_cycles = c.kernel_cycles;
+    committed = c.committed;
+    committed_kernel = c.committed_kernel;
+    committed_loads = c.committed_loads;
+    committed_kernel_loads = c.committed_kernel_loads;
+    syscalls = c.syscalls;
+    squashes = c.squashes;
+    branch_mispredicts = c.branch_mispredicts;
+    spec_loads = c.spec_loads;
+    fences_isv = c.fences_isv;
+    fences_dsv = c.fences_dsv;
+    fences_baseline = c.fences_baseline;
+    stall_total = c.stall_total;
+    stall_fetch = c.stall_fetch;
+    stall_rob_full = c.stall_rob_full;
+    stall_lsq = c.stall_lsq;
+    stall_fence_isv = c.stall_fence_isv;
+    stall_fence_dsv = c.stall_fence_dsv;
+    stall_fence_baseline = c.stall_fence_baseline;
+    stall_dram = c.stall_dram;
+    stall_exec = c.stall_exec;
+  }
 
 let diff_counters a b =
   {
@@ -750,22 +774,16 @@ let resolve_target t pos e stack' depth' ~push ~delay =
         if push then Ras.push t.ras (e.va + Layout.insn_bytes);
         redirect_fetch t e.actual_target_va delay
       end
-    end;
-    false
+    end
   end
-  else if e.fault <> None then begin
-    squash t pos e (-1) stack' depth' t.ghr;
-    true
-  end
+  else if e.fault <> None then squash t pos e (-1) stack' depth' t.ghr
   else if e.actual_target_va <> e.pred_target_va then begin
     t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
-    squash t pos e e.actual_target_va stack' depth' t.ghr;
-    true
+    squash t pos e e.actual_target_va stack' depth' t.ghr
   end
-  else false
 
-(* Resolution of a completed control-flow instruction at ROB position [pos].
-   Returns true if younger entries were squashed. *)
+(* Resolution of a completed control-flow instruction at ROB position [pos];
+   a misprediction squashes every younger entry. *)
 let resolve_ctrl t pos e =
   e.resolved <- true;
   match e.insn with
@@ -774,10 +792,8 @@ let resolve_ctrl t pos e =
     if e.actual_taken <> e.pred_taken then begin
       t.ctrs.branch_mispredicts <- t.ctrs.branch_mispredicts + 1;
       let ghr' = (e.ghr_snap lsl 1) lor if e.actual_taken then 1 else 0 in
-      squash t pos e e.actual_target_va e.stack_snap e.depth_snap ghr';
-      true
+      squash t pos e e.actual_target_va e.stack_snap e.depth_snap ghr'
     end
-    else false
   | Insn.Icall _ ->
     (* Shadow-BTB schemes defer BTB training to commit: a squashed (transient)
        indirect call must leave no predictor state behind. *)
@@ -793,58 +809,47 @@ let resolve_ctrl t pos e =
       (match e.stack_snap with [] -> [] | _ :: rest -> rest)
       (max 0 (e.depth_snap - 1))
       ~push:false ~delay:1
-  | _ -> false
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Completion: turn finished executions into Completed entries and resolve
    control flow, oldest first.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Complete the due entries among the Issued slots in [lo, hi), in slot
-   order, and lower [next_done_at] to the [done_at] of the others.  True
-   when a resolved control squashed: everything after it is gone. *)
-let complete_slots t lo hi =
-  let squashed = ref false in
-  let w = ref (lo lsr 5) in
-  while (not !squashed) && !w lsl 5 < hi do
-    let base = !w lsl 5 in
-    let x = ref (Array.unsafe_get t.iss !w) in
-    if base < lo then x := !x land (-1 lsl (lo - base));
-    if base + 32 > hi then x := !x land ((1 lsl (hi - base)) - 1);
-    while !x <> 0 && not !squashed do
-      let slot = base + ctz !x in
-      x := !x land (!x - 1);
-      let e = Array.unsafe_get t.rob slot in
-      if e.done_at <= t.now then begin
-        e.state <- Completed;
-        bit_clear t.iss slot;
-        bit_clear t.inc slot;
-        bit_clear t.unres slot;
-        bit_clear t.ifence slot;
-        wake t slot;
-        if e.is_ctrl then begin
-          let pos = if slot >= t.head then slot - t.head else slot + cap t - t.head in
-          squashed := resolve_ctrl t pos e
-        end
-      end
-      else if e.done_at < t.next_done_at then t.next_done_at <- e.done_at
-    done;
-    incr w
-  done;
-  !squashed
-
 (* No-op unless a completion can be due ([next_done_at] is a lower bound).
-   The walk visits only the Issued set, in ROB order, so same-cycle
-   completions resolve oldest first; a completion wakes the entry's wait
-   list.  The walk recomputes the exact bound over the surviving entries — a
-   squash only removes entries younger than the stop position, so every
-   survivor was visited. *)
+   The walk visits only the Issued set, in ROB order: slot words from the
+   head's word round the ring back to it, skipping slots outside the live
+   window.  So same-cycle completions resolve oldest first, and the entries
+   a squash removes fall outside the window before the walk reaches them.
+   A completion wakes the entry's wait list; the others give the exact
+   bound. *)
 let completion_step t =
   if t.now >= t.next_done_at then begin
     t.next_done_at <- max_int;
-    let h = t.head and c = cap t and n = t.count in
-    if (not (complete_slots t h (min c (h + n)))) && h + n > c then
-      ignore (complete_slots t 0 (h + n - c))
+    let h = t.head in
+    for i = 0 to t.nw do
+      let w = ((h lsr 5) + i) mod t.nw in
+      let x = ref (Array.unsafe_get t.iss w) in
+      if i = 0 then x := !x land (-1 lsl (h land 31))
+      else if i = t.nw then x := !x land ((1 lsl (h land 31)) - 1);
+      while !x <> 0 do
+        let slot = (w lsl 5) + ctz !x in
+        x := !x land (!x - 1);
+        let pos = if slot >= h then slot - h else slot + cap t - h in
+        let e = Array.unsafe_get t.rob slot in
+        if pos >= t.count then ()
+        else if e.done_at <= t.now then begin
+          e.state <- Completed;
+          bit_clear t.iss slot;
+          bit_clear t.inc slot;
+          bit_clear t.unres slot;
+          bit_clear t.ifence slot;
+          wake t slot;
+          if e.is_ctrl then resolve_ctrl t pos e
+        end
+        else if e.done_at < t.next_done_at then t.next_done_at <- e.done_at
+      done
+    done
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1011,20 +1016,16 @@ let count_fence t src =
   | Guard.Dsv -> t.ctrs.fences_dsv <- t.ctrs.fences_dsv + 1
   | Guard.Baseline -> t.ctrs.fences_baseline <- t.ctrs.fences_baseline + 1
 
-
 (* Waiting -> Issued, finishing [lat] cycles from now: the entry leaves the
-   issue pass and joins the completion set. *)
+   issue pass and joins the completion set; a load also joins [vpp]. *)
 let issue t e slot lat =
   let d = t.now + lat in
   e.state <- Issued;
   e.done_at <- d;
   if d < t.next_done_at then t.next_done_at <- d;
   bit_clear t.vis slot;
-  bit_set t.iss slot
-
-let issue_load t e slot lat =
-  issue t e slot lat;
-  bit_set t.vpp slot
+  bit_set t.iss slot;
+  if e.is_load then bit_set t.vpp slot
 
 let issue_load_to_memory t e slot ~speculative =
   let key = Layout.phys_key ~asid:t.asid e.eff_addr in
@@ -1034,7 +1035,7 @@ let issue_load_to_memory t e slot ~speculative =
     | _ -> Memsys.data_read_lat t.memsys key
   in
   e.value <- Mem.load (Memsys.mem t.memsys) key;
-  issue_load t e slot lat;
+  issue t e slot lat;
   if speculative then begin
     t.ctrs.spec_loads <- t.ctrs.spec_loads + 1;
     e.taint_root <- max e.taint_root e.seq
@@ -1081,7 +1082,6 @@ let rec fwd_find t pos word q best =
 let wait_dep t e slot =
   let s = if e.src_seq0 >= 0 then e.src_seq0 else e.src_seq1 in
   wait_on t slot (slot_at t (pos_of_seq t s))
-
 
 (* Execute a non-load, non-fence instruction whose operands are captured;
    its latency. *)
@@ -1218,7 +1218,7 @@ let issue_pass t ~first_vis ~first_vp =
                 (* Store-to-load forwarding: no cache access. *)
                 decr budget;
                 e.value <- (entry_at t j).store_val;
-                issue_load t e slot 1
+                issue t e slot 1
               end
               else if guard_load t e slot ~speculative then decr budget
             end
@@ -1417,9 +1417,7 @@ let classify_stall t n =
 (* The first cycle after [now] that may do anything; every cycle before it
    is idle.  A cycle is idle when no completion is due, the head cannot
    commit, the issue pass has nothing to visit, and fetch cannot proceed:
-   it is stalled, not yet ready, facing a full ROB, or facing a full LQ/SQ
-   on a line it has already read (the first cycle of that stall reads the
-   I-cache, so it is not idle). *)
+   it is stalled, not yet ready, or facing a full ROB. *)
 let next_active_cycle t =
   let soon = t.now + 1 in
   if
@@ -1431,15 +1429,7 @@ let next_active_cycle t =
   else
     let fetch_at =
       if t.fetch <> Fetching || t.count >= cap t then max_int
-      else if t.fetch_ready_at > soon then t.fetch_ready_at
-      else
-        let fid = t.fetch_fid and idx = t.fetch_idx in
-        let body = body_of t fid in
-        if idx < Array.length body && lsq_full t (Array.unsafe_get body idx)
-           && Layout.line_of (Layout.phys_key ~asid:t.asid (insn_va_of t fid idx))
-              = t.last_fetch_line
-        then max_int
-        else soon
+      else max soon t.fetch_ready_at
     in
     min t.next_done_at fetch_at
 
