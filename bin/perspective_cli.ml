@@ -89,10 +89,10 @@ let fault_arg =
            crashes on every attempt, job 1 livelocks (its run hits the cycle watchdog).  \
            $(b,flaky@N) crashes once and succeeds on retry; $(b,slow@N) and \
            $(b,poison@N) are also available.  With $(b,--workers), $(b,kill@N) \
-           SIGKILLs the worker process mid-cell (after it writes a deliberately \
-           torn journal record); the coordinator respawns it and retries.  \
-           Indices are positions in the sweep's cell list, so a spec is \
-           reproducible for any -j and any --workers.")
+           SIGKILLs the worker process mid-cell (after it computes the cell, \
+           before it stores the result); the coordinator respawns it and \
+           retries.  Indices are positions in the sweep's cell list, so a spec \
+           is reproducible for any -j and any --workers.")
 
 let max_cycles_arg =
   Arg.(
@@ -108,19 +108,22 @@ let checkpoint_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
+    & info [ "checkpoint" ] ~docv:"DIR"
         ~doc:
-          "Journal completed cells to $(docv) as they finish.  Without $(b,--resume) \
-           a stale journal is removed first.")
+          "Store completed cells in the directory $(docv) (created if missing) as \
+           they finish, each under its canonical input descriptor.  Entries a \
+           previous run left are kept: one is served only to a $(b,--resume) run \
+           of a cell with the very same inputs.")
 
 let resume_arg =
   Arg.(
     value & flag
     & info [ "resume" ]
         ~doc:
-          "Serve cells already present in the $(b,--checkpoint) journal instead of \
-           re-running them; only the missing (e.g. previously failed or \
-           interrupted) cells execute.")
+          "Serve cells whose inputs the $(b,--checkpoint) directory already holds \
+           instead of re-running them; only the rest (e.g. previously failed or \
+           interrupted cells, or cells whose seed or scale changed) execute.  A \
+           missing, empty or non-directory checkpoint is a usage error.")
 
 let cache_arg =
   Arg.(
@@ -147,7 +150,7 @@ let cache_stats_arg =
     & info [ "cache-stats" ]
         ~doc:
           "After the run, print one line of result-cache counters \
-           (hits/misses/writes/evictions/corrupt_dropped) to stderr.  Requires \
+           (hits/misses/writes/write_errors/corrupt_dropped) to stderr.  Requires \
            $(b,--cache).")
 
 let workers_arg =
@@ -158,33 +161,21 @@ let workers_arg =
           "Run sweep cells on $(docv) worker $(i,processes), forked for each \
            sweep, instead of in-process domains.  The coordinator survives \
            worker death — including injected $(b,--fault kill@I) — by \
-           respawning workers (bounded) and recovering completed cells from \
-           each worker's crash-safe journal; tables and $(b,--metrics) output \
-           are byte-identical to $(b,--workers 1).  With $(b,--cache), the \
-           coordinator stores what the workers computed.  Worker processes run \
-           one cell at a time, so $(b,-j) has no effect when $(docv) > 1.")
+           respawning workers (bounded) and keeping every cell a worker stored \
+           before it died; tables and $(b,--metrics) output are byte-identical \
+           to $(b,--workers 1).  Only the coordinator writes the \
+           $(b,--checkpoint) and the $(b,--cache).  Worker processes run one \
+           cell at a time, so $(b,-j) has no effect when $(docv) > 1.")
 
-(* The supervision flags evaluate straight to a [Supervise.config], paired
-   with the one flag that is not part of it ([--cache-stats]). *)
+(* The supervision flags evaluate to a [Supervise.config] without its
+   cache, paired with the cache directory ([None] under --no-cache) and
+   --cache-stats: the cache is opened only once [with_sup_config] has
+   checked every flag. *)
 let sup_term =
   let mk jobs retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats
       workers =
-    let cache =
-      match cache_dir with
-      | Some dir when not no_cache -> Some (Pv_util.Rescache.open_dir dir)
-      | _ -> None
-    in
-    ( {
-        E.Supervise.default with
-        jobs;
-        retries;
-        fault;
-        max_cycles;
-        checkpoint;
-        resume;
-        cache;
-        workers;
-      },
+    ( { E.Supervise.default with jobs; retries; fault; max_cycles; checkpoint; resume; workers },
+      (if no_cache then None else cache_dir),
       cache_stats )
   in
   Cmdliner.Term.(
@@ -205,61 +196,49 @@ let output_error ~flag ?(dir = false) path =
   else None
 
 (* Validate the supervision flags and the [outputs] a command will write
-   (each an [output_error] check), run [f] with the config, and print the
-   cache counters afterwards if asked.  Validation failures are one-line
-   stderr diagnostics with exit code 2 (usage error) — notably a --resume
-   pointing at a missing, empty or fully-torn checkpoint, which must not
-   surface as an exception backtrace.  Commands with a --scale pass it as
-   [scale]. *)
-let with_sup_config ?(outputs = []) ?(scale = 1.0) ((config : E.Supervise.config), cache_stats)
-    f =
+   (each an [output_error] check), open the cache, run [f] with the config,
+   and print the cache counters afterwards if asked.  Validation failures
+   are one-line stderr diagnostics with exit code 2 (usage error), and
+   nothing is created before they pass — notably a --resume pointing at a
+   missing, empty or non-directory checkpoint, which must not surface as an
+   exception backtrace.  Commands with a --scale pass it as [scale]. *)
+let with_sup_config ?(outputs = []) ?(scale = 1.0)
+    ((config : E.Supervise.config), cache_dir, cache_stats) f =
   let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
-  let checkpoint_error =
-    Option.bind config.checkpoint (output_error ~flag:"--checkpoint")
+  let run () =
+    let config = { config with cache = Option.map Pv_util.Rescache.open_dir cache_dir } in
+    let code = f config in
+    if cache_stats then Option.iter Pv_util.Rescache.report config.cache;
+    code
   in
-  match List.find_map Fun.id (checkpoint_error :: outputs) with
+  let store_errors =
+    [
+      Option.bind config.checkpoint (output_error ~flag:"--checkpoint" ~dir:true);
+      Option.bind cache_dir (output_error ~flag:"--cache" ~dir:true);
+    ]
+  in
+  match List.find_map Fun.id (store_errors @ outputs) with
   | Some msg -> usage "%s" msg
   | None when config.resume && config.checkpoint = None ->
-    usage "--resume requires --checkpoint FILE"
+    usage "--resume requires --checkpoint DIR"
   | None when not (scale > 0.0 && Float.is_finite scale) ->
     usage "--scale must be a positive finite number, got %g" scale
-  | None when cache_stats && config.cache = None ->
+  | None when cache_stats && cache_dir = None ->
     usage "--cache-stats requires --cache DIR (and not --no-cache)"
   | None when config.jobs < 1 -> usage "-j must be >= 1"
   | None when config.workers < 1 -> usage "--workers must be >= 1"
   | None when config.retries < 0 -> usage "--retries must be >= 0, got %d" config.retries
   | None when Option.value config.max_cycles ~default:1 < 1 ->
     usage "--max-cycles must be >= 1, got %d" (Option.get config.max_cycles)
-  | None ->
-    let resume_ok =
-      match config.checkpoint with
-      | Some file when config.resume -> (
-        match Pv_util.Journal.resume_status file with
-        | Pv_util.Journal.Usable { records; distinct } ->
-          (* distinct is what the sweep will actually skip: duplicate keys
-             arise when a cell re-ran after an earlier resume. *)
-          Printf.eprintf "resuming from %S: %d record%s, %d distinct cell%s\n%!" file
-            records
-            (if records = 1 then "" else "s")
-            distinct
-            (if distinct = 1 then "" else "s");
-          Ok ()
-        | Pv_util.Journal.Missing ->
-          Error (Printf.sprintf "cannot resume: checkpoint %S does not exist" file)
-        | Pv_util.Journal.Unusable why ->
-          Error (Printf.sprintf "cannot resume from %S: %s" file why))
-      | _ -> Ok ()
-    in
-    match resume_ok with
-    | Error msg -> usage "%s" msg
-    | Ok () ->
-      (* A fresh checkpointed run must not inherit a previous run's cells. *)
-      (match config.checkpoint with
-      | Some f when (not config.resume) && Sys.file_exists f -> Sys.remove f
-      | _ -> ());
-      let code = f config in
-      if cache_stats then Option.iter Pv_util.Rescache.report config.cache;
-      code
+  | None -> (
+    match config.checkpoint with
+    | Some dir when config.resume -> (
+      match E.Supervise.resume_preflight dir with
+      | Error why -> usage "cannot resume: %s" why
+      | Ok n ->
+        Printf.eprintf "resuming from %S: %d entr%s\n%!" dir n (if n = 1 then "y" else "ies");
+        run ())
+    | _ -> run ())
 
 (* --- telemetry flags (perf, service, reproduce) --- *)
 

@@ -90,7 +90,8 @@ val run :
   unit ->
   outcome
 (** Calibrate, then sweep: two supervised runs sharing [config] (and hence
-    its checkpoint journal — the key spaces are disjoint). *)
+    its checkpoint — the descriptor families [service-cal] and [service]
+    are disjoint). *)
 
 val table :
   ?server:Server.config ->

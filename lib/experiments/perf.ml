@@ -158,13 +158,14 @@ let split_rows names ~width runs =
 (* --- supervised sweeps ----------------------------------------------- *)
 
 (* Cell keys are stable identities: "<family>/<workload>/<scheme label>".
-   They key the checkpoint journal, so renaming one invalidates resumes.
+   They name table rows and --metrics cells.
 
-   Cache descriptors are different: the canonical serialization of *every*
-   input of the measurement (workload, scheme label — which determines the
-   pipeline transform for the standard variants — seed, scale, the fixed
-   block_unknown/view-cache defaults of this sweep family, and whether the
-   event trace was on, since it lands in the result record).  Fuel is
+   Descriptors key the checkpoint and the cache: the canonical
+   serialization of *every* input of the measurement (workload, scheme
+   label — which determines the pipeline transform for the standard
+   variants — seed, scale, the fixed block_unknown/view-cache defaults of
+   this sweep family, and whether the event trace was on, since it lands
+   in the result record).  Fuel is
    deliberately absent: it only decides whether the cell fails, and only
    successes are ever stored. *)
 let perf_descriptor ~family ~workload ~label ~seed ~scale ~trace =

@@ -68,8 +68,9 @@ val run_app :
     The (workload x scheme) matrices as one cell per run for
     {!Supervise.run}: a failing cell degrades to a [None] entry of the
     reassembled matrix instead of aborting the sweep.  Cell keys
-    (["lebench/<test>/<label>"], ["apps/<app>/<label>"]) are the checkpoint
-    identities. *)
+    (["lebench/<test>/<label>"], ["apps/<app>/<label>"]) name the rows;
+    the descriptors ([perf/lebench|...], [perf/apps|...]) key the
+    checkpoint and the cache. *)
 
 val lebench_cells :
   ?seed:int ->

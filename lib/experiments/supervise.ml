@@ -1,4 +1,4 @@
-(* Supervised sweep driver: Pool.map_results + Fault + Journal glued into
+(* Supervised sweep driver: Pool.map_results + Fault + Rescache glued into
    the experiment layer's unit of work (the keyed cell).
 
    Livelock faults are realized here rather than in the pool: a livelocked
@@ -8,7 +8,6 @@
 
 module Pool = Pv_util.Pool
 module Fault = Pv_util.Fault
-module Journal = Pv_util.Journal
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
 
@@ -52,6 +51,15 @@ let default =
     workers = 1;
   }
 
+let resume_preflight dir =
+  if not (Sys.file_exists dir) then Error (Printf.sprintf "checkpoint %S does not exist" dir)
+  else if not (Sys.is_directory dir) then
+    Error (Printf.sprintf "checkpoint %S is not a directory" dir)
+  else
+    match Rescache.entries (Rescache.open_dir dir) with
+    | 0 -> Error (Printf.sprintf "checkpoint %S holds no entries" dir)
+    | n -> Ok n
+
 (* Dead-worker replacements allowed per multi-process sweep. *)
 let respawns = 8
 
@@ -68,10 +76,10 @@ let fuel_for config index =
    inside this sweep's [run], so it already holds the runnable cells and
    everything their closures captured (upstream sweeps' results included).
    The index in each command is the cell's position in [runnable] and keys
-   its fault decision.  Values go to the worker's journal only; the
-   coordinator reads them back and owns the checkpoint and the cache. *)
-let serve_worker config (runnable : 'a cell array) (ctx : Procpool.ctx) =
-  let writer = Journal.open_writer ctx.Procpool.journal in
+   its fault decision.  Values go to the sweep's scratch store only, keyed
+   by cell key; the coordinator reads them back and owns the checkpoint and
+   the cache. *)
+let serve_worker config scratch (runnable : 'a cell array) (ctx : Procpool.ctx) =
   let classify_fail e =
     Procpool.Fail
       {
@@ -82,7 +90,7 @@ let serve_worker config (runnable : 'a cell array) (ctx : Procpool.ctx) =
   let execute ~index (c : 'a cell) =
     match c.run ~fuel:(fuel_for config index) with
     | v ->
-      Journal.append writer ~key:c.key v;
+      Rescache.store scratch ~key:c.key v;
       Procpool.Done
     | exception e -> classify_fail e
   in
@@ -94,13 +102,11 @@ let serve_worker config (runnable : 'a cell array) (ctx : Procpool.ctx) =
       let c = runnable.(index) in
       match Fault.decide config.fault ~index ~attempt with
       | Some Fault.Kill ->
-        (* Real process death, mid-append: compute (burning the same work a
-           genuine mid-cell kill would), write a deliberately torn journal
-           record, and SIGKILL ourselves.  The coordinator reaps the corpse,
-           finds no committed record, and retries on a respawned worker —
-           whose open_writer quarantines the torn bytes. *)
-        let v = c.run ~fuel:(fuel_for config index) in
-        Journal.append_torn writer ~key:c.key v;
+        (* Real process death before the result is stored: compute (burning
+           the same work a genuine mid-cell kill would), then SIGKILL
+           ourselves.  The coordinator reaps the corpse, finds no entry, and
+           retries on a respawned worker. *)
+        ignore (c.run ~fuel:(fuel_for config index));
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         assert false
       | Some Fault.Crash -> classify_fail (Fault.Crashed { index; attempt })
@@ -114,34 +120,32 @@ let serve_worker config (runnable : 'a cell array) (ctx : Procpool.ctx) =
         execute ~index c
       | Some Fault.Livelock | None -> execute ~index c
   in
-  Procpool.serve ctx ~handle;
-  Journal.close writer
+  Procpool.serve ctx ~handle
 
-(* Coordinator side: run [runnable] on forked worker processes in a scratch
-   directory of this sweep's own, then lift each verdict into a
-   Pool.outcome — a completed cell's value read back from the worker
-   journals — and hand it to [on_outcome] in index order, exactly as the
+(* Coordinator side: run [runnable] on forked worker processes that store
+   their values in a scratch store of this sweep's own, then lift each
+   verdict into a Pool.outcome — a completed cell's value read back from
+   that store — and hand it to [on_outcome] in index order, exactly as the
    domain pool would. *)
 let run_procpool config ~on_outcome (runnable : 'a cell list) : 'a Pool.outcome list =
   let cells = Array.of_list runnable in
-  let scratch = Filename.temp_dir "pv-procpool-" "" in
-  let remove_scratch () =
+  let dir = Filename.temp_dir "pv-procpool-" "" in
+  let remove_dir () =
     Array.iter
-      (fun n -> try Sys.remove (Filename.concat scratch n) with Sys_error _ -> ())
-      (try Sys.readdir scratch with Sys_error _ -> [||]);
-    try Sys.rmdir scratch with Sys_error _ -> ()
+      (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+      (try Sys.readdir dir with Sys_error _ -> [||]);
+    try Sys.rmdir dir with Sys_error _ -> ()
   in
-  Fun.protect ~finally:remove_scratch (fun () ->
-      let outs, journals =
+  Fun.protect ~finally:remove_dir (fun () ->
+      let scratch = Rescache.open_dir dir in
+      let value i : 'a option = Rescache.find scratch ~key:cells.(i).key in
+      let outs =
         Procpool.run_jobs ~workers:config.workers ~respawns ~retries:config.retries
-          ~scratch ~worker:(serve_worker config cells)
+          ~finished:(fun i -> Option.is_some (value i))
+          ~worker:(serve_worker config scratch cells)
           ~keys:(Array.map (fun (c : 'a cell) -> c.key) cells)
           ()
       in
-      let values : (string, 'a) Hashtbl.t = Hashtbl.create (Array.length cells) in
-      List.iter
-        (fun j -> List.iter (fun (k, v) -> Hashtbl.replace values k v) (Journal.load j))
-        journals;
       let failure ~attempts ~transient reason =
         {
           Pool.result =
@@ -160,11 +164,11 @@ let run_procpool config ~on_outcome (runnable : 'a cell list) : 'a Pool.outcome 
           let o =
             match outs.(i) with
             | Procpool.Completed { attempts } -> (
-              match Hashtbl.find_opt values c.key with
+              match value i with
               | Some v -> { Pool.result = Ok v; attempts; elapsed = 0.0 }
               | None ->
                 failure ~attempts ~transient:false
-                  (Printf.sprintf "completed cell %S missing from worker journals" c.key))
+                  (Printf.sprintf "completed cell %S missing from the worker store" c.key))
             | Procpool.Failed { attempts; transient; reason } ->
               failure ~attempts ~transient reason
           in
@@ -177,38 +181,36 @@ let run ?(config = default) (cells : 'a cell list) =
   let distinct = List.sort_uniq compare keys in
   if List.length distinct <> List.length keys then
     invalid_arg "Supervise.run: duplicate cell keys";
-  let restored_tbl =
-    match config.checkpoint with
-    | Some path when config.resume -> Journal.load_table path
-    | _ -> Hashtbl.create 0
-  in
-  let todo = List.filter (fun (c : 'a cell) -> not (Hashtbl.mem restored_tbl c.key)) cells in
-  (* Result-cache hits: consulted before the pool, so a hit skips fault
-     injection, retries and livelock fuel entirely — the cell never becomes
-     pool work.  Declaration order of the lookups keeps the cache's own
-     hit/miss counters deterministic for any [jobs]. *)
-  let cached_tbl = Hashtbl.create 16 in
-  (match config.cache with
-  | None -> ()
-  | Some rc ->
-    List.iter
-      (fun (c : 'a cell) ->
-        match c.cache with
-        | None -> ()
-        | Some desc -> (
-          match Rescache.find rc ~key:desc with
-          | Some v -> Hashtbl.replace cached_tbl c.key v
-          | None -> ()))
-      todo);
-  let todo = List.filter (fun (c : 'a cell) -> not (Hashtbl.mem cached_tbl c.key)) todo in
+  let checkpoint = Option.map Rescache.open_dir config.checkpoint in
+  (* One lookup per cell with a descriptor, in declaration order so the
+     stores' hit/miss counters are deterministic for any [jobs]: the
+     checkpoint under [resume], then the cache.  A served cell skips fault
+     injection, retries and livelock fuel entirely — it never becomes pool
+     work. *)
+  let find store desc = Option.bind store (fun s -> Rescache.find s ~key:desc) in
+  let served = Hashtbl.create 16 in
+  List.iter
+    (fun (c : 'a cell) ->
+      Option.iter
+        (fun desc ->
+          match if config.resume then find checkpoint desc else None with
+          | Some v -> Hashtbl.replace served c.key (`Restored, v)
+          | None ->
+            Option.iter
+              (fun v -> Hashtbl.replace served c.key (`Cached, v))
+              (find config.cache desc))
+        c.cache)
+    cells;
   (* In-run dedup: two cells declaring the same canonical descriptor are the
      same simulation; the first becomes the representative, later ones alias
-     its outcome.  Active even without a cache directory. *)
+     its outcome.  Active even without a store. *)
   let rep_of_desc = Hashtbl.create 16 in
   let alias = Hashtbl.create 16 in
   let runnable =
     List.filter
       (fun (c : 'a cell) ->
+        (not (Hashtbl.mem served c.key))
+        &&
         match c.cache with
         | None -> true
         | Some desc -> (
@@ -219,62 +221,29 @@ let run ?(config = default) (cells : 'a cell list) =
           | Some rep ->
             Hashtbl.replace alias c.key rep;
             false))
-      todo
+      cells
   in
+  (* A finished value is stored under its descriptor in every configured
+     store; aliases share the descriptor, so they need no entry of their
+     own. *)
+  let stores = List.filter_map Fun.id [ checkpoint; config.cache ] in
   let runnable_arr = Array.of_list runnable in
-  let writer = Option.map Journal.open_writer config.checkpoint in
   let on_outcome index (o : _ Pool.outcome) =
-    match o.Pool.result with
-    | Ok v ->
-      let c = runnable_arr.(index) in
-      Option.iter (fun w -> Journal.append w ~key:c.key v) writer;
-      (match (config.cache, c.cache) with
-      | Some rc, Some desc -> Rescache.store rc ~key:desc v
-      | _ -> ())
-    | Error _ -> ()
+    match (o.Pool.result, runnable_arr.(index).cache) with
+    | Ok v, Some desc -> Rescache.store_all stores ~key:desc v
+    | _ -> ()
   in
+  (* Neither executor starts for an empty remainder, and with [workers > 1]
+     the domain pool never starts at all: a process that has ever spawned a
+     domain can no longer fork. *)
   let outcomes =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Journal.close writer)
-      (fun () ->
-        (* Neither executor starts for an empty remainder, and with
-           [workers > 1] the domain pool never starts at all: a process
-           that has ever spawned a domain can no longer fork. *)
-        let outcomes =
-          if runnable = [] then []
-          else if config.workers > 1 then run_procpool config ~on_outcome runnable
-          else
-            Pool.with_pool ~jobs:config.jobs (fun p ->
-                Pool.map_results ~retries:config.retries ~fault:config.fault
-                  ~on_outcome p
-                  (fun (i, c) -> c.run ~fuel:(fuel_for config i))
-                  (List.mapi (fun i c -> (i, c)) runnable))
-        in
-        (* Cache hits and dedup aliases still belong in the checkpoint: a
-           later --resume must serve them without needing the cache. *)
-        Option.iter
-          (fun w ->
-            let ok = Hashtbl.create 16 in
-            List.iter2
-              (fun (c : 'a cell) (o : _ Pool.outcome) ->
-                match o.Pool.result with
-                | Ok v -> Hashtbl.replace ok c.key v
-                | Error _ -> ())
-              runnable outcomes;
-            List.iter
-              (fun (c : 'a cell) ->
-                match Hashtbl.find_opt cached_tbl c.key with
-                | Some v -> Journal.append w ~key:c.key v
-                | None -> (
-                  match Hashtbl.find_opt alias c.key with
-                  | None -> ()
-                  | Some rep -> (
-                    match Hashtbl.find_opt ok rep with
-                    | Some v -> Journal.append w ~key:c.key v
-                    | None -> ())))
-              cells)
-          writer;
-        outcomes)
+    if runnable = [] then []
+    else if config.workers > 1 then run_procpool config ~on_outcome runnable
+    else
+      Pool.with_pool ~jobs:config.jobs (fun p ->
+          Pool.map_results ~retries:config.retries ~fault:config.fault ~on_outcome p
+            (fun (i, c) -> c.run ~fuel:(fuel_for config i))
+            (List.mapi (fun i c -> (i, c)) runnable))
   in
   let ran = Hashtbl.create (List.length runnable) in
   List.iter2 (fun (c : 'a cell) o -> Hashtbl.replace ran c.key o) runnable outcomes;
@@ -282,34 +251,31 @@ let run ?(config = default) (cells : 'a cell list) =
   let results, failures =
     List.fold_left
       (fun (res, fails) (c : 'a cell) ->
-        match Hashtbl.find_opt restored_tbl c.key with
-        | Some v ->
-          incr restored;
+        match Hashtbl.find_opt served c.key with
+        | Some (how, v) ->
+          incr (if how = `Restored then restored else cached);
           ((c.key, Some v) :: res, fails)
         | None -> (
-          match Hashtbl.find_opt cached_tbl c.key with
-          | Some v ->
-            incr cached;
-            ((c.key, Some v) :: res, fails)
-          | None -> (
-            let report_key, own = match Hashtbl.find_opt alias c.key with
-              | Some rep -> (rep, false)
-              | None -> (c.key, true)
+          let report_key =
+            match Hashtbl.find_opt alias c.key with
+            | Some rep ->
+              incr deduped;
+              rep
+            | None -> c.key
+          in
+          let o = Hashtbl.find ran report_key in
+          match o.Pool.result with
+          | Ok v -> ((c.key, Some v) :: res, fails)
+          | Error e ->
+            let f =
+              {
+                key = c.key;
+                attempts = o.Pool.attempts;
+                elapsed = o.Pool.elapsed;
+                reason = Printexc.to_string e.Pool.exn;
+              }
             in
-            if not own then incr deduped;
-            let o = Hashtbl.find ran report_key in
-            match o.Pool.result with
-            | Ok v -> ((c.key, Some v) :: res, fails)
-            | Error e ->
-              let f =
-                {
-                  key = c.key;
-                  attempts = o.Pool.attempts;
-                  elapsed = o.Pool.elapsed;
-                  reason = Printexc.to_string e.Pool.exn;
-                }
-              in
-              ((c.key, None) :: res, f :: fails))))
+            ((c.key, None) :: res, f :: fails)))
       ([], []) cells
   in
   {

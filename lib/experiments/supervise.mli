@@ -4,9 +4,12 @@
     stable string key (e.g. ["lebench/select/PERSPECTIVE"]).  {!run} executes
     them on a {!Pv_util.Pool} via [map_results], so a raising, poisoned or
     livelocked cell degrades to a per-cell failure instead of aborting the
-    sweep; completed cells are checkpointed to a {!Pv_util.Journal} as they
-    finish, and a [resume] run serves checkpointed cells from the journal and
-    executes only the rest.
+    sweep.  Completed cells are stored, under their canonical input
+    descriptor, in a {!Pv_util.Rescache} checkpoint directory as they
+    finish, and a [resume] run serves stored cells from it and executes only
+    the rest.  A cell is served only for the inputs it was measured with: a
+    changed seed, scale or code salt changes the descriptor or the salt, and
+    the cell runs again.
 
     Determinism: cell values are pure functions of their inputs, fault
     injection is keyed on the cell's index, and results are merged in
@@ -15,11 +18,13 @@
     sweep converges to exactly the table an uninterrupted run produces. *)
 
 type 'a cell = {
-  key : string;  (** stable identity: also the checkpoint-journal key *)
+  key : string;  (** stable identity within the sweep: names its table row *)
   cache : string option;
-      (** canonical input descriptor for the persistent result cache: a
-          string spelling out {e every} input of the measurement, such that
-          equal descriptors imply equal results.  [None] = never cached. *)
+      (** canonical input descriptor: a string spelling out {e every} input
+          of the measurement, such that equal descriptors imply equal
+          results.  It keys the cell in the checkpoint and the result cache.
+          [None] = never checkpointed, never cached; every cell the library
+          declares has one. *)
   run : fuel:int option -> 'a;
       (** the measurement; [fuel] is the cycle budget the supervisor imposes
           ([None] = the simulator's own default watchdog) *)
@@ -38,7 +43,7 @@ type 'a sweep = {
   results : (string * 'a option) list;
       (** every cell in declaration order; [None] = failed *)
   failures : failure list;  (** declaration order *)
-  restored : int;  (** cells served from the checkpoint journal *)
+  restored : int;  (** cells served from the checkpoint *)
   cached : int;  (** cells served from the persistent result cache *)
   deduped : int;
       (** cells aliased to another cell with the same descriptor this run *)
@@ -53,8 +58,10 @@ type config = {
   livelock_fuel : int;
       (** the starved budget given to a [Livelock]-faulted cell so the
           pipeline watchdog fires quickly *)
-  checkpoint : string option;  (** journal path; [None] disables *)
-  resume : bool;  (** serve already-journaled cells from the checkpoint *)
+  checkpoint : string option;
+      (** checkpoint directory, a {!Pv_util.Rescache} store (created if
+          missing); [None] disables *)
+  resume : bool;  (** serve cells whose descriptor the checkpoint holds *)
   cache : Pv_util.Rescache.t option;
       (** persistent result cache; cells with a descriptor consult it before
           running and store their results after *)
@@ -63,8 +70,8 @@ type config = {
           {e processes} forked by {!run}, so they inherit the cells and
           everything their closures captured.  Workers survive SIGKILL
           injection ([--fault kill@i]): dead workers are respawned (at most
-          8 times per sweep), each keeps a crash-safe journal that the
-          coordinator reads back, and results are byte-identical to
+          8 times per sweep), workers hand results back through a scratch
+          store of the sweep's own, and results are byte-identical to
           [workers = 1] up to wall-clock fields.  The domain pool never
           starts in this mode; a caller that has already started a domain
           gets the [Failure] that [Unix.fork] raises. *)
@@ -75,26 +82,35 @@ val default : config
     no cache, [workers = 1]. *)
 
 val run : ?config:config -> 'a cell list -> 'a sweep
-(** Execute the sweep under supervision.  Cell keys must be unique.  With a
-    checkpoint configured, each completed cell is appended (and flushed) by
-    this process — from the domain that ran it, or, with [workers > 1],
-    once the sweep's workers finish — so a crash or Ctrl-C loses at most
-    in-flight cells; the journal file is opened in append mode — callers
-    starting a {e fresh} checkpointed sweep should remove a stale file
-    first (the CLI does this when [--resume] is not given).  The result
-    cache is likewise written only by this process.
+(** Execute the sweep under supervision.  Cell keys must be unique.  Each
+    executed cell's value is stored under its descriptor in the checkpoint
+    and the cache, whichever are configured, by this process — from the
+    domain that ran it as it finishes, so a crash or Ctrl-C loses at most
+    in-flight cells; with [workers > 1], once the sweep's workers finish,
+    so a crash loses that sweep's cells.  A run
+    without [resume] reads nothing from the checkpoint and deletes nothing
+    from it: an entry can only ever be served for its own inputs.
 
-    Ordering with a cache configured: checkpoint-restored cells are served
-    first, then result-cache hits (counted [cached]; they skip fault
-    injection and retries entirely — a cache hit never becomes pool work),
-    then cells whose descriptor equals an earlier cell's this run are
-    aliased to it (counted [deduped]; one simulation, many rows), and only
-    the remainder executes — on no executor at all when it is empty.
-    Fault-plan indices refer to positions in that remainder.  Cache hits
-    and aliases are journaled too, so a later [--resume] works without the
-    cache.  The table a sweep produces is byte-identical whether its cells
-    were executed, restored, cached or deduped — provenance shows up only
-    in {!report} and {!sweep} counts. *)
+    Each cell with a descriptor is looked up once, in declaration order: in
+    the checkpoint under [resume] (counted [restored]), else in the cache
+    (counted [cached]).  A served cell skips fault injection and retries
+    entirely — it never becomes pool work.  Then cells whose descriptor
+    equals an earlier cell's this run are aliased to it (counted [deduped];
+    one simulation, many rows), and only the remainder executes — on no
+    executor at all when it is empty.  Fault-plan indices refer to
+    positions in that remainder.  Cache hits are not copied into the
+    checkpoint, so a resumed run without the cache executes them again.
+    The table a sweep produces is byte-identical whether its cells were
+    executed, restored, cached or deduped — provenance shows up only in
+    {!report} and {!sweep} counts. *)
+
+val resume_preflight : string -> (int, string) result
+(** Check a checkpoint directory before resuming from it: [Ok n] when it is
+    a store holding [n > 0] entries, else a one-line reason — the path does
+    not exist, is not a directory (a pre-store checkpoint journal file
+    included), or holds no entries.  Entries are counted, not verified: a
+    damaged one is dropped and its cell re-run when the sweep looks it
+    up. *)
 
 val failed : _ sweep -> int
 (** Number of failed cells. *)

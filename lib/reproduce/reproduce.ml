@@ -163,7 +163,7 @@ let service_requests scale = max 500 (int_of_float (5000.0 *. Float.min 1.0 scal
 let service_points scale = if scale < 1.0 then 3 else 4
 
 let sweep_keys ~scale =
-  let keys cells = List.map (fun (c : _ Supervise.cell) -> c.key) cells in
+  let keys cells = List.map (fun (c : _ Supervise.cell) -> (c.key, c.cache)) cells in
   let points = service_points scale in
   [
     ("speedup", keys (E.Isv_study.speedup_cells (E.Isv_study.build ())));

@@ -79,9 +79,11 @@ val service :
 val labels : string list
 (** The 14 section labels [--only] accepts. *)
 
-val sweep_keys : scale:float -> (string * string list) list
-(** Every sweep {!run} declares at [scale], with its cell keys.  The sweeps
-    share one [--checkpoint] journal, so no key may appear in two. *)
+val sweep_keys : scale:float -> (string * (string * string option) list) list
+(** Every sweep {!run} declares at [scale], with the key and descriptor of
+    each of its cells.  The sweeps share one [--checkpoint] store, which
+    serves a cell by its descriptor and unmarshals it at its sweep's value
+    type, so each sweep's descriptors must carry a family of their own. *)
 
 val run :
   config:Pv_experiments.Supervise.config ->

@@ -11,8 +11,8 @@
     steady-state request cost from image build, warmup and profiling.
 
     A model is plain marshalable data, so calibration runs as a supervised
-    sweep cell (key [service-cal/<app>/<scheme>]) and rides the checkpoint
-    journal like any other measurement. *)
+    sweep cell (key [service-cal/<app>/<scheme>]) and is checkpointed and
+    cached like any other measurement. *)
 
 type t = {
   app : string;

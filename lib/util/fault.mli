@@ -24,11 +24,11 @@
       job's cycle fuel so the {!Pv_uarch.Pipeline} watchdog fires and the run
       ends in a structured timeout.
     - {b Kill} — process-level death.  Under the multi-process runner
-      ([--workers N]) the worker assigned the job writes a deliberately torn
-      journal record and SIGKILLs itself mid-cell, exercising the
-      coordinator's respawn and the journal's torn-write recovery; the
-      coordinator reports the lost attempt as {!Killed} (transient, so the
-      respawned worker retries).  Under the in-process pool, [Kill] degrades
+      ([--workers N]) the worker assigned the job computes it and SIGKILLs
+      itself before storing the result, exercising the coordinator's death
+      arbitration and respawn; the coordinator finds no stored result and
+      reports the lost attempt as {!Killed} (transient, so the respawned
+      worker retries).  Under the in-process pool, [Kill] degrades
       to the same behaviour as [Crash] but raising {!Killed} — an OCaml
       domain cannot be SIGKILLed individually. *)
 

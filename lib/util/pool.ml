@@ -177,7 +177,7 @@ let map_results ?(retries = 0) ?(classify = default_classify) ?(fault = Fault.no
         | Some Fault.Kill ->
           (* A domain cannot be SIGKILLed on its own; in-process, Kill is a
              crash-shaped transient loss.  The real process death happens in
-             the multi-process worker (Procpool). *)
+             a worker process under --workers (Supervise). *)
           Error (Fault.Killed { index; attempt }, Printexc.get_callstack 8)
         | Some Fault.Poison ->
           (* The job "completes" — burning the same work — but its result is

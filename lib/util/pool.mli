@@ -106,7 +106,8 @@ val map_results :
     identical for every worker count, which is what makes the fault-injected
     determinism tests possible.  [on_outcome] is invoked with [(index,
     outcome)] on the domain that ran the job, once per job, after its final
-    attempt — the checkpoint-journal hook; exceptions it raises are ignored.
+    attempt — where the experiment layer stores finished values; exceptions
+    it raises are ignored.
     Outcome lists are deterministic up to the [elapsed] field. *)
 
 val submit : t -> (unit -> unit) -> unit

@@ -14,12 +14,12 @@
    Keys and failure reasons travel hex-encoded so they can never smuggle a
    newline or space into the framing.  Indices and attempts are strict
    decimals, and a line that does not parse is skipped; the coordinator
-   counts an OK/ERR only for the replying worker's own in-flight cell.  Results never travel inside the
-   control protocol: a worker journals the value, replies [OK], and the
-   coordinator reads the value back from the worker's journal after the
-   sweep — so a kill between journal append and reply loses only the reply,
-   and the coordinator recovers the value from the journal when it reaps
-   the corpse. *)
+   counts an OK/ERR only for the replying worker's own in-flight cell.
+   Results never travel inside the control protocol: the caller's worker
+   body stores each value where the coordinator can find it before replying
+   [OK], so a kill between that store and the reply loses only the reply,
+   and the caller's [finished] predicate settles the cell when the corpse
+   is reaped. *)
 
 exception Worker_failure of string
 
@@ -33,7 +33,7 @@ let () =
 
 (* --- worker-side context ----------------------------------------------- *)
 
-type ctx = { journal : string; cmd_in : in_channel; reply_out : out_channel }
+type ctx = { cmd_in : in_channel; reply_out : out_channel }
 
 (* --- wire lines ------------------------------------------------------------ *)
 
@@ -115,7 +115,7 @@ let close_link l =
    or [at_exit] handler runs twice.  The child closes [siblings], the parent
    ends of the other workers' pipes, so a dead coordinator leaves every
    worker at EOF on its command pipe. *)
-let fork_worker ~worker ~journal ~siblings =
+let fork_worker ~worker ~siblings =
   let cmd_r, cmd_w = Unix.pipe () in
   let reply_r, reply_w =
     try Unix.pipe () with e -> List.iter close_fd [ cmd_r; cmd_w ]; raise e
@@ -127,11 +127,7 @@ let fork_worker ~worker ~journal ~siblings =
     Unix.close cmd_w;
     Unix.close reply_r;
     let ctx =
-      {
-        journal;
-        cmd_in = Unix.in_channel_of_descr cmd_r;
-        reply_out = Unix.out_channel_of_descr reply_w;
-      }
+      { cmd_in = Unix.in_channel_of_descr cmd_r; reply_out = Unix.out_channel_of_descr reply_w }
     in
     Unix._exit (match worker ctx with () -> 0 | exception _ -> 71)
   | pid ->
@@ -150,7 +146,6 @@ type outcome =
 
 type wstate = {
   ws_wid : int;
-  ws_journal : string;
   mutable ws_link : link option;  (* None: dead and not respawned *)
   ws_buf : Buffer.t;
   mutable ws_ready : bool;  (* sent RDY and has no inflight cell *)
@@ -173,17 +168,12 @@ let send_line fd line =
   in
   go 0
 
-let journal_has path key =
-  match Journal.load path with
-  | records -> List.exists (fun (k, _) -> k = key) records
-  | exception (Journal.Incompatible _ | Sys_error _) -> false
-
-let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worker
+let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~finished ~worker
     ~(keys : string array) () =
   if workers < 1 then invalid_arg "Procpool.run_jobs: workers must be >= 1";
   let n = Array.length keys in
   let outcomes : outcome option array = Array.make n None in
-  if n = 0 then ([||], [])
+  if n = 0 then [||]
   else begin
     let queue = Queue.create () in
     for i = 0 to n - 1 do
@@ -191,14 +181,10 @@ let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worke
     done;
     let respawn_budget = ref respawns in
     let nworkers = min workers n in
-    let journal_for wid =
-      Filename.concat scratch (Printf.sprintf "worker-%d.journal" wid)
-    in
     let pool =
       Array.init nworkers (fun wid ->
           {
             ws_wid = wid;
-            ws_journal = journal_for wid;
             ws_link = None;
             ws_buf = Buffer.create 256;
             ws_ready = false;
@@ -207,7 +193,7 @@ let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worke
     in
     let spawn w =
       let siblings = Array.to_list pool |> List.filter_map (fun w -> w.ws_link) in
-      w.ws_link <- Some (fork_worker ~worker ~journal:w.ws_journal ~siblings)
+      w.ws_link <- Some (fork_worker ~worker ~siblings)
     in
     let close w =
       Option.iter close_link w.ws_link;
@@ -266,10 +252,10 @@ let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worke
         | exception Unix.Unix_error _ -> false)
     in
     (* Arbitration of a death: drain raced replies, then decide the fate of
-       the inflight cell — if its record made it into the worker's journal
-       the work *happened* (a kill between journal append and reply loses
-       nothing); an absent record is a lost, transient attempt that re-queues
-       under the retry budget. *)
+       the inflight cell — if [finished] finds its result the work
+       *happened* (a kill between the store and the reply loses nothing);
+       otherwise the attempt was lost, transiently, and re-queues under the
+       retry budget. *)
     let reap_death w =
       (match w.ws_link with
       | Some l -> ( try Unix.set_nonblock l.reply with Unix.Unix_error _ -> ())
@@ -278,7 +264,7 @@ let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worke
       (try drain () with _ -> ());
       (match w.ws_inflight with
       | Some (idx, attempt) when outcomes.(idx) = None ->
-        if journal_has w.ws_journal keys.(idx) then
+        if finished idx then
           resolve idx (Completed { attempts = attempt + 1 })
         else
           fail_or_retry idx attempt ~transient:true
@@ -299,9 +285,7 @@ let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worke
             | 0, _ -> ()
             | _ ->
               reap_death w;
-              (* Respawn into the same slot (and the same journal: the fresh
-                 worker's open_writer quarantines and truncates any torn
-                 record — the production torn-write recovery path). *)
+              (* Respawn into the same slot, budget permitting. *)
               if unresolved () && !respawn_budget > 0 then begin
                 decr respawn_budget;
                 spawn w
@@ -429,7 +413,5 @@ let run_jobs ?(drain_timeout = 10.0) ~workers ~respawns ~retries ~scratch ~worke
         Queue.iter (fun (idx, attempt) -> resolve idx (exhausted attempt)) queue;
         Array.iteri (fun idx o -> if o = None then outcomes.(idx) <- Some (exhausted 0)) outcomes;
         shutdown ();
-        let final = Array.map Option.get outcomes in
-        let journals = List.init nworkers journal_for |> List.filter Sys.file_exists in
-        (final, journals))
+        Array.map Option.get outcomes)
   end

@@ -3,20 +3,20 @@
     The in-process {!Pool} cannot survive a SIGKILL — a dead domain takes
     the whole runtime with it.  This pool runs sweep cells in separate OS
     processes so the coordinator can lose a worker (a crash, an OOM kill,
-    injected [--fault kill@i]) and recover: respawn the worker, salvage
-    completed cells from its crash-safe journal, and retry exactly the cell
-    whose attempt was lost.
+    injected [--fault kill@i]) and recover: respawn the worker, keep the
+    cells it finished, and retry exactly the cell whose attempt was lost.
 
     {b Execution model.}  {!run_jobs} forks [N] workers from the calling
     process, so every worker inherits the caller's cells, closures and the
     results they captured; nothing is rebuilt or replayed.  Coordinator and
     worker speak a newline-framed protocol over two pipes ([RUN <index>
     <attempt> <hex key>] down, [RDY]/[OK]/[ERR] up).  Cell {e results never
-    travel inside the control protocol}: the worker appends each result to
-    its own checksummed {!Journal} before replying, and the coordinator
-    reads values back from the worker journals after the run.  A worker
-    killed between journal append and reply therefore loses nothing — the
-    coordinator finds the record when it reaps the corpse.
+    travel inside the control protocol}, and this module never touches them:
+    the caller's worker body stores each result where the caller can find
+    it (the experiment layer uses a {!Rescache} store) before replying, and
+    the caller's [finished] predicate says whether a cell's result exists.
+    A worker killed between that store and its reply therefore loses
+    nothing — [finished] holds when the coordinator reaps the corpse.
 
     OCaml 5 refuses [Unix.fork] in a process that has ever started a
     second domain, so {!run_jobs} raises [Failure] when called after any
@@ -24,13 +24,11 @@
 
     {b Recovery.}  Worker death is detected by [waitpid], not pipe EOF.  The coordinator drains
     raced replies (a reply line torn by the kill is discarded, never
-    parsed), consults the worker's journal for the inflight cell (present →
-    completed; absent → a lost, transient attempt that re-queues under the
-    retry budget), and respawns a fresh process into the same slot and the
-    same journal (the fresh worker's [open_writer] quarantines and
-    truncates the torn record the kill left behind).  Respawns share one
-    pool-wide budget ([respawns]); a pool that exhausts it fails its
-    remaining cells instead of hanging.
+    parsed), asks [finished] about the inflight cell (true → completed;
+    false → a lost, transient attempt that re-queues under the retry
+    budget), and respawns a fresh process into the same slot.  Respawns
+    share one pool-wide budget ([respawns]); a pool that exhausts it fails
+    its remaining cells instead of hanging.
 
     {b Determinism.}  Cell identity is the key (stable across processes);
     fault indices are positions in the coordinator's runnable list, carried
@@ -67,26 +65,25 @@ val parse_line : string -> line option
 (** {1 Worker side} *)
 
 type ctx = {
-  journal : string;  (** this worker's crash-safe journal path *)
   cmd_in : in_channel;  (** coordinator commands *)
   reply_out : out_channel;  (** protocol replies *)
 }
 
 type verdict = Done | Fail of { transient : bool; reason : string }
 (** What a worker reports for one cell.  [Done] implies the result has
-    already been journaled.  Transient failures re-queue under
-    the coordinator's retry budget; permanent ones fail the cell. *)
+    already been stored.  Transient failures re-queue under the
+    coordinator's retry budget; permanent ones fail the cell. *)
 
 val serve : ctx -> handle:(index:int -> attempt:int -> key:string -> verdict) -> unit
 (** Worker main loop: announce readiness, then execute [RUN] commands via
     [handle] until [FIN] or EOF.  [handle] owns everything domain-specific
-    (finding the cell for [key], fault realization, journaling). *)
+    (finding the cell for [key], fault realization, storing the result). *)
 
 (** {1 Coordinator side} *)
 
 type outcome =
   | Completed of { attempts : int }
-      (** the cell's value is in some worker journal *)
+      (** the worker stored the cell's value *)
   | Failed of { attempts : int; transient : bool; reason : string }
 
 val run_jobs :
@@ -94,21 +91,21 @@ val run_jobs :
   workers:int ->
   respawns:int ->
   retries:int ->
-  scratch:string ->
+  finished:(int -> bool) ->
   worker:(ctx -> unit) ->
   keys:string array ->
   unit ->
-  outcome array * string list
+  outcome array
 (** Run one cell per entry of [keys] (cell [i]'s fault index is [i]) on a
     pool of [workers] (at least [1]) worker processes forked from the
     caller, respawning dead workers up to [respawns] times total and
     retrying transiently failed or killed attempts up to [retries] extra
     times per cell.  Each worker runs [worker] on its own context and then
     [_exit]s ([71] if [worker] raised); every buffered channel is flushed
-    before each fork.  Worker journals are created under [scratch]
-    ([worker-<wid>.journal]).  [drain_timeout] (default 10 s) bounds the
-    post-[FIN] exit grace period; a straggler that outlives it is killed
-    with a one-line warning naming the worker.  No worker outlives the
-    call, even when it raises.  Returns per-cell outcomes (index order)
-    and the worker journal paths that exist.  SIGPIPE is ignored for the
+    before each fork.  [finished i] arbitrates a worker that died running
+    cell [i]: it must say whether that cell's result was stored.
+    [drain_timeout] (default 10 s) bounds the post-[FIN] exit grace period;
+    a straggler that outlives it is killed with a one-line warning naming
+    the worker.  No worker outlives the call, even when it raises.  Returns
+    per-cell outcomes in index order.  SIGPIPE is ignored for the
     duration. *)

@@ -1,17 +1,15 @@
-(* Persistent content-addressed result cache. See rescache.mli for the
+(* Persistent content-addressed result store. See rescache.mli for the
    contract (digest keying, torn-write discipline, corrupt-entry policy,
    shared roots). *)
 
 let format_version = 1
 
-(* NOT bumped for PR 7: the envelope format and every cached payload type
-   are unchanged; only the journal (a different file family) changed
-   format.  Bump this the moment any marshalled result type or measured
-   simulator behaviour changes. *)
+(* Bump this the moment any marshalled result type or measured simulator
+   behaviour changes. *)
 let code_salt = "pv-rescache-2026-08"
 
 (* Digesting and the hex codec are delegated to Checksum (shared with the
-   journal framing and the procpool wire encoding). *)
+   procpool wire encoding). *)
 let digest_hex = Checksum.digest_hex
 let hex_of_string = Checksum.hex_of_string
 let string_of_hex = Checksum.string_of_hex
@@ -23,20 +21,17 @@ type stats = {
   misses : int;
   writes : int;
   write_errors : int;
-  evictions : int;
   corrupt_dropped : int;
 }
 
 type t = {
   root : string;
   salt : string; (* effective salt: version + code salt + user salt *)
-  max_entries : int option;
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
   mutable writes : int;
   mutable write_errors : int;
-  mutable evictions : int;
   mutable corrupt_dropped : int;
   mutable tmp_counter : int;
   mutable warned_write_error : bool;
@@ -48,26 +43,21 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_dir ?(salt = "") ?max_entries root =
+let open_dir ?(salt = "") root =
   String.iter
     (fun c ->
       if c = '"' || c = '\\' || c = '\n' || c = '\r' then
         invalid_arg "Rescache.open_dir: salt must not contain quotes, backslashes or newlines")
     salt;
-  (match max_entries with
-  | Some n when n <= 0 -> invalid_arg "Rescache.open_dir: max_entries must be positive"
-  | _ -> ());
   mkdir_p root;
   {
     root;
     salt = Printf.sprintf "v%d|%s|%s" format_version code_salt salt;
-    max_entries;
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
     writes = 0;
     write_errors = 0;
-    evictions = 0;
     corrupt_dropped = 0;
     tmp_counter = 0;
     warned_write_error = false;
@@ -177,65 +167,35 @@ let find (type a) t ~key : a option =
               t.misses <- t.misses + 1;
               None))
 
-(* Only .json entries count toward the size bound — in-flight temp files
-   are not content. *)
+(* Temp files of in-flight (or killed) stores are not entries. *)
 let entries t =
   match Sys.readdir t.root with
-  | exception Sys_error _ -> [||]
-  | names -> Array.of_list (List.filter (fun n -> Filename.check_suffix n ".json") (Array.to_list names))
-
-let evict_over_limit t =
-  match t.max_entries with
-  | None -> ()
-  | Some limit ->
-      let names = entries t in
-      if Array.length names > limit then begin
-        let stamped =
-          Array.to_list names
-          |> List.filter_map (fun n ->
-                 let p = Filename.concat t.root n in
-                 match Unix.stat p with
-                 | st -> Some (st.Unix.st_mtime, n)
-                 | exception Unix.Unix_error _ -> None)
-          (* Explicit victim order: oldest mtime first, equal mtimes broken
-             by digest filename.  Filesystems with 1-second mtime
-             granularity make same-second entries tie constantly, and the
-             set a warm run finds must not depend on readdir order —
-             eviction is part of the byte-identity contract under
-             max_entries. *)
-          |> List.sort (fun (ta, na) (tb, nb) ->
-                 match Float.compare ta tb with 0 -> String.compare na nb | c -> c)
-        in
-        let excess = List.length stamped - limit in
-        List.iteri
-          (fun i (_, n) ->
-            if i < excess then begin
-              (try Sys.remove (Filename.concat t.root n) with Sys_error _ -> ());
-              t.evictions <- t.evictions + 1
-            end)
-          stamped
-      end
+  | exception Sys_error _ -> 0
+  | names ->
+      Array.fold_left
+        (fun n name -> if Filename.check_suffix name ".json" then n + 1 else n)
+        0 names
 
 let note_write_error t ~what msg =
   t.write_errors <- t.write_errors + 1;
   if not t.warned_write_error then begin
     t.warned_write_error <- true;
     Printf.eprintf
-      "rescache: warning: cache write failed (%s: %s); caching is degraded, \
+      "rescache: warning: a write to %s failed (%s: %s); the store is degraded, \
        results are unaffected (counted as write_errors)\n%!"
-      what msg
+      t.root what msg
   end
 
-let store t ~key v =
-  let payload = Marshal.to_string v [] in
-  let body = render_envelope t ~key payload in
-  let path = entry_path t ~key in
+let tmp_path t =
+  t.tmp_counter <- t.tmp_counter + 1;
+  Filename.concat t.root (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ()) t.tmp_counter)
+
+(* Write [body] to a temp file and rename it over [path]; [true] once the
+   entry is in place.  Failures are counted and warned about, never
+   raised. *)
+let write_entry t ~path body =
   with_lock t (fun () ->
-      t.tmp_counter <- t.tmp_counter + 1;
-      let tmp =
-        Filename.concat t.root
-          (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ()) t.tmp_counter)
-      in
+      let tmp = tmp_path t in
       match
         let oc = open_out_bin tmp in
         Fun.protect
@@ -245,13 +205,51 @@ let store t ~key v =
       with
       | () ->
           t.writes <- t.writes + 1;
-          evict_over_limit t
+          true
       | exception Sys_error msg ->
           (try Sys.remove tmp with Sys_error _ -> ());
-          note_write_error t ~what:"store" msg
+          note_write_error t ~what:"store" msg;
+          false
       | exception Unix.Unix_error (err, fn, _) ->
           (try Sys.remove tmp with Sys_error _ -> ());
-          note_write_error t ~what:fn (Unix.error_message err))
+          note_write_error t ~what:fn (Unix.error_message err);
+          false)
+
+(* Put a hard link to the entry file [src] at [path], through a temp name
+   so an existing entry is replaced atomically; [false] on any error (no
+   hard links, another filesystem, [src] gone), for the caller to write
+   the entry instead. *)
+let link_entry t ~src ~path =
+  with_lock t (fun () ->
+      let tmp = tmp_path t in
+      match
+        Unix.link src tmp;
+        Unix.rename tmp path
+      with
+      | () ->
+          t.writes <- t.writes + 1;
+          true
+      | exception Unix.Unix_error _ ->
+          (try Sys.remove tmp with Sys_error _ -> ());
+          false)
+
+(* [src = path]: two handles on one directory (say --cache D --checkpoint
+   D); renaming a link over its own file would leave the temp name behind. *)
+let store_all ts ~key v =
+  let payload = Marshal.to_string v [] in
+  ignore
+    (List.fold_left
+       (fun written t ->
+         let path = entry_path t ~key in
+         match written with
+         | Some (salt, src) when salt = t.salt && (src = path || link_entry t ~src ~path) ->
+             written
+         | _ ->
+             if write_entry t ~path (render_envelope t ~key payload) then Some (t.salt, path)
+             else written)
+       None ts)
+
+let store t ~key v = store_all [ t ] ~key v
 
 let stats t =
   with_lock t (fun () ->
@@ -260,12 +258,11 @@ let stats t =
         misses = t.misses;
         writes = t.writes;
         write_errors = t.write_errors;
-        evictions = t.evictions;
         corrupt_dropped = t.corrupt_dropped;
       })
 
 let report ?(out = stderr) t =
   let s = stats t in
   Printf.fprintf out
-    "rescache: hits=%d misses=%d writes=%d write_errors=%d evictions=%d corrupt_dropped=%d dir=%s\n%!"
-    s.hits s.misses s.writes s.write_errors s.evictions s.corrupt_dropped t.root
+    "rescache: hits=%d misses=%d writes=%d write_errors=%d corrupt_dropped=%d dir=%s\n%!"
+    s.hits s.misses s.writes s.write_errors s.corrupt_dropped t.root

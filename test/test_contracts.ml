@@ -329,11 +329,8 @@ let test_matrix_deterministic () =
         (render cold) (render warm))
 
 let test_fault_then_resume_converges () =
-  let path = Filename.temp_file "pv_contracts" ".journal" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "checkpoint" in
       let fault =
         Fault.plan [ { Fault.index = 2; kind = Fault.Crash; first_attempts = Fault.always } ]
       in

@@ -181,24 +181,58 @@ let test_static_tables_render () =
     (fun t -> Alcotest.(check bool) "renders" true (String.length (Pv_util.Tab.to_string t) > 100))
     [ t1; t2; t3 ]
 
-(* reproduce runs all its sweeps against one --checkpoint journal, and
-   --resume restores cells by key through Marshal: a key that two sweeps
-   share would be restored at the wrong type. *)
-let test_reproduce_keys_disjoint () =
+(* reproduce runs all its sweeps against one --checkpoint store.  Keys name
+   each sweep's rows; descriptors key the store, which unmarshals an entry
+   at the type of the sweep that looks it up. *)
+let reproduce_sweeps () =
   let sweeps = Pv_reproduce.Reproduce.sweep_keys ~scale:0.1 in
   check Alcotest.int "ten sweeps" 10 (List.length sweeps);
+  sweeps
+
+let test_reproduce_keys_disjoint () =
   let owner = Hashtbl.create 1024 in
   List.iter
-    (fun (label, keys) ->
-      Alcotest.(check bool) (label ^ " declares cells") true (keys <> []);
+    (fun (label, cells) ->
+      Alcotest.(check bool) (label ^ " declares cells") true (cells <> []);
       List.iter
-        (fun key ->
+        (fun (key, _) ->
           match Hashtbl.find_opt owner key with
           | Some other when other <> label ->
             Alcotest.failf "key %S is in sweeps %s and %s" key other label
           | _ -> Hashtbl.replace owner key label)
-        keys)
-    sweeps
+        cells)
+    (reproduce_sweeps ())
+
+(* A cell without a descriptor would silently never be checkpointed. *)
+let test_reproduce_descriptors () =
+  List.iter
+    (fun (label, cells) ->
+      List.iter
+        (fun (key, desc) ->
+          if desc = None then Alcotest.failf "cell %S of sweep %s has no descriptor" key label)
+        cells)
+    (reproduce_sweeps ())
+
+(* The family is the descriptor up to its first '|': one per sweep, and no
+   other sweep's, so no entry can be read back at another sweep's type. *)
+let test_reproduce_families_disjoint () =
+  let family desc = List.hd (String.split_on_char '|' desc) in
+  let owner = Hashtbl.create 16 in
+  List.iter
+    (fun (label, cells) ->
+      let families =
+        List.sort_uniq compare (List.filter_map (fun (_, d) -> Option.map family d) cells)
+      in
+      (match families with
+      | [ _ ] -> ()
+      | fs -> Alcotest.failf "sweep %s uses %d descriptor families" label (List.length fs));
+      List.iter
+        (fun f ->
+          match Hashtbl.find_opt owner f with
+          | Some other -> Alcotest.failf "family %S is in sweeps %s and %s" f other label
+          | None -> Hashtbl.replace owner f label)
+        families)
+    (reproduce_sweeps ())
 
 (* A short UNSAFE cell of any row never faults, whatever the machine seed:
    every indirect call its kernel image can reach goes through a table. *)
@@ -241,5 +275,10 @@ let suite =
         Alcotest.test_case "static tables render" `Quick test_static_tables_render;
       ] );
     ( "experiments.reproduce",
-      [ Alcotest.test_case "sweep keys disjoint" `Quick test_reproduce_keys_disjoint ] );
+      [
+        Alcotest.test_case "sweep keys disjoint" `Quick test_reproduce_keys_disjoint;
+        Alcotest.test_case "every cell has a descriptor" `Quick test_reproduce_descriptors;
+        Alcotest.test_case "descriptor families disjoint" `Quick
+          test_reproduce_families_disjoint;
+      ] );
   ]

@@ -1,12 +1,9 @@
-(* Crash-safe multi-process execution: the checksummed journal format
-   (double-tear recovery, corruption quarantine, old-format rejection), the
-   result cache's write-error accounting, the coordinator/worker pool
-   itself (completion, kill-respawn recovery, budget exhaustion, torn
-   replies, drain timeout), and Supervise sweeps on worker processes.
-   This executable never starts a domain: OCaml 5 refuses to fork after
-   one. *)
+(* Crash-safe multi-process execution: the result store's write-error
+   accounting, the coordinator/worker pool itself (completion, kill-respawn
+   recovery, budget exhaustion, torn replies, drain timeout), and Supervise
+   sweeps on worker processes.  This executable never starts a domain:
+   OCaml 5 refuses to fork after one. *)
 
-module Journal = Pv_util.Journal
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
 module Checksum = Pv_util.Checksum
@@ -25,15 +22,6 @@ let temp_path prefix suffix =
   Sys.remove p;
   p
 
-let with_journal f =
-  let path = temp_path "pv_procpool" ".journal" in
-  let rm p = if Sys.file_exists p then Sys.remove p in
-  Fun.protect
-    ~finally:(fun () ->
-      rm path;
-      rm (path ^ ".quarantine"))
-    (fun () -> f path)
-
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -50,161 +38,6 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-(* --- checksummed journal: tear recovery --------------------------------- *)
-
-let test_double_tear_recovery () =
-  (* Kill mid-append, resume, kill mid-append again, resume: the second
-     resume must see every record the first resume wrote.  This is the PR 3
-     truncate-fix regression guard, replayed against the checksummed
-     format with real torn frames (append_torn = header + half payload,
-     exactly what a mid-append SIGKILL leaves). *)
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 1;
-      Journal.append w ~key:"b" 2;
-      Journal.append_torn w ~key:"c" 3;
-      Journal.close w;
-      (* first resume: recovery truncates the tear, then writes c and tears d *)
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"c" 3;
-      Journal.append_torn w ~key:"d" 4;
-      Journal.close w;
-      (* second resume: must see a, b AND the c the first resume wrote *)
-      check
-        Alcotest.(list (pair string int))
-        "second resume sees everything the first resume wrote"
-        [ ("a", 1); ("b", 2); ("c", 3) ]
-        (Journal.load path);
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"d" 4;
-      Journal.close w;
-      check
-        Alcotest.(list (pair string int))
-        "post-second-resume appends land cleanly"
-        [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ]
-        (Journal.load path))
-
-let test_quarantine_preserves_torn_bytes () =
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 1;
-      Journal.append_torn w ~key:"b" 2;
-      Journal.close w;
-      let torn_size = (Unix.stat path).Unix.st_size in
-      let w = Journal.open_writer path in
-      Journal.close w;
-      Alcotest.(check bool) "torn suffix copied to .quarantine" true
-        (Sys.file_exists (path ^ ".quarantine"));
-      let clean_size = (Unix.stat path).Unix.st_size in
-      let quarantined = (Unix.stat (path ^ ".quarantine")).Unix.st_size in
-      check Alcotest.int "no byte lost: clean + quarantined = torn file" torn_size
-        (clean_size + quarantined))
-
-let test_midfile_bitflip_quarantined () =
-  (* The pre-checksum format only detected torn *tails*; a mid-file flip
-     that still unmarshalled was served silently.  Now every frame is
-     checksummed: a flip invalidates its record and everything after it. *)
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 11;
-      Journal.append w ~key:"b" 22;
-      Journal.append w ~key:"c" 33;
-      Journal.close w;
-      let body = read_file path in
-      (* flip one payload byte inside the middle record *)
-      let pos = String.length body / 2 in
-      let b = Bytes.of_string body in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-      write_file path (Bytes.to_string b);
-      let loaded : (string * int) list = Journal.load path in
-      Alcotest.(check bool) "only a verified prefix survives" true
-        (List.length loaded < 3);
-      List.iter
-        (fun (k, v) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "surviving record %s is authentic" k)
-            true
-            (List.mem (k, v) [ ("a", 11); ("b", 22); ("c", 33) ]))
-        loaded)
-
-let test_corruption_property =
-  (* Flip or truncate random bytes anywhere past the header: recovery must
-     never surface a corrupt record — whatever loads is a prefix of what
-     was written — and resume_status must never raise. *)
-  let gen = QCheck.Gen.(triple (int_range 2 12) (int_range 0 2000) (int_range 0 255)) in
-  let arb = QCheck.make gen ~print:(fun (n, pos, x) -> Printf.sprintf "(%d,%d,%d)" n pos x) in
-  let prop (n, pos_seed, flip) =
-    let path = temp_path "pv_jprop" ".journal" in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Sys.remove path with Sys_error _ -> ());
-        try Sys.remove (path ^ ".quarantine") with Sys_error _ -> ())
-      (fun () ->
-        let written = List.init n (fun i -> (Printf.sprintf "cell/%d" i, i * 7)) in
-        let w = Journal.open_writer path in
-        List.iter (fun (k, v) -> Journal.append w ~key:k v) written;
-        Journal.close w;
-        let body = read_file path in
-        let len = String.length body in
-        let pos = String.length Journal.magic + (pos_seed mod max 1 (len - 8)) in
-        let pos = min pos (len - 1) in
-        (if flip mod 2 = 0 then begin
-           (* bit damage *)
-           let b = Bytes.of_string body in
-           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor max 1 (flip lsr 1)));
-           write_file path (Bytes.to_string b)
-         end
-         else (* torn write: truncate mid-record *)
-           write_file path (String.sub body 0 pos));
-        let loaded : (string * int) list = Journal.load path in
-        let rec is_prefix p l =
-          match (p, l) with
-          | [], _ -> true
-          | x :: p', y :: l' -> x = y && is_prefix p' l'
-          | _ :: _, [] -> false
-        in
-        let status_ok =
-          match Journal.resume_status path with
-          | Journal.Missing | Journal.Unusable _ -> true
-          | Journal.Usable { records; distinct } ->
-            records = List.length loaded && distinct <= records
-        in
-        is_prefix loaded written && status_ok)
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"random corruption never surfaces a corrupt record"
-       ~count:200 arb prop)
-
-let test_old_format_rejected () =
-  (* A pre-checksum journal is bare Marshal records; it must be recognized
-     by its magic and rejected with a one-line diagnostic, not misparsed. *)
-  with_journal (fun path ->
-      write_file path (Marshal.to_string ("key", 1) [] ^ Marshal.to_string ("k2", 2) []);
-      (match Journal.load path with
-      | (_ : (string * int) list) -> Alcotest.fail "old format must not load"
-      | exception Journal.Incompatible msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "load diagnostic names the old format: %s" msg)
-          true
-          (contains ~sub:"pre-checksum" msg));
-      (match Journal.open_writer path with
-      | (_ : Journal.writer) -> Alcotest.fail "old format must not open for append"
-      | exception Journal.Incompatible _ -> ());
-      match Journal.resume_status path with
-      | Journal.Unusable why ->
-        Alcotest.(check bool) "preflight diagnostic names the old format" true
-          (contains ~sub:"pre-checksum" why)
-      | _ -> Alcotest.fail "old format must be Unusable for --resume")
-
-let test_not_a_journal_rejected () =
-  with_journal (fun path ->
-      write_file path "{\"this\": \"is json, not a journal\"}";
-      match Journal.resume_status path with
-      | Journal.Unusable why ->
-        Alcotest.(check bool) "diagnostic names the missing header" true
-          (contains ~sub:"not a journal" why)
-      | _ -> Alcotest.fail "foreign file must be Unusable")
 
 (* --- rescache: write errors ----------------------------------------------- *)
 
@@ -230,181 +63,210 @@ let test_write_errors_counted () =
       Alcotest.(check bool) "report line carries write_errors" true
         (contains ~sub:"write_errors=2" (read_file buf_path)))
 
+(* --- rescache: a writer killed mid-store ----------------------------------- *)
+
+let test_killed_writer_tears_no_entry () =
+  (* A child process rewrites eight 64 KiB entries in a loop until it is
+     SIGKILLed while one of its temp files is in the root, that is, in the
+     middle of a store.  Every entry must still read back whole and
+     authentic: the kill may strand a temp file, which the store does not
+     count, never a torn entry. *)
+  with_dir (fun dir ->
+      let n = 8 in
+      let key i = Printf.sprintf "cell/%d" i in
+      let value i = String.make 65536 (Char.chr (Char.code 'a' + i)) in
+      match Unix.fork () with
+      | 0 ->
+        (try
+           let s = Rescache.open_dir dir in
+           let rec loop i =
+             Rescache.store s ~key:(key (i mod n)) (value (i mod n));
+             loop (i + 1)
+           in
+           loop 0
+         with _ -> Unix._exit 1)
+      | pid ->
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid))
+          (fun () ->
+            let deadline = Unix.gettimeofday () +. 10. in
+            while
+              Rescache.entries (Rescache.open_dir dir) < n && Unix.gettimeofday () < deadline
+            do
+              Unix.sleepf 0.005
+            done;
+            let mid_store () =
+              Array.exists (String.starts_with ~prefix:".tmp.") (Sys.readdir dir)
+            in
+            let deadline = Unix.gettimeofday () +. 2. in
+            while (not (mid_store ())) && Unix.gettimeofday () < deadline do
+              ()
+            done);
+        let s = Rescache.open_dir dir in
+        check Alcotest.int "every entry was written before the kill" n (Rescache.entries s);
+        for i = 0 to n - 1 do
+          let found : string option = Rescache.find s ~key:(key i) in
+          Alcotest.(check bool) (Printf.sprintf "%s reads back whole" (key i)) true
+            (found = Some (value i))
+        done;
+        check Alcotest.int "no entry found damaged" 0 (Rescache.stats s).Rescache.corrupt_dropped)
+
 (* --- the process pool ------------------------------------------------------ *)
 
-(* A worker body for run_jobs: journals DOUBLE(value-of-key) for each
-   cell, optionally SIGKILLing itself mid-append for chosen (key, attempt)
-   pairs — the same realization Supervise uses for --fault kill. *)
-let worker_body ~kill_on (ctx : Procpool.ctx) =
-  let w = Journal.open_writer ctx.Procpool.journal in
-  Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
-      ignore index;
+(* A worker body for run_jobs: stores DOUBLE(value-of-key) for each cell,
+   optionally SIGKILLing itself for chosen (key, attempt) pairs after
+   leaving a torn temp file, as a store killed before its rename would. *)
+let worker_body ~kill_on store (ctx : Procpool.ctx) =
+  Procpool.serve ctx ~handle:(fun ~index:_ ~attempt ~key ->
       let v = 2 * int_of_string (Filename.basename key) in
       if List.mem (key, attempt) kill_on then begin
-        Journal.append_torn w ~key v;
+        write_file
+          (Filename.concat (Rescache.dir store) (Printf.sprintf ".tmp.%d.1" (Unix.getpid ())))
+          "{\n  \"rescache_version\"";
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         assert false
       end
       else begin
-        Journal.append w ~key v;
+        Rescache.store store ~key v;
         Procpool.Done
       end)
 
 let keys_of n = Array.init n (fun i -> Printf.sprintf "cell/%d" i)
 
-let values_from journals =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun j -> List.iter (fun (k, v) -> Hashtbl.replace tbl k v) (Journal.load j))
-    journals;
-  tbl
+(* Run cells cell/0 .. cell/<n-1> on workers running [worker store], where
+   [store] is one scratch store of the run's own: a dead worker's cell
+   counts as finished when its entry is there.  Returns the outcomes and
+   each cell's stored value. *)
+let run_pool ?drain_timeout ~workers ~respawns ~retries ~worker n =
+  with_dir (fun dir ->
+      let store = Rescache.open_dir dir in
+      let keys = keys_of n in
+      let value key : int option = Rescache.find store ~key in
+      let outcomes =
+        Procpool.run_jobs ?drain_timeout ~workers ~respawns ~retries
+          ~finished:(fun i -> value keys.(i) <> None)
+          ~worker:(worker store) ~keys ()
+      in
+      (outcomes, Array.map value keys))
 
 let test_pool_completes () =
-  with_dir (fun scratch ->
-      let keys = keys_of 6 in
-      let outcomes, journals =
-        Procpool.run_jobs ~workers:3 ~respawns:0 ~retries:0 ~scratch
-          ~worker:(worker_body ~kill_on:[]) ~keys ()
+  let outcomes, values =
+    run_pool ~workers:3 ~respawns:0 ~retries:0 ~worker:(worker_body ~kill_on:[]) 6
+  in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Procpool.Completed { attempts } ->
+        check Alcotest.int (Printf.sprintf "cell %d one attempt" i) 1 attempts
+      | Procpool.Failed { reason; _ } ->
+        Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
+    outcomes;
+  Array.iteri
+    (fun i v ->
+      check Alcotest.(option int)
+        (Printf.sprintf "value of cell/%d recovered from the store" i)
+        (Some (2 * i)) v)
+    values
+
+let test_pool_kill_respawn_recovers () =
+  (* Worker SIGKILLs itself before storing cell/2 on its first attempt: the
+     coordinator must reap it, find no entry (only a torn temp file),
+     respawn, and retry the cell to completion. *)
+  let outcomes, values =
+    run_pool ~workers:2 ~respawns:4 ~retries:1
+      ~worker:(worker_body ~kill_on:[ ("cell/2", 0) ])
+      4
+  in
+  (match outcomes.(2) with
+  | Procpool.Completed { attempts } -> check Alcotest.int "killed cell retried once" 2 attempts
+  | Procpool.Failed { reason; _ } ->
+    Alcotest.fail (Printf.sprintf "killed cell must recover: %s" reason));
+  Array.iteri
+    (fun i o ->
+      if i <> 2 then
+        match o with
+        | Procpool.Completed _ -> ()
+        | Procpool.Failed { reason; _ } ->
+          Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
+    outcomes;
+  check Alcotest.(option int) "killed cell's value recovered" (Some 4) values.(2)
+
+let test_pool_budget_exhaustion_fails_cleanly () =
+  (* A persistently killing cell with a tiny respawn budget: the pool must
+     fail the cell (and only report transient loss) instead of hanging. *)
+  let kill_on = List.init 10 (fun a -> ("cell/1", a)) in
+  let outcomes, values =
+    run_pool ~workers:2 ~respawns:1 ~retries:5 ~worker:(worker_body ~kill_on) 3
+  in
+  (match outcomes.(1) with
+  | Procpool.Failed { transient; _ } ->
+    Alcotest.(check bool) "loss reported transient" true transient
+  | Procpool.Completed _ -> Alcotest.fail "persistently killed cell cannot complete");
+  check Alcotest.(option int) "poisonous cell left no value" None values.(1)
+
+(* A worker whose reply is torn: it writes "OK <i>" with no terminating
+   newline and SIGKILLs itself mid-line.  With [stored] it stores the
+   cell's value first, on every attempt; without, it tears the first
+   attempt before storing anything and serves the retry normally. *)
+let torn_reply_body ~stored store (ctx : Procpool.ctx) =
+  Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
+      let v = 2 * int_of_string (Filename.basename key) in
+      if stored || attempt = 0 then begin
+        if stored then Rescache.store store ~key v;
+        output_string ctx.Procpool.reply_out (Printf.sprintf "OK %d" index);
+        flush ctx.Procpool.reply_out;
+        Unix.kill (Unix.getpid ()) Sys.sigkill
+      end;
+      Rescache.store store ~key v;
+      Procpool.Done)
+
+let test_torn_line_discarded () =
+  (* A reply torn mid-line by a dying worker must be discarded, not parsed:
+     the store alone decides the cell.  An entry that raced the torn reply
+     counts the cell completed on its first attempt; without one the
+     attempt is lost and retried — a parsed torn "OK" would instead claim a
+     first-attempt completion with no value behind it. *)
+  List.iter
+    (fun (stored, expected_attempts) ->
+      let outcomes, values =
+        run_pool ~workers:1 ~respawns:6 ~retries:1 ~worker:(torn_reply_body ~stored) 3
       in
       Array.iteri
         (fun i o ->
           match o with
           | Procpool.Completed { attempts } ->
-            check Alcotest.int (Printf.sprintf "cell %d one attempt" i) 1 attempts
+            check Alcotest.int
+              (Printf.sprintf "cell %d attempts (stored=%b)" i stored)
+              expected_attempts attempts
           | Procpool.Failed { reason; _ } ->
             Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
         outcomes;
-      let tbl = values_from journals in
       Array.iteri
-        (fun i k ->
-          check Alcotest.(option int)
-            (Printf.sprintf "value of %s recovered from worker journals" k)
-            (Some (2 * i)) (Hashtbl.find_opt tbl k))
-        keys)
-
-let test_pool_kill_respawn_recovers () =
-  (* Worker SIGKILLs itself mid-append on cell/2's first attempt: the
-     coordinator must reap it, respawn into the same journal (recovering
-     the torn record), and retry the cell to completion. *)
-  with_dir (fun scratch ->
-      let keys = keys_of 4 in
-      let outcomes, journals =
-        Procpool.run_jobs ~workers:2 ~respawns:4 ~retries:1 ~scratch
-          ~worker:(worker_body ~kill_on:[ ("cell/2", 0) ])
-          ~keys ()
-      in
-      (match outcomes.(2) with
-      | Procpool.Completed { attempts } ->
-        check Alcotest.int "killed cell retried once" 2 attempts
-      | Procpool.Failed { reason; _ } ->
-        Alcotest.fail (Printf.sprintf "killed cell must recover: %s" reason));
-      Array.iteri
-        (fun i o ->
-          if i <> 2 then
-            match o with
-            | Procpool.Completed _ -> ()
-            | Procpool.Failed { reason; _ } ->
-              Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-        outcomes;
-      let tbl = values_from journals in
-      check Alcotest.(option int) "killed cell's value recovered" (Some 4)
-        (Hashtbl.find_opt tbl "cell/2"))
-
-let test_pool_budget_exhaustion_fails_cleanly () =
-  (* A persistently killing cell with a tiny respawn budget: the pool must
-     fail the cell (and only report transient loss) instead of hanging. *)
-  with_dir (fun scratch ->
-      let kill_on = List.init 10 (fun a -> ("cell/1", a)) in
-      let keys = keys_of 3 in
-      let outcomes, journals =
-        Procpool.run_jobs ~workers:2 ~respawns:1 ~retries:5 ~scratch
-          ~worker:(worker_body ~kill_on)
-          ~keys ()
-      in
-      (match outcomes.(1) with
-      | Procpool.Failed { transient; _ } ->
-        Alcotest.(check bool) "loss reported transient" true transient
-      | Procpool.Completed _ -> Alcotest.fail "persistently killed cell cannot complete");
-      let tbl = values_from journals in
-      check Alcotest.(option int) "poisonous cell left no value" None
-        (Hashtbl.find_opt tbl "cell/1"))
-
-(* A worker whose reply is torn: it writes "OK <i>" with no terminating
-   newline and SIGKILLs itself mid-line.  With [journaled] it appends the
-   cell's record first, on every attempt; without, it tears the first
-   attempt before journaling anything and serves the retry normally. *)
-let torn_reply_body ~journaled (ctx : Procpool.ctx) =
-  let w = Journal.open_writer ctx.Procpool.journal in
-  Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
-      let v = 2 * int_of_string (Filename.basename key) in
-      if journaled || attempt = 0 then begin
-        if journaled then Journal.append w ~key v;
-        output_string ctx.Procpool.reply_out (Printf.sprintf "OK %d" index);
-        flush ctx.Procpool.reply_out;
-        Unix.kill (Unix.getpid ()) Sys.sigkill
-      end;
-      Journal.append w ~key v;
-      Procpool.Done)
-
-let test_torn_line_discarded () =
-  (* A reply torn mid-line by a dying worker must be discarded, not parsed:
-     the journal alone decides the cell.  A record that raced the torn
-     reply counts the cell completed on its first attempt; without one the
-     attempt is lost and retried — a parsed torn "OK" would instead claim a
-     first-attempt completion with no value behind it. *)
-  List.iter
-    (fun (journaled, expected_attempts) ->
-      with_dir (fun scratch ->
-          let keys = keys_of 3 in
-          let outcomes, journals =
-            Procpool.run_jobs ~workers:1 ~respawns:6 ~retries:1 ~scratch
-              ~worker:(torn_reply_body ~journaled)
-              ~keys ()
-          in
-          Array.iteri
-            (fun i o ->
-              match o with
-              | Procpool.Completed { attempts } ->
-                check Alcotest.int
-                  (Printf.sprintf "cell %d attempts (journaled=%b)" i journaled)
-                  expected_attempts attempts
-              | Procpool.Failed { reason; _ } ->
-                Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-            outcomes;
-          let tbl = values_from journals in
-          Array.iteri
-            (fun i k ->
-              check Alcotest.(option int)
-                (Printf.sprintf "value of %s recovered" k)
-                (Some (2 * i)) (Hashtbl.find_opt tbl k))
-            keys))
+        (fun i v ->
+          check Alcotest.(option int) (Printf.sprintf "value of cell/%d recovered" i)
+            (Some (2 * i)) v)
+        values)
     [ (true, 1); (false, 2) ]
 
 (* --- hostile reply lines ---------------------------------------------------- *)
 
-(* Serves like [worker_body ~kill_on:[]], but after journaling each cell
+(* Serves like [worker_body ~kill_on:[]], but after storing each cell
    writes [junk index] to the reply pipe ahead of its real reply. *)
-let junk_worker junk (ctx : Procpool.ctx) =
-  let w = Journal.open_writer ctx.Procpool.journal in
+let junk_worker junk store (ctx : Procpool.ctx) =
   Procpool.serve ctx ~handle:(fun ~index ~attempt:_ ~key ->
-      Journal.append w ~key (2 * int_of_string (Filename.basename key));
+      Rescache.store store ~key (2 * int_of_string (Filename.basename key));
       List.iter (fun l -> output_string ctx.Procpool.reply_out (l ^ "\n")) (junk index);
       flush ctx.Procpool.reply_out;
       Procpool.Done)
 
 (* Run [n] cells on two junk-emitting workers; true iff every cell completed
-   on its first attempt with its value in a worker journal. *)
+   on its first attempt with its value in the store. *)
 let sweep_survives_junk ~n junk =
-  with_dir (fun scratch ->
-      let keys = keys_of n in
-      let outcomes, journals =
-        Procpool.run_jobs ~workers:2 ~respawns:0 ~retries:0 ~scratch
-          ~worker:(junk_worker junk)
-          ~keys ()
-      in
-      let tbl = values_from journals in
-      Array.for_all (function Procpool.Completed { attempts = 1 } -> true | _ -> false) outcomes
-      && Array.for_all (fun k -> Hashtbl.mem tbl k) keys)
+  let outcomes, values = run_pool ~workers:2 ~respawns:0 ~retries:0 ~worker:(junk_worker junk) n in
+  Array.for_all (function Procpool.Completed { attempts = 1 } -> true | _ -> false) outcomes
+  && Array.for_all Option.is_some values
 
 let test_hostile_replies_dropped () =
   (* The OK/ERR lines with a bad index or class once did damage: a
@@ -425,7 +287,7 @@ let test_hostile_replies_dropped () =
       "RUN 0 0 00"; "FIN";
     ]
   in
-  Alcotest.(check bool) "every cell completes once, its value journaled" true
+  Alcotest.(check bool) "every cell completes once, its value stored" true
     (sweep_survives_junk ~n hostile)
 
 let hostile_line_gen =
@@ -522,7 +384,6 @@ let test_drain_timeout_kills_straggler () =
      grace expires — promptly, with a warning naming it — instead of
      wedging the coordinator for the default 10 s. *)
   with_dir (fun scratch ->
-      let keys = keys_of 2 in
       let stderr_copy = Filename.concat scratch "stderr.txt" in
       let saved = Unix.dup Unix.stderr in
       let fd =
@@ -538,12 +399,11 @@ let test_drain_timeout_kills_straggler () =
             Unix.dup2 saved Unix.stderr;
             Unix.close saved)
           (fun () ->
-            Procpool.run_jobs ~drain_timeout:0.2 ~workers:1 ~respawns:0 ~retries:0
-              ~scratch
-              ~worker:(fun ctx ->
-                worker_body ~kill_on:[] ctx;
+            run_pool ~drain_timeout:0.2 ~workers:1 ~respawns:0 ~retries:0
+              ~worker:(fun store ctx ->
+                worker_body ~kill_on:[] store ctx;
                 Unix.sleep 60)
-              ~keys ())
+              2)
       in
       let elapsed = Unix.gettimeofday () -. t0 in
       Array.iteri
@@ -623,14 +483,16 @@ let test_kill_injection () =
   | _ -> Alcotest.fail "expected exactly one failed cell"
 
 let test_checkpoint_resume () =
-  with_journal (fun path ->
+  with_dir (fun dir ->
+      let path = Filename.concat dir "checkpoint" in
       let first =
-        Supervise.run ~config:{ workers2 with checkpoint = Some path } (pid_cells "ck" 5)
+        Supervise.run ~config:{ workers2 with checkpoint = Some path }
+          (pid_cells ~cache:true "ck" 5)
       in
       let resumed =
         Supervise.run
           ~config:{ workers2 with checkpoint = Some path; resume = true }
-          (pid_cells "ck" 5)
+          (pid_cells ~cache:true "ck" 5)
       in
       check Alcotest.int "nothing executed" 0 resumed.Supervise.executed;
       check Alcotest.int "everything restored" 5 resumed.Supervise.restored;
@@ -662,25 +524,20 @@ let test_worker_results_cached () =
       check Alcotest.int "executed" 5 sweep.Supervise.executed;
       check Alcotest.int "one write per executed cell" 5 (Rescache.stats rc).Rescache.writes)
 
+(* Alcotest sizes the name column of its report by the longest group name
+   (here "rescache.recovery") and truncates longer case names to fit, so
+   renaming or dropping that group changes how every case here is
+   printed. *)
 let suite =
   [
-    ( "journal2.recovery",
-      [
-        Alcotest.test_case "double-tear recovery" `Quick test_double_tear_recovery;
-        Alcotest.test_case "quarantine preserves torn bytes" `Quick
-          test_quarantine_preserves_torn_bytes;
-        Alcotest.test_case "mid-file bit flip quarantined" `Quick
-          test_midfile_bitflip_quarantined;
-        test_corruption_property;
-      ] );
-    ( "journal2.compat",
-      [
-        Alcotest.test_case "pre-checksum format rejected" `Quick test_old_format_rejected;
-        Alcotest.test_case "foreign file rejected" `Quick test_not_a_journal_rejected;
-      ] );
     ( "rescache.claims",
       [
         Alcotest.test_case "write errors counted" `Quick test_write_errors_counted;
+      ] );
+    ( "rescache.recovery",
+      [
+        Alcotest.test_case "killed writer tears no entry" `Quick
+          test_killed_writer_tears_no_entry;
       ] );
     ( "procpool",
       [

@@ -8,7 +8,6 @@ module Perf = Pv_experiments.Perf
 module Perf_report = Pv_experiments.Perf_report
 module Schemes = Pv_experiments.Schemes
 module Loadsweep = Pv_experiments.Loadsweep
-module Journal = Pv_util.Journal
 module Tab = Pv_util.Tab
 module Apps = Pv_workloads.Apps
 module Lebench = Pv_workloads.Lebench
@@ -89,47 +88,26 @@ let test_salt_invalidation () =
       check Alcotest.(option int) "original salt still hits" (Some 1)
         (Rescache.find a2 ~key:"k"))
 
-let test_eviction_bounds_entries () =
+let test_store_all () =
+  (* Stores with equal salts share one entry file through a hard link;
+     replacing the entry in one leaves the other untouched, and a store
+     with another salt gets its own copy. *)
   with_cache_dir (fun dir ->
-      let c = Rescache.open_dir ~max_entries:2 dir in
-      Rescache.store c ~key:"k1" 1;
-      Rescache.store c ~key:"k2" 2;
-      Rescache.store c ~key:"k3" 3;
-      check Alcotest.int "bounded to max_entries" 2 (List.length (entries dir));
-      check Alcotest.int "one eviction counted" 1 (Rescache.stats c).Rescache.evictions)
-
-let test_eviction_equal_mtime_deterministic () =
-  (* On a 1-second-granularity filesystem every entry of a fast run carries
-     the same mtime, so the victim set must fall back to the digest
-     filename — never readdir order.  Force the tie with utimes and check
-     the survivors are exactly the lexicographically-largest names. *)
-  with_cache_dir (fun dir ->
-      let big = Rescache.open_dir dir in
-      let keys = [ "k1"; "k2"; "k3"; "k4" ] in
-      List.iter (fun k -> Rescache.store big ~key:k 0) keys;
-      let old = Unix.time () -. 1000.0 in
+      let sub name = Filename.concat dir name in
+      let a = Rescache.open_dir (sub "a") and b = Rescache.open_dir (sub "b") in
+      let c = Rescache.open_dir ~salt:"other" (sub "c") in
+      Rescache.store_all [ a; b; c ] ~key:"k" 1;
       List.iter
-        (fun f -> Unix.utimes (Filename.concat dir f) old old)
-        (entries dir);
-      let tied = List.sort compare (entries dir) in
-      check Alcotest.int "four tied entries" 4 (List.length tied);
-      (* a fifth store through a bounded handle must evict the three
-         smallest-named tied entries: the new entry is newer, and the
-         largest tied name wins the in-tie comparison *)
-      let c = Rescache.open_dir ~max_entries:2 dir in
-      Rescache.store c ~key:"k5" 0;
-      let survivors = entries dir in
-      check Alcotest.int "bounded to max_entries" 2 (List.length survivors);
-      check Alcotest.int "three evictions counted" 3 (Rescache.stats c).Rescache.evictions;
-      Alcotest.(check bool) "largest tied name survives" true
-        (List.mem (List.nth tied 3) survivors);
-      List.iteri
-        (fun i f ->
-          if i < 3 then
-            Alcotest.(check bool)
-              (Printf.sprintf "tied entry %d evicted" i)
-              false (List.mem f survivors))
-        tied)
+        (fun (name, t) ->
+          check Alcotest.(option int) (name ^ " serves the value") (Some 1) (Rescache.find t ~key:"k");
+          check Alcotest.int (name ^ " counts the write") 1 (Rescache.stats t).Rescache.writes)
+        [ ("a", a); ("b", b); ("c", c) ];
+      let stat name = Unix.stat (Filename.concat (sub name) (List.hd (entries (sub name)))) in
+      check Alcotest.int "a and b share one inode" (stat "a").Unix.st_ino (stat "b").Unix.st_ino;
+      check Alcotest.int "c has its own file" 1 (stat "c").Unix.st_nlink;
+      Rescache.store a ~key:"k" 2;
+      check Alcotest.(option int) "a replaced" (Some 2) (Rescache.find a ~key:"k");
+      check Alcotest.(option int) "b unchanged" (Some 1) (Rescache.find b ~key:"k"))
 
 (* --- corruption recovery ------------------------------------------------ *)
 
@@ -181,7 +159,7 @@ let test_bitflipped_entry_recomputed () =
       Rescache.store c ~key:"k" 99;
       check Alcotest.(option int) "recomputed entry hits" (Some 99) (Rescache.find c ~key:"k"))
 
-(* --- supervised sweeps: dedup, CACHED, journaling ----------------------- *)
+(* --- supervised sweeps: dedup, CACHED, checkpoint ------------------------ *)
 
 let test_dedup_runs_once () =
   (* Three cells declaring the same canonical descriptor are one simulation:
@@ -245,40 +223,45 @@ let test_sweep_cold_then_warm () =
             true
             (contains ~sub:"3 CACHED" text && contains ~sub:"0 executed" text)))
 
-let test_cache_hits_are_journaled () =
-  (* A warm run with a checkpoint must journal its cache hits, so a later
-     --resume works even with the cache gone. *)
+let test_resume_without_cache_reruns_hits () =
+  (* Cache hits are not copied into the checkpoint: a resume without the
+     cache runs them again, to the same values, and stores them in the
+     checkpoint this time. *)
   with_cache_dir (fun dir ->
-      let path = Filename.temp_file "pv_rescache" ".journal" in
-      Sys.remove path;
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-        (fun () ->
-          let cells () =
-            List.init 2 (fun i ->
-                Supervise.cell
-                  ~cache:(Printf.sprintf "jc|%d" i)
-                  (Printf.sprintf "jc/%d" i)
-                  (fun ~fuel:_ -> i + 10))
-          in
-          let cache () = Some (Rescache.open_dir dir) in
-          ignore (Supervise.run ~config:{ Supervise.default with cache = cache () } (cells ()));
-          let warm =
-            Supervise.run
-              ~config:{ Supervise.default with cache = cache (); checkpoint = Some path }
-              (cells ())
-          in
-          check Alcotest.int "warm run all CACHED" 2 warm.Supervise.cached;
-          (* resume with no cache configured: served from the journal *)
-          let resumed =
-            Supervise.run
-              ~config:{ Supervise.default with checkpoint = Some path; resume = true }
-              (cells ())
-          in
-          check Alcotest.int "resume restores the cached cells" 2 resumed.Supervise.restored;
-          check Alcotest.int "resume executes nothing" 0 resumed.Supervise.executed;
-          Alcotest.(check bool) "same results" true
-            (warm.Supervise.results = resumed.Supervise.results)))
+      let ckpt = Filename.concat dir "checkpoint" in
+      let runs = Atomic.make 0 in
+      let cells () =
+        List.init 2 (fun i ->
+            Supervise.cell
+              ~cache:(Printf.sprintf "jc|%d" i)
+              (Printf.sprintf "jc/%d" i)
+              (fun ~fuel:_ ->
+                Atomic.incr runs;
+                i + 10))
+      in
+      let cache () = Some (Rescache.open_dir (Filename.concat dir "cache")) in
+      ignore (Supervise.run ~config:{ Supervise.default with cache = cache () } (cells ()));
+      let warm =
+        Supervise.run
+          ~config:{ Supervise.default with cache = cache (); checkpoint = Some ckpt }
+          (cells ())
+      in
+      check Alcotest.int "warm run all CACHED" 2 warm.Supervise.cached;
+      check Alcotest.int "hits are not checkpointed" 0
+        (Rescache.entries (Rescache.open_dir ckpt));
+      let resume () =
+        Supervise.run
+          ~config:{ Supervise.default with checkpoint = Some ckpt; resume = true }
+          (cells ())
+      in
+      let first = resume () in
+      check Alcotest.int "resume without the cache restores nothing" 0
+        first.Supervise.restored;
+      check Alcotest.int "it executes the former hits" 2 first.Supervise.executed;
+      check Alcotest.int "simulations: cold run plus resume" 4 (Atomic.get runs);
+      Alcotest.(check bool) "same results" true
+        (warm.Supervise.results = first.Supervise.results);
+      check Alcotest.int "a second resume restores them" 2 (resume ()).Supervise.restored)
 
 (* --- the acceptance contract: cold and warm runs are byte-identical ----- *)
 
@@ -360,9 +343,7 @@ let suite =
         Alcotest.test_case "store/find round-trip" `Quick test_roundtrip;
         Alcotest.test_case "store replaces" `Quick test_store_replaces;
         Alcotest.test_case "salt invalidation" `Quick test_salt_invalidation;
-        Alcotest.test_case "eviction bounds entries" `Quick test_eviction_bounds_entries;
-        Alcotest.test_case "equal-mtime eviction is deterministic" `Quick
-          test_eviction_equal_mtime_deterministic;
+        Alcotest.test_case "store_all links equal salts" `Quick test_store_all;
       ] );
     ( "rescache.corruption",
       [
@@ -374,7 +355,8 @@ let suite =
       [
         Alcotest.test_case "in-run dedup runs once" `Quick test_dedup_runs_once;
         Alcotest.test_case "cold then warm sweep" `Quick test_sweep_cold_then_warm;
-        Alcotest.test_case "cache hits are journaled" `Quick test_cache_hits_are_journaled;
+        Alcotest.test_case "resume without the cache re-runs hits" `Quick
+          test_resume_without_cache_reruns_hits;
       ] );
     ( "rescache.acceptance",
       [

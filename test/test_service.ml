@@ -16,10 +16,17 @@ module Tab = Pv_util.Tab
 
 let check = Alcotest.check
 
-let with_journal f =
-  let path = Filename.temp_file "pv_service" ".journal" in
+(* A checkpoint directory path that does not exist yet. *)
+let with_checkpoint f =
+  let path = Filename.temp_file "pv_service" ".ckpt" in
   Sys.remove path;
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+  let remove () =
+    if Sys.file_exists path then begin
+      Array.iter (fun e -> Sys.remove (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+  in
+  Fun.protect ~finally:remove (fun () -> f path)
 
 (* --- arrivals --------------------------------------------------------- *)
 
@@ -340,7 +347,7 @@ let test_loadsweep_fault_then_resume_converges () =
   (* Crash one point cell (index 2: past the two calibration cells, so the
      fault hits only the point sweep), checkpoint, then resume without the
      fault: the resumed tables must equal an uninterrupted run's bytes. *)
-  with_journal (fun path ->
+  with_checkpoint (fun path ->
       let fault =
         Fault.plan [ { Fault.index = 2; kind = Fault.Crash; first_attempts = Fault.always } ]
       in

@@ -1,8 +1,8 @@
-(* The supervision layer: checkpoint journals, fault-degraded sweeps,
-   resume convergence, and the cycle-fuel watchdog. *)
+(* The supervision layer: the checkpoint store and its resume preflight,
+   fault-degraded sweeps, resume convergence, and the cycle-fuel
+   watchdog. *)
 
 module Fault = Pv_util.Fault
-module Journal = Pv_util.Journal
 module Supervise = Pv_experiments.Supervise
 module Perf = Pv_experiments.Perf
 module Perf_report = Pv_experiments.Perf_report
@@ -17,143 +17,71 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-let temp_journal () =
-  let path = Filename.temp_file "pv_supervise" ".journal" in
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A checkpoint path that does not exist yet, like a fresh CLI run's. *)
+let with_checkpoint f =
+  let path = Filename.temp_file "pv_supervise" ".ckpt" in
   Sys.remove path;
-  (* Journal.open_writer appends; start from absence like a fresh CLI run. *)
-  path
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then rm_rf path) (fun () -> f path)
 
-let with_journal f =
-  let path = temp_journal () in
-  let rm p = if Sys.file_exists p then Sys.remove p in
-  Fun.protect
-    ~finally:(fun () ->
-      rm path;
-      (* recovery quarantines torn bytes next to the journal *)
-      rm (path ^ ".quarantine"))
-    (fun () -> f path)
+(* [n] cells whose value and descriptor depend on [seed]. *)
+let seeded_cells ~seed n =
+  List.init n (fun i ->
+      Supervise.cell
+        ~cache:(Printf.sprintf "sq|i=%d|seed=%d" i seed)
+        (Printf.sprintf "sq/%d" i)
+        (fun ~fuel:_ -> (i * i) + seed))
 
-let square_cells n =
-  List.init n (fun i -> Supervise.cell (Printf.sprintf "sq/%d" i) (fun ~fuel:_ -> i * i))
-
-(* --- journal ---------------------------------------------------------- *)
-
-let test_journal_roundtrip () =
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 1;
-      Journal.append w ~key:"b" 2;
-      Journal.append w ~key:"a" 3 (* last write wins *);
-      Journal.close w;
-      check
-        Alcotest.(list (pair string int))
-        "records in append order"
-        [ ("a", 1); ("b", 2); ("a", 3) ]
-        (Journal.load path);
-      let tbl = Journal.load_table path in
-      check Alcotest.(option int) "last wins" (Some 3) (Hashtbl.find_opt tbl "a");
-      check Alcotest.(option int) "b intact" (Some 2) (Hashtbl.find_opt tbl "b"))
-
-let test_journal_torn_tail () =
-  (* A run killed mid-append leaves a truncated record; loading must keep the
-     valid prefix and drop the tail. *)
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"done" 42;
-      Journal.close w;
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let ch = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
-      (* half of a second record *)
-      Out_channel.output_string ch (String.sub full 0 (String.length full / 2));
-      Out_channel.close ch;
-      check
-        Alcotest.(list (pair string int))
-        "valid prefix survives" [ ("done", 42) ] (Journal.load path))
-
-let test_journal_resume_after_tear () =
-  (* The resume-after-tear bug: open_writer used to append blindly after the
-     torn bytes, desyncing the Marshal stream so every post-resume record was
-     unreadable.  It must truncate to the clean prefix first, keeping the
-     pre-kill records AND the post-resume appends loadable. *)
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 1;
-      Journal.append w ~key:"b" 2;
-      Journal.close w;
-      (* simulate a kill mid-append: a few bytes of a torn third record
-         (shorter than a Marshal header, so it can never parse) *)
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let ch = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
-      Out_channel.output_string ch (String.sub full 0 7);
-      Out_channel.close ch;
-      (* resume: the writer truncates the tear, then appends cleanly *)
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"c" 3;
-      Journal.close w;
-      check
-        Alcotest.(list (pair string int))
-        "pre-kill and post-resume records all readable"
-        [ ("a", 1); ("b", 2); ("c", 3) ]
-        (Journal.load path);
-      (* a second resume on the now-clean file is a no-op truncation *)
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"d" 4;
-      Journal.close w;
-      check
-        Alcotest.(list (pair string int))
-        "repeated resumes keep appending"
-        [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ]
-        (Journal.load path))
-
-let test_journal_missing_file () =
-  check Alcotest.int "missing journal is empty" 0
-    (Hashtbl.length (Journal.load_table "/nonexistent/pv.journal"))
+let square_cells n = seeded_cells ~seed:0 n
 
 (* --- resume preflight (the CLI's --resume diagnostic) ------------------ *)
 
-let test_resume_status_missing () =
-  Alcotest.(check bool) "absent file is Missing" true
-    (Journal.resume_status "/nonexistent/pv.journal" = Journal.Missing)
+let preflight_error ~sub path =
+  match Supervise.resume_preflight path with
+  | Error why ->
+    Alcotest.(check bool) (Printf.sprintf "diagnostic %S names %S" why sub) true (contains ~sub why)
+  | Ok n -> Alcotest.failf "%s must be unusable, got %d entries" path n
 
-let test_resume_status_empty_file () =
-  with_journal (fun path ->
+let test_preflight_missing () =
+  preflight_error ~sub:"does not exist" "/nonexistent/pv.ckpt"
+
+let test_preflight_empty () =
+  (* A zero-byte file, a journal of the pre-store format and an empty
+     directory: none is a store with entries. *)
+  with_checkpoint (fun path ->
       Out_channel.with_open_bin path (fun _ -> ());
-      match Journal.resume_status path with
-      | Journal.Unusable why ->
-        Alcotest.(check bool)
-          (Printf.sprintf "diagnostic names the emptiness: %s" why)
-          true
-          (contains ~sub:"empty" why)
-      | _ -> Alcotest.fail "zero-byte checkpoint must be Unusable")
-
-let test_resume_status_fully_torn () =
-  (* A journal killed during its very first append holds only torn bytes:
-     no complete record to resume from, and the preflight must say so
-     rather than silently re-running everything. *)
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 1;
-      Journal.close w;
-      let full = In_channel.with_open_bin path In_channel.input_all in
+      preflight_error ~sub:"not a directory" path;
       Out_channel.with_open_bin path (fun ch ->
-          Out_channel.output_string ch (String.sub full 0 7));
-      match Journal.resume_status path with
-      | Journal.Unusable why ->
-        Alcotest.(check bool)
-          (Printf.sprintf "diagnostic names the tear: %s" why)
-          true
-          (contains ~sub:"no complete record" why)
-      | _ -> Alcotest.fail "fully-torn checkpoint must be Unusable")
+          Out_channel.output_string ch "pvjrnl2\n";
+          Out_channel.output_string ch (Marshal.to_string ("sq/0", 0) []));
+      preflight_error ~sub:"not a directory" path;
+      Sys.remove path;
+      Unix.mkdir path 0o755;
+      preflight_error ~sub:"no entries" path)
 
-let test_resume_status_usable () =
-  with_journal (fun path ->
-      let w = Journal.open_writer path in
-      Journal.append w ~key:"a" 1;
-      Journal.append w ~key:"b" 2;
-      Journal.append w ~key:"a" 3 (* re-run after an earlier resume *);
-      Journal.close w;
-      Alcotest.(check bool) "counts records and distinct keys" true
-        (Journal.resume_status path = Journal.Usable { records = 3; distinct = 2 }))
+let test_preflight_fully_torn () =
+  (* A run killed during its very first store leaves only a temp file:
+     nothing to resume from, and the preflight must say so rather than
+     silently re-running everything. *)
+  with_checkpoint (fun path ->
+      Unix.mkdir path 0o755;
+      Out_channel.with_open_bin (Filename.concat path ".tmp.4242.1") (fun ch ->
+          Out_channel.output_string ch "{\n  \"rescache_version\": 1,");
+      preflight_error ~sub:"no entries" path)
+
+let test_preflight_usable () =
+  with_checkpoint (fun path ->
+      ignore
+        (Supervise.run ~config:{ Supervise.default with checkpoint = Some path } (square_cells 3));
+      Out_channel.with_open_bin (Filename.concat path ".tmp.4242.1") (fun _ -> ());
+      check Alcotest.(result int string) "counts the entries, not the temp file" (Ok 3)
+        (Supervise.resume_preflight path))
 
 (* --- supervised sweeps ------------------------------------------------ *)
 
@@ -208,7 +136,7 @@ let test_workers_after_domain_raise () =
   | exception Failure _ -> ()
 
 let test_checkpoint_resume_roundtrip () =
-  with_journal (fun path ->
+  with_checkpoint (fun path ->
       (* First run: cell 3 crashes persistently; the other five checkpoint. *)
       let fault = Fault.plan [ { Fault.index = 3; kind = Fault.Crash; first_attempts = Fault.always } ] in
       let first =
@@ -229,6 +157,28 @@ let test_checkpoint_resume_roundtrip () =
       let clean = Supervise.run (square_cells 6) in
       Alcotest.(check bool) "resumed results converge to the uninterrupted run" true
         (resumed.Supervise.results = clean.Supervise.results))
+
+let test_resume_checks_inputs () =
+  (* The checkpoint serves a cell only for the inputs it was measured with:
+     the same keys under a new seed must all run again and return the new
+     values, while the unchanged inputs are still restored. *)
+  with_checkpoint (fun path ->
+      let run ~resume ~seed =
+        Supervise.run
+          ~config:{ Supervise.default with checkpoint = Some path; resume }
+          (seeded_cells ~seed 4)
+      in
+      let values ~seed = List.init 4 (fun i -> (Printf.sprintf "sq/%d" i, Some ((i * i) + seed))) in
+      let results = Alcotest.(list (pair string (option int))) in
+      ignore (run ~resume:false ~seed:1);
+      let changed = run ~resume:true ~seed:2 in
+      check Alcotest.int "changed inputs: nothing restored" 0 changed.Supervise.restored;
+      check Alcotest.int "changed inputs: everything executed" 4 changed.Supervise.executed;
+      check results "changed inputs: the new values" (values ~seed:2) changed.Supervise.results;
+      let same = run ~resume:true ~seed:1 in
+      check Alcotest.int "unchanged inputs: everything restored" 4 same.Supervise.restored;
+      check Alcotest.int "unchanged inputs: nothing executed" 0 same.Supervise.executed;
+      check results "unchanged inputs: the old values" (values ~seed:1) same.Supervise.results)
 
 let test_resume_without_journal_runs_everything () =
   let config = { Supervise.default with checkpoint = None; resume = true } in
@@ -270,7 +220,7 @@ let test_perf_sweep_fault_then_resume_converges () =
   (* Fault-injected perf sweep (one crashed cell, one livelocked cell) with a
      checkpoint, then a resume: the resumed figure must be byte-identical to
      an uninterrupted serial run's. *)
-  with_journal (fun path ->
+  with_checkpoint (fun path ->
       let tests = [ Lebench.find "select" ] in
       let variants = [ Schemes.unsafe; Schemes.fence; Schemes.perspective ] in
       let labels = List.map (fun v -> v.Schemes.label) variants in
@@ -392,15 +342,10 @@ let suite =
   [
     ( "supervise.journal",
       [
-        Alcotest.test_case "append/load round-trip" `Quick test_journal_roundtrip;
-        Alcotest.test_case "torn tail dropped" `Quick test_journal_torn_tail;
-        Alcotest.test_case "resume-after-tear truncates then appends" `Quick
-          test_journal_resume_after_tear;
-        Alcotest.test_case "missing file" `Quick test_journal_missing_file;
-        Alcotest.test_case "resume preflight: missing" `Quick test_resume_status_missing;
-        Alcotest.test_case "resume preflight: zero-byte" `Quick test_resume_status_empty_file;
-        Alcotest.test_case "resume preflight: fully torn" `Quick test_resume_status_fully_torn;
-        Alcotest.test_case "resume preflight: usable" `Quick test_resume_status_usable;
+        Alcotest.test_case "resume preflight: missing" `Quick test_preflight_missing;
+        Alcotest.test_case "resume preflight: zero-byte" `Quick test_preflight_empty;
+        Alcotest.test_case "resume preflight: fully torn" `Quick test_preflight_fully_torn;
+        Alcotest.test_case "resume preflight: usable" `Quick test_preflight_usable;
       ] );
     ( "supervise.sweeps",
       [
@@ -411,6 +356,8 @@ let suite =
         Alcotest.test_case "workers after a domain raise" `Quick
           test_workers_after_domain_raise;
         Alcotest.test_case "checkpoint/resume round-trip" `Quick test_checkpoint_resume_roundtrip;
+        Alcotest.test_case "resume re-runs cells whose inputs changed" `Quick
+          test_resume_checks_inputs;
         Alcotest.test_case "resume without journal" `Quick test_resume_without_journal_runs_everything;
       ] );
     ( "supervise.watchdog",
