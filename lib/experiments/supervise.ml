@@ -1,10 +1,12 @@
-(* Supervised sweep driver: Pool.map_results + Fault + Rescache glued into
-   the experiment layer's unit of work (the keyed cell).
+(* Supervised sweep driver: one attempt function (fault realization and the
+   transient/permanent split) shared by both executors, the domain pool's
+   retry loop, and Rescache glued into the experiment layer's unit of work
+   (the keyed cell).
 
-   Livelock faults are realized here rather than in the pool: a livelocked
-   simulation cannot be faked by an exception, so the supervisor starves the
-   cell's cycle fuel and lets the pipeline's max_cycles watchdog produce the
-   structured Machine.Run_timeout. *)
+   Livelock faults are realized here: a livelocked simulation cannot be
+   faked by an exception, so the supervisor starves the cell's cycle fuel
+   and lets the pipeline's max_cycles watchdog produce the structured
+   Machine.Run_timeout. *)
 
 module Pool = Pv_util.Pool
 module Fault = Pv_util.Fault
@@ -15,7 +17,7 @@ type 'a cell = { key : string; cache : string option; run : fuel:int option -> '
 
 let cell ?cache key run = { key; cache; run }
 
-type failure = { key : string; attempts : int; elapsed : float; reason : string }
+type failure = { key : string; attempts : int; reason : string }
 
 type 'a sweep = {
   results : (string * 'a option) list;
@@ -31,7 +33,6 @@ type config = {
   retries : int;
   fault : Fault.t;
   max_cycles : int option;
-  livelock_fuel : int;
   checkpoint : string option;
   resume : bool;
   cache : Rescache.t option;
@@ -44,7 +45,6 @@ let default =
     retries = 0;
     fault = Fault.none;
     max_cycles = None;
-    livelock_fuel = 5_000;
     checkpoint = None;
     resume = false;
     cache = None;
@@ -63,118 +63,126 @@ let resume_preflight dir =
 (* Dead-worker replacements allowed per multi-process sweep. *)
 let respawns = 8
 
-let fuel_for config index =
-  (* attempt 0 suffices: livelock decisions are attempt-independent in
-     seeded plans, and a planned flaky livelock makes little sense. *)
-  match Fault.decide config.fault ~index ~attempt:0 with
-  | Some Fault.Livelock -> Some config.livelock_fuel
-  | _ -> config.max_cycles
+(* The cycle budget of a Livelock-faulted cell: starved, so the pipeline
+   watchdog fires at once. *)
+let starved_fuel = 5_000
 
-(* --- multi-process execution --------------------------------------------- *)
+(* One attempt at runnable cell [index] under the fault plan: the cell's
+   value, or whether the failure is transient and its reason.  The
+   executors differ only in [Kill]: a worker process computes the cell and
+   then dies for real, before storing the value; in-process the attempt is
+   lost without running. *)
+let attempt_cell config ~in_worker ~index ~attempt (c : 'a cell) =
+  let run fuel = match c.run ~fuel with v -> Ok v | exception e -> Error e in
+  let outcome =
+    match Fault.decide config.fault ~index ~attempt with
+    | None -> run config.max_cycles
+    | Some Fault.Slow ->
+      Fault.spin ();
+      run config.max_cycles
+    | Some Fault.Livelock -> run (Some starved_fuel)
+    | Some Fault.Crash -> Error (Fault.Crashed { index; attempt })
+    | Some Fault.Poison ->
+      (* The cell "completes", burning the same work, but its value is
+         rejected as corrupt. *)
+      ignore (run config.max_cycles);
+      Error (Fault.Poisoned { index; attempt })
+    | Some Fault.Kill when in_worker ->
+      ignore (run config.max_cycles);
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+      assert false
+    | Some Fault.Kill -> Error (Fault.Killed { index; attempt })
+  in
+  Result.map_error
+    (fun e ->
+      let transient = match e with Fault.Crashed _ | Fault.Killed _ -> true | _ -> false in
+      (transient, Printexc.to_string e))
+    outcome
+
+(* --- domain pool ----------------------------------------------------------- *)
+
+(* One pool job per runnable cell: it retries transient failures in place
+   and stores a finished value as soon as it has one, so a crash or Ctrl-C
+   loses at most in-flight cells.  Each cell yields its value or failure
+   reason and the attempts made. *)
+let run_domains config ~store runnable =
+  Pool.with_pool ~jobs:config.jobs (fun p ->
+      Pool.map p
+        (fun (index, c) ->
+          let rec go n =
+            match attempt_cell config ~in_worker:false ~index ~attempt:n c with
+            | Ok v ->
+              store c v;
+              (Ok v, n + 1)
+            | Error (true, _) when n < config.retries -> go (n + 1)
+            | Error (_, reason) -> (Error reason, n + 1)
+          in
+          go 0)
+        (List.mapi (fun i c -> (i, c)) runnable))
+
+(* --- worker processes ------------------------------------------------------ *)
+
+let remove_dir dir =
+  Array.iter
+    (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||]);
+  try Sys.rmdir dir with Sys_error _ -> ()
 
 (* Worker process body: serve RUN commands until FIN.  The worker was forked
    inside this sweep's [run], so it already holds the runnable cells and
    everything their closures captured (upstream sweeps' results included).
    The index in each command is the cell's position in [runnable] and keys
-   its fault decision.  Values go to the sweep's scratch store only, keyed
-   by cell key; the coordinator reads them back and owns the checkpoint and
-   the cache. *)
-let serve_worker config scratch (runnable : 'a cell array) (ctx : Procpool.ctx) =
-  let classify_fail e =
-    Procpool.Fail
-      {
-        transient = Pool.default_classify e = Pool.Transient;
-        reason = Printexc.to_string e;
-      }
-  in
-  let execute ~index (c : 'a cell) =
-    match c.run ~fuel:(fuel_for config index) with
-    | v ->
-      Rescache.store scratch ~key:c.key v;
-      Procpool.Done
-    | exception e -> classify_fail e
-  in
+   its fault decision; the coordinator counts attempts and retries.  Values
+   go to the sweep's scratch store only, keyed by cell key; the coordinator
+   reads them back and owns the checkpoint and the cache.  A worker that
+   lost its coordinator removes the scratch store, which a SIGKILLed
+   coordinator never gets to do; once a sibling may have removed it, a
+   worker finishing a cell skips its store, and its failed reply ends it. *)
+let serve_worker config ~coordinator ~dir scratch (runnable : 'a cell array)
+    (ctx : Procpool.ctx) =
   let handle ~index ~attempt ~key =
     if index >= Array.length runnable || runnable.(index).key <> key then
-      Procpool.Fail
-        { transient = false; reason = Printf.sprintf "unknown cell key %S" key }
+      Procpool.Fail { transient = false; reason = Printf.sprintf "unknown cell key %S" key }
     else
-      let c = runnable.(index) in
-      match Fault.decide config.fault ~index ~attempt with
-      | Some Fault.Kill ->
-        (* Real process death before the result is stored: compute (burning
-           the same work a genuine mid-cell kill would), then SIGKILL
-           ourselves.  The coordinator reaps the corpse, finds no entry, and
-           retries on a respawned worker. *)
-        ignore (c.run ~fuel:(fuel_for config index));
-        Unix.kill (Unix.getpid ()) Sys.sigkill;
-        assert false
-      | Some Fault.Crash -> classify_fail (Fault.Crashed { index; attempt })
-      | Some Fault.Poison ->
-        (match c.run ~fuel:(fuel_for config index) with
-        | _ -> ()
-        | exception _ -> ());
-        classify_fail (Fault.Poisoned { index; attempt })
-      | Some Fault.Slow ->
-        Fault.spin ();
-        execute ~index c
-      | Some Fault.Livelock | None -> execute ~index c
+      match attempt_cell config ~in_worker:true ~index ~attempt runnable.(index) with
+      | Ok v ->
+        if Unix.getppid () = coordinator then Rescache.store scratch ~key v;
+        Procpool.Done
+      | Error (transient, reason) -> Procpool.Fail { transient; reason }
   in
-  Procpool.serve ctx ~handle
+  if not (Procpool.serve ctx ~handle) then remove_dir dir
 
 (* Coordinator side: run [runnable] on forked worker processes that store
-   their values in a scratch store of this sweep's own, then lift each
-   verdict into a Pool.outcome — a completed cell's value read back from
-   that store — and hand it to [on_outcome] in index order, exactly as the
-   domain pool would. *)
-let run_procpool config ~on_outcome (runnable : 'a cell list) : 'a Pool.outcome list =
+   their values in a scratch store of this sweep's own, then read each
+   completed cell's value back from it and [store] it, in index order. *)
+let run_procpool config ~store (runnable : 'a cell list) =
   let cells = Array.of_list runnable in
   let dir = Filename.temp_dir "pv-procpool-" "" in
-  let remove_dir () =
-    Array.iter
-      (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-      (try Sys.readdir dir with Sys_error _ -> [||]);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:remove_dir (fun () ->
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
       let scratch = Rescache.open_dir dir in
       let value i : 'a option = Rescache.find scratch ~key:cells.(i).key in
       let outs =
         Procpool.run_jobs ~workers:config.workers ~respawns ~retries:config.retries
           ~finished:(fun i -> Option.is_some (value i))
-          ~worker:(serve_worker config scratch cells)
+          ~worker:(serve_worker config ~coordinator:(Unix.getpid ()) ~dir scratch cells)
           ~keys:(Array.map (fun (c : 'a cell) -> c.key) cells)
           ()
       in
-      let failure ~attempts ~transient reason =
-        {
-          Pool.result =
-            Error
-              {
-                Pool.exn = Procpool.Worker_failure reason;
-                backtrace = Printexc.get_callstack 0;
-                classification = (if transient then Pool.Transient else Pool.Permanent);
-              };
-          attempts;
-          elapsed = 0.0;
-        }
-      in
-      List.mapi
-        (fun i (c : 'a cell) ->
-          let o =
-            match outs.(i) with
-            | Procpool.Completed { attempts } -> (
-              match value i with
-              | Some v -> { Pool.result = Ok v; attempts; elapsed = 0.0 }
-              | None ->
-                failure ~attempts ~transient:false
-                  (Printf.sprintf "completed cell %S missing from the worker store" c.key))
-            | Procpool.Failed { attempts; transient; reason } ->
-              failure ~attempts ~transient reason
-          in
-          on_outcome i o;
-          o)
-        runnable)
+      List.init (Array.length cells) (fun i ->
+          match outs.(i) with
+          | Procpool.Completed { attempts } -> (
+            match value i with
+            | Some v ->
+              store cells.(i) v;
+              (Ok v, attempts)
+            | None ->
+              ( Error
+                  (Printf.sprintf "completed cell %S missing from the worker store"
+                     cells.(i).key),
+                attempts ))
+          | Procpool.Failed { attempts; reason; _ } -> (Error reason, attempts)))
 
 let run ?(config = default) (cells : 'a cell list) =
   let keys = List.map (fun (c : 'a cell) -> c.key) cells in
@@ -225,25 +233,18 @@ let run ?(config = default) (cells : 'a cell list) =
   in
   (* A finished value is stored under its descriptor in every configured
      store; aliases share the descriptor, so they need no entry of their
-     own. *)
+     own.  A failed store never fails the cell. *)
   let stores = List.filter_map Fun.id [ checkpoint; config.cache ] in
-  let runnable_arr = Array.of_list runnable in
-  let on_outcome index (o : _ Pool.outcome) =
-    match (o.Pool.result, runnable_arr.(index).cache) with
-    | Ok v, Some desc -> Rescache.store_all stores ~key:desc v
-    | _ -> ()
+  let store (c : 'a cell) v =
+    Option.iter (fun desc -> try Rescache.store_all stores ~key:desc v with _ -> ()) c.cache
   in
   (* Neither executor starts for an empty remainder, and with [workers > 1]
      the domain pool never starts at all: a process that has ever spawned a
      domain can no longer fork. *)
   let outcomes =
     if runnable = [] then []
-    else if config.workers > 1 then run_procpool config ~on_outcome runnable
-    else
-      Pool.with_pool ~jobs:config.jobs (fun p ->
-          Pool.map_results ~retries:config.retries ~fault:config.fault ~on_outcome p
-            (fun (i, c) -> c.run ~fuel:(fuel_for config i))
-            (List.mapi (fun i c -> (i, c)) runnable))
+    else if config.workers > 1 then run_procpool config ~store runnable
+    else run_domains config ~store runnable
   in
   let ran = Hashtbl.create (List.length runnable) in
   List.iter2 (fun (c : 'a cell) o -> Hashtbl.replace ran c.key o) runnable outcomes;
@@ -263,19 +264,10 @@ let run ?(config = default) (cells : 'a cell list) =
               rep
             | None -> c.key
           in
-          let o = Hashtbl.find ran report_key in
-          match o.Pool.result with
-          | Ok v -> ((c.key, Some v) :: res, fails)
-          | Error e ->
-            let f =
-              {
-                key = c.key;
-                attempts = o.Pool.attempts;
-                elapsed = o.Pool.elapsed;
-                reason = Printexc.to_string e.Pool.exn;
-              }
-            in
-            ((c.key, None) :: res, f :: fails)))
+          match Hashtbl.find ran report_key with
+          | Ok v, _ -> ((c.key, Some v) :: res, fails)
+          | Error reason, attempts ->
+            ((c.key, None) :: res, { key = c.key; attempts; reason } :: fails)))
       ([], []) cells
   in
   {
@@ -367,8 +359,8 @@ let report ?(out = stderr) ~label s =
     s.restored s.cached s.deduped s.executed (failed s);
   List.iter
     (fun f ->
-      Printf.fprintf out "  FAILED %s after %d attempt%s (%.2fs): %s\n" f.key f.attempts
+      Printf.fprintf out "  FAILED %s after %d attempt%s: %s\n" f.key f.attempts
         (if f.attempts = 1 then "" else "s")
-        f.elapsed f.reason)
+        f.reason)
     s.failures;
   flush out

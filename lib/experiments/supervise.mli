@@ -2,9 +2,14 @@
 
     A sweep is a list of {e cells} — self-contained measurement jobs with a
     stable string key (e.g. ["lebench/select/PERSPECTIVE"]).  {!run} executes
-    them on a {!Pv_util.Pool} via [map_results], so a raising, poisoned or
-    livelocked cell degrades to a per-cell failure instead of aborting the
-    sweep.  Completed cells are stored, under their canonical input
+    them on a {!Pv_util.Pool} of domains or on {!Pv_util.Procpool} worker
+    processes.  Both make each attempt at a cell through one function,
+    which realizes the {!Pv_util.Fault} plan and classifies a failure:
+    {!Pv_util.Fault.Crashed} and {!Pv_util.Fault.Killed} are transient and
+    retried up to [retries] times, anything else is permanent.  A raising,
+    poisoned or livelocked cell thus degrades to a per-cell failure instead
+    of aborting the sweep, and reports the same failure under either
+    executor.  Completed cells are stored, under their canonical input
     descriptor, in a {!Pv_util.Rescache} checkpoint directory as they
     finish, and a [resume] run serves stored cells from it and executes only
     the rest.  A cell is served only for the inputs it was measured with: a
@@ -13,8 +18,8 @@
 
     Determinism: cell values are pure functions of their inputs, fault
     injection is keyed on the cell's index, and results are merged in
-    declaration order — so for a fixed fault plan the sweep's outcome (up to
-    wall-clock fields) is identical for every worker count, and a resumed
+    declaration order — so for a fixed fault plan the sweep's outcome is
+    identical for every worker count and either executor, and a resumed
     sweep converges to exactly the table an uninterrupted run produces. *)
 
 type 'a cell = {
@@ -35,7 +40,6 @@ val cell : ?cache:string -> string -> (fuel:int option -> 'a) -> 'a cell
 type failure = {
   key : string;
   attempts : int;
-  elapsed : float;  (** wall clock, informational only *)
   reason : string;  (** deterministic rendering of the final exception *)
 }
 
@@ -54,10 +58,10 @@ type config = {
   jobs : int;  (** pool size; [1] is the exact serial path *)
   retries : int;  (** extra attempts for transient failures *)
   fault : Pv_util.Fault.t;  (** deterministic fault injection *)
-  max_cycles : int option;  (** per-cell cycle budget ([None]: default) *)
-  livelock_fuel : int;
-      (** the starved budget given to a [Livelock]-faulted cell so the
-          pipeline watchdog fires quickly *)
+  max_cycles : int option;
+      (** per-cell cycle budget ([None]: default); a [Livelock]-faulted cell
+          gets a starved 5 000 cycles instead, so the pipeline watchdog
+          fires quickly *)
   checkpoint : string option;
       (** checkpoint directory, a {!Pv_util.Rescache} store (created if
           missing); [None] disables *)
@@ -71,8 +75,9 @@ type config = {
           everything their closures captured.  Workers survive SIGKILL
           injection ([--fault kill@i]): dead workers are respawned (at most
           8 times per sweep), workers hand results back through a scratch
-          store of the sweep's own, and results are byte-identical to
-          [workers = 1] up to wall-clock fields.  The domain pool never
+          store of the sweep's own (removed by the workers if the
+          coordinator dies first), and the sweep is identical to
+          [workers = 1].  The domain pool never
           starts in this mode; a caller that has already started a domain
           gets the [Failure] that [Unix.fork] raises. *)
 }

@@ -21,22 +21,12 @@ let () =
 
 type spec = { index : int; kind : kind; first_attempts : int }
 
-type t =
-  | None_
-  | Plan of spec list
-  | Seeded of {
-      seed : int;
-      crash : float;
-      slow : float;
-      poison : float;
-      livelock : float;
-      transient_attempts : int;
-    }
+type t = spec list
 
-let none = None_
-let is_none = function None_ -> true | Plan _ | Seeded _ -> false
+let none = []
+let is_none t = t = []
 let always = max_int
-let plan specs = if specs = [] then None_ else Plan specs
+let plan specs = specs
 
 (* Strict decimal: [int_of_string] would also accept "-1", "0x1", "0b1",
    "1_000" and "+1", each silently planting the fault somewhere the user
@@ -78,30 +68,10 @@ let parse s =
           crash, flaky, slow, poison, livelock, kill and INDEX a non-negative decimal)"
          s)
 
-let seeded ~seed ?(crash = 0.0) ?(slow = 0.0) ?(poison = 0.0) ?(livelock = 0.0)
-    ?(transient_attempts = 1) () =
-  Seeded { seed; crash; slow; poison; livelock; transient_attempts }
-
 let decide t ~index ~attempt =
-  match t with
-  | None_ -> None
-  | Plan specs ->
-    List.find_map
-      (fun s -> if s.index = index && attempt < s.first_attempts then Some s.kind else None)
-      specs
-  | Seeded { seed; crash; slow; poison; livelock; transient_attempts } ->
-    (* One SplitMix64 stream per job index; draws consumed in a fixed order
-       so adding a probability never reshuffles the others' decisions. *)
-    let rng = Rng.create (seed lxor (index * 0x9E3779B9) lxor 0x5DEECE66D) in
-    let p_live = Rng.chance rng livelock in
-    let p_crash = Rng.chance rng crash in
-    let p_slow = Rng.chance rng slow in
-    let p_poison = Rng.chance rng poison in
-    if p_live then Some Livelock
-    else if p_crash && attempt < transient_attempts then Some Crash
-    else if p_slow then Some Slow
-    else if p_poison then Some Poison
-    else None
+  List.find_map
+    (fun s -> if s.index = index && attempt < s.first_attempts then Some s.kind else None)
+    t
 
 let spin () =
   for _ = 1 to 200_000 do

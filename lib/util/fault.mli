@@ -7,42 +7,45 @@
     order: the supervisor's retry and degradation paths can be exercised by
     ordinary deterministic tests instead of being believed.
 
-    Kinds of misbehaviour:
+    One function of the experiment layer realizes a decision
+    ([Pv_experiments.Supervise]'s single attempt at a cell), for the domain
+    pool and for worker processes alike.  It treats {!Crashed} and {!Killed}
+    as transient, so bounded retry applies, and every other failure as
+    permanent.  Kinds of misbehaviour:
 
-    - {b Crash} — the job raises {!Crashed} instead of running.  Classified
-      transient by {!Pool.map_results}' default policy, so bounded retry
-      applies; a plan can make the crash stop after N attempts (a flaky job
-      that succeeds on retry) or persist forever (a truly dead job).
+    - {b Crash} — the job raises {!Crashed} instead of running.  A plan can
+      make the crash stop after N attempts (a flaky job that succeeds on
+      retry) or persist forever (a truly dead job).
     - {b Slow} — the job busy-spins for a while before running normally.
-      Exercises the pool's tolerance of stragglers without changing results.
+      Exercises the executors' tolerance of stragglers without changing
+      results.
     - {b Poison} — the job runs to completion but its result is discarded and
       {!Poisoned} is raised: a simulation that terminates with garbage output
-      that validation rejects.  Classified permanent (retrying a
-      deterministic job cannot un-corrupt it).
-    - {b Livelock} — the job's simulation never terminates on its own.  The
-      pool cannot fake this one; the supervisor implements it by starving the
-      job's cycle fuel so the {!Pv_uarch.Pipeline} watchdog fires and the run
-      ends in a structured timeout.
+      that validation rejects.  Permanent (retrying a deterministic job
+      cannot un-corrupt it).
+    - {b Livelock} — the job's simulation never terminates on its own.  An
+      exception cannot fake this one; the supervisor starves the job's cycle
+      fuel so the {!Pv_uarch.Pipeline} watchdog fires and the run ends in a
+      structured timeout.
     - {b Kill} — process-level death.  Under the multi-process runner
       ([--workers N]) the worker assigned the job computes it and SIGKILLs
       itself before storing the result, exercising the coordinator's death
       arbitration and respawn; the coordinator finds no stored result and
-      reports the lost attempt as {!Killed} (transient, so the respawned
-      worker retries).  Under the in-process pool, [Kill] degrades
-      to the same behaviour as [Crash] but raising {!Killed} — an OCaml
-      domain cannot be SIGKILLed individually. *)
+      reports the lost attempt as {!Killed}, and the respawned worker
+      retries.  In-process the attempt is lost without running, as {!Killed}
+      — an OCaml domain cannot be SIGKILLed individually. *)
 
 type kind = Crash | Slow | Poison | Livelock | Kill
 
 exception Crashed of { index : int; attempt : int }
-(** Raised (by the pool) in place of running a [Crash]-faulted job. *)
+(** The failure of a [Crash]-faulted attempt, which never runs the job. *)
 
 exception Poisoned of { index : int; attempt : int }
-(** Raised (by the pool) after running a [Poison]-faulted job. *)
+(** The failure of a [Poison]-faulted attempt, after the job ran. *)
 
 exception Killed of { index : int; attempt : int }
-(** Raised (by the pool or coordinator) for a [Kill]-faulted job's lost
-    attempt. *)
+(** The failure of a [Kill]-faulted job's lost attempt, in-process or as
+    the coordinator reports it. *)
 
 type t
 (** An immutable fault plan.  Consulted, never mutated: sharing one plan
@@ -77,22 +80,6 @@ val parse : string -> (t, string) result
     [slow], [poison], [livelock] or [kill] (first attempt only) and [INDEX]
     a non-negative decimal integer.  Never raises; on malformed input the
     error is a one-line diagnostic naming the spec. *)
-
-val seeded :
-  seed:int ->
-  ?crash:float ->
-  ?slow:float ->
-  ?poison:float ->
-  ?livelock:float ->
-  ?transient_attempts:int ->
-  unit ->
-  t
-(** Probabilistic plan: each job index draws independently (SplitMix64 keyed
-    on [seed] and the index) whether it is livelocked, crashed, slowed or
-    poisoned, with the given probabilities (all default [0.0]).  Crashes
-    apply only while [attempt < transient_attempts] (default [1], i.e. flaky:
-    one failure, then success), the other kinds are attempt-independent.
-    Equal seeds give equal fault patterns on any worker count. *)
 
 val decide : t -> index:int -> attempt:int -> kind option
 (** The pure decision function. *)

@@ -21,16 +21,6 @@
    and the caller's [finished] predicate settles the cell when the corpse
    is reaped. *)
 
-exception Worker_failure of string
-
-let () =
-  Printexc.register_printer (function
-    (* The reason is a worker-side [Printexc.to_string]; printing it
-       verbatim keeps multi-process failure reports byte-identical to
-       single-process ones. *)
-    | Worker_failure reason -> Some reason
-    | _ -> None)
-
 (* --- worker-side context ----------------------------------------------- *)
 
 type ctx = { cmd_in : in_channel; reply_out : out_channel }
@@ -80,23 +70,28 @@ let reply_line oc line =
   output_char oc '\n';
   flush oc
 
+(* [false] once the coordinator is gone: EOF on the command pipe, or a
+   reply it can no longer read (EPIPE; workers inherit the coordinator's
+   ignored SIGPIPE). *)
 let serve ctx ~handle =
-  reply_line ctx.reply_out Rdy;
+  let reply line =
+    match reply_line ctx.reply_out line with () -> true | exception Sys_error _ -> false
+  in
   let rec loop () =
     match input_line ctx.cmd_in with
-    | exception End_of_file -> ()
+    | exception End_of_file -> false
     | line -> (
       match parse_line line with
-      | Some Fin -> ()
+      | Some Fin -> true
       | Some (Run { index; attempt; key }) ->
-        reply_line ctx.reply_out
+        reply
           (match handle ~index ~attempt ~key with
           | Done -> Ok_ index
-          | Fail { transient; reason } -> Err { index; transient; reason });
-        loop ()
+          | Fail { transient; reason } -> Err { index; transient; reason })
+        && loop ()
       | _ -> loop () (* malformed command: skip, stay alive *))
   in
-  loop ()
+  reply Rdy && loop ()
 
 (* --- forking workers ------------------------------------------------------ *)
 

@@ -28,19 +28,17 @@
     false → a lost, transient attempt that re-queues under the retry
     budget), and respawns a fresh process into the same slot.  Respawns
     share one pool-wide budget ([respawns]); a pool that exhausts it fails
-    its remaining cells instead of hanging.
+    its remaining cells instead of hanging.  Transient [ERR] replies
+    re-queue under the same retry budget: only the coordinator can retry a
+    cell whose worker died, so it retries every cell.  A failure's reason
+    is the string the worker reported, returned verbatim in [Failed].
 
     {b Determinism.}  Cell identity is the key (stable across processes);
-    fault indices are positions in the coordinator's runnable list, carried
-    in each [RUN] command, so [Fault.decide] sees identical inputs in every
+    fault indices are positions in the coordinator's runnable list and
+    attempt numbers are the coordinator's count, both carried in each
+    [RUN] command, so [Fault.decide] sees identical inputs in every
     process and the injected pattern is reproducible for any worker
     count. *)
-
-exception Worker_failure of string
-(** A cell failed inside a worker process.  The payload is the worker-side
-    [Printexc.to_string] of the real exception, and the registered printer
-    returns it verbatim — so failure reports render byte-identically to the
-    single-process path. *)
 
 (** {1 Wire lines} *)
 
@@ -74,10 +72,13 @@ type verdict = Done | Fail of { transient : bool; reason : string }
     already been stored.  Transient failures re-queue under the
     coordinator's retry budget; permanent ones fail the cell. *)
 
-val serve : ctx -> handle:(index:int -> attempt:int -> key:string -> verdict) -> unit
+val serve : ctx -> handle:(index:int -> attempt:int -> key:string -> verdict) -> bool
 (** Worker main loop: announce readiness, then execute [RUN] commands via
     [handle] until [FIN] or EOF.  [handle] owns everything domain-specific
-    (finding the cell for [key], fault realization, storing the result). *)
+    (finding the cell for [key], fault realization, storing the result).
+    Returns [true] on [FIN]; [false] when the coordinator is gone — EOF on
+    the command pipe, or a reply that could not be written — so the worker
+    can clean up what only the coordinator would otherwise remove. *)
 
 (** {1 Coordinator side} *)
 

@@ -5,7 +5,7 @@
    a pure function of the inputs: sweep results and failure reports, the
    [--metrics] JSON document, and the identity of the first re-raised
    failure.  These properties drive random tiny/huge cell-cost mixes and
-   random crash plans through [Supervise.run] and [Pool.run] at every
+   random crash plans through [Supervise.run] and [Pool.map] at every
    worker count and demand byte-identical output to the [-j 1] serial
    oracle.  A separate executable so a scheduler regression fails loudly
    on its own, not buried in the main runner. *)
@@ -71,15 +71,6 @@ let run_sweep ~jobs ~fault costs =
     ~config:{ Supervise.default with jobs; fault; retries = 1 }
     (sweep_cells costs)
 
-(* Everything in a sweep except per-failure wall clock, which is the one
-   documented nondeterministic field. *)
-let sweep_shape (s : _ Supervise.sweep) =
-  ( s.Supervise.results,
-    List.map
-      (fun (f : Supervise.failure) ->
-        (f.Supervise.key, f.Supervise.attempts, f.Supervise.reason))
-      s.Supervise.failures )
-
 let metrics_doc s =
   let metrics_of v =
     let reg = Metrics.create () in
@@ -95,7 +86,7 @@ let prop_sweep_deterministic =
     (fun (costs, jobs) ->
       let serial = run_sweep ~jobs:1 ~fault:Fault.none costs in
       let par = run_sweep ~jobs ~fault:Fault.none costs in
-      sweep_shape serial = sweep_shape par
+      serial = par
       && String.equal (metrics_doc serial) (metrics_doc par))
 
 let prop_sweep_crash_deterministic =
@@ -115,7 +106,7 @@ let prop_sweep_crash_deterministic =
       (* Crashed cells fail in declaration order, everything else succeeds,
          and the whole artifact matches the serial oracle byte for byte. *)
       List.length serial.Supervise.failures = List.length crashed
-      && sweep_shape serial = sweep_shape par
+      && serial = par
       && String.equal (metrics_doc serial) (metrics_doc par))
 
 let prop_first_failure_lowest_index =
@@ -126,7 +117,7 @@ let prop_first_failure_lowest_index =
       QCheck.assume (crashed <> []);
       let f (i, c) = if List.mem i crashed then raise (Boom i) else spin c i in
       let xs = List.mapi (fun i c -> (i, c)) costs in
-      match Pool.run ~jobs f xs with
+      match Pool.with_pool ~jobs (fun p -> Pool.map p f xs) with
       | _ -> false
       | exception Boom i -> i = List.fold_left min max_int crashed)
 

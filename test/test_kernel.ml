@@ -298,7 +298,10 @@ let test_graph_determinism () =
 
 let test_graph_shared_across_domains () =
   let seeds = List.concat (List.init 4 (fun _ -> [ 42; 43; 7 ])) in
-  let digests = Pool.run ~jobs:4 (fun seed -> graph_digest (Callgraph.synthesize seed)) seeds in
+  let digests =
+    Pool.with_pool ~jobs:4 (fun p ->
+        Pool.map p (fun seed -> graph_digest (Callgraph.synthesize seed)) seeds)
+  in
   List.iter2
     (fun seed d -> check Alcotest.string (Printf.sprintf "seed %d" seed) (List.assoc seed graph_kat) d)
     seeds digests

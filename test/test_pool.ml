@@ -14,21 +14,23 @@ module Apps = Pv_workloads.Apps
 
 let check = Alcotest.check
 
+let run ~jobs f xs = Pool.with_pool ~jobs (fun p -> Pool.map p f xs)
+
 (* --- pool mechanics -------------------------------------------------- *)
 
 let test_empty () =
-  check Alcotest.(list int) "no jobs" [] (Pool.run ~jobs:4 (fun x -> x) []);
+  check Alcotest.(list int) "no jobs" [] (run ~jobs:4 (fun x -> x) []);
   Pool.with_pool ~jobs:3 (fun p ->
       check Alcotest.(list int) "no jobs, pooled" [] (Pool.map p (fun x -> x) []))
 
 let test_one_job () =
-  check Alcotest.(list int) "one job" [ 14 ] (Pool.run ~jobs:4 (fun x -> 2 * x) [ 7 ])
+  check Alcotest.(list int) "one job" [ 14 ] (run ~jobs:4 (fun x -> 2 * x) [ 7 ])
 
 let test_many_jobs_few_workers () =
   let xs = List.init 200 (fun i -> i) in
   let expected = List.map (fun i -> i * i) xs in
   check Alcotest.(list int) "200 jobs on 3 workers" expected
-    (Pool.run ~jobs:3 (fun i -> i * i) xs)
+    (run ~jobs:3 (fun i -> i * i) xs)
 
 let test_order_with_skewed_durations () =
   (* Front-load the heavy jobs so light ones finish first on other workers;
@@ -43,12 +45,12 @@ let test_order_with_skewed_durations () =
     i
   in
   let xs = List.init 64 (fun i -> i) in
-  check Alcotest.(list int) "order preserved" xs (Pool.run ~jobs:4 work xs)
+  check Alcotest.(list int) "order preserved" xs (run ~jobs:4 work xs)
 
 let test_serial_path_equals_map () =
   let f i = (3 * i) - 1 in
   let xs = List.init 17 (fun i -> i) in
-  check Alcotest.(list int) "-j 1 is List.map" (List.map f xs) (Pool.run ~jobs:1 f xs)
+  check Alcotest.(list int) "-j 1 is List.map" (List.map f xs) (run ~jobs:1 f xs)
 
 exception Boom of int
 
@@ -57,7 +59,7 @@ let test_exception_propagates () =
   (* The lowest-index failure wins, for every worker count. *)
   List.iter
     (fun jobs ->
-      match Pool.run ~jobs f (List.init 40 (fun i -> i)) with
+      match run ~jobs f (List.init 40 (fun i -> i)) with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom i ->
         check Alcotest.int (Printf.sprintf "first failure at -j %d" jobs) 3 i)
@@ -96,7 +98,7 @@ let test_results_actually_parallel () =
     done;
     (Domain.self () :> int)
   in
-  match Pool.run ~jobs:4 job [ 0; 1 ] with
+  match run ~jobs:4 job [ 0; 1 ] with
   | [ a; b ] -> Alcotest.(check bool) "two domains participated" true (a <> b)
   | _ -> Alcotest.fail "unexpected result shape"
 
@@ -111,148 +113,7 @@ let test_jobs_above_domain_cap () =
       check Alcotest.(list int) "-j 1000 is List.map" (List.map f xs) (Pool.map p f xs));
   test_results_actually_parallel ()
 
-(* --- supervised mapping ----------------------------------------------- *)
-
-module Fault = Pv_util.Fault
-
-(* The determinism contract of an outcome list excludes wall-clock. *)
-let outcome_shape (o : _ Pool.outcome) =
-  ( (match o.Pool.result with
-    | Ok v -> Ok v
-    | Error e -> Error (Printexc.to_string e.Pool.exn, e.Pool.classification = Pool.Transient)),
-    o.Pool.attempts )
-
-let test_map_results_clean () =
-  Pool.with_pool ~jobs:3 (fun p ->
-      let outcomes = Pool.map_results p (fun i -> i * i) (List.init 20 Fun.id) in
-      List.iteri
-        (fun i o ->
-          check Alcotest.int "attempts" 1 o.Pool.attempts;
-          match o.Pool.result with
-          | Ok v -> check Alcotest.int "value" (i * i) v
-          | Error _ -> Alcotest.fail "unexpected failure")
-        outcomes)
-
-let test_map_results_captures_failures () =
-  (* Unlike map, one bad job must not eat the batch. *)
-  Pool.with_pool ~jobs:2 (fun p ->
-      let outcomes =
-        Pool.map_results p (fun i -> if i = 3 then failwith "bad" else i) (List.init 6 Fun.id)
-      in
-      let oks = List.filter (fun o -> Result.is_ok o.Pool.result) outcomes in
-      check Alcotest.int "five survivors" 5 (List.length oks);
-      match (List.nth outcomes 3).Pool.result with
-      | Error e ->
-        Alcotest.(check bool) "permanent" true (e.Pool.classification = Pool.Permanent)
-      | Ok _ -> Alcotest.fail "job 3 should fail")
-
-let test_flaky_retry () =
-  (* flaky = crashes while attempt < 1, then succeeds: one retry heals it. *)
-  let fault = Fault.plan [ { Fault.index = 2; kind = Fault.Crash; first_attempts = 1 } ] in
-  Pool.with_pool ~jobs:2 (fun p ->
-      let no_retry = Pool.map_results ~fault p Fun.id (List.init 4 Fun.id) in
-      (match (List.nth no_retry 2).Pool.result with
-      | Error e ->
-        Alcotest.(check bool) "transient" true (e.Pool.classification = Pool.Transient)
-      | Ok _ -> Alcotest.fail "should crash without retries");
-      let healed = Pool.map_results ~retries:1 ~fault p Fun.id (List.init 4 Fun.id) in
-      let o = List.nth healed 2 in
-      check Alcotest.int "second attempt succeeded" 2 o.Pool.attempts;
-      Alcotest.(check bool) "healed" true (o.Pool.result = Ok 2))
-
-let test_poison_is_permanent () =
-  (* Poison classifies permanent: retries must not be spent on it. *)
-  let fault = Fault.plan [ { Fault.index = 1; kind = Fault.Poison; first_attempts = Fault.always } ] in
-  Pool.with_pool ~jobs:2 (fun p ->
-      let outcomes = Pool.map_results ~retries:5 ~fault p Fun.id (List.init 3 Fun.id) in
-      let o = List.nth outcomes 1 in
-      check Alcotest.int "no retries burned" 1 o.Pool.attempts;
-      match o.Pool.result with
-      | Error { Pool.exn = Fault.Poisoned _; classification = Pool.Permanent; _ } -> ()
-      | _ -> Alcotest.fail "expected permanent Poisoned")
-
-let test_seeded_faults_deterministic () =
-  (* The fault-injected determinism claim: same seed, any -j, identical
-     outcome shapes (values, attempt counts, failure reasons). *)
-  let fault = Fault.seeded ~seed:7 ~crash:0.3 ~slow:0.2 ~poison:0.15 () in
-  let shapes jobs =
-    Pool.with_pool ~jobs (fun p ->
-        List.map outcome_shape
-          (Pool.map_results ~retries:1 ~fault p (fun i -> 3 * i) (List.init 40 Fun.id)))
-  in
-  let serial = shapes 1 in
-  Alcotest.(check bool) "some jobs failed" true
-    (List.exists (fun (r, _) -> Result.is_error r) serial);
-  Alcotest.(check bool) "some jobs retried" true
-    (List.exists (fun (_, attempts) -> attempts > 1) serial);
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "-j %d outcomes identical to -j 1" jobs)
-        true
-        (shapes jobs = serial))
-    [ 2; 4 ]
-
-let test_on_outcome_hook () =
-  (* Called once per job with its final outcome; hook exceptions ignored. *)
-  let seen = Atomic.make 0 in
-  let hook _ (o : _ Pool.outcome) =
-    if Result.is_ok o.Pool.result then Atomic.incr seen;
-    failwith "hook failure must be swallowed"
-  in
-  Pool.with_pool ~jobs:3 (fun p ->
-      let outcomes = Pool.map_results ~on_outcome:hook p Fun.id (List.init 12 Fun.id) in
-      check Alcotest.int "all outcomes back" 12 (List.length outcomes));
-  check Alcotest.int "hook saw every success" 12 (Atomic.get seen)
-
-let test_submit_crash_proof () =
-  (* A raising fire-and-forget job must not kill its worker domain. *)
-  Pool.with_pool ~jobs:2 (fun p ->
-      for _ = 1 to 8 do
-        Pool.submit p (fun () -> failwith "worker must survive this")
-      done;
-      check Alcotest.(list int) "pool still serves maps" [ 10; 20 ]
-        (Pool.map p (fun i -> 10 * i) [ 1; 2 ]))
-
-let test_shutdown_drains_pending () =
-  (* Every accepted job runs even if shutdown follows immediately. *)
-  let ran = Atomic.make 0 in
-  let p = Pool.create ~jobs:3 in
-  for _ = 1 to 50 do
-    Pool.submit p (fun () -> Atomic.incr ran)
-  done;
-  Pool.shutdown p;
-  check Alcotest.int "all pending jobs ran" 50 (Atomic.get ran);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      Pool.submit p (fun () -> ()))
-
-let test_fatal_exception_escapes () =
-  (* Regression: the worker's catch-all used to swallow runtime-fatal
-     exceptions ([Out_of_memory], [Stack_overflow]) exactly like a job's
-     ordinary failure, so a pool could silently lose a domain to resource
-     exhaustion.  A fatal raise must now surface to the caller — from
-     [shutdown]'s drain on a size-1 pool, and via [Domain.join] when a
-     worker domain died of it. *)
-  let p = Pool.create ~jobs:1 in
-  Pool.submit p (fun () -> raise Stack_overflow);
-  (match Pool.shutdown p with
-  | () -> Alcotest.fail "fatal exception was swallowed by the drain"
-  | exception Stack_overflow -> ());
-  let p = Pool.create ~jobs:4 in
-  Pool.submit p (fun () -> raise Out_of_memory);
-  (match Pool.shutdown p with
-  | () -> Alcotest.fail "fatal exception was swallowed by a worker"
-  | exception Out_of_memory -> ());
-  (* Ordinary failures still leave every domain alive (the warn-once
-     policy): a fresh pool mixing failing and clean jobs drains fully. *)
-  let ran = Atomic.make 0 in
-  Pool.with_pool ~jobs:2 (fun p ->
-      for i = 1 to 20 do
-        Pool.submit p (fun () ->
-            if i mod 2 = 0 then failwith "ordinary" else Atomic.incr ran)
-      done);
-  check Alcotest.int "clean jobs all ran" 10 (Atomic.get ran)
+(* --- reference pool ---------------------------------------------------- *)
 
 let test_matches_reference_pool () =
   (* The serial List.map is the contract's definition: same results on a
@@ -262,15 +123,15 @@ let test_matches_reference_pool () =
   List.iter
     (fun jobs ->
       check Alcotest.(list int) (Printf.sprintf "clean batch at -j %d" jobs) (List.map f xs)
-        (Pool.run ~jobs f xs))
+        (run ~jobs f xs))
     [ 1; 2; 4; 8 ];
   let g i = if i mod 50 = 37 then raise (Boom i) else i in
-  let first run = match run () with _ -> None | exception Boom i -> Some i in
+  let first thunk = match thunk () with _ -> None | exception Boom i -> Some i in
   let want = first (fun () -> List.map g xs) in
   List.iter
     (fun jobs ->
       check Alcotest.(option int) (Printf.sprintf "first failure at -j %d" jobs) want
-        (first (fun () -> Pool.run ~jobs g xs)))
+        (first (fun () -> run ~jobs g xs)))
     [ 1; 2; 4; 8 ]
 
 (* --- determinism of the experiment layer ------------------------------ *)
@@ -372,15 +233,6 @@ let suite =
       ] );
     ( "pool.supervised",
       [
-        Alcotest.test_case "map_results clean batch" `Quick test_map_results_clean;
-        Alcotest.test_case "failures captured per job" `Quick test_map_results_captures_failures;
-        Alcotest.test_case "flaky job heals on retry" `Quick test_flaky_retry;
-        Alcotest.test_case "poison is permanent" `Quick test_poison_is_permanent;
-        Alcotest.test_case "seeded faults deterministic" `Quick test_seeded_faults_deterministic;
-        Alcotest.test_case "on_outcome hook" `Quick test_on_outcome_hook;
-        Alcotest.test_case "submit crash-proof" `Quick test_submit_crash_proof;
-        Alcotest.test_case "shutdown drains pending" `Quick test_shutdown_drains_pending;
-        Alcotest.test_case "fatal exceptions escape" `Quick test_fatal_exception_escapes;
         Alcotest.test_case "matches reference pool" `Quick test_matches_reference_pool;
       ] );
     ( "pool.determinism",

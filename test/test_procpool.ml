@@ -119,7 +119,7 @@ let test_killed_writer_tears_no_entry () =
    optionally SIGKILLing itself for chosen (key, attempt) pairs after
    leaving a torn temp file, as a store killed before its rename would. *)
 let worker_body ~kill_on store (ctx : Procpool.ctx) =
-  Procpool.serve ctx ~handle:(fun ~index:_ ~attempt ~key ->
+  ignore (Procpool.serve ctx ~handle:(fun ~index:_ ~attempt ~key ->
       let v = 2 * int_of_string (Filename.basename key) in
       if List.mem (key, attempt) kill_on then begin
         write_file
@@ -131,7 +131,7 @@ let worker_body ~kill_on store (ctx : Procpool.ctx) =
       else begin
         Rescache.store store ~key v;
         Procpool.Done
-      end)
+      end))
 
 let keys_of n = Array.init n (fun i -> Printf.sprintf "cell/%d" i)
 
@@ -211,7 +211,7 @@ let test_pool_budget_exhaustion_fails_cleanly () =
    cell's value first, on every attempt; without, it tears the first
    attempt before storing anything and serves the retry normally. *)
 let torn_reply_body ~stored store (ctx : Procpool.ctx) =
-  Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
+  ignore (Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
       let v = 2 * int_of_string (Filename.basename key) in
       if stored || attempt = 0 then begin
         if stored then Rescache.store store ~key v;
@@ -220,7 +220,7 @@ let torn_reply_body ~stored store (ctx : Procpool.ctx) =
         Unix.kill (Unix.getpid ()) Sys.sigkill
       end;
       Rescache.store store ~key v;
-      Procpool.Done)
+      Procpool.Done))
 
 let test_torn_line_discarded () =
   (* A reply torn mid-line by a dying worker must be discarded, not parsed:
@@ -255,11 +255,11 @@ let test_torn_line_discarded () =
 (* Serves like [worker_body ~kill_on:[]], but after storing each cell
    writes [junk index] to the reply pipe ahead of its real reply. *)
 let junk_worker junk store (ctx : Procpool.ctx) =
-  Procpool.serve ctx ~handle:(fun ~index ~attempt:_ ~key ->
+  ignore (Procpool.serve ctx ~handle:(fun ~index ~attempt:_ ~key ->
       Rescache.store store ~key (2 * int_of_string (Filename.basename key));
       List.iter (fun l -> output_string ctx.Procpool.reply_out (l ^ "\n")) (junk index);
       flush ctx.Procpool.reply_out;
-      Procpool.Done)
+      Procpool.Done))
 
 (* Run [n] cells on two junk-emitting workers; true iff every cell completed
    on its first attempt with its value in the store. *)
@@ -482,6 +482,76 @@ let test_kill_injection () =
       (contains ~sub:"injected worker kill" f.Supervise.reason)
   | _ -> Alcotest.fail "expected exactly one failed cell"
 
+let test_executors_report_same_failures () =
+  (* Both executors make every attempt through one function, so a plan
+     gives the same sweep on worker processes as in-process: values,
+     attempt counts and failure reasons alike. *)
+  let fault = Result.get_ok (Fault.parse "crash@0,flaky@1,poison@2,kill@3,slow@4") in
+  let cells =
+    List.init 6 (fun i -> Supervise.cell (Printf.sprintf "x/%d" i) (fun ~fuel:_ -> i * i))
+  in
+  let run config = Supervise.run ~config:{ config with Supervise.fault; retries = 1 } cells in
+  let serial = run { Supervise.default with workers = 1; jobs = 1 } in
+  let multi = run workers2 in
+  check
+    Alcotest.(list (triple string int string))
+    "in-process failures"
+    [
+      ("x/0", 2, "injected crash (job 0, attempt 1)");
+      ("x/2", 1, "injected poisoned result (job 2, attempt 0)");
+    ]
+    (List.map
+       (fun (f : Supervise.failure) -> (f.key, f.attempts, f.reason))
+       serial.Supervise.failures);
+  check results "results" serial.Supervise.results multi.Supervise.results;
+  Alcotest.(check bool) "failure lists equal" true
+    (serial.Supervise.failures = multi.Supervise.failures)
+
+let test_killed_coordinator_leaves_no_scratch () =
+  (* A SIGKILLed coordinator never runs its own cleanup, so its workers —
+     at EOF on the command pipe, or unable to reply — remove the sweep's
+     scratch store.  The coordinator is a child with a private temp
+     directory, killed once a worker has stored the quick cell 0 and while
+     the slow cells are still running. *)
+  with_dir (fun tmp ->
+      (* Read directly: opening a store would recreate a removed one. *)
+      let json_files d =
+        match Sys.readdir (Filename.concat tmp d) with
+        | names -> List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list names)
+        | exception Sys_error _ -> []
+      in
+      let entries () =
+        Array.fold_left (fun n d -> n + List.length (json_files d)) 0 (Sys.readdir tmp)
+      in
+      let wait_for what p =
+        let deadline = Unix.gettimeofday () +. 10. in
+        while (not (p ())) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        Alcotest.(check bool) what true (p ())
+      in
+      flush_all ();
+      match Unix.fork () with
+      | 0 ->
+        Filename.set_temp_dir_name tmp;
+        let cells =
+          List.init 3 (fun i ->
+              Supervise.cell (Printf.sprintf "slow/%d" i) (fun ~fuel:_ ->
+                  if i > 0 then Unix.sleepf 1.0;
+                  i))
+        in
+        (try ignore (Supervise.run ~config:workers2 cells) with _ -> ());
+        Unix._exit 0
+      | pid ->
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+          (fun () ->
+            wait_for "a worker stored cell 0" (fun () -> entries () > 0);
+            Alcotest.(check bool) "killed mid-sweep" true (entries () < 3));
+        wait_for "the workers removed the scratch store" (fun () -> Sys.readdir tmp = [||]))
+
 let test_checkpoint_resume () =
   with_dir (fun dir ->
       let path = Filename.concat dir "checkpoint" in
@@ -557,6 +627,10 @@ let suite =
         Alcotest.test_case "every cell runs in a worker" `Quick test_sweep_forks_workers;
         Alcotest.test_case "dependent sweeps match serial" `Quick test_dependent_sweeps;
         Alcotest.test_case "kill injection" `Quick test_kill_injection;
+        Alcotest.test_case "executors report the same failures" `Quick
+          test_executors_report_same_failures;
+        Alcotest.test_case "killed coordinator leaves no scratch store" `Quick
+          test_killed_coordinator_leaves_no_scratch;
         Alcotest.test_case "checkpoint then resume" `Quick test_checkpoint_resume;
         Alcotest.test_case "cached sweep starts no domain" `Quick
           test_cached_sweep_starts_no_domain;

@@ -40,6 +40,12 @@ let seeded_cells ~seed n =
 
 let square_cells n = seeded_cells ~seed:0 n
 
+let results = Alcotest.(list (pair string (option int)))
+let failures = Alcotest.(list (triple string int string))
+
+let failure_shapes (s : _ Supervise.sweep) =
+  List.map (fun (f : Supervise.failure) -> (f.key, f.attempts, f.reason)) s.Supervise.failures
+
 (* --- resume preflight (the CLI's --resume diagnostic) ------------------ *)
 
 let preflight_error ~sub path =
@@ -122,6 +128,75 @@ let test_sweep_retry_heals_flaky () =
   check Alcotest.(option (option int)) "flaky cell healed" (Some (Some 1))
     (List.assoc_opt "sq/1" sweep.Supervise.results)
 
+let test_raising_cell_fails_alone () =
+  (* One raising cell must not eat the sweep, and an ordinary exception is
+     permanent: no retry is spent on it. *)
+  let cells =
+    List.init 6 (fun i ->
+        Supervise.cell (Printf.sprintf "r/%d" i) (fun ~fuel:_ ->
+            if i = 3 then failwith "bad" else i))
+  in
+  let sweep = Supervise.run ~config:{ Supervise.default with jobs = 2; retries = 2 } cells in
+  check results "neighbours succeed"
+    (List.init 6 (fun i -> (Printf.sprintf "r/%d" i, if i = 3 then None else Some i)))
+    sweep.Supervise.results;
+  check failures "the one failure" [ ("r/3", 1, "Failure(\"bad\")") ] (failure_shapes sweep)
+
+let test_poison_is_permanent () =
+  (* Poison is permanent: retries must not be spent on it. *)
+  let fault = Fault.plan [ { Fault.index = 1; kind = Fault.Poison; first_attempts = Fault.always } ] in
+  let config = { Supervise.default with jobs = 2; fault; retries = 5 } in
+  check failures "failed after one attempt"
+    [ ("sq/1", 1, "injected poisoned result (job 1, attempt 0)") ]
+    (failure_shapes (Supervise.run ~config (square_cells 3)))
+
+let test_mixed_plan_deterministic () =
+  (* The fault-injected determinism claim: an explicit plan of every
+     in-process kind gives identical values, attempt counts and failure
+     reasons at any -j. *)
+  let spec index kind first_attempts = { Fault.index; kind; first_attempts } in
+  let fault =
+    Fault.plan
+      [
+        spec 1 Fault.Crash Fault.always;
+        spec 3 Fault.Crash 1;
+        spec 4 Fault.Slow Fault.always;
+        spec 6 Fault.Poison Fault.always;
+        spec 8 Fault.Livelock Fault.always;
+      ]
+  in
+  (* No cycle budget is configured, so only a livelocked cell gets one; it
+     fails as a starved simulation would. *)
+  let cells =
+    List.init 10 (fun i ->
+        Supervise.cell (Printf.sprintf "m/%d" i) (fun ~fuel ->
+            match fuel with
+            | Some budget -> failwith (Printf.sprintf "out of fuel at %d cycles" budget)
+            | None -> 3 * i))
+  in
+  let sweep jobs = Supervise.run ~config:{ Supervise.default with jobs; fault; retries = 1 } cells in
+  let serial = sweep 1 in
+  check results "-j 1 results"
+    (List.init 10 (fun i ->
+         (Printf.sprintf "m/%d" i, if List.mem i [ 1; 6; 8 ] then None else Some (3 * i))))
+    serial.Supervise.results;
+  check failures "-j 1 failures"
+    [
+      ("m/1", 2, "injected crash (job 1, attempt 1)");
+      ("m/6", 1, "injected poisoned result (job 6, attempt 0)");
+      ("m/8", 1, "Failure(\"out of fuel at 5000 cycles\")");
+    ]
+    (failure_shapes serial);
+  List.iter
+    (fun jobs ->
+      let par = sweep jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "-j %d results and failures identical to -j 1" jobs)
+        true
+        (par.Supervise.results = serial.Supervise.results
+        && par.Supervise.failures = serial.Supervise.failures))
+    [ 2; 4 ]
+
 let test_duplicate_keys_rejected () =
   let cells = [ Supervise.cell "dup" (fun ~fuel:_ -> 0); Supervise.cell "dup" (fun ~fuel:_ -> 1) ] in
   Alcotest.check_raises "duplicate keys" (Invalid_argument "Supervise.run: duplicate cell keys")
@@ -169,7 +244,6 @@ let test_resume_checks_inputs () =
           (seeded_cells ~seed 4)
       in
       let values ~seed = List.init 4 (fun i -> (Printf.sprintf "sq/%d" i, Some ((i * i) + seed))) in
-      let results = Alcotest.(list (pair string (option int))) in
       ignore (run ~resume:false ~seed:1);
       let changed = run ~resume:true ~seed:2 in
       check Alcotest.int "changed inputs: nothing restored" 0 changed.Supervise.restored;
@@ -200,7 +274,7 @@ let test_livelock_fault_hits_watchdog () =
   (* A Livelock-faulted cell is starved of fuel by the supervisor and must
      degrade to a per-cell failure whose reason is the watchdog timeout. *)
   let fault = Fault.plan [ { Fault.index = 0; kind = Fault.Livelock; first_attempts = Fault.always } ] in
-  let config = { Supervise.default with fault; livelock_fuel = 2_000 } in
+  let config = { Supervise.default with fault } in
   let cells =
     Perf.lebench_cells ~scale:0.2 ~tests:[ Lebench.find "select" ]
       ~variants:[ Schemes.unsafe ] ()
@@ -240,7 +314,7 @@ let test_perf_sweep_fault_then_resume_converges () =
       in
       let faulted =
         Supervise.run
-          ~config:{ Supervise.default with jobs = 2; fault; checkpoint = Some path; livelock_fuel = 2_000 }
+          ~config:{ Supervise.default with jobs = 2; fault; checkpoint = Some path }
           (cells ())
       in
       check Alcotest.int "two cells failed" 2 (Supervise.failed faulted);
@@ -352,6 +426,9 @@ let suite =
         Alcotest.test_case "clean sweep" `Quick test_sweep_clean;
         Alcotest.test_case "fault degrades one cell" `Quick test_sweep_degrades_on_fault;
         Alcotest.test_case "retry heals flaky cell" `Quick test_sweep_retry_heals_flaky;
+        Alcotest.test_case "raising cell fails alone" `Quick test_raising_cell_fails_alone;
+        Alcotest.test_case "poison is permanent" `Quick test_poison_is_permanent;
+        Alcotest.test_case "mixed plan identical at any -j" `Quick test_mixed_plan_deterministic;
         Alcotest.test_case "duplicate keys rejected" `Quick test_duplicate_keys_rejected;
         Alcotest.test_case "workers after a domain raise" `Quick
           test_workers_after_domain_raise;
