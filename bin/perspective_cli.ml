@@ -91,8 +91,10 @@ let fault_arg =
            $(b,poison@N) are also available.  With $(b,--workers), $(b,kill@N) \
            SIGKILLs the worker process mid-cell (after it computes the cell, \
            before it stores the result); the coordinator respawns it and \
-           retries.  Indices are positions in the sweep's cell list, so a spec \
-           is reproducible for any -j and any --workers.")
+           retries.  Indices count the cells a sweep executes, in declaration \
+           order, after those served from the checkpoint or the cache and those \
+           that repeat another cell's inputs, so a spec is reproducible for any \
+           -j and any --workers.")
 
 let max_cycles_arg =
   Arg.(
@@ -373,7 +375,7 @@ let perf_cmd =
       with_sup_config ~outputs ~scale sup
         (R.sections (fun r ->
              let labels = List.map (fun v -> v.E.Schemes.label) variants in
-             let micro, macro =
+             let micro, macro, _ =
                R.perf_matrices r ~seed ~scale ~variants ~tests ~apps ?metrics ?trace_dir ()
              in
              if tests <> [] then Tab.print (E.Perf_report.fig_lebench_partial ~labels micro);

@@ -32,7 +32,6 @@ let create ~prog ~node_of_fid ~nnodes ?(trace = false) () =
   { phys; mem; ms; pipe; node_of_fid; nnodes; defense = None }
 
 let phys t = t.phys
-let mem t = t.mem
 let memsys t = t.ms
 let pipeline t = t.pipe
 
@@ -105,5 +104,3 @@ let readout t ~scheme ~secret ~fences ~transmit =
   }
 
 let store t va v = Mem.store t.mem va v
-
-let load t va = Mem.load t.mem va

@@ -26,7 +26,6 @@ val create :
     arrive, and only a run that records more than 64 K wraps it. *)
 
 val phys : t -> Pv_kernel.Physmem.t
-val mem : t -> Pv_isa.Mem.t
 val memsys : t -> Pv_uarch.Memsys.t
 val pipeline : t -> Pv_uarch.Pipeline.t
 
@@ -75,4 +74,3 @@ val readout :
     the secret is recovered when exactly one slot hits. *)
 
 val store : t -> int -> int -> unit
-val load : t -> int -> int

@@ -88,9 +88,6 @@ val check :
 
 (** {1 Supervised matrix} *)
 
-val key : attack:string -> scheme:string -> string
-(** The cell key, ["contract/<attack>/<scheme>"]. *)
-
 val cells :
   ?seed:int ->
   ?secrets:int * int ->
@@ -109,4 +106,3 @@ val matrix_table :
   Pv_util.Tab.t
 (** Render a sweep's results as the schemes × attacks matrix (rows =
     schemes, columns = attacks); failed cells render as ["FAILED"]. *)
-

@@ -195,8 +195,6 @@ let build ~scheme ~vm ~node_of_fid ~block_unknown ?(isv_cache_entries = 128)
   { scheme; guard; isv_cache; dsv_cache; isv_pages; vm; shadow }
 
 let guard t = t.guard
-let scheme t = t.scheme
-let shadow t = t.shadow
 let isv_cache t = t.isv_cache
 let dsv_cache t = t.dsv_cache
 

@@ -52,11 +52,6 @@ val build :
     — and ignored by every other scheme. *)
 
 val guard : t -> Pv_uarch.Guard.t
-val scheme : t -> scheme
-
-val shadow : t -> Shadow.t option
-(** The shadow table behind a [Safespec]/[Specbox] guard ([None] for other
-    schemes) — exposed for tests and counters. *)
 
 val isv_cache : t -> Svcache.t
 val dsv_cache : t -> Svcache.t
@@ -76,8 +71,3 @@ val note_view_changed : t -> insn_va:int -> unit
 (** A function's ISV membership changed at runtime (shrink / gadget patch):
     drop the stale ISV-cache entries and shadow-page bits for its code
     page. *)
-
-val isv_key_of_va : int -> int
-(** ISV-cache key of an instruction VA (line granularity). *)
-
-val dsv_key_of_page : int -> int

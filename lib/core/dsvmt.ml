@@ -1,4 +1,3 @@
-let levels = 3
 
 (* Index split for a 4 KiB page number: 9 bits per level (512-ary tree),
    L1 covers 1 GiB (2^18 pages), L2 covers 2 MiB (2^9 pages). *)
@@ -23,8 +22,6 @@ type t = {
 
 let create ~ctx ~oracle =
   { ctx; oracle; top = Hashtbl.create 16; walks = 0; populated = 0 }
-
-let ctx t = t.ctx
 
 let split page =
   let l3 = page land ((1 lsl l2_bits) - 1) in

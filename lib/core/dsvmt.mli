@@ -13,8 +13,6 @@ val create : ctx:int -> oracle:(page:int -> bool) -> t
 (** [oracle ~page] is the authoritative membership answer consulted on the
     first walk for a page (4 KiB page index = PA / 4096). *)
 
-val ctx : t -> int
-
 val walk : t -> page:int -> bool
 (** Perform a table walk: returns the leaf bit, populating intermediate
     levels on demand.  Counted in {!walks}. *)
@@ -30,5 +28,3 @@ val mark_huge : t -> page_2m:int -> bool -> unit
 
 val walks : t -> int
 val populated_leaves : t -> int
-val levels : int
-(** 3. *)

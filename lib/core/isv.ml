@@ -2,12 +2,6 @@ module Bitset = Pv_util.Bitset
 
 type kind = All | Static | Dynamic | Plus
 
-let kind_name = function
-  | All -> "all"
-  | Static -> "ISV-S"
-  | Dynamic -> "ISV"
-  | Plus -> "ISV++"
-
 type t = { kind : kind; mutable nodes : Bitset.t }
 
 let all ~nnodes =

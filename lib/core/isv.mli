@@ -12,14 +12,11 @@ type kind =
   | Dynamic  (** from kernel tracing *)
   | Plus  (** dynamic, hardened with gadget-audit results (ISV++) *)
 
-val kind_name : kind -> string
-
 type t
 
 val all : nnodes:int -> t
 val of_nodes : kind -> Pv_util.Bitset.t -> t
 val kind : t -> kind
-val nnodes : t -> int
 val member : t -> int -> bool
 val size : t -> int
 

@@ -13,8 +13,6 @@ type t = {
 
 let create ~mode ms = { mode; ms; tbl = Hashtbl.create 64; fills = 0; discards = 0; promotions = 0 }
 
-let mode t = t.mode
-
 let label_of t ~asid = match t.mode with Shared -> 0 | Labeled -> asid
 
 let line_of key = key / Pv_isa.Layout.line_bytes

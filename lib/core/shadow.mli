@@ -24,8 +24,6 @@ val create : mode:mode -> Pv_uarch.Memsys.t -> t
 (** The memory system is only {e probed} (never mutated) on the speculative
     path; mutation happens solely in {!promote}. *)
 
-val mode : t -> mode
-
 val spec_read : t -> key:int -> asid:int -> int
 (** Latency of a speculative load of physical key [key]: a label-matching
     shadow hit is serviced at L1 latency; otherwise the latency the real

@@ -30,8 +30,6 @@ let create ?(entries = 128) ?(ways = 4) ~name () =
     misses = 0;
   }
 
-let name t = t.name
-
 type lookup = Hit of bool | Miss
 
 let set_of t key = t.sets.(key mod t.nsets)
@@ -103,8 +101,6 @@ let invalidate t key =
   let tag = tag_of t key in
   Array.iter (fun e -> if e.valid && e.tag = tag then e.valid <- false) set
 
-let flush t = Array.iter (fun set -> Array.iter (fun e -> e.valid <- false) set) t.sets
-
 let hits t = t.hits
 let misses t = t.misses
 let accesses t = t.hits + t.misses
@@ -123,7 +119,3 @@ let observe_metrics reg ~prefix t =
   match hit_rate t with
   | Some r -> Metrics.set_float reg (prefix ^ ".hit_rate") r
   | None -> ()
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

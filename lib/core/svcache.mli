@@ -11,8 +11,6 @@ type t
 val create : ?entries:int -> ?ways:int -> name:string -> unit -> t
 (** Defaults: 128 entries, 4 ways (Table 7.1). *)
 
-val name : t -> string
-
 type lookup = Hit of bool | Miss
 
 val lookup : t -> asid:int -> int -> lookup
@@ -34,7 +32,6 @@ val invalidate : t -> int -> unit
 (** Drop all entries for a key across all ASIDs (view reconfiguration,
     page frees). *)
 
-val flush : t -> unit
 val hits : t -> int
 val misses : t -> int
 
@@ -48,5 +45,3 @@ val hit_rate : t -> float option
 val observe_metrics : Pv_util.Metrics.t -> prefix:string -> t -> unit
 (** Register [<prefix>.hits], [<prefix>.misses], [<prefix>.accesses] and —
     only when the cache has been accessed — [<prefix>.hit_rate]. *)
-
-val reset_stats : t -> unit

@@ -41,5 +41,3 @@ let invalidate_page t ~page =
 
 let contexts t =
   Hashtbl.fold (fun ctx _ acc -> ctx :: acc) t.isvs [] |> List.sort compare
-
-let total_dsvmt_walks t = Hashtbl.fold (fun _ d acc -> acc + Dsvmt.walks d) t.dsvmts 0

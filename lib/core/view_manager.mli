@@ -23,4 +23,3 @@ val invalidate_page : t -> page:int -> unit
 (** A frame was freed or changed owner: drop its leaf in every DSVMT. *)
 
 val contexts : t -> int list
-val total_dsvmt_walks : t -> int

@@ -32,9 +32,7 @@ let fences_per_kiloinstr run =
   ( float_of_int run.counters.Pipeline.fences_isv /. k,
     float_of_int run.counters.Pipeline.fences_dsv /. k )
 
-let profile_reps = 25
-
-(* Each measurement is one self-contained Machine job: pure inputs in, a
+(* Each measurement is one self-contained Machine.run_job: pure inputs in, a
    [run] record out.  Nothing here may touch state shared across runs — the
    supervised sweeps below ship these to worker domains.  [fuel] is the
    supervisor's cycle budget; a run that exhausts it raises the structured
@@ -43,21 +41,11 @@ let execute ?fuel ?(trace = false) ?on_commit ~seed ~block_unknown ~view_cache_e
     ~syscalls ~sequence ~iterations ~user_work ~workload_name (variant : Schemes.variant) =
   let pipe_config = variant.Schemes.transform Pipeline.default_config in
   let pipe_config = { pipe_config with Pipeline.trace_events = trace } in
-  let plant_gadgets =
-    match variant.Schemes.scheme with
-    | Defense.Perspective Perspective.Isv.Plus -> true
-    | Defense.Perspective (Perspective.Isv.Static | Perspective.Isv.Dynamic | Perspective.Isv.All)
-    | Defense.Unsafe | Defense.Fence | Defense.Dom | Defense.Stt
-    | Defense.Safespec | Defense.Specbox ->
-      false
-  in
   let m, h, result, delta =
-    Machine.run_job ?fuel ?on_commit
-      (Machine.job ~pipe_config ~profile:sequence ~profile_reps ~plant_gadgets
-         ~block_unknown ~isv_cache_entries:view_cache_entries
-         ~dsv_cache_entries:view_cache_entries ~seed ~syscalls ~name:workload_name
-         ~user_funcs:(Driver.build ~iterations ~sequence ~user_work)
-         ~entry:0 variant.Schemes.scheme)
+    Machine.run_job ?fuel ?on_commit ~pipe_config ~block_unknown ~view_cache_entries ~seed
+      ~syscalls ~name:workload_name
+      ~user_funcs:(Driver.build ~iterations ~sequence ~user_work)
+      ~profile:sequence variant.Schemes.scheme
   in
   Machine.check_result ~name:(workload_name ^ "/" ^ variant.Schemes.label) result;
   let slab = Kernel.slab (Machine.kernel m) in
@@ -157,50 +145,58 @@ let split_rows names ~width runs =
 
 (* --- supervised sweeps ----------------------------------------------- *)
 
-(* Cell keys are stable identities: "<family>/<workload>/<scheme label>".
-   They name table rows and --metrics cells.
+let cell_key ~prefix workload (v : Schemes.variant) =
+  Printf.sprintf "%s/%s/%s" prefix workload v.Schemes.label
 
-   Descriptors key the checkpoint and the cache: the canonical
-   serialization of *every* input of the measurement (workload, scheme
-   label — which determines the pipeline transform for the standard
-   variants — seed, scale, the fixed block_unknown/view-cache defaults of
-   this sweep family, and whether the event trace was on, since it lands
-   in the result record).  Fuel is
-   deliberately absent: it only decides whether the cell fails, and only
-   successes are ever stored. *)
-let perf_descriptor ~family ~workload ~label ~seed ~scale ~trace =
-  Printf.sprintf "perf/%s|w=%s|scheme=%s|seed=%d|scale=%.17g|bu=true|vce=128|trace=%b"
-    family workload label seed scale
-    (trace = Some true)
+(* A cell's inputs are keyed by its descriptor, the canonical
+   serialization of *every* input of the measurement: workload, scheme label
+   (which determines the pipeline transform of the standard variants), seed,
+   scale, the blocking and view-cache knobs, and whether the event trace was
+   on, since it lands in the result record.  Fuel is deliberately absent: it
+   only decides whether the cell fails, and only successes are ever stored.
 
-let lebench_cells ?(seed = 42) ?(scale = 1.0) ?trace ?(tests = Lebench.tests) ~variants
-    () =
+   Only a Perspective guard reads the two knobs (Defense.build), so every
+   other variant runs and is keyed at the defaults: a study that varies them
+   shares its baselines with the matrices, one simulation per descriptor.
+   Cells are row-major (workload outer, variant inner). *)
+let cells ~family ~prefix ~seed ~scale ~block_unknown ~view_cache_entries ~trace ~variants
+    ~run workloads =
   List.concat_map
-    (fun t ->
+    (fun (name, w) ->
       List.map
-        (fun v ->
+        (fun (v : Schemes.variant) ->
+          let block_unknown, view_cache_entries =
+            match v.Schemes.scheme with
+            | Defense.Perspective _ -> (block_unknown, view_cache_entries)
+            | _ -> (true, 128)
+          in
           Supervise.cell
             ~cache:
-              (perf_descriptor ~family:"lebench" ~workload:t.Lebench.name
-                 ~label:v.Schemes.label ~seed ~scale ~trace)
-            (Printf.sprintf "lebench/%s/%s" t.Lebench.name v.Schemes.label)
-            (fun ~fuel -> run_lebench ~seed ~scale ?fuel ?trace v t))
+              (Printf.sprintf
+                 "perf/%s|w=%s|scheme=%s|seed=%d|scale=%.17g|bu=%b|vce=%d|trace=%b" family
+                 name v.Schemes.label seed scale block_unknown view_cache_entries
+                 (trace = Some true))
+            (cell_key ~prefix name v)
+            (fun ~fuel -> run ~fuel ~block_unknown ~view_cache_entries v w))
         variants)
-    tests
+    workloads
 
-let apps_cells ?(seed = 42) ?(scale = 1.0) ?trace ?(apps = Apps.all) ~variants () =
-  List.concat_map
-    (fun a ->
-      List.map
-        (fun v ->
-          Supervise.cell
-            ~cache:
-              (perf_descriptor ~family:"apps" ~workload:a.Apps.name
-                 ~label:v.Schemes.label ~seed ~scale ~trace)
-            (Printf.sprintf "apps/%s/%s" a.Apps.name v.Schemes.label)
-            (fun ~fuel -> run_app ~seed ~scale ?fuel ?trace v a))
-        variants)
-    apps
+let lebench_cells ?(seed = 42) ?(scale = 1.0) ?(block_unknown = true)
+    ?(view_cache_entries = 128) ?trace ?(prefix = "lebench") ?(tests = Lebench.tests)
+    ~variants () =
+  cells ~family:"lebench" ~prefix ~seed ~scale ~block_unknown ~view_cache_entries ~trace
+    ~variants
+    ~run:(fun ~fuel ~block_unknown ~view_cache_entries v t ->
+      run_lebench ~seed ~scale ~block_unknown ~view_cache_entries ?fuel ?trace v t)
+    (List.map (fun t -> (t.Lebench.name, t)) tests)
+
+let apps_cells ?(seed = 42) ?(scale = 1.0) ?(block_unknown = true)
+    ?(view_cache_entries = 128) ?trace ?(prefix = "apps") ?(apps = Apps.all) ~variants () =
+  cells ~family:"apps" ~prefix ~seed ~scale ~block_unknown ~view_cache_entries ~trace
+    ~variants
+    ~run:(fun ~fuel ~block_unknown ~view_cache_entries v a ->
+      run_app ~seed ~scale ~block_unknown ~view_cache_entries ?fuel ?trace v a)
+    (List.map (fun a -> (a.Apps.name, a)) apps)
 
 (* Reassemble a sweep's declaration-ordered results into the row-major
    (workload x variant) matrix shape, failed cells as None. *)

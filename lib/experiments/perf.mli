@@ -65,17 +65,26 @@ val run_app :
 
 (** {1 Supervised sweeps}
 
-    The (workload x scheme) matrices as one cell per run for
-    {!Supervise.run}: a failing cell degrades to a [None] entry of the
-    reassembled matrix instead of aborting the sweep.  Cell keys
-    (["lebench/<test>/<label>"], ["apps/<app>/<label>"]) name the rows;
-    the descriptors ([perf/lebench|...], [perf/apps|...]) key the
-    checkpoint and the cache. *)
+    A perf cell is one simulation for {!Supervise.run}; a failing cell
+    degrades to a [None] entry instead of aborting the sweep.  Keys
+    ({!cell_key}, the prefix defaulting to ["lebench"] or ["apps"]) name
+    the rows; descriptors ([perf/lebench|...], [perf/apps|...]) key the
+    checkpoint and the cache.  Only a Perspective variant reads
+    [block_unknown] and [view_cache_entries]; any other runs and is keyed
+    at their defaults, so cells that differ only in knobs their variant
+    ignores share one simulation per sweep. *)
+
+val cell_key : prefix:string -> string -> Schemes.variant -> string
+(** [cell_key ~prefix workload v], ["<prefix>/<workload>/<label>"], keys
+    [v]'s cell on [workload]; a study reads its runs back by it. *)
 
 val lebench_cells :
   ?seed:int ->
   ?scale:float ->
+  ?block_unknown:bool ->
+  ?view_cache_entries:int ->
   ?trace:bool ->
+  ?prefix:string ->
   ?tests:Pv_workloads.Lebench.test list ->
   variants:Schemes.variant list ->
   unit ->
@@ -85,7 +94,10 @@ val lebench_cells :
 val apps_cells :
   ?seed:int ->
   ?scale:float ->
+  ?block_unknown:bool ->
+  ?view_cache_entries:int ->
   ?trace:bool ->
+  ?prefix:string ->
   ?apps:Pv_workloads.Apps.app list ->
   variants:Schemes.variant list ->
   unit ->

@@ -17,13 +17,6 @@ val fig_apps_partial :
 (** Figure 9.3: normalized requests/second per app per scheme, with the
     degraded rendering of {!fig_lebench_partial}. *)
 
-val average_overhead : (string * Perf.run list) list -> (string * float) list
-(** Per-scheme average execution overhead (%) vs the leading UNSAFE run. *)
-
-val average_throughput_overhead :
-  (string * Perf.run list) list -> (string * float) list
-(** Per-scheme average throughput loss (%) vs UNSAFE. *)
-
 val fence_breakdown : (string * Perf.run list) list -> Pv_util.Tab.t
 (** Table 10.1: per Perspective variant, the ISV/DSV share of fences and the
     fences per kilo-instruction, averaged over the workloads. *)

@@ -11,9 +11,6 @@ type poc = {
   fences : int;
 }
 
-val family_names : string list
-(** [["v1"; "v2"; "rsb"]], in declaration order. *)
-
 val run_pocs_cells : ?seed:int -> ?attacks:string list -> unit -> poc list Supervise.cell list
 (** The three attack families as supervised cells (keys ["pocs/v1"],
     ["pocs/v2"], ["pocs/rsb"]) for {!Supervise.run}: a crashing family

@@ -39,36 +39,42 @@ let hit_rates ~micro ~macro =
      datacenter rows, with more invocations per machine, show the steady state.";
   tab
 
-(* One cell per (blocking mode x test): a baseline/PERSPECTIVE run pair,
-   reduced to PERSPECTIVE's overhead.  Blocking cells come first. *)
-let unknown_allocation_cells ?(seed = 42) ?(scale = 1.0) () =
+(* The UNSAFE and PERSPECTIVE runs of [workload] under a study's key
+   prefix, read from a sweep's results by key; [None] unless both cells
+   succeeded. *)
+let pair results ~prefix workload =
+  let get v = Option.join (List.assoc_opt (Perf.cell_key ~prefix workload v) results) in
+  match (get Schemes.unsafe, get Schemes.perspective) with
+  | Some base, Some run -> Some (base, run)
+  | _ -> None
+
+let unknown_alloc_prefix block_unknown =
+  "unknown-alloc/" ^ if block_unknown then "block" else "allow"
+
+(* Blocking cells come first.  UNSAFE ignores the knob, so its cells share
+   their descriptors (and their one simulation) across both modes. *)
+let unknown_allocation_cells ?seed ?scale () =
   List.concat_map
     (fun block_unknown ->
-      List.map
-        (fun test ->
-          Supervise.cell
-            ~cache:
-              (Printf.sprintf
-                 "sensitivity/unknown-alloc|test=%s|block_unknown=%b|seed=%d|scale=%.17g"
-                 test.Lebench.name block_unknown seed scale)
-            (Printf.sprintf "unknown-alloc/%s/%s"
-               (if block_unknown then "block" else "allow")
-               test.Lebench.name)
-            (fun ~fuel ->
-              let run v = Perf.run_lebench ~seed ~scale ~block_unknown ?fuel v test in
-              let base = run Schemes.unsafe in
-              Perf.overhead_pct ~baseline:base (run Schemes.perspective)))
-        Lebench.tests)
+      Perf.lebench_cells ?seed ?scale ~block_unknown
+        ~prefix:(unknown_alloc_prefix block_unknown)
+        ~variants:[ Schemes.unsafe; Schemes.perspective ] ())
     [ true; false ]
 
 let unknown_allocations_table results =
-  let ntests = List.length Lebench.tests in
-  let mean keep =
-    let overheads = List.filteri (fun i _ -> keep i) (List.map snd results) in
+  let mean block_unknown =
+    let overheads =
+      List.map
+        (fun (test : Lebench.test) ->
+          Option.map
+            (fun (base, run) -> Perf.overhead_pct ~baseline:base run)
+            (pair results ~prefix:(unknown_alloc_prefix block_unknown) test.name))
+        Lebench.tests
+    in
     if List.mem None overheads then None
     else Some (Stats.mean (List.filter_map Fun.id overheads))
   in
-  let with_blocking = mean (fun i -> i < ntests) and without = mean (fun i -> i >= ntests) in
+  let with_blocking = mean true and without = mean false in
   let attributable =
     match (with_blocking, without) with
     | Some w, Some wo -> Some (w -. wo)
@@ -238,35 +244,23 @@ let domain_reassignment ~macro =
 
 let cache_size_entries = [ 32; 64; 128; 256; 512 ]
 
-type cache_size_point = int * Perf.run * Perf.run * Perf.run * Perf.run
+let cache_size_prefix entries = Printf.sprintf "cache-size/%d" entries
 
-(* One sweep point: a baseline/PERSPECTIVE pair on the cache-hostile
-   microbenchmark and on redis, at one view-cache capacity. *)
-let cache_size_point ?(seed = 42) ?(scale = 0.6) ?fuel entries =
-  let test = Lebench.find "select" in
-  let app = Pv_workloads.Apps.redis in
-  let ub = Perf.run_lebench ~seed ~scale ~view_cache_entries:entries ?fuel Schemes.unsafe test in
-  let pb =
-    Perf.run_lebench ~seed ~scale ~view_cache_entries:entries ?fuel Schemes.perspective test
-  in
-  let ua = Perf.run_app ~seed ~scale ~view_cache_entries:entries ?fuel Schemes.unsafe app in
-  let pa =
-    Perf.run_app ~seed ~scale ~view_cache_entries:entries ?fuel Schemes.perspective app
-  in
-  (entries, ub, pb, ua, pa)
-
-let cache_size_cells ?(seed = 42) ?(scale = 0.6) () =
-  List.map
+(* Per capacity, a baseline/PERSPECTIVE pair on the cache-hostile
+   microbenchmark and on redis.  UNSAFE ignores the capacity, so its cells
+   share one descriptor (and one simulation) per workload. *)
+let cache_size_cells ?seed ?(scale = 0.6) () =
+  let variants = [ Schemes.unsafe; Schemes.perspective ] in
+  List.concat_map
     (fun entries ->
-      Supervise.cell
-        ~cache:
-          (Printf.sprintf "sensitivity/cache-size|entries=%d|seed=%d|scale=%.17g"
-             entries seed scale)
-        (Printf.sprintf "cache-size/%d" entries)
-        (fun ~fuel -> cache_size_point ~seed ~scale ?fuel entries))
+      let prefix = cache_size_prefix entries in
+      Perf.lebench_cells ?seed ~scale ~view_cache_entries:entries ~prefix
+        ~tests:[ Lebench.find "select" ] ~variants ()
+      @ Perf.apps_cells ?seed ~scale ~view_cache_entries:entries ~prefix
+          ~apps:[ Pv_workloads.Apps.redis ] ~variants ())
     cache_size_entries
 
-let cache_size_table rows =
+let cache_size_table results =
   let tab =
     Tab.create ~title:"View-cache capacity sweep under PERSPECTIVE (extension)"
       ~header:
@@ -279,9 +273,10 @@ let cache_size_table rows =
         ]
   in
   List.iter
-    (fun (key, point) ->
-      match point with
-      | Some (entries, ub, pb, ua, pa) ->
+    (fun entries ->
+      let prefix = cache_size_prefix entries in
+      match (pair results ~prefix "select", pair results ~prefix "redis") with
+      | Some (ub, pb), Some (ua, pa) ->
         (* "n/a": the cache was never accessed, which is not a 0% hit rate *)
         let rate = function
           | Some r -> Printf.sprintf "%.1f%%" (100.0 *. r)
@@ -298,10 +293,10 @@ let cache_size_table rows =
             rates pa;
             Tab.pct ((1.0 -. Perf.normalized_throughput ~baseline:ua pa) *. 100.0);
           ]
-      | None ->
+      | _ ->
         (* keep the row so the sweep's shape survives a failed point *)
-        Tab.row tab [ Filename.basename key; "FAILED"; "-"; "FAILED"; "-" ])
-    rows;
+        Tab.row tab [ string_of_int entries; "FAILED"; "-"; "FAILED"; "-" ])
+    cache_size_entries;
   Tab.caption tab
     "Paper 9.2: 128 entries already reach ~99% hit rates because the kernel \
      working set per context is small; the sweep shows where that breaks down.";

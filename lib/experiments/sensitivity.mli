@@ -9,17 +9,18 @@ val hit_rates :
 (** ISV/DSV cache hit rates of the PERSPECTIVE runs (paper: ~99%). *)
 
 val unknown_allocation_cells :
-  ?seed:int -> ?scale:float -> unit -> float Supervise.cell list
-(** LEBench under PERSPECTIVE with and without blocking of unknown
-    allocations: one cell per (mode, test), keyed
-    ["unknown-alloc/block/<test>"] then ["unknown-alloc/allow/<test>"],
-    whose value is PERSPECTIVE's overhead over UNSAFE.  Descriptors spell
-    out test, mode, seed and scale. *)
+  ?seed:int -> ?scale:float -> unit -> Perf.run Supervise.cell list
+(** LEBench under UNSAFE and PERSPECTIVE with and without blocking of
+    unknown allocations: {!Perf.lebench_cells} keyed
+    ["unknown-alloc/block/<test>/<label>"], then
+    ["unknown-alloc/allow/<test>/<label>"].  UNSAFE ignores the knob, so its
+    two modes share one descriptor per test. *)
 
-val unknown_allocations_table : (string * float option) list -> Pv_util.Tab.t
-(** The average overhead per mode and their difference, the part
-    attributable to unknown allocations (paper: 1.5%); a mode with a failed
-    cell renders FAILED. *)
+val unknown_allocations_table : (string * Perf.run option) list -> Pv_util.Tab.t
+(** The average PERSPECTIVE overhead over UNSAFE per mode and their
+    difference, the part attributable to unknown allocations (paper: 1.5%),
+    read by key from results that include {!unknown_allocation_cells}; a
+    mode with a failed cell renders FAILED. *)
 
 type fragmentation_result = {
   shared_utilization : float;
@@ -46,20 +47,18 @@ val domain_reassignment : macro:(string * Perf.run list) list -> Pv_util.Tab.t
 (** Slab frees that return a page to the buddy allocator, per app (paper:
     redis 0.23% / 96 per second; others at most 0.01% / 4 per second). *)
 
-type cache_size_point = int * Perf.run * Perf.run * Perf.run * Perf.run
-(** [(entries, select UNSAFE, select PERSPECTIVE, redis UNSAFE,
-    redis PERSPECTIVE)]. *)
-
-val cache_size_cells :
-  ?seed:int -> ?scale:float -> unit -> cache_size_point Supervise.cell list
+val cache_size_cells : ?seed:int -> ?scale:float -> unit -> Perf.run Supervise.cell list
 (** Extension: PERSPECTIVE's view caches swept from 32 to 512 entries on a
     cache-hostile microbenchmark (select) and a server (redis) — hit rates
-    and execution overhead vs the 128-entry design point of Table 7.1.  One
-    supervised cell per capacity (keys ["cache-size/<entries>"]). *)
+    and execution overhead vs the 128-entry design point of Table 7.1.  Per
+    capacity, UNSAFE and PERSPECTIVE cells of both workloads keyed
+    ["cache-size/<entries>/<workload>/<label>"]; UNSAFE ignores the
+    capacity, so its cells share one descriptor per workload. *)
 
-val cache_size_table : (string * cache_size_point option) list -> Pv_util.Tab.t
-(** Render a (possibly degraded) supervised capacity sweep; failed points
-    keep their row, marked FAILED. *)
+val cache_size_table : (string * Perf.run option) list -> Pv_util.Tab.t
+(** One row per capacity, read by key from results that include
+    {!cache_size_cells}; a capacity with a failed cell keeps its row,
+    marked FAILED. *)
 
 val isv_metadata : macro:(string * Perf.run list) list -> Pv_util.Tab.t
 (** Extension: demand-populated ISV shadow pages (Figure 6.1(a)) and their

@@ -29,9 +29,6 @@ let push t item =
 
 let emit t i = push t (Fixed i)
 
-let here t = t.count
-
-let nop t = emit t Insn.Nop
 let li t rd v = emit t (Insn.Limm (rd, v))
 let alu t op rd r1 r2 = emit t (Insn.Alu (op, rd, r1, r2))
 let alui t op rd r1 v = emit t (Insn.Alui (op, rd, r1, v))
@@ -43,7 +40,6 @@ let call t fid = emit t (Insn.Call fid)
 let icall t r = emit t (Insn.Icall r)
 let ret t = emit t Insn.Ret
 let fence t = emit t Insn.Fence
-let flush t ra off = emit t (Insn.Flush (ra, off))
 let syscall t = emit t Insn.Syscall
 let sysret t = emit t Insn.Sysret
 let halt t = emit t Insn.Halt

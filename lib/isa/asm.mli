@@ -18,11 +18,7 @@ val place : t -> label -> unit
 
 val emit : t -> Insn.t -> unit
 
-val here : t -> int
-(** Index the next emitted instruction will have. *)
-
 (* Convenience emitters. *)
-val nop : t -> unit
 val li : t -> Insn.reg -> int -> unit
 val alu : t -> Insn.binop -> Insn.reg -> Insn.reg -> Insn.reg -> unit
 val alui : t -> Insn.binop -> Insn.reg -> Insn.reg -> int -> unit
@@ -34,7 +30,6 @@ val call : t -> int -> unit
 val icall : t -> Insn.reg -> unit
 val ret : t -> unit
 val fence : t -> unit
-val flush : t -> Insn.reg -> int -> unit
 val syscall : t -> unit
 val sysret : t -> unit
 val halt : t -> unit

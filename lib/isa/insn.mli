@@ -49,5 +49,4 @@ val is_serializing : t -> bool
 val eval_binop : binop -> int -> int -> int
 val eval_cond : cond -> int -> int -> bool
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -52,4 +52,3 @@ let phys_key ~asid va =
   | User -> va lxor (asid lsl 48)
 
 let line_of addr = addr / line_bytes
-let page_of addr = addr / page_bytes

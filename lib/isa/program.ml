@@ -46,7 +46,6 @@ let of_funcs fl =
   let t = { funcs = Array.of_list fl } in
   match validate t with Ok () -> t | Error e -> invalid_arg ("Program.of_funcs: " ^ e)
 
-let funcs t = t.funcs
 let length t = Array.length t.funcs
 let func t fid = t.funcs.(fid)
 
@@ -55,7 +54,5 @@ let fetch t fid idx =
   else
     let body = t.funcs.(fid).body in
     if idx < 0 || idx >= Array.length body then None else Some body.(idx)
-
-let entry_va t fid = Layout.func_base t.funcs.(fid).space fid
 
 let find_by_name t name = Array.find_opt (fun f -> f.name = name) t.funcs

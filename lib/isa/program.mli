@@ -2,7 +2,7 @@
 
     A machine runs exactly one program containing both the synthetic kernel's
     executable functions and the userspace code of every process; the function
-    id is the index into {!funcs} and determines the code VA via {!Layout}. *)
+    id is its index in the program and determines the code VA via {!Layout}. *)
 
 type func = {
   fid : int;
@@ -18,14 +18,10 @@ val of_funcs : func list -> t
     a body exceeds {!Layout.max_insns_per_func}, or a branch/jump/call target
     is out of range. *)
 
-val funcs : t -> func array
 val length : t -> int
 val func : t -> int -> func
 val fetch : t -> int -> int -> Insn.t option
 (** [fetch t fid idx]; [None] past the end of the body. *)
-
-val entry_va : t -> int -> int
-(** VA of instruction 0 of a function. *)
 
 val find_by_name : t -> string -> func option
 

@@ -53,8 +53,6 @@ let phys t = t.phys
 let slab t = t.slab
 let graph t = t.graph
 let trace t = t.trace
-let cgroups t = t.cgroups
-let processes t = t.procs
 let shared_base t = t.shared_va
 let unknown_base _ = Layout.kernel_global_base
 

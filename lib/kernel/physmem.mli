@@ -12,7 +12,6 @@ type owner =
   | Unknown  (** memory not allocated through tracked interfaces (§6.1) *)
 
 val owner_equal : owner -> owner -> bool
-val pp_owner : Format.formatter -> owner -> unit
 
 type t
 
@@ -20,10 +19,7 @@ val create : frames:int -> t
 (** [create ~frames] builds a pool of 4 KiB frames.  [frames] is rounded up
     to a power of two internally; only [frames] are usable. *)
 
-val total_frames : t -> int
 val free_frames : t -> int
-val allocated_frames : t -> int
-val max_order : int
 
 val alloc_pages : t -> order:int -> owner -> int option
 (** Allocate a naturally aligned block of [2^order] frames for [owner];
@@ -47,6 +43,3 @@ val frame_va : int -> int
 
 val frame_of_va : int -> int option
 (** Frame index for a direct-map VA. *)
-
-val iter_allocated : t -> (int -> owner -> unit) -> unit
-(** Iterate over allocated frames (frame index, owner). *)

@@ -39,10 +39,6 @@ let unmap_page t ~va =
 
 let frame_for t ~va = Hashtbl.find_opt t.page_table (page_va va)
 
-let mapped_count t = Hashtbl.length t.page_table
-
-let owned_frames t = Hashtbl.fold (fun _ frame acc -> frame :: acc) t.page_table []
-
 let set_kstack t frame = t.kstack <- Some frame
 
 let kstack t = t.kstack

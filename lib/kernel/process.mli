@@ -14,8 +14,6 @@ val unmap_page : t -> va:int -> int option
 (** Returns the frame that was mapped, if any. *)
 
 val frame_for : t -> va:int -> int option
-val mapped_count : t -> int
-val owned_frames : t -> int list
 
 val set_kstack : t -> int -> unit
 val kstack : t -> int option

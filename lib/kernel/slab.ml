@@ -42,8 +42,6 @@ let create ~mode phys =
     peak_pages = 0;
   }
 
-let mode t = t.md
-
 let class_for size =
   Array.to_seq size_classes |> Seq.find (fun c -> c >= size)
 

@@ -13,7 +13,6 @@ type mode = Shared | Secure
 type t
 
 val create : mode:mode -> Physmem.t -> t
-val mode : t -> mode
 
 val size_classes : int array
 (** Supported object sizes (bytes): 8 .. 2048, powers of two. *)

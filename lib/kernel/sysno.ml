@@ -36,7 +36,6 @@ let sys_fstat = index "fstat"
 let sys_poll = index "poll"
 let sys_select = index "select"
 let sys_epoll_wait = index "epoll_wait"
-let sys_epoll_ctl = index "epoll_ctl"
 let sys_mmap = index "mmap"
 let sys_munmap = index "munmap"
 let sys_brk = index "brk"
@@ -44,18 +43,13 @@ let sys_mprotect = index "mprotect"
 let sys_getpid = index "getpid"
 let sys_fork = index "fork"
 let sys_thread_create = index "thread_create"
-let sys_exit = index "exit"
 let sys_send = index "send"
 let sys_recv = index "recv"
 let sys_accept = index "accept"
-let sys_socket = index "socket"
 let sys_page_fault = index "page_fault"
 let sys_context_switch = index "context_switch"
 let sys_futex = index "futex"
 let sys_nanosleep = index "nanosleep"
 let sys_writev = index "writev"
 let sys_sendfile = index "sendfile"
-let sys_ioctl = index "ioctl"
-let sys_fcntl = index "fcntl"
-let sys_getdents = index "getdents"
 let sys_clock_gettime = index "clock_gettime"

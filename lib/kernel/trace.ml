@@ -47,6 +47,4 @@ let syscalls_used t ~ctx =
 let syscall_count t ~ctx =
   match Hashtbl.find_opt t.profiles ctx with Some p -> p.invocations | None -> 0
 
-let contexts t = Hashtbl.fold (fun k _ acc -> k :: acc) t.profiles [] |> List.sort compare
-
 let reset t ~ctx = Hashtbl.remove t.profiles ctx

@@ -21,5 +21,4 @@ val syscalls_used : t -> ctx:int -> int list
 val syscall_count : t -> ctx:int -> int
 (** Total syscall invocations recorded. *)
 
-val contexts : t -> int list
 val reset : t -> ctx:int -> unit

@@ -87,16 +87,25 @@ let write_traces ~dir (s : E.Perf.run Supervise.sweep) =
               r.E.Perf.events))
     s.results
 
-let perf_matrices t ~seed ~scale ~variants ~tests ~apps ?metrics ?trace_dir () =
+let perf_matrices t ~seed ~scale ~variants ~tests ~apps ?(extra = []) ?metrics ?trace_dir ()
+    =
   let trace = trace_dir <> None in
   let width = List.length variants in
+  let micro = E.Perf.lebench_cells ~seed ~scale ~trace ~tests ~variants () in
+  let macro = E.Perf.apps_cells ~seed ~scale ~trace ~apps ~variants () in
+  let t0 = Unix.gettimeofday () in
+  let s = sweep t ~label:"perf" (micro @ macro @ extra) in
+  let elapsed = Unix.gettimeofday () -. t0 in
   let exports = ref [] in
-  let matrix ~label ~names cells =
+  (* Each matrix as a sweep of its own, cut from the perf sweep by position,
+     for its export, traces and rows. *)
+  let matrix ~label ~names ~first cells =
     if names = [] then []
     else begin
-      let t0 = Unix.gettimeofday () in
-      let s = sweep t ~label cells in
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let last = first + List.length cells in
+      let s =
+        { s with results = List.filteri (fun i _ -> i >= first && i < last) s.results }
+      in
       exports :=
         Supervise.export ~elapsed ~metrics_of:(fun r -> r.E.Perf.metrics) ~label s
         :: !exports;
@@ -104,18 +113,18 @@ let perf_matrices t ~seed ~scale ~variants ~tests ~apps ?metrics ?trace_dir () =
       E.Perf.matrix_of_sweep ~names ~width s
     end
   in
-  let micro =
+  let micro_rows =
     matrix ~label:"lebench"
       ~names:(List.map (fun (x : Lebench.test) -> x.name) tests)
-      (E.Perf.lebench_cells ~seed ~scale ~trace ~tests ~variants ())
+      ~first:0 micro
   in
-  let macro =
+  let macro_rows =
     matrix ~label:"apps"
       ~names:(List.map (fun (a : Apps.app) -> a.name) apps)
-      (E.Perf.apps_cells ~seed ~scale ~trace ~apps ~variants ())
+      ~first:(List.length micro) macro
   in
   Option.iter (fun file -> Supervise.write_json ~file (List.rev !exports)) metrics;
-  (micro, macro)
+  (micro_rows, macro_rows, s.results)
 
 let service t ~seed ~requests ?points ~server ~loads ~apps ~variants ?csv ?metrics () =
   let labels = List.map (fun v -> v.E.Schemes.label) variants in
@@ -162,6 +171,12 @@ let service_requests scale = max 500 (int_of_float (5000.0 *. Float.min 1.0 scal
 
 let service_points scale = if scale < 1.0 then 3 else 4
 
+(* The two §9.2 studies that run in the perf sweep, at their capped
+   scales. *)
+let sensitivity_cells scale =
+  E.Sensitivity.unknown_allocation_cells ~scale:(unknown_scale scale) ()
+  @ E.Sensitivity.cache_size_cells ~scale:(cache_size_scale scale) ()
+
 let sweep_keys ~scale =
   let keys cells = List.map (fun (c : _ Supervise.cell) -> (c.key, c.cache)) cells in
   let points = service_points scale in
@@ -169,12 +184,12 @@ let sweep_keys ~scale =
     ("speedup", keys (E.Isv_study.speedup_cells (E.Isv_study.build ())));
     ("pocs", keys (E.Security.run_pocs_cells ()));
     ("contracts", keys (C.cells ()));
-    ("lebench", keys (E.Perf.lebench_cells ~scale ~variants:perf_variants ()));
-    ("apps", keys (E.Perf.apps_cells ~scale ~variants:perf_variants ()));
-    ( "unknown-alloc",
-      keys (E.Sensitivity.unknown_allocation_cells ~scale:(unknown_scale scale) ()) );
+    ( "perf",
+      keys
+        (E.Perf.lebench_cells ~scale ~variants:perf_variants ()
+        @ E.Perf.apps_cells ~scale ~variants:perf_variants ()
+        @ sensitivity_cells scale) );
     ("fragmentation", keys (E.Sensitivity.fragmentation_cells ()));
-    ("cache-size", keys (E.Sensitivity.cache_size_cells ~scale:(cache_size_scale scale) ()));
     ( "service-cal",
       keys
         (E.Loadsweep.calibration_cells ~points ~apps:Apps.all ~variants:service_variants ())
@@ -213,9 +228,10 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
   let perf_labels = [ "fig-9.2"; "fig-9.3"; "table-10.1"; "comparisons"; "sensitivity" ] in
   if List.exists (wants t) perf_labels then begin
     let schemes = List.map (fun v -> v.E.Schemes.label) perf_variants in
-    let micro, macro =
+    let extra = if wants t "sensitivity" then sensitivity_cells scale else [] in
+    let micro, macro, results =
       perf_matrices t ~seed:42 ~scale ~variants:perf_variants ~tests:Lebench.tests
-        ~apps:Apps.all ?metrics ?trace_dir ()
+        ~apps:Apps.all ~extra ?metrics ?trace_dir ()
     in
     (* Tables that read every run render only from complete matrices. *)
     let full f =
@@ -240,17 +256,13 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
         full (fun ~micro ~macro -> Tab.print (E.Perf_report.comparison_summary ~micro ~macro)));
     section t "sensitivity" "9.2 sensitivity analyses" (fun () ->
         full (fun ~micro ~macro -> Tab.print (E.Sensitivity.hit_rates ~micro ~macro));
-        let s =
-          sweep t ~label:"unknown-alloc"
-            (E.Sensitivity.unknown_allocation_cells ~scale:(unknown_scale scale) ())
-        in
-        Tab.print (E.Sensitivity.unknown_allocations_table s.results);
+        Tab.print (E.Sensitivity.unknown_allocations_table results);
         let s = sweep t ~label:"fragmentation" (E.Sensitivity.fragmentation_cells ()) in
         Tab.print (E.Sensitivity.fragmentation_table (E.Sensitivity.fragmentation s.results));
         full (fun ~micro:_ ~macro ->
             Tab.print (E.Sensitivity.domain_reassignment ~macro);
             Tab.print (E.Sensitivity.isv_metadata ~macro));
-        cache_size t ~seed:42 ~scale:(cache_size_scale scale))
+        Tab.print (E.Sensitivity.cache_size_table results))
   end
 
 let run ~config ~scale ?only ?csv ?metrics ?trace_dir () =

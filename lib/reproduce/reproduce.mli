@@ -39,7 +39,7 @@ val contracts :
 (** The leakage-contract matrix, also saved to the [csv] file. *)
 
 val cache_size : t -> seed:int -> scale:float -> unit
-(** The view-cache capacity sweep. *)
+(** The view-cache capacity study as a sweep of its own, ["cache-size"]. *)
 
 val perf_matrices :
   t ->
@@ -48,14 +48,19 @@ val perf_matrices :
   variants:Pv_experiments.Schemes.variant list ->
   tests:Pv_workloads.Lebench.test list ->
   apps:Pv_workloads.Apps.app list ->
+  ?extra:Pv_experiments.Perf.run Pv_experiments.Supervise.cell list ->
   ?metrics:string ->
   ?trace_dir:string ->
   unit ->
   (string * Pv_experiments.Perf.run option list) list
   * (string * Pv_experiments.Perf.run option list) list
-(** The LEBench and app matrices as sweeps ["lebench"] and ["apps"]; a
-    suite with no workloads is skipped and returns [[]].  [metrics]
-    receives both sweeps' export, and with [trace_dir] every cell is
+  * (string * Pv_experiments.Perf.run option) list
+(** The LEBench and app matrices, then the [extra] cells, as one sweep
+    ["perf"], so a simulation that several of them declare runs once.
+    Returns both matrices (a suite with no workloads gives [[]]) and the
+    sweep's whole result list, which the [extra] cells are read from by
+    key.  [metrics] receives the two matrices' export, as sweeps
+    ["lebench"] and ["apps"], and with [trace_dir] every matrix cell is
     traced into one JSONL file per cell key. *)
 
 val service :
@@ -83,7 +88,9 @@ val sweep_keys : scale:float -> (string * (string * string option) list) list
 (** Every sweep {!run} declares at [scale], with the key and descriptor of
     each of its cells.  The sweeps share one [--checkpoint] store, which
     serves a cell by its descriptor and unmarshals it at its sweep's value
-    type, so each sweep's descriptors must carry a family of their own. *)
+    type, so no descriptor family may appear in two sweeps.  The ["perf"]
+    sweep holds the families [perf/lebench] and [perf/apps], both valued
+    {!Pv_experiments.Perf.run}; every other sweep holds one family. *)
 
 val run :
   config:Pv_experiments.Supervise.config ->
@@ -97,6 +104,6 @@ val run :
 (** Print every section (or only [only]) and return the exit code.  Seeds
     are 7 for the PoCs and contracts and 42 elsewhere; the service curves
     take [requests] and [points] from [scale], and the unknown-allocation
-    and capacity sweeps cap it at 0.5 and 0.6.  [csv] is a directory,
-    created if missing, for the Figure 9.2, 9.3 and 9.3-tail and contract
-    tables.  [metrics] and [trace_dir] cover the performance matrices. *)
+    and capacity studies, which run in the perf sweep, cap it at 0.5 and
+    0.6.  [csv] is a directory, created if missing, for the Figure 9.2, 9.3
+    and 9.3-tail and contract tables.  [metrics] and [trace_dir] cover the performance matrices. *)

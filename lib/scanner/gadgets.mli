@@ -18,9 +18,6 @@ type t
 val plant : Pv_kernel.Callgraph.t -> seed:int -> t
 (** Standard population: 805 / 509 / 219. *)
 
-val plant_counts :
-  Pv_kernel.Callgraph.t -> seed:int -> mds:int -> port:int -> cache:int -> t
-
 val total : t -> int
 val count : t -> kind -> int
 val gadgets : t -> gadget list

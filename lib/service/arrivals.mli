@@ -15,10 +15,6 @@ val create : seed:int -> mean:float -> t
     inter-arrival times of mean [mean] (cycles).  Raises [Invalid_argument]
     when [mean] is not positive. *)
 
-val next : t -> float
-(** Absolute arrival time (cycles) of the next request; strictly
-    increasing. *)
-
 val times : seed:int -> mean:float -> n:int -> float array
 (** [times ~seed ~mean ~n] is the first [n] arrival times of
     [create ~seed ~mean], ascending. *)

@@ -2,7 +2,6 @@ module Machine = Pv_sim.Machine
 module Pipeline = Pv_uarch.Pipeline
 module Apps = Pv_workloads.Apps
 module Driver = Pv_workloads.Driver
-module Defense = Perspective.Defense
 module Rng = Pv_util.Rng
 module Metrics = Pv_util.Metrics
 
@@ -13,29 +12,16 @@ type t = {
   mean_cycles : float;
 }
 
-(* Mirrors Perf.execute's job construction (profile before the defense is
-   installed so dynamic ISVs see the trace; gadgets planted only for
-   PERSPECTIVE++), minus the per-run telemetry we do not need here. *)
-let profile_reps = 25
-
+(* One cycle-level run of [requests] requests, built like every perf cell
+   (Machine.run_job), minus the per-run telemetry we do not need here. *)
 let total_cycles ?fuel ~seed ~block_unknown ~scheme ~label (app : Apps.app) ~requests =
-  let plant_gadgets =
-    match scheme with
-    | Defense.Perspective Perspective.Isv.Plus -> true
-    | Defense.Perspective
-        (Perspective.Isv.Static | Perspective.Isv.Dynamic | Perspective.Isv.All)
-    | Defense.Unsafe | Defense.Fence | Defense.Dom | Defense.Stt
-    | Defense.Safespec | Defense.Specbox ->
-      false
-  in
   let _m, _h, result, _delta =
-    Machine.run_job ?fuel
-      (Machine.job ~profile:app.Apps.request ~profile_reps ~plant_gadgets ~block_unknown
-         ~seed ~syscalls:Apps.all_syscalls ~name:app.Apps.name
-         ~user_funcs:
-           (Driver.build ~iterations:requests ~sequence:app.Apps.request
-              ~user_work:app.Apps.user_work)
-         ~entry:0 scheme)
+    Machine.run_job ?fuel ~block_unknown ~seed ~syscalls:Apps.all_syscalls
+      ~name:app.Apps.name
+      ~user_funcs:
+        (Driver.build ~iterations:requests ~sequence:app.Apps.request
+           ~user_work:app.Apps.user_work)
+      ~profile:app.Apps.request scheme
   in
   Machine.check_result ~name:(Printf.sprintf "%s/%s" app.Apps.name label) result;
   result.Pipeline.cycles

@@ -36,9 +36,6 @@ val percentile_opt : t -> p:float -> float option
     load point serves nothing and must render as [n/a], not raise.  Still
     raises on [p] outside [[0, 100]]. *)
 
-val samples : t -> float array
-(** The recorded samples in observation order (a copy). *)
-
 val observe_metrics : Pv_util.Metrics.t -> prefix:string -> t -> unit
 (** Export under [prefix]: a log2 histogram [<prefix>] of the samples
     (rounded to integer cycles) plus [<prefix>.count].  The histogram is

@@ -80,15 +80,12 @@ let add_process t ~name ~user_funcs ~entry =
   h
 
 let process h = h.proc
-let entry_fid h = h.entry_fid_v
-let user_base_fid h = h.base_fid
 
 let frozen_exn t =
   match t.frozen with
   | Some f -> f
   | None -> invalid_arg "Machine: freeze must be called first"
 
-let program t = let p, _, _ = frozen_exn t in p
 let pipeline t = let _, _, p = frozen_exn t in p
 let memsys t = let _, m, _ = frozen_exn t in m
 let mem t = Memsys.mem (memsys t)
@@ -210,7 +207,6 @@ let profile t h ~workload ~repetitions =
       workload
   done
 
-let view_manager t = t.vm
 let defense t = t.defense
 
 let install_defense t ?(gadget_nodes = []) ?(block_unknown = true)
@@ -337,63 +333,26 @@ let check_result ~name (r : Pipeline.result) =
       (Run_timeout { name; cycles = r.Pipeline.cycles; committed = r.Pipeline.committed })
   | Pipeline.Fault msg -> raise (Run_fault { name; msg })
 
-(* --- self-contained job entry point ---------------------------------- *)
+(* --- self-contained runs ---------------------------------------------- *)
 
-(* A job bundles every input of a single-workload measurement run.  All
-   fields are plain data (or pure closures), so a job can be shipped to any
-   domain of a Pv_util.Pool: run_job builds a private machine — kernel,
-   memory, pipeline, RNGs, view caches — from scratch.  Jobs of one seed
-   share that seed's call graph, which is immutable; nothing mutable is
-   shared with concurrent jobs. *)
-type job = {
-  job_seed : int;
-  job_syscalls : int list;
-  job_pipe_config : Pipeline.config;
-  job_name : string;
-  job_user_funcs : base_fid:int -> Program.func list;
-  job_entry : int;
-  job_profile : (int * int array) list;
-  job_profile_reps : int;
-  job_scheme : Perspective.Defense.scheme;
-  job_plant_gadgets : bool;
-  job_block_unknown : bool;
-  job_isv_cache_entries : int;
-  job_dsv_cache_entries : int;
-}
+(* Functional profiling passes before the defense is installed, so dynamic
+   ISVs see the workload's trace. *)
+let profile_reps = 25
 
-let job ?(pipe_config = Pipeline.default_config) ?(profile = []) ?(profile_reps = 0)
-    ?(plant_gadgets = false) ?(block_unknown = true) ?(isv_cache_entries = 128)
-    ?(dsv_cache_entries = 128) ~seed ~syscalls ~name ~user_funcs ~entry scheme =
-  {
-    job_seed = seed;
-    job_syscalls = syscalls;
-    job_pipe_config = pipe_config;
-    job_name = name;
-    job_user_funcs = user_funcs;
-    job_entry = entry;
-    job_profile = profile;
-    job_profile_reps = profile_reps;
-    job_scheme = scheme;
-    job_plant_gadgets = plant_gadgets;
-    job_block_unknown = block_unknown;
-    job_isv_cache_entries = isv_cache_entries;
-    job_dsv_cache_entries = dsv_cache_entries;
-  }
-
-let run_job ?fuel ?on_commit (j : job) =
-  let m = create ~pipe_config:j.job_pipe_config ~seed:j.job_seed ~syscalls:j.job_syscalls () in
-  let h = add_process m ~name:j.job_name ~user_funcs:j.job_user_funcs ~entry:j.job_entry in
+(* Every mutable part of the run is created here, so any Pool domain can
+   run it; runs of one seed share only that seed's immutable call graph. *)
+let run_job ?fuel ?on_commit ?pipe_config ?block_unknown ?(view_cache_entries = 128) ~seed
+    ~syscalls ~name ~user_funcs ~profile:workload scheme =
+  let m = create ?pipe_config ~seed ~syscalls () in
+  let h = add_process m ~name ~user_funcs ~entry:0 in
   freeze m;
-  if j.job_profile_reps > 0 && j.job_profile <> [] then
-    profile m h ~workload:j.job_profile ~repetitions:j.job_profile_reps;
+  profile m h ~workload ~repetitions:profile_reps;
   let gadget_nodes =
-    if j.job_plant_gadgets then
-      let corpus = Pv_scanner.Gadgets.plant (Kernel.graph m.kernel) ~seed:j.job_seed in
-      Pv_scanner.Gadgets.nodes corpus
+    if scheme = Perspective.Defense.Perspective Perspective.Isv.Plus then
+      Pv_scanner.Gadgets.nodes (Pv_scanner.Gadgets.plant (Kernel.graph m.kernel) ~seed)
     else []
   in
-  install_defense m ~gadget_nodes ~block_unknown:j.job_block_unknown
-    ~isv_cache_entries:j.job_isv_cache_entries ~dsv_cache_entries:j.job_dsv_cache_entries
-    j.job_scheme;
+  install_defense m ~gadget_nodes ?block_unknown ~isv_cache_entries:view_cache_entries
+    ~dsv_cache_entries:view_cache_entries scheme;
   let result, delta = run ?fuel ?on_commit m h in
   (m, h, result, delta)

@@ -39,17 +39,12 @@ val add_process :
     function.  Must be called before {!freeze}. *)
 
 val process : handle -> Pv_kernel.Process.t
-val entry_fid : handle -> int
-val user_base_fid : handle -> int
 
 val freeze : t -> unit
 (** Build the program and pipeline; seeds per-process dispatch tables and
     working-set memory.  Raises if called twice or before any process. *)
 
-val program : t -> Pv_isa.Program.t
 val pipeline : t -> Pv_uarch.Pipeline.t
-val memsys : t -> Pv_uarch.Memsys.t
-val mem : t -> Pv_isa.Mem.t
 
 val profile :
   t -> handle -> workload:(int * int array) list -> repetitions:int -> unit
@@ -69,7 +64,6 @@ val install_defense :
     ISV++ hardening. *)
 
 val defense : t -> Perspective.Defense.t option
-val view_manager : t -> Perspective.View_manager.t
 
 val run :
   ?fuel:int ->
@@ -97,61 +91,28 @@ val check_result : name:string -> Pv_uarch.Pipeline.result -> unit
     pipeline outcome into {!Run_timeout} / {!Run_fault} so the experiment
     layer's supervisor can classify and report it per cell. *)
 
-val seed_frame : t -> int -> unit
-(** Idempotently fill a frame with pointer-chase-friendly values. *)
-
-(** {1 Self-contained jobs}
-
-    A {!job} captures every input of one measurement run as plain data, so
-    the experiment layer can fan runs out across {!Pv_util.Pool} domains:
-    {!run_job} executes the whole lifecycle (create, add_process, freeze,
-    profile, install_defense, run) on a {e private} machine, sharing no
-    mutable state — kernel, memory, pipeline, RNG, view caches — with any
-    concurrent job.  Jobs of one seed share that seed's call graph
-    ({!Pv_kernel.Callgraph.synthesize}), which is immutable.  Equal jobs
-    yield bit-identical results on any domain. *)
-
-type job = {
-  job_seed : int;
-  job_syscalls : int list;
-  job_pipe_config : Pv_uarch.Pipeline.config;
-  job_name : string;
-  job_user_funcs : base_fid:int -> Pv_isa.Program.func list;
-  job_entry : int;
-  job_profile : (int * int array) list;  (** functional profiling workload *)
-  job_profile_reps : int;  (** 0 disables profiling *)
-  job_scheme : Perspective.Defense.scheme;
-  job_plant_gadgets : bool;
-      (** plant the Kasper gadget corpus and feed its nodes to ISV++ *)
-  job_block_unknown : bool;
-  job_isv_cache_entries : int;
-  job_dsv_cache_entries : int;
-}
-
-val job :
-  ?pipe_config:Pv_uarch.Pipeline.config ->
-  ?profile:(int * int array) list ->
-  ?profile_reps:int ->
-  ?plant_gadgets:bool ->
-  ?block_unknown:bool ->
-  ?isv_cache_entries:int ->
-  ?dsv_cache_entries:int ->
-  seed:int ->
-  syscalls:int list ->
-  name:string ->
-  user_funcs:(base_fid:int -> Pv_isa.Program.func list) ->
-  entry:int ->
-  Perspective.Defense.scheme ->
-  job
+(** {1 Self-contained runs} *)
 
 val run_job :
   ?fuel:int ->
   ?on_commit:(int -> int -> Pv_isa.Insn.t -> unit) ->
-  job ->
+  ?pipe_config:Pv_uarch.Pipeline.config ->
+  ?block_unknown:bool ->
+  ?view_cache_entries:int ->
+  seed:int ->
+  syscalls:int list ->
+  name:string ->
+  user_funcs:(base_fid:int -> Pv_isa.Program.func list) ->
+  profile:(int * int array) list ->
+  Perspective.Defense.scheme ->
   t * handle * Pv_uarch.Pipeline.result * Pv_uarch.Pipeline.counters
-(** Build a fresh machine from the job spec and execute it; the returned
-    machine and handle let callers extract post-run statistics (slab, view
-    caches, ISV metadata). *)
+(** One measurement run on a {e private} machine — kernel, memory, pipeline,
+    RNG and view caches — so equal inputs yield bit-identical results on
+    any {!Pv_util.Pool} domain: {!create}, {!add_process} with entry 0,
+    {!freeze}, 25 {!profile} passes over [profile], the Kasper gadget
+    corpus planted for ISV++ only, {!install_defense} with
+    [view_cache_entries] (default 128) for both view caches, then {!run}.
+    The machine and handle returned give post-run statistics. *)
 
 val table_va : t -> handle -> int -> int option
 (** VA of the process's dispatch table for a realized syscall (r13). *)

@@ -18,10 +18,6 @@ val lookup : t -> int -> int option
 val update : t -> int -> int -> unit
 (** [update t pc target] trains the entry for [pc] (called at resolution). *)
 
-val index_of : t -> int -> int
-val tag_of : t -> int -> int
-(** Exposed so attack builders can construct aliasing program points. *)
-
 val aliases : t -> int -> int -> bool
 (** Do two PCs map to the same set and partial tag? *)
 

@@ -36,7 +36,6 @@ let create ~name ~size_bytes ~line_bytes ~ways ~latency =
     misses = 0;
   }
 
-let name t = t.name
 let latency t = t.latency
 let sets t = t.nsets
 let ways t = t.nways

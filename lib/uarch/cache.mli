@@ -15,7 +15,6 @@ val create :
   name:string -> size_bytes:int -> line_bytes:int -> ways:int -> latency:int -> t
 (** Raises [Invalid_argument] unless sizes are positive and divide evenly. *)
 
-val name : t -> string
 val latency : t -> int
 val sets : t -> int
 val ways : t -> int

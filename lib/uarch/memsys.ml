@@ -82,7 +82,3 @@ let flush_line t key =
   Cache.flush_line t.l1i key;
   Cache.flush_line t.l1d key;
   Cache.flush_line t.l2 key
-
-let flush_data_caches t =
-  Cache.flush_all t.l1d;
-  Cache.flush_all t.l2

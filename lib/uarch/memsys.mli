@@ -56,5 +56,3 @@ val reload_latency : t -> int -> int
 
 val flush_line : t -> int -> unit
 (** clflush: evict the line from every level. *)
-
-val flush_data_caches : t -> unit

@@ -450,12 +450,8 @@ let create ?(config = default_config) memsys prog =
   }
 
 let config t = t.cfg
-let memsys t = t.memsys
-let btb t = t.btb
-let ras t = t.ras
 let counters t = t.ctrs
 let set_guard t g = t.guard <- g
-let guard t = t.guard
 
 (* Until the ring first fills, [trace_count] is below the buffer's length
    and events sit at their own index; growing copies that prefix, so the

@@ -122,15 +122,11 @@ type t
 
 val create : ?config:config -> Memsys.t -> Pv_isa.Program.t -> t
 val config : t -> config
-val memsys : t -> Memsys.t
-val btb : t -> Btb.t
-val ras : t -> Ras.t
 val counters : t -> counters
 (** Cumulative across runs; copy before/after a run and use
     {!diff_counters} for per-run numbers. *)
 
 val set_guard : t -> Guard.t -> unit
-val guard : t -> Guard.t
 
 val ret_stack_va : asid:int -> depth:int -> int
 (** VA of the return-stack slot a [Ret] at call depth [depth] reads; flushing

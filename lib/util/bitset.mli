@@ -22,9 +22,6 @@ val diff : t -> t -> t
 val subset : t -> t -> bool
 (** [subset a b]: every member of [a] is in [b]. *)
 
-val iter : t -> (int -> unit) -> unit
-(** Iterate set bits in increasing order. *)
-
 val elements : t -> int list
 val of_list : int -> int list -> t
 val equal : t -> t -> bool

@@ -83,7 +83,6 @@ val find : snapshot -> string -> value option
 
 (** Deterministic JSON rendering of one value (single line, no spaces
     inside histograms). *)
-val value_to_json : value -> string
 
 (** [json_string s] is [s] as a quoted JSON string: quote, backslash and
     control bytes escaped ([\n], [\r], [\t] by name, the rest as [\u00XX]),

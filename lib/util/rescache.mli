@@ -30,9 +30,10 @@
     bytes.
 
     {b Invalidation.} The effective salt is [format_version ^ code_salt ^
-    user salt]: bump {!code_salt} whenever a stored result type or the
-    simulator's measured behaviour changes, and every stale entry becomes
-    unreachable (different file names) and unreadable (salt check).
+    user salt]: bump [code_salt] (rescache.ml) whenever a stored result
+    type or the simulator's measured behaviour changes, and every stale
+    entry becomes unreachable (different file names) and unreadable (salt
+    check).
 
     {b Type safety.} Values go through [Marshal] untyped: a descriptor must
     determine its value type.  The experiment layer guarantees this by
@@ -41,13 +42,9 @@
 
 type t
 
-val code_salt : string
-(** Bump on any change to cached result types or measured simulator
-    behaviour; old cache entries then miss and are recomputed. *)
-
 val open_dir : ?salt:string -> string -> t
 (** [open_dir dir] opens (creating it, including parents, if needed) a store
-    rooted at [dir].  [salt] (default [""]) composes with {!code_salt};
+    rooted at [dir].  [salt] (default [""]) composes with the code salt;
     it must not contain ['"'], ['\\'] or newlines.  Thread-safe: one [t] may
     be shared across pool domains, and one directory may be shared across
     processes (every entry is written by temp-file + rename). *)

@@ -58,8 +58,6 @@ let percentile xs ~p =
   let n = List.length sorted in
   List.nth sorted (nearest_rank ~p ~n - 1)
 
-let percentile_opt xs ~p = if xs = [] then None else Some (percentile xs ~p)
-
 (* A zero baseline used to propagate silent nan/inf into the tables; both
    normalizers now refuse it loudly instead. *)
 let percent_overhead ~baseline v =

@@ -8,7 +8,7 @@ val mean : float list -> float
 
 val mean_opt : float list -> float option
 (** {!mean} with the empty sample degrading to [None] instead of an
-    exception, mirroring {!percentile_opt}; render it as ["n/a"]. *)
+    exception; render it as ["n/a"]. *)
 
 val geomean : float list -> float
 (** Geometric mean of positive values; 0 for the empty list.  Raises
@@ -42,11 +42,6 @@ val percentile : float list -> p:float -> float
     non-decreasing in [p]; [p = 0.] returns the minimum and [p = 100.] the
     maximum.  Raises [Invalid_argument] on an empty list or [p] outside
     [[0, 100]]. *)
-
-val percentile_opt : float list -> p:float -> float option
-(** {!percentile} with the empty sample degrading to [None] instead of an
-    exception (an all-shed service cell has a goodput of zero and {e no}
-    latency distribution).  Still raises on [p] outside [[0, 100]]. *)
 
 val percent_overhead : baseline:float -> float -> float
 (** [percent_overhead ~baseline v] is [(v - baseline) / baseline * 100].

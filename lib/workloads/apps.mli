@@ -21,9 +21,6 @@ val memcached : app
 val redis : app
 val all : app list
 
-val syscalls : app -> int list
-(** Hot-loop syscalls only. *)
-
 val footprint : app -> int list
 (** Hot-loop plus background syscalls: the app's full kernel interface. *)
 

@@ -18,7 +18,6 @@ val tests : test list
 val find : string -> test
 (** Raises [Not_found]. *)
 
-val syscalls : test -> int list
 val all_syscalls : int list
 (** Union over the suite (for kernel-image realization). *)
 

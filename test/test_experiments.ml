@@ -181,12 +181,65 @@ let test_static_tables_render () =
     (fun t -> Alcotest.(check bool) "renders" true (String.length (Pv_util.Tab.to_string t) > 100))
     [ t1; t2; t3 ]
 
+(* The knobs a perf cell normalizes away are the ones its variant never
+   reads: a variant that is not Perspective gives the same run, down to its
+   last metric, whatever blocking mode and view-cache size it is given, and
+   every Perspective variant reacts to them. *)
+let test_ignored_knobs_leave_runs_unchanged () =
+  let test = Lebench.find "select" in
+  List.iter
+    (fun (v : Schemes.variant) ->
+      let run ?block_unknown ?view_cache_entries () =
+        Marshal.to_string
+          (Perf.run_lebench ~scale:0.1 ?block_unknown ?view_cache_entries v test)
+          []
+      in
+      let reads_knobs =
+        match v.Schemes.scheme with Perspective.Defense.Perspective _ -> true | _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: run changes with the knobs iff Perspective" v.Schemes.label)
+        reads_knobs
+        (run () <> run ~block_unknown:false ~view_cache_entries:32 ()))
+    Schemes.everything
+
+(* The view-cache study declares plain perf cells, so the cells it shares
+   with a matrix, and its UNSAFE baselines at every capacity, are one
+   simulation each within a sweep. *)
+let test_studies_dedup_against_matrix () =
+  let scale = 0.1 in
+  let matrix =
+    Perf.lebench_cells ~scale
+      ~tests:[ Lebench.find "select" ]
+      ~variants:[ Schemes.unsafe; Schemes.perspective ] ()
+  in
+  let s = Supervise.run (matrix @ Sensitivity.cache_size_cells ~scale ()) in
+  check Alcotest.int "cells" 22 (List.length s.Supervise.results);
+  (* select UNSAFE at 5 capacities and PERSPECTIVE at 128 alias the matrix;
+     redis UNSAFE at 64..512 aliases redis UNSAFE at 32. *)
+  check Alcotest.int "deduped" 10 s.Supervise.deduped;
+  check Alcotest.int "executed" 12 s.Supervise.executed;
+  let value key =
+    match List.assoc_opt key s.Supervise.results with
+    | Some (Some r) -> r
+    | _ -> Alcotest.failf "cell %s missing or failed" key
+  in
+  List.iter
+    (fun (alias, rep) ->
+      Alcotest.(check bool) (alias ^ " = " ^ rep) true (value alias = value rep))
+    [
+      ("cache-size/32/select/UNSAFE", "lebench/select/UNSAFE");
+      ("cache-size/512/select/UNSAFE", "lebench/select/UNSAFE");
+      ("cache-size/128/select/PERSPECTIVE", "lebench/select/PERSPECTIVE");
+      ("cache-size/256/redis/UNSAFE", "cache-size/32/redis/UNSAFE");
+    ]
+
 (* reproduce runs all its sweeps against one --checkpoint store.  Keys name
    each sweep's rows; descriptors key the store, which unmarshals an entry
    at the type of the sweep that looks it up. *)
 let reproduce_sweeps () =
   let sweeps = Pv_reproduce.Reproduce.sweep_keys ~scale:0.1 in
-  check Alcotest.int "ten sweeps" 10 (List.length sweeps);
+  check Alcotest.int "seven sweeps" 7 (List.length sweeps);
   sweeps
 
 let test_reproduce_keys_disjoint () =
@@ -213,8 +266,10 @@ let test_reproduce_descriptors () =
         cells)
     (reproduce_sweeps ())
 
-(* The family is the descriptor up to its first '|': one per sweep, and no
-   other sweep's, so no entry can be read back at another sweep's type. *)
+(* The family is the descriptor up to its first '|'.  No family is in two
+   sweeps, so no entry can be read back at another sweep's type.  The perf
+   sweep is one [Perf.run] cell list holding both perf families; every other
+   sweep holds one family. *)
 let test_reproduce_families_disjoint () =
   let family desc = List.hd (String.split_on_char '|' desc) in
   let owner = Hashtbl.create 16 in
@@ -223,9 +278,11 @@ let test_reproduce_families_disjoint () =
       let families =
         List.sort_uniq compare (List.filter_map (fun (_, d) -> Option.map family d) cells)
       in
-      (match families with
-      | [ _ ] -> ()
-      | fs -> Alcotest.failf "sweep %s uses %d descriptor families" label (List.length fs));
+      (match (label, families) with
+      | "perf", [ "perf/apps"; "perf/lebench" ] -> ()
+      | "perf", fs -> Alcotest.failf "the perf sweep uses families %s" (String.concat ", " fs)
+      | _, [ _ ] -> ()
+      | _, fs -> Alcotest.failf "sweep %s uses %d descriptor families" label (List.length fs));
       List.iter
         (fun f ->
           match Hashtbl.find_opt owner f with
@@ -271,6 +328,10 @@ let suite =
         Alcotest.test_case "CACTI calibration" `Quick test_cacti_calibration;
         Alcotest.test_case "fragmentation" `Slow test_fragmentation;
         Alcotest.test_case "view-cache size knob" `Slow test_view_cache_entries_knob;
+        Alcotest.test_case "ignored knobs leave runs unchanged" `Slow
+          test_ignored_knobs_leave_runs_unchanged;
+        Alcotest.test_case "studies dedup against the matrix" `Slow
+          test_studies_dedup_against_matrix;
         Alcotest.test_case "scheme registry" `Quick test_schemes_registry;
         Alcotest.test_case "static tables render" `Quick test_static_tables_render;
       ] );

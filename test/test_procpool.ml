@@ -507,6 +507,24 @@ let test_executors_report_same_failures () =
   Alcotest.(check bool) "failure lists equal" true
     (serial.Supervise.failures = multi.Supervise.failures)
 
+let test_fault_index_counts_executed_cells () =
+  (* As in-process: [b] repeats [a]'s descriptor, so it is no runnable cell
+     of its own, and crash@1 hits [c]. *)
+  let cell key desc v = Supervise.cell ~cache:desc key (fun ~fuel:_ -> v) in
+  let fault = Result.get_ok (Fault.parse "crash@1") in
+  let sweep =
+    Supervise.run ~config:{ workers2 with fault }
+      [ cell "a" "d|a" 1; cell "b" "d|a" 2; cell "c" "d|c" 3 ]
+  in
+  check results "b aliases a; c fails"
+    [ ("a", Some 1); ("b", Some 1); ("c", None) ]
+    sweep.Supervise.results;
+  check
+    Alcotest.(list (pair string string))
+    "the crash hits c"
+    [ ("c", "injected crash (job 1, attempt 0)") ]
+    (List.map (fun (f : Supervise.failure) -> (f.key, f.reason)) sweep.Supervise.failures)
+
 let test_killed_coordinator_leaves_no_scratch () =
   (* A SIGKILLed coordinator never runs its own cleanup, so its workers —
      at EOF on the command pipe, or unable to reply — remove the sweep's
@@ -629,6 +647,8 @@ let suite =
         Alcotest.test_case "kill injection" `Quick test_kill_injection;
         Alcotest.test_case "executors report the same failures" `Quick
           test_executors_report_same_failures;
+        Alcotest.test_case "fault indices count executed cells" `Quick
+          test_fault_index_counts_executed_cells;
         Alcotest.test_case "killed coordinator leaves no scratch store" `Quick
           test_killed_coordinator_leaves_no_scratch;
         Alcotest.test_case "checkpoint then resume" `Quick test_checkpoint_resume;

@@ -197,6 +197,24 @@ let test_mixed_plan_deterministic () =
         && par.Supervise.failures = serial.Supervise.failures))
     [ 2; 4 ]
 
+(* Fault indices count the cells a run executes: [b] repeats [a]'s
+   descriptor, so it aliases [a] instead of becoming runnable cell 1, and
+   crash@1 hits [c]. *)
+let test_fault_index_counts_executed_cells () =
+  let cell key desc v = Supervise.cell ~cache:desc key (fun ~fuel:_ -> v) in
+  let fault = Result.get_ok (Fault.parse "crash@1") in
+  let sweep =
+    Supervise.run
+      ~config:{ Supervise.default with jobs = 2; fault }
+      [ cell "a" "d|a" 1; cell "b" "d|a" 2; cell "c" "d|c" 3 ]
+  in
+  check results "b aliases a; c fails"
+    [ ("a", Some 1); ("b", Some 1); ("c", None) ]
+    sweep.Supervise.results;
+  check failures "the crash hits c"
+    [ ("c", 1, "injected crash (job 1, attempt 0)") ]
+    (failure_shapes sweep)
+
 let test_duplicate_keys_rejected () =
   let cells = [ Supervise.cell "dup" (fun ~fuel:_ -> 0); Supervise.cell "dup" (fun ~fuel:_ -> 1) ] in
   Alcotest.check_raises "duplicate keys" (Invalid_argument "Supervise.run: duplicate cell keys")
@@ -430,6 +448,8 @@ let suite =
         Alcotest.test_case "poison is permanent" `Quick test_poison_is_permanent;
         Alcotest.test_case "mixed plan identical at any -j" `Quick test_mixed_plan_deterministic;
         Alcotest.test_case "duplicate keys rejected" `Quick test_duplicate_keys_rejected;
+        Alcotest.test_case "fault indices count executed cells" `Quick
+          test_fault_index_counts_executed_cells;
         Alcotest.test_case "workers after a domain raise" `Quick
           test_workers_after_domain_raise;
         Alcotest.test_case "checkpoint/resume round-trip" `Quick test_checkpoint_resume_roundtrip;
