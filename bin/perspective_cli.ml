@@ -90,11 +90,11 @@ let fault_arg =
            $(b,flaky@N) crashes once and succeeds on retry; $(b,slow@N) and \
            $(b,poison@N) are also available.  With $(b,--workers), $(b,kill@N) \
            SIGKILLs the worker process mid-cell (after it computes the cell, \
-           before it stores the result); the coordinator respawns it and \
-           retries.  Indices count the cells a sweep executes, in declaration \
-           order, after those served from the checkpoint or the cache and those \
-           that repeat another cell's inputs, so a spec is reproducible for any \
-           -j and any --workers.")
+           before it sends the result); the attempt is lost, and the \
+           coordinator retries it on a fresh worker.  Indices count the cells a \
+           sweep executes, in declaration order, after those served from the \
+           checkpoint or the cache and those that repeat another cell's inputs, \
+           so a spec is reproducible for any -j and any --workers.")
 
 let max_cycles_arg =
   Arg.(
@@ -161,13 +161,15 @@ let workers_arg =
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Run sweep cells on $(docv) worker $(i,processes), forked for each \
-           sweep, instead of in-process domains.  The coordinator survives \
-           worker death — including injected $(b,--fault kill@I) — by \
-           respawning workers (bounded) and keeping every cell a worker stored \
-           before it died; tables and $(b,--metrics) output are byte-identical \
-           to $(b,--workers 1).  Only the coordinator writes the \
-           $(b,--checkpoint) and the $(b,--cache).  Worker processes run one \
-           cell at a time, so $(b,-j) has no effect when $(docv) > 1.")
+           sweep, instead of in-process domains.  Each worker sends every \
+           result back over its pipe.  The coordinator survives worker death \
+           — including injected $(b,--fault kill@I) — by retrying the lost \
+           attempt under $(b,--retries) on a fresh worker, and keeps every \
+           result that reached it; tables and $(b,--metrics) output are \
+           byte-identical to $(b,--workers 1).  Only the coordinator writes \
+           the $(b,--checkpoint) and the $(b,--cache), each result as it \
+           arrives.  Worker processes run one cell at a time, so $(b,-j) has \
+           no effect when $(docv) > 1.")
 
 (* The supervision flags evaluate to a [Supervise.config] without its
    cache, paired with the cache directory ([None] under --no-cache) and

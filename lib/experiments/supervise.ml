@@ -60,9 +60,6 @@ let resume_preflight dir =
     | 0 -> Error (Printf.sprintf "checkpoint %S holds no entries" dir)
     | n -> Ok n
 
-(* Dead-worker replacements allowed per multi-process sweep. *)
-let respawns = 8
-
 (* The cycle budget of a Livelock-faulted cell: starved, so the pipeline
    watchdog fires at once. *)
 let starved_fuel = 5_000
@@ -70,7 +67,7 @@ let starved_fuel = 5_000
 (* One attempt at runnable cell [index] under the fault plan: the cell's
    value, or whether the failure is transient and its reason.  The
    executors differ only in [Kill]: a worker process computes the cell and
-   then dies for real, before storing the value; in-process the attempt is
+   then dies for real, before it sends the value; in-process the attempt is
    lost without running. *)
 let attempt_cell config ~in_worker ~index ~attempt (c : 'a cell) =
   let run fuel = match c.run ~fuel with v -> Ok v | exception e -> Error e in
@@ -122,67 +119,18 @@ let run_domains config ~store runnable =
 
 (* --- worker processes ------------------------------------------------------ *)
 
-let remove_dir dir =
-  Array.iter
-    (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  try Sys.rmdir dir with Sys_error _ -> ()
-
-(* Worker process body: serve RUN commands until FIN.  The worker was forked
-   inside this sweep's [run], so it already holds the runnable cells and
-   everything their closures captured (upstream sweeps' results included).
-   The index in each command is the cell's position in [runnable] and keys
-   its fault decision; the coordinator counts attempts and retries.  Values
-   go to the sweep's scratch store only, keyed by cell key; the coordinator
-   reads them back and owns the checkpoint and the cache.  A worker that
-   lost its coordinator removes the scratch store, which a SIGKILLed
-   coordinator never gets to do; once a sibling may have removed it, a
-   worker finishing a cell skips its store, and its failed reply ends it. *)
-let serve_worker config ~coordinator ~dir scratch (runnable : 'a cell array)
-    (ctx : Procpool.ctx) =
-  let handle ~index ~attempt ~key =
-    if index >= Array.length runnable || runnable.(index).key <> key then
-      Procpool.Fail { transient = false; reason = Printf.sprintf "unknown cell key %S" key }
-    else
-      match attempt_cell config ~in_worker:true ~index ~attempt runnable.(index) with
-      | Ok v ->
-        if Unix.getppid () = coordinator then Rescache.store scratch ~key v;
-        Procpool.Done
-      | Error (transient, reason) -> Procpool.Fail { transient; reason }
-  in
-  if not (Procpool.serve ctx ~handle) then remove_dir dir
-
-(* Coordinator side: run [runnable] on forked worker processes that store
-   their values in a scratch store of this sweep's own, then read each
-   completed cell's value back from it and [store] it, in index order. *)
-let run_procpool config ~store (runnable : 'a cell list) =
+(* The same attempts on forked worker processes, which already hold the
+   runnable cells and everything their closures captured (upstream sweeps'
+   results included).  Each value comes back in its worker's result frame
+   and is stored here as it arrives, as in [run_domains]. *)
+let run_procpool config ~store runnable =
   let cells = Array.of_list runnable in
-  let dir = Filename.temp_dir "pv-procpool-" "" in
-  Fun.protect
-    ~finally:(fun () -> remove_dir dir)
-    (fun () ->
-      let scratch = Rescache.open_dir dir in
-      let value i : 'a option = Rescache.find scratch ~key:cells.(i).key in
-      let outs =
-        Procpool.run_jobs ~workers:config.workers ~respawns ~retries:config.retries
-          ~finished:(fun i -> Option.is_some (value i))
-          ~worker:(serve_worker config ~coordinator:(Unix.getpid ()) ~dir scratch cells)
-          ~keys:(Array.map (fun (c : 'a cell) -> c.key) cells)
-          ()
-      in
-      List.init (Array.length cells) (fun i ->
-          match outs.(i) with
-          | Procpool.Completed { attempts } -> (
-            match value i with
-            | Some v ->
-              store cells.(i) v;
-              (Ok v, attempts)
-            | None ->
-              ( Error
-                  (Printf.sprintf "completed cell %S missing from the worker store"
-                     cells.(i).key),
-                attempts ))
-          | Procpool.Failed { attempts; reason; _ } -> (Error reason, attempts)))
+  Array.to_list
+    (Procpool.map ~workers:config.workers ~retries:config.retries
+       ~attempt:(fun ~index ~attempt ->
+         attempt_cell config ~in_worker:true ~index ~attempt cells.(index))
+       ~on_value:(fun i v -> store cells.(i) v)
+       (Array.length cells))
 
 let run ?(config = default) (cells : 'a cell list) =
   let keys = List.map (fun (c : 'a cell) -> c.key) cells in

@@ -72,14 +72,14 @@ type config = {
   workers : int;
       (** [> 1]: execute runnable cells on a {!Pv_util.Procpool} of worker
           {e processes} forked by {!run}, so they inherit the cells and
-          everything their closures captured.  Workers survive SIGKILL
-          injection ([--fault kill@i]): dead workers are respawned (at most
-          8 times per sweep), workers hand results back through a scratch
-          store of the sweep's own (removed by the workers if the
-          coordinator dies first), and the sweep is identical to
-          [workers = 1].  The domain pool never
-          starts in this mode; a caller that has already started a domain
-          gets the [Failure] that [Unix.fork] raises. *)
+          everything their closures captured.  Each worker sends every
+          result back over its pipe.  A dead worker, SIGKILL injection
+          ([--fault kill@i]) included, loses only its in-flight attempt,
+          which is retried under [retries] on a fresh fork; there is no
+          other limit on deaths.  The sweep is identical to [workers = 1].
+          The domain pool never starts in this mode; a caller that has
+          already started a domain gets the [Failure] that [Unix.fork]
+          raises. *)
 }
 
 val default : config
@@ -89,10 +89,10 @@ val default : config
 val run : ?config:config -> 'a cell list -> 'a sweep
 (** Execute the sweep under supervision.  Cell keys must be unique.  Each
     executed cell's value is stored under its descriptor in the checkpoint
-    and the cache, whichever are configured, by this process — from the
-    domain that ran it as it finishes, so a crash or Ctrl-C loses at most
-    in-flight cells; with [workers > 1], once the sweep's workers finish,
-    so a crash loses that sweep's cells.  A run
+    and the cache, whichever are configured, by this process, as the
+    value arrives: from the domain that ran it, or from the worker's
+    result frame with [workers > 1].  So under either executor a crash or
+    Ctrl-C loses at most in-flight cells.  A run
     without [resume] reads nothing from the checkpoint and deletes nothing
     from it: an entry can only ever be served for its own inputs.
 

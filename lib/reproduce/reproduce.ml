@@ -228,10 +228,14 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
   let perf_labels = [ "fig-9.2"; "fig-9.3"; "table-10.1"; "comparisons"; "sensitivity" ] in
   if List.exists (wants t) perf_labels then begin
     let schemes = List.map (fun v -> v.E.Schemes.label) perf_variants in
+    (* Cells are declared only when a wanted section reads them: Figure 9.2
+       reads only the LEBench matrix. *)
+    let app_labels = [ "fig-9.3"; "table-10.1"; "comparisons"; "sensitivity" ] in
+    let apps = if List.exists (wants t) app_labels then Apps.all else [] in
     let extra = if wants t "sensitivity" then sensitivity_cells scale else [] in
     let micro, macro, results =
-      perf_matrices t ~seed:42 ~scale ~variants:perf_variants ~tests:Lebench.tests
-        ~apps:Apps.all ~extra ?metrics ?trace_dir ()
+      perf_matrices t ~seed:42 ~scale ~variants:perf_variants ~tests:Lebench.tests ~apps
+        ~extra ?metrics ?trace_dir ()
     in
     (* Tables that read every run render only from complete matrices. *)
     let full f =

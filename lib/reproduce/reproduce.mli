@@ -106,4 +106,7 @@ val run :
     take [requests] and [points] from [scale], and the unknown-allocation
     and capacity studies, which run in the perf sweep, cap it at 0.5 and
     0.6.  [csv] is a directory, created if missing, for the Figure 9.2, 9.3
-    and 9.3-tail and contract tables.  [metrics] and [trace_dir] cover the performance matrices. *)
+    and 9.3-tail and contract tables.  [metrics] and [trace_dir] cover the
+    performance matrices, and a run declares only the matrices its
+    sections read: [only = "fig-9.2"] runs and exports the LEBench matrix
+    alone. *)

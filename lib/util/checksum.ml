@@ -1,4 +1,5 @@
-(* FNV-1a 64 and the hex codec, shared by Journal, Rescache and Procpool. *)
+(* FNV-1a 64 (Journal's record checksums, Rescache's digests) and the hex
+   codec of Rescache's envelope fields. *)
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L

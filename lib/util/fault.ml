@@ -48,9 +48,8 @@ let parse s =
         | "poison" -> Some (Poison, always)
         | "livelock" -> Some (Livelock, always)
         (* kill is flaky by construction: the lost attempt re-queues on a
-           respawned worker, where the next attempt number no longer
-           matches — a persistent kill would only burn the respawn
-           budget. *)
+           fresh worker, where the next attempt number no longer matches —
+           a persistent kill would only burn the retry budget. *)
         | "kill" -> Some (Kill, 1)
         | _ -> None
       in

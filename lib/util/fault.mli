@@ -29,11 +29,11 @@
       structured timeout.
     - {b Kill} — process-level death.  Under the multi-process runner
       ([--workers N]) the worker assigned the job computes it and SIGKILLs
-      itself before storing the result, exercising the coordinator's death
-      arbitration and respawn; the coordinator finds no stored result and
-      reports the lost attempt as {!Killed}, and the respawned worker
-      retries.  In-process the attempt is lost without running, as {!Killed}
-      — an OCaml domain cannot be SIGKILLed individually. *)
+      itself before it sends the result, exercising the coordinator's
+      recovery: it sees the worker's pipe close with no result, reports the
+      lost attempt as {!Killed}, and retries it on a fresh worker.
+      In-process the attempt is lost without running, as {!Killed} — an
+      OCaml domain cannot be SIGKILLed individually. *)
 
 type kind = Crash | Slow | Poison | Livelock | Kill
 
@@ -67,12 +67,6 @@ val always : int
 
 val plan : spec list -> t
 (** Explicit per-index faults; indices not listed behave normally. *)
-
-val parse_index : string -> int option
-(** Strict non-negative decimal: [Some n] only for a non-empty run of ASCII
-    digits that fits an [int].  Rejects the ["-1"], ["+1"], ["0x1"],
-    ["0b1"] and ["1_000"] that [int_of_string] accepts.  Shared by the
-    [--fault] spec and the process-pool wire lines. *)
 
 val parse : string -> (t, string) result
 (** Parse a [--fault] spec: [KIND@INDEX[,KIND@INDEX...]] with [KIND] one of

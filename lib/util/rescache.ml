@@ -8,8 +8,7 @@ let format_version = 1
    behaviour changes. *)
 let code_salt = "pv-rescache-2026-08"
 
-(* Digesting and the hex codec are delegated to Checksum (shared with the
-   procpool wire encoding). *)
+(* Digesting and the hex codec are delegated to Checksum. *)
 let digest_hex = Checksum.digest_hex
 let hex_of_string = Checksum.hex_of_string
 let string_of_hex = Checksum.string_of_hex

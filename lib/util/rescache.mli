@@ -1,11 +1,10 @@
 (** Persistent, content-addressed store of finished results.
 
-    One store type serves three roles: the [--cache] result cache, the
-    [--checkpoint] of a supervised sweep, and the scratch store through
-    which worker processes hand results to their coordinator.  A store maps
-    a {e canonical input descriptor} — a string spelling out every input of
-    a measurement (machine config knobs, seed, scheme, job kind) — to the
-    job's marshalled result, stored as one JSON envelope file under a root
+    One store type serves two roles: the [--cache] result cache and the
+    [--checkpoint] of a supervised sweep.  A store maps a {e canonical
+    input descriptor} — a string spelling out every input of a measurement
+    (machine config knobs, seed, scheme, job kind) — to the job's
+    marshalled result, stored as one JSON envelope file under a root
     directory.  The file name is a 64-bit FNV-1a digest (16 hex chars,
     filename-safe) of the salted descriptor, so equal inputs collide onto
     the same entry on every machine and for every worker count, and the
@@ -22,12 +21,11 @@
     otherwise damaged entry is {e dropped and recomputed, never trusted}.
 
     {b Shared roots.} Several processes may share one root — the runs of
-    one machine, the workers of one sweep, or independent runs over a
-    network filesystem.  No locks are needed: an entry appears only through
-    temp-file + [rename], {!find} re-verifies the payload checksum, and the
-    stored descriptor must equal the key looked up.  Two runs that miss the
-    same entry both compute it, and the last rename wins with identical
-    bytes.
+    one machine, or independent runs over a network filesystem.  No locks
+    are needed: an entry appears only through temp-file + [rename], {!find}
+    re-verifies the payload checksum, and the stored descriptor must equal
+    the key looked up.  Two runs that miss the same entry both compute it,
+    and the last rename wins with identical bytes.
 
     {b Invalidation.} The effective salt is [format_version ^ code_salt ^
     user salt]: bump [code_salt] (rescache.ml) whenever a stored result

@@ -1,12 +1,11 @@
 (* Crash-safe multi-process execution: the result store's write-error
-   accounting, the coordinator/worker pool itself (completion, kill-respawn
-   recovery, budget exhaustion, torn replies, drain timeout), and Supervise
-   sweeps on worker processes.  This executable never starts a domain:
-   OCaml 5 refuses to fork after one. *)
+   accounting, the coordinator/worker pool itself (completion, recovery
+   from killed workers, the retry budget, frames cut short or followed by a
+   kill), and Supervise sweeps on worker processes.  This executable never
+   starts a domain: OCaml 5 refuses to fork after one. *)
 
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
-module Checksum = Pv_util.Checksum
 module Fault = Pv_util.Fault
 module Supervise = Pv_experiments.Supervise
 
@@ -115,309 +114,113 @@ let test_killed_writer_tears_no_entry () =
 
 (* --- the process pool ------------------------------------------------------ *)
 
-(* A worker body for run_jobs: stores DOUBLE(value-of-key) for each cell,
-   optionally SIGKILLing itself for chosen (key, attempt) pairs after
-   leaving a torn temp file, as a store killed before its rename would. *)
-let worker_body ~kill_on store (ctx : Procpool.ctx) =
-  ignore (Procpool.serve ctx ~handle:(fun ~index:_ ~attempt ~key ->
-      let v = 2 * int_of_string (Filename.basename key) in
-      if List.mem (key, attempt) kill_on then begin
-        write_file
-          (Filename.concat (Rescache.dir store) (Printf.sprintf ".tmp.%d.1" (Unix.getpid ())))
-          "{\n  \"rescache_version\"";
-        Unix.kill (Unix.getpid ()) Sys.sigkill;
-        assert false
-      end
-      else begin
-        Rescache.store store ~key v;
-        Procpool.Done
-      end))
+let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
 
-let keys_of n = Array.init n (fun i -> Printf.sprintf "cell/%d" i)
+(* Run cells [0 .. n - 1] on [Procpool.map]: a worker runs [before] (which
+   may kill it), then makes cell [i]'s value, [2 i] and its own pid.
+   Returns the outcomes and the cells whose values reached [on_value], in
+   arrival order. *)
+let run_map ?(before = fun ~index:_ ~attempt:_ -> ()) ~workers ~retries n =
+  let arrived = ref [] in
+  let outcomes =
+    Procpool.map ~workers ~retries
+      ~attempt:(fun ~index ~attempt ->
+        before ~index ~attempt;
+        Ok (2 * index, Unix.getpid ()))
+      ~on_value:(fun i _ -> arrived := i :: !arrived)
+      n
+  in
+  (outcomes, List.rev !arrived)
 
-(* Run cells cell/0 .. cell/<n-1> on workers running [worker store], where
-   [store] is one scratch store of the run's own: a dead worker's cell
-   counts as finished when its entry is there.  Returns the outcomes and
-   each cell's stored value. *)
-let run_pool ?drain_timeout ~workers ~respawns ~retries ~worker n =
-  with_dir (fun dir ->
-      let store = Rescache.open_dir dir in
-      let keys = keys_of n in
-      let value key : int option = Rescache.find store ~key in
-      let outcomes =
-        Procpool.run_jobs ?drain_timeout ~workers ~respawns ~retries
-          ~finished:(fun i -> value keys.(i) <> None)
-          ~worker:(worker store) ~keys ()
-      in
-      (outcomes, Array.map value keys))
+(* Each outcome without the worker's pid. *)
+let doubled outcomes =
+  Array.to_list (Array.map (fun (r, attempts) -> (Result.map fst r, attempts)) outcomes)
+
+let outcome = Alcotest.(pair (result int string) int)
 
 let test_pool_completes () =
-  let outcomes, values =
-    run_pool ~workers:3 ~respawns:0 ~retries:0 ~worker:(worker_body ~kill_on:[]) 6
-  in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Procpool.Completed { attempts } ->
-        check Alcotest.int (Printf.sprintf "cell %d one attempt" i) 1 attempts
-      | Procpool.Failed { reason; _ } ->
-        Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-    outcomes;
-  Array.iteri
-    (fun i v ->
-      check Alcotest.(option int)
-        (Printf.sprintf "value of cell/%d recovered from the store" i)
-        (Some (2 * i)) v)
-    values
+  let outcomes, arrived = run_map ~workers:3 ~retries:0 6 in
+  check (Alcotest.list outcome) "every cell's value, on its first attempt"
+    (List.init 6 (fun i -> (Ok (2 * i), 1)))
+    (doubled outcomes);
+  Alcotest.(check bool) "every value made in a worker" true
+    (Array.for_all
+       (function Ok (_, pid), _ -> pid <> Unix.getpid () | Error _, _ -> false)
+       outcomes);
+  check Alcotest.(list int) "each value reached on_value once" (List.init 6 Fun.id)
+    (List.sort compare arrived)
 
 let test_pool_kill_respawn_recovers () =
-  (* Worker SIGKILLs itself before storing cell/2 on its first attempt: the
-     coordinator must reap it, find no entry (only a torn temp file),
-     respawn, and retry the cell to completion. *)
-  let outcomes, values =
-    run_pool ~workers:2 ~respawns:4 ~retries:1
-      ~worker:(worker_body ~kill_on:[ ("cell/2", 0) ])
+  (* The worker SIGKILLs itself before making cell 2's first attempt: the
+     coordinator sees its EOF, and the retry forks a fresh worker that
+     completes the cell. *)
+  let outcomes, arrived =
+    run_map ~workers:2 ~retries:1
+      ~before:(fun ~index ~attempt -> if index = 2 && attempt = 0 then kill_self ())
       4
   in
-  (match outcomes.(2) with
-  | Procpool.Completed { attempts } -> check Alcotest.int "killed cell retried once" 2 attempts
-  | Procpool.Failed { reason; _ } ->
-    Alcotest.fail (Printf.sprintf "killed cell must recover: %s" reason));
-  Array.iteri
-    (fun i o ->
-      if i <> 2 then
-        match o with
-        | Procpool.Completed _ -> ()
-        | Procpool.Failed { reason; _ } ->
-          Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-    outcomes;
-  check Alcotest.(option int) "killed cell's value recovered" (Some 4) values.(2)
+  check (Alcotest.list outcome) "the killed cell completes on its retry"
+    [ (Ok 0, 1); (Ok 2, 1); (Ok 4, 2); (Ok 6, 1) ]
+    (doubled outcomes);
+  check Alcotest.int "the killed cell's value arrived once" 1
+    (List.length (List.filter (( = ) 2) arrived))
 
-let test_pool_budget_exhaustion_fails_cleanly () =
-  (* A persistently killing cell with a tiny respawn budget: the pool must
-     fail the cell (and only report transient loss) instead of hanging. *)
-  let kill_on = List.init 10 (fun a -> ("cell/1", a)) in
-  let outcomes, values =
-    run_pool ~workers:2 ~respawns:1 ~retries:5 ~worker:(worker_body ~kill_on) 3
+let test_pool_killed_every_attempt () =
+  (* The retry budget bounds the forks: a cell whose worker dies on every
+     attempt fails after [retries + 1] attempts with the reason of its last
+     lost attempt, and every other cell completes. *)
+  let outcomes, _ =
+    run_map ~workers:2 ~retries:3
+      ~before:(fun ~index ~attempt:_ -> if index = 1 then kill_self ())
+      3
   in
-  (match outcomes.(1) with
-  | Procpool.Failed { transient; _ } ->
-    Alcotest.(check bool) "loss reported transient" true transient
-  | Procpool.Completed _ -> Alcotest.fail "persistently killed cell cannot complete");
-  check Alcotest.(option int) "poisonous cell left no value" None values.(1)
-
-(* A worker whose reply is torn: it writes "OK <i>" with no terminating
-   newline and SIGKILLs itself mid-line.  With [stored] it stores the
-   cell's value first, on every attempt; without, it tears the first
-   attempt before storing anything and serves the retry normally. *)
-let torn_reply_body ~stored store (ctx : Procpool.ctx) =
-  ignore (Procpool.serve ctx ~handle:(fun ~index ~attempt ~key ->
-      let v = 2 * int_of_string (Filename.basename key) in
-      if stored || attempt = 0 then begin
-        if stored then Rescache.store store ~key v;
-        output_string ctx.Procpool.reply_out (Printf.sprintf "OK %d" index);
-        flush ctx.Procpool.reply_out;
-        Unix.kill (Unix.getpid ()) Sys.sigkill
-      end;
-      Rescache.store store ~key v;
-      Procpool.Done))
-
-let test_torn_line_discarded () =
-  (* A reply torn mid-line by a dying worker must be discarded, not parsed:
-     the store alone decides the cell.  An entry that raced the torn reply
-     counts the cell completed on its first attempt; without one the
-     attempt is lost and retried — a parsed torn "OK" would instead claim a
-     first-attempt completion with no value behind it. *)
-  List.iter
-    (fun (stored, expected_attempts) ->
-      let outcomes, values =
-        run_pool ~workers:1 ~respawns:6 ~retries:1 ~worker:(torn_reply_body ~stored) 3
-      in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Procpool.Completed { attempts } ->
-            check Alcotest.int
-              (Printf.sprintf "cell %d attempts (stored=%b)" i stored)
-              expected_attempts attempts
-          | Procpool.Failed { reason; _ } ->
-            Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-        outcomes;
-      Array.iteri
-        (fun i v ->
-          check Alcotest.(option int) (Printf.sprintf "value of cell/%d recovered" i)
-            (Some (2 * i)) v)
-        values)
-    [ (true, 1); (false, 2) ]
-
-(* --- hostile reply lines ---------------------------------------------------- *)
-
-(* Serves like [worker_body ~kill_on:[]], but after storing each cell
-   writes [junk index] to the reply pipe ahead of its real reply. *)
-let junk_worker junk store (ctx : Procpool.ctx) =
-  ignore (Procpool.serve ctx ~handle:(fun ~index ~attempt:_ ~key ->
-      Rescache.store store ~key (2 * int_of_string (Filename.basename key));
-      List.iter (fun l -> output_string ctx.Procpool.reply_out (l ^ "\n")) (junk index);
-      flush ctx.Procpool.reply_out;
-      Procpool.Done))
-
-(* Run [n] cells on two junk-emitting workers; true iff every cell completed
-   on its first attempt with its value in the store. *)
-let sweep_survives_junk ~n junk =
-  let outcomes, values = run_pool ~workers:2 ~respawns:0 ~retries:0 ~worker:(junk_worker junk) n in
-  Array.for_all (function Procpool.Completed { attempts = 1 } -> true | _ -> false) outcomes
-  && Array.for_all Option.is_some values
-
-let test_hostile_replies_dropped () =
-  (* The OK/ERR lines with a bad index or class once did damage: a
-     non-decimal or out-of-range index raised out of the coordinator or
-     resolved the wrong cell, an OK/ERR for a cell the worker was not
-     running resolved that cell without running it, and an unknown ERR
-     class failed the cell as permanent.  The rest are malformed shapes
-     that must stay harmless. *)
-  let n = 4 in
-  let hostile index =
-    let other = (index + 1) mod n in
+  check (Alcotest.list outcome) "only the killed cell fails"
     [
-      "OK -1"; "OK +1"; "OK 0x1"; "OK 0b1"; "OK 1_000"; Printf.sprintf "OK %d" n;
-      "OK 99999"; "OK 99999999999999999999999"; Printf.sprintf "OK %d" other;
-      Printf.sprintf "ERR %d T %s" other (Checksum.hex_of_string "forged");
-      Printf.sprintf "ERR %d X %s" index (Checksum.hex_of_string "bad class");
-      Printf.sprintf "ERR %d T zz" index; Printf.sprintf "OK %d trailing" index; "";
-      "RUN 0 0 00"; "FIN";
+      (Ok 0, 1);
+      (Error (Printexc.to_string (Fault.Killed { index = 1; attempt = 3 })), 4);
+      (Ok 4, 1);
     ]
-  in
-  Alcotest.(check bool) "every cell completes once, its value stored" true
-    (sweep_survives_junk ~n hostile)
+    (doubled outcomes)
 
-let hostile_line_gen =
-  let open QCheck.Gen in
-  let index = oneof [ int_range (-3) 8; oneofl [ max_int; min_int; 1 lsl 40 ] ] in
-  let hex = map Checksum.hex_of_string (string_size ~gen:char (int_bound 6)) in
-  let byte = char_range ' ' '~' in
-  let template =
-    oneof
-      [
-        map (Printf.sprintf "OK %d") index;
-        map (Printf.sprintf "OK 0x%x") index;
-        map3 (Printf.sprintf "ERR %d %c %s") index (oneofl [ 'T'; 'P'; 'X'; 't' ]) hex;
-        map2 (Printf.sprintf "RUN %d 0 %s") index hex;
-        oneofl [ "RDY"; "FIN"; "" ];
-      ]
-  in
-  let mutate s =
-    let len = String.length s in
-    let* pos = int_bound len in
-    let* c = byte in
-    let* op = int_bound 2 in
-    return
-      (match op with
-      | 0 when pos < len -> String.mapi (fun i x -> if i = pos then c else x) s
-      | 1 when pos < len -> String.sub s 0 pos ^ String.sub s (pos + 1) (len - pos - 1)
-      | _ -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (len - pos))
-  in
-  frequency
-    [
-      (3, template);
-      (3, template >>= mutate);
-      (1, string_size ~gen:byte (int_bound 12));
-    ]
+(* Two cells on two workers.  The coordinator touches [asleep] in cell 0's
+   [on_value] and sleeps there for 0.5 s.  Cell 1's worker waits for
+   [asleep] in its first attempt and then arms a 100 ms timer whose
+   default SIGALRM action ends it, so it dies before the coordinator reads
+   any of cell 1's frame.  A [size] beyond the pipe buffer makes the worker
+   die blocked mid-write, leaving a short frame; a small one puts its whole
+   frame in the pipe ahead of the EOF.  Returns each cell's value length
+   and attempts. *)
+let alarmed_run ~size =
+  with_dir (fun dir ->
+      let asleep = Filename.concat dir "asleep" in
+      Procpool.map ~workers:2 ~retries:1
+        ~attempt:(fun ~index ~attempt ->
+          if index = 1 && attempt = 0 then begin
+            let deadline = Unix.gettimeofday () +. 10. in
+            while (not (Sys.file_exists asleep)) && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.005
+            done;
+            ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0.1 })
+          end;
+          Ok (String.make (if index = 1 then size else 1) 'x'))
+        ~on_value:(fun i _ ->
+          if i = 0 then begin
+            write_file asleep "";
+            Unix.sleepf 0.5
+          end)
+        2
+      |> Array.map (fun (r, attempts) -> (Result.map String.length r, attempts))
+      |> Array.to_list)
 
-let print_lines ls = String.concat " " (List.map (Printf.sprintf "%S") ls)
+let test_torn_frame_discarded () =
+  check (Alcotest.list outcome) "the torn attempt is lost, and only that one"
+    [ (Ok 1, 1); (Ok (1 lsl 22), 2) ]
+    (alarmed_run ~size:(1 lsl 22))
 
-let test_hostile_replies_property =
-  (* Random and mutated reply lines ahead of every real reply: the sweep
-     must neither raise nor resolve a cell that is not in flight.  Lines
-     naming the replying worker's own cell are not sent — a lenient reading
-     of their index says they could legitimately resolve it. *)
-  let names_cell index l =
-    match String.split_on_char ' ' l with
-    | ("OK" | "ERR") :: i :: _ -> int_of_string_opt i = Some index
-    | _ -> false
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:30
-       ~name:"hostile reply lines never raise or resolve a cell out of flight"
-       (QCheck.make ~print:print_lines QCheck.Gen.(list_size (int_bound 6) hostile_line_gen))
-       (fun lines ->
-         sweep_survives_junk ~n:4 (fun index ->
-             List.filter (fun l -> not (names_cell index l)) lines)))
-
-let line_gen =
-  let open QCheck.Gen in
-  let key = string_size ~gen:char (int_bound 12) in
-  oneof
-    [
-      map3 (fun index attempt key -> Procpool.Run { index; attempt; key }) nat nat key;
-      return Procpool.Fin;
-      return Procpool.Rdy;
-      map (fun i -> Procpool.Ok_ i) nat;
-      map3
-        (fun index transient reason -> Procpool.Err { index; transient; reason })
-        nat bool key;
-    ]
-
-let test_wire_lines_round_trip =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:500 ~name:"wire lines: parse_line inverts render_line"
-       (QCheck.make ~print:Procpool.render_line line_gen)
-       (fun l -> Procpool.parse_line (Procpool.render_line l) = Some l))
-
-let test_wire_lines_hostile =
-  (* Whatever parse_line accepts carries non-negative numbers and survives a
-     render/parse round trip; nothing makes it raise. *)
-  let non_negative = function
-    | Procpool.Run { index; attempt; _ } -> index >= 0 && attempt >= 0
-    | Procpool.Ok_ index | Procpool.Err { index; _ } -> index >= 0
-    | Procpool.Fin | Procpool.Rdy -> true
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:1000 ~name:"wire lines: hostile input parses safely"
-       (QCheck.make ~print:(Printf.sprintf "%S") hostile_line_gen)
-       (fun s ->
-         match Procpool.parse_line s with
-         | None -> true
-         | Some l -> non_negative l && Procpool.parse_line (Procpool.render_line l) = Some l))
-
-let test_drain_timeout_kills_straggler () =
-  (* A worker that survives FIN must be killed once the configured drain
-     grace expires — promptly, with a warning naming it — instead of
-     wedging the coordinator for the default 10 s. *)
-  with_dir (fun scratch ->
-      let stderr_copy = Filename.concat scratch "stderr.txt" in
-      let saved = Unix.dup Unix.stderr in
-      let fd =
-        Unix.openfile stderr_copy [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-      in
-      Unix.dup2 fd Unix.stderr;
-      Unix.close fd;
-      let t0 = Unix.gettimeofday () in
-      let outcomes, _ =
-        Fun.protect
-          ~finally:(fun () ->
-            flush stderr;
-            Unix.dup2 saved Unix.stderr;
-            Unix.close saved)
-          (fun () ->
-            run_pool ~drain_timeout:0.2 ~workers:1 ~respawns:0 ~retries:0
-              ~worker:(fun store ctx ->
-                worker_body ~kill_on:[] store ctx;
-                Unix.sleep 60)
-              2)
-      in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Procpool.Completed _ -> ()
-          | Procpool.Failed { reason; _ } ->
-            Alcotest.fail (Printf.sprintf "cell %d failed: %s" i reason))
-        outcomes;
-      Alcotest.(check bool)
-        (Printf.sprintf "returned promptly (%.1fs)" elapsed)
-        true (elapsed < 5.0);
-      Alcotest.(check bool) "warning names the straggler" true
-        (contains ~sub:"did not exit within" (read_file stderr_copy)))
+let test_whole_frame_then_kill () =
+  check (Alcotest.list outcome) "a whole frame completes its cell on that attempt"
+    [ (Ok 1, 1); (Ok 5, 1) ]
+    (alarmed_run ~size:5)
 
 (* --- Supervise on worker processes ----------------------------------------- *)
 
@@ -525,21 +328,31 @@ let test_fault_index_counts_executed_cells () =
     [ ("c", "injected crash (job 1, attempt 0)") ]
     (List.map (fun (f : Supervise.failure) -> (f.key, f.reason)) sweep.Supervise.failures)
 
-let test_killed_coordinator_leaves_no_scratch () =
-  (* A SIGKILLed coordinator never runs its own cleanup, so its workers —
-     at EOF on the command pipe, or unable to reply — remove the sweep's
-     scratch store.  The coordinator is a child with a private temp
-     directory, killed once a worker has stored the quick cell 0 and while
-     the slow cells are still running. *)
-  with_dir (fun tmp ->
-      (* Read directly: opening a store would recreate a removed one. *)
-      let json_files d =
-        match Sys.readdir (Filename.concat tmp d) with
-        | names -> List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list names)
-        | exception Sys_error _ -> []
-      in
-      let entries () =
-        Array.fold_left (fun n d -> n + List.length (json_files d)) 0 (Sys.readdir tmp)
+(* The JSON entries of store directory [dir], read directly: opening a
+   store would create a missing one. *)
+let json_entries dir =
+  match Sys.readdir dir with
+  | names ->
+    Array.fold_left (fun n f -> if Filename.check_suffix f ".json" then n + 1 else n) 0 names
+  | exception Sys_error _ -> 0
+
+let test_killed_coordinator_keeps_cells () =
+  (* A SIGKILLed coordinator keeps every value that reached it, since each
+     is checkpointed as it arrives.  The coordinator is a child with a
+     private temp directory, killed once the two quick cells are in the
+     checkpoint and while the two slow ones still run.  Its workers must
+     exit, and nothing may be left in its temp directory.  The coordinator
+     and so its workers inherit the write end of [alive], which reads EOF
+     once every one of them has exited. *)
+  with_dir (fun dir ->
+      let tmp = Filename.concat dir "tmp" and ck = Filename.concat dir "ck" in
+      Unix.mkdir tmp 0o755;
+      let cells =
+        List.init 4 (fun i ->
+            Supervise.cell ~cache:(Printf.sprintf "kc|%d" i) (Printf.sprintf "kc/%d" i)
+              (fun ~fuel:_ ->
+                if i >= 2 then Unix.sleepf 1.0;
+                i * i))
       in
       let wait_for what p =
         let deadline = Unix.gettimeofday () +. 10. in
@@ -548,27 +361,84 @@ let test_killed_coordinator_leaves_no_scratch () =
         done;
         Alcotest.(check bool) what true (p ())
       in
+      let alive, alive_w = Unix.pipe () in
       flush_all ();
       match Unix.fork () with
       | 0 ->
+        Unix.close alive;
         Filename.set_temp_dir_name tmp;
-        let cells =
-          List.init 3 (fun i ->
-              Supervise.cell (Printf.sprintf "slow/%d" i) (fun ~fuel:_ ->
-                  if i > 0 then Unix.sleepf 1.0;
-                  i))
-        in
-        (try ignore (Supervise.run ~config:workers2 cells) with _ -> ());
+        (try ignore (Supervise.run ~config:{ workers2 with checkpoint = Some ck } cells)
+         with _ -> ());
         Unix._exit 0
       | pid ->
+        Unix.close alive_w;
         Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> Unix.close alive)
           (fun () ->
-            wait_for "a worker stored cell 0" (fun () -> entries () > 0);
-            Alcotest.(check bool) "killed mid-sweep" true (entries () < 3));
-        wait_for "the workers removed the scratch store" (fun () -> Sys.readdir tmp = [||]))
+            Fun.protect
+              ~finally:(fun () ->
+                Unix.kill pid Sys.sigkill;
+                ignore (Unix.waitpid [] pid))
+              (fun () ->
+                wait_for "the quick cells are checkpointed" (fun () -> json_entries ck >= 2));
+            wait_for "the workers exit" (fun () ->
+                match Unix.select [ alive ] [] [] 0. with
+                | [], _, _ -> false
+                | _ -> Unix.read alive (Bytes.create 1) 0 1 = 0);
+            check Alcotest.int "killed mid-sweep" 2 (json_entries ck);
+            let store = Rescache.open_dir ck in
+            check
+              Alcotest.(list (option int))
+              "the values that arrived read back"
+              [ Some 0; Some 1 ]
+              (List.map (fun key -> Rescache.find store ~key) [ "kc|0"; "kc|1" ]);
+            check Alcotest.(array string) "the temp directory is empty" [||] (Sys.readdir tmp)))
+
+(* [f ()] computed in a forked child and marshalled back, for a run that
+   starts domains: this process could fork no worker after one. *)
+let in_child f =
+  let r, w = Unix.pipe () in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let oc = Unix.out_channel_of_descr w in
+    Unix._exit
+      (match Marshal.to_channel oc (f ()) [] with
+      | () ->
+        close_out oc;
+        0
+      | exception _ -> 1)
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        ignore (Unix.waitpid [] pid))
+      (fun () -> Marshal.from_channel ic)
+
+let test_many_kills_fail_alike () =
+  (* Ten deaths in one sweep: each loses only its own attempt, so worker
+     processes fail exactly the cells a domain pool fails, with the same
+     reasons. *)
+  let fault =
+    Result.get_ok (Fault.parse (String.concat "," (List.init 10 (Printf.sprintf "kill@%d"))))
+  in
+  let cells =
+    List.init 12 (fun i -> Supervise.cell (Printf.sprintf "x/%d" i) (fun ~fuel:_ -> i * i))
+  in
+  let run config =
+    let s = Supervise.run ~config:{ config with Supervise.fault } cells in
+    (s.Supervise.results, s.Supervise.failures)
+  in
+  let multi = run workers2 in
+  let domains : (string * int option) list * Supervise.failure list =
+    in_child (fun () -> run { Supervise.default with jobs = 2 })
+  in
+  check Alcotest.int "ten failed cells" 10 (List.length (snd domains));
+  check results "results" (fst domains) (fst multi);
+  Alcotest.(check bool) "failure lists equal" true (snd domains = snd multi)
 
 let test_checkpoint_resume () =
   with_dir (fun dir ->
@@ -602,8 +472,8 @@ let test_cached_sweep_starts_no_domain () =
       Alcotest.(check bool) "the next sweep still forks" true (ran_elsewhere next))
 
 let test_worker_results_cached () =
-  (* Workers never touch the cache; the coordinator stores every value it
-     reads back, so its counters see each write. *)
+  (* Workers never touch the cache; the coordinator stores every value as
+     it arrives, so its counters see each write. *)
   with_dir (fun dir ->
       let rc = Rescache.open_dir dir in
       let sweep =
@@ -631,15 +501,10 @@ let suite =
       [
         Alcotest.test_case "pool completes and values recover" `Quick test_pool_completes;
         Alcotest.test_case "kill, respawn, recover" `Quick test_pool_kill_respawn_recovers;
-        Alcotest.test_case "respawn budget exhaustion" `Quick
-          test_pool_budget_exhaustion_fails_cleanly;
-        Alcotest.test_case "torn reply line discarded" `Quick test_torn_line_discarded;
-        Alcotest.test_case "drain timeout kills straggler" `Quick
-          test_drain_timeout_kills_straggler;
-        Alcotest.test_case "hostile replies dropped" `Quick test_hostile_replies_dropped;
-        test_hostile_replies_property;
+        Alcotest.test_case "cell killed on every attempt" `Quick test_pool_killed_every_attempt;
+        Alcotest.test_case "frame torn by a kill discarded" `Quick test_torn_frame_discarded;
+        Alcotest.test_case "kill after whole frame counts" `Quick test_whole_frame_then_kill;
       ] );
-    ("procpool.wire", [ test_wire_lines_round_trip; test_wire_lines_hostile ]);
     ( "procpool.sweeps",
       [
         Alcotest.test_case "every cell runs in a worker" `Quick test_sweep_forks_workers;
@@ -647,10 +512,11 @@ let suite =
         Alcotest.test_case "kill injection" `Quick test_kill_injection;
         Alcotest.test_case "executors report the same failures" `Quick
           test_executors_report_same_failures;
+        Alcotest.test_case "ten kills fail as at -j 2" `Quick test_many_kills_fail_alike;
         Alcotest.test_case "fault indices count executed cells" `Quick
           test_fault_index_counts_executed_cells;
-        Alcotest.test_case "killed coordinator leaves no scratch store" `Quick
-          test_killed_coordinator_leaves_no_scratch;
+        Alcotest.test_case "killed coordinator keeps cells" `Quick
+          test_killed_coordinator_keeps_cells;
         Alcotest.test_case "checkpoint then resume" `Quick test_checkpoint_resume;
         Alcotest.test_case "cached sweep starts no domain" `Quick
           test_cached_sweep_starts_no_domain;
