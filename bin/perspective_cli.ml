@@ -590,6 +590,15 @@ let contracts_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the matrix as CSV to $(docv).")
   in
+  let seed_arg =
+    Arg.(
+      value & opt int 42
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:
+            "Keys the cells' cache and checkpoint entries, and nothing else today: an \
+             attack draws its secret from the seed only when none is planted, and \
+             every cell plants both secrets, so every seed prints the same matrix.")
+  in
   let run seed attacks schemes csv sup =
     let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
     let attacks = Option.map split_commas attacks in

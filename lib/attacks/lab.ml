@@ -7,41 +7,86 @@ module View_manager = Perspective.View_manager
 module Isv = Perspective.Isv
 module Bitset = Pv_util.Bitset
 
+(* One attack machine: a memory system over its backing store and a
+   pipeline.  [pipe] changes with every reset, which returns a new handle on
+   the same arrays. *)
+type machine = { ms : Memsys.t; mutable pipe : Pipeline.t }
+
+(* The calling domain's machines, one per pipeline config, and the
+   generation of its newest lab. *)
+type home = {
+  mutable plain : machine option;
+  mutable traced : machine option;
+  mutable gen : int;
+}
+
+let home_key = Domain.DLS.new_key (fun () -> { plain = None; traced = None; gen = 0 })
+
 type t = {
   phys : Physmem.t;
-  mem : Mem.t;
-  ms : Memsys.t;
-  pipe : Pipeline.t;
+  m : machine;
   node_of_fid : int -> int option;
   nnodes : int;
   mutable defense : Defense.t option;
+  home : home;
+  gen : int;
 }
 
 let frames = 1024
 
-let create ~prog ~node_of_fid ~nnodes ?(trace = false) () =
-  let phys = Physmem.create ~frames in
-  let mem = Mem.create () in
-  let ms = Memsys.create mem in
-  let config =
-    if trace then
-      { Pipeline.default_config with trace_events = true; trace_capacity = 65536 }
-    else Pipeline.default_config
-  in
-  let pipe = Pipeline.create ~config ms prog in
-  { phys; mem; ms; pipe; node_of_fid; nnodes; defense = None }
+let traced_config =
+  { Pipeline.default_config with trace_events = true; trace_capacity = 65536 }
 
-let phys t = t.phys
-let memsys t = t.ms
-let pipeline t = t.pipe
+let create ~prog ~node_of_fid ~nnodes ?(trace = false) () =
+  let home = Domain.DLS.get home_key in
+  let m =
+    match if trace then home.traced else home.plain with
+    | Some m ->
+      Memsys.reset m.ms;
+      m.pipe <- Pipeline.reset m.pipe prog;
+      m
+    | None ->
+      let config = if trace then traced_config else Pipeline.default_config in
+      let ms = Memsys.create (Mem.create ()) in
+      let m = { ms; pipe = Pipeline.create ~config ms prog } in
+      if trace then home.traced <- Some m else home.plain <- Some m;
+      m
+  in
+  home.gen <- home.gen + 1;
+  {
+    phys = Physmem.create ~frames;
+    m;
+    node_of_fid;
+    nnodes;
+    defense = None;
+    home;
+    gen = home.gen;
+  }
+
+(* Every accessor goes through [live]: a lab's machine belongs to the next
+   lab created on its domain. *)
+let live t =
+  if t.gen <> t.home.gen then
+    invalid_arg "Lab: stale handle (a later Lab.create reused its machine)";
+  t.m
+
+let phys t =
+  ignore (live t);
+  t.phys
+
+let memsys t = (live t).ms
+
+let pipeline t = (live t).pipe
 
 let alloc t ~owner ~count =
+  ignore (live t);
   List.init count (fun _ ->
       match Physmem.alloc_pages t.phys ~order:0 owner with
       | Some f -> Physmem.frame_va f
       | None -> failwith "Lab.alloc: out of frames")
 
 let install t ~scheme ~views =
+  let m = live t in
   let oracle ~ctx ~page =
     match Physmem.owner_of t.phys page with
     | Some (Physmem.Cgroup c) -> c = ctx
@@ -61,19 +106,21 @@ let install t ~scheme ~views =
     views;
   let d =
     Defense.build ~scheme ~vm ~node_of_fid:t.node_of_fid ~block_unknown:true
-      ~memsys:t.ms ()
+      ~memsys:m.ms ()
   in
   t.defense <- Some d;
-  Pipeline.set_guard t.pipe (Defense.guard d)
+  Pipeline.set_guard m.pipe (Defense.guard d)
 
-let defense t = t.defense
+let defense t =
+  ignore (live t);
+  t.defense
 
-let flush t va = Memsys.flush_line t.ms va
+let flush t va = Memsys.flush_line (live t).ms va
 
-let warm t va = ignore (Memsys.data_read t.ms va)
+let warm t va = ignore (Memsys.data_read (live t).ms va)
 
 let warm_code t ~asid va =
-  ignore (Memsys.inst_read t.ms (Pv_isa.Layout.phys_key ~asid va))
+  ignore (Memsys.inst_read (live t).ms (Pv_isa.Layout.phys_key ~asid va))
 
 type outcome = {
   scheme : string;
@@ -89,9 +136,10 @@ type outcome = {
 let hit_threshold = 9
 
 let readout t ~scheme ~secret ~fences ~transmit =
+  let ms = (live t).ms in
   let hot = ref [] in
   for s = 255 downto 0 do
-    if Memsys.reload_latency t.ms (transmit + (s * 64)) < hit_threshold then hot := s :: !hot
+    if Memsys.reload_latency ms (transmit + (s * 64)) < hit_threshold then hot := s :: !hot
   done;
   let leaked = match !hot with [ s ] -> Some s | _ -> None in
   {
@@ -103,4 +151,4 @@ let readout t ~scheme ~secret ~fences ~transmit =
     hot_slot_count = List.length !hot;
   }
 
-let store t va v = Mem.store t.mem va v
+let store t va v = Mem.store (Memsys.mem (live t).ms) va v

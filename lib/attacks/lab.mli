@@ -6,7 +6,17 @@
     half of flush+reload.  Reloads probe physical keys (the direct-map
     alias of the line the gadget touched), which is how a real attacker's
     user mapping and the kernel's direct-map access meet at the same
-    physical set. *)
+    physical set.
+
+    {b One machine per domain.}  A lab does not build its machine: each
+    domain keeps one memory system and pipeline per pipeline config
+    (traced or untraced), and {!create} resets that machine to its
+    create-time state, installs the run's program and pairs it with a fresh
+    {!Pv_kernel.Physmem}.  A run on a reset machine is indistinguishable
+    from a run on a new one.  A lab is therefore valid only until the next
+    {!create} on its domain, whatever that lab's config: every accessor of
+    an older lab raises [Invalid_argument].  Attack programs are still built
+    per run. *)
 
 type t
 
@@ -20,10 +30,13 @@ val create :
   ?trace:bool ->
   unit ->
   t
-(** [trace] (default false) turns on the pipeline's event-trace ring — the
-    contract checker's observation tap.  Its 64 K events are a capacity,
-    not an up-front allocation: the ring starts empty and doubles as events
-    arrive, and only a run that records more than 64 K wraps it. *)
+(** Reset the calling domain's machine for [trace] (default false) and
+    install [prog]; the previous lab created on this domain goes stale.
+    [trace] turns on the pipeline's event-trace ring — the contract
+    checker's observation tap.  Its 64 K events are a capacity, not an
+    up-front allocation: the ring grows as events arrive (and a reused
+    machine keeps the grown buffer), and only a run that records more than
+    64 K wraps it. *)
 
 val phys : t -> Pv_kernel.Physmem.t
 val memsys : t -> Pv_uarch.Memsys.t

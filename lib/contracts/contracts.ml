@@ -84,35 +84,37 @@ type obs = {
    post-attack cache state taken *before* the attacker's reload sweep
    perturbs it.  Commit digests cover (fid, idx) pairs only — the victim
    legitimately loads its own secret, so committed *values* are not part of
-   any observation an attacker can see. *)
+   any observation an attacker can see.  Each component streams into its
+   digest as it is produced: the commit tap folds ["fid.idx;"], and the
+   event ring and the cache signatures are written from the machine in
+   place, so the digests equal those of the rendered text without it ever
+   being built. *)
 let observe_run ~attack ~scheme ~seed ~secret =
-  let commit_buf = Buffer.create 4096 in
+  let commits = Checksum.create () in
   let on_commit fid idx _insn =
-    Buffer.add_string commit_buf (string_of_int fid);
-    Buffer.add_char commit_buf '.';
-    Buffer.add_string commit_buf (string_of_int idx);
-    Buffer.add_char commit_buf ';'
+    Checksum.add_int commits fid;
+    Checksum.add_char commits '.';
+    Checksum.add_int commits idx;
+    Checksum.add_char commits ';'
   in
   let captured = ref None in
   let observe lab =
     let pipe = Lab.pipeline lab in
     let ms = Lab.memsys lab in
-    let caches =
-      String.concat "|"
-        [
-          Cache.state_signature (Memsys.l1d ms);
-          Cache.state_signature (Memsys.l2 ms);
-          Cache.state_signature (Memsys.l1i ms);
-        ]
-    in
-    let events =
-      String.concat "\n" (List.map Pipeline.event_to_json (Pipeline.events pipe))
-    in
+    let caches = Checksum.create () in
+    let out = Checksum.Digest caches in
+    Cache.write_signature out (Memsys.l1d ms);
+    Checksum.put_char out '|';
+    Cache.write_signature out (Memsys.l2 ms);
+    Checksum.put_char out '|';
+    Cache.write_signature out (Memsys.l1i ms);
+    let events = Checksum.create () in
+    Pipeline.write_events (Checksum.Digest events) pipe;
     let c = Pipeline.counters pipe in
     captured :=
       Some
-        ( Checksum.digest_hex caches,
-          Checksum.digest_hex events,
+        ( Checksum.hex caches,
+          Checksum.hex events,
           c.Pipeline.spec_loads,
           Pipeline.total_fences c )
   in
@@ -127,7 +129,7 @@ let observe_run ~attack ~scheme ~seed ~secret =
   | None -> failwith "Contracts.observe_run: attack never reached its observation point"
   | Some (cache_digest, event_digest, spec_loads, fences) ->
     {
-      commit_digest = Checksum.digest_hex (Buffer.contents commit_buf);
+      commit_digest = Checksum.hex commits;
       event_digest;
       cache_digest;
       leaked = o.Lab.leaked;

@@ -16,6 +16,15 @@
     - the covert-channel readout (leaked byte, hot-slot count) and the
       speculation counters.
 
+    The first three components are streamed into {!Pv_util.Checksum}
+    digests as they are produced: the commit tap folds ["fid.idx;"] per
+    commit, and the event ring and the cache signatures are written from the
+    machine in place.  No observation text is built, and each digest is
+    byte-identical to the FNV-1a digest of the rendered text
+    ([String.concat "\n"] of {!Pv_uarch.Pipeline.event_to_json} lines; the
+    three signatures joined by ['|']).  Each run takes its domain's attack
+    machine (see {!Pv_attacks.Lab.create}).
+
     Diffing the two runs places the scheme on a small contract lattice:
 
     - [Arch_seq] — observations are secret-independent and no speculative
@@ -84,7 +93,11 @@ val check :
   ?seed:int -> ?secrets:int * int -> attack:string -> scheme:string -> unit -> result
 (** One matrix cell: run [attack] twice under [scheme] with the two planted
     secrets and classify.  Raises [Invalid_argument] on unknown labels.
-    Deterministic: equal inputs give byte-equal results. *)
+    Deterministic: equal inputs give byte-equal results.
+
+    [seed] (default 7) changes nothing today: each attack uses its seed
+    only to draw a secret when none is planted, and [check] plants both.
+    Seeds that vary the secrets or the programs are future work. *)
 
 (** {1 Supervised matrix} *)
 
@@ -97,7 +110,8 @@ val cells :
   result Pv_experiments.Supervise.cell list
 (** The full (or filtered) matrix as supervised cells, attack-major in
     registry order.  Labels are validated up front — an unknown name raises
-    [Invalid_argument] before any cell runs. *)
+    [Invalid_argument] before any cell runs.  [seed] only keys the cells'
+    descriptors (see {!check}): every seed gives the same results. *)
 
 val matrix_table :
   ?attacks:string list ->

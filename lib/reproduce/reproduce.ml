@@ -229,19 +229,23 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
   if List.exists (wants t) perf_labels then begin
     let schemes = List.map (fun v -> v.E.Schemes.label) perf_variants in
     (* Cells are declared only when a wanted section reads them: Figure 9.2
-       reads only the LEBench matrix. *)
+       reads only the LEBench matrix and Figure 9.3 only the app matrix. *)
+    let lebench_labels = [ "fig-9.2"; "table-10.1"; "comparisons"; "sensitivity" ] in
+    let tests = if List.exists (wants t) lebench_labels then Lebench.tests else [] in
     let app_labels = [ "fig-9.3"; "table-10.1"; "comparisons"; "sensitivity" ] in
     let apps = if List.exists (wants t) app_labels then Apps.all else [] in
     let extra = if wants t "sensitivity" then sensitivity_cells scale else [] in
     let micro, macro, results =
-      perf_matrices t ~seed:42 ~scale ~variants:perf_variants ~tests:Lebench.tests ~apps
-        ~extra ?metrics ?trace_dir ()
+      perf_matrices t ~seed:42 ~scale ~variants:perf_variants ~tests ~apps ~extra ?metrics
+        ?trace_dir ()
     in
-    (* Tables that read every run render only from complete matrices. *)
+    (* Tables that read every run of a matrix render only when it is
+       complete. *)
+    let skipped () = print_endline "(skipped: the performance matrices have FAILED cells)" in
     let full f =
       match (E.Perf.complete_matrix micro, E.Perf.complete_matrix macro) with
       | Some micro, Some macro -> f ~micro ~macro
-      | _ -> print_endline "(skipped: the performance matrices have FAILED cells)"
+      | _ -> skipped ()
     in
     section t "fig-9.2" "LEBench normalized latency" (fun () ->
         let tab = E.Perf_report.fig_lebench_partial ~labels:schemes micro in
@@ -251,7 +255,9 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
         let tab = E.Perf_report.fig_apps_partial ~labels:schemes macro in
         Tab.print tab;
         Option.iter (Tab.save_csv tab) (csv_file "fig-9.3");
-        full (fun ~micro:_ ~macro -> Tab.print (E.Perf_report.kernel_time_table macro)));
+        match E.Perf.complete_matrix macro with
+        | Some macro -> Tab.print (E.Perf_report.kernel_time_table macro)
+        | None -> skipped ());
     section t "table-10.1" "Fence breakdown (ISV vs DSV)" (fun () ->
         full (fun ~micro ~macro ->
             Tab.print (E.Perf_report.fence_breakdown (micro @ macro));

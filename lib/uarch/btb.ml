@@ -13,16 +13,28 @@ let tag_bits = 12
 
 let ways = 4
 
+let flush t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
+
+(* Create-time state: no entry valid.  Stale tags, targets and LRU stamps
+   are never read while an entry's valid byte is clear. *)
+let reset t =
+  flush t;
+  t.tick <- 0
+
 let create ?(entries = 4096) () =
   if entries mod ways <> 0 then invalid_arg "Btb.create: entries not divisible by ways";
-  {
-    nsets = entries / ways;
-    tags = Array.make entries 0;
-    targets = Array.make entries 0;
-    lru = Array.make entries 0;
-    valid = Bytes.make entries '\000';
-    tick = 0;
-  }
+  let t =
+    {
+      nsets = entries / ways;
+      tags = Array.make entries 0;
+      targets = Array.make entries 0;
+      lru = Array.make entries 0;
+      valid = Bytes.create entries;
+      tick = 0;
+    }
+  in
+  reset t;
+  t
 
 let index_of t pc = (pc lsr 2) mod t.nsets
 
@@ -72,5 +84,3 @@ let update t pc target =
   t.targets.(i) <- target;
   Bytes.set t.valid i '\001';
   t.lru.(i) <- t.tick
-
-let flush t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'

@@ -12,6 +12,9 @@ val create : ?entries:int -> unit -> t
 (** 4 ways; [entries] defaults to 4096 (Table 7.1).  Raises
     [Invalid_argument] unless [entries] is a multiple of 4. *)
 
+val reset : t -> unit
+(** Restore the create-time state: no entry valid, recency clock zero. *)
+
 val lookup : t -> int -> int option
 (** [lookup t pc] is the predicted target VA, if any. *)
 

@@ -1,3 +1,5 @@
+module Checksum = Pv_util.Checksum
+
 (* Flat layout: way [w] of set [s] is slot [s * nways + w] of [tags] and
    [lru], and byte [s * nways + w] of [valid] ('\001' when the slot holds a
    line).  Building a cache is three allocations however many ways it has,
@@ -16,25 +18,43 @@ type t = {
   mutable misses : int;
 }
 
+let flush_all t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
+
+let reset_stats t =
+  t.hits <- 0;
+  t.misses <- 0
+
+(* Create-time state: no line valid, no access counted.  Tags and LRU
+   stamps are left as they are: nothing reads a slot's tag or stamp while
+   its valid byte is clear, and a fill writes both before setting it. *)
+let reset t =
+  flush_all t;
+  t.tick <- 0;
+  reset_stats t
+
 let create ~name ~size_bytes ~line_bytes ~ways ~latency =
   if size_bytes <= 0 || line_bytes <= 0 || ways <= 0 then
     invalid_arg "Cache.create: non-positive parameter";
   let lines = size_bytes / line_bytes in
   if lines mod ways <> 0 || lines = 0 then
     invalid_arg "Cache.create: geometry does not divide";
-  {
-    name;
-    line_bytes;
-    nsets = lines / ways;
-    nways = ways;
-    latency;
-    tags = Array.make lines 0;
-    lru = Array.make lines 0;
-    valid = Bytes.make lines '\000';
-    tick = 0;
-    hits = 0;
-    misses = 0;
-  }
+  let t =
+    {
+      name;
+      line_bytes;
+      nsets = lines / ways;
+      nways = ways;
+      latency;
+      tags = Array.make lines 0;
+      lru = Array.make lines 0;
+      valid = Bytes.create lines;
+      tick = 0;
+      hits = 0;
+      misses = 0;
+    }
+  in
+  reset t;
+  t
 
 let latency t = t.latency
 let sets t = t.nsets
@@ -125,11 +145,7 @@ let flush_line t addr =
       let i = find_slot t base tag in
       if i >= 0 then Bytes.unsafe_set t.valid i '\000')
 
-let flush_all t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
-
-let state_signature t =
-  let buf = Buffer.create 256 in
-  let add_int n = Buffer.add_string buf (string_of_int n) in
+let write_signature out t =
   for si = 0 to t.nsets - 1 do
     let base = si * t.nways in
     for wi = 0 to t.nways - 1 do
@@ -142,18 +158,19 @@ let state_signature t =
         for o = base to base + t.nways - 1 do
           if is_valid t o && t.lru.(o) < t.lru.(i) then incr rank
         done;
-        add_int si;
-        Buffer.add_char buf '.';
-        add_int wi;
-        Buffer.add_char buf ':';
-        add_int t.tags.(i);
-        Buffer.add_char buf '@';
-        add_int !rank;
-        Buffer.add_char buf ';'
+        Checksum.put_int out si;
+        Checksum.put_char out '.';
+        Checksum.put_int out wi;
+        Checksum.put_char out ':';
+        Checksum.put_int out t.tags.(i);
+        Checksum.put_char out '@';
+        Checksum.put_int out !rank;
+        Checksum.put_char out ';'
       end
     done
-  done;
-  Buffer.contents buf
+  done
+
+let state_signature t = Checksum.render write_signature t
 
 let hits t = t.hits
 let misses t = t.misses
@@ -161,7 +178,3 @@ let misses t = t.misses
 let hit_rate t =
   let total = t.hits + t.misses in
   if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

@@ -13,7 +13,13 @@ type t
 
 val create :
   name:string -> size_bytes:int -> line_bytes:int -> ways:int -> latency:int -> t
-(** Raises [Invalid_argument] unless sizes are positive and divide evenly. *)
+(** Raises [Invalid_argument] unless sizes are positive and divide evenly.
+    A new cache is an allocation followed by {!reset}. *)
+
+val reset : t -> unit
+(** Restore the create-time state: no line resident, recency clock and
+    hit/miss counts at zero.  Clears one byte per slot; stale tags and LRU
+    stamps stay in place, unread until a fill overwrites them. *)
 
 val latency : t -> int
 val sets : t -> int
@@ -38,6 +44,11 @@ val probe : t -> int -> bool
 
 val flush_line : t -> int -> unit
 val flush_all : t -> unit
+
+val write_signature : Pv_util.Checksum.sink -> t -> unit
+(** The one writer of {!state_signature}'s format.  To a
+    [Checksum.Digest] sink it folds the signature into the hash without
+    building it. *)
 
 val state_signature : t -> string
 (** Canonical rendering of the cache's architectural state: every resident

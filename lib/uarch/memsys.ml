@@ -51,6 +51,12 @@ let create mem =
     dram_latency = c.dram_latency;
   }
 
+let reset t =
+  Pv_isa.Mem.clear t.mem;
+  Cache.reset t.l1i;
+  Cache.reset t.l1d;
+  Cache.reset t.l2
+
 let mem t = t.mem
 let l1i t = t.l1i
 let l1d t = t.l1d

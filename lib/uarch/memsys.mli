@@ -26,6 +26,10 @@ type t
 val create : Pv_isa.Mem.t -> t
 (** A cold hierarchy of {!default_config}'s geometry. *)
 
+val reset : t -> unit
+(** Restore a cold hierarchy over an empty backing store: {!Pv_isa.Mem.clear}
+    and {!Cache.reset} of all three caches. *)
+
 val mem : t -> Pv_isa.Mem.t
 val l1i : t -> Cache.t
 val l1d : t -> Cache.t

@@ -3,6 +3,7 @@ module Layout = Pv_isa.Layout
 module Program = Pv_isa.Program
 module Mem = Pv_isa.Mem
 module Iss = Pv_isa.Iss
+module Checksum = Pv_util.Checksum
 
 type config = {
   fetch_width : int;
@@ -392,62 +393,88 @@ let fresh_entry () =
     fault = None;
   }
 
+(* Restore what outlives a run to its create-time state: predictors,
+   counters, guard, clock, hooks, saved user registers, the run outcome and
+   the event ring's count (the ring keeps its grown buffer).  The rest of
+   the run state is set by [reset_run_state] at the start of every run.
+   [prog] is immutable, so the machine comes back as a new record around
+   the same arrays; the old record must not be used again. *)
+let reset t prog =
+  Tage.reset t.tage;
+  Btb.reset t.btb;
+  Ras.clear t.ras;
+  {
+    t with
+    prog;
+    ctrs = zero_counters ();
+    guard = Guard.allow_all;
+    now = 0;
+    hooks = null_hooks;
+    saved_user_regs = None;
+    run_outcome = None;
+    trace_count = 0;
+  }
+
 let create ?(config = default_config) memsys prog =
   let cap = config.rob_entries in
   let nw = (cap + 31) / 32 in
   let set () = Array.make nw 0 in
-  {
-    cfg = config;
-    memsys;
-    prog;
-    tage = Tage.create ();
-    btb = Btb.create ~entries:config.btb_entries ();
-    ras = Ras.create ~entries:config.ras_entries ();
-    ctrs = zero_counters ();
-    guard = Guard.allow_all;
-    rob = Array.init cap (fun _ -> fresh_entry ());
-    retired_seq = Array.make cap (-1);
-    retired_val = Array.make cap 0;
-    arf = Array.make Insn.num_regs 0;
-    rat = Array.make Insn.num_regs (-1);
-    captured = 0;
-    nw;
-    vis = set ();
-    vpp = set ();
-    iss = set ();
-    inc = set ();
-    unres = set ();
-    ifence = set ();
-    stq = set ();
-    unk = set ();
-    wl = Array.make (cap * nw) 0;
-    head = 0;
-    count = 0;
-    next_seq = 0;
-    ghr = 0;
-    fetch = Stopped;
-    fetch_fid = 0;
-    fetch_idx = 0;
-    fetch_seq = -1;
-    fetch_ready_at = 0;
-    last_fetch_line = -1;
-    dispatch_stack = [];
-    dispatch_depth = 0;
-    commit_stack = [];
-    commit_depth = 0;
-    lq_used = 0;
-    sq_used = 0;
-    next_done_at = max_int;
-    now = 0;
-    asid = 0;
-    kernel_mode = false;
-    run_outcome = None;
-    saved_user_regs = None;
-    hooks = null_hooks;
-    trace_cap = (if config.trace_events then max 0 config.trace_capacity else 0);
-    trace_buf = [||];
-    trace_count = 0;
-  }
+  (* [reset] sets the fields it owns; their values here only fill the
+     record. *)
+  reset
+    {
+      cfg = config;
+      memsys;
+      prog;
+      tage = Tage.create ();
+      btb = Btb.create ~entries:config.btb_entries ();
+      ras = Ras.create ~entries:config.ras_entries ();
+      ctrs = zero_counters ();
+      guard = Guard.allow_all;
+      rob = Array.init cap (fun _ -> fresh_entry ());
+      retired_seq = Array.make cap (-1);
+      retired_val = Array.make cap 0;
+      arf = Array.make Insn.num_regs 0;
+      rat = Array.make Insn.num_regs (-1);
+      captured = 0;
+      nw;
+      vis = set ();
+      vpp = set ();
+      iss = set ();
+      inc = set ();
+      unres = set ();
+      ifence = set ();
+      stq = set ();
+      unk = set ();
+      wl = Array.make (cap * nw) 0;
+      head = 0;
+      count = 0;
+      next_seq = 0;
+      ghr = 0;
+      fetch = Stopped;
+      fetch_fid = 0;
+      fetch_idx = 0;
+      fetch_seq = -1;
+      fetch_ready_at = 0;
+      last_fetch_line = -1;
+      dispatch_stack = [];
+      dispatch_depth = 0;
+      commit_stack = [];
+      commit_depth = 0;
+      lq_used = 0;
+      sq_used = 0;
+      next_done_at = max_int;
+      now = 0;
+      asid = 0;
+      kernel_mode = false;
+      run_outcome = None;
+      saved_user_regs = None;
+      hooks = null_hooks;
+      trace_cap = (if config.trace_events then max 0 config.trace_capacity else 0);
+      trace_buf = [||];
+      trace_count = 0;
+    }
+    prog
 
 let config t = t.cfg
 let counters t = t.ctrs
@@ -469,34 +496,52 @@ let record_event t kind ~va ~seq =
     t.trace_count <- t.trace_count + 1
   end
 
-let events t =
+(* The retained events, oldest first, handed to [f] in place. *)
+let iter_events t f =
   let n = Array.length t.trace_buf in
-  if n = 0 then []
-  else begin
-    let len = min t.trace_count n in
-    let start = t.trace_count - len in
-    List.init len (fun i -> t.trace_buf.((start + i) mod n))
-  end
+  let len = min t.trace_count n in
+  let start = t.trace_count - len in
+  for i = 0 to len - 1 do
+    f t.trace_buf.((start + i) mod n)
+  done
+
+let events t =
+  let acc = ref [] in
+  iter_events t (fun ev -> acc := ev :: !acc);
+  List.rev !acc
 
 let source_name = function
   | Guard.Isv -> "isv"
   | Guard.Dsv -> "dsv"
   | Guard.Baseline -> "baseline"
 
-let event_to_json ev =
-  match ev.ev_kind with
-  | Ev_squash ->
-    Printf.sprintf {|{"cycle":%d,"kind":"squash","va":%d,"seq":%d}|} ev.ev_cycle
-      ev.ev_va ev.ev_seq
+let write_event out ev =
+  Checksum.put_string out {|{"cycle":|};
+  Checksum.put_int out ev.ev_cycle;
+  (match ev.ev_kind with
+  | Ev_squash -> Checksum.put_string out {|,"kind":"squash"|}
   | Ev_fence src ->
-    Printf.sprintf {|{"cycle":%d,"kind":"fence","source":"%s","va":%d,"seq":%d}|}
-      ev.ev_cycle (source_name src) ev.ev_va ev.ev_seq
-  | Ev_vp_release ->
-    Printf.sprintf {|{"cycle":%d,"kind":"vp_release","va":%d,"seq":%d}|} ev.ev_cycle
-      ev.ev_va ev.ev_seq
+    Checksum.put_string out {|,"kind":"fence","source":"|};
+    Checksum.put_string out (source_name src);
+    Checksum.put_char out '"'
+  | Ev_vp_release -> Checksum.put_string out {|,"kind":"vp_release"|}
   | Ev_dload line ->
-    Printf.sprintf {|{"cycle":%d,"kind":"dload","line":%d,"va":%d,"seq":%d}|}
-      ev.ev_cycle line ev.ev_va ev.ev_seq
+    Checksum.put_string out {|,"kind":"dload","line":|};
+    Checksum.put_int out line);
+  Checksum.put_string out {|,"va":|};
+  Checksum.put_int out ev.ev_va;
+  Checksum.put_string out {|,"seq":|};
+  Checksum.put_int out ev.ev_seq;
+  Checksum.put_char out '}'
+
+let event_to_json ev = Checksum.render write_event ev
+
+let write_events out t =
+  let first = ref true in
+  iter_events t (fun ev ->
+      if not !first then Checksum.put_char out '\n';
+      first := false;
+      write_event out ev)
 
 let ret_stack_base = 0x5F00_0000_0000
 

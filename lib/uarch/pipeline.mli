@@ -121,6 +121,18 @@ val observe_metrics : Pv_util.Metrics.t -> counters -> unit
 type t
 
 val create : ?config:config -> Memsys.t -> Pv_isa.Program.t -> t
+(** A new pipeline is an allocation followed by {!reset}. *)
+
+val reset : t -> Pv_isa.Program.t -> t
+(** [reset t prog] is [t] restored to its create-time state with [prog]
+    installed: TAGE, BTB and RAS cleared, counters zeroed, no guard, clock
+    at cycle 0, no hooks or saved user registers, no run outcome and an
+    empty event ring (which keeps its grown buffer).  It returns a new
+    handle on the same arrays; [t] must not be used again.  The memory
+    system is not touched: with it reset too ({!Memsys.reset}), running a
+    program on the result is indistinguishable from running it on
+    [create ~config:(config t)] over a new memory system. *)
+
 val config : t -> config
 val counters : t -> counters
 (** Cumulative across runs; copy before/after a run and use
@@ -193,3 +205,10 @@ val events : t -> event list
 
 val event_to_json : event -> string
 (** One JSONL line, deterministic bytes. *)
+
+val write_events : Pv_util.Checksum.sink -> t -> unit
+(** The retained events' {!event_to_json} lines (one writer serves both)
+    joined by ['\n'], written straight from
+    the ring: to a [Checksum.Digest] sink this folds
+    [String.concat "\n" (List.map event_to_json (events t))] into the hash
+    without building it. *)

@@ -5,8 +5,16 @@ type t = {
   mutable ever_pushed : bool;
 }
 
+let clear t =
+  t.top <- 0;
+  t.count <- 0;
+  t.ever_pushed <- false;
+  Array.fill t.slots 0 (Array.length t.slots) 0
+
 let create ?(entries = 16) () =
-  { slots = Array.make entries 0; top = 0; count = 0; ever_pushed = false }
+  let t = { slots = Array.make entries 0; top = 0; count = 0; ever_pushed = false } in
+  clear t;
+  t
 
 let push t va =
   let n = Array.length t.slots in
@@ -32,8 +40,3 @@ let pop t =
   end
 
 let depth t = t.count
-
-let clear t =
-  t.count <- 0;
-  t.ever_pushed <- false;
-  Array.fill t.slots 0 (Array.length t.slots) 0

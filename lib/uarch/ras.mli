@@ -19,3 +19,4 @@ val pop : t -> int option
 
 val depth : t -> int
 val clear : t -> unit
+(** Restore the create-time state: empty, never pushed, every slot zero. *)

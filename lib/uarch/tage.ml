@@ -30,15 +30,28 @@ let slot table idx = (table * table_size) + idx
    and tags are recomputed from [pc] and [hist] when the branch resolves. *)
 type meta = int
 
+(* Create-time state: bimodal counters weakly taken, tagged tables empty. *)
+let reset t =
+  Array.fill t.base 0 (Array.length t.base) 2;
+  Array.fill t.slot_tag 0 (Array.length t.slot_tag) 0;
+  Array.fill t.slot_ctr 0 (Array.length t.slot_ctr) 0;
+  Array.fill t.slot_u 0 (Array.length t.slot_u) 0;
+  t.lookups <- 0;
+  t.alloc_tick <- 0
+
 let create () =
-  {
-    base = Array.make (1 lsl base_bits) 2;
-    slot_tag = Array.make (num_tables * table_size) 0;
-    slot_ctr = Array.make (num_tables * table_size) 0;
-    slot_u = Array.make (num_tables * table_size) 0;
-    lookups = 0;
-    alloc_tick = 0;
-  }
+  let t =
+    {
+      base = Array.make (1 lsl base_bits) 0;
+      slot_tag = Array.make (num_tables * table_size) 0;
+      slot_ctr = Array.make (num_tables * table_size) 0;
+      slot_u = Array.make (num_tables * table_size) 0;
+      lookups = 0;
+      alloc_tick = 0;
+    }
+  in
+  reset t;
+  t
 
 (* Fold [len] bits of history together with the pc into [bits] bits. *)
 let rec fold_bits acc h mask bits =

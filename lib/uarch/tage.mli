@@ -17,6 +17,10 @@ type meta = int
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Restore the create-time state: every counter and tag refilled, lookup
+    count zero. *)
+
 val predict : t -> pc:int -> hist:int -> meta
 
 val predicted : meta -> bool

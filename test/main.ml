@@ -7,4 +7,4 @@ let () =
    @ Test_scanner.suite @ Test_attacks.suite @ Test_sim.suite
    @ Test_experiments.suite @ Test_pool.suite @ Test_supervise.suite
    @ Test_service.suite @ Test_rescache.suite @ Test_equiv.suite
-   @ Test_contracts.suite)
+   @ Test_contracts.suite @ Test_reuse.suite)

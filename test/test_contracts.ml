@@ -262,6 +262,37 @@ let test_known_verdicts () =
         C.attack_names)
     [ "SAFESPEC"; "SPECBOX" ]
 
+(* Every cell's verdict, diffs and both observations, against the bytes
+   recorded in contracts.golden (beside the binary under [dune runtest], in
+   test/ under [dune exec]). *)
+let obs_fields (o : C.obs) =
+  Printf.sprintf "%s,%s,%s,%s,%d,%d,%d" o.C.commit_digest o.C.event_digest o.C.cache_digest
+    (match o.C.leaked with Some b -> string_of_int b | None -> "-")
+    o.C.hot_slots o.C.spec_loads o.C.fences
+
+let golden_line (r : C.result) =
+  Printf.sprintf "contract %s/%s|verdict=%s|diffs=%s|lo=%s|hi=%s" r.C.attack r.C.scheme
+    (C.verdict_name r.C.verdict) (String.concat "," r.C.diffs) (obs_fields r.C.obs_lo)
+    (obs_fields r.C.obs_hi)
+
+let test_golden_digests () =
+  let path =
+    if Sys.file_exists "contracts.golden" then "contracts.golden" else "test/contracts.golden"
+  in
+  let want =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let got =
+    List.concat_map
+      (fun attack ->
+        List.map (fun scheme -> golden_line (C.check ~attack ~scheme ())) C.scheme_labels)
+      C.attack_names
+  in
+  check Alcotest.int "one golden line per cell" (List.length want) (List.length got);
+  List.iter2 (fun w g -> check Alcotest.string (List.hd (String.split_on_char '|' w)) w g) want got
+
 let test_unknown_labels () =
   let invalid f = try ignore (f ()); None with Invalid_argument m -> Some m in
   let contains ~sub s =
@@ -365,6 +396,7 @@ let suite =
     ( "contracts.checker",
       [
         Alcotest.test_case "known verdicts" `Slow test_known_verdicts;
+        Alcotest.test_case "50-cell digests vs contracts.golden" `Slow test_golden_digests;
         Alcotest.test_case "unknown labels are friendly errors" `Quick test_unknown_labels;
         Alcotest.test_case "cold -j1 = warm -j4 matrix bytes" `Slow test_matrix_deterministic;
         Alcotest.test_case "kill, checkpoint, resume, converge" `Slow

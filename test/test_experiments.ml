@@ -291,6 +291,50 @@ let test_reproduce_families_disjoint () =
         families)
     (reproduce_sweeps ())
 
+(* Run [f] with stdout and stderr sent to files; returns their contents. *)
+let captured f =
+  let out = Filename.temp_file "pv_out" ".txt" and err = Filename.temp_file "pv_err" ".txt" in
+  let redirect fd file =
+    let saved = Unix.dup fd in
+    let to_file = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    Unix.dup2 to_file fd;
+    Unix.close to_file;
+    saved
+  in
+  flush_all ();
+  let saved_out = redirect Unix.stdout out and saved_err = redirect Unix.stderr err in
+  Fun.protect f ~finally:(fun () ->
+      flush_all ();
+      Unix.dup2 saved_out Unix.stdout;
+      Unix.dup2 saved_err Unix.stderr;
+      Unix.close saved_out;
+      Unix.close saved_err);
+  let read file =
+    let s = In_channel.with_open_bin file In_channel.input_all in
+    Sys.remove file;
+    s
+  in
+  (read out, read err)
+
+(* Figure 9.3 reads only the app matrix, so alone it declares no LEBench
+   cell, and its kernel-time table needs only the app matrix complete. *)
+let test_reproduce_fig_9_3_cells () =
+  let out, err =
+    captured (fun () ->
+        ignore
+          (Pv_reproduce.Reproduce.run ~config:Supervise.default ~scale:0.05 ~only:"fig-9.3" ()))
+  in
+  check Alcotest.string "perf sweep line"
+    "perf: 44 cells, 0 restored from checkpoint, 0 CACHED, 0 deduped, 44 executed, 0 failed\n"
+    err;
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "kernel-time table printed" true
+    (contains ~sub:"Fraction of time spent in the OS" out)
+
 (* A short UNSAFE cell of any row never faults, whatever the machine seed:
    every indirect call its kernel image can reach goes through a table. *)
 let unsafe_never_faults_prop =
@@ -341,5 +385,7 @@ let suite =
         Alcotest.test_case "every cell has a descriptor" `Quick test_reproduce_descriptors;
         Alcotest.test_case "descriptor families disjoint" `Quick
           test_reproduce_families_disjoint;
+        Alcotest.test_case "--only fig-9.3 declares only app cells" `Slow
+          test_reproduce_fig_9_3_cells;
       ] );
   ]
