@@ -35,8 +35,8 @@ let hit_rates ~micro ~macro =
   add "datacenter apps" macro;
   Tab.caption tab "Paper: both caches hit close to 99%.";
   Tab.caption tab
-    "Scaled-down LEBench iteration counts inflate compulsory misses; the \
-     datacenter rows, with more invocations per machine, show the steady state.";
+    "Each rate is a view cache's hits over its lookups in one PERSPECTIVE run, \
+     averaged over the row's runs; a run with no lookups is left out.";
   tab
 
 (* The UNSAFE and PERSPECTIVE runs of [workload] under a study's key

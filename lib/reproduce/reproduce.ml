@@ -247,6 +247,9 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
       | Some micro, Some macro -> f ~micro ~macro
       | _ -> skipped ()
     in
+    let apps_only f =
+      match E.Perf.complete_matrix macro with Some macro -> f macro | None -> skipped ()
+    in
     section t "fig-9.2" "LEBench normalized latency" (fun () ->
         let tab = E.Perf_report.fig_lebench_partial ~labels:schemes micro in
         Tab.print tab;
@@ -255,9 +258,7 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
         let tab = E.Perf_report.fig_apps_partial ~labels:schemes macro in
         Tab.print tab;
         Option.iter (Tab.save_csv tab) (csv_file "fig-9.3");
-        match E.Perf.complete_matrix macro with
-        | Some macro -> Tab.print (E.Perf_report.kernel_time_table macro)
-        | None -> skipped ());
+        apps_only (fun macro -> Tab.print (E.Perf_report.kernel_time_table macro)));
     section t "table-10.1" "Fence breakdown (ISV vs DSV)" (fun () ->
         full (fun ~micro ~macro ->
             Tab.print (E.Perf_report.fence_breakdown (micro @ macro));
@@ -269,7 +270,7 @@ let perf_sections t ~scale ~csv_file ?metrics ?trace_dir () =
         Tab.print (E.Sensitivity.unknown_allocations_table results);
         let s = sweep t ~label:"fragmentation" (E.Sensitivity.fragmentation_cells ()) in
         Tab.print (E.Sensitivity.fragmentation_table (E.Sensitivity.fragmentation s.results));
-        full (fun ~micro:_ ~macro ->
+        apps_only (fun macro ->
             Tab.print (E.Sensitivity.domain_reassignment ~macro);
             Tab.print (E.Sensitivity.isv_metadata ~macro));
         Tab.print (E.Sensitivity.cache_size_table results))

@@ -1,16 +1,13 @@
 module Rng = Pv_util.Rng
 
-type t = { rng : Rng.t; mean : float; mutable clock : float }
-
-let create ~seed ~mean =
-  if Float.is_nan mean || mean <= 0.0 then
-    invalid_arg "Arrivals.create: mean inter-arrival must be positive";
-  { rng = Rng.create seed; mean; clock = 0.0 }
-
-let next t =
-  t.clock <- t.clock +. Rng.sample_exp t.rng t.mean;
-  t.clock
-
 let times ~seed ~mean ~n =
-  let t = create ~seed ~mean in
-  Array.init n (fun _ -> next t)
+  if Float.is_nan mean || mean <= 0.0 then
+    invalid_arg "Arrivals.times: mean inter-arrival must be positive";
+  let rng = Rng.create seed in
+  let a = Array.create_float n in
+  let clock = ref 0.0 in
+  for i = 0 to n - 1 do
+    clock := !clock +. Rng.sample_exp rng mean;
+    a.(i) <- !clock
+  done;
+  a

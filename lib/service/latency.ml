@@ -1,65 +1,30 @@
 module Metrics = Pv_util.Metrics
 
 type t = {
-  mutable buf : float array;
-  mutable n : int;
-  mutable work : float array option;
-      (* memoized copy of the samples that selections reorder in place;
-         invalidated by observe *)
+  samples : float array;  (* samples.(0 .. n-1); selections reorder them *)
+  n : int;
+  mutable found : int list;  (* ranks already selected, each at its sorted index *)
 }
 
-let create () = { buf = Array.make 64 0.0; n = 0; work = None }
-
-let observe t x =
-  (* Selection needs a total order: NaN has none, and a sojourn is never
-     negative. *)
-  if Float.is_nan x || x < 0.0 then
-    invalid_arg "Latency.observe: sojourn must be non-negative";
-  if t.n = Array.length t.buf then begin
-    let bigger = Array.make (2 * t.n) 0.0 in
-    Array.blit t.buf 0 bigger 0 t.n;
-    t.buf <- bigger
-  end;
-  t.buf.(t.n) <- x;
-  t.n <- t.n + 1;
-  t.work <- None
-
-let count t = t.n
-
-let samples t = Array.sub t.buf 0 t.n
-
-let mean t =
-  if t.n = 0 then 0.0
-  else begin
-    let s = ref 0.0 in
-    for i = 0 to t.n - 1 do
-      s := !s +. t.buf.(i)
-    done;
-    !s /. float_of_int t.n
-  end
-
-let max_value t =
-  if t.n = 0 then invalid_arg "Latency.max_value: no samples";
-  let m = ref t.buf.(0) in
-  for i = 1 to t.n - 1 do
-    if t.buf.(i) > !m then m := t.buf.(i)
+let of_samples a ~count =
+  if count < 0 || count > Array.length a then
+    invalid_arg "Latency.of_samples: count outside the array";
+  for i = 0 to count - 1 do
+    (* Selection needs a total order: NaN has none, and a sojourn is never
+       negative. *)
+    let x = a.(i) in
+    if Float.is_nan x || x < 0.0 then
+      invalid_arg "Latency.of_samples: sojourn must be non-negative"
   done;
-  !m
+  { samples = a; n = count; found = [] }
 
-let work t =
-  match t.work with
-  | Some a -> a
-  | None ->
-    let a = samples t in
-    t.work <- Some a;
-    a
-
-(* Hoare's FIND (Wirth's formulation): returns the k-th smallest element
-   (0-based) of [a], leaving it at index k with nothing larger before it and
-   nothing smaller after it.  Expected O(n); the reordering keeps the
-   multiset, so later selections on the same array stay exact. *)
-let select (a : float array) k =
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
+(* Hoare's FIND (Wirth's formulation) on a.(lo .. hi): returns the k-th
+   smallest element (0-based, lo <= k <= hi) of the whole sample when that
+   slice holds exactly its ranks lo .. hi, leaving it at index k with
+   nothing larger before it and nothing smaller after it.  Expected
+   O(hi - lo); outside the slice nothing moves. *)
+let select (a : float array) ~lo ~hi k =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let pivot = a.(k) in
     let i = ref !lo and j = ref !hi in
@@ -80,19 +45,31 @@ let select (a : float array) k =
   a.(k)
 
 (* Same nearest-rank definition as Stats.percentile (shared integer rank
-   computation), by selection on the memoized working copy instead of a
-   full sort: the four tail quantiles of a cell cost four linear passes. *)
+   computation), by selection instead of a full sort.  A rank already
+   found sits at its sorted index, so the indices between the two found
+   ranks nearest k hold exactly the ranks between them: the selection
+   searches only there.  The four tail quantiles of a point, asked in
+   ascending order, scan n, n/2, n/20 and n/100 samples. *)
 let percentile t ~p =
   if t.n = 0 then invalid_arg "Latency.percentile: no samples";
   if Float.is_nan p || p < 0.0 || p > 100.0 then
     invalid_arg "Latency.percentile: p outside [0,100]";
-  select (work t) (Pv_util.Stats.nearest_rank ~p ~n:t.n - 1)
+  let k = Pv_util.Stats.nearest_rank ~p ~n:t.n - 1 in
+  if List.mem k t.found then t.samples.(k)
+  else begin
+    let lo = List.fold_left (fun lo r -> if r < k then Int.max lo (r + 1) else lo) 0 t.found in
+    let hi =
+      List.fold_left (fun hi r -> if r > k then Int.min hi (r - 1) else hi) (t.n - 1) t.found
+    in
+    t.found <- k :: t.found;
+    select t.samples ~lo ~hi k
+  end
 
 let percentile_opt t ~p = if t.n = 0 then None else Some (percentile t ~p)
 
 let observe_metrics reg ~prefix t =
   let h = Metrics.hist reg prefix in
   for i = 0 to t.n - 1 do
-    Metrics.hist_observe h (int_of_float (Float.round t.buf.(i)))
+    Metrics.hist_observe h (int_of_float (Float.round t.samples.(i)))
   done;
   Metrics.set_int reg (prefix ^ ".count") t.n

@@ -9,27 +9,22 @@
 
 type t
 
-val create : unit -> t
-
-val observe : t -> float -> unit
-(** Record one sojourn time (cycles).  Raises [Invalid_argument] on a NaN or
-    negative sojourn: the percentiles need a total order. *)
-
-val count : t -> int
-
-val mean : t -> float
-(** Arithmetic mean; [0.] when empty. *)
-
-val max_value : t -> float
-(** Largest recorded sample, by one linear pass.  Raises [Invalid_argument]
-    when empty. *)
+val of_samples : float array -> count:int -> t
+(** [of_samples a ~count] is the recorder of the sojourn times (cycles)
+    [a.(0 .. count - 1)], checked in one pass.  The recorder owns [a]:
+    percentile queries reorder those entries in place, and entries from
+    [count] on are never read.  Raises [Invalid_argument] when [count] is
+    outside [[0, Array.length a]], or on a NaN or negative sojourn: the
+    percentiles need a total order. *)
 
 val percentile : t -> p:float -> float
 (** Exact nearest-rank percentile over the raw samples (see
-    {!Pv_util.Stats.percentile}).  Found by selection (Hoare's FIND) on a
-    working copy of the samples kept until the next {!observe}: expected
-    O(n) per call, no sort.  Raises [Invalid_argument] when empty or [p] is
-    outside [[0, 100]]. *)
+    {!Pv_util.Stats.percentile}), found by selection (Hoare's FIND) instead
+    of a sort.  Each rank found stays at its sorted index, so a later query
+    searches only between the two found ranks around its own: expected
+    O(n) for the first query, and the slice between its neighbours for
+    each later one (a repeated rank costs nothing).  Raises
+    [Invalid_argument] when empty or [p] is outside [[0, 100]]. *)
 
 val percentile_opt : t -> p:float -> float option
 (** {!percentile} with the empty recorder degrading to [None] — an all-shed

@@ -8,7 +8,12 @@
     time order, each core is FIFO, and a request's sojourn time is fully
     determined by its arrival time, its service time and the backlog of the
     core it joins.  Everything is a pure function of the inputs, preserving
-    the repo's byte-identity contract. *)
+    the repo's byte-identity contract.
+
+    Each core's FIFO is a ring of completion times in one shared float
+    array, and the sojourns go into one float array sized to the arrivals
+    that becomes the {!Latency} recorder, so a call allocates a fixed set of
+    arrays and nothing per request. *)
 
 type dispatch =
   | Round_robin
@@ -63,9 +68,6 @@ val simulate :
 val goodput_rps : result -> float
 (** Served requests per simulated second at 2 GHz ([0.] when nothing was
     served). *)
-
-val shed_fraction : result -> float
-(** [shed / offered] ([0.] when nothing arrived). *)
 
 val utilization : result -> float
 (** Mean per-core busy fraction over the horizon ([0.] when nothing was

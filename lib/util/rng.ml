@@ -1,24 +1,33 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte buffer, read and written as an
+   unboxed int64, so a draw allocates nothing: a mutable int64 field would
+   box a fresh state on every step. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let next_seed t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
+let copy = Bytes.copy
+
+let[@inline] next_seed t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  s
 
 (* SplitMix64 finalizer. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t = mix (next_seed t)
+let[@inline] int64 t = mix (next_seed t)
 
-let split t = { state = int64 t }
+let split t = of_state (int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
@@ -30,7 +39,7 @@ let in_range t lo hi =
   if hi < lo then invalid_arg "Rng.in_range: empty range";
   lo + int t (hi - lo + 1)
 
-let float t x =
+let[@inline] float t x =
   let u = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   x *. (u /. 9007199254740992.0 (* 2^53 *))
 

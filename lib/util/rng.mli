@@ -6,7 +6,9 @@
     statistical quality for simulation purposes, and trivially splittable. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 word, held unboxed, so
+    no draw allocates (a draw returning a [float] or [int64] to another
+    module still boxes its result). *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal streams. *)

@@ -54,39 +54,36 @@ let test_arrivals_crn_scaling () =
     slow
 
 let test_arrivals_rejects_bad_mean () =
-  Alcotest.check_raises "zero mean" (Invalid_argument "Arrivals.create: mean inter-arrival must be positive")
-    (fun () -> ignore (Arrivals.create ~seed:1 ~mean:0.0));
+  Alcotest.check_raises "zero mean"
+    (Invalid_argument "Arrivals.times: mean inter-arrival must be positive") (fun () ->
+      ignore (Arrivals.times ~seed:1 ~mean:0.0 ~n:4));
   Alcotest.check_raises "negative mean"
-    (Invalid_argument "Arrivals.create: mean inter-arrival must be positive") (fun () ->
-      ignore (Arrivals.create ~seed:1 ~mean:(-5.0)))
+    (Invalid_argument "Arrivals.times: mean inter-arrival must be positive") (fun () ->
+      ignore (Arrivals.times ~seed:1 ~mean:(-5.0) ~n:4))
 
 (* --- latency recorder ------------------------------------------------- *)
 
+let recorder xs = Latency.of_samples (Array.of_list xs) ~count:(List.length xs)
+
 let test_latency_matches_stats () =
-  let t = Latency.create () in
   let xs = [ 50.0; 15.0; 35.0; 40.0; 20.0 ] in
-  List.iter (Latency.observe t) xs;
-  check Alcotest.int "count" 5 (Latency.count t);
-  check (Alcotest.float 1e-9) "mean" (Stats.mean xs) (Latency.mean t);
-  check (Alcotest.float 1e-9) "max" 50.0 (Latency.max_value t);
+  let t = recorder xs in
   List.iter
     (fun p ->
       check (Alcotest.float 1e-9)
         (Printf.sprintf "p%.1f matches Stats.percentile" p)
         (Stats.percentile xs ~p) (Latency.percentile t ~p))
-    [ 0.0; 50.0; 95.0; 99.0; 100.0 ];
-  (* observing after a percentile query must pick up the new sample *)
-  Latency.observe t 1000.0;
-  check (Alcotest.float 1e-9) "p100 after new observation" 1000.0
-    (Latency.percentile t ~p:100.0)
+    [ 0.0; 50.0; 95.0; 99.0; 100.0; 50.0; 0.0 ];
+  (* entries past the count are not samples *)
+  let t = Latency.of_samples [| 3.0; 1.0; 1000.0 |] ~count:2 in
+  check (Alcotest.float 1e-9) "p100 ignores the tail" 3.0 (Latency.percentile t ~p:100.0)
 
-(* Selection on the memoized working copy must agree with the sorting
-   reference on duplicate-heavy samples, and a later observe must
-   invalidate the copy: queries in random order are interleaved with new
-   samples, and each is checked against the multiset observed so far. *)
-type latency_op = Query of float | Observe of float
-
-let latency_ops_gen =
+(* Bounded selection must agree with the sorting reference on
+   duplicate-heavy samples: one recorder answers queries in random order
+   with repeats, so a selection runs both below and above ranks found
+   earlier, and each answer is checked against the samples it was built
+   from. *)
+let latency_queries_gen =
   let open QCheck.Gen in
   (* few distinct values, so most ranks land inside runs of duplicates *)
   let value = map float_of_int (frequency [ (4, int_bound 8); (1, int_bound 100_000) ]) in
@@ -97,45 +94,33 @@ let latency_ops_gen =
         (2, float_range 0.0 100.0);
       ]
   in
-  let op = frequency [ (3, map (fun p -> Query p) p); (1, map (fun x -> Observe x) value) ] in
-  pair (list_size (int_range 1 400) value) (list_size (int_range 1 40) op)
-
-let print_latency_op = function
-  | Query p -> Printf.sprintf "Query %g" p
-  | Observe x -> Printf.sprintf "Observe %g" x
+  pair (list_size (int_range 1 400) value) (list_size (int_range 1 40) p)
 
 let latency_selection_prop =
   QCheck.Test.make ~name:"percentile and max match Stats on duplicate-heavy samples" ~count:300
-    (QCheck.make
-       ~print:QCheck.Print.(pair (list float) (list print_latency_op))
-       latency_ops_gen)
-    (fun (xs, ops) ->
-      let t = Latency.create () in
-      List.iter (Latency.observe t) xs;
-      let model = ref xs in
-      List.for_all
-        (function
-          | Observe x ->
-            Latency.observe t x;
-            model := x :: !model;
-            true
-          | Query p ->
-            Latency.percentile t ~p = Stats.percentile !model ~p
-            && Latency.max_value t = List.fold_left Float.max Float.neg_infinity !model)
-        ops)
+    (QCheck.make ~print:QCheck.Print.(pair (list float) (list float)) latency_queries_gen)
+    (fun (xs, ps) ->
+      let t = recorder xs in
+      List.for_all (fun p -> Latency.percentile t ~p = Stats.percentile xs ~p) ps
+      && Latency.percentile t ~p:100.0 = List.fold_left Float.max Float.neg_infinity xs)
 
 let test_latency_rejects_bad_sojourns () =
   (* Regression: a NaN sample has no place in a total order, so selection
      could return any element for a rank. *)
-  let t = Latency.create () in
-  let reject name x =
+  let reject name a =
     Alcotest.check_raises name
-      (Invalid_argument "Latency.observe: sojourn must be non-negative") (fun () ->
-        Latency.observe t x)
+      (Invalid_argument "Latency.of_samples: sojourn must be non-negative") (fun () ->
+        ignore (Latency.of_samples a ~count:(Array.length a)))
   in
-  reject "nan" Float.nan;
-  reject "negative" (-1.0);
-  check Alcotest.int "nothing recorded" 0 (Latency.count t)
+  reject "nan" [| 1.0; Float.nan |];
+  reject "negative" [| -1.0; 2.0 |];
+  Alcotest.check_raises "count past the array"
+    (Invalid_argument "Latency.of_samples: count outside the array") (fun () ->
+      ignore (Latency.of_samples [| 1.0 |] ~count:2));
+  check
+    Alcotest.(option (float 1e-9))
+    "a NaN past the count is never read" (Some 1.0)
+    (Latency.percentile_opt (Latency.of_samples [| 1.0; Float.nan |] ~count:1) ~p:50.0)
 
 (* --- server ----------------------------------------------------------- *)
 
@@ -155,8 +140,7 @@ let test_server_fifo_and_shed () =
   check Alcotest.int "shed" 1 r.Server.shed;
   check (Alcotest.float 1e-9) "horizon" 20.0 r.Server.horizon;
   check (Alcotest.float 1e-9) "first sojourn" 10.0 (Latency.percentile r.Server.latency ~p:0.0);
-  check (Alcotest.float 1e-9) "queued sojourn" 19.0 (Latency.percentile r.Server.latency ~p:100.0);
-  check (Alcotest.float 1e-9) "shed fraction" (1.0 /. 3.0) (Server.shed_fraction r)
+  check (Alcotest.float 1e-9) "queued sojourn" 19.0 (Latency.percentile r.Server.latency ~p:100.0)
 
 let test_server_jsq_balances () =
   (* Four simultaneous arrivals on two cores: JSQ alternates cores (ties to
@@ -199,9 +183,7 @@ let test_server_queue_bound_zero_sheds_everything () =
   in
   check Alcotest.int "served" 0 r.Server.served;
   check Alcotest.int "all shed" 3 r.Server.shed;
-  check (Alcotest.float 1e-9) "shed fraction one" 1.0 (Server.shed_fraction r);
   check (Alcotest.float 1e-9) "zero goodput" 0.0 (Server.goodput_rps r);
-  check Alcotest.int "empty recorder" 0 (Latency.count r.Server.latency);
   check
     Alcotest.(option (float 1e-9))
     "p99 of nothing is None" None
@@ -233,6 +215,138 @@ let test_server_negative_queue_bound_rejected () =
            ~arrivals:[| 0.0 |]
            ~service:(fun _ -> 1.0)
            ()))
+
+(* The Queue-based server that per-core rings replaced, kept as the
+   reference model: each core is a FIFO of boxed completion times, drained
+   of entries completed by the arrival time, and every sojourn is kept in
+   arrival order. *)
+type model = {
+  m_served : int;
+  m_shed : int;
+  m_horizon : float;
+  m_per_core_served : int array;
+  m_busy_cycles : float array;
+  m_sojourns : float list;
+}
+
+let model_simulate (config : Server.config) ~arrivals ~service =
+  let backlog q ~now =
+    while (not (Queue.is_empty q)) && Queue.peek q <= now do
+      ignore (Queue.pop q)
+    done;
+    Queue.length q
+  in
+  let queues = Array.init config.Server.cores (fun _ -> Queue.create ()) in
+  let last_completion = Array.make config.Server.cores 0.0 in
+  let per_core_served = Array.make config.Server.cores 0 in
+  let busy_cycles = Array.make config.Server.cores 0.0 in
+  let sojourns = ref [] in
+  let served = ref 0 and shed = ref 0 and horizon = ref 0.0 in
+  Array.iteri
+    (fun i t ->
+      let s = service i in
+      let core =
+        match config.Server.dispatch with
+        | Server.Round_robin ->
+          let c = i mod config.Server.cores in
+          ignore (backlog queues.(c) ~now:t);
+          c
+        | Server.Join_shortest_queue ->
+          let best = ref 0 and best_len = ref max_int in
+          Array.iteri
+            (fun c q ->
+              let len = backlog q ~now:t in
+              if len < !best_len then begin
+                best := c;
+                best_len := len
+              end)
+            queues;
+          !best
+      in
+      if Queue.length queues.(core) >= config.Server.queue_bound then incr shed
+      else begin
+        let start = Float.max t last_completion.(core) in
+        let completion = start +. s in
+        Queue.push completion queues.(core);
+        last_completion.(core) <- completion;
+        per_core_served.(core) <- per_core_served.(core) + 1;
+        busy_cycles.(core) <- busy_cycles.(core) +. s;
+        sojourns := (completion -. t) :: !sojourns;
+        incr served;
+        if completion > !horizon then horizon := completion
+      end)
+    arrivals;
+  {
+    m_served = !served;
+    m_shed = !shed;
+    m_horizon = !horizon;
+    m_per_core_served = per_core_served;
+    m_busy_cycles = busy_cycles;
+    m_sojourns = List.rev !sojourns;
+  }
+
+(* Small machines (1-6 cores, bound 0-5), so rings wrap and shed; arrival
+   gaps that tie, step and jump; positive service times, whole and
+   fractional. *)
+let server_case_gen =
+  let open QCheck.Gen in
+  let dispatch = oneofl [ Server.Round_robin; Server.Join_shortest_queue ] in
+  let config =
+    map3
+      (fun cores queue_bound dispatch -> { Server.cores; queue_bound; dispatch })
+      (int_range 1 6) (int_range 0 5) dispatch
+  in
+  let gap =
+    frequency
+      [
+        (3, return 0.0);
+        (4, map float_of_int (int_range 1 20));
+        (2, float_range 0.0 30.0);
+        (1, map float_of_int (int_range 50 500));
+      ]
+  in
+  let service = frequency [ (3, map float_of_int (int_range 1 40)); (1, float_range 0.5 60.0) ] in
+  let request = pair gap service in
+  let arrivals gaps =
+    let clock = ref 0.0 in
+    Array.of_list (List.map (fun (g, s) -> clock := !clock +. g; (!clock, s)) gaps)
+  in
+  pair config (map arrivals (list_size (int_range 0 120) request))
+
+let print_server_case (c, reqs) =
+  Printf.sprintf "cores %d bound %d %s: %s" c.Server.cores c.Server.queue_bound
+    (Server.dispatch_to_string c.Server.dispatch)
+    (String.concat " "
+       (Array.to_list (Array.map (fun (t, s) -> Printf.sprintf "%h+%h" t s) reqs)))
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let server_oracle_prop =
+  QCheck.Test.make ~name:"rings match the Queue model" ~count:500
+    (QCheck.make ~print:print_server_case server_case_gen)
+    (fun (config, reqs) ->
+      let arrivals = Array.map fst reqs and service i = snd reqs.(i) in
+      let r = Server.simulate ~config ~arrivals ~service () in
+      let m = model_simulate config ~arrivals ~service in
+      let sorted = Array.of_list (List.sort compare m.m_sojourns) in
+      (* Every nearest rank, ascending: rank k of n is p = floor(100000 k / n)
+         thousandths of a percent. *)
+      let ranks_equal =
+        List.for_all
+          (fun k ->
+            let p = float_of_int (k * 100_000 / m.m_served) /. 1000.0 in
+            Stats.nearest_rank ~p ~n:m.m_served = k
+            && same_float (Latency.percentile r.Server.latency ~p) sorted.(k - 1))
+          (List.init m.m_served (fun k -> k + 1))
+      in
+      r.Server.offered = Array.length arrivals
+      && r.Server.served = m.m_served
+      && r.Server.shed = m.m_shed
+      && same_float r.Server.horizon m.m_horizon
+      && r.Server.per_core_served = m.m_per_core_served
+      && Array.for_all2 same_float r.Server.busy_cycles m.m_busy_cycles
+      && ranks_equal
+      && (m.m_served > 0 || Latency.percentile_opt r.Server.latency ~p:50.0 = None))
 
 let test_dispatch_parse () =
   Alcotest.(check bool) "rr" true (Server.dispatch_of_string "rr" = Ok Server.Round_robin);
@@ -468,6 +582,7 @@ let suite =
         Alcotest.test_case "dispatch parsing" `Quick test_dispatch_parse;
         Alcotest.test_case "p99 monotone, goodput bounded" `Quick
           test_p99_monotone_and_goodput_bounded;
+        QCheck_alcotest.to_alcotest server_oracle_prop;
       ] );
     ( "service.costmodel",
       [ Alcotest.test_case "calibration orders schemes" `Slow test_calibrate_orders_schemes ] );
