@@ -58,12 +58,20 @@ let scale_arg default =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Pv_util.Pool.default_jobs ())
+    & opt int (Domain.recommended_domain_count ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the experiment runs.  Results are deterministic: \
-           any N produces output identical to -j 1 (the serial path).  Default: \
-           the recommended domain count of this machine.")
+          "Parallelism of the sweeps.  $(b,-j 1) runs every cell in this \
+           process, in order (the serial path).  A larger N runs the cells \
+           on N worker $(i,processes) (at most 128), forked for each sweep; \
+           each sends every result back over its pipe, and only this \
+           process writes the $(b,--checkpoint) and the $(b,--cache), each \
+           result as it arrives.  A worker that dies — including injected \
+           $(b,--fault kill@I) — loses only the attempt it was making, \
+           which is retried under $(b,--retries) on a fresh worker.  \
+           Results are deterministic: any N prints output identical to \
+           $(b,-j 1).  Default: the recommended domain count of this \
+           machine.")
 
 (* --- supervision flags (perf, surface, security, sensitivity, service) --- *)
 
@@ -88,13 +96,14 @@ let fault_arg =
           "Deterministic fault injection, e.g. $(b,crash@2,livelock@1): job index 2 \
            crashes on every attempt, job 1 livelocks (its run hits the cycle watchdog).  \
            $(b,flaky@N) crashes once and succeeds on retry; $(b,slow@N) and \
-           $(b,poison@N) are also available.  With $(b,--workers), $(b,kill@N) \
+           $(b,poison@N) are also available.  Above $(b,-j 1), $(b,kill@N) \
            SIGKILLs the worker process mid-cell (after it computes the cell, \
-           before it sends the result); the attempt is lost, and the \
-           coordinator retries it on a fresh worker.  Indices count the cells a \
-           sweep executes, in declaration order, after those served from the \
-           checkpoint or the cache and those that repeat another cell's inputs, \
-           so a spec is reproducible for any -j and any --workers.")
+           before it sends the result); the attempt is lost, and it is \
+           retried on a fresh worker.  At $(b,-j 1) the attempt is lost \
+           without running.  Indices count the cells a sweep executes, in \
+           declaration order, after those served from the checkpoint or the \
+           cache and those that repeat another cell's inputs, so a spec is \
+           reproducible for any -j.")
 
 let max_cycles_arg =
   Arg.(
@@ -155,36 +164,19 @@ let cache_stats_arg =
            (hits/misses/writes/write_errors/corrupt_dropped) to stderr.  Requires \
            $(b,--cache).")
 
-let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Run sweep cells on $(docv) worker $(i,processes), forked for each \
-           sweep, instead of in-process domains.  Each worker sends every \
-           result back over its pipe.  The coordinator survives worker death \
-           — including injected $(b,--fault kill@I) — by retrying the lost \
-           attempt under $(b,--retries) on a fresh worker, and keeps every \
-           result that reached it; tables and $(b,--metrics) output are \
-           byte-identical to $(b,--workers 1).  Only the coordinator writes \
-           the $(b,--checkpoint) and the $(b,--cache), each result as it \
-           arrives.  Worker processes run one cell at a time, so $(b,-j) has \
-           no effect when $(docv) > 1.")
-
 (* The supervision flags evaluate to a [Supervise.config] without its
    cache, paired with the cache directory ([None] under --no-cache) and
    --cache-stats: the cache is opened only once [with_sup_config] has
    checked every flag. *)
 let sup_term =
-  let mk jobs retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats
-      workers =
-    ( { E.Supervise.default with jobs; retries; fault; max_cycles; checkpoint; resume; workers },
+  let mk jobs retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats =
+    ( { E.Supervise.default with jobs; retries; fault; max_cycles; checkpoint; resume },
       (if no_cache then None else cache_dir),
       cache_stats )
   in
   Cmdliner.Term.(
     const mk $ jobs_arg $ retries_arg $ fault_arg $ max_cycles_arg $ checkpoint_arg
-    $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg $ workers_arg)
+    $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg)
 
 (* Where a run will write, checked before any cell runs: [path] must be
    (or become) a file or, with [dir], a directory, in a directory that
@@ -230,7 +222,6 @@ let with_sup_config ?(outputs = []) ?(scale = 1.0)
   | None when cache_stats && cache_dir = None ->
     usage "--cache-stats requires --cache DIR (and not --no-cache)"
   | None when config.jobs < 1 -> usage "-j must be >= 1"
-  | None when config.workers < 1 -> usage "--workers must be >= 1"
   | None when config.retries < 0 -> usage "--retries must be >= 0, got %d" config.retries
   | None when Option.value config.max_cycles ~default:1 < 1 ->
     usage "--max-cycles must be >= 1, got %d" (Option.get config.max_cycles)

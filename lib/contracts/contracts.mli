@@ -40,8 +40,8 @@
 
     Every matrix cell is a {!Pv_experiments.Supervise} cell with a canonical
     {!Pv_util.Rescache} descriptor, so the matrix runs under [-j],
-    [--workers], [--fault] and [--checkpoint/--resume], byte-identical in
-    every configuration. *)
+    [--fault] and [--checkpoint/--resume], byte-identical in every
+    configuration. *)
 
 (** {1 Registries} *)
 

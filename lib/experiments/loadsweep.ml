@@ -31,7 +31,7 @@ let cal_key app label = Printf.sprintf "service-cal/%s/%s" app label
 let point_key app label load = Printf.sprintf "service/%s/%s/%.2f" app label load
 
 (* Deterministic seed derivation from strings: load points must agree on
-   their arrival/service streams across cells, worker domains and resumes,
+   their arrival/service streams across cells, worker processes and resumes,
    so nothing here may depend on hashing internals or execution order. *)
 let key_seed base s =
   String.fold_left (fun acc c -> ((acc * 131) + Char.code c) land 0x3FFFFFFF) base s

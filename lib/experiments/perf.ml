@@ -34,7 +34,7 @@ let fences_per_kiloinstr run =
 
 (* Each measurement is one self-contained Machine.run_job: pure inputs in, a
    [run] record out.  Nothing here may touch state shared across runs — the
-   supervised sweeps below ship these to worker domains.  [fuel] is the
+   supervised sweeps below ship these to worker processes.  [fuel] is the
    supervisor's cycle budget; a run that exhausts it raises the structured
    Machine.Run_timeout instead of spinning forever. *)
 let execute ?fuel ?(trace = false) ?on_commit ~seed ~block_unknown ~view_cache_entries

@@ -1,14 +1,13 @@
 (* Supervised sweep driver: one attempt function (fault realization and the
-   transient/permanent split) shared by both executors, the domain pool's
-   retry loop, and Rescache glued into the experiment layer's unit of work
-   (the keyed cell).
+   transient/permanent split) made in the calling process at [jobs = 1] and
+   in worker processes above it, and Rescache glued into the experiment
+   layer's unit of work (the keyed cell).
 
    Livelock faults are realized here: a livelocked simulation cannot be
    faked by an exception, so the supervisor starves the cell's cycle fuel
    and lets the pipeline's max_cycles watchdog produce the structured
    Machine.Run_timeout. *)
 
-module Pool = Pv_util.Pool
 module Fault = Pv_util.Fault
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
@@ -36,7 +35,6 @@ type config = {
   checkpoint : string option;
   resume : bool;
   cache : Rescache.t option;
-  workers : int;
 }
 
 let default =
@@ -48,7 +46,6 @@ let default =
     checkpoint = None;
     resume = false;
     cache = None;
-    workers = 1;
   }
 
 let resume_preflight dir =
@@ -65,10 +62,10 @@ let resume_preflight dir =
 let starved_fuel = 5_000
 
 (* One attempt at runnable cell [index] under the fault plan: the cell's
-   value, or whether the failure is transient and its reason.  The
-   executors differ only in [Kill]: a worker process computes the cell and
-   then dies for real, before it sends the value; in-process the attempt is
-   lost without running. *)
+   value, or whether the failure is transient and its reason.  The two
+   paths differ only in [Kill]: a worker process computes the cell and
+   then dies for real, before it sends the value; in the calling process
+   the attempt is lost without running. *)
 let attempt_cell config ~in_worker ~index ~attempt (c : 'a cell) =
   let run fuel = match c.run ~fuel with v -> Ok v | exception e -> Error e in
   let outcome =
@@ -96,41 +93,37 @@ let attempt_cell config ~in_worker ~index ~attempt (c : 'a cell) =
       (transient, Printexc.to_string e))
     outcome
 
-(* --- domain pool ----------------------------------------------------------- *)
-
-(* One pool job per runnable cell: it retries transient failures in place
-   and stores a finished value as soon as it has one, so a crash or Ctrl-C
-   loses at most in-flight cells.  Each cell yields its value or failure
-   reason and the attempts made. *)
-let run_domains config ~store runnable =
-  Pool.with_pool ~jobs:config.jobs (fun p ->
-      Pool.map p
-        (fun (index, c) ->
-          let rec go n =
-            match attempt_cell config ~in_worker:false ~index ~attempt:n c with
-            | Ok v ->
-              store c v;
-              (Ok v, n + 1)
-            | Error (true, _) when n < config.retries -> go (n + 1)
-            | Error (_, reason) -> (Error reason, n + 1)
-          in
-          go 0)
-        (List.mapi (fun i c -> (i, c)) runnable))
-
-(* --- worker processes ------------------------------------------------------ *)
-
-(* The same attempts on forked worker processes, which already hold the
-   runnable cells and everything their closures captured (upstream sweeps'
-   results included).  Each value comes back in its worker's result frame
-   and is stored here as it arrives, as in [run_domains]. *)
-let run_procpool config ~store runnable =
-  let cells = Array.of_list runnable in
-  Array.to_list
-    (Procpool.map ~workers:config.workers ~retries:config.retries
-       ~attempt:(fun ~index ~attempt ->
-         attempt_cell config ~in_worker:true ~index ~attempt cells.(index))
-       ~on_value:(fun i v -> store cells.(i) v)
-       (Array.length cells))
+(* Each runnable cell's value or failure reason, with the attempts made.
+   At [jobs = 1] the cells run here, in order, each retrying transient
+   failures at once and storing its value as soon as it has one: the
+   serial reference.  Above it, forked worker processes, which already
+   hold the cells and everything their closures captured (upstream
+   sweeps' results included), make the same attempts, and each value is
+   stored here as its result frame arrives.  So a crash or Ctrl-C loses at
+   most in-flight cells either way.  At most 128 workers start, whatever
+   [jobs] asks for; an empty remainder forks none. *)
+let execute config ~store runnable =
+  if config.jobs <= 1 then
+    List.mapi
+      (fun index c ->
+        let rec go n =
+          match attempt_cell config ~in_worker:false ~index ~attempt:n c with
+          | Ok v ->
+            store c v;
+            (Ok v, n + 1)
+          | Error (true, _) when n < config.retries -> go (n + 1)
+          | Error (_, reason) -> (Error reason, n + 1)
+        in
+        go 0)
+      runnable
+  else
+    let cells = Array.of_list runnable in
+    Array.to_list
+      (Procpool.map ~workers:(min config.jobs 128) ~retries:config.retries
+         ~attempt:(fun ~index ~attempt ->
+           attempt_cell config ~in_worker:true ~index ~attempt cells.(index))
+         ~on_value:(fun i v -> store cells.(i) v)
+         (Array.length cells))
 
 let run ?(config = default) (cells : 'a cell list) =
   let keys = List.map (fun (c : 'a cell) -> c.key) cells in
@@ -141,8 +134,7 @@ let run ?(config = default) (cells : 'a cell list) =
   (* One lookup per cell with a descriptor, in declaration order so the
      stores' hit/miss counters are deterministic for any [jobs]: the
      checkpoint under [resume], then the cache.  A served cell skips fault
-     injection, retries and livelock fuel entirely — it never becomes pool
-     work. *)
+     injection, retries and livelock fuel entirely — it is never executed. *)
   let find store desc = Option.bind store (fun s -> Rescache.find s ~key:desc) in
   let served = Hashtbl.create 16 in
   List.iter
@@ -186,14 +178,7 @@ let run ?(config = default) (cells : 'a cell list) =
   let store (c : 'a cell) v =
     Option.iter (fun desc -> try Rescache.store_all stores ~key:desc v with _ -> ()) c.cache
   in
-  (* Neither executor starts for an empty remainder, and with [workers > 1]
-     the domain pool never starts at all: a process that has ever spawned a
-     domain can no longer fork. *)
-  let outcomes =
-    if runnable = [] then []
-    else if config.workers > 1 then run_procpool config ~store runnable
-    else run_domains config ~store runnable
-  in
+  let outcomes = execute config ~store runnable in
   let ran = Hashtbl.create (List.length runnable) in
   List.iter2 (fun (c : 'a cell) o -> Hashtbl.replace ran c.key o) runnable outcomes;
   let restored = ref 0 and cached = ref 0 and deduped = ref 0 in

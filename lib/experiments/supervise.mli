@@ -2,25 +2,25 @@
 
     A sweep is a list of {e cells} — self-contained measurement jobs with a
     stable string key (e.g. ["lebench/select/PERSPECTIVE"]).  {!run} executes
-    them on a {!Pv_util.Pool} of domains or on {!Pv_util.Procpool} worker
-    processes.  Both make each attempt at a cell through one function,
-    which realizes the {!Pv_util.Fault} plan and classifies a failure:
-    {!Pv_util.Fault.Crashed} and {!Pv_util.Fault.Killed} are transient and
-    retried up to [retries] times, anything else is permanent.  A raising,
-    poisoned or livelocked cell thus degrades to a per-cell failure instead
-    of aborting the sweep, and reports the same failure under either
-    executor.  Completed cells are stored, under their canonical input
-    descriptor, in a {!Pv_util.Rescache} checkpoint directory as they
-    finish, and a [resume] run serves stored cells from it and executes only
-    the rest.  A cell is served only for the inputs it was measured with: a
-    changed seed, scale or code salt changes the descriptor or the salt, and
-    the cell runs again.
+    them in the calling process at [jobs = 1] and on {!Pv_util.Procpool}
+    worker processes above it.  Every attempt at a cell goes through one
+    function, which realizes the {!Pv_util.Fault} plan and classifies a
+    failure: {!Pv_util.Fault.Crashed} and {!Pv_util.Fault.Killed} are
+    transient and retried up to [retries] times, anything else is
+    permanent.  A raising, poisoned or livelocked cell thus degrades to a
+    per-cell failure instead of aborting the sweep, and reports the same
+    failure at every [jobs].  Completed cells are stored, under their
+    canonical input descriptor, in a {!Pv_util.Rescache} checkpoint
+    directory as they finish, and a [resume] run serves stored cells from
+    it and executes only the rest.  A cell is served only for the inputs it
+    was measured with: a changed seed, scale or code salt changes the
+    descriptor or the salt, and the cell runs again.
 
     Determinism: cell values are pure functions of their inputs, fault
     injection is keyed on the cell's index, and results are merged in
     declaration order — so for a fixed fault plan the sweep's outcome is
-    identical for every worker count and either executor, and a resumed
-    sweep converges to exactly the table an uninterrupted run produces. *)
+    identical for every [jobs], and a resumed sweep converges to exactly
+    the table an uninterrupted run produces. *)
 
 type 'a cell = {
   key : string;  (** stable identity within the sweep: names its table row *)
@@ -55,7 +55,18 @@ type 'a sweep = {
 }
 
 type config = {
-  jobs : int;  (** pool size; [1] is the exact serial path *)
+  jobs : int;
+      (** [1]: run the cells in the calling process, in order — the serial
+          reference.  [> 1]: run them on [min jobs 128] worker
+          {e processes} forked by {!run}, so they inherit the cells and
+          everything their closures captured.  Each worker sends every
+          result back over its pipe.  A dead worker, SIGKILL injection
+          ([--fault kill@i]) included, loses only its in-flight attempt,
+          which is retried under [retries] on a fresh fork; there is no
+          other limit on deaths.  The sweep is identical to [jobs = 1].
+          OCaml 5 cannot fork a process that has ever started a second
+          domain, so a caller that has started one gets the [Failure] that
+          [Unix.fork] raises. *)
   retries : int;  (** extra attempts for transient failures *)
   fault : Pv_util.Fault.t;  (** deterministic fault injection *)
   max_cycles : int option;
@@ -69,40 +80,29 @@ type config = {
   cache : Pv_util.Rescache.t option;
       (** persistent result cache; cells with a descriptor consult it before
           running and store their results after *)
-  workers : int;
-      (** [> 1]: execute runnable cells on a {!Pv_util.Procpool} of worker
-          {e processes} forked by {!run}, so they inherit the cells and
-          everything their closures captured.  Each worker sends every
-          result back over its pipe.  A dead worker, SIGKILL injection
-          ([--fault kill@i]) included, loses only its in-flight attempt,
-          which is retried under [retries] on a fresh fork; there is no
-          other limit on deaths.  The sweep is identical to [workers = 1].
-          The domain pool never starts in this mode; a caller that has
-          already started a domain gets the [Failure] that [Unix.fork]
-          raises. *)
 }
 
 val default : config
 (** [jobs = 1], [retries = 0], no fault, no cycle override, no checkpoint,
-    no cache, [workers = 1]. *)
+    no cache. *)
 
 val run : ?config:config -> 'a cell list -> 'a sweep
 (** Execute the sweep under supervision.  Cell keys must be unique.  Each
     executed cell's value is stored under its descriptor in the checkpoint
     and the cache, whichever are configured, by this process, as the
-    value arrives: from the domain that ran it, or from the worker's
-    result frame with [workers > 1].  So under either executor a crash or
-    Ctrl-C loses at most in-flight cells.  A run
+    value arrives: from the cell itself at [jobs = 1], or from the
+    worker's result frame above it.  So a crash or Ctrl-C loses at most
+    in-flight cells.  A run
     without [resume] reads nothing from the checkpoint and deletes nothing
     from it: an entry can only ever be served for its own inputs.
 
     Each cell with a descriptor is looked up once, in declaration order: in
     the checkpoint under [resume] (counted [restored]), else in the cache
     (counted [cached]).  A served cell skips fault injection and retries
-    entirely — it never becomes pool work.  Then cells whose descriptor
+    entirely — it is never executed.  Then cells whose descriptor
     equals an earlier cell's this run are aliased to it (counted [deduped];
-    one simulation, many rows), and only the remainder executes — on no
-    executor at all when it is empty.  Fault-plan indices refer to
+    one simulation, many rows), and only the remainder executes — forking
+    no worker at all when it is empty.  Fault-plan indices refer to
     positions in that remainder.  Cache hits are not copied into the
     checkpoint, so a resumed run without the cache executes them again.
     The table a sweep produces is byte-identical whether its cells were

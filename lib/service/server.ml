@@ -45,8 +45,9 @@ let simulate ?(config = default_config) ~arrivals ~service () =
   if config.queue_bound < 0 then
     invalid_arg "Server.simulate: queue_bound must be non-negative";
   let n = Array.length arrivals in
-  for i = 1 to n - 1 do
-    if arrivals.(i) < arrivals.(i - 1) then
+  for i = 0 to n - 1 do
+    if Float.is_nan arrivals.(i) then invalid_arg "Server.simulate: arrivals must not be NaN";
+    if i > 0 && arrivals.(i) < arrivals.(i - 1) then
       invalid_arg "Server.simulate: arrivals must be ascending"
   done;
   let cores = config.cores and bound = config.queue_bound in

@@ -63,7 +63,7 @@ val simulate :
     to zero goodput with an empty latency recorder (percentiles are [n/a]),
     which the reporting layer must render rather than crash on.  Raises
     [Invalid_argument] on a non-positive [cores], a negative [queue_bound],
-    unsorted arrivals or a non-positive service time. *)
+    a NaN or unsorted arrival or a non-positive service time. *)
 
 val goodput_rps : result -> float
 (** Served requests per simulated second at 2 GHz ([0.] when nothing was

@@ -339,8 +339,9 @@ let check_result ~name (r : Pipeline.result) =
    ISVs see the workload's trace. *)
 let profile_reps = 25
 
-(* Every mutable part of the run is created here, so any Pool domain can
-   run it; runs of one seed share only that seed's immutable call graph. *)
+(* Every mutable part of the run is created here, so any process or domain
+   can run it; runs of one seed share only that seed's immutable call
+   graph. *)
 let run_job ?fuel ?on_commit ?pipe_config ?block_unknown ?(view_cache_entries = 128) ~seed
     ~syscalls ~name ~user_funcs ~profile:workload scheme =
   let m = create ?pipe_config ~seed ~syscalls () in

@@ -107,8 +107,8 @@ val run_job :
   Perspective.Defense.scheme ->
   t * handle * Pv_uarch.Pipeline.result * Pv_uarch.Pipeline.counters
 (** One measurement run on a {e private} machine — kernel, memory, pipeline,
-    RNG and view caches — so equal inputs yield bit-identical results on
-    any {!Pv_util.Pool} domain: {!create}, {!add_process} with entry 0,
+    RNG and view caches — so equal inputs yield bit-identical results in
+    any process or domain: {!create}, {!add_process} with entry 0,
     {!freeze}, 25 {!profile} passes over [profile], the Kasper gadget
     corpus planted for ISV++ only, {!install_defense} with
     [view_cache_entries] (default 128) for both view caches, then {!run}.

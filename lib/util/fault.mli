@@ -27,13 +27,13 @@
       exception cannot fake this one; the supervisor starves the job's cycle
       fuel so the {!Pv_uarch.Pipeline} watchdog fires and the run ends in a
       structured timeout.
-    - {b Kill} — process-level death.  Under the multi-process runner
-      ([--workers N]) the worker assigned the job computes it and SIGKILLs
-      itself before it sends the result, exercising the coordinator's
-      recovery: it sees the worker's pipe close with no result, reports the
-      lost attempt as {!Killed}, and retries it on a fresh worker.
-      In-process the attempt is lost without running, as {!Killed} — an
-      OCaml domain cannot be SIGKILLed individually. *)
+    - {b Kill} — process-level death.  On worker processes ([-j N],
+      [N > 1]) the worker assigned the job computes it and SIGKILLs itself
+      before it sends the result, exercising the coordinator's recovery:
+      it sees the worker's pipe close with no result, reports the lost
+      attempt as {!Killed}, and retries it on a fresh worker.  At [-j 1]
+      the attempt is lost without running, as {!Killed}: killing the one
+      process would end the sweep. *)
 
 type kind = Crash | Slow | Poison | Livelock | Kill
 

@@ -1,8 +1,8 @@
-(** Coordinator/worker process pool for supervised sweeps ([--workers N]).
+(** Coordinator/worker process pool for supervised sweeps ([-j N] with
+    [N > 1]).
 
-    The in-process {!Pool} cannot survive a SIGKILL — a dead domain takes
-    the whole runtime with it.  This pool runs sweep cells in separate OS
-    processes so the coordinator can lose a worker (a crash, an OOM kill,
+    The pool runs sweep cells in separate OS processes, which share no
+    heap, so the coordinator can lose a worker (a crash, an OOM kill,
     injected [--fault kill@i]) and lose nothing but the attempt that worker
     was making.
 
@@ -37,7 +37,7 @@
 
     OCaml 5 refuses [Unix.fork] in a process that has ever started a
     second domain, so {!map} raises [Failure] when called after any
-    [Domain.spawn] (including a {!Pool} of more than one job). *)
+    [Domain.spawn]. *)
 
 val map :
   workers:int ->

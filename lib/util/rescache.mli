@@ -44,7 +44,7 @@ val open_dir : ?salt:string -> string -> t
 (** [open_dir dir] opens (creating it, including parents, if needed) a store
     rooted at [dir].  [salt] (default [""]) composes with the code salt;
     it must not contain ['"'], ['\\'] or newlines.  Thread-safe: one [t] may
-    be shared across pool domains, and one directory may be shared across
+    be shared across domains, and one directory may be shared across
     processes (every entry is written by temp-file + rename). *)
 
 val dir : t -> string

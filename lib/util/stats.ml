@@ -71,41 +71,3 @@ let normalized ~baseline v =
 let ratio_pct ~num ~den =
   if den = 0 then invalid_arg "Stats.ratio_pct: zero denominator";
   float_of_int num /. float_of_int den *. 100.0
-
-type counter = {
-  mutable n : int;
-  mutable sum : float;
-  mutable sum_sq : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
-
-let counter () = { n = 0; sum = 0.0; sum_sq = 0.0; min_v = infinity; max_v = neg_infinity }
-
-let add c x =
-  c.n <- c.n + 1;
-  c.sum <- c.sum +. x;
-  c.sum_sq <- c.sum_sq +. (x *. x);
-  if x < c.min_v then c.min_v <- x;
-  if x > c.max_v then c.max_v <- x
-
-let count c = c.n
-let total c = c.sum
-let counter_sum_sq c = c.sum_sq
-let counter_mean c = if c.n = 0 then 0.0 else c.sum /. float_of_int c.n
-
-let counter_min c =
-  if c.n = 0 then invalid_arg "Stats.counter_min: empty counter";
-  c.min_v
-
-let counter_max c =
-  if c.n = 0 then invalid_arg "Stats.counter_max: empty counter";
-  c.max_v
-
-(* Population stddev from the streaming moments; clamped at 0 so rounding
-   in sum_sq - n*mean^2 can never produce a NaN. *)
-let counter_stddev c =
-  if c.n < 2 then 0.0
-  else
-    let m = counter_mean c in
-    sqrt (Float.max 0.0 ((c.sum_sq /. float_of_int c.n) -. (m *. m)))

@@ -57,28 +57,3 @@ val ratio_pct : num:int -> den:int -> float
     — a zero denominator is a "no data" condition, not a 0% one, and
     silently rendering it as [0.0] produced plausible-looking lies in the
     sensitivity tables (same policy as {!percent_overhead}/{!normalized}). *)
-
-type counter
-(** Accumulates samples in streaming fashion: count, sum, sum of squares,
-    minimum and maximum — enough for mean/stddev/extrema without retaining
-    the samples. *)
-
-val counter : unit -> counter
-val add : counter -> float -> unit
-val count : counter -> int
-val total : counter -> float
-
-val counter_sum_sq : counter -> float
-(** Running sum of squared samples ([0.] when empty). *)
-
-val counter_mean : counter -> float
-
-val counter_stddev : counter -> float
-(** Population standard deviation from the streaming moments; [0.] for
-    fewer than 2 samples. *)
-
-val counter_min : counter -> float
-(** Smallest sample.  Raises [Invalid_argument] on an empty counter. *)
-
-val counter_max : counter -> float
-(** Largest sample.  Raises [Invalid_argument] on an empty counter. *)

@@ -1,21 +1,17 @@
-(* Property tests for the pool's determinism contract.
+(* Property tests for the sweep executor's determinism contract.
 
-   The scheduler is free to run cells in any interleaving — on any worker
-   domain or on the helping caller — but every observable artifact must be
-   a pure function of the inputs: sweep results and failure reports, the
-   [--metrics] JSON document, and the identity of the first re-raised
-   failure.  These properties drive random tiny/huge cell-cost mixes and
-   random crash plans through [Supervise.run] and [Pool.map] at every
-   worker count and demand byte-identical output to the [-j 1] serial
-   oracle.  A separate executable so a scheduler regression fails loudly
-   on its own, not buried in the main runner. *)
+   Worker processes are free to finish cells in any order, but every
+   observable artifact must be a pure function of the inputs: sweep
+   results and failure reports, and the [--metrics] JSON document.  These
+   properties drive random tiny/huge cell-cost mixes and random crash
+   plans through [Supervise.run] at several worker counts and demand
+   byte-identical output to the [-j 1] serial oracle.  A separate
+   executable so a scheduler regression fails loudly on its own, not
+   buried in the main runner. *)
 
-module Pool = Pv_util.Pool
 module Fault = Pv_util.Fault
 module Metrics = Pv_util.Metrics
 module Supervise = Pv_experiments.Supervise
-
-exception Boom of int
 
 (* A deterministic cell body: cost is "LCG iterations", mixing tiny cells
    (scheduling-overhead bound) with occasional huge ones (skew bound). *)
@@ -109,18 +105,6 @@ let prop_sweep_crash_deterministic =
       && serial = par
       && String.equal (metrics_doc serial) (metrics_doc par))
 
-let prop_first_failure_lowest_index =
-  QCheck.Test.make ~count:60
-    ~name:"Pool.map re-raises the lowest-index failure at every -j"
-    (QCheck.make ~print:print_crash crash_gen)
-    (fun (costs, jobs, crashed) ->
-      QCheck.assume (crashed <> []);
-      let f (i, c) = if List.mem i crashed then raise (Boom i) else spin c i in
-      let xs = List.mapi (fun i c -> (i, c)) costs in
-      match Pool.with_pool ~jobs (fun p -> Pool.map p f xs) with
-      | _ -> false
-      | exception Boom i -> i = List.fold_left min max_int crashed)
-
 let () =
   Alcotest.run "perspective-ws"
     [
@@ -128,6 +112,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_sweep_deterministic;
           QCheck_alcotest.to_alcotest prop_sweep_crash_deterministic;
-          QCheck_alcotest.to_alcotest prop_first_failure_lowest_index;
         ] );
     ]

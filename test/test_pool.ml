@@ -1,8 +1,9 @@
-(* The domain pool and the determinism contract of the parallel experiment
-   runner: merged results — and the tables rendered from them — must be
-   byte-identical for every worker count. *)
+(* The sweep executor and the determinism contract of the parallel
+   experiment runner.  At [jobs = 1] a sweep's cells run in the calling
+   process, in order; above it they run on forked worker processes.
+   Merged results — and the tables rendered from them — must be
+   byte-identical for every [jobs]. *)
 
-module Pool = Pv_util.Pool
 module Perf = Pv_experiments.Perf
 module Perf_report = Pv_experiments.Perf_report
 module Schemes = Pv_experiments.Schemes
@@ -14,27 +15,36 @@ module Apps = Pv_workloads.Apps
 
 let check = Alcotest.check
 
-let run ~jobs f xs = Pool.with_pool ~jobs (fun p -> Pool.map p f xs)
+(* [f] over [xs] as one sweep at [jobs]: each element's value, [None] for
+   a cell that raised, and the sweep's (key, reason) failures. *)
+let sweep_map ~jobs f xs =
+  let cells =
+    List.mapi (fun i x -> Supervise.cell (Printf.sprintf "x/%04d" i) (fun ~fuel:_ -> f x)) xs
+  in
+  let s = Supervise.run ~config:{ Supervise.default with jobs } cells in
+  ( List.map snd s.Supervise.results,
+    List.map (fun (f : Supervise.failure) -> (f.key, f.reason)) s.Supervise.failures )
 
-(* --- pool mechanics -------------------------------------------------- *)
+let run ~jobs f xs = List.map Option.get (fst (sweep_map ~jobs f xs))
+
+(* --- executor mechanics ---------------------------------------------- *)
 
 let test_empty () =
-  check Alcotest.(list int) "no jobs" [] (run ~jobs:4 (fun x -> x) []);
-  Pool.with_pool ~jobs:3 (fun p ->
-      check Alcotest.(list int) "no jobs, pooled" [] (Pool.map p (fun x -> x) []))
+  check Alcotest.(list int) "no cells" [] (run ~jobs:4 (fun x -> x) []);
+  check Alcotest.(list int) "no cells, serial" [] (run ~jobs:1 (fun x -> x) [])
 
 let test_one_job () =
-  check Alcotest.(list int) "one job" [ 14 ] (run ~jobs:4 (fun x -> 2 * x) [ 7 ])
+  check Alcotest.(list int) "one cell" [ 14 ] (run ~jobs:4 (fun x -> 2 * x) [ 7 ])
 
 let test_many_jobs_few_workers () =
   let xs = List.init 200 (fun i -> i) in
   let expected = List.map (fun i -> i * i) xs in
-  check Alcotest.(list int) "200 jobs on 3 workers" expected
+  check Alcotest.(list int) "200 cells on 3 workers" expected
     (run ~jobs:3 (fun i -> i * i) xs)
 
 let test_order_with_skewed_durations () =
-  (* Front-load the heavy jobs so light ones finish first on other workers;
-     the result order must still be submission order. *)
+  (* Front-load the heavy cells so light ones finish first on other
+     workers; the result order must still be declaration order. *)
   let work i =
     let trips = if i < 4 then 2_000_000 else 100 in
     let acc = ref i in
@@ -48,76 +58,84 @@ let test_order_with_skewed_durations () =
   check Alcotest.(list int) "order preserved" xs (run ~jobs:4 work xs)
 
 let test_serial_path_equals_map () =
-  let f i = (3 * i) - 1 in
+  (* At -j 1 every cell runs in this process, in declaration order. *)
+  let seen = ref [] in
+  let f i =
+    seen := i :: !seen;
+    ((3 * i) - 1, Unix.getpid ())
+  in
   let xs = List.init 17 (fun i -> i) in
-  check Alcotest.(list int) "-j 1 is List.map" (List.map f xs) (run ~jobs:1 f xs)
+  check
+    Alcotest.(list (pair int int))
+    "-j 1 is List.map in the calling process"
+    (List.map (fun i -> ((3 * i) - 1, Unix.getpid ())) xs)
+    (run ~jobs:1 f xs);
+  check Alcotest.(list int) "in declaration order" xs (List.rev !seen)
 
 exception Boom of int
 
 let test_exception_propagates () =
+  (* A raising cell fails alone, with its exception as the reason, and the
+     failures are the same for every worker count. *)
   let f i = if i mod 10 = 3 then raise (Boom i) else i in
-  (* The lowest-index failure wins, for every worker count. *)
+  let xs = List.init 40 (fun i -> i) in
+  let want =
+    List.filter_map
+      (fun i ->
+        if i mod 10 = 3 then Some (Printf.sprintf "x/%04d" i, Printexc.to_string (Boom i))
+        else None)
+      xs
+  in
   List.iter
     (fun jobs ->
-      match run ~jobs f (List.init 40 (fun i -> i)) with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom i ->
-        check Alcotest.int (Printf.sprintf "first failure at -j %d" jobs) 3 i)
+      let values, failures = sweep_map ~jobs f xs in
+      check
+        Alcotest.(list (pair string string))
+        (Printf.sprintf "failures at -j %d" jobs)
+        want failures;
+      check Alcotest.int
+        (Printf.sprintf "values at -j %d" jobs)
+        36
+        (List.length (List.filter Option.is_some values)))
     [ 1; 2; 4; 8 ]
 
 let test_pool_survives_job_failure () =
-  (* A raising batch must not wedge the pool: the same pool still runs the
-     next batch, and shutdown joins all domains cleanly. *)
-  Pool.with_pool ~jobs:4 (fun p ->
-      (match Pool.map p (fun i -> if i = 5 then failwith "job 5" else i) (List.init 9 Fun.id) with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure m -> check Alcotest.string "message" "job 5" m);
-      check Alcotest.(list int) "pool usable after failure" [ 2; 4; 6 ]
-        (Pool.map p (fun i -> 2 * i) [ 1; 2; 3 ]))
+  (* A sweep whose cells raise, or whose worker dies mid-cell, leaves the
+     next sweep at the same -j unharmed. *)
+  let values, failures =
+    sweep_map ~jobs:4
+      (fun i ->
+        if i = 5 then failwith "cell 5";
+        if i = 6 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        i)
+      (List.init 9 Fun.id)
+  in
+  check Alcotest.int "two failed cells" 2 (List.length failures);
+  check Alcotest.int "the others completed" 7 (List.length (List.filter Option.is_some values));
+  check Alcotest.(list int) "the next sweep runs" [ 2; 4; 6 ]
+    (run ~jobs:4 (fun i -> 2 * i) [ 1; 2; 3 ])
 
 let test_shutdown_semantics () =
-  let p = Pool.create ~jobs:3 in
-  check Alcotest.int "size" 3 (Pool.size p);
-  check Alcotest.(list int) "works" [ 1; 2 ] (Pool.map p Fun.id [ 1; 2 ]);
-  Pool.shutdown p;
-  Pool.shutdown p (* idempotent *);
-  Alcotest.check_raises "map after shutdown" (Invalid_argument "Pool.map: pool is shut down")
-    (fun () -> ignore (Pool.map p Fun.id [ 1 ]))
-
-let test_results_actually_parallel () =
-  (* Sanity that jobs really run off the calling domain.  Two jobs rendezvous:
-     each waits until both have started, which can only happen if two domains
-     run them concurrently — so the recorded domain ids must differ. *)
-  let arrived = Atomic.make 0 in
-  let job _ =
-    Atomic.incr arrived;
-    let spins = ref 0 in
-    while Atomic.get arrived < 2 && !spins < 2_000_000_000 do
-      incr spins;
-      Domain.cpu_relax ()
-    done;
-    (Domain.self () :> int)
-  in
-  match run ~jobs:4 job [ 0; 1 ] with
-  | [ a; b ] -> Alcotest.(check bool) "two domains participated" true (a <> b)
-  | _ -> Alcotest.fail "unexpected result shape"
+  (* No worker outlives its sweep: once [run] returns, this process has no
+     child left to reap. *)
+  check Alcotest.(list int) "works" [ 1; 2; 3 ] (run ~jobs:3 Fun.id [ 1; 2; 3 ]);
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "a child (%d) outlived its sweep" pid
 
 let test_jobs_above_domain_cap () =
-  (* The runtime caps live domains (128 in OCaml 5.1).  An oversized pool
-     runs with the domains it could start, still computes exactly List.map,
-     and hands every domain back on shutdown: a later pool gets two. *)
-  let xs = List.init 200 Fun.id in
+  (* A -j far above the cap of 128 workers still computes exactly List.map;
+     the pool forks no more workers than there are cells, three here.  The
+     cap itself is the [min] in [Supervise]'s executor. *)
+  let xs = [ 1; 2; 3 ] in
   let f i = (i * 31) + 7 in
-  Pool.with_pool ~jobs:1000 (fun p ->
-      Alcotest.(check bool) "size clamped below the request" true (Pool.size p < 1000);
-      check Alcotest.(list int) "-j 1000 is List.map" (List.map f xs) (Pool.map p f xs));
-  test_results_actually_parallel ()
+  check Alcotest.(list int) "-j 1000 is List.map" (List.map f xs) (run ~jobs:1000 f xs)
 
-(* --- reference pool ---------------------------------------------------- *)
+(* --- reference: the serial List.map ------------------------------------ *)
 
 let test_matches_reference_pool () =
-  (* The serial List.map is the contract's definition: same results on a
-     clean batch, same first failure on a dirty one, at every size. *)
+  (* The serial List.map is the contract's definition: same values on a
+     clean batch, same failed cells on a dirty one, at every size. *)
   let xs = List.init 257 (fun i -> i) in
   let f i = (i * 7919) lxor (i lsl 3) in
   List.iter
@@ -126,18 +144,17 @@ let test_matches_reference_pool () =
         (run ~jobs f xs))
     [ 1; 2; 4; 8 ];
   let g i = if i mod 50 = 37 then raise (Boom i) else i in
-  let first thunk = match thunk () with _ -> None | exception Boom i -> Some i in
-  let want = first (fun () -> List.map g xs) in
+  let want = List.map (fun i -> match g i with v -> Some v | exception Boom _ -> None) xs in
   List.iter
     (fun jobs ->
-      check Alcotest.(option int) (Printf.sprintf "first failure at -j %d" jobs) want
-        (first (fun () -> run ~jobs g xs)))
+      check Alcotest.(list (option int)) (Printf.sprintf "failed cells at -j %d" jobs) want
+        (fst (sweep_map ~jobs g xs)))
     [ 1; 2; 4; 8 ]
 
 (* --- determinism of the experiment layer ------------------------------ *)
 
 (* The experiment matrices run as supervised sweeps; a sweep's results are
-   merged in declaration order whatever the pool size. *)
+   merged in declaration order whatever the worker count. *)
 let sweep ~jobs cells = Supervise.run ~config:{ Supervise.default with jobs } cells
 
 let lebench_rows ~jobs ~scale ~tests ~variants =
@@ -228,7 +245,6 @@ let suite =
         Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
         Alcotest.test_case "pool survives failure" `Quick test_pool_survives_job_failure;
         Alcotest.test_case "shutdown" `Quick test_shutdown_semantics;
-        Alcotest.test_case "uses several domains" `Quick test_results_actually_parallel;
         Alcotest.test_case "-j above the domain cap" `Quick test_jobs_above_domain_cap;
       ] );
     ( "pool.supervised",

@@ -1,8 +1,8 @@
 (* Crash-safe multi-process execution: the result store's write-error
    accounting, the coordinator/worker pool itself (completion, recovery
    from killed workers, the retry budget, frames cut short or followed by a
-   kill), and Supervise sweeps on worker processes.  This executable never
-   starts a domain: OCaml 5 refuses to fork after one. *)
+   kill), and Supervise sweeps on worker processes; and [in_child], which
+   the tests that start domains run them in. *)
 
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
@@ -37,6 +37,32 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* [f ()] computed in a forked child and marshalled back.  A test that
+   starts domains starts them here, since a process that has started one
+   can fork no worker.  A child whose [f] raises sends nothing, and the
+   read raises [End_of_file]. *)
+let in_child (f : unit -> 'a) : 'a =
+  let r, w = Unix.pipe () in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let oc = Unix.out_channel_of_descr w in
+    Unix._exit
+      (match Marshal.to_channel oc (f ()) [] with
+      | () ->
+        close_out oc;
+        0
+      | exception _ -> 1)
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        ignore (Unix.waitpid [] pid))
+      (fun () -> Marshal.from_channel ic)
 
 (* --- rescache: write errors ----------------------------------------------- *)
 
@@ -224,7 +250,7 @@ let test_whole_frame_then_kill () =
 
 (* --- Supervise on worker processes ----------------------------------------- *)
 
-let workers2 = { Supervise.default with workers = 2 }
+let workers2 = { Supervise.default with jobs = 2 }
 
 (* [n] cells whose value is [(i * i, pid of the process that ran it)], with
    a cache descriptor per cell when [cache]. *)
@@ -246,10 +272,10 @@ let results = Alcotest.(list (pair string (option int)))
 
 let test_sweep_forks_workers () =
   (* A library caller gets real worker processes: no CLI, no fallback to
-     the in-process pool. *)
+     running in-process. *)
   let serial = Supervise.run (pid_cells "sq" 6) in
   let multi = Supervise.run ~config:workers2 (pid_cells "sq" 6) in
-  check results "results equal workers = 1" (squares serial) (squares multi);
+  check results "results equal -j 1" (squares serial) (squares multi);
   check Alcotest.int "all executed" 6 multi.Supervise.executed;
   Alcotest.(check bool) "every cell ran in a worker pid" true (ran_elsewhere multi)
 
@@ -286,15 +312,15 @@ let test_kill_injection () =
   | _ -> Alcotest.fail "expected exactly one failed cell"
 
 let test_executors_report_same_failures () =
-  (* Both executors make every attempt through one function, so a plan
-     gives the same sweep on worker processes as in-process: values,
-     attempt counts and failure reasons alike. *)
+  (* Every attempt goes through one function, so a plan gives the same
+     sweep on worker processes as in-process: values, attempt counts and
+     failure reasons alike. *)
   let fault = Result.get_ok (Fault.parse "crash@0,flaky@1,poison@2,kill@3,slow@4") in
   let cells =
     List.init 6 (fun i -> Supervise.cell (Printf.sprintf "x/%d" i) (fun ~fuel:_ -> i * i))
   in
   let run config = Supervise.run ~config:{ config with Supervise.fault; retries = 1 } cells in
-  let serial = run { Supervise.default with workers = 1; jobs = 1 } in
+  let serial = run Supervise.default in
   let multi = run workers2 in
   check
     Alcotest.(list (triple string int string))
@@ -394,51 +420,31 @@ let test_killed_coordinator_keeps_cells () =
               (List.map (fun key -> Rescache.find store ~key) [ "kc|0"; "kc|1" ]);
             check Alcotest.(array string) "the temp directory is empty" [||] (Sys.readdir tmp)))
 
-(* [f ()] computed in a forked child and marshalled back, for a run that
-   starts domains: this process could fork no worker after one. *)
-let in_child f =
-  let r, w = Unix.pipe () in
-  flush_all ();
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let oc = Unix.out_channel_of_descr w in
-    Unix._exit
-      (match Marshal.to_channel oc (f ()) [] with
-      | () ->
-        close_out oc;
-        0
-      | exception _ -> 1)
-  | pid ->
-    Unix.close w;
-    let ic = Unix.in_channel_of_descr r in
-    Fun.protect
-      ~finally:(fun () ->
-        close_in ic;
-        ignore (Unix.waitpid [] pid))
-      (fun () -> Marshal.from_channel ic)
-
 let test_many_kills_fail_alike () =
-  (* Ten deaths in one sweep: each loses only its own attempt, so worker
-     processes fail exactly the cells a domain pool fails, with the same
-     reasons. *)
+  (* Ten deaths in one sweep: each loses only its own attempt, so two and
+     four worker processes fail exactly the cells the serial path fails,
+     with the same reasons. *)
   let fault =
     Result.get_ok (Fault.parse (String.concat "," (List.init 10 (Printf.sprintf "kill@%d"))))
   in
   let cells =
     List.init 12 (fun i -> Supervise.cell (Printf.sprintf "x/%d" i) (fun ~fuel:_ -> i * i))
   in
-  let run config =
-    let s = Supervise.run ~config:{ config with Supervise.fault } cells in
+  let run jobs =
+    let s = Supervise.run ~config:{ Supervise.default with jobs; fault } cells in
     (s.Supervise.results, s.Supervise.failures)
   in
-  let multi = run workers2 in
-  let domains : (string * int option) list * Supervise.failure list =
-    in_child (fun () -> run { Supervise.default with jobs = 2 })
-  in
-  check Alcotest.int "ten failed cells" 10 (List.length (snd domains));
-  check results "results" (fst domains) (fst multi);
-  Alcotest.(check bool) "failure lists equal" true (snd domains = snd multi)
+  let serial = run 1 in
+  check Alcotest.int "ten failed cells" 10 (List.length (snd serial));
+  List.iter
+    (fun jobs ->
+      let multi = run jobs in
+      check results (Printf.sprintf "results at -j %d" jobs) (fst serial) (fst multi);
+      Alcotest.(check bool)
+        (Printf.sprintf "failure lists equal at -j %d" jobs)
+        true
+        (snd serial = snd multi))
+    [ 2; 4 ]
 
 let test_checkpoint_resume () =
   with_dir (fun dir ->
@@ -457,14 +463,13 @@ let test_checkpoint_resume () =
       check results "same results" (squares first) (squares resumed))
 
 let test_cached_sweep_starts_no_domain () =
-  (* A fully cached sweep has nothing to run, so no executor starts — not
-     even the domain pool its [jobs = 2] would pick at [workers = 1].  A
-     started domain would make every later fork in this process fail. *)
+  (* A fully cached sweep has nothing to run, so it forks no worker at
+     [jobs = 2], and the next sweep still forks its own. *)
   with_dir (fun dir ->
       let rc = Rescache.open_dir dir in
       ignore (Supervise.run ~config:{ Supervise.default with cache = Some rc }
                 (pid_cells ~cache:true "warm" 4));
-      let config = { workers2 with jobs = 2; cache = Some rc } in
+      let config = { workers2 with cache = Some rc } in
       let warm = Supervise.run ~config (pid_cells ~cache:true "warm" 4) in
       check Alcotest.int "nothing executed" 0 warm.Supervise.executed;
       check Alcotest.int "everything cached" 4 warm.Supervise.cached;

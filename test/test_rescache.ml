@@ -165,16 +165,20 @@ let test_dedup_runs_once () =
   (* Three cells declaring the same canonical descriptor are one simulation:
      the representative runs, the rest alias its value — with or without a
      cache directory configured. *)
-  let runs = Atomic.make 0 in
+  (* At -j 4 the cell runs in a worker process, so each execution appends
+     a byte to a file rather than bumping a counter here. *)
+  let log = Filename.temp_file "pv_dedup" ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove log) @@ fun () ->
   let cell k =
     Supervise.cell ~cache:"dup|desc" k (fun ~fuel:_ ->
-        Atomic.incr runs;
+        Out_channel.with_open_gen [ Open_append ] 0o644 log (fun oc -> output_char oc 'x');
         7)
   in
   let sweep =
     Supervise.run ~config:{ Supervise.default with jobs = 4 } [ cell "a"; cell "b"; cell "c" ]
   in
-  check Alcotest.int "one execution" 1 (Atomic.get runs);
+  check Alcotest.int "one execution" 1
+    (String.length (In_channel.with_open_bin log In_channel.input_all));
   check Alcotest.int "executed" 1 sweep.Supervise.executed;
   check Alcotest.int "deduped" 2 sweep.Supervise.deduped;
   check

@@ -160,6 +160,21 @@ let test_server_validates_inputs () =
   Alcotest.check_raises "unsorted arrivals"
     (Invalid_argument "Server.simulate: arrivals must be ascending") (fun () ->
       ignore (Server.simulate ~arrivals:[| 1.0; 0.0 |] ~service ()));
+  (* A NaN arrival is rejected wherever it sits, whether it would be shed
+     (one core, bound 1) or served (two cores). *)
+  List.iter
+    (fun (what, config, arrivals) ->
+      Alcotest.check_raises what (Invalid_argument "Server.simulate: arrivals must not be NaN")
+        (fun () -> ignore (Server.simulate ~config ~arrivals ~service:(fun _ -> 10.0) ())))
+    [
+      ("lone NaN arrival", Server.default_config, [| Float.nan |]);
+      ( "NaN arrival, one core, bound 1",
+        { Server.default_config with Server.cores = 1; queue_bound = 1 },
+        [| 0.0; Float.nan; 20.0 |] );
+      ( "NaN arrival, two cores",
+        { Server.default_config with Server.cores = 2 },
+        [| 0.0; Float.nan; 20.0 |] );
+    ];
   Alcotest.check_raises "bad service time"
     (Invalid_argument "Server.simulate: service times must be positive") (fun () ->
       ignore (Server.simulate ~arrivals:[| 0.0 |] ~service:(fun _ -> 0.0) ()));

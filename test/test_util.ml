@@ -296,30 +296,6 @@ let stats_mean_prop =
     (fun (v, n) ->
       abs_float (Stats.mean (List.init n (fun _ -> v)) -. v) < 1e-9)
 
-let test_counter () =
-  let c = Stats.counter () in
-  Stats.add c 2.0;
-  Stats.add c 4.0;
-  check Alcotest.int "count" 2 (Stats.count c);
-  check (Alcotest.float 1e-9) "total" 6.0 (Stats.total c);
-  check (Alcotest.float 1e-9) "mean" 3.0 (Stats.counter_mean c)
-
-let test_counter_moments () =
-  let c = Stats.counter () in
-  let xs = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  List.iter (Stats.add c) xs;
-  check (Alcotest.float 1e-9) "sum_sq" 232.0 (Stats.counter_sum_sq c);
-  check (Alcotest.float 1e-9) "min" 2.0 (Stats.counter_min c);
-  check (Alcotest.float 1e-9) "max" 9.0 (Stats.counter_max c);
-  check (Alcotest.float 1e-6) "stddev matches list stddev" (Stats.stddev xs)
-    (Stats.counter_stddev c);
-  let empty = Stats.counter () in
-  check (Alcotest.float 1e-9) "empty stddev" 0.0 (Stats.counter_stddev empty);
-  Alcotest.check_raises "empty min" (Invalid_argument "Stats.counter_min: empty counter")
-    (fun () -> ignore (Stats.counter_min empty));
-  Alcotest.check_raises "empty max" (Invalid_argument "Stats.counter_max: empty counter")
-    (fun () -> ignore (Stats.counter_max empty))
-
 let test_percentile () =
   let xs = [ 15.0; 20.0; 35.0; 40.0; 50.0 ] in
   check (Alcotest.float 1e-9) "p5 is min" 15.0 (Stats.percentile xs ~p:5.0);
@@ -404,17 +380,6 @@ let percentile_monotone_prop =
       && Stats.percentile xs ~p:0.0 = min_v
       && Stats.percentile xs ~p:100.0 = max_v
       && List.mem lo_v xs)
-
-let percentile_member_prop =
-  QCheck.Test.make ~name:"counter min/max agree with percentile extremes" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 30) (float_range 0.1 1000.0))
-    (fun xs ->
-      let c = Stats.counter () in
-      List.iter (Stats.add c) xs;
-      Stats.counter_min c = Stats.percentile xs ~p:0.0
-      && Stats.counter_max c = Stats.percentile xs ~p:100.0
-      && abs_float (Stats.counter_stddev c -. Stats.stddev xs)
-         < 1e-6 *. (1.0 +. Stats.stddev xs))
 
 let test_bitset_basic () =
   let b = Bitset.create 100 in
@@ -770,14 +735,11 @@ let suite =
         Alcotest.test_case "overhead" `Quick test_stats_overhead;
         Alcotest.test_case "zero baseline rejected" `Quick test_stats_zero_baseline;
         Alcotest.test_case "ratio_pct zero denominator rejected" `Quick test_stats_ratio_pct;
-        Alcotest.test_case "counter" `Quick test_counter;
-        Alcotest.test_case "counter moments" `Quick test_counter_moments;
         Alcotest.test_case "percentile" `Quick test_percentile;
         Alcotest.test_case "percentile rejects" `Quick test_percentile_rejects;
         Alcotest.test_case "percentile rank KATs" `Quick test_percentile_kats;
         QCheck_alcotest.to_alcotest nearest_rank_exact_prop;
         QCheck_alcotest.to_alcotest percentile_monotone_prop;
-        QCheck_alcotest.to_alcotest percentile_member_prop;
         QCheck_alcotest.to_alcotest stats_geomean_prop;
         QCheck_alcotest.to_alcotest stats_geomean_scale_prop;
         QCheck_alcotest.to_alcotest stats_stddev_prop;
