@@ -17,23 +17,15 @@ module E = Pv_experiments
 module R = Pv_reproduce.Reproduce
 module Tab = Pv_util.Tab
 module Defense = Perspective.Defense
-module Isv = Perspective.Isv
 open Cmdliner
 
+(* Scheme labels are the contract checker's, plus the alias dsv-only. *)
 let scheme_conv =
   let parse s =
-    match String.uppercase_ascii s with
-    | "UNSAFE" -> Ok Defense.Unsafe
-    | "FENCE" -> Ok Defense.Fence
-    | "DOM" -> Ok Defense.Dom
-    | "STT" -> Ok Defense.Stt
-    | "PERSPECTIVE-STATIC" -> Ok (Defense.Perspective Isv.Static)
-    | "PERSPECTIVE" -> Ok (Defense.Perspective Isv.Dynamic)
-    | "PERSPECTIVE++" -> Ok (Defense.Perspective Isv.Plus)
-    | "PERSPECTIVE-ALL" | "DSV-ONLY" -> Ok (Defense.Perspective Isv.All)
-    | "SAFESPEC" -> Ok Defense.Safespec
-    | "SPECBOX" -> Ok Defense.Specbox
-    | _ -> Error (`Msg ("unknown scheme: " ^ s))
+    let label = if String.uppercase_ascii s = "DSV-ONLY" then "PERSPECTIVE-ALL" else s in
+    match Pv_contracts.Contracts.find_scheme label with
+    | scheme -> Ok scheme
+    | exception Invalid_argument _ -> Error (`Msg ("unknown scheme: " ^ s))
   in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Defense.scheme_name s))
 
@@ -149,12 +141,6 @@ let cache_arg =
            tables and metrics.  Corrupt or version-mismatched entries are dropped \
            and recomputed, never trusted.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Ignore $(b,--cache): neither consult nor write the result cache.")
-
 let cache_stats_arg =
   Arg.(
     value & flag
@@ -165,18 +151,17 @@ let cache_stats_arg =
            $(b,--cache).")
 
 (* The supervision flags evaluate to a [Supervise.config] without its
-   cache, paired with the cache directory ([None] under --no-cache) and
-   --cache-stats: the cache is opened only once [with_sup_config] has
-   checked every flag. *)
+   cache, paired with the cache directory and --cache-stats: the cache is
+   opened only once [with_sup_config] has checked every flag. *)
 let sup_term =
-  let mk jobs retries fault max_cycles checkpoint resume cache_dir no_cache cache_stats =
+  let mk jobs retries fault max_cycles checkpoint resume cache_dir cache_stats =
     ( { E.Supervise.default with jobs; retries; fault; max_cycles; checkpoint; resume },
-      (if no_cache then None else cache_dir),
+      cache_dir,
       cache_stats )
   in
   Cmdliner.Term.(
     const mk $ jobs_arg $ retries_arg $ fault_arg $ max_cycles_arg $ checkpoint_arg
-    $ resume_arg $ cache_arg $ no_cache_arg $ cache_stats_arg)
+    $ resume_arg $ cache_arg $ cache_stats_arg)
 
 (* Where a run will write, checked before any cell runs: [path] must be
    (or become) a file or, with [dir], a directory, in a directory that
@@ -220,7 +205,7 @@ let with_sup_config ?(outputs = []) ?(scale = 1.0)
   | None when not (scale > 0.0 && Float.is_finite scale) ->
     usage "--scale must be a positive finite number, got %g" scale
   | None when cache_stats && cache_dir = None ->
-    usage "--cache-stats requires --cache DIR (and not --no-cache)"
+    usage "--cache-stats requires --cache DIR"
   | None when config.jobs < 1 -> usage "-j must be >= 1"
   | None when config.retries < 0 -> usage "--retries must be >= 0, got %d" config.retries
   | None when Option.value config.max_cycles ~default:1 < 1 ->
@@ -269,17 +254,7 @@ let attack_cmd =
       & info [] ~docv:"ATTACK" ~doc:"v1 (active), v2 (passive), rsb (passive), or all.")
   in
   let run kind scheme seed =
-    let schemes =
-      match scheme with
-      | Some s -> [ s ]
-      | None ->
-        [
-          Defense.Unsafe; Defense.Fence; Defense.Dom; Defense.Stt;
-          Defense.Perspective Isv.All; Defense.Perspective Isv.Static;
-          Defense.Perspective Isv.Dynamic; Defense.Perspective Isv.Plus;
-          Defense.Safespec; Defense.Specbox;
-        ]
-    in
+    let schemes = match scheme with Some s -> [ s ] | None -> Defense.all_schemes in
     let families =
       [
         ("v1", "Spectre v1 (active)", fun scheme -> Pv_attacks.Spectre_v1.run ~seed ~scheme ());
@@ -386,6 +361,15 @@ let perf_cmd =
 let split_commas s =
   String.split_on_char ',' s |> List.map String.trim |> List.filter (fun x -> x <> "")
 
+(* A list flag's entries, after the command's own normalization [norm],
+   with empty and repeated entries dropped (the first occurrence wins): a
+   repeat would declare the same cell twice. *)
+let comma_list ?(norm = Fun.id) s =
+  List.rev
+    (List.fold_left
+       (fun acc x -> if List.mem x acc then acc else x :: acc)
+       [] (List.map norm (split_commas s)))
+
 let service_cmd =
   let app_arg =
     Arg.(
@@ -455,22 +439,14 @@ let service_cmd =
                   with
                   | Some a -> Ok (apps @ [ a ])
                   | None -> Error name))
-            (Ok []) (split_commas names)
+            (Ok []) (comma_list names)
       in
       match apps with
       | Error name -> usage "unknown app %S" name
       | Ok [] -> usage "no apps selected"
       | Ok apps -> (
-        let labels = List.map String.uppercase_ascii (split_commas schemes) in
+        let labels = comma_list ~norm:String.uppercase_ascii schemes in
         let labels = if List.mem "UNSAFE" labels then labels else "UNSAFE" :: labels in
-        (* First occurrence wins: a repeated label would declare duplicate
-           cell keys and abort the sweep. *)
-        let labels =
-          List.rev
-            (List.fold_left
-               (fun acc l -> if List.mem l acc then acc else l :: acc)
-               [] labels)
-        in
         let variants =
           List.fold_left
             (fun acc label ->
@@ -491,15 +467,20 @@ let service_cmd =
             match loads with
             | None -> Ok E.Loadsweep.default_loads
             | Some s -> (
-              try
-                let ls = List.map float_of_string (split_commas s) in
-                if ls = [] || List.exists (fun l -> Float.is_nan l || l <= 0.0) ls then
-                  Error s
-                else Ok ls
-              with _ -> Error s)
+              match List.map float_of_string (split_commas s) with
+              | exception Failure _ -> Error (Printf.sprintf "bad load list %S" s)
+              | [] -> Error (Printf.sprintf "bad load list %S" s)
+              | ls ->
+                (* A point is keyed by its load at two decimals. *)
+                let keys = List.map (Printf.sprintf "%.2f") ls in
+                if List.exists (fun l -> not (Float.is_finite l && l > 0.0)) ls then
+                  Error (Printf.sprintf "loads must be positive finite fractions, got %S" s)
+                else if List.length (List.sort_uniq compare keys) < List.length keys then
+                  Error (Printf.sprintf "two loads of %S print alike at two decimals" s)
+                else Ok ls)
           in
           match loads with
-          | Error s -> usage "bad load list %S (expected positive fractions)" s
+          | Error why -> usage "--load: %s" why
           | Ok loads ->
             if cores <= 0 then usage "--cores must be positive"
             else if queue_bound < 0 then
@@ -537,7 +518,7 @@ let security_cmd =
   in
   let run seed attacks sup =
     let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
-    let attacks = Option.map split_commas attacks in
+    let attacks = Option.map comma_list attacks in
     if attacks = Some [] then usage "--attacks lists no attack families"
     else
       match
@@ -592,8 +573,8 @@ let contracts_cmd =
   in
   let run seed attacks schemes csv sup =
     let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; 2) fmt in
-    let attacks = Option.map split_commas attacks in
-    let schemes = Option.map split_commas schemes in
+    let attacks = Option.map comma_list attacks in
+    let schemes = Option.map (comma_list ~norm:String.uppercase_ascii) schemes in
     if attacks = Some [] then usage "--attacks lists no attack names"
     else if schemes = Some [] then usage "--schemes lists no scheme labels"
     else

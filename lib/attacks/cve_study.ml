@@ -100,5 +100,3 @@ let insufficiency_name = function
   | Hardware -> "Hardware"
   | Software -> "Software"
   | Misuse -> "Misuse"
-
-let count_by_primitive p = List.length (List.filter (fun r -> r.primitive = p) rows)

@@ -22,5 +22,3 @@ val rows : row list
 
 val primitive_name : primitive -> string
 val insufficiency_name : insufficiency -> string
-
-val count_by_primitive : primitive -> int

@@ -94,15 +94,7 @@ let install t ~scheme ~views =
   in
   let vm = View_manager.create ~nnodes:t.nnodes ~oracle in
   List.iter
-    (fun (asid, ctx, nodes) ->
-      let kind =
-        match scheme with
-        | Defense.Perspective k -> k
-        | Defense.Unsafe | Defense.Fence | Defense.Dom | Defense.Stt
-        | Defense.Safespec | Defense.Specbox ->
-          Isv.All
-      in
-      View_manager.register vm ~asid ~ctx ~isv:(Isv.of_nodes kind nodes))
+    (fun (asid, ctx, nodes) -> View_manager.register vm ~asid ~ctx ~isv:(Isv.of_nodes nodes))
     views;
   let d =
     Defense.build ~scheme ~vm ~node_of_fid:t.node_of_fid ~block_unknown:true

@@ -199,20 +199,11 @@ let run ?(seed = 7) ?(variant = Array_index) ?secret ?(trace = false) ?on_commit
   Lab.readout lab ~scheme ~secret ~fences:(Pipeline.total_fences delta) ~transmit
 
 let run_all ?(seed = 7) () =
-  let schemes =
-    [
-      Defense.Unsafe;
-      Defense.Fence;
-      Defense.Dom;
-      Defense.Stt;
-      Defense.Perspective Perspective.Isv.Static;
-      Defense.Perspective Perspective.Isv.Dynamic;
-      Defense.Perspective Perspective.Isv.Plus;
-      Defense.Safespec;
-      Defense.Specbox;
-    ]
-  in
-  List.map (fun scheme -> run ~seed ~scheme ()) schemes
+  List.filter_map
+    (fun scheme ->
+      if scheme = Defense.Perspective Perspective.Isv.All then None
+      else Some (run ~seed ~scheme ()))
+    Defense.all_schemes
 
 let variants = [ Array_index; Pointer_arith; Type_confusion ]
 

@@ -44,7 +44,8 @@ val run :
     flush+reload sweep, on pristine post-attack cache state. *)
 
 val run_all : ?seed:int -> unit -> Lab.outcome list
-(** One outcome per scheme in {!Perspective.Defense.all_schemes}. *)
+(** One outcome per scheme in {!Perspective.Defense.all_schemes} but the
+    DSV-only [Perspective Isv.All]. *)
 
 val variants : variant list
 (** The three Table 4.1 gadget shapes, in table order. *)

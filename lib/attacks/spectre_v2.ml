@@ -178,21 +178,7 @@ let run ?(seed = 11) ?secret ?(trace = false) ?on_commit ?observe ~scheme () =
   Lab.readout lab ~scheme ~secret ~fences:(Pipeline.total_fences delta) ~transmit
 
 let run_all ?(seed = 11) () =
-  let schemes =
-    [
-      Defense.Unsafe;
-      Defense.Fence;
-      Defense.Dom;
-      Defense.Stt;
-      Defense.Perspective Isv.All;
-      Defense.Perspective Isv.Static;
-      Defense.Perspective Isv.Dynamic;
-      Defense.Perspective Isv.Plus;
-      Defense.Safespec;
-      Defense.Specbox;
-    ]
-  in
-  List.map (fun scheme -> run ~seed ~scheme ()) schemes
+  List.map (fun scheme -> run ~seed ~scheme ()) Defense.all_schemes
 
 type patch_outcome = { before_patch : Lab.outcome; after_patch : Lab.outcome }
 

@@ -29,8 +29,9 @@ val run :
     contract checker's observation taps — see {!Spectre_v1.run}. *)
 
 val run_all : ?seed:int -> unit -> Lab.outcome list
-(** All baseline schemes, the DSV-only configuration
-    ([Perspective Isv.All]) and the ISV configurations. *)
+(** One outcome per scheme in {!Perspective.Defense.all_schemes}: the
+    baselines, the DSV-only configuration ([Perspective Isv.All]), the ISV
+    configurations and the shadow schemes. *)
 
 type patch_outcome = {
   before_patch : Lab.outcome;  (** gadget (wrongly) trusted by the victim's ISV *)

@@ -10,7 +10,8 @@
     - the pipeline event ring — squashes, fences, VP releases and the
       [Ev_dload] D-cache access trace (the sequential projection of the
       memory access stream);
-    - digests of the L1D/L2/L1I {!Pv_uarch.Cache.state_signature}s taken at
+    - digests of the L1D/L2/L1I cache signatures
+      ({!Pv_uarch.Cache.write_signature}) taken at
       the attack's observation point, {e before} the flush+reload sweep
       perturbs them — the microarchitectural state a cache attacker probes;
     - the covert-channel readout (leaked byte, hot-slot count) and the
@@ -74,9 +75,6 @@ type verdict = Arch_seq | Ct_seq | Ct_spec
 val verdict_name : verdict -> string
 (** ["ARCH-SEQ"], ["CT-SEQ"], ["CT-SPEC"]. *)
 
-val leaks : verdict -> bool
-(** [true] only for [Ct_spec]. *)
-
 type result = {
   attack : string;
   scheme : string;
@@ -89,16 +87,6 @@ type result = {
 val default_secrets : int * int
 (** [(0x2A, 0xAB)] — the two planted secret bytes. *)
 
-val check :
-  ?seed:int -> ?secrets:int * int -> attack:string -> scheme:string -> unit -> result
-(** One matrix cell: run [attack] twice under [scheme] with the two planted
-    secrets and classify.  Raises [Invalid_argument] on unknown labels.
-    Deterministic: equal inputs give byte-equal results.
-
-    [seed] (default 7) changes nothing today: each attack uses its seed
-    only to draw a secret when none is planted, and [check] plants both.
-    Seeds that vary the secrets or the programs are future work. *)
-
 (** {1 Supervised matrix} *)
 
 val cells :
@@ -109,9 +97,15 @@ val cells :
   unit ->
   result Pv_experiments.Supervise.cell list
 (** The full (or filtered) matrix as supervised cells, attack-major in
-    registry order.  Labels are validated up front — an unknown name raises
-    [Invalid_argument] before any cell runs.  [seed] only keys the cells'
-    descriptors (see {!check}): every seed gives the same results. *)
+    registry order.  A cell runs its attack twice under its scheme with the
+    two planted secrets and classifies the pair; equal inputs give
+    byte-equal results.  Labels are validated up front — an unknown name
+    raises [Invalid_argument] before any cell runs.
+
+    [seed] (default 7) only keys the cells' descriptors: each attack uses
+    its seed only to draw a secret when none is planted, and every cell
+    plants both, so every seed gives the same results.  Seeds that vary
+    the secrets or the programs are future work. *)
 
 val matrix_table :
   ?attacks:string list ->

@@ -26,9 +26,14 @@ let all_schemes =
   [
     Unsafe;
     Fence;
+    Dom;
+    Stt;
+    Perspective Isv.All;
     Perspective Isv.Static;
     Perspective Isv.Dynamic;
     Perspective Isv.Plus;
+    Safespec;
+    Specbox;
   ]
 
 type t = {

@@ -30,7 +30,9 @@ type scheme =
 
 val scheme_name : scheme -> string
 val all_schemes : scheme list
-(** The five configurations of Chapter 7 (with [Perspective All] omitted). *)
+(** Every scheme, in the order the proof-of-concept attacks report them:
+    the baselines, the four Perspective views (DSV-only first), then the
+    shadow schemes. *)
 
 type t
 
@@ -68,6 +70,6 @@ val note_freed_page : t -> page:int -> unit
     DSVMT leaf for that physical page. *)
 
 val note_view_changed : t -> insn_va:int -> unit
-(** A function's ISV membership changed at runtime (shrink / gadget patch):
+(** A function's ISV membership changed at runtime (a gadget patch):
     drop the stale ISV-cache entries and shadow-page bits for its code
     page. *)

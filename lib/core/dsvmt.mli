@@ -9,22 +9,13 @@
 
 type t
 
-val create : ctx:int -> oracle:(page:int -> bool) -> t
+val create : oracle:(page:int -> bool) -> t
 (** [oracle ~page] is the authoritative membership answer consulted on the
     first walk for a page (4 KiB page index = PA / 4096). *)
 
 val walk : t -> page:int -> bool
 (** Perform a table walk: returns the leaf bit, populating intermediate
-    levels on demand.  Counted in {!walks}. *)
-
-val set_page : t -> page:int -> bool -> unit
-(** Explicitly set a leaf bit (used when the OS updates views eagerly). *)
+    levels on demand. *)
 
 val invalidate_page : t -> page:int -> unit
 (** Drop the leaf so the next walk re-consults the oracle. *)
-
-val mark_huge : t -> page_2m:int -> bool -> unit
-(** Set a whole 2 MiB region's bit at the middle level. *)
-
-val walks : t -> int
-val populated_leaves : t -> int

@@ -2,9 +2,8 @@
 
     An ISV is the set of kernel functions a context trusts to execute
     transmitter instructions speculatively.  Membership is held as a bitset
-    over callgraph nodes; it is mutable so views can be reconfigured at
-    runtime — shrunk as functionality is no longer needed, or patched to
-    exclude a newly discovered gadget without a kernel update. *)
+    over callgraph nodes; it is mutable so a view can be patched at runtime
+    to exclude a newly discovered gadget without a kernel update. *)
 
 type kind =
   | All  (** unprotected: every kernel function is in view *)
@@ -15,17 +14,15 @@ type kind =
 type t
 
 val all : nnodes:int -> t
-val of_nodes : kind -> Pv_util.Bitset.t -> t
-val kind : t -> kind
+val of_nodes : Pv_util.Bitset.t -> t
+(** A view of the given nodes (copied: the view does not alias them).  The
+    {!kind} that produced the nodes lives in the defense scheme. *)
+
 val member : t -> int -> bool
 val size : t -> int
 
 val exclude : t -> int -> unit
 (** Swift gadget patching: drop one function from the view. *)
-
-val shrink_to : t -> Pv_util.Bitset.t -> unit
-(** Replace membership with the intersection — views may only get stricter
-    at runtime (paper §5.4).  Raises [Invalid_argument] on length mismatch. *)
 
 val nodes : t -> Pv_util.Bitset.t
 (** Copy of the membership set. *)

@@ -2,16 +2,11 @@ module Layout = Pv_isa.Layout
 
 type shadow = { bits : bool array; present : bool array }
 
-type t = {
-  pages : (int * int, shadow) Hashtbl.t; (* (ctx, code page index) -> shadow *)
-  mutable populations : int;
-}
+type t = { pages : (int * int, shadow) Hashtbl.t (* (ctx, code page index) -> shadow *) }
 
-let create () = { pages = Hashtbl.create 64; populations = 0 }
+let create () = { pages = Hashtbl.create 64 }
 
 let bytes_per_page = Layout.max_insns_per_func / 8
-
-let shadow_va code_va = Layout.isv_page_va code_va
 
 let page_index va = va / Layout.page_bytes
 
@@ -30,7 +25,6 @@ let lookup t ~ctx ~insn_va ~member =
         }
       in
       Hashtbl.replace t.pages key s;
-      t.populations <- t.populations + 1;
       s
   in
   let i = slot insn_va in
@@ -55,5 +49,3 @@ let populated_pages t ~ctx =
   Hashtbl.fold (fun (c, _) _ acc -> if c = ctx then acc + 1 else acc) t.pages 0
 
 let metadata_bytes t ~ctx = populated_pages t ~ctx * bytes_per_page
-
-let population_events t = t.populations

@@ -1,8 +1,8 @@
 (** ISV pages: the in-memory metadata backing the ISV cache (paper §6.2,
     Figure 6.1(a)).
 
-    Each kernel code page has a shadow ISV page at a fixed virtual-address
-    offset, holding one bit per instruction slot.  Pages are materialized
+    Each kernel code page has a shadow ISV page holding one bit per
+    instruction slot.  Pages are materialized
     on demand, per execution context, the first time the ISV cache misses on
     an instruction of that code page — so the metadata footprint tracks the
     kernel-code working set of each context rather than the whole kernel.
@@ -15,10 +15,6 @@ type t
 
 val create : unit -> t
 
-val shadow_va : int -> int
-(** VA of the ISV page backing the code page that contains this code VA
-    (the fixed-offset mapping of Figure 6.1(a)). *)
-
 val lookup :
   t -> ctx:int -> insn_va:int -> member:(unit -> bool) -> bool
 (** Read the bit for an instruction, materializing the containing shadow
@@ -27,8 +23,8 @@ val lookup :
     lazy per-bit fill). *)
 
 val invalidate_page : t -> code_page_va:int -> unit
-(** Drop the shadow page in every context (view reconfiguration: shrinks and
-    gadget patches must not leave stale bits). *)
+(** Drop the shadow page in every context (a gadget patch must not leave
+    stale bits). *)
 
 val populated_pages : t -> ctx:int -> int
 (** Shadow pages materialized for a context. *)
@@ -36,7 +32,3 @@ val populated_pages : t -> ctx:int -> int
 val metadata_bytes : t -> ctx:int -> int
 (** Memory footprint of the context's materialized shadow pages (128 bytes
     per code page). *)
-
-val population_events : t -> int
-(** Total demand-populations across contexts (each is a metadata-page fetch
-    the hardware performs on an ISV-cache miss). *)

@@ -102,7 +102,6 @@ let invalidate t key =
   Array.iter (fun e -> if e.valid && e.tag = tag then e.valid <- false) set
 
 let hits t = t.hits
-let misses t = t.misses
 let accesses t = t.hits + t.misses
 
 let hit_rate t =

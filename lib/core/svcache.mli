@@ -33,10 +33,8 @@ val invalidate : t -> int -> unit
     page frees). *)
 
 val hits : t -> int
-val misses : t -> int
-
 val accesses : t -> int
-(** [hits + misses]. *)
+(** Lookups: [hits] plus misses. *)
 
 val hit_rate : t -> float option
 (** [None] on an untouched cache — distinguishable from [Some 0.]

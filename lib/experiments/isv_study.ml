@@ -171,8 +171,6 @@ type speedup_row = {
   speedup : float;
 }
 
-let average_speedup rows = Stats.mean (List.map (fun r -> r.speedup) rows)
-
 (* One cell per workload's bounded campaign.  Campaign.run only reads the
    shared graph/corpus (its own state is local), so the cells are pool-safe.
    The full-kernel campaign is shared, computed up front (outside

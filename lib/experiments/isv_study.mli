@@ -57,10 +57,6 @@ type speedup_row = {
   speedup : float;
 }
 
-val average_speedup : speedup_row list -> float
-(** Arithmetic mean of the rows' speedups.  Raises [Invalid_argument] on an
-    empty row list (the table renders that case as ["n/a"]). *)
-
 val speedup_cells : ?seed:int -> t -> speedup_row Supervise.cell list
 (** Figure 9.1 as supervised cells (keys ["speedup/<workload>"]); the
     shared full-kernel campaign runs up front, each cell runs one

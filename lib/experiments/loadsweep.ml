@@ -121,13 +121,18 @@ let measure_point ~seed ~requests ~server ~models (a : Apps.app)
     metrics = Metrics.snapshot reg;
   }
 
+(* A point is keyed by its load printed at two decimals, so two loads that
+   print alike would be one key twice. *)
 let check_loads loads =
   if loads = [] then invalid_arg "Loadsweep: loads must be non-empty";
   List.iter
     (fun l ->
-      if Float.is_nan l || l <= 0.0 then
-        invalid_arg "Loadsweep: loads must be positive")
-    loads
+      if Float.is_nan l || l <= 0.0 then invalid_arg "Loadsweep: loads must be positive";
+      if not (Float.is_finite l) then invalid_arg "Loadsweep: loads must be finite")
+    loads;
+  let keys = List.map (Printf.sprintf "%.2f") loads in
+  if List.length (List.sort_uniq compare keys) <> List.length keys then
+    invalid_arg "Loadsweep: two loads print alike at two decimals"
 
 let check_variants variants =
   if not (List.exists (fun (v : Schemes.variant) -> v.Schemes.label = "UNSAFE") variants)

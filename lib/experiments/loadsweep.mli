@@ -71,7 +71,9 @@ val point_cells :
     to key the result cache (a point's value depends on the calibration,
     which [points] pins transitively) — pass the value the models were
     calibrated with, as {!run} does.  Raises [Invalid_argument] if
-    [variants] lacks UNSAFE or [loads] is empty or non-positive. *)
+    [variants] lacks UNSAFE, or [loads] is empty, holds a load that is not
+    positive and finite, or two loads that print alike at [%.2f] (one key
+    twice). *)
 
 type outcome = {
   cal_sweep : Costmodel.t Supervise.sweep;

@@ -37,12 +37,12 @@ let fences_per_kiloinstr run =
    supervised sweeps below ship these to worker processes.  [fuel] is the
    supervisor's cycle budget; a run that exhausts it raises the structured
    Machine.Run_timeout instead of spinning forever. *)
-let execute ?fuel ?(trace = false) ?on_commit ~seed ~block_unknown ~view_cache_entries
+let execute ?fuel ?(trace = false) ~seed ~block_unknown ~view_cache_entries
     ~syscalls ~sequence ~iterations ~user_work ~workload_name (variant : Schemes.variant) =
   let pipe_config = variant.Schemes.transform Pipeline.default_config in
   let pipe_config = { pipe_config with Pipeline.trace_events = trace } in
   let m, h, result, delta =
-    Machine.run_job ?fuel ?on_commit ~pipe_config ~block_unknown ~view_cache_entries ~seed
+    Machine.run_job ?fuel ~pipe_config ~block_unknown ~view_cache_entries ~seed
       ~syscalls ~name:workload_name
       ~user_funcs:(Driver.build ~iterations ~sequence ~user_work)
       ~profile:sequence variant.Schemes.scheme
@@ -102,18 +102,17 @@ let execute ?fuel ?(trace = false) ?on_commit ~seed ~block_unknown ~view_cache_e
     events = (if trace then Pipeline.events (Machine.pipeline m) else []);
   }
 
-let run_lebench ?(seed = 42) ?(scale = 1.0) ?(block_unknown = true)
-    ?(view_cache_entries = 128) ?fuel ?trace ?on_commit variant test =
+let run_lebench ~seed ~scale ~block_unknown ~view_cache_entries ?fuel ?trace variant test =
   let test = Lebench.scaled test ~factor:scale in
-  execute ?fuel ?trace ?on_commit ~seed ~block_unknown ~view_cache_entries
+  execute ?fuel ?trace ~seed ~block_unknown ~view_cache_entries
     ~syscalls:Lebench.all_syscalls ~sequence:test.Lebench.sequence
     ~iterations:test.Lebench.iterations ~user_work:test.Lebench.user_work
     ~workload_name:test.Lebench.name variant
 
 let run_app ?(seed = 42) ?(scale = 1.0) ?(block_unknown = true)
-    ?(view_cache_entries = 128) ?fuel ?trace ?on_commit variant app =
+    ?(view_cache_entries = 128) ?fuel ?trace variant app =
   let app = Apps.scaled app ~factor:scale in
-  execute ?fuel ?trace ?on_commit ~seed ~block_unknown ~view_cache_entries
+  execute ?fuel ?trace ~seed ~block_unknown ~view_cache_entries
     ~syscalls:Apps.all_syscalls ~sequence:app.Apps.request
     ~iterations:app.Apps.requests ~user_work:app.Apps.user_work
     ~workload_name:app.Apps.name variant

@@ -34,23 +34,6 @@ type run = {
 val fences_per_kiloinstr : run -> float * float
 (** (ISV, DSV) fences per thousand committed kernel instructions. *)
 
-val run_lebench :
-  ?seed:int ->
-  ?scale:float ->
-  ?block_unknown:bool ->
-  ?view_cache_entries:int ->
-  ?fuel:int ->
-  ?trace:bool ->
-  ?on_commit:(int -> int -> Pv_isa.Insn.t -> unit) ->
-  Schemes.variant ->
-  Pv_workloads.Lebench.test ->
-  run
-(** [fuel] bounds the run's cycles (default: the machine watchdog); a run
-    that exhausts it raises {!Pv_sim.Machine.Run_timeout}.  [trace] turns on
-    the pipeline's bounded event ring and fills the run's [events].
-    [on_commit] observes the architectural commit stream (equivalence
-    suite). *)
-
 val run_app :
   ?seed:int ->
   ?scale:float ->
@@ -58,10 +41,13 @@ val run_app :
   ?view_cache_entries:int ->
   ?fuel:int ->
   ?trace:bool ->
-  ?on_commit:(int -> int -> Pv_isa.Insn.t -> unit) ->
   Schemes.variant ->
   Pv_workloads.Apps.app ->
   run
+(** One application run.  [fuel] bounds the run's cycles (default: the
+    machine watchdog); a run that exhausts it raises
+    {!Pv_sim.Machine.Run_timeout}.  [trace] turns on the pipeline's bounded
+    event ring and fills the run's [events]. *)
 
 (** {1 Supervised sweeps}
 
@@ -72,7 +58,8 @@ val run_app :
     checkpoint and the cache.  Only a Perspective variant reads
     [block_unknown] and [view_cache_entries]; any other runs and is keyed
     at their defaults, so cells that differ only in knobs their variant
-    ignores share one simulation per sweep. *)
+    ignores share one simulation per sweep.  A cell's [run ~fuel] is one
+    simulation under that cycle budget, as {!run_app} runs one. *)
 
 val cell_key : prefix:string -> string -> Schemes.variant -> string
 (** [cell_key ~prefix workload v], ["<prefix>/<workload>/<label>"], keys

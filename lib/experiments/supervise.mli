@@ -155,8 +155,6 @@ val export :
   'a sweep ->
   exported
 
-val render_json : exported list -> string
-(** The [--metrics] JSON document ([{"sweeps": {<label>: {"summary": ...,
-    "cells": ...}}}]), deterministic bytes. *)
-
 val write_json : file:string -> exported list -> unit
+(** Write the [--metrics] JSON document ([{"sweeps": {<label>: {"summary":
+    ..., "cells": ...}}}]), deterministic bytes, to [file]. *)

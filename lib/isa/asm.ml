@@ -39,7 +39,6 @@ let jump t l = push t (Jmp l)
 let call t fid = emit t (Insn.Call fid)
 let icall t r = emit t (Insn.Icall r)
 let ret t = emit t Insn.Ret
-let fence t = emit t Insn.Fence
 let syscall t = emit t Insn.Syscall
 let sysret t = emit t Insn.Sysret
 let halt t = emit t Insn.Halt

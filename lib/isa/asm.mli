@@ -29,7 +29,6 @@ val jump : t -> label -> unit
 val call : t -> int -> unit
 val icall : t -> Insn.reg -> unit
 val ret : t -> unit
-val fence : t -> unit
 val syscall : t -> unit
 val sysret : t -> unit
 val halt : t -> unit

@@ -28,20 +28,6 @@ let is_load = function Load _ -> true | _ -> false
 
 let is_store = function Store _ -> true | _ -> false
 
-let is_branch = function Branch _ -> true | _ -> false
-
-let is_control = function
-  | Branch _ | Jump _ | Call _ | Icall _ | Ret -> true
-  | Nop | Limm _ | Alu _ | Alui _ | Load _ | Store _ | Fence | Flush _ | Syscall
-  | Sysret | Halt ->
-    false
-
-let is_serializing = function
-  | Syscall | Sysret | Halt | Fence -> true
-  | Nop | Limm _ | Alu _ | Alui _ | Load _ | Store _ | Branch _ | Jump _
-  | Call _ | Icall _ | Ret | Flush _ ->
-    false
-
 let eval_binop op a b =
   match op with
   | Add -> a + b
@@ -55,38 +41,3 @@ let eval_binop op a b =
 
 let eval_cond c a b =
   match c with Eq -> a = b | Ne -> a <> b | Lt -> a < b | Ge -> a >= b
-
-let binop_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
-  | Mul -> "mul"
-
-let cond_name = function Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Ge -> "ge"
-
-let pp ppf = function
-  | Nop -> Format.fprintf ppf "nop"
-  | Limm (rd, v) -> Format.fprintf ppf "limm r%d, %d" rd v
-  | Alu (op, rd, r1, r2) ->
-    Format.fprintf ppf "%s r%d, r%d, r%d" (binop_name op) rd r1 r2
-  | Alui (op, rd, r1, v) ->
-    Format.fprintf ppf "%si r%d, r%d, %d" (binop_name op) rd r1 v
-  | Load (rd, ra, off) -> Format.fprintf ppf "load r%d, [r%d+%d]" rd ra off
-  | Store (ra, rv, off) -> Format.fprintf ppf "store [r%d+%d], r%d" ra off rv
-  | Branch (c, r1, r2, tgt) ->
-    Format.fprintf ppf "b%s r%d, r%d, @%d" (cond_name c) r1 r2 tgt
-  | Jump tgt -> Format.fprintf ppf "jmp @%d" tgt
-  | Call fid -> Format.fprintf ppf "call f%d" fid
-  | Icall r -> Format.fprintf ppf "icall r%d" r
-  | Ret -> Format.fprintf ppf "ret"
-  | Fence -> Format.fprintf ppf "fence"
-  | Flush (ra, off) -> Format.fprintf ppf "flush [r%d+%d]" ra off
-  | Syscall -> Format.fprintf ppf "syscall"
-  | Sysret -> Format.fprintf ppf "sysret"
-  | Halt -> Format.fprintf ppf "halt"
-
-let to_string i = Format.asprintf "%a" pp i

@@ -37,16 +37,5 @@ type t =
 
 val is_load : t -> bool
 val is_store : t -> bool
-val is_branch : t -> bool
-(** [is_branch] covers only conditional branches. *)
-
-val is_control : t -> bool
-(** Any instruction that redirects fetch. *)
-
-val is_serializing : t -> bool
-(** [Syscall], [Sysret], [Halt] and [Fence]. *)
-
 val eval_binop : binop -> int -> int -> int
 val eval_cond : cond -> int -> int -> bool
-
-val to_string : t -> string

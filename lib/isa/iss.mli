@@ -22,9 +22,6 @@ type hooks = {
           the instruction executes; used for tracing. *)
 }
 
-val null_hooks : hooks
-(** Syscall/Sysret behave as no-ops; no tracing. *)
-
 type outcome =
   | Halted
   | Out_of_fuel

@@ -10,7 +10,6 @@ let user_code_base = 0x0000_1000_0000
 let user_data_base = 0x0000_8000_0000
 let kernel_half_base = 0x4000_0000_0000
 let kernel_code_base = 0x4000_0000_0000
-let isv_page_offset = 0x0800_0000_0000
 let direct_map_base = 0x5000_0000_0000
 let kernel_global_base = 0x5800_0000_0000
 
@@ -43,8 +42,6 @@ let pa_of_direct_map va =
   if va >= direct_map_base && va < kernel_global_base then
     Some (va - direct_map_base)
   else None
-
-let isv_page_va va = (va land lnot (page_bytes - 1)) + isv_page_offset
 
 let phys_key ~asid va =
   match space_of_va va with

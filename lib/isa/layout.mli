@@ -2,9 +2,7 @@
 
     Every function occupies one 4 KiB code page (at most 1024 four-byte
     instructions), so function ids map to page-aligned bases.  The kernel half
-    additionally holds the direct map (all physical frames) and the ISV pages,
-    which mirror kernel code pages at a fixed offset as in the paper's
-    Figure 6.1(a). *)
+    additionally holds the direct map (all physical frames). *)
 
 type space = Kernel | User
 
@@ -19,10 +17,6 @@ val line_bytes : int
 
 val max_insns_per_func : int
 (** 1024. *)
-
-val kernel_code_base : int
-val isv_page_offset : int
-(** Fixed VA offset from a kernel code page to its ISV page. *)
 
 val user_data_base : int
 (** Base of per-process user heap/stack VAs. *)
@@ -40,23 +34,17 @@ val insn_va : space -> int -> int -> int
 val decode_code_va : int -> (space * int * int) option
 (** Inverse of [insn_va]: [Some (space, fid, idx)] for a code VA. *)
 
-val space_of_va : int -> space
-(** [Kernel] for any VA at or above [kernel_code_base]'s half, [User]
-    otherwise. *)
-
 val direct_map_va : int -> int
 (** VA of physical address [pa] in the direct map. *)
 
 val pa_of_direct_map : int -> int option
 (** Inverse of [direct_map_va] when the VA lies in the direct map. *)
 
-val isv_page_va : int -> int
-(** ISV page VA for the kernel code page containing the given code VA. *)
-
 val phys_key : asid:int -> int -> int
-(** Physical tag used by caches and backing memory.  Kernel-half VAs are
-    shared across address spaces; user-half VAs are disambiguated by [asid],
-    modelling per-process physical pages behind identical virtual layouts. *)
+(** Physical tag used by caches and backing memory.  Kernel-half VAs (from
+    kernel code, function 0, upwards) are shared across address spaces;
+    user-half VAs are disambiguated by [asid], modelling per-process
+    physical pages behind identical virtual layouts. *)
 
 val line_of : int -> int
 (** Cache-line index of an address ([addr / 64]). *)

@@ -9,5 +9,3 @@ let load t key = match Hashtbl.find_opt t (word key) with Some v -> v | None -> 
 let store t key v = Hashtbl.replace t (word key) v
 
 let clear t = Hashtbl.reset t
-
-let size t = Hashtbl.length t

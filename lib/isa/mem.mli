@@ -13,5 +13,3 @@ val load : t -> int -> int
 
 val store : t -> int -> int -> unit
 val clear : t -> unit
-val size : t -> int
-(** Number of distinct words ever written. *)

@@ -54,5 +54,3 @@ let fetch t fid idx =
   else
     let body = t.funcs.(fid).body in
     if idx < 0 || idx >= Array.length body then None else Some body.(idx)
-
-let find_by_name t name = Array.find_opt (fun f -> f.name = name) t.funcs

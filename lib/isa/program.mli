@@ -22,8 +22,3 @@ val length : t -> int
 val func : t -> int -> func
 val fetch : t -> int -> int -> Insn.t option
 (** [fetch t fid idx]; [None] past the end of the body. *)
-
-val find_by_name : t -> string -> func option
-
-val validate : t -> (unit, string) result
-(** Re-checks all structural invariants (used by tests). *)

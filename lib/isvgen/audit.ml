@@ -1,9 +1,6 @@
 module Isv = Perspective.Isv
 
 let harden isv ~gadget_nodes =
-  let hardened = Isv.of_nodes Isv.Plus (Isv.nodes isv) in
+  let hardened = Isv.of_nodes (Isv.nodes isv) in
   List.iter (fun node -> Isv.exclude hardened node) gadget_nodes;
   hardened
-
-let blocked_gadgets isv ~gadget_nodes =
-  List.length (List.filter (fun node -> not (Isv.member isv node)) gadget_nodes)

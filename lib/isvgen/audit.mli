@@ -6,7 +6,3 @@
 val harden :
   Perspective.Isv.t -> gadget_nodes:int list -> Perspective.Isv.t
 (** A new [ISV++] view: the input view minus the flagged functions. *)
-
-val blocked_gadgets :
-  Perspective.Isv.t -> gadget_nodes:int list -> int
-(** How many of the given gadget functions the view blocks (outside it). *)

@@ -11,4 +11,4 @@ let profile kernel proc ~workload ~repetitions =
 let node_set kernel ~ctx = Trace.nodes (Kernel.trace kernel) ~ctx
 
 let generate kernel ~ctx =
-  Perspective.Isv.of_nodes Perspective.Isv.Dynamic (node_set kernel ~ctx)
+  Perspective.Isv.of_nodes (node_set kernel ~ctx)

@@ -5,4 +5,4 @@ let node_set graph ~syscalls =
   Callgraph.static_reachable graph entries
 
 let generate graph ~syscalls =
-  Perspective.Isv.of_nodes Perspective.Isv.Static (node_set graph ~syscalls)
+  Perspective.Isv.of_nodes (node_set graph ~syscalls)

@@ -53,8 +53,6 @@ let entry_of_syscall _ nr =
   if nr < 0 || nr >= nsys then invalid_arg "Callgraph.entry_of_syscall";
   nr
 
-let syscall_of_entry _ node = if node >= 0 && node < nsys then Some node else None
-
 let slice off arr n = List.init (off.(n + 1) - off.(n)) (fun k -> arr.(off.(n) + k))
 let direct_callees t n = slice t.direct_off t.direct n
 let indirect_targets t n = slice t.indirect_off t.indirect n
@@ -215,7 +213,7 @@ let synthesize seed =
         last := Some (seed, g);
         g)
 
-let closure t ~follow_indirect entries =
+let static_reachable t entries =
   let seen = Bitset.create nodes in
   let q = Queue.create () in
   let push v =
@@ -229,17 +227,9 @@ let closure t ~follow_indirect entries =
     let u = Queue.pop q in
     for k = t.direct_off.(u) to t.direct_off.(u + 1) - 1 do
       push t.direct.(k)
-    done;
-    if follow_indirect then
-      for k = t.indirect_off.(u) to t.indirect_off.(u + 1) - 1 do
-        push t.indirect.(k)
-      done
+    done
   done;
   seen
-
-let static_reachable t entries = closure t ~follow_indirect:false entries
-
-let reachable_with_indirect t entries = closure t ~follow_indirect:true entries
 
 let sample_trace t rng ~syscall ~installed =
   let entry = entry_of_syscall t syscall in

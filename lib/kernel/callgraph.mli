@@ -44,7 +44,6 @@ val node_name : t -> int -> string
 val entry_of_syscall : t -> int -> int
 (** Entry node of a syscall number. *)
 
-val syscall_of_entry : t -> int -> int option
 val direct_callees : t -> int -> int list
 val indirect_targets : t -> int -> int list
 (** Candidate targets of the dispatch site hosted by this node ([] if none). *)
@@ -60,10 +59,6 @@ val indirect_only : t -> int -> bool
 val static_reachable : t -> int list -> Pv_util.Bitset.t
 (** Direct-edge closure from the given entry nodes: the static-ISV node set
     (indirect targets excluded, as static analysis cannot resolve them). *)
-
-val reachable_with_indirect : t -> int list -> Pv_util.Bitset.t
-(** Closure following both direct edges and all indirect candidate edges:
-    the speculatively reachable surface of the unprotected kernel. *)
 
 val sample_trace : t -> Pv_util.Rng.t -> syscall:int -> installed:(int -> int option) -> int list
 (** One dynamic execution of a syscall: walks direct edges, skipping cold

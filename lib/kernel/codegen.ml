@@ -17,20 +17,6 @@ type loop_spec = {
   alu_pad : int;
 }
 
-let simple_loop =
-  {
-    trips_shift = 0;
-    min_trips = 1;
-    unroll = 2;
-    stride = 64;
-    dep_chain = false;
-    shared_every = 0;
-    unknown_every = 0;
-    store_every = 0;
-    branch_mask = 0;
-    alu_pad = 1;
-  }
-
 type shape =
   | Loop of loop_spec
   | Leaf of { loads : int; stores : int; alu : int; shared : bool }

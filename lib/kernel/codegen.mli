@@ -29,9 +29,6 @@ type loop_spec = {
   alu_pad : int;  (** extra ALU ops per iteration *)
 }
 
-val simple_loop : loop_spec
-(** A bland copy-like loop: unroll 2, stride 64, no chains or branches. *)
-
 type shape =
   | Loop of loop_spec
   | Leaf of { loads : int; stores : int; alu : int; shared : bool }

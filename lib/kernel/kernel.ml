@@ -16,7 +16,6 @@ type proc_state = {
 type t = {
   phys : Physmem.t;
   slab : Slab.t;
-  cgroups : Cgroup.t;
   graph : Callgraph.t;
   trace : Trace.t;
   rng : Rng.t;
@@ -38,7 +37,6 @@ let create ~seed () =
   {
     phys;
     slab = Slab.create ~mode:Slab.Secure phys;
-    cgroups = Cgroup.create ();
     graph;
     trace = Trace.create graph;
     rng = Rng.create (seed lxor 0x4B65726E);
@@ -77,15 +75,16 @@ let alloc_frame_exn t owner =
   | Some f -> f
   | None -> failwith "Kernel: out of physical memory"
 
-let spawn t ~name =
-  let cg = Cgroup.add t.cgroups name in
+(* Each process gets its own cgroup, numbered like the pids from 1. *)
+let spawn t ~name:_ =
+  let cg = t.next_pid in
   let p = Process.create ~pid:t.next_pid ~asid:t.next_asid ~cgroup:cg in
   t.next_pid <- t.next_pid + 1;
   t.next_asid <- t.next_asid + 1;
   t.procs <- p :: t.procs;
   let owner = Physmem.Cgroup cg in
   (* Kernel stack (vmalloc-style, tracked into the DSV; paper §6.1). *)
-  Process.set_kstack p (alloc_frame_exn t owner);
+  ignore (alloc_frame_exn t owner);
   (* Kernel-side working set. *)
   for _ = 1 to data_frames_per_proc do
     Process.note_data_frame p (alloc_frame_exn t owner)
@@ -97,14 +96,6 @@ let spawn t ~name =
   done;
   ignore (state t p);
   p
-
-let owner_of_va t va =
-  match Physmem.frame_of_va va with
-  | Some frame -> Physmem.owner_of t.phys frame
-  | None ->
-    if va >= Layout.kernel_global_base then Some Physmem.Unknown
-    else if Layout.space_of_va va = Layout.Kernel then Some Physmem.Unknown
-    else None
 
 type sys_effects = {
   ret : int;

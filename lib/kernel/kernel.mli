@@ -27,13 +27,10 @@ val unknown_base : t -> int
 (** VA of untracked memory (paper §6.1 "unknown allocations"). *)
 
 val spawn : t -> name:string -> Process.t
-(** Create a cgroup + process with its kernel stack, working-set frames and
-    resident slab objects. *)
-
-val owner_of_va : t -> int -> Physmem.owner option
-(** Ownership of the page behind a kernel VA: direct-map pages resolve
-    through the buddy allocator; other kernel VAs are [Unknown]; user VAs are
-    [None] (resolved per process through page tables). *)
+(** Create a process in a cgroup of its own, with its kernel stack,
+    working-set frames and resident slab objects.  Cgroups are numbered
+    from 1 in spawn order; [name] labels the workload for the caller and is
+    not stored. *)
 
 type sys_effects = {
   ret : int;

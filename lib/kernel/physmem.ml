@@ -23,7 +23,6 @@ type t = {
   state : frame_state array;
   free_lists : (int, unit) Hashtbl.t array; (* per order: set of free block heads *)
   mutable free_count : int;
-  mutable reassignments : int;
 }
 
 let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (p * 2)
@@ -38,7 +37,6 @@ let create ~frames =
       state = Array.make pool Offline;
       free_lists = Array.init (max_order + 1) (fun _ -> Hashtbl.create 64);
       free_count = 0;
-      reassignments = 0;
     }
   in
   (* Seed the free lists with maximal aligned blocks covering the usable
@@ -151,16 +149,6 @@ let owner_of t frame =
     match head_of t frame with
     | Some (head, o, owner) when frame < head + (1 lsl o) -> Some owner
     | Some _ | None -> None
-
-let set_owner t ~frame ~order owner =
-  match t.state.(frame) with
-  | Alloc_head (o, _) when o = order ->
-    t.state.(frame) <- Alloc_head (order, owner);
-    t.reassignments <- t.reassignments + 1
-  | Alloc_head _ | Free_head _ | Free_body | Alloc_body | Offline ->
-    invalid_arg "Physmem.set_owner: not an allocated block head of this order"
-
-let domain_reassignments t = t.reassignments
 
 let frame_va f = Layout.direct_map_va (f * Layout.page_bytes)
 

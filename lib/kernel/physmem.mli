@@ -20,6 +20,7 @@ val create : frames:int -> t
     to a power of two internally; only [frames] are usable. *)
 
 val free_frames : t -> int
+(** Frames not in any allocated block. *)
 
 val alloc_pages : t -> order:int -> owner -> int option
 (** Allocate a naturally aligned block of [2^order] frames for [owner];
@@ -31,12 +32,6 @@ val free_pages : t -> frame:int -> order:int -> unit
 
 val owner_of : t -> int -> owner option
 (** Owner of a frame; [None] when the frame is free. *)
-
-val set_owner : t -> frame:int -> order:int -> owner -> unit
-(** Domain reassignment of a live block (secure-slab page recycling, §9.2);
-    counted in {!domain_reassignments}. *)
-
-val domain_reassignments : t -> int
 
 val frame_va : int -> int
 (** Direct-map VA of frame [f] (its byte 0). *)

@@ -5,7 +5,6 @@ type t = {
   asid : int;
   cgroup : int;
   page_table : (int, int) Hashtbl.t; (* user page VA -> frame *)
-  mutable kstack : int option;
   mutable heap_next : int;
   mutable data : int list; (* reversed *)
 }
@@ -16,7 +15,6 @@ let create ~pid ~asid ~cgroup =
     asid;
     cgroup;
     page_table = Hashtbl.create 64;
-    kstack = None;
     heap_next = Layout.user_data_base;
     data = [];
   }
@@ -36,12 +34,6 @@ let unmap_page t ~va =
     Hashtbl.remove t.page_table key;
     Some frame
   | None -> None
-
-let frame_for t ~va = Hashtbl.find_opt t.page_table (page_va va)
-
-let set_kstack t frame = t.kstack <- Some frame
-
-let kstack t = t.kstack
 
 let fresh_heap_va t ~pages =
   let va = t.heap_next in

@@ -1,5 +1,5 @@
 (** Userspace processes: an address space (asid), a cgroup, a page table for
-    user pages, and a kernel stack frame tracked in the process DSV. *)
+    user pages, and the process's kernel-side working-set frames. *)
 
 type t
 
@@ -12,11 +12,6 @@ val cgroup : t -> int
 val map_page : t -> va:int -> frame:int -> unit
 val unmap_page : t -> va:int -> int option
 (** Returns the frame that was mapped, if any. *)
-
-val frame_for : t -> va:int -> int option
-
-val set_kstack : t -> int -> unit
-val kstack : t -> int option
 
 val fresh_heap_va : t -> pages:int -> int
 (** Reserve a fresh, page-aligned user heap VA range. *)

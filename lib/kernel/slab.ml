@@ -21,7 +21,6 @@ type t = {
   pages : (int, page) Hashtbl.t; (* frame -> page *)
   partial : (domain_key, int list ref) Hashtbl.t; (* pages with free slots *)
   big : (int, int) Hashtbl.t; (* frame -> order, for oversize allocations *)
-  mutable live_objects : int;
   mutable active_bytes : int;
   mutable frees : int;
   mutable page_returns : int;
@@ -35,7 +34,6 @@ let create ~mode phys =
     pages = Hashtbl.create 256;
     partial = Hashtbl.create 64;
     big = Hashtbl.create 16;
-    live_objects = 0;
     active_bytes = 0;
     frees = 0;
     page_returns = 0;
@@ -84,7 +82,6 @@ let alloc_in_page t page owner =
     page.live.(slot) <- true;
     page.owners.(slot) <- owner;
     page.inuse <- page.inuse + 1;
-    t.live_objects <- t.live_objects + 1;
     t.active_bytes <- t.active_bytes + page.cls;
     Some (obj_va page slot)
 
@@ -147,7 +144,6 @@ let kfree t va =
     if not page.live.(slot) then invalid_arg "Slab.kfree: double free";
     page.live.(slot) <- false;
     page.inuse <- page.inuse - 1;
-    t.live_objects <- t.live_objects - 1;
     t.active_bytes <- t.active_bytes - page.cls;
     t.frees <- t.frees + 1;
     (* Slot-reuse affinity: the freed slot's page moves to the front of its
@@ -190,15 +186,6 @@ let kfree t va =
       t.page_returns <- t.page_returns + 1
     | Some _ | None -> invalid_arg "Slab.kfree: not a live slab object")
 
-let owner_of_object t va =
-  match locate t va with
-  | Some (page, slot) when page.live.(slot) -> Some page.owners.(slot)
-  | Some _ -> None
-  | None -> (
-    match Physmem.frame_of_va va with
-    | Some frame when Hashtbl.mem t.big frame -> Physmem.owner_of t.phys frame
-    | Some _ | None -> None)
-
 let shares_page_with_other_owner t va =
   match locate t va with
   | Some (page, slot) when page.live.(slot) ->
@@ -213,7 +200,6 @@ let shares_page_with_other_owner t va =
     go 0
   | Some _ | None -> false
 
-let live_objects t = t.live_objects
 let active_bytes t = t.active_bytes
 
 let slab_bytes t = Hashtbl.length t.pages * Layout.page_bytes

@@ -26,15 +26,11 @@ val kfree : t -> int -> unit
 (** Free an object by VA.  Raises [Invalid_argument] for a VA that was not
     returned by {!kmalloc} (or was already freed). *)
 
-val owner_of_object : t -> int -> Physmem.owner option
-(** Owner of the page backing the object at this VA. *)
-
 val shares_page_with_other_owner : t -> int -> bool
 (** Does the page backing this object currently also hold a live object of a
     different owner?  Always false in [Secure] mode — the property tests rely
     on this. *)
 
-val live_objects : t -> int
 val active_bytes : t -> int
 (** Sum of sizes of live objects. *)
 

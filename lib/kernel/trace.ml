@@ -1,10 +1,6 @@
 module Bitset = Pv_util.Bitset
 
-type profile = {
-  nodes : Bitset.t;
-  sys_used : bool array;
-  mutable invocations : int;
-}
+type profile = { nodes : Bitset.t; sys_used : bool array }
 
 type t = { nnodes : int; profiles : (int, profile) Hashtbl.t }
 
@@ -14,16 +10,11 @@ let profile t ctx =
   match Hashtbl.find_opt t.profiles ctx with
   | Some p -> p
   | None ->
-    let p =
-      { nodes = Bitset.create t.nnodes; sys_used = Array.make Sysno.count false; invocations = 0 }
-    in
+    let p = { nodes = Bitset.create t.nnodes; sys_used = Array.make Sysno.count false } in
     Hashtbl.replace t.profiles ctx p;
     p
 
-let record_syscall t ~ctx nr =
-  let p = profile t ctx in
-  p.sys_used.(nr) <- true;
-  p.invocations <- p.invocations + 1
+let record_syscall t ~ctx nr = (profile t ctx).sys_used.(nr) <- true
 
 let record_node t ~ctx node = Bitset.set (profile t ctx).nodes node
 
@@ -43,8 +34,3 @@ let syscalls_used t ~ctx =
       if p.sys_used.(nr) then acc := nr :: !acc
     done;
     !acc
-
-let syscall_count t ~ctx =
-  match Hashtbl.find_opt t.profiles ctx with Some p -> p.invocations | None -> 0
-
-let reset t ~ctx = Hashtbl.remove t.profiles ctx

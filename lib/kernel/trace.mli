@@ -17,8 +17,3 @@ val nodes : t -> ctx:int -> Pv_util.Bitset.t
 
 val syscalls_used : t -> ctx:int -> int list
 (** Sorted syscall numbers the context has made. *)
-
-val syscall_count : t -> ctx:int -> int
-(** Total syscall invocations recorded. *)
-
-val reset : t -> ctx:int -> unit

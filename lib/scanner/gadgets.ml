@@ -4,8 +4,6 @@ module Bitset = Pv_util.Bitset
 
 type kind = Mds | Port | CacheChannel
 
-let kind_name = function Mds -> "MDS" | Port -> "Port" | CacheChannel -> "Cache"
-
 type gadget = { node : int; kind : kind }
 
 type t = { all : gadget list; nnodes : int }
@@ -64,9 +62,6 @@ let count t kind = List.length (List.filter (fun g -> g.kind = kind) t.all)
 let gadgets t = t.all
 
 let nodes t = List.map (fun g -> g.node) t.all
-
-let nodes_of_kind t kind =
-  List.filter_map (fun g -> if g.kind = kind then Some g.node else None) t.all
 
 let in_scope t scope = List.filter (fun g -> Bitset.mem scope g.node) t.all
 

@@ -9,8 +9,6 @@
 
 type kind = Mds | Port | CacheChannel
 
-val kind_name : kind -> string
-
 type gadget = { node : int; kind : kind }
 
 type t
@@ -22,8 +20,6 @@ val total : t -> int
 val count : t -> kind -> int
 val gadgets : t -> gadget list
 val nodes : t -> int list
-val nodes_of_kind : t -> kind -> int list
-
 val in_scope : t -> Pv_util.Bitset.t -> gadget list
 (** Gadgets whose function lies inside the given node set. *)
 

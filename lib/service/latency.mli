@@ -17,19 +17,16 @@ val of_samples : float array -> count:int -> t
     outside [[0, Array.length a]], or on a NaN or negative sojourn: the
     percentiles need a total order. *)
 
-val percentile : t -> p:float -> float
+val percentile_opt : t -> p:float -> float option
 (** Exact nearest-rank percentile over the raw samples (see
     {!Pv_util.Stats.percentile}), found by selection (Hoare's FIND) instead
-    of a sort.  Each rank found stays at its sorted index, so a later query
-    searches only between the two found ranks around its own: expected
-    O(n) for the first query, and the slice between its neighbours for
-    each later one (a repeated rank costs nothing).  Raises
-    [Invalid_argument] when empty or [p] is outside [[0, 100]]. *)
-
-val percentile_opt : t -> p:float -> float option
-(** {!percentile} with the empty recorder degrading to [None] — an all-shed
-    load point serves nothing and must render as [n/a], not raise.  Still
-    raises on [p] outside [[0, 100]]. *)
+    of a sort; [None] for the empty recorder — an all-shed load point
+    serves nothing and must render as [n/a], not raise.  Each rank found
+    stays at its sorted index, so a later query searches only between the
+    two found ranks around its own: expected O(n) for the first query, and
+    the slice between its neighbours for each later one (a repeated rank
+    costs nothing).  Raises [Invalid_argument] when [p] is outside
+    [[0, 100]]. *)
 
 val observe_metrics : Pv_util.Metrics.t -> prefix:string -> t -> unit
 (** Export under [prefix]: a log2 histogram [<prefix>] of the samples

@@ -96,10 +96,6 @@ let seed_frame t frame =
     Codegen.seed_page (mem t) t.rng (Physmem.frame_va frame)
   end
 
-let table_va t h nr =
-  ignore t;
-  Hashtbl.find_opt h.tables nr
-
 let alloc_frame_for t h =
   match
     Physmem.alloc_pages (Kernel.phys t.kernel) ~order:0
@@ -272,7 +268,9 @@ let hooks_for ?on_commit t h =
       match Kimage.desc t.kimage nr with
       | Some d ->
         let r13 =
-          match table_va t h nr with Some va -> va | None -> Kernel.shared_base t.kernel
+          match Hashtbl.find_opt h.tables nr with
+          | Some va -> va
+          | None -> Kernel.shared_base t.kernel
         in
         Iss.Redirect
           ( d.Kimage.entry_fid,

@@ -113,6 +113,3 @@ val run_job :
     corpus planted for ISV++ only, {!install_defense} with
     [view_cache_entries] (default 128) for both view caches, then {!run}.
     The machine and handle returned give post-run statistics. *)
-
-val table_va : t -> handle -> int -> int option
-(** VA of the process's dispatch table for a realized syscall (r13). *)

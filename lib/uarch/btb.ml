@@ -13,12 +13,10 @@ let tag_bits = 12
 
 let ways = 4
 
-let flush t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
-
 (* Create-time state: no entry valid.  Stale tags, targets and LRU stamps
    are never read while an entry's valid byte is clear. *)
 let reset t =
-  flush t;
+  Bytes.fill t.valid 0 (Bytes.length t.valid) '\000';
   t.tick <- 0
 
 let create ?(entries = 4096) () =
@@ -39,8 +37,6 @@ let create ?(entries = 4096) () =
 let index_of t pc = (pc lsr 2) mod t.nsets
 
 let tag_of t pc = ((pc lsr 2) / t.nsets) land ((1 lsl tag_bits) - 1)
-
-let aliases t pc1 pc2 = index_of t pc1 = index_of t pc2 && tag_of t pc1 = tag_of t pc2
 
 let is_valid t i = Bytes.get t.valid i <> '\000'
 

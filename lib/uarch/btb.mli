@@ -20,8 +20,3 @@ val lookup : t -> int -> int option
 
 val update : t -> int -> int -> unit
 (** [update t pc target] trains the entry for [pc] (called at resolution). *)
-
-val aliases : t -> int -> int -> bool
-(** Do two PCs map to the same set and partial tag? *)
-
-val flush : t -> unit

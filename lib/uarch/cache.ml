@@ -20,17 +20,14 @@ type t = {
 
 let flush_all t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 (* Create-time state: no line valid, no access counted.  Tags and LRU
    stamps are left as they are: nothing reads a slot's tag or stamp while
    its valid byte is clear, and a fill writes both before setting it. *)
 let reset t =
   flush_all t;
   t.tick <- 0;
-  reset_stats t
+  t.hits <- 0;
+  t.misses <- 0
 
 let create ~name ~size_bytes ~line_bytes ~ways ~latency =
   if size_bytes <= 0 || line_bytes <= 0 || ways <= 0 then
@@ -57,8 +54,6 @@ let create ~name ~size_bytes ~line_bytes ~ways ~latency =
   t
 
 let latency t = t.latency
-let sets t = t.nsets
-let ways t = t.nways
 
 let[@inline] is_valid t i = Bytes.unsafe_get t.valid i <> '\000'
 
@@ -170,11 +165,6 @@ let write_signature out t =
     done
   done
 
-let state_signature t = Checksum.render write_signature t
-
 let hits t = t.hits
 let misses t = t.misses
 
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total

@@ -22,8 +22,6 @@ val reset : t -> unit
     stamps stay in place, unread until a fill overwrites them. *)
 
 val latency : t -> int
-val sets : t -> int
-val ways : t -> int
 
 val access : t -> int -> bool
 (** [access t addr] looks up the line containing [addr]: on hit, updates LRU
@@ -46,19 +44,14 @@ val flush_line : t -> int -> unit
 val flush_all : t -> unit
 
 val write_signature : Pv_util.Checksum.sink -> t -> unit
-(** The one writer of {!state_signature}'s format.  To a
+(** Write the canonical rendering of the cache's architectural state: every
+    resident line as [set.way:tag@rank;] where [rank] is the line's LRU
+    ordinal within its set (0 = least recent).  Two caches holding the same
+    lines with the same relative recency produce identical signatures
+    regardless of how many accesses built that state — the contract checker
+    diffs these across runs with different secrets.  To a
     [Checksum.Digest] sink it folds the signature into the hash without
-    building it. *)
-
-val state_signature : t -> string
-(** Canonical rendering of the cache's architectural state: every resident
-    line as [set.way:tag@rank;] where [rank] is the line's LRU ordinal within
-    its set (0 = least recent).  Two caches holding the same lines with the
-    same relative recency produce identical signatures regardless of how many
-    accesses built that state — the contract checker diffs these across runs
-    with different secrets. *)
+    building it; [Checksum.render write_signature] is its text. *)
 
 val hits : t -> int
 val misses : t -> int
-val hit_rate : t -> float
-val reset_stats : t -> unit

@@ -151,8 +151,6 @@ type hooks = {
       (** [(fid, idx, insn)] for each committed instruction. *)
 }
 
-val null_hooks : hooks
-
 type outcome = Halted | Out_of_fuel | Fault of string
 
 type result = {
@@ -172,7 +170,8 @@ val run :
   result
 (** Execute from instruction 0 of function [start] until a [Halt] commits, a
     fault commits, a [Stop] trap action, or [fuel] cycles elapse (default:
-    the config's [max_cycles] watchdog). *)
+    the config's [max_cycles] watchdog).  Without [hooks], [Syscall] and
+    [Sysret] are [Skip]ped and no commit is observed. *)
 
 (** {2 Event trace}
 

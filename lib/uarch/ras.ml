@@ -38,5 +38,3 @@ let pop t =
     t.count <- t.count - 1;
     Some v
   end
-
-let depth t = t.count

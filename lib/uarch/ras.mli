@@ -17,6 +17,5 @@ val pop : t -> int option
     pops) — this is the ret2spec/Spectre-RSB poisoning lever.  [None] only
     before the first ever push. *)
 
-val depth : t -> int
 val clear : t -> unit
 (** Restore the create-time state: empty, never pushed, every slot zero. *)

@@ -18,7 +18,6 @@ type t = {
   slot_tag : int array;
   slot_ctr : int array;
   slot_u : int array;
-  mutable lookups : int;
   mutable alloc_tick : int; (* deterministic tie-breaking for allocation *)
 }
 
@@ -36,7 +35,6 @@ let reset t =
   Array.fill t.slot_tag 0 (Array.length t.slot_tag) 0;
   Array.fill t.slot_ctr 0 (Array.length t.slot_ctr) 0;
   Array.fill t.slot_u 0 (Array.length t.slot_u) 0;
-  t.lookups <- 0;
   t.alloc_tick <- 0
 
 let create () =
@@ -46,7 +44,6 @@ let create () =
       slot_tag = Array.make (num_tables * table_size) 0;
       slot_ctr = Array.make (num_tables * table_size) 0;
       slot_u = Array.make (num_tables * table_size) 0;
-      lookups = 0;
       alloc_tick = 0;
     }
   in
@@ -72,7 +69,6 @@ let base_index pc = (pc lsr 2) land ((1 lsl base_bits) - 1)
 let slot_for pc hist i = slot i (fold pc hist (Array.unsafe_get history_lengths i) table_bits)
 
 let predict t ~pc ~hist =
-  t.lookups <- t.lookups + 1;
   let base_pred = t.base.(base_index pc) >= 2 in
   (* Longest matching component provides; second longest is the alternate. *)
   let provider = ref (-1) in
@@ -143,4 +139,3 @@ let update t ~pc ~hist meta ~taken =
     end
   end
 
-let lookups t = t.lookups

@@ -30,4 +30,3 @@ val update : t -> pc:int -> hist:int -> meta -> taken:bool -> unit
 (** Train with the resolved outcome.  [pc] and [hist] must be the values used
     at prediction time. *)
 
-val lookups : t -> int

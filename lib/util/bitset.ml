@@ -32,21 +32,6 @@ let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let copy t = { n = t.n; words = Array.copy t.words }
 
-let binop name f a b =
-  if a.n <> b.n then invalid_arg ("Bitset." ^ name ^ ": length mismatch");
-  { n = a.n; words = Array.init (Array.length a.words) (fun i -> f a.words.(i) b.words.(i)) }
-
-let union a b = binop "union" ( lor ) a b
-let inter a b = binop "inter" ( land ) a b
-let diff a b = binop "diff" (fun x y -> x land lnot y) a b
-
-let subset a b =
-  if a.n <> b.n then invalid_arg "Bitset.subset: length mismatch";
-  let rec go i =
-    i = Array.length a.words || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
-
 let iter t f =
   for i = 0 to t.n - 1 do
     if t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0 then f i
@@ -61,5 +46,3 @@ let of_list n l =
   let t = create n in
   List.iter (set t) l;
   t
-
-let equal a b = a.n = b.n && a.words = b.words

@@ -14,14 +14,6 @@ val count : t -> int
 (** Number of set bits. *)
 
 val copy : t -> t
-val union : t -> t -> t
-val inter : t -> t -> t
-val diff : t -> t -> t
-(** [diff a b] is a \ b.  All binary operations require equal lengths. *)
-
-val subset : t -> t -> bool
-(** [subset a b]: every member of [a] is in [b]. *)
 
 val elements : t -> int list
 val of_list : int -> int list -> t
-val equal : t -> t -> bool

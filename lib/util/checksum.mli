@@ -17,7 +17,6 @@ val create : unit -> t
 (** The hash of no bytes (the FNV offset basis). *)
 
 val add_char : t -> char -> unit
-val add_string : t -> string -> unit
 
 val add_int : t -> int -> unit
 (** Fold the decimal text of [n] as [string_of_int n] writes it, a leading

@@ -19,6 +19,9 @@ let () =
       Some (Printf.sprintf "injected worker kill (job %d, attempt %d)" index attempt)
     | _ -> None)
 
+(* One planned fault: job [index] suffers [kind] while its attempt number
+   is [< first_attempts] ([always]: every attempt; [1]: a flaky fault that
+   succeeds on retry). *)
 type spec = { index : int; kind : kind; first_attempts : int }
 
 type t = spec list
@@ -26,7 +29,6 @@ type t = spec list
 let none = []
 let is_none t = t = []
 let always = max_int
-let plan specs = specs
 
 (* Strict decimal: [int_of_string] would also accept "-1", "0x1", "0b1",
    "1_000" and "+1", each silently planting the fault somewhere the user
@@ -59,7 +61,7 @@ let parse s =
     | _ -> None
   in
   let items = List.map item (String.split_on_char ',' (String.trim s)) in
-  if List.for_all Option.is_some items then Ok (plan (List.map Option.get items))
+  if List.for_all Option.is_some items then Ok (List.map Option.get items)
   else
     Error
       (Printf.sprintf

@@ -56,18 +56,6 @@ val none : t
 
 val is_none : t -> bool
 
-type spec = { index : int; kind : kind; first_attempts : int }
-(** One planned fault: job [index] suffers [kind] while its attempt number is
-    [< first_attempts].  [first_attempts = max_int] (see {!always}) makes the
-    fault persistent; [1] makes it flaky — it fails once and succeeds on
-    retry. *)
-
-val always : int
-(** [max_int]: a [first_attempts] value meaning "every attempt". *)
-
-val plan : spec list -> t
-(** Explicit per-index faults; indices not listed behave normally. *)
-
 val parse : string -> (t, string) result
 (** Parse a [--fault] spec: [KIND@INDEX[,KIND@INDEX...]] with [KIND] one of
     [crash] (every attempt), [flaky] (a crash on the first attempt only),

@@ -26,20 +26,11 @@ let create () = { tbl = Hashtbl.create 64 }
 let type_conflict name =
   invalid_arg (Printf.sprintf "Metrics: %S already registered with another type" name)
 
-let int_ref t name =
+let set_int t name v =
   match Hashtbl.find_opt t.tbl name with
-  | Some (I_int r) -> r
+  | Some (I_int r) -> r := v
   | Some _ -> type_conflict name
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.tbl name (I_int r);
-      r
-
-let incr ?(by = 1) t name =
-  let r = int_ref t name in
-  r := !r + by
-
-let set_int t name v = int_ref t name := v
+  | None -> Hashtbl.replace t.tbl name (I_int (ref v))
 
 let set_float t name v =
   if not (Float.is_finite v) then
@@ -69,10 +60,6 @@ let bucket_of v =
   else if v lsr 24 = 0 then 16 + Array.unsafe_get msb8 (v lsr 16)
   else if v lsr 31 = 0 then 24 + Array.unsafe_get msb8 (v lsr 24)
   else nbuckets - 1
-
-let bucket_lo i =
-  if i <= 0 then min_int
-  else 1 lsl (i - 1)
 
 let hist_state t name =
   match Hashtbl.find_opt t.tbl name with

@@ -1,5 +1,5 @@
 (** Typed metric registry: the uniform collection point for the simulator's
-    counters, gauges and histograms.
+    integer and float gauges and histograms.
 
     Components register values under hierarchical dotted names
     ([pipeline.fences.dsv], [svcache.isv.hit_rate],
@@ -11,13 +11,13 @@
 
     Histograms use fixed log2 buckets: bucket 0 counts observations [<= 0],
     bucket [i >= 1] counts observations in [[2^(i-1), 2^i - 1]], and the
-    last bucket absorbs everything larger.  The edges are compile-time
-    constants so two registries always agree on shape. *)
+    last of the 32 buckets absorbs everything larger.  The edges are
+    compile-time constants so two registries always agree on shape. *)
 
 type t
 
-(** A snapshot value.  [Hist] carries the raw bucket counts (length
-    {!nbuckets}), the observation count and the running sum. *)
+(** A snapshot value.  [Hist] carries the raw bucket counts (32 of them),
+    the observation count and the running sum. *)
 type value =
   | Int of int
   | Float of float
@@ -27,10 +27,6 @@ type value =
 type snapshot = (string * value) list
 
 val create : unit -> t
-
-(** [incr ?by t name] bumps the integer counter [name] (creating it at 0).
-    @raise Invalid_argument if [name] exists with a non-integer type. *)
-val incr : ?by:int -> t -> string -> unit
 
 (** [set_int t name v] sets the integer gauge [name].
     @raise Invalid_argument on a type conflict. *)
@@ -65,16 +61,6 @@ val hist_observe : hist -> int -> unit
     empty), so a snapshot's key set does not depend on whether any
     observation happened. *)
 val declare_hist : t -> string -> unit
-
-(** Number of log2 buckets (fixed). *)
-val nbuckets : int
-
-(** [bucket_of v] is the index of the bucket [v] falls into. *)
-val bucket_of : int -> int
-
-(** [bucket_lo i] is the smallest value counted by bucket [i]
-    (for rendering bucket edges). *)
-val bucket_lo : int -> int
 
 (** Name-sorted snapshot of the registry. *)
 val snapshot : t -> snapshot

@@ -15,17 +15,8 @@ let string_of_hex = Checksum.string_of_hex
 
 (* --- cache handle ------------------------------------------------------ *)
 
-type stats = {
-  hits : int;
-  misses : int;
-  writes : int;
-  write_errors : int;
-  corrupt_dropped : int;
-}
-
 type t = {
   root : string;
-  salt : string; (* effective salt: version + code salt + user salt *)
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -42,16 +33,13 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_dir ?(salt = "") root =
-  String.iter
-    (fun c ->
-      if c = '"' || c = '\\' || c = '\n' || c = '\r' then
-        invalid_arg "Rescache.open_dir: salt must not contain quotes, backslashes or newlines")
-    salt;
+(* Every store has the same effective salt. *)
+let salt = Printf.sprintf "v%d|%s|" format_version code_salt
+
+let open_dir root =
   mkdir_p root;
   {
     root;
-    salt = Printf.sprintf "v%d|%s|%s" format_version code_salt salt;
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
@@ -62,24 +50,21 @@ let open_dir ?(salt = "") root =
     warned_write_error = false;
   }
 
-let dir t = t.root
-
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let entry_base t ~key = digest_hex (t.salt ^ "\n" ^ key)
-let entry_path t ~key = Filename.concat t.root (entry_base t ~key ^ ".json")
+let entry_path t ~key = Filename.concat t.root (digest_hex (salt ^ "\n" ^ key) ^ ".json")
 
 (* --- envelope ---------------------------------------------------------- *)
 
-(* Salts are charset-restricted and the key travels hex-encoded in the
+(* The salt needs no escaping and the key travels hex-encoded in the
    authoritative field, so only the human-readable "key" needs escaping. *)
-let render_envelope t ~key payload =
+let render_envelope ~key payload =
   let b = Buffer.create (512 + (2 * String.length payload)) in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"rescache_version\": %d,\n" format_version);
-  Buffer.add_string b (Printf.sprintf "  \"salt\": \"%s\"," t.salt);
+  Buffer.add_string b (Printf.sprintf "  \"salt\": \"%s\"," salt);
   Buffer.add_char b '\n';
   Buffer.add_string b (Printf.sprintf "  \"key\": %s,\n" (Metrics.json_string key));
   Buffer.add_string b (Printf.sprintf "  \"key_hex\": \"%s\",\n" (hex_of_string key));
@@ -89,8 +74,8 @@ let render_envelope t ~key payload =
   Buffer.contents b
 
 (* Extract the string value of ["field": "..."] from a flat envelope. The
-   values we look up never contain escaped quotes (salt charset is enforced,
-   hex fields are [0-9a-f]), so scanning to the closing quote is exact. *)
+   values we look up never contain escaped quotes (the salt has none, hex
+   fields are [0-9a-f]), so scanning to the closing quote is exact. *)
 let extract_string body ~field =
   let pat = Printf.sprintf "\"%s\": \"" field in
   let plen = String.length pat in
@@ -116,19 +101,19 @@ let read_file path =
         Some (really_input_string ic n))
   with Sys_error _ | End_of_file -> None
 
-(* Parse an envelope; [Ok payload] only when every check passes for this
-   cache's salt and the stored key equals [key]. [Error `Corrupt] covers
-   damage and salt/version mismatch (both are dropped); [Error `Other_key]
-   is a digest collision — an honest miss that must NOT delete the file. *)
-let parse_envelope t ~key body =
+(* Parse an envelope; [Ok payload] only when every check passes for the
+   salt and the stored key equals [key]. [Error `Corrupt] covers damage and
+   salt/version mismatch (both are dropped); [Error `Other_key] is a digest
+   collision — an honest miss that must NOT delete the file. *)
+let parse_envelope ~key body =
   match
     ( extract_string body ~field:"salt",
       extract_string body ~field:"key_hex",
       extract_string body ~field:"payload_digest",
       extract_string body ~field:"payload_hex" )
   with
-  | Some salt, Some key_hex, Some payload_digest, Some payload_hex -> (
-      if salt <> t.salt then Error `Corrupt
+  | Some stored_salt, Some key_hex, Some payload_digest, Some payload_hex -> (
+      if stored_salt <> salt then Error `Corrupt
       else
         match (string_of_hex key_hex, string_of_hex payload_hex) with
         | Some stored_key, Some payload ->
@@ -146,7 +131,7 @@ let find (type a) t ~key : a option =
           t.misses <- t.misses + 1;
           None
       | Some body -> (
-          match parse_envelope t ~key body with
+          match parse_envelope ~key body with
           | Ok payload -> (
               match (Marshal.from_string payload 0 : a) with
               | v ->
@@ -241,27 +226,14 @@ let store_all ts ~key v =
        (fun written t ->
          let path = entry_path t ~key in
          match written with
-         | Some (salt, src) when salt = t.salt && (src = path || link_entry t ~src ~path) ->
-             written
-         | _ ->
-             if write_entry t ~path (render_envelope t ~key payload) then Some (t.salt, path)
-             else written)
+         | Some src when src = path || link_entry t ~src ~path -> written
+         | _ -> if write_entry t ~path (render_envelope ~key payload) then Some path else written)
        None ts)
 
 let store t ~key v = store_all [ t ] ~key v
 
-let stats t =
-  with_lock t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        writes = t.writes;
-        write_errors = t.write_errors;
-        corrupt_dropped = t.corrupt_dropped;
-      })
-
 let report ?(out = stderr) t =
-  let s = stats t in
-  Printf.fprintf out
-    "rescache: hits=%d misses=%d writes=%d write_errors=%d corrupt_dropped=%d dir=%s\n%!"
-    s.hits s.misses s.writes s.write_errors s.corrupt_dropped t.root
+  with_lock t (fun () ->
+      Printf.fprintf out
+        "rescache: hits=%d misses=%d writes=%d write_errors=%d corrupt_dropped=%d dir=%s\n%!"
+        t.hits t.misses t.writes t.write_errors t.corrupt_dropped t.root)

@@ -27,11 +27,10 @@
     the key looked up.  Two runs that miss the same entry both compute it,
     and the last rename wins with identical bytes.
 
-    {b Invalidation.} The effective salt is [format_version ^ code_salt ^
-    user salt]: bump [code_salt] (rescache.ml) whenever a stored result
-    type or the simulator's measured behaviour changes, and every stale
-    entry becomes unreachable (different file names) and unreadable (salt
-    check).
+    {b Invalidation.} The effective salt is [format_version ^ code_salt]:
+    bump [code_salt] (rescache.ml) whenever a stored result type or the
+    simulator's measured behaviour changes, and every stale entry becomes
+    unreachable (different file names) and unreadable (salt check).
 
     {b Type safety.} Values go through [Marshal] untyped: a descriptor must
     determine its value type.  The experiment layer guarantees this by
@@ -40,23 +39,16 @@
 
 type t
 
-val open_dir : ?salt:string -> string -> t
+val open_dir : string -> t
 (** [open_dir dir] opens (creating it, including parents, if needed) a store
-    rooted at [dir].  [salt] (default [""]) composes with the code salt;
-    it must not contain ['"'], ['\\'] or newlines.  Thread-safe: one [t] may
-    be shared across domains, and one directory may be shared across
-    processes (every entry is written by temp-file + rename). *)
-
-val dir : t -> string
+    rooted at [dir].  Thread-safe: one [t] may be shared across domains, and
+    one directory may be shared across processes (every entry is written by
+    temp-file + rename). *)
 
 val entries : t -> int
 (** The number of entry files under the root (temp files left by a killed
     store do not count).  Entries are not verified here; {!find} does
     that. *)
-
-val digest_hex : string -> string
-(** The 16-hex-char FNV-1a 64 digest used for file names — exposed so tests
-    can pin key stability. *)
 
 val find : t -> key:string -> 'a option
 (** Look up the entry for canonical descriptor [key].  [None] on a miss, on
@@ -71,27 +63,18 @@ val store : t -> key:string -> 'a -> unit
     [write_errors] and the first one warns on stderr. *)
 
 val store_all : t list -> key:string -> 'a -> unit
-(** {!store} into every store of the list.  Entries of stores with equal
-    salts have equal bytes, so each store after the first that can takes
-    a hard link to the entry already written — one directory entry
-    instead of a new file — and writes its own copy otherwise.  Rescache
-    never modifies an entry file in place, so the stores stay
-    independent. *)
-
-type stats = {
-  hits : int;
-  misses : int;
-  writes : int;
-  write_errors : int;  (** failed {!store} attempts (I/O errors, swallowed) *)
-  corrupt_dropped : int;  (** corrupt or version-mismatched entries deleted *)
-}
-
-val stats : t -> stats
+(** {!store} into every store of the list.  An entry has the same bytes in
+    every store, so each store after the first that can takes a hard link
+    to the entry already written — one directory entry instead of a new
+    file — and writes its own copy when [link] fails.  Rescache never
+    modifies an entry file in place, so the stores stay independent. *)
 
 val report : ?out:out_channel -> t -> unit
 (** One-line [rescache: hits=... misses=... writes=... write_errors=...
     corrupt_dropped=... dir=...] summary (the [--cache-stats]
-    output, default [stderr]).  Cache counters are run provenance (a warm
+    output, default [stderr]): lookups that served an entry, lookups that
+    did not, entries written, failed writes (I/O errors, swallowed) and
+    corrupt or version-mismatched entries deleted.  Cache counters are run provenance (a warm
     run hits where a cold run missed), so they never land in the
     [--metrics] export, which must stay byte-identical between cold and
     warm runs. *)

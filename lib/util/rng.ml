@@ -5,14 +5,10 @@ type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let of_state s =
+let create seed =
   let t = Bytes.create 8 in
-  Bytes.set_int64_le t 0 s;
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
   t
-
-let create seed = of_state (Int64.of_int seed)
-
-let copy = Bytes.copy
 
 let[@inline] next_seed t =
   let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
@@ -26,8 +22,6 @@ let[@inline] mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let[@inline] int64 t = mix (next_seed t)
-
-let split t = of_state (int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
@@ -53,14 +47,6 @@ let chance t p =
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let sample_exp t mean =
   let u = 1.0 -. float t 1.0 in

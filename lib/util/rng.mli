@@ -3,28 +3,19 @@
     All stochastic choices in the simulator flow through this module so that
     every experiment is reproducible bit-for-bit from its seed.  The generator
     is SplitMix64 (Steele, Lea & Flood, OOPSLA'14): tiny state, excellent
-    statistical quality for simulation purposes, and trivially splittable. *)
+    statistical quality for simulation purposes. *)
 
 type t
 (** Mutable generator state: the 64-bit SplitMix64 word, held unboxed, so
-    no draw allocates (a draw returning a [float] or [int64] to another
-    module still boxes its result). *)
+    no draw allocates (a draw returning a [float] to another module still
+    boxes its result). *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy sharing no state with the original. *)
-
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t].  Streams of the
-    parent and child are statistically independent. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val bits : t -> int
-(** Next non-negative 62-bit integer. *)
+(** Next non-negative 62-bit integer: the top 62 bits of the next raw
+    64-bit SplitMix64 output. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Raises [Invalid_argument] if [n <= 0]. *)
@@ -43,9 +34,6 @@ val chance : t -> float -> bool
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val sample_exp : t -> float -> float
 (** [sample_exp t mean] draws from an exponential distribution. *)

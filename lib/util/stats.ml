@@ -1,37 +1,11 @@
 (* An empty series has no mean; returning 0.0 here used to render as a
-   plausible table cell (same silent-poisoning family as the geomean and
-   zero-baseline guards).  Callers with legitimately-empty series use
+   plausible table cell.  Callers with legitimately-empty series use
    [mean_opt] and print "n/a". *)
 let mean = function
   | [] -> invalid_arg "Stats.mean: empty list"
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 let mean_opt = function [] -> None | xs -> Some (mean xs)
-
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-    (* log of a non-positive silently yields nan/-inf and poisons the whole
-       mean; refuse loudly instead, like the zero-baseline normalizers.
-       [not (x > 0.)] also catches NaN inputs. *)
-    if List.exists (fun x -> not (x > 0.0)) xs then
-      invalid_arg "Stats.geomean: non-positive input";
-    let n = float_of_int (List.length xs) in
-    exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. n)
-
-let stddev xs =
-  match xs with
-  | [] -> invalid_arg "Stats.stddev: empty list"
-  | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-    sqrt var
-
-let min_max = function
-  | [] -> invalid_arg "Stats.min_max: empty list"
-  | x :: xs ->
-    List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) xs
 
 (* The nearest rank ceil(p/100 * n), in integer arithmetic: the old
    float path (ceil (p /. 100. *. float n)) went through the unrepresentable
@@ -57,16 +31,6 @@ let percentile xs ~p =
   let sorted = List.sort compare xs in
   let n = List.length sorted in
   List.nth sorted (nearest_rank ~p ~n - 1)
-
-(* A zero baseline used to propagate silent nan/inf into the tables; both
-   normalizers now refuse it loudly instead. *)
-let percent_overhead ~baseline v =
-  if baseline = 0.0 then invalid_arg "Stats.percent_overhead: zero baseline";
-  (v -. baseline) /. baseline *. 100.0
-
-let normalized ~baseline v =
-  if baseline = 0.0 then invalid_arg "Stats.normalized: zero baseline";
-  v /. baseline
 
 let ratio_pct ~num ~den =
   if den = 0 then invalid_arg "Stats.ratio_pct: zero denominator";

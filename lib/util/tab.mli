@@ -23,12 +23,10 @@ val print : t -> unit
 val to_string : t -> string
 (** Render to a string. *)
 
-val to_csv : t -> string
-(** Comma-separated rendering (header + rows; captions omitted); cells
-    containing commas or quotes are quoted. *)
-
 val save_csv : t -> string -> unit
-(** Write {!to_csv} to a file. *)
+(** [save_csv t path] writes the comma-separated rendering (header + rows;
+    captions omitted) to [path]; cells containing commas or quotes are
+    quoted. *)
 
 val pct : float -> string
 (** Format a percentage with one decimal, e.g. ["3.5%"]. *)

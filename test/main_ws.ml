@@ -73,7 +73,7 @@ let metrics_doc s =
     Metrics.set_int reg "cell.value" v;
     Metrics.snapshot reg
   in
-  Supervise.render_json [ Supervise.export ~metrics_of ~label:"ws" s ]
+  Test_procpool.metrics_json [ Supervise.export ~metrics_of ~label:"ws" s ]
 
 let prop_sweep_deterministic =
   QCheck.Test.make ~count:40
@@ -91,11 +91,10 @@ let prop_sweep_crash_deterministic =
     (QCheck.make ~print:print_crash crash_gen)
     (fun (costs, jobs, crashed) ->
       let fault =
-        Fault.plan
-          (List.map
-             (fun i ->
-               { Fault.index = i; kind = Fault.Crash; first_attempts = Fault.always })
-             crashed)
+        if crashed = [] then Fault.none
+        else
+          Result.get_ok
+            (Fault.parse (String.concat "," (List.map (Printf.sprintf "crash@%d") crashed)))
       in
       let serial = run_sweep ~jobs:1 ~fault costs in
       let par = run_sweep ~jobs ~fault costs in

@@ -117,10 +117,10 @@ let test_patch_demo () =
   Alcotest.(check bool) "live exclusion blocks it" false d.V2.after_patch.Lab.success
 
 let test_cve_study () =
+  let count p = List.length (List.filter (fun r -> r.Cve.primitive = p) Cve.rows) in
   check Alcotest.int "nine rows" 9 (List.length Cve.rows);
-  check Alcotest.int "four data-access rows" 4
-    (Cve.count_by_primitive Cve.Unauthorized_data_access);
-  check Alcotest.int "five hijack rows" 5 (Cve.count_by_primitive Cve.Control_flow_hijack);
+  check Alcotest.int "four data-access rows" 4 (count Cve.Unauthorized_data_access);
+  check Alcotest.int "five hijack rows" 5 (count Cve.Control_flow_hijack);
   List.iteri
     (fun i r ->
       check Alcotest.int "indices dense" (i + 1) r.Cve.index;

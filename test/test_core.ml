@@ -114,7 +114,7 @@ let test_svcache_stats () =
   Svcache.install c ~asid:1 5 true;
   ignore (Svcache.lookup c ~asid:1 5);
   check Alcotest.int "hits" 1 (Svcache.hits c);
-  check Alcotest.int "misses" 1 (Svcache.misses c);
+  check Alcotest.int "misses" 1 (Svcache.accesses c - Svcache.hits c);
   check Alcotest.int "accesses" 2 (Svcache.accesses c);
   Alcotest.(check (option (float 1e-9))) "rate" (Some 0.5) (Svcache.hit_rate c);
   (* An all-miss cache must be distinguishable from an untouched one. *)
@@ -128,7 +128,7 @@ let test_svcache_stats () =
 let test_dsvmt_walk_oracle () =
   let calls = ref 0 in
   let d =
-    Dsvmt.create ~ctx:1 ~oracle:(fun ~page ->
+    Dsvmt.create ~oracle:(fun ~page ->
         incr calls;
         page mod 2 = 0)
   in
@@ -136,45 +136,31 @@ let test_dsvmt_walk_oracle () =
   Alcotest.(check bool) "odd page out" false (Dsvmt.walk d ~page:5);
   check Alcotest.int "oracle consulted" 2 !calls;
   ignore (Dsvmt.walk d ~page:4);
-  check Alcotest.int "cached after populate" 2 !calls;
-  check Alcotest.int "walks counted" 3 (Dsvmt.walks d);
-  check Alcotest.int "leaves" 2 (Dsvmt.populated_leaves d)
+  check Alcotest.int "cached after populate" 2 !calls
 
 let test_dsvmt_invalidate () =
   let flips = ref true in
-  let d = Dsvmt.create ~ctx:1 ~oracle:(fun ~page:_ -> !flips) in
+  let d = Dsvmt.create ~oracle:(fun ~page:_ -> !flips) in
   Alcotest.(check bool) "first" true (Dsvmt.walk d ~page:7);
   flips := false;
   Alcotest.(check bool) "stale until invalidated" true (Dsvmt.walk d ~page:7);
   Dsvmt.invalidate_page d ~page:7;
   Alcotest.(check bool) "fresh after invalidate" false (Dsvmt.walk d ~page:7)
 
-let test_dsvmt_set_page () =
-  let d = Dsvmt.create ~ctx:1 ~oracle:(fun ~page:_ -> false) in
-  Dsvmt.set_page d ~page:10 true;
-  Alcotest.(check bool) "explicit set" true (Dsvmt.walk d ~page:10)
-
-let test_dsvmt_huge () =
-  let d = Dsvmt.create ~ctx:1 ~oracle:(fun ~page:_ -> false) in
-  (* Mark the 2 MiB region containing 4 KiB pages [512, 1024). *)
-  Dsvmt.mark_huge d ~page_2m:1 true;
-  Alcotest.(check bool) "covered page" true (Dsvmt.walk d ~page:600);
-  Alcotest.(check bool) "outside region" false (Dsvmt.walk d ~page:100)
-
 let test_dsvmt_distant_pages () =
-  let d = Dsvmt.create ~ctx:1 ~oracle:(fun ~page -> page > 1_000_000) in
+  let d = Dsvmt.create ~oracle:(fun ~page -> page > 1_000_000) in
   Alcotest.(check bool) "low" false (Dsvmt.walk d ~page:3);
   Alcotest.(check bool) "high (different L1 region)" true (Dsvmt.walk d ~page:2_000_000)
 
 (* Oracle-model property: the DSVMT must agree with a plain map under any
-   interleaving of walks, explicit sets and invalidations. *)
+   interleaving of walks, ownership changes and invalidations. *)
 let dsvmt_oracle_prop =
   QCheck.Test.make ~name:"DSVMT agrees with a reference map" ~count:150
     QCheck.(small_list (pair (int_bound 2) (int_bound 2000)))
     (fun ops ->
       let backing = Hashtbl.create 32 in
       let oracle ~page = Option.value ~default:(page mod 3 = 0) (Hashtbl.find_opt backing page) in
-      let d = Dsvmt.create ~ctx:1 ~oracle in
+      let d = Dsvmt.create ~oracle in
       let model = Hashtbl.create 32 in
       List.for_all
         (fun (op, page) ->
@@ -191,10 +177,9 @@ let dsvmt_oracle_prop =
             in
             Dsvmt.walk d ~page = expected
           | 1 ->
-            let b = page mod 2 = 0 in
-            Dsvmt.set_page d ~page b;
-            Hashtbl.replace model page b;
-            Hashtbl.replace backing page b;
+            (* The page changes owner; the table may serve the stale bit
+               until the page is invalidated. *)
+            Hashtbl.replace backing page (page mod 2 = 0);
             true
           | _ ->
             Dsvmt.invalidate_page d ~page;
@@ -242,8 +227,7 @@ let test_isv_pages_demand_population () =
   check Alcotest.int "bit cached" 1 !calls;
   ignore (Perspective.Isv_pages.lookup p ~ctx:1 ~insn_va:(va + 4) ~member);
   check Alcotest.int "same page, new slot" 2 !calls;
-  check Alcotest.int "still one page" 1 (Perspective.Isv_pages.populated_pages p ~ctx:1);
-  check Alcotest.int "one population event" 1 (Perspective.Isv_pages.population_events p)
+  check Alcotest.int "still one page" 1 (Perspective.Isv_pages.populated_pages p ~ctx:1)
 
 let test_isv_pages_per_context () =
   let p = Perspective.Isv_pages.create () in
@@ -263,16 +247,10 @@ let test_isv_pages_invalidate () =
   Alcotest.(check bool) "re-consults membership" false
     (Perspective.Isv_pages.lookup p ~ctx:1 ~insn_va:va ~member:(fun () -> false))
 
-let test_isv_pages_shadow_va () =
-  let va = Layout.insn_va Layout.Kernel 9 13 in
-  let shadow = Perspective.Isv_pages.shadow_va va in
-  check Alcotest.int "fixed offset" Layout.isv_page_offset
-    (shadow - (va land lnot (Layout.page_bytes - 1)))
-
 (* --- ISV --- *)
 
 let test_isv_membership () =
-  let v = Isv.of_nodes Isv.Dynamic (Bitset.of_list 10 [ 1; 2; 3 ]) in
+  let v = Isv.of_nodes (Bitset.of_list 10 [ 1; 2; 3 ]) in
   Alcotest.(check bool) "member" true (Isv.member v 2);
   Alcotest.(check bool) "not member" false (Isv.member v 5);
   check Alcotest.int "size" 3 (Isv.size v);
@@ -280,19 +258,17 @@ let test_isv_membership () =
 
 let test_isv_all () =
   let v = Isv.all ~nnodes:5 in
-  check Alcotest.int "full" 5 (Isv.size v);
-  Alcotest.(check bool) "kind" true (Isv.kind v = Isv.All)
+  check Alcotest.int "full" 5 (Isv.size v)
 
 let test_isv_patching () =
-  let v = Isv.of_nodes Isv.Dynamic (Bitset.of_list 10 [ 1; 2; 3 ]) in
+  let v = Isv.of_nodes (Bitset.of_list 10 [ 1; 2; 3 ]) in
   Isv.exclude v 2 (* swift gadget patch *);
   Alcotest.(check bool) "excluded" false (Isv.member v 2);
-  Isv.shrink_to v (Bitset.of_list 10 [ 1; 9 ]);
-  check Alcotest.(list int) "shrunk to intersection" [ 1 ] (Bitset.elements (Isv.nodes v))
+  check Alcotest.(list int) "the rest stays" [ 1; 3 ] (Bitset.elements (Isv.nodes v))
 
 let test_isv_source_isolation () =
   let b = Bitset.of_list 10 [ 1 ] in
-  let v = Isv.of_nodes Isv.Static b in
+  let v = Isv.of_nodes b in
   Bitset.set b 5;
   Alcotest.(check bool) "source mutation isolated" false (Isv.member v 5)
 
@@ -302,16 +278,13 @@ let test_view_manager () =
   let vm =
     View_manager.create ~nnodes:10 ~oracle:(fun ~ctx ~page -> page mod 10 = ctx)
   in
-  let isv = Isv.of_nodes Isv.Dynamic (Bitset.of_list 10 [ 1 ]) in
+  let isv = Isv.of_nodes (Bitset.of_list 10 [ 1 ]) in
   View_manager.register vm ~asid:7 ~ctx:3 ~isv;
   check Alcotest.(option int) "ctx resolution" (Some 3) (View_manager.ctx_of_asid vm 7);
-  Alcotest.(check bool) "isv via asid" true (View_manager.isv_of_asid vm 7 <> None);
+  Alcotest.(check bool) "isv via ctx" true (View_manager.isv_of_ctx vm 3 <> None);
   let d = View_manager.dsvmt vm ~ctx:3 in
   Alcotest.(check bool) "oracle wired with ctx" true (Dsvmt.walk d ~page:13);
-  Alcotest.(check bool) "and rejects others" false (Dsvmt.walk d ~page:14);
-  View_manager.set_isv vm ~ctx:3 (Isv.all ~nnodes:10);
-  check Alcotest.int "isv swapped" 10 (Isv.size (Option.get (View_manager.isv_of_ctx vm 3)));
-  check Alcotest.(list int) "contexts" [ 3 ] (View_manager.contexts vm)
+  Alcotest.(check bool) "and rejects others" false (Dsvmt.walk d ~page:14)
 
 let test_view_manager_invalidate () =
   let bit = ref true in
@@ -341,7 +314,7 @@ let make_perspective ~isv_nodes ~owned_page =
   let vm =
     View_manager.create ~nnodes:4 ~oracle:(fun ~ctx ~page -> ctx = 1 && page = owned_page)
   in
-  View_manager.register vm ~asid:1 ~ctx:1 ~isv:(Isv.of_nodes Isv.Dynamic isv_nodes);
+  View_manager.register vm ~asid:1 ~ctx:1 ~isv:(Isv.of_nodes isv_nodes);
   Defense.build ~scheme:(Defense.Perspective Isv.Dynamic) ~vm
     ~node_of_fid:(fun fid -> if fid < 4 then Some fid else None)
     ~block_unknown:true ()
@@ -421,7 +394,7 @@ let test_guard_note_freed () =
   let owned = ref true in
   let vm = View_manager.create ~nnodes:4 ~oracle:(fun ~ctx:_ ~page:_ -> !owned) in
   View_manager.register vm ~asid:1 ~ctx:1
-    ~isv:(Isv.of_nodes Isv.Dynamic (Bitset.of_list 4 [ 0 ]));
+    ~isv:(Isv.of_nodes (Bitset.of_list 4 [ 0 ]));
   let d =
     Defense.build ~scheme:(Defense.Perspective Isv.Dynamic) ~vm
       ~node_of_fid:(fun _ -> Some 0) ~block_unknown:true ()
@@ -441,7 +414,7 @@ let test_guard_isv_plus_exclusion () =
   (* Runtime patching: excluding a function flips its decision to Block, but
      only after the stale ISV-cache entry for its line is invalidated. *)
   let vm = View_manager.create ~nnodes:4 ~oracle:(fun ~ctx:_ ~page:_ -> true) in
-  let isv = Isv.of_nodes Isv.Plus (Bitset.of_list 4 [ 0; 1 ]) in
+  let isv = Isv.of_nodes (Bitset.of_list 4 [ 0; 1 ]) in
   View_manager.register vm ~asid:1 ~ctx:1 ~isv;
   let d =
     Defense.build ~scheme:(Defense.Perspective Isv.Plus) ~vm
@@ -463,11 +436,14 @@ let test_scheme_names () =
     (Defense.scheme_name (Defense.Perspective Isv.Dynamic));
   check Alcotest.string "plus" "PERSPECTIVE++"
     (Defense.scheme_name (Defense.Perspective Isv.Plus));
-  check Alcotest.int "five standard schemes" 5 (List.length Defense.all_schemes)
+  check Alcotest.(list string) "every scheme, in PoC order"
+    [ "UNSAFE"; "FENCE"; "DOM"; "STT"; "PERSPECTIVE-ALL"; "PERSPECTIVE-STATIC"; "PERSPECTIVE";
+      "PERSPECTIVE++"; "SAFESPEC"; "SPECBOX" ]
+    (List.map Defense.scheme_name Defense.all_schemes)
 
 let test_spot_transforms () =
   let base = Pv_uarch.Pipeline.default_config in
-  let k = Spot.kpti base in
+  let k = Spot.kpti_retpoline base in
   Alcotest.(check bool) "kpti entry cost" true
     (k.Pv_uarch.Pipeline.kernel_entry_cycles > base.Pv_uarch.Pipeline.kernel_entry_cycles);
   let r = Spot.retpoline base in
@@ -500,8 +476,6 @@ let suite =
         QCheck_alcotest.to_alcotest dsvmt_oracle_prop;
         Alcotest.test_case "lazy walk" `Quick test_dsvmt_walk_oracle;
         Alcotest.test_case "invalidate" `Quick test_dsvmt_invalidate;
-        Alcotest.test_case "explicit set" `Quick test_dsvmt_set_page;
-        Alcotest.test_case "huge pages" `Quick test_dsvmt_huge;
         Alcotest.test_case "distant pages" `Quick test_dsvmt_distant_pages;
       ] );
     ( "core.isv_pages",
@@ -509,7 +483,6 @@ let suite =
         Alcotest.test_case "demand population" `Quick test_isv_pages_demand_population;
         Alcotest.test_case "per-context" `Quick test_isv_pages_per_context;
         Alcotest.test_case "invalidate" `Quick test_isv_pages_invalidate;
-        Alcotest.test_case "shadow VA offset" `Quick test_isv_pages_shadow_va;
       ] );
     ( "core.isv",
       [

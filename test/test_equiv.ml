@@ -83,23 +83,46 @@ let stalls_field counters =
   |> List.map (fun (name, v) -> Printf.sprintf "%s:%d" name v)
   |> String.concat ","
 
-let run_cell (family, workload, scheme) =
-  let variant = Schemes.find scheme in
+(* The commit stream of a run, observed on a [Machine.run_job] of its own
+   with the inputs [Perf] gives the cell (seed 42, unknown allocations
+   blocked, 128-entry view caches); observing commits changes no timing. *)
+let commit_stream ~syscalls ~name ~sequence ~iterations ~user_work (variant : Schemes.variant) =
   let h = ref fnv_offset in
   let on_commit fid idx _ = h := fnv_str !h (Printf.sprintf "%d:%d;" fid idx) in
-  let r =
+  ignore
+    (Pv_sim.Machine.run_job ~on_commit
+       ~pipe_config:(variant.Schemes.transform Pipeline.default_config)
+       ~block_unknown:true ~view_cache_entries:128 ~seed:42 ~syscalls ~name
+       ~user_funcs:(Pv_workloads.Driver.build ~iterations ~sequence ~user_work)
+       ~profile:sequence variant.Schemes.scheme);
+  !h
+
+let run_cell (family, workload, scheme) =
+  let variant = Schemes.find scheme in
+  let r, h =
     match family with
     | "lebench" ->
-      Perf.run_lebench ~scale:cell_scale ~on_commit variant (Lebench.find workload)
+      let test = Lebench.find workload in
+      let cell =
+        List.hd (Perf.lebench_cells ~scale:cell_scale ~tests:[ test ] ~variants:[ variant ] ())
+      in
+      let t = Lebench.scaled test ~factor:cell_scale in
+      ( cell.Supervise.run ~fuel:None,
+        commit_stream ~syscalls:Lebench.all_syscalls ~name:t.Lebench.name
+          ~sequence:t.Lebench.sequence ~iterations:t.Lebench.iterations
+          ~user_work:t.Lebench.user_work variant )
     | "apps" ->
       let app = List.find (fun a -> a.Apps.name = workload) Apps.all in
-      Perf.run_app ~scale:cell_scale ~on_commit variant app
+      let a = Apps.scaled app ~factor:cell_scale in
+      ( Perf.run_app ~scale:cell_scale variant app,
+        commit_stream ~syscalls:Apps.all_syscalls ~name:a.Apps.name ~sequence:a.Apps.request
+          ~iterations:a.Apps.requests ~user_work:a.Apps.user_work variant )
     | _ -> invalid_arg "run_cell: unknown family"
   in
   let key = Printf.sprintf "%s/%s/%s" family workload scheme in
   let line =
     Printf.sprintf "cell %s|cycles=%d|committed=%d|stream=%s|stalls=%s|fences=%d,%d,%d|metrics=%s"
-      key r.Perf.cycles r.Perf.committed (hex !h)
+      key r.Perf.cycles r.Perf.committed (hex h)
       (stalls_field r.Perf.counters)
       r.Perf.counters.Pipeline.fences_isv r.Perf.counters.Pipeline.fences_dsv
       r.Perf.counters.Pipeline.fences_baseline
@@ -220,8 +243,9 @@ let run_opt prog =
   let pipe = Pipeline.create (Memsys.create mem) prog in
   let hooks =
     {
-      Pipeline.null_hooks with
-      Pipeline.on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
+      Pipeline.on_syscall = (fun _ -> Pv_isa.Iss.Skip);
+      on_sysret = (fun _ -> Pv_isa.Iss.Skip);
+      on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
     }
   in
   let r = Pipeline.run ~hooks pipe ~asid:1 ~start:0 in

@@ -63,7 +63,7 @@ let test_speedup_ranges () =
         true
         (r.Isv_study.speedup >= 1.1 && r.Isv_study.speedup <= 2.4))
     rows;
-  let avg = Isv_study.average_speedup rows in
+  let avg = Pv_util.Stats.mean (List.map (fun (r : Isv_study.speedup_row) -> r.speedup) rows) in
   Alcotest.(check bool)
     (Printf.sprintf "average %.2f near 1.57" avg)
     true
@@ -72,10 +72,10 @@ let test_speedup_ranges () =
 let test_perf_select_ordering () =
   let test = Lebench.find "select" in
   let scale = 0.5 in
-  let unsafe = Perf.run_lebench ~scale Schemes.unsafe test in
-  let fence = Perf.run_lebench ~scale Schemes.fence test in
-  let persp = Perf.run_lebench ~scale Schemes.perspective test in
-  let dom = Perf.run_lebench ~scale Schemes.dom test in
+  let unsafe = Test_supervise.lebench_run ~scale Schemes.unsafe test in
+  let fence = Test_supervise.lebench_run ~scale Schemes.fence test in
+  let persp = Test_supervise.lebench_run ~scale Schemes.perspective test in
+  let dom = Test_supervise.lebench_run ~scale Schemes.dom test in
   let ov r = Perf.overhead_pct ~baseline:unsafe r in
   Alcotest.(check bool)
     (Printf.sprintf "FENCE heavy on select (%.0f%%)" (ov fence))
@@ -92,7 +92,7 @@ let test_perf_select_ordering () =
 
 let test_perf_fence_accounting () =
   let test = Lebench.find "poll" in
-  let run = Perf.run_lebench ~scale:0.5 Schemes.perspective test in
+  let run = Test_supervise.lebench_run ~scale:0.5 Schemes.perspective test in
   let isv_k, dsv_k = Perf.fences_per_kiloinstr run in
   Alcotest.(check bool) "DSV fences dominate" true (dsv_k > isv_k);
   Alcotest.(check bool) "some fencing happens" true (dsv_k > 0.5)
@@ -155,8 +155,8 @@ let test_fragmentation () =
 
 let test_view_cache_entries_knob () =
   let test = Lebench.find "poll" in
-  let small = Perf.run_lebench ~scale:0.3 ~view_cache_entries:8 Schemes.perspective test in
-  let big = Perf.run_lebench ~scale:0.3 ~view_cache_entries:512 Schemes.perspective test in
+  let small = Test_supervise.lebench_run ~scale:0.3 ~view_cache_entries:8 Schemes.perspective test in
+  let big = Test_supervise.lebench_run ~scale:0.3 ~view_cache_entries:512 Schemes.perspective test in
   let rate = function
     | Some r -> r
     | None -> Alcotest.fail "PERSPECTIVE run must access the DSV cache"
@@ -184,15 +184,14 @@ let test_static_tables_render () =
 (* The knobs a perf cell normalizes away are the ones its variant never
    reads: a variant that is not Perspective gives the same run, down to its
    last metric, whatever blocking mode and view-cache size it is given, and
-   every Perspective variant reacts to them. *)
+   every Perspective variant reacts to them.  [run_app] applies the knobs
+   as given; LEBench cells run the same simulation code. *)
 let test_ignored_knobs_leave_runs_unchanged () =
-  let test = Lebench.find "select" in
+  let app = Pv_workloads.Apps.memcached in
   List.iter
     (fun (v : Schemes.variant) ->
       let run ?block_unknown ?view_cache_entries () =
-        Marshal.to_string
-          (Perf.run_lebench ~scale:0.1 ?block_unknown ?view_cache_entries v test)
-          []
+        Marshal.to_string (Perf.run_app ~scale:0.1 ?block_unknown ?view_cache_entries v app) []
       in
       let reads_knobs =
         match v.Schemes.scheme with Perspective.Defense.Perspective _ -> true | _ -> false
@@ -347,7 +346,7 @@ let unsafe_never_faults_prop =
     (fun (seed, i) ->
       let scale = 0.05 in
       (match List.nth rows i with
-      | `Lebench t -> ignore (Perf.run_lebench ~seed ~scale Schemes.unsafe t)
+      | `Lebench t -> ignore (Test_supervise.lebench_run ~seed ~scale Schemes.unsafe t)
       | `App a -> ignore (Perf.run_app ~seed ~scale Schemes.unsafe a));
       true)
 

@@ -31,7 +31,6 @@ let syscalls = List.sort_uniq compare (List.map fst workload)
 
 let test_static_kind_and_entries () =
   let isv = Static_isv.generate graph ~syscalls in
-  Alcotest.(check bool) "kind" true (Isv.kind isv = Isv.Static);
   List.iter
     (fun nr ->
       Alcotest.(check bool) "entry in view" true
@@ -50,7 +49,8 @@ let test_static_excludes_indirect_pool () =
 let test_static_monotone_in_syscalls () =
   let small = Static_isv.node_set graph ~syscalls:[ Sysno.sys_read ] in
   let big = Static_isv.node_set graph ~syscalls:[ Sysno.sys_read; Sysno.sys_poll ] in
-  Alcotest.(check bool) "more syscalls, larger view" true (Bitset.subset small big)
+  Alcotest.(check bool) "more syscalls, larger view" true
+    (List.for_all (Bitset.mem big) (Bitset.elements small))
 
 let test_dynamic_traced_and_smaller () =
   let dyn = Dynamic_isv.node_set kernel ~ctx in
@@ -59,7 +59,8 @@ let test_dynamic_traced_and_smaller () =
   Alcotest.(check bool) "dynamic smaller than static" true
     (Bitset.count dyn < Bitset.count sta);
   let isv = Dynamic_isv.generate kernel ~ctx in
-  Alcotest.(check bool) "kind" true (Isv.kind isv = Isv.Dynamic)
+  check Alcotest.(list int) "view = traced nodes" (Bitset.elements dyn)
+    (Bitset.elements (Isv.nodes isv))
 
 let test_dynamic_can_include_indirect_targets () =
   (* Dynamic views may contain indirect-pool functions that static analysis
@@ -79,7 +80,6 @@ let test_audit_hardening () =
   in
   let gadget_nodes = some_members in
   let hardened = Audit.harden dyn ~gadget_nodes in
-  Alcotest.(check bool) "kind ISV++" true (Isv.kind hardened = Isv.Plus);
   List.iter
     (fun n -> Alcotest.(check bool) "gadget excluded" false (Isv.member hardened n))
     some_members;
@@ -88,10 +88,6 @@ let test_audit_hardening () =
     (Isv.size hardened);
   Alcotest.(check bool) "original untouched" true
     (List.for_all (Isv.member dyn) some_members)
-
-let test_audit_blocked_count () =
-  let view = Isv.of_nodes Isv.Dynamic (Bitset.of_list 10 [ 1; 2 ]) in
-  check Alcotest.int "blocked = outside" 2 (Audit.blocked_gadgets view ~gadget_nodes:[ 1; 5; 6 ])
 
 let suite =
   [
@@ -110,6 +106,5 @@ let suite =
     ( "isvgen.audit",
       [
         Alcotest.test_case "hardening" `Quick test_audit_hardening;
-        Alcotest.test_case "blocked count" `Quick test_audit_blocked_count;
       ] );
   ]

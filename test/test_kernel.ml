@@ -4,7 +4,6 @@
 
 module Physmem = Pv_kernel.Physmem
 module Slab = Pv_kernel.Slab
-module Cgroup = Pv_kernel.Cgroup
 module Process = Pv_kernel.Process
 module Sysno = Pv_kernel.Sysno
 module Callgraph = Pv_kernel.Callgraph
@@ -70,13 +69,6 @@ let test_buddy_owner_per_block () =
       (Physmem.owner_of pm i = Some (Physmem.Cgroup 7))
   done
 
-let test_buddy_reassignment () =
-  let pm = Physmem.create ~frames:8 in
-  let f = Option.get (Physmem.alloc_pages pm ~order:0 (Physmem.Cgroup 1)) in
-  Physmem.set_owner pm ~frame:f ~order:0 (Physmem.Cgroup 2);
-  Alcotest.(check bool) "new owner" true (Physmem.owner_of pm f = Some (Physmem.Cgroup 2));
-  check Alcotest.int "counted" 1 (Physmem.domain_reassignments pm)
-
 let test_frame_va_roundtrip () =
   check Alcotest.(option int) "roundtrip" (Some 17) (Physmem.frame_of_va (Physmem.frame_va 17))
 
@@ -114,13 +106,14 @@ let buddy_trace_prop =
 
 (* --- slab allocator --- *)
 
+(* The owner of the frame backing a direct-map VA. *)
+let page_owner pm va = Physmem.owner_of pm (Option.get (Physmem.frame_of_va va))
+
 let test_slab_class_rounding () =
   let pm = Physmem.create ~frames:64 in
   let s = Slab.create ~mode:Slab.Secure pm in
   let va = Option.get (Slab.kmalloc s ~owner:(Physmem.Cgroup 1) ~size:33) in
-  Alcotest.(check bool) "owner tracked" true
-    (Slab.owner_of_object s va = Some (Physmem.Cgroup 1));
-  check Alcotest.int "one live" 1 (Slab.live_objects s);
+  Alcotest.(check bool) "owner tracked" true (page_owner pm va = Some (Physmem.Cgroup 1));
   check Alcotest.int "rounded to 64" 64 (Slab.active_bytes s)
 
 let test_slab_secure_isolation () =
@@ -172,8 +165,7 @@ let test_slab_oversize () =
   let pm = Physmem.create ~frames:64 in
   let s = Slab.create ~mode:Slab.Secure pm in
   let va = Option.get (Slab.kmalloc s ~owner:(Physmem.Cgroup 1) ~size:10_000) in
-  Alcotest.(check bool) "owner known" true
-    (Slab.owner_of_object s va = Some (Physmem.Cgroup 1));
+  Alcotest.(check bool) "owner known" true (page_owner pm va = Some (Physmem.Cgroup 1));
   Slab.kfree s va;
   check Alcotest.int "all frames back" 64 (Physmem.free_frames pm)
 
@@ -209,26 +201,23 @@ let slab_accounting_prop =
               live := (va, size) :: !live
             | None -> ())
         ops;
-      Slab.active_bytes s = !expected && Slab.live_objects s = List.length !live)
+      Slab.active_bytes s = !expected)
 
 (* --- cgroups / processes / sysno --- *)
 
 let test_cgroup () =
-  let c = Cgroup.create () in
-  let a = Cgroup.add c "web" in
-  let b = Cgroup.add c "db" in
-  check Alcotest.int "dense ids" 1 a;
-  check Alcotest.int "dense ids" 2 b;
-  check Alcotest.string "name" "web" (Cgroup.name c a);
-  check Alcotest.int "count" 2 (Cgroup.count c);
-  check Alcotest.(list int) "ids" [ 1; 2 ] (Cgroup.ids c)
+  let k = Kernel.create ~seed:1 () in
+  let a = Kernel.spawn k ~name:"web" in
+  let b = Kernel.spawn k ~name:"db" in
+  check Alcotest.int "dense ids" 1 (Process.cgroup a);
+  check Alcotest.int "dense ids" 2 (Process.cgroup b)
 
 let test_process_pages () =
   let p = Process.create ~pid:1 ~asid:1 ~cgroup:1 in
   Process.map_page p ~va:0x1000 ~frame:7;
-  check Alcotest.(option int) "mapped" (Some 7) (Process.frame_for p ~va:0x1234);
-  check Alcotest.(option int) "unmap returns" (Some 7) (Process.unmap_page p ~va:0x1000);
-  check Alcotest.(option int) "gone" None (Process.frame_for p ~va:0x1000)
+  check Alcotest.(option int) "unmap returns, any VA of the page" (Some 7)
+    (Process.unmap_page p ~va:0x1234);
+  check Alcotest.(option int) "gone" None (Process.unmap_page p ~va:0x1000)
 
 let test_process_heap () =
   let p = Process.create ~pid:1 ~asid:1 ~cgroup:1 in
@@ -251,8 +240,7 @@ let test_graph_shape () =
   check Alcotest.int "nodes" 28_000 (Callgraph.nnodes graph);
   for nr = 0 to Sysno.count - 1 do
     let e = Callgraph.entry_of_syscall graph nr in
-    Alcotest.(check bool) "entry region" true (Callgraph.region graph e = `Entry);
-    check Alcotest.(option int) "entry inverse" (Some nr) (Callgraph.syscall_of_entry graph e)
+    Alcotest.(check bool) "entry region" true (Callgraph.region graph e = `Entry)
   done
 
 (* Known answers recorded on the list-of-callees representation: an MD5
@@ -324,13 +312,28 @@ let test_graph_static_reachability () =
   Alcotest.(check bool) "not the whole kernel" true
     (Bitset.count reach < Callgraph.nnodes graph / 4)
 
+(* Closure over direct edges and every indirect candidate edge: the
+   speculatively reachable surface of the unprotected kernel. *)
+let reachable_with_indirect g entries =
+  let seen = Bitset.create (Callgraph.nnodes g) in
+  let rec visit v =
+    if not (Bitset.mem seen v) then begin
+      Bitset.set seen v;
+      List.iter visit (Callgraph.direct_callees g v);
+      List.iter visit (Callgraph.indirect_targets g v)
+    end
+  in
+  List.iter visit entries;
+  seen
+
 let test_graph_indirect_only () =
   (* Indirect-pool nodes are invisible to static analysis but reachable once
      indirect edges are followed. *)
   let entries = List.init Sysno.count (fun nr -> Callgraph.entry_of_syscall graph nr) in
   let static = Callgraph.static_reachable graph entries in
-  let full = Callgraph.reachable_with_indirect graph entries in
-  Alcotest.(check bool) "static subset of full" true (Bitset.subset static full);
+  let full = reachable_with_indirect graph entries in
+  Alcotest.(check bool) "static subset of full" true
+    (List.for_all (Bitset.mem full) (Bitset.elements static));
   let lo, hi = Callgraph.indirect_pool_bounds graph in
   let pool_static = ref 0 and pool_full = ref 0 in
   for n = lo to hi - 1 do
@@ -349,7 +352,7 @@ let test_graph_trace_subset () =
   let installed = Callgraph.default_installed graph ~app_seed:1 in
   let entry = Callgraph.entry_of_syscall graph Sysno.sys_poll in
   let static = Callgraph.static_reachable graph [ entry ] in
-  let full = Callgraph.reachable_with_indirect graph [ entry ] in
+  let full = reachable_with_indirect graph [ entry ] in
   for _ = 1 to 10 do
     let nodes = Callgraph.sample_trace graph rng ~syscall:Sysno.sys_poll ~installed in
     List.iter
@@ -390,19 +393,31 @@ let test_trace () =
   Trace.record_nodes t ~ctx:1 [ 5; 6; 5 ];
   check Alcotest.int "nodes" 2 (Bitset.count (Trace.nodes t ~ctx:1));
   check Alcotest.(list int) "syscalls" [ Sysno.sys_read ] (Trace.syscalls_used t ~ctx:1);
-  check Alcotest.int "count" 1 (Trace.syscall_count t ~ctx:1);
-  check Alcotest.int "other ctx empty" 0 (Bitset.count (Trace.nodes t ~ctx:2));
-  Trace.reset t ~ctx:1;
-  check Alcotest.int "reset" 0 (Bitset.count (Trace.nodes t ~ctx:1))
+  check Alcotest.int "other ctx empty" 0 (Bitset.count (Trace.nodes t ~ctx:2))
 
 (* --- codegen --- *)
+
+(* A bland copy-like loop: unroll 2, stride 64, no chains or branches. *)
+let simple_loop =
+  {
+    Codegen.trips_shift = 0;
+    min_trips = 1;
+    unroll = 2;
+    stride = 64;
+    dep_chain = false;
+    shared_every = 0;
+    unknown_every = 0;
+    store_every = 0;
+    branch_mask = 0;
+    alu_pad = 1;
+  }
 
 let test_codegen_bodies_valid () =
   let shapes =
     [
-      Codegen.Loop Codegen.simple_loop;
+      Codegen.Loop simple_loop;
       Codegen.Leaf { loads = 4; stores = 2; alu = 3; shared = true };
-      Codegen.Dispatch { slots = 8; post = Codegen.simple_loop };
+      Codegen.Dispatch { slots = 8; post = simple_loop };
     ]
   in
   List.iter
@@ -417,7 +432,7 @@ let test_codegen_bodies_valid () =
 
 let test_codegen_loop_runs () =
   (* A generated loop body must execute architecturally and terminate. *)
-  let body = Codegen.gen_body (Codegen.Loop Codegen.simple_loop) ~tail:`Ret in
+  let body = Codegen.gen_body (Codegen.Loop simple_loop) ~tail:`Ret in
   let main =
     Array.append
       [|
@@ -448,7 +463,7 @@ let test_codegen_pow2_validation () =
     (try
        ignore
          (Codegen.gen_body
-            (Codegen.Loop { Codegen.simple_loop with Codegen.shared_every = 3 })
+            (Codegen.Loop { simple_loop with Codegen.shared_every = 3 })
             ~tail:`Ret);
        false
      with Invalid_argument _ -> true)
@@ -458,11 +473,12 @@ let test_codegen_pow2_validation () =
 let test_kernel_spawn () =
   let k = Kernel.create ~seed:1 () in
   let p = Kernel.spawn k ~name:"app" in
-  Alcotest.(check bool) "has kstack" true (Process.kstack p <> None);
   Alcotest.(check bool) "has working set" true (Array.length (Process.data_frames p) > 0);
-  Alcotest.(check bool) "kstack owned by cgroup" true
-    (Physmem.owner_of (Kernel.phys k) (Option.get (Process.kstack p))
-    = Some (Physmem.Cgroup (Process.cgroup p)))
+  Array.iter
+    (fun f ->
+      Alcotest.(check bool) "working set owned by cgroup" true
+        (Physmem.owner_of (Kernel.phys k) f = Some (Physmem.Cgroup (Process.cgroup p))))
+    (Process.data_frames p)
 
 let test_kernel_mmap_ownership () =
   let k = Kernel.create ~seed:1 () in
@@ -491,15 +507,6 @@ let test_kernel_trace_feeds () =
     (Bitset.count (Trace.nodes (Kernel.trace k) ~ctx) > 0);
   check Alcotest.(list int) "syscall recorded" [ Sysno.sys_read ]
     (Trace.syscalls_used (Kernel.trace k) ~ctx)
-
-let test_kernel_owner_of_va () =
-  let k = Kernel.create ~seed:1 () in
-  Alcotest.(check bool) "shared base is kernel-owned" true
-    (Kernel.owner_of_va k (Kernel.shared_base k) = Some Physmem.Kernel);
-  Alcotest.(check bool) "global region unknown" true
-    (Kernel.owner_of_va k (Kernel.unknown_base k) = Some Physmem.Unknown);
-  Alcotest.(check bool) "user VA unresolved" true
-    (Kernel.owner_of_va k Layout.user_data_base = None)
 
 let test_kimage_structure () =
   let k = Kernel.create ~seed:1 () in
@@ -534,8 +541,10 @@ let test_kimage_program_valid () =
     Kimage.build (Kernel.graph k) ~seed:1 ~fid_base:0
       ~syscalls:Pv_workloads.Lebench.all_syscalls
   in
+  (* [of_funcs] re-checks every structural invariant and raises on a
+     violation. *)
   let prog = Pv_isa.Program.of_funcs (Kimage.funcs img) in
-  Alcotest.(check bool) "validates" true (Pv_isa.Program.validate prog = Ok ())
+  check Alcotest.int "every function" (List.length (Kimage.funcs img)) (Pv_isa.Program.length prog)
 
 (* Every image of seeds 1..200 over both syscall sets builds: [Kimage.build]
    rejects one in which a syscall reaches an indirect call with no dispatch
@@ -560,7 +569,6 @@ let suite =
         Alcotest.test_case "coalescing" `Quick test_buddy_coalescing;
         Alcotest.test_case "double free" `Quick test_buddy_double_free;
         Alcotest.test_case "block ownership" `Quick test_buddy_owner_per_block;
-        Alcotest.test_case "domain reassignment" `Quick test_buddy_reassignment;
         Alcotest.test_case "frame VA roundtrip" `Quick test_frame_va_roundtrip;
         QCheck_alcotest.to_alcotest buddy_trace_prop;
       ] );
@@ -606,7 +614,6 @@ let suite =
         Alcotest.test_case "spawn" `Quick test_kernel_spawn;
         Alcotest.test_case "mmap ownership" `Quick test_kernel_mmap_ownership;
         Alcotest.test_case "tracing" `Quick test_kernel_trace_feeds;
-        Alcotest.test_case "owner_of_va" `Quick test_kernel_owner_of_va;
       ] );
     ( "kernel.kimage",
       [

@@ -137,9 +137,9 @@ let gen_program_wide rng =
       done
     | 1 ->
       Asm.load a (reg ()) 8 (8 * Rng.int rng 64);
-      Asm.fence a;
+      Asm.emit a I.Fence;
       Asm.store a 8 (reg ()) (8 * Rng.int rng 64);
-      if Rng.bool rng then Asm.fence a
+      if Rng.bool rng then Asm.emit a I.Fence
     | 2 ->
       let j = Rng.int rng 4 in
       let off = 8 * Rng.int rng 4 in
@@ -189,7 +189,11 @@ let run_iss prog =
   let stream = ref [] in
   let mem = Mem.create () in
   let hooks =
-    { Iss.null_hooks with Iss.on_insn = Some (fun fid idx _ -> stream := (fid, idx) :: !stream) }
+    {
+      Iss.on_syscall = (fun _ -> Iss.Skip);
+      on_sysret = (fun _ -> Iss.Skip);
+      on_insn = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
+    }
   in
   let r = Iss.run ~hooks ~asid:1 ~mem prog ~start:0 in
   (r, List.rev !stream, mem)
@@ -201,8 +205,9 @@ let run_ooo prog =
   let pipe = Pipeline.create ms prog in
   let hooks =
     {
-      Pipeline.null_hooks with
-      Pipeline.on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
+      Pipeline.on_syscall = (fun _ -> Pv_isa.Iss.Skip);
+      on_sysret = (fun _ -> Pv_isa.Iss.Skip);
+      on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
     }
   in
   let r = Pipeline.run ~hooks pipe ~asid:1 ~start:0 in

@@ -366,7 +366,11 @@ let test_kernel_cycle_accounting () =
   let ms = Memsys.create (Pv_isa.Mem.create ()) in
   let pipe = Pipeline.create ms prog in
   let hooks =
-    { Pipeline.null_hooks with Pipeline.on_syscall = (fun _ -> Iss.Redirect (1, [])) }
+    {
+      Pipeline.on_syscall = (fun _ -> Iss.Redirect (1, []));
+      on_sysret = (fun _ -> Iss.Skip);
+      on_commit = None;
+    }
   in
   let before = Pipeline.copy_counters (Pipeline.counters pipe) in
   ignore (Pipeline.run ~hooks pipe ~asid:1 ~start:0);
@@ -461,18 +465,27 @@ let test_kpti_costs_per_syscall () =
     Program.of_funcs [ func 0 "u" Layout.User user; func 1 "k" Layout.Kernel kern ]
   in
   let hooks =
-    { Pipeline.null_hooks with Pipeline.on_syscall = (fun _ -> Iss.Redirect (1, [])) }
+    {
+      Pipeline.on_syscall = (fun _ -> Iss.Redirect (1, []));
+      on_sysret = (fun _ -> Iss.Skip);
+      on_commit = None;
+    }
   in
   let cycles config =
     let ms = Memsys.create (Pv_isa.Mem.create ()) in
     let pipe = Pipeline.create ~config ms prog in
     (Pipeline.run ~hooks pipe ~asid:1 ~start:0).Pipeline.cycles
   in
-  let plain = cycles Pipeline.default_config in
-  let kpti = cycles (Perspective.Spot.kpti Pipeline.default_config) in
+  (* The program makes no indirect call, so retpoline costs nothing here. *)
+  let base = Pipeline.default_config in
+  let k = Perspective.Spot.kpti_retpoline base in
+  let plain = cycles base and kpti = cycles k in
   let per_call =
-    (Perspective.Spot.kpti_entry_extra + Perspective.Spot.kpti_exit_extra) * 3
+    (k.Pipeline.kernel_entry_cycles - base.Pipeline.kernel_entry_cycles
+    + k.Pipeline.kernel_exit_cycles - base.Pipeline.kernel_exit_cycles)
+    * 3
   in
+  check Alcotest.int "CR3 switches cost 130 cycles per syscall" 390 per_call;
   check Alcotest.int "exactly the CR3 cost per syscall" (plain + per_call) kpti
 
 let test_ret_window_widens_with_flushed_stack () =

@@ -1,8 +1,9 @@
 (* Crash-safe multi-process execution: the result store's write-error
    accounting, the coordinator/worker pool itself (completion, recovery
    from killed workers, the retry budget, frames cut short or followed by a
-   kill), and Supervise sweeps on worker processes; and [in_child], which
-   the tests that start domains run them in. *)
+   kill), and Supervise sweeps on worker processes; and the helpers other
+   suites share: [in_child], which the tests that start domains run them
+   in, and readers of what a store and a sweep print. *)
 
 module Rescache = Pv_util.Rescache
 module Procpool = Pv_util.Procpool
@@ -64,6 +65,32 @@ let in_child (f : unit -> 'a) : 'a =
         ignore (Unix.waitpid [] pid))
       (fun () -> Marshal.from_channel ic)
 
+(* A store's counters, read back from the line [--cache-stats] prints. *)
+type counters = {
+  hits : int;
+  misses : int;
+  writes : int;
+  write_errors : int;
+  corrupt_dropped : int;
+}
+
+let counters c =
+  let path = Filename.temp_file "pv_report" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> Rescache.report ~out:oc c);
+  let line = read_file path in
+  Sys.remove path;
+  Scanf.sscanf line "rescache: hits=%d misses=%d writes=%d write_errors=%d corrupt_dropped=%d"
+    (fun hits misses writes write_errors corrupt_dropped ->
+      { hits; misses; writes; write_errors; corrupt_dropped })
+
+(* The [--metrics] document, as [Supervise.write_json] writes it. *)
+let metrics_json exports =
+  let path = Filename.temp_file "pv_metrics" ".json" in
+  Supervise.write_json ~file:path exports;
+  let s = read_file path in
+  Sys.remove path;
+  s
+
 (* --- rescache: write errors ----------------------------------------------- *)
 
 let test_write_errors_counted () =
@@ -73,16 +100,16 @@ let test_write_errors_counted () =
       let dir = Filename.concat parent "cache" in
       let c = Rescache.open_dir dir in
       Rescache.store c ~key:"ok" 1;
-      check Alcotest.int "healthy store counted" 1 (Rescache.stats c).Rescache.writes;
+      check Alcotest.int "healthy store counted" 1 (counters c).writes;
       (* break the cache root: replace the directory with a regular file, so
          the temp-file open fails with ENOTDIR even for root *)
       rm_rf dir;
       write_file dir "not a directory";
       Rescache.store c ~key:"fails" 2;
       Rescache.store c ~key:"fails2" 3;
-      let s = Rescache.stats c in
-      check Alcotest.int "failed stores counted" 2 s.Rescache.write_errors;
-      check Alcotest.int "successful writes unchanged" 1 s.Rescache.writes;
+      let s = counters c in
+      check Alcotest.int "failed stores counted" 2 s.write_errors;
+      check Alcotest.int "successful writes unchanged" 1 s.writes;
       let buf_path = Filename.concat parent "report.txt" in
       Out_channel.with_open_bin buf_path (fun oc -> Rescache.report ~out:oc c);
       Alcotest.(check bool) "report line carries write_errors" true
@@ -136,7 +163,7 @@ let test_killed_writer_tears_no_entry () =
           Alcotest.(check bool) (Printf.sprintf "%s reads back whole" (key i)) true
             (found = Some (value i))
         done;
-        check Alcotest.int "no entry found damaged" 0 (Rescache.stats s).Rescache.corrupt_dropped)
+        check Alcotest.int "no entry found damaged" 0 (counters s).corrupt_dropped)
 
 (* --- the process pool ------------------------------------------------------ *)
 
@@ -485,7 +512,7 @@ let test_worker_results_cached () =
         Supervise.run ~config:{ workers2 with cache = Some rc } (pid_cells ~cache:true "c" 5)
       in
       check Alcotest.int "executed" 5 sweep.Supervise.executed;
-      check Alcotest.int "one write per executed cell" 5 (Rescache.stats rc).Rescache.writes)
+      check Alcotest.int "one write per executed cell" 5 (counters rc).writes)
 
 (* Alcotest sizes the name column of its report by the longest group name
    (here "rescache.recovery") and truncates longer case names to fit, so

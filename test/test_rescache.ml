@@ -42,13 +42,13 @@ let test_digest_stability () =
   (* FNV-1a 64 known-answer vectors: entry file names must never drift, or
      every existing cache silently goes cold. *)
   check Alcotest.string "empty string = offset basis" "cbf29ce484222325"
-    (Rescache.digest_hex "");
-  check Alcotest.string "\"a\"" "af63dc4c8601ec8c" (Rescache.digest_hex "a");
-  check Alcotest.string "\"foobar\"" "85944171f73967e8" (Rescache.digest_hex "foobar");
-  check Alcotest.string "repeatable" (Rescache.digest_hex "perf/lebench|select")
-    (Rescache.digest_hex "perf/lebench|select");
+    (Pv_util.Checksum.digest_hex "");
+  check Alcotest.string "\"a\"" "af63dc4c8601ec8c" (Pv_util.Checksum.digest_hex "a");
+  check Alcotest.string "\"foobar\"" "85944171f73967e8" (Pv_util.Checksum.digest_hex "foobar");
+  check Alcotest.string "repeatable" (Pv_util.Checksum.digest_hex "perf/lebench|select")
+    (Pv_util.Checksum.digest_hex "perf/lebench|select");
   Alcotest.(check bool) "distinct keys, distinct names" true
-    (Rescache.digest_hex "k1" <> Rescache.digest_hex "k2")
+    (Pv_util.Checksum.digest_hex "k1" <> Pv_util.Checksum.digest_hex "k2")
 
 (* --- store / find round trips ------------------------------------------- *)
 
@@ -59,11 +59,11 @@ let test_roundtrip () =
       Rescache.store c ~key:"k1" 42;
       check Alcotest.(option int) "hit after store" (Some 42) (Rescache.find c ~key:"k1");
       check Alcotest.(option int) "other key still misses" None (Rescache.find c ~key:"k2");
-      let s = Rescache.stats c in
-      check Alcotest.int "hits" 1 s.Rescache.hits;
-      check Alcotest.int "misses" 2 s.Rescache.misses;
-      check Alcotest.int "writes" 1 s.Rescache.writes;
-      check Alcotest.int "nothing corrupt" 0 s.Rescache.corrupt_dropped;
+      let s = Test_procpool.counters c in
+      check Alcotest.int "hits" 1 s.Test_procpool.hits;
+      check Alcotest.int "misses" 2 s.Test_procpool.misses;
+      check Alcotest.int "writes" 1 s.Test_procpool.writes;
+      check Alcotest.int "nothing corrupt" 0 s.Test_procpool.corrupt_dropped;
       (* persistence: a fresh handle on the same directory serves the entry *)
       let c2 = Rescache.open_dir dir in
       check Alcotest.(option int) "hit across handles" (Some 42) (Rescache.find c2 ~key:"k1"))
@@ -77,34 +77,40 @@ let test_store_replaces () =
       check Alcotest.int "one entry file" 1 (List.length (entries dir)))
 
 let test_salt_invalidation () =
+  (* An entry at the path [find] reads whose stored salt is not the
+     store's (written by another code salt or format version) is dropped
+     as corrupt, never served. *)
   with_cache_dir (fun dir ->
-      let a = Rescache.open_dir ~salt:"model-A" dir in
-      Rescache.store a ~key:"k" 1;
-      (* a different salt addresses a disjoint key space: the entry is
-         unreachable, not deleted *)
-      let b = Rescache.open_dir ~salt:"model-B" dir in
-      check Alcotest.(option int) "other salt misses" None (Rescache.find b ~key:"k");
-      let a2 = Rescache.open_dir ~salt:"model-A" dir in
-      check Alcotest.(option int) "original salt still hits" (Some 1)
-        (Rescache.find a2 ~key:"k"))
+      let c = Rescache.open_dir dir in
+      Rescache.store c ~key:"k" 1;
+      let file = Filename.concat dir (List.hd (entries dir)) in
+      let body = In_channel.with_open_bin file In_channel.input_all in
+      let field = "\"salt\": \"" in
+      let rec find i = if String.sub body i (String.length field) = field then i else find (i + 1) in
+      let start = find 0 + String.length field in
+      let stop = String.index_from body start '"' in
+      Out_channel.with_open_bin file (fun ch ->
+          Out_channel.output_string ch
+            (String.sub body 0 start ^ "v1|another-code-salt|"
+            ^ String.sub body stop (String.length body - stop)));
+      check Alcotest.(option int) "other salt misses" None (Rescache.find c ~key:"k");
+      check Alcotest.int "counted as corrupt" 1 (Test_procpool.counters c).Test_procpool.corrupt_dropped;
+      check Alcotest.int "stale entry deleted" 0 (List.length (entries dir)))
 
 let test_store_all () =
-  (* Stores with equal salts share one entry file through a hard link;
-     replacing the entry in one leaves the other untouched, and a store
-     with another salt gets its own copy. *)
+  (* Stores share one entry file through a hard link; replacing the entry
+     in one leaves the other untouched. *)
   with_cache_dir (fun dir ->
       let sub name = Filename.concat dir name in
       let a = Rescache.open_dir (sub "a") and b = Rescache.open_dir (sub "b") in
-      let c = Rescache.open_dir ~salt:"other" (sub "c") in
-      Rescache.store_all [ a; b; c ] ~key:"k" 1;
+      Rescache.store_all [ a; b ] ~key:"k" 1;
       List.iter
         (fun (name, t) ->
           check Alcotest.(option int) (name ^ " serves the value") (Some 1) (Rescache.find t ~key:"k");
-          check Alcotest.int (name ^ " counts the write") 1 (Rescache.stats t).Rescache.writes)
-        [ ("a", a); ("b", b); ("c", c) ];
+          check Alcotest.int (name ^ " counts the write") 1 (Test_procpool.counters t).Test_procpool.writes)
+        [ ("a", a); ("b", b) ];
       let stat name = Unix.stat (Filename.concat (sub name) (List.hd (entries (sub name)))) in
       check Alcotest.int "a and b share one inode" (stat "a").Unix.st_ino (stat "b").Unix.st_ino;
-      check Alcotest.int "c has its own file" 1 (stat "c").Unix.st_nlink;
       Rescache.store a ~key:"k" 2;
       check Alcotest.(option int) "a replaced" (Some 2) (Rescache.find a ~key:"k");
       check Alcotest.(option int) "b unchanged" (Some 1) (Rescache.find b ~key:"k"))
@@ -126,7 +132,7 @@ let test_truncated_entry_recomputed () =
           Out_channel.output_string ch (String.sub body 0 17));
       check Alcotest.(option (pair int string)) "truncated entry is a miss" None
         (Rescache.find c ~key:"k");
-      check Alcotest.int "counted as corrupt" 1 (Rescache.stats c).Rescache.corrupt_dropped;
+      check Alcotest.int "counted as corrupt" 1 (Test_procpool.counters c).Test_procpool.corrupt_dropped;
       check Alcotest.int "damaged file deleted" 0 (List.length (entries dir));
       (* the recompute path: a fresh store makes the key hit again *)
       Rescache.store c ~key:"k" (3, "payload");
@@ -155,7 +161,7 @@ let test_bitflipped_entry_recomputed () =
           Out_channel.output_bytes ch flipped);
       check Alcotest.(option int) "bit-flipped entry is a miss, not a wrong value" None
         (Rescache.find c ~key:"k");
-      check Alcotest.int "counted as corrupt" 1 (Rescache.stats c).Rescache.corrupt_dropped;
+      check Alcotest.int "counted as corrupt" 1 (Test_procpool.counters c).Test_procpool.corrupt_dropped;
       Rescache.store c ~key:"k" 99;
       check Alcotest.(option int) "recomputed entry hits" (Some 99) (Rescache.find c ~key:"k"))
 
@@ -285,7 +291,7 @@ let test_perf_cold_warm_byte_identical () =
           (Perf_report.fig_lebench_partial ~labels (Perf.matrix_of_sweep ~names ~width sweep))
       in
       let json sweep =
-        Supervise.render_json
+        Test_procpool.metrics_json
           [ Supervise.export ~metrics_of:(fun r -> r.Perf.metrics) ~label:"lebench" sweep ]
       in
       let cold =
@@ -301,7 +307,7 @@ let test_perf_cold_warm_byte_identical () =
       in
       check Alcotest.int "warm: zero simulations" 0 warm.Supervise.executed;
       check Alcotest.int "warm: all CACHED" 2 warm.Supervise.cached;
-      check Alcotest.int "warm handle saw two hits" 2 (Rescache.stats rc).Rescache.hits;
+      check Alcotest.int "warm handle saw two hits" 2 (Test_procpool.counters rc).Test_procpool.hits;
       check Alcotest.string "figure bytes: cold -j1 = warm -j4" (render cold) (render warm);
       check Alcotest.string "metrics JSON bytes: cold = warm" (json cold) (json warm))
 
@@ -335,8 +341,8 @@ let test_loadsweep_cold_warm_byte_identical () =
         + warm.Loadsweep.point_sweep.Supervise.executed);
       check Alcotest.string "load-latency table bytes: cold = warm" (render cold) (render warm);
       check Alcotest.string "metrics JSON bytes: cold = warm"
-        (Supervise.render_json (Loadsweep.exports cold))
-        (Supervise.render_json (Loadsweep.exports warm)))
+        (Test_procpool.metrics_json (Loadsweep.exports cold))
+        (Test_procpool.metrics_json (Loadsweep.exports warm)))
 
 let suite =
   [

@@ -65,6 +65,9 @@ let test_arrivals_rejects_bad_mean () =
 
 let recorder xs = Latency.of_samples (Array.of_list xs) ~count:(List.length xs)
 
+(* The percentile of a recorder that holds samples. *)
+let percentile t ~p = Option.get (Latency.percentile_opt t ~p)
+
 let test_latency_matches_stats () =
   let xs = [ 50.0; 15.0; 35.0; 40.0; 20.0 ] in
   let t = recorder xs in
@@ -72,11 +75,11 @@ let test_latency_matches_stats () =
     (fun p ->
       check (Alcotest.float 1e-9)
         (Printf.sprintf "p%.1f matches Stats.percentile" p)
-        (Stats.percentile xs ~p) (Latency.percentile t ~p))
+        (Stats.percentile xs ~p) (percentile t ~p))
     [ 0.0; 50.0; 95.0; 99.0; 100.0; 50.0; 0.0 ];
   (* entries past the count are not samples *)
   let t = Latency.of_samples [| 3.0; 1.0; 1000.0 |] ~count:2 in
-  check (Alcotest.float 1e-9) "p100 ignores the tail" 3.0 (Latency.percentile t ~p:100.0)
+  check (Alcotest.float 1e-9) "p100 ignores the tail" 3.0 (percentile t ~p:100.0)
 
 (* Bounded selection must agree with the sorting reference on
    duplicate-heavy samples: one recorder answers queries in random order
@@ -101,8 +104,8 @@ let latency_selection_prop =
     (QCheck.make ~print:QCheck.Print.(pair (list float) (list float)) latency_queries_gen)
     (fun (xs, ps) ->
       let t = recorder xs in
-      List.for_all (fun p -> Latency.percentile t ~p = Stats.percentile xs ~p) ps
-      && Latency.percentile t ~p:100.0 = List.fold_left Float.max Float.neg_infinity xs)
+      List.for_all (fun p -> percentile t ~p = Stats.percentile xs ~p) ps
+      && percentile t ~p:100.0 = List.fold_left Float.max Float.neg_infinity xs)
 
 let test_latency_rejects_bad_sojourns () =
   (* Regression: a NaN sample has no place in a total order, so selection
@@ -139,8 +142,8 @@ let test_server_fifo_and_shed () =
   check Alcotest.int "served" 2 r.Server.served;
   check Alcotest.int "shed" 1 r.Server.shed;
   check (Alcotest.float 1e-9) "horizon" 20.0 r.Server.horizon;
-  check (Alcotest.float 1e-9) "first sojourn" 10.0 (Latency.percentile r.Server.latency ~p:0.0);
-  check (Alcotest.float 1e-9) "queued sojourn" 19.0 (Latency.percentile r.Server.latency ~p:100.0)
+  check (Alcotest.float 1e-9) "first sojourn" 10.0 (percentile r.Server.latency ~p:0.0);
+  check (Alcotest.float 1e-9) "queued sojourn" 19.0 (percentile r.Server.latency ~p:100.0)
 
 let test_server_jsq_balances () =
   (* Four simultaneous arrivals on two cores: JSQ alternates cores (ties to
@@ -351,7 +354,7 @@ let server_oracle_prop =
           (fun k ->
             let p = float_of_int (k * 100_000 / m.m_served) /. 1000.0 in
             Stats.nearest_rank ~p ~n:m.m_served = k
-            && same_float (Latency.percentile r.Server.latency ~p) sorted.(k - 1))
+            && same_float (percentile r.Server.latency ~p) sorted.(k - 1))
           (List.init m.m_served (fun k -> k + 1))
       in
       r.Server.offered = Array.length arrivals
@@ -402,7 +405,7 @@ let test_p99_monotone_and_goodput_bounded () =
     List.map (fun l -> simulate_load ~cores ~mean ~load:l ~requests)
       [ 0.3; 0.5; 0.7; 0.9; 1.1; 1.3 ]
   in
-  let p99s = List.map (fun r -> Latency.percentile r.Server.latency ~p:99.0) results in
+  let p99s = List.map (fun r -> percentile r.Server.latency ~p:99.0) results in
   let rec monotone = function
     | a :: (b :: _ as rest) -> a <= b && monotone rest
     | _ -> true
@@ -468,8 +471,8 @@ let test_loadsweep_deterministic_across_jobs () =
   check Alcotest.string "tables byte-identical for -j1 and -j4" (render serial)
     (render parallel);
   check Alcotest.string "metrics JSON byte-identical"
-    (Supervise.render_json (Loadsweep.exports serial))
-    (Supervise.render_json (Loadsweep.exports parallel));
+    (Test_procpool.metrics_json (Loadsweep.exports serial))
+    (Test_procpool.metrics_json (Loadsweep.exports parallel));
   check Alcotest.int "clean exit" 0 (Loadsweep.exit_code serial)
 
 let test_loadsweep_fault_then_resume_converges () =
@@ -478,7 +481,7 @@ let test_loadsweep_fault_then_resume_converges () =
      fault: the resumed tables must equal an uninterrupted run's bytes. *)
   with_checkpoint (fun path ->
       let fault =
-        Fault.plan [ { Fault.index = 2; kind = Fault.Crash; first_attempts = Fault.always } ]
+        Result.get_ok (Fault.parse "crash@2")
       in
       let faulted =
         run_sweep
@@ -515,6 +518,24 @@ let test_loadsweep_missing_unsafe_rejected () =
       ignore
         (Loadsweep.point_cells ~loads:[ 0.5 ] ~models:[] ~apps:sweep_apps
            ~variants:[ Schemes.fence ] ()))
+
+(* A point is keyed by its load at two decimals: loads that print alike
+   would be one key twice, and an infinite load has no arrivals to draw. *)
+let test_loadsweep_bad_loads_rejected () =
+  List.iter
+    (fun (loads, msg) ->
+      Alcotest.check_raises
+        (String.concat "," (List.map string_of_float loads))
+        (Invalid_argument msg)
+        (fun () ->
+          ignore
+            (Loadsweep.point_cells ~loads ~models:[] ~apps:sweep_apps
+               ~variants:[ Schemes.unsafe ] ())))
+    [
+      ([ 0.5; 0.5 ], "Loadsweep: two loads print alike at two decimals");
+      ([ 0.501; 0.502 ], "Loadsweep: two loads print alike at two decimals");
+      ([ Float.infinity ], "Loadsweep: loads must be finite");
+    ]
 
 let test_loadsweep_all_shed_point_degrades () =
   (* An all-shed cell (queue bound 0 under overload) used to crash the
@@ -609,6 +630,8 @@ let suite =
           test_loadsweep_fault_then_resume_converges;
         Alcotest.test_case "UNSAFE baseline required" `Quick
           test_loadsweep_missing_unsafe_rejected;
+        Alcotest.test_case "colliding or infinite loads rejected" `Quick
+          test_loadsweep_bad_loads_rejected;
         Alcotest.test_case "all-shed point degrades to n/a" `Slow
           test_loadsweep_all_shed_point_degrades;
       ] );

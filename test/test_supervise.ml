@@ -12,6 +12,14 @@ module Lebench = Pv_workloads.Lebench
 
 let check = Alcotest.check
 
+(* One LEBench run as a perf sweep's cell makes it, under [fuel]. *)
+let lebench_run ?seed ?view_cache_entries ?trace ?fuel ~scale v test =
+  match
+    Perf.lebench_cells ?seed ~scale ?view_cache_entries ?trace ~tests:[ test ] ~variants:[ v ] ()
+  with
+  | [ cell ] -> cell.Supervise.run ~fuel
+  | _ -> Alcotest.fail "one cell expected"
+
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -104,7 +112,7 @@ let test_sweep_clean () =
   check Alcotest.int "exit code" 0 (Supervise.exit_code [ sweep ])
 
 let test_sweep_degrades_on_fault () =
-  let fault = Fault.plan [ { Fault.index = 2; kind = Fault.Crash; first_attempts = Fault.always } ] in
+  let fault = Result.get_ok (Fault.parse "crash@2") in
   let config = { Supervise.default with jobs = 2; fault } in
   let sweep = Supervise.run ~config (square_cells 5) in
   check Alcotest.int "one failure" 1 (Supervise.failed sweep);
@@ -121,7 +129,7 @@ let test_sweep_degrades_on_fault () =
   check Alcotest.int "degraded exit code" 1 (Supervise.exit_code [ sweep ])
 
 let test_sweep_retry_heals_flaky () =
-  let fault = Fault.plan [ { Fault.index = 1; kind = Fault.Crash; first_attempts = 1 } ] in
+  let fault = Result.get_ok (Fault.parse "flaky@1") in
   let config = { Supervise.default with fault; retries = 1 } in
   let sweep = Supervise.run ~config (square_cells 3) in
   check Alcotest.int "no failures after retry" 0 (Supervise.failed sweep);
@@ -144,7 +152,7 @@ let test_raising_cell_fails_alone () =
 
 let test_poison_is_permanent () =
   (* Poison is permanent: retries must not be spent on it. *)
-  let fault = Fault.plan [ { Fault.index = 1; kind = Fault.Poison; first_attempts = Fault.always } ] in
+  let fault = Result.get_ok (Fault.parse "poison@1") in
   let config = { Supervise.default with jobs = 2; fault; retries = 5 } in
   check failures "failed after one attempt"
     [ ("sq/1", 1, "injected poisoned result (job 1, attempt 0)") ]
@@ -154,17 +162,7 @@ let test_mixed_plan_deterministic () =
   (* The fault-injected determinism claim: an explicit plan of every
      in-process kind gives identical values, attempt counts and failure
      reasons at any -j. *)
-  let spec index kind first_attempts = { Fault.index; kind; first_attempts } in
-  let fault =
-    Fault.plan
-      [
-        spec 1 Fault.Crash Fault.always;
-        spec 3 Fault.Crash 1;
-        spec 4 Fault.Slow Fault.always;
-        spec 6 Fault.Poison Fault.always;
-        spec 8 Fault.Livelock Fault.always;
-      ]
-  in
+  let fault = Result.get_ok (Fault.parse "crash@1,flaky@3,slow@4,poison@6,livelock@8") in
   (* No cycle budget is configured, so only a livelocked cell gets one; it
      fails as a starved simulation would. *)
   let cells =
@@ -236,7 +234,7 @@ let test_workers_after_domain_raise () =
 let test_checkpoint_resume_roundtrip () =
   with_checkpoint (fun path ->
       (* First run: cell 3 crashes persistently; the other five checkpoint. *)
-      let fault = Fault.plan [ { Fault.index = 3; kind = Fault.Crash; first_attempts = Fault.always } ] in
+      let fault = Result.get_ok (Fault.parse "crash@3") in
       let first =
         Supervise.run
           ~config:{ Supervise.default with jobs = 2; fault; checkpoint = Some path }
@@ -288,7 +286,7 @@ let test_resume_without_journal_runs_everything () =
 let test_watchdog_fires_on_starved_fuel () =
   (* A real (scaled-down) simulation with a tiny cycle budget must end in
      the structured timeout, not a hang or an unstructured error. *)
-  match Perf.run_lebench ~scale:0.2 ~fuel:2_000 Schemes.perspective (Lebench.find "select") with
+  match lebench_run ~scale:0.2 ~fuel:2_000 Schemes.perspective (Lebench.find "select") with
   | _ -> Alcotest.fail "expected Run_timeout"
   | exception Pv_sim.Machine.Run_timeout { cycles; _ } ->
     check Alcotest.int "watchdog fired at the budget" 2_000 cycles
@@ -296,7 +294,7 @@ let test_watchdog_fires_on_starved_fuel () =
 let test_livelock_fault_hits_watchdog () =
   (* A Livelock-faulted cell is starved of fuel by the supervisor and must
      degrade to a per-cell failure whose reason is the watchdog timeout. *)
-  let fault = Fault.plan [ { Fault.index = 0; kind = Fault.Livelock; first_attempts = Fault.always } ] in
+  let fault = Result.get_ok (Fault.parse "livelock@0") in
   let config = { Supervise.default with fault } in
   let cells =
     Perf.lebench_cells ~scale:0.2 ~tests:[ Lebench.find "select" ]
@@ -328,13 +326,7 @@ let test_perf_sweep_fault_then_resume_converges () =
         Tab.to_string
           (Perf_report.fig_lebench_partial ~labels (Perf.matrix_of_sweep ~names ~width sweep))
       in
-      let fault =
-        Fault.plan
-          [
-            { Fault.index = 1; kind = Fault.Livelock; first_attempts = Fault.always };
-            { Fault.index = 2; kind = Fault.Crash; first_attempts = Fault.always };
-          ]
-      in
+      let fault = Result.get_ok (Fault.parse "livelock@1,crash@2") in
       let faulted =
         Supervise.run
           ~config:{ Supervise.default with jobs = 2; fault; checkpoint = Some path }
@@ -366,7 +358,7 @@ let get_int snap name =
 let test_stall_classes_partition_total () =
   (* The attribution classes must partition the zero-commit cycles exactly:
      every stall cycle lands in exactly one class. *)
-  let r = Perf.run_lebench ~scale:0.2 Schemes.perspective (Lebench.find "select") in
+  let r = lebench_run ~scale:0.2 Schemes.perspective (Lebench.find "select") in
   let s = r.Perf.metrics in
   let total = get_int s "pipeline.stall.total" in
   let classes =
@@ -390,7 +382,7 @@ let test_metrics_export_deterministic_across_jobs () =
   in
   let export jobs =
     let sweep = Supervise.run ~config:{ Supervise.default with jobs } (cells ()) in
-    Supervise.render_json
+    Test_procpool.metrics_json
       [ Supervise.export ~metrics_of:(fun r -> r.Perf.metrics) ~label:"lebench" sweep ]
   in
   let j1 = export 1 and j4 = export 4 in
@@ -409,7 +401,7 @@ let test_render_json_escapes_keys () =
   let sweep =
     Supervise.run [ Supervise.cell "cell/\x01/\xc3\xa9" (fun ~fuel:_ -> failwith "no value") ]
   in
-  let doc = Supervise.render_json [ Supervise.export ~metrics_of:Fun.id ~label:"s\"w" sweep ] in
+  let doc = Test_procpool.metrics_json [ Supervise.export ~metrics_of:Fun.id ~label:"s\"w" sweep ] in
   Alcotest.(check bool) "label escaped as JSON" true (contains ~sub:"\"s\\\"w\": {" doc);
   Alcotest.(check bool)
     (Printf.sprintf "cell key escaped as JSON in %s" doc)
@@ -417,8 +409,8 @@ let test_render_json_escapes_keys () =
     (contains ~sub:"\"cell/\\u0001/\xc3\xa9\": null" doc)
 
 let test_event_trace_ring () =
-  let traced = Perf.run_lebench ~scale:0.2 ~trace:true Schemes.perspective (Lebench.find "select") in
-  let untraced = Perf.run_lebench ~scale:0.2 Schemes.perspective (Lebench.find "select") in
+  let traced = lebench_run ~scale:0.2 ~trace:true Schemes.perspective (Lebench.find "select") in
+  let untraced = lebench_run ~scale:0.2 Schemes.perspective (Lebench.find "select") in
   Alcotest.(check bool) "traced run captured events" true (traced.Perf.events <> []);
   check Alcotest.int "untraced run records nothing" 0 (List.length untraced.Perf.events);
   Alcotest.(check bool) "tracing does not perturb the measurement" true

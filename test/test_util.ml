@@ -24,25 +24,16 @@ let test_rng_seeds_differ () =
   done;
   Alcotest.(check bool) "streams diverge" true (!same < 4)
 
-let test_rng_copy_independent () =
-  let a = Rng.create 5 in
-  ignore (Rng.bits a);
-  let b = Rng.copy a in
-  check Alcotest.int "copy continues identically" (Rng.bits a) (Rng.bits b)
-
-let test_rng_split () =
-  let a = Rng.create 9 in
-  let child = Rng.split a in
-  let x = Rng.bits child and y = Rng.bits a in
-  Alcotest.(check bool) "split streams differ" true (x <> y)
-
 (* Known-answer tests against the published SplitMix64 reference outputs
-   (Steele, Lea & Flood; also the Vigna reference implementation).  Values
-   are the full unsigned 64-bit words, so compare their decimal renderings. *)
+   (Steele, Lea & Flood; also the Vigna reference implementation), given as
+   full unsigned 64-bit words.  [Rng.bits] is the top 62 bits of each. *)
 let kat seed expected () =
   let r = Rng.create seed in
   List.iter
-    (fun want -> check Alcotest.string "splitmix64 word" want (Printf.sprintf "%Lu" (Rng.int64 r)))
+    (fun want ->
+      check Alcotest.int ("splitmix64 word " ^ want)
+        (Int64.to_int (Int64.shift_right_logical (Int64.of_string ("0u" ^ want)) 2))
+        (Rng.bits r))
     expected
 
 let test_rng_kat_seed0 =
@@ -57,33 +48,6 @@ let test_rng_kat_seed1234567 =
       "4593380528125082431";
       "16408922859458223821";
     ]
-
-(* Split independence: draws from a child never perturb the parent's stream,
-   and two children split at different points differ from each other. *)
-let rng_split_independence_prop =
-  QCheck.Test.make ~name:"rng split leaves the parent stream untouched" ~count:100
-    QCheck.(pair small_nat small_nat)
-    (fun (seed, skip) ->
-      let a = Rng.create seed and b = Rng.create seed in
-      for _ = 1 to skip do
-        ignore (Rng.bits a);
-        ignore (Rng.bits b)
-      done;
-      let child = Rng.split a in
-      ignore (Rng.split b);
-      (* Drain the child; the parent must continue exactly like its twin. *)
-      for _ = 1 to 16 do
-        ignore (Rng.bits child)
-      done;
-      List.init 8 (fun _ -> Rng.bits a) = List.init 8 (fun _ -> Rng.bits b))
-
-let rng_copy_prop =
-  QCheck.Test.make ~name:"rng copy is a perfect fork" ~count:100 QCheck.small_nat
-    (fun seed ->
-      let a = Rng.create seed in
-      ignore (Rng.bits a);
-      let b = Rng.copy a in
-      List.init 16 (fun _ -> Rng.bits a) = List.init 16 (fun _ -> Rng.bits b))
 
 let test_rng_int_bounds () =
   let r = Rng.create 7 in
@@ -195,14 +159,6 @@ let test_weighted_rejects () =
   reject "infinity" "Rng.weighted: non-finite weight" [| 1.0; Float.infinity |];
   reject "overflow" "Rng.weighted: total weight overflows" [| Float.max_float; Float.max_float |]
 
-let test_shuffle_permutation () =
-  let r = Rng.create 31 in
-  let a = Array.init 50 (fun i -> i) in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
-
 let test_stats_mean () =
   check (Alcotest.float 1e-9) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   (* Regression: empty input used to return a silent 0.0, which flowed
@@ -219,41 +175,6 @@ let test_stats_mean_opt () =
   | Some v -> check (Alcotest.float 1e-9) "mean_opt" 2.0 v
   | None -> Alcotest.fail "mean_opt [1;3] = None"
 
-let test_stats_geomean () =
-  check (Alcotest.float 1e-9) "geomean" 2.0 (Stats.geomean [ 1.0; 2.0; 4.0 ])
-
-let test_geomean_rejects () =
-  let reject name xs =
-    Alcotest.check_raises name (Invalid_argument "Stats.geomean: non-positive input")
-      (fun () -> ignore (Stats.geomean xs))
-  in
-  reject "zero" [ 1.0; 0.0; 4.0 ];
-  reject "negative" [ 2.0; -3.0 ];
-  reject "nan" [ 1.0; Float.nan ]
-
-let test_stats_stddev () =
-  check (Alcotest.float 1e-9) "constant stddev" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check (Alcotest.float 1e-6) "known stddev" 2.0 (Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ]);
-  check (Alcotest.float 1e-9) "singleton stddev" 0.0 (Stats.stddev [ 42.0 ]);
-  Alcotest.check_raises "empty stddev raises"
-    (Invalid_argument "Stats.stddev: empty list") (fun () ->
-      ignore (Stats.stddev []))
-
-let test_stats_min_max () =
-  let lo, hi = Stats.min_max [ 3.0; 1.0; 2.0 ] in
-  check (Alcotest.float 0.0) "min" 1.0 lo;
-  check (Alcotest.float 0.0) "max" 3.0 hi
-
-let test_stats_overhead () =
-  check (Alcotest.float 1e-9) "overhead" 50.0 (Stats.percent_overhead ~baseline:100.0 150.0)
-
-let test_stats_zero_baseline () =
-  Alcotest.check_raises "percent_overhead"
-    (Invalid_argument "Stats.percent_overhead: zero baseline") (fun () ->
-      ignore (Stats.percent_overhead ~baseline:0.0 5.0));
-  Alcotest.check_raises "normalized" (Invalid_argument "Stats.normalized: zero baseline")
-    (fun () -> ignore (Stats.normalized ~baseline:0.0 5.0))
-
 let test_stats_ratio_pct () =
   check (Alcotest.float 1e-9) "half" 50.0 (Stats.ratio_pct ~num:1 ~den:2);
   check (Alcotest.float 1e-9) "zero num" 0.0 (Stats.ratio_pct ~num:0 ~den:7);
@@ -262,33 +183,6 @@ let test_stats_ratio_pct () =
       ignore (Stats.ratio_pct ~num:3 ~den:0))
 
 let pos_floats = QCheck.(list_of_size Gen.(int_range 1 20) (float_range 0.001 1000.0))
-
-let stats_geomean_prop =
-  QCheck.Test.make ~name:"geomean lies between min and max" ~count:200 pos_floats
-    (fun xs ->
-      let g = Stats.geomean xs in
-      let lo, hi = Stats.min_max xs in
-      g >= lo -. 1e-9 && g <= hi +. 1e-9)
-
-let stats_geomean_scale_prop =
-  QCheck.Test.make ~name:"geomean scales multiplicatively" ~count:200 pos_floats
-    (fun xs ->
-      let k = 3.0 in
-      let scaled = Stats.geomean (List.map (fun x -> k *. x) xs) in
-      abs_float (scaled -. (k *. Stats.geomean xs)) < 1e-6 *. (1.0 +. scaled))
-
-let stats_stddev_prop =
-  QCheck.Test.make ~name:"stddev is non-negative and shift-invariant" ~count:200 pos_floats
-    (fun xs ->
-      let s = Stats.stddev xs in
-      let shifted = Stats.stddev (List.map (fun x -> x +. 100.0) xs) in
-      s >= 0.0 && abs_float (s -. shifted) < 1e-6)
-
-let stats_min_max_prop =
-  QCheck.Test.make ~name:"min_max brackets every element" ~count:200 pos_floats
-    (fun xs ->
-      let lo, hi = Stats.min_max xs in
-      List.for_all (fun x -> lo <= x && x <= hi) xs)
 
 let stats_mean_prop =
   QCheck.Test.make ~name:"mean of n copies is the value" ~count:200
@@ -375,7 +269,8 @@ let percentile_monotone_prop =
     (fun (xs, p1, p2) ->
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
       let lo_v = Stats.percentile xs ~p:lo and hi_v = Stats.percentile xs ~p:hi in
-      let min_v, max_v = Stats.min_max xs in
+      let min_v = List.fold_left Float.min Float.infinity xs
+      and max_v = List.fold_left Float.max Float.neg_infinity xs in
       lo_v <= hi_v
       && Stats.percentile xs ~p:0.0 = min_v
       && Stats.percentile xs ~p:100.0 = max_v
@@ -398,15 +293,6 @@ let test_bitset_bounds () =
   Alcotest.check_raises "oob set" (Invalid_argument "Bitset: index out of range")
     (fun () -> Bitset.set b 10)
 
-let test_bitset_ops () =
-  let a = Bitset.of_list 10 [ 1; 2; 3 ] in
-  let b = Bitset.of_list 10 [ 3; 4 ] in
-  check Alcotest.(list int) "union" [ 1; 2; 3; 4 ] (Bitset.elements (Bitset.union a b));
-  check Alcotest.(list int) "inter" [ 3 ] (Bitset.elements (Bitset.inter a b));
-  check Alcotest.(list int) "diff" [ 1; 2 ] (Bitset.elements (Bitset.diff a b));
-  Alcotest.(check bool) "subset no" false (Bitset.subset a b);
-  Alcotest.(check bool) "subset yes" true (Bitset.subset (Bitset.inter a b) a)
-
 let test_bitset_copy_isolated () =
   let a = Bitset.of_list 8 [ 1 ] in
   let b = Bitset.copy a in
@@ -420,58 +306,6 @@ let bitset_prop =
     (fun l ->
       let b = Bitset.of_list 64 l in
       Bitset.count b = List.length (List.sort_uniq compare l))
-
-let bitset_union_prop =
-  QCheck.Test.make ~name:"bitset union is commutative and contains both"
-    ~count:200
-    QCheck.(pair (small_list (int_bound 63)) (small_list (int_bound 63)))
-    (fun (l1, l2) ->
-      let a = Bitset.of_list 64 l1 and b = Bitset.of_list 64 l2 in
-      let u = Bitset.union a b in
-      Bitset.equal u (Bitset.union b a) && Bitset.subset a u && Bitset.subset b u)
-
-(* Set-algebra laws against the stdlib integer set as the reference model. *)
-module IntSet = Set.Make (Int)
-
-let bitset_pair = QCheck.(pair (small_list (int_bound 63)) (small_list (int_bound 63)))
-
-let model_agrees op model (l1, l2) =
-  let a = Bitset.of_list 64 l1 and b = Bitset.of_list 64 l2 in
-  let sa = IntSet.of_list l1 and sb = IntSet.of_list l2 in
-  Bitset.elements (op a b) = IntSet.elements (model sa sb)
-
-let bitset_model_union_prop =
-  QCheck.Test.make ~name:"bitset union matches Set.union" ~count:300 bitset_pair
-    (model_agrees Bitset.union IntSet.union)
-
-let bitset_model_inter_prop =
-  QCheck.Test.make ~name:"bitset inter matches Set.inter" ~count:300 bitset_pair
-    (model_agrees Bitset.inter IntSet.inter)
-
-let bitset_model_diff_prop =
-  QCheck.Test.make ~name:"bitset diff matches Set.diff" ~count:300 bitset_pair
-    (model_agrees Bitset.diff IntSet.diff)
-
-let bitset_model_subset_prop =
-  QCheck.Test.make ~name:"bitset subset matches Set.subset" ~count:300 bitset_pair
-    (fun (l1, l2) ->
-      let a = Bitset.of_list 64 l1 and b = Bitset.of_list 64 l2 in
-      Bitset.subset a b = IntSet.subset (IntSet.of_list l1) (IntSet.of_list l2))
-
-let bitset_algebra_prop =
-  QCheck.Test.make ~name:"bitset distributivity and De Morgan-ish laws" ~count:300
-    QCheck.(triple (small_list (int_bound 63)) (small_list (int_bound 63))
-              (small_list (int_bound 63)))
-    (fun (l1, l2, l3) ->
-      let a = Bitset.of_list 64 l1
-      and b = Bitset.of_list 64 l2
-      and c = Bitset.of_list 64 l3 in
-      (* a ∩ (b ∪ c) = (a ∩ b) ∪ (a ∩ c) *)
-      Bitset.equal (Bitset.inter a (Bitset.union b c))
-        (Bitset.union (Bitset.inter a b) (Bitset.inter a c))
-      (* a \ (b ∪ c) = (a \ b) ∩ (a \ c) *)
-      && Bitset.equal (Bitset.diff a (Bitset.union b c))
-           (Bitset.inter (Bitset.diff a b) (Bitset.diff a c)))
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -492,7 +326,10 @@ let test_tab_csv () =
   let t = Tab.create ~title:"T" ~header:[ ("a", Tab.Left); ("b", Tab.Right) ] in
   Tab.row t [ "x,1"; "2" ];
   Tab.row t [ "he said \"hi\"" ];
-  let csv = Tab.to_csv t in
+  let path = Filename.temp_file "tab" ".csv" in
+  Tab.save_csv t path;
+  let csv = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
   Alcotest.(check bool) "header line" true (contains csv "a,b\n");
   Alcotest.(check bool) "comma quoted" true (contains csv "\"x,1\",2");
   Alcotest.(check bool) "quotes doubled" true (contains csv "\"he said \"\"hi\"\"\"")
@@ -506,8 +343,8 @@ let test_tab_formats () =
 
 let test_metrics_counters_and_gauges () =
   let r = Metrics.create () in
-  Metrics.incr r "a.count";
-  Metrics.incr ~by:4 r "a.count";
+  Metrics.set_int r "a.count" 1;
+  Metrics.set_int r "a.count" 5;
   Metrics.set_int r "a.gauge" 7;
   Metrics.set_float r "a.rate" 0.5;
   let s = Metrics.snapshot r in
@@ -520,13 +357,13 @@ let test_metrics_counters_and_gauges () =
 
 let test_metrics_snapshot_sorted () =
   let r = Metrics.create () in
-  List.iter (Metrics.incr r) [ "z.last"; "a.first"; "m.mid" ];
+  List.iter (fun name -> Metrics.set_int r name 0) [ "z.last"; "a.first"; "m.mid" ];
   let names = List.map fst (Metrics.snapshot r) in
   check Alcotest.(list string) "name order" [ "a.first"; "m.mid"; "z.last" ] names
 
 let test_metrics_type_conflicts () =
   let r = Metrics.create () in
-  Metrics.incr r "x";
+  Metrics.set_int r "x" 1;
   Alcotest.check_raises "int vs float"
     (Invalid_argument "Metrics: \"x\" already registered with another type")
     (fun () -> Metrics.set_float r "x" 1.0);
@@ -540,30 +377,36 @@ let test_metrics_nonfinite_rejected () =
     (Invalid_argument "Metrics: \"y\" set to a non-finite float")
     (fun () -> Metrics.set_float r "y" Float.nan)
 
+(* The histogram shape and the bucket one observation lands in, read back
+   from a snapshot. *)
+let hist_buckets v =
+  let r = Metrics.create () in
+  Metrics.observe r "h" v;
+  match Metrics.find (Metrics.snapshot r) "h" with
+  | Some (Metrics.Hist { counts; _ }) -> counts
+  | _ -> Alcotest.fail "expected a histogram"
+
+let nbuckets = Array.length (hist_buckets 0)
+
+let bucket_of v =
+  let counts = hist_buckets v in
+  let rec go i = if counts.(i) = 1 then i else go (i + 1) in
+  go 0
+
 let test_metrics_hist_bucket_edges () =
   (* bucket 0: v <= 0; bucket i >= 1: [2^(i-1), 2^i - 1]; last absorbs. *)
-  check Alcotest.int "nonpositive" 0 (Metrics.bucket_of 0);
-  check Alcotest.int "negative" 0 (Metrics.bucket_of (-5));
-  check Alcotest.int "one" 1 (Metrics.bucket_of 1);
-  check Alcotest.int "two" 2 (Metrics.bucket_of 2);
-  check Alcotest.int "three" 2 (Metrics.bucket_of 3);
-  check Alcotest.int "four" 3 (Metrics.bucket_of 4);
-  check Alcotest.int "seven" 3 (Metrics.bucket_of 7);
-  check Alcotest.int "eight" 4 (Metrics.bucket_of 8);
-  check Alcotest.int "1023" 10 (Metrics.bucket_of 1023);
-  check Alcotest.int "1024" 11 (Metrics.bucket_of 1024);
-  check Alcotest.int "overflow capped" (Metrics.nbuckets - 1)
-    (Metrics.bucket_of max_int);
-  (* bucket_lo inverts the low edge. *)
-  check Alcotest.int "lo 0" min_int (Metrics.bucket_lo 0);
-  check Alcotest.int "lo 1" 1 (Metrics.bucket_lo 1);
-  check Alcotest.int "lo 3" 4 (Metrics.bucket_lo 3);
-  for i = 1 to Metrics.nbuckets - 2 do
-    check Alcotest.int
-      (Printf.sprintf "lo %d is its own bucket" i)
-      i
-      (Metrics.bucket_of (Metrics.bucket_lo i))
-  done
+  check Alcotest.int "32 buckets" 32 nbuckets;
+  check Alcotest.int "nonpositive" 0 (bucket_of 0);
+  check Alcotest.int "negative" 0 (bucket_of (-5));
+  check Alcotest.int "one" 1 (bucket_of 1);
+  check Alcotest.int "two" 2 (bucket_of 2);
+  check Alcotest.int "three" 2 (bucket_of 3);
+  check Alcotest.int "four" 3 (bucket_of 4);
+  check Alcotest.int "seven" 3 (bucket_of 7);
+  check Alcotest.int "eight" 4 (bucket_of 8);
+  check Alcotest.int "1023" 10 (bucket_of 1023);
+  check Alcotest.int "1024" 11 (bucket_of 1024);
+  check Alcotest.int "overflow capped" (nbuckets - 1) (bucket_of max_int)
 
 let test_metrics_hist_counts () =
   let r = Metrics.create () in
@@ -578,7 +421,7 @@ let test_metrics_hist_counts () =
     check Alcotest.int "bucket 1" 1 counts.(1);
     check Alcotest.int "bucket 2" 2 counts.(2);
     check Alcotest.int "bucket 10" 1 counts.(10);
-    check Alcotest.int "bucket array shape" Metrics.nbuckets (Array.length counts)
+    check Alcotest.int "bucket array shape" nbuckets (Array.length counts)
   | _ -> Alcotest.fail "expected a histogram");
   match Metrics.find s "h.declared" with
   | Some (Metrics.Hist { total = 0; _ }) -> ()
@@ -611,10 +454,10 @@ let metrics_bucket_of_prop =
             incr bits;
             x := !x lsr 1
           done;
-          min !bits (Metrics.nbuckets - 1)
+          min !bits (nbuckets - 1)
         end
       in
-      Metrics.bucket_of v = reference v)
+      bucket_of v = reference v)
 
 let test_metrics_handle_equiv () =
   let obs = [ -3; 0; 1; 7; 8; 255; 256; 65535; 65536; 1 lsl 40; max_int ] in
@@ -662,18 +505,31 @@ let test_fault_parse_ok () =
   let ok spec expected =
     match Fault.parse spec with
     | Ok p ->
-      Alcotest.(check bool) (spec ^ " parses to the expected plan") true
-        (p = Fault.plan expected)
+      (* The decisions of indices 0..8 at attempts 0..3, against the
+         [(index, kind, first_attempts)] the spec plans. *)
+      List.iter
+        (fun index ->
+          for attempt = 0 to 3 do
+            let want =
+              List.find_map
+                (fun (i, kind, first) ->
+                  if i = index && attempt < first then Some kind else None)
+                expected
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: index %d attempt %d" spec index attempt)
+              true
+              (Fault.decide p ~index ~attempt = want)
+          done)
+        (List.init 9 Fun.id)
     | Error e -> Alcotest.failf "Fault.parse %S = Error %s" spec e
   in
-  let f index kind first_attempts = { Fault.index; kind; first_attempts } in
-  ok "crash@2" [ f 2 Fault.Crash Fault.always ];
-  ok "flaky@0" [ f 0 Fault.Crash 1 ];
-  ok " kill@1,kill@3 " [ f 1 Fault.Kill 1; f 3 Fault.Kill 1 ];
+  ok "crash@2" [ (2, Fault.Crash, max_int) ];
+  ok "flaky@0" [ (0, Fault.Crash, 1) ];
+  ok " kill@1,kill@3 " [ (1, Fault.Kill, 1); (3, Fault.Kill, 1) ];
   ok "slow@4,poison@5,livelock@6"
-    [ f 4 Fault.Slow Fault.always; f 5 Fault.Poison Fault.always;
-      f 6 Fault.Livelock Fault.always ];
-  ok "crash@007" [ f 7 Fault.Crash Fault.always ]
+    [ (4, Fault.Slow, max_int); (5, Fault.Poison, max_int); (6, Fault.Livelock, max_int) ];
+  ok "crash@007" [ (7, Fault.Crash, max_int) ]
 
 let test_fault_parse_rejects () =
   List.iter
@@ -708,8 +564,6 @@ let suite =
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
         Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
-        Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
-        Alcotest.test_case "split" `Quick test_rng_split;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "in_range bounds" `Quick test_rng_in_range;
         Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
@@ -718,47 +572,27 @@ let suite =
         Alcotest.test_case "weighted pick bias" `Quick test_weighted_pick_bias;
         Alcotest.test_case "weighted rejects bad weights" `Quick test_weighted_rejects;
         QCheck_alcotest.to_alcotest pick_matches_linear_prop;
-        Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
         Alcotest.test_case "splitmix64 KAT seed 0" `Quick test_rng_kat_seed0;
         Alcotest.test_case "splitmix64 KAT seed 1234567" `Quick test_rng_kat_seed1234567;
-        QCheck_alcotest.to_alcotest rng_split_independence_prop;
-        QCheck_alcotest.to_alcotest rng_copy_prop;
       ] );
     ( "util.stats",
       [
         Alcotest.test_case "mean" `Quick test_stats_mean;
         Alcotest.test_case "mean_opt" `Quick test_stats_mean_opt;
-        Alcotest.test_case "geomean" `Quick test_stats_geomean;
-        Alcotest.test_case "geomean rejects non-positive" `Quick test_geomean_rejects;
-        Alcotest.test_case "stddev" `Quick test_stats_stddev;
-        Alcotest.test_case "min_max" `Quick test_stats_min_max;
-        Alcotest.test_case "overhead" `Quick test_stats_overhead;
-        Alcotest.test_case "zero baseline rejected" `Quick test_stats_zero_baseline;
         Alcotest.test_case "ratio_pct zero denominator rejected" `Quick test_stats_ratio_pct;
         Alcotest.test_case "percentile" `Quick test_percentile;
         Alcotest.test_case "percentile rejects" `Quick test_percentile_rejects;
         Alcotest.test_case "percentile rank KATs" `Quick test_percentile_kats;
         QCheck_alcotest.to_alcotest nearest_rank_exact_prop;
         QCheck_alcotest.to_alcotest percentile_monotone_prop;
-        QCheck_alcotest.to_alcotest stats_geomean_prop;
-        QCheck_alcotest.to_alcotest stats_geomean_scale_prop;
-        QCheck_alcotest.to_alcotest stats_stddev_prop;
-        QCheck_alcotest.to_alcotest stats_min_max_prop;
         QCheck_alcotest.to_alcotest stats_mean_prop;
       ] );
     ( "util.bitset",
       [
         Alcotest.test_case "basic" `Quick test_bitset_basic;
         Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-        Alcotest.test_case "set ops" `Quick test_bitset_ops;
         Alcotest.test_case "copy isolation" `Quick test_bitset_copy_isolated;
         QCheck_alcotest.to_alcotest bitset_prop;
-        QCheck_alcotest.to_alcotest bitset_union_prop;
-        QCheck_alcotest.to_alcotest bitset_model_union_prop;
-        QCheck_alcotest.to_alcotest bitset_model_inter_prop;
-        QCheck_alcotest.to_alcotest bitset_model_diff_prop;
-        QCheck_alcotest.to_alcotest bitset_model_subset_prop;
-        QCheck_alcotest.to_alcotest bitset_algebra_prop;
       ] );
     ( "util.tab",
       [
