@@ -117,6 +117,7 @@ let perspective_guard ~vm ~node_of_fid ~block_unknown ~isv_cache ~dsv_cache ~isv
     spec_read = None;
     notify_squash = None;
     shadow_btb = false;
+    holds_to_vp = false;
   }
 
 (* A shadow guard never blocks: speculative loads execute against the shadow
@@ -133,6 +134,7 @@ let shadow_guard shadow name =
     spec_read = Some (fun ~key ~asid -> Shadow.spec_read shadow ~key ~asid);
     notify_squash = Some (fun ~asid -> Shadow.squash shadow ~asid);
     shadow_btb = true;
+    holds_to_vp = false;
   }
 
 let build ~scheme ~vm ~node_of_fid ~block_unknown ?(isv_cache_entries = 128)
@@ -166,6 +168,7 @@ let build ~scheme ~vm ~node_of_fid ~block_unknown ?(isv_cache_entries = 128)
         spec_read = None;
         notify_squash = None;
         shadow_btb = false;
+        holds_to_vp = true;
       }
     | Dom ->
       {
@@ -178,6 +181,7 @@ let build ~scheme ~vm ~node_of_fid ~block_unknown ?(isv_cache_entries = 128)
         spec_read = None;
         notify_squash = None;
         shadow_btb = false;
+        holds_to_vp = false;
       }
     | Stt ->
       {
@@ -188,6 +192,7 @@ let build ~scheme ~vm ~node_of_fid ~block_unknown ?(isv_cache_entries = 128)
         spec_read = None;
         notify_squash = None;
         shadow_btb = false;
+        holds_to_vp = false;
       }
     | Perspective _ ->
       perspective_guard ~vm ~node_of_fid ~block_unknown ~isv_cache ~dsv_cache

@@ -36,26 +36,32 @@ let set_of t key = t.sets.(key mod t.nsets)
 
 let tag_of t key = key / t.nsets
 
-let find t ~asid key =
-  let set = set_of t key in
-  let tag = tag_of t key in
-  let n = Array.length set in
-  let rec go i =
-    if i = n then None
-    else
-      let e = set.(i) in
-      if e.valid && e.tag = tag && e.asid = asid then Some e else go (i + 1)
-  in
-  go 0
+(* What [find] returns for no match: never valid, never written. *)
+let absent = { valid = false; tag = 0; asid = -1; bit = false; lru = 0 }
+
+let rec find_from set tag asid i =
+  if i = Array.length set then absent
+  else
+    let e = set.(i) in
+    if e.valid && e.tag = tag && e.asid = asid then e else find_from set tag asid (i + 1)
+
+(* The entry holding [key] for [asid], or [absent]: a lookup allocates
+   nothing. *)
+let find t ~asid key = find_from (set_of t key) (tag_of t key) asid 0
+
+let hit_true = Hit true
+let hit_false = Hit false
 
 let lookup t ~asid key =
-  match find t ~asid key with
-  | Some e ->
+  let e = find t ~asid key in
+  if e != absent then begin
     t.hits <- t.hits + 1;
-    Hit e.bit
-  | None ->
+    if e.bit then hit_true else hit_false
+  end
+  else begin
     t.misses <- t.misses + 1;
     Miss
+  end
 
 (* LRU state is frozen until the access reaches its Visibility Point: a
    speculative install fills the line (the walk result must be usable) but
@@ -65,14 +71,15 @@ let lookup t ~asid key =
    squashed path has not perturbed which line gets evicted. *)
 let install ?(speculative = false) t ~asid key bit =
   let set = set_of t key in
-  match find t ~asid key with
-  | Some e ->
+  let e = find t ~asid key in
+  if e != absent then begin
     e.bit <- bit;
     if not speculative then begin
       t.tick <- t.tick + 1;
       e.lru <- t.tick
     end
-  | None ->
+  end
+  else begin
     let victim = ref set.(0) in
     Array.iter
       (fun e ->
@@ -88,13 +95,14 @@ let install ?(speculative = false) t ~asid key bit =
       t.tick <- t.tick + 1;
       e.lru <- t.tick
     end
+  end
 
 let touch t ~asid key =
-  match find t ~asid key with
-  | Some e ->
+  let e = find t ~asid key in
+  if e != absent then begin
     t.tick <- t.tick + 1;
     e.lru <- t.tick
-  | None -> ()
+  end
 
 let invalidate t key =
   let set = set_of t key in

@@ -1,11 +1,16 @@
-type t = (int, int) Hashtbl.t
+(* Keyed by word index in an int table: the generic [Hashtbl]'s
+   polymorphic hash and compare cost a C call each per access, and every
+   simulated load and committed store makes one. *)
+module Inttbl = Pv_util.Inttbl
 
-let create () = Hashtbl.create 4096
+type t = int Inttbl.t
+
+let create () = Inttbl.create 4096
 
 let word key = key lsr 3
 
-let load t key = match Hashtbl.find_opt t (word key) with Some v -> v | None -> 0
+let load t key = match Inttbl.find_opt t (word key) with Some v -> v | None -> 0
 
-let store t key v = Hashtbl.replace t (word key) v
+let store t key v = Inttbl.replace t (word key) v
 
-let clear t = Hashtbl.reset t
+let clear t = Inttbl.reset t

@@ -2,6 +2,7 @@
    [tags], [targets] and [lru], and byte [s * ways + w] of [valid]. *)
 type t = {
   nsets : int;
+  set_shift : int; (* log2 nsets *)
   tags : int array;
   targets : int array;
   lru : int array;
@@ -20,10 +21,16 @@ let reset t =
   t.tick <- 0
 
 let create ?(entries = 4096) () =
+  if entries <= 0 then invalid_arg "Btb.create: entries must be positive";
   if entries mod ways <> 0 then invalid_arg "Btb.create: entries not divisible by ways";
+  let nsets = entries / ways in
+  if nsets land (nsets - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Btb.create: set count %d is not a power of two" nsets);
+  let rec log2 k = if 1 lsl k = nsets then k else log2 (k + 1) in
   let t =
     {
-      nsets = entries / ways;
+      nsets;
+      set_shift = log2 0;
       tags = Array.make entries 0;
       targets = Array.make entries 0;
       lru = Array.make entries 0;
@@ -34,9 +41,11 @@ let create ?(entries = 4096) () =
   reset t;
   t
 
-let index_of t pc = (pc lsr 2) mod t.nsets
+(* [pc lsr 2] is never negative, so with [nsets] a power of two the mask
+   and the shift are its [mod] and [/]. *)
+let index_of t pc = (pc lsr 2) land (t.nsets - 1)
 
-let tag_of t pc = ((pc lsr 2) / t.nsets) land ((1 lsl tag_bits) - 1)
+let tag_of t pc = ((pc lsr 2) lsr t.set_shift) land ((1 lsl tag_bits) - 1)
 
 let is_valid t i = Bytes.get t.valid i <> '\000'
 

@@ -10,7 +10,9 @@ type t
 
 val create : ?entries:int -> unit -> t
 (** 4 ways; [entries] defaults to 4096 (Table 7.1).  Raises
-    [Invalid_argument] unless [entries] is a multiple of 4. *)
+    [Invalid_argument] unless [entries] is positive, a multiple of 4, and
+    gives a power-of-two set count ([entries / 4]): the index and tag are
+    taken by mask and shift. *)
 
 val reset : t -> unit
 (** Restore the create-time state: no entry valid, recency clock zero. *)

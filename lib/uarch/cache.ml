@@ -6,7 +6,8 @@ module Checksum = Pv_util.Checksum
    and a lookup reads [nways] adjacent ints. *)
 type t = {
   name : string;
-  line_bytes : int;
+  line_shift : int; (* log2 line bytes *)
+  set_shift : int; (* log2 sets *)
   nsets : int;
   nways : int;
   latency : int;
@@ -29,16 +30,26 @@ let reset t =
   t.hits <- 0;
   t.misses <- 0
 
+(* log2 of a power of two [n], naming [what] otherwise. *)
+let log2_exact what n =
+  if n land (n - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Cache.create: %s %d is not a power of two" what n);
+  let rec go k = if 1 lsl k = n then k else go (k + 1) in
+  go 0
+
 let create ~name ~size_bytes ~line_bytes ~ways ~latency =
   if size_bytes <= 0 || line_bytes <= 0 || ways <= 0 then
     invalid_arg "Cache.create: non-positive parameter";
   let lines = size_bytes / line_bytes in
   if lines mod ways <> 0 || lines = 0 then
     invalid_arg "Cache.create: geometry does not divide";
+  let line_shift = log2_exact "line_bytes" line_bytes in
+  let set_shift = log2_exact "set count" (lines / ways) in
   let t =
     {
       name;
-      line_bytes;
+      line_shift;
+      set_shift;
       nsets = lines / ways;
       nways = ways;
       latency;
@@ -57,15 +68,27 @@ let latency t = t.latency
 
 let[@inline] is_valid t i = Bytes.unsafe_get t.valid i <> '\000'
 
+(* Where [addr]'s line lives: the line is [addr asr line_shift], its tag
+   [line asr set_shift] and its set [line land (nsets - 1)].  With both
+   sizes powers of two these are the floor quotients and the Euclidean
+   remainder, so every line, negative ones included (a wrong-path load can
+   compute one from stale registers), gets its own in-range (set, tag). *)
+let[@inline] line_of t addr = addr asr t.line_shift
+let[@inline] set_base t addr = (line_of t addr land (t.nsets - 1)) * t.nways
+let[@inline] tag_of t addr = line_of t addr asr t.set_shift
+
 (* Slot of [tag] among slots [i, stop), -1 when absent.  Top-level with the
    arrays as arguments, so the per-access scan allocates no closure; the
    annotation keeps the tag test an integer compare. *)
 let rec scan (tags : int array) valid (tag : int) i stop =
   if i >= stop then -1
-  else if Bytes.unsafe_get valid i <> '\000' && Array.unsafe_get tags i = tag then i
+  else if Array.unsafe_get tags i = tag && Bytes.unsafe_get valid i <> '\000' then i
   else scan tags valid tag (i + 1) stop
 
-let find_slot t base tag = scan t.tags t.valid tag base (base + t.nways)
+(* Slot of [addr]'s line, -1 when absent. *)
+let[@inline] find_slot t addr =
+  let base = set_base t addr in
+  scan t.tags t.valid (tag_of t addr) base (base + t.nways)
 
 (* The highest-index invalid way, else the first least-recently-used one. *)
 let victim t base =
@@ -76,69 +99,54 @@ let victim t base =
   done;
   !best
 
-(* Floor division.  A wrong-path load can compute a negative address from
-   stale registers, and [/] rounds a negative quotient toward zero. *)
-let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
-
-(* The first slot of the set holding [addr]'s line, and the line's tag
-   within that set.  The line and the tag are floor quotients and the set
-   index is the Euclidean remainder [line - tag * nsets], so every line,
-   negative ones included, gets its own in-range (set, tag); on
-   non-negative addresses this is the plain [/] and [mod] split.  Written
-   as a continuation taking closed functions so the per-access path
-   allocates no pair. *)
-let[@inline] locate t addr k =
-  let line = fdiv addr t.line_bytes in
-  let tag = fdiv line t.nsets in
-  k t ((line - (tag * t.nsets)) * t.nways) tag
-
-let bump t i =
+let[@inline] bump t i =
   t.tick <- t.tick + 1;
   Array.unsafe_set t.lru i t.tick
 
-let fill t base tag =
-  let i = victim t base in
-  t.tags.(i) <- tag;
+let fill t addr =
+  let i = victim t (set_base t addr) in
+  t.tags.(i) <- tag_of t addr;
   Bytes.unsafe_set t.valid i '\001';
   bump t i
 
 let access t addr =
-  locate t addr (fun t base tag ->
-      let i = find_slot t base tag in
-      if i >= 0 then begin
-        t.hits <- t.hits + 1;
-        bump t i;
-        true
-      end
-      else begin
-        t.misses <- t.misses + 1;
-        fill t base tag;
-        false
-      end)
+  let i = find_slot t addr in
+  if i >= 0 then begin
+    t.hits <- t.hits + 1;
+    bump t i;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    fill t addr;
+    false
+  end
 
 let access_no_lru t addr =
-  locate t addr (fun t base tag ->
-      if find_slot t base tag >= 0 then begin
-        t.hits <- t.hits + 1;
-        true
-      end
-      else begin
-        t.misses <- t.misses + 1;
-        fill t base tag;
-        false
-      end)
+  if find_slot t addr >= 0 then begin
+    t.hits <- t.hits + 1;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    fill t addr;
+    false
+  end
+
+let read_lat l1 l2 ~dram addr =
+  if access l1 addr then l1.latency
+  else if access l2 addr then l1.latency + l2.latency
+  else l1.latency + l2.latency + dram
 
 let touch t addr =
-  locate t addr (fun t base tag ->
-      let i = find_slot t base tag in
-      if i >= 0 then bump t i)
+  let i = find_slot t addr in
+  if i >= 0 then bump t i
 
-let probe t addr = locate t addr (fun t base tag -> find_slot t base tag >= 0)
+let probe t addr = find_slot t addr >= 0
 
 let flush_line t addr =
-  locate t addr (fun t base tag ->
-      let i = find_slot t base tag in
-      if i >= 0 then Bytes.unsafe_set t.valid i '\000')
+  let i = find_slot t addr in
+  if i >= 0 then Bytes.unsafe_set t.valid i '\000'
 
 let write_signature out t =
   for si = 0 to t.nsets - 1 do
@@ -167,4 +175,3 @@ let write_signature out t =
 
 let hits t = t.hits
 let misses t = t.misses
-

@@ -13,8 +13,10 @@ type t
 
 val create :
   name:string -> size_bytes:int -> line_bytes:int -> ways:int -> latency:int -> t
-(** Raises [Invalid_argument] unless sizes are positive and divide evenly.
-    A new cache is an allocation followed by {!reset}. *)
+(** Raises [Invalid_argument] unless sizes are positive and divide evenly,
+    and unless [line_bytes] and the set count ([size_bytes / line_bytes /
+    ways]) are powers of two: a lookup splits the address by shift and
+    mask.  A new cache is an allocation followed by {!reset}. *)
 
 val reset : t -> unit
 (** Restore the create-time state: no line resident, recency clock and
@@ -32,6 +34,12 @@ val access : t -> int -> bool
 val access_no_lru : t -> int -> bool
 (** Like {!access} but on a hit does not update recency — Perspective's
     DSV/ISV caches defer LRU updates until the Visibility Point (§6.2). *)
+
+val read_lat : t -> t -> dram:int -> int -> int
+(** [read_lat l1 l2 ~dram addr]: {!access} [l1], on a miss {!access} [l2],
+    and return the round trip, [latency l1], plus [latency l2] past an L1
+    miss, plus [dram] past both.  One call for a whole read, so a caller
+    makes one cross-module call per access. *)
 
 val touch : t -> int -> unit
 (** Promote a resident line to most-recently-used (the deferred LRU update);

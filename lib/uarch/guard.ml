@@ -20,6 +20,7 @@ type t = {
   spec_read : (key:int -> asid:int -> int) option;
   notify_squash : (asid:int -> unit) option;
   shadow_btb : bool;
+  holds_to_vp : bool;
 }
 
 let allow_all =
@@ -30,4 +31,5 @@ let allow_all =
     spec_read = None;
     notify_squash = None;
     shadow_btb = false;
+    holds_to_vp = false;
   }

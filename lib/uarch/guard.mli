@@ -44,6 +44,13 @@ type t = {
       (** When true the BTB is treated as a shadow structure: speculative
           resolve-time updates are suppressed and the BTB learns indirect
           targets only at commit (SafeSpec shadow BTB). *)
+  holds_to_vp : bool;
+      (** [check] answers from [speculative] alone and has no effect.  The
+          pipeline then asks about a blocked speculative load again only
+          once no older control is unresolved, instead of on every issue
+          pass: until then the answer cannot change, so skipping the
+          re-queries changes nothing but their count.  FENCE sets it; every
+          other guard leaves it false. *)
 }
 
 val allow_all : t

@@ -63,22 +63,17 @@ let l1d t = t.l1d
 let l2 t = t.l2
 let dram_latency t = t.dram_latency
 
-(* Latency-only walk: the pipeline's per-cycle paths use this so a cache
-   access never allocates a result tuple. *)
-let read_lat t l1 key =
-  if Cache.access l1 key then Cache.latency l1
-  else if Cache.access t.l2 key then Cache.latency l1 + Cache.latency t.l2
-  else Cache.latency l1 + Cache.latency t.l2 + t.dram_latency
+(* Latency-only walk, one call into [Cache]: the pipeline's per-cycle paths
+   use this so a cache access never allocates a result tuple. *)
+let data_read_lat t key = Cache.read_lat t.l1d t.l2 ~dram:t.dram_latency key
 
 let data_read t key =
   let l1_hit = Cache.probe t.l1d key in
-  (read_lat t t.l1d key, l1_hit)
+  (data_read_lat t key, l1_hit)
 
-let data_read_lat t key = read_lat t t.l1d key
+let data_write t key = ignore (data_read_lat t key)
 
-let data_write t key = ignore (read_lat t t.l1d key)
-
-let inst_read t key = read_lat t t.l1i key
+let inst_read t key = Cache.read_lat t.l1i t.l2 ~dram:t.dram_latency key
 
 let would_hit_l1d t key = Cache.probe t.l1d key
 

@@ -241,7 +241,6 @@ type entry = {
   mutable vp_done : bool;
   mutable addr_known : bool;
   mutable blocked : Guard.source option; (* why the guard first fenced it *)
-  mutable done_at : int;
   mutable value : int;
   mutable eff_addr : int;
   mutable store_val : int;
@@ -291,6 +290,8 @@ let dummy_event = { ev_cycle = 0; ev_kind = Ev_squash; ev_va = 0; ev_seq = -1 }
 type t = {
   cfg : config;
   memsys : Memsys.t;
+  mem : Mem.t; (* [Memsys.mem memsys] *)
+  l1i_latency : int;
   prog : Program.t;
   tage : Tage.t;
   btb : Btb.t;
@@ -318,8 +319,11 @@ type t = {
   stq : int array; (* stores: forwarding candidates *)
   unk : int array; (* stores whose address is not yet known *)
   (* Wait lists: words [target * nw ..] hold the slots waiting on the entry
-     in slot [target]; waking ORs them into [vis]. *)
+     in slot [target]; waking ORs them into [vis].  Bit [w] of [wlw.(target)]
+     is set when word [w] of that list may be non-zero, so a wake reads only
+     those words, and a wake without waiters tests one int. *)
   wl : int array;
+  wlw : int array;
   mutable head : int;
   mutable count : int;
   mutable next_seq : int;
@@ -336,6 +340,9 @@ type t = {
   mutable commit_depth : int;
   mutable lq_used : int;
   mutable sq_used : int;
+  (* The cycle each Issued entry finishes, by slot: one flat array, so the
+     completion walk reads no entry that is not due. *)
+  done_at : int array;
   (* Lower bound on the earliest [done_at] of any Issued entry: completion
      runs only when one can be due, and it recomputes the exact bound. *)
   mutable next_done_at : int;
@@ -377,7 +384,6 @@ let fresh_entry () =
     vp_done = false;
     addr_known = false;
     blocked = None;
-    done_at = 0;
     value = 0;
     eff_addr = 0;
     store_val = 0;
@@ -417,6 +423,9 @@ let reset t prog =
 
 let create ?(config = default_config) memsys prog =
   let cap = config.rob_entries in
+  (* A wait list's word mask ([wlw]) has one bit per word of a slot set. *)
+  if cap < 1 || cap > 62 * 32 then
+    invalid_arg (Printf.sprintf "Pipeline.create: rob_entries %d is not in 1..1984" cap);
   let nw = (cap + 31) / 32 in
   let set () = Array.make nw 0 in
   (* [reset] sets the fields it owns; their values here only fill the
@@ -425,6 +434,8 @@ let create ?(config = default_config) memsys prog =
     {
       cfg = config;
       memsys;
+      mem = Memsys.mem memsys;
+      l1i_latency = Cache.latency (Memsys.l1i memsys);
       prog;
       tage = Tage.create ();
       btb = Btb.create ~entries:config.btb_entries ();
@@ -447,6 +458,7 @@ let create ?(config = default_config) memsys prog =
       stq = set ();
       unk = set ();
       wl = Array.make (cap * nw) 0;
+      wlw = Array.make cap 0;
       head = 0;
       count = 0;
       next_seq = 0;
@@ -463,6 +475,7 @@ let create ?(config = default_config) memsys prog =
       commit_depth = 0;
       lq_used = 0;
       sq_used = 0;
+      done_at = Array.make cap 0;
       next_done_at = max_int;
       now = 0;
       asid = 0;
@@ -470,7 +483,7 @@ let create ?(config = default_config) memsys prog =
       run_outcome = None;
       saved_user_regs = None;
       hooks = null_hooks;
-      trace_cap = (if config.trace_events then max 0 config.trace_capacity else 0);
+      trace_cap = (if config.trace_events then Int.max 0 config.trace_capacity else 0);
       trace_buf = [||];
       trace_count = 0;
     }
@@ -487,7 +500,7 @@ let record_event t kind ~va ~seq =
   if t.trace_cap > 0 then begin
     let n = Array.length t.trace_buf in
     if t.trace_count = n && n < t.trace_cap then begin
-      let grown = Array.make (min t.trace_cap (max 16 (2 * n))) dummy_event in
+      let grown = Array.make (Int.min t.trace_cap (Int.max 16 (2 * n))) dummy_event in
       Array.blit t.trace_buf 0 grown 0 n;
       t.trace_buf <- grown
     end;
@@ -499,7 +512,7 @@ let record_event t kind ~va ~seq =
 (* The retained events, oldest first, handed to [f] in place. *)
 let iter_events t f =
   let n = Array.length t.trace_buf in
-  let len = min t.trace_count n in
+  let len = Int.min t.trace_count n in
   let start = t.trace_count - len in
   for i = 0 to len - 1 do
     f t.trace_buf.((start + i) mod n)
@@ -549,89 +562,99 @@ let ret_stack_va ~asid ~depth = ret_stack_base + (asid lsl 24) + (depth * 8)
 
 let cap t = Array.length t.rob
 
-let head_seq t = t.next_seq - t.count
-
-let pos_of_seq t s = s - head_seq t
+(* The small helpers of the per-cycle paths are [@inline]: the stage
+   functions call none of them (CI checks the binary with [objdump]). *)
+let[@inline] pos_of_seq t s = s - (t.next_seq - t.count)
 
 (* [pos] is always within the live window, and head + pos < 2*capacity, so
    the ring wrap is a compare-and-subtract rather than a division. *)
-let slot_at t pos =
+let[@inline] slot_at t pos =
   let i = t.head + pos in
   if i >= Array.length t.rob then i - Array.length t.rob else i
 
-let entry_at t pos = Array.unsafe_get t.rob (slot_at t pos)
+let[@inline] entry_at t pos = Array.unsafe_get t.rob (slot_at t pos)
 
 (* ------------------------------------------------------------------ *)
 (* Slot sets                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let bit_set bs s =
+let[@inline] bit_set bs s =
   let w = s lsr 5 in
   Array.unsafe_set bs w (Array.unsafe_get bs w lor (1 lsl (s land 31)))
 
-let bit_clear bs s =
+let[@inline] bit_clear bs s =
   let w = s lsr 5 in
   Array.unsafe_set bs w (Array.unsafe_get bs w land lnot (1 lsl (s land 31)))
 
-let bit_put bs s b = if b then bit_set bs s else bit_clear bs s
+let[@inline] bit_put bs s b = if b then bit_set bs s else bit_clear bs s
 
 (* Index of the lowest set bit of a non-zero 32-bit word (de Bruijn). *)
 let debruijn =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-let ctz x =
+let[@inline] ctz x =
   Array.unsafe_get debruijn ((((x land (-x)) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
 
-(* Lowest set slot >= [s] (words [s lsr 5 .. nw-1]), or -1. *)
-let next_slot bs nw s =
+(* Lowest set slot >= [s] in words [s lsr 5 .. last], or -1. *)
+let[@inline] next_slot bs last s =
   let w = ref (s lsr 5) in
   let x = ref (Array.unsafe_get bs !w land (-1 lsl (s land 31))) in
-  while !x = 0 && !w < nw - 1 do
+  while !x = 0 && !w < last do
     incr w;
     x := Array.unsafe_get bs !w
   done;
   if !x = 0 then -1 else (!w lsl 5) + ctz !x
 
-(* First live position >= [p] whose slot is in [bs], or [count]: slots
-   [head + p ..] first, then the wrapped part [0 .. head). *)
-let next_pos t bs p =
+(* First live position >= [p] whose slot is in [bs], or [count].  Only the
+   words of the live window are read: slots [head + p .. head + count)
+   taken round the ring, [head + p ..] first, then the wrapped part.  A
+   member past the window's end in its last word reads as [count]. *)
+let[@inline] next_pos t bs p =
   let n = t.count in
   if p >= n then n
   else begin
     let c = Array.length t.rob and h = t.head in
-    let s = h + p in
+    let s = h + p and e = h + n in
     let r =
       if s < c then begin
-        let r = next_slot bs t.nw s in
+        let r = next_slot bs ((Int.min e c - 1) lsr 5) s in
         if r >= 0 then r - h
-        else
-          let r = next_slot bs t.nw 0 in
-          if r >= 0 && r < h then r + c - h else n
+        else if e > c then
+          let r = next_slot bs ((e - c - 1) lsr 5) 0 in
+          if r >= 0 then r + c - h else n
+        else n
       end
       else
-        let r = next_slot bs t.nw (s - c) in
-        if r >= 0 && r < h then r + c - h else n
+        let r = next_slot bs ((e - c - 1) lsr 5) (s - c) in
+        if r >= 0 then r + c - h else n
     in
     if r < n then r else n
   end
 
 (* Put the Waiting entry in [slot] on the wait list of the entry in
    [target]: it leaves the issue pass until that entry wakes it. *)
-let wait_on t slot target =
+let[@inline] wait_on t slot target =
   let w = (target * t.nw) + (slot lsr 5) in
   Array.unsafe_set t.wl w (Array.unsafe_get t.wl w lor (1 lsl (slot land 31)));
+  Array.unsafe_set t.wlw target (Array.unsafe_get t.wlw target lor (1 lsl (slot lsr 5)));
   bit_clear t.vis slot
 
-let wake t target =
-  let base = target * t.nw in
-  for w = 0 to t.nw - 1 do
-    let x = Array.unsafe_get t.wl (base + w) in
-    if x <> 0 then begin
-      Array.unsafe_set t.vis w (Array.unsafe_get t.vis w lor x);
+(* The word mask has up to 62 bits and [ctz] reads 32: a mask with none
+   of its low 32 bits set is searched in its high half. *)
+let[@inline] wake t target =
+  let m = ref (Array.unsafe_get t.wlw target) in
+  if !m <> 0 then begin
+    Array.unsafe_set t.wlw target 0;
+    let base = target * t.nw in
+    while !m <> 0 do
+      let x = !m in
+      let w = if x land 0xFFFF_FFFF <> 0 then ctz x else 32 + ctz (x lsr 32) in
+      m := x land (x - 1);
+      Array.unsafe_set t.vis w (Array.unsafe_get t.vis w lor Array.unsafe_get t.wl (base + w));
       Array.unsafe_set t.wl (base + w) 0
-    end
-  done
+    done
+  end
 
 let func_space t fid = (Program.func t.prog fid).Program.space
 
@@ -644,7 +667,7 @@ let insn_va_of t fid idx = Layout.insn_va (func_space t fid) fid idx
 
 (* A taint root is an in-flight speculative load that has not yet reached its
    Visibility Point. *)
-let root_active t root =
+let[@inline] root_active t root =
   if root < 0 then false
   else
     let pos = pos_of_seq t root in
@@ -655,7 +678,7 @@ let root_active t root =
 
 (* Rename source registers [r0] and [r1] (-1 when absent): the seq of the
    in-flight producer, or the architectural value. *)
-let rename_srcs t e r0 r1 =
+let[@inline] rename_srcs t e r0 r1 =
   e.src_seq0 <- (if r0 >= 0 then t.rat.(r0) else -1);
   e.src_val0 <- (if r0 >= 0 && e.src_seq0 < 0 then t.arf.(r0) else 0);
   e.src_seq1 <- (if r1 >= 0 then t.rat.(r1) else -1);
@@ -664,7 +687,7 @@ let rename_srcs t e r0 r1 =
 (* Reinitialize the pool entry at the ROB tail — the allocation-free
    equivalent of the seed model's fresh record per fetched instruction.
    Fields that only one class reads (prediction and return-stack snapshots,
-   [done_at], [store_val]) are left to the fetch or issue that sets them.
+   [store_val]) are left to the fetch or issue that sets them.
    [va] is the already-computed VA of (fid, idx). *)
 let make_entry t fid idx ~va ~kernel insn =
   let slot = slot_at t t.count in
@@ -720,13 +743,14 @@ let make_entry t fid idx ~va ~kernel insn =
   e.resolved <- false;
   e.vp_done <- false;
   e.addr_known <- false;
-  e.blocked <- None;
+  if Option.is_some e.blocked then e.blocked <- None;
   e.value <- 0;
   e.eff_addr <- 0;
   e.pred_target_va <- -1;
   e.actual_target_va <- -1;
   e.taint_root <- -1;
-  e.fault <- None;
+  (* Clearing only what is set spares the write barrier a boxed field costs. *)
+  if Option.is_some e.fault then e.fault <- None;
   bit_clear t.vpp slot;
   bit_clear t.iss slot;
   bit_set t.inc slot;
@@ -764,11 +788,13 @@ let rebuild_rat t =
 let truncate_rob t pos =
   for i = pos + 1 to t.count - 1 do
     let slot = slot_at t i in
-    Array.fill t.wl (slot * t.nw) t.nw 0;
-    match (Array.unsafe_get t.rob slot).insn with
-    | Insn.Load _ -> t.lq_used <- t.lq_used - 1
-    | Insn.Store _ -> t.sq_used <- t.sq_used - 1
-    | _ -> ()
+    if Array.unsafe_get t.wlw slot <> 0 then begin
+      Array.unsafe_set t.wlw slot 0;
+      Array.fill t.wl (slot * t.nw) t.nw 0
+    end;
+    let e = Array.unsafe_get t.rob slot in
+    if e.is_load then t.lq_used <- t.lq_used - 1
+    else if e.is_store then t.sq_used <- t.sq_used - 1
   done;
   let removed = t.count - pos - 1 in
   t.count <- pos + 1;
@@ -848,7 +874,7 @@ let resolve_ctrl t pos e =
   | Insn.Ret ->
     resolve_target t pos e
       (match e.stack_snap with [] -> [] | _ :: rest -> rest)
-      (max 0 (e.depth_snap - 1))
+      (Int.max 0 (e.depth_snap - 1))
       ~push:false ~delay:1
   | _ -> ()
 
@@ -863,23 +889,34 @@ let resolve_ctrl t pos e =
    window.  So same-cycle completions resolve oldest first, and the entries
    a squash removes fall outside the window before the walk reaches them.
    A completion wakes the entry's wait list; the others give the exact
-   bound. *)
+   bound.  The word index steps round the ring by compare-and-subtract, and
+   the walk stops at the word of the window's last slot ([last]-th word
+   from the head's). *)
 let completion_step t =
   if t.now >= t.next_done_at then begin
     t.next_done_at <- max_int;
     let h = t.head in
-    for i = 0 to t.nw do
-      let w = ((h lsr 5) + i) mod t.nw in
+    let nw = t.nw in
+    let tail = slot_at t (t.count - 1) in
+    let last =
+      if t.count = 0 then -1
+      else if tail >= h then (tail lsr 5) - (h lsr 5)
+      else nw - (h lsr 5) + (tail lsr 5)
+    in
+    for i = 0 to last do
+      let w = (h lsr 5) + i in
+      let w = if w >= nw then w - nw else w in
       let x = ref (Array.unsafe_get t.iss w) in
       if i = 0 then x := !x land (-1 lsl (h land 31))
-      else if i = t.nw then x := !x land ((1 lsl (h land 31)) - 1);
+      else if i = nw then x := !x land ((1 lsl (h land 31)) - 1);
       while !x <> 0 do
         let slot = (w lsl 5) + ctz !x in
         x := !x land (!x - 1);
         let pos = if slot >= h then slot - h else slot + cap t - h in
-        let e = Array.unsafe_get t.rob slot in
+        let d = Array.unsafe_get t.done_at slot in
         if pos >= t.count then ()
-        else if e.done_at <= t.now then begin
+        else if d <= t.now then begin
+          let e = Array.unsafe_get t.rob slot in
           e.state <- Completed;
           bit_clear t.iss slot;
           bit_clear t.inc slot;
@@ -888,7 +925,7 @@ let completion_step t =
           wake t slot;
           if e.is_ctrl then resolve_ctrl t pos e
         end
-        else if e.done_at < t.next_done_at then t.next_done_at <- e.done_at
+        else if d < t.next_done_at then t.next_done_at <- d
       done
     done
   end
@@ -900,7 +937,7 @@ let completion_step t =
 (* A run starts at seq 0 in slot 0 and slots are taken in seq order, so an
    entry's slot is its seq modulo the capacity: the head's slot indexes the
    retired-value ring. *)
-let retire_bookkeeping t e =
+let[@inline] retire_bookkeeping t e =
   let slot = t.head in
   t.retired_seq.(slot) <- e.seq;
   t.retired_val.(slot) <- e.value;
@@ -939,10 +976,9 @@ let commit_step t =
             t.ctrs.committed_kernel_loads <- t.ctrs.committed_kernel_loads + 1
         | Insn.Store _ ->
           let key = Layout.phys_key ~asid:t.asid e.eff_addr in
-          Mem.store (Memsys.mem t.memsys) key e.store_val;
+          Mem.store t.mem key e.store_val;
           Memsys.data_write t.memsys key
-        | Insn.Flush _ ->
-          Memsys.flush_line t.memsys (Layout.phys_key ~asid:t.asid e.eff_addr)
+        | Insn.Flush _ -> Memsys.flush_line t.memsys (Layout.phys_key ~asid:t.asid e.eff_addr)
         | Insn.Call _ ->
           t.commit_stack <- (e.va + Layout.insn_bytes) :: t.commit_stack;
           t.commit_depth <- t.commit_depth + 1
@@ -1013,10 +1049,13 @@ let commit_step t =
 (* Operand capture: whether producer [s] (in flight or retired) has its
    value, left in [t.captured]; an in-flight producer also passes on its
    active taint root. *)
-let capture t e s =
+let[@inline] capture t e s =
   let pos = pos_of_seq t s in
   if pos < 0 then begin
-    let slot = s mod cap t in
+    (* [s mod cap t]: a producer renamed while its consumer was in flight is
+       less than a capacity older than the head. *)
+    let i = t.head + pos in
+    let slot = if i >= 0 then i else i + cap t in
     t.retired_seq.(slot) = s
     && begin
          t.captured <- t.retired_val.(slot);
@@ -1028,14 +1067,14 @@ let capture t e s =
     p.state = Completed
     && begin
          t.captured <- p.value;
-         if root_active t p.taint_root then e.taint_root <- max e.taint_root p.taint_root;
+         if root_active t p.taint_root then e.taint_root <- Int.max e.taint_root p.taint_root;
          true
        end
   end
 
 (* Capture both operands, the first before the second; the common case (both
    already captured) is two int compares. *)
-let operands_ready t e =
+let[@inline] operands_ready t e =
   (e.src_seq0 < 0
   || capture t e e.src_seq0
      && begin
@@ -1059,10 +1098,10 @@ let count_fence t src =
 
 (* Waiting -> Issued, finishing [lat] cycles from now: the entry leaves the
    issue pass and joins the completion set; a load also joins [vpp]. *)
-let issue t e slot lat =
+let[@inline] issue t e slot lat =
   let d = t.now + lat in
   e.state <- Issued;
-  e.done_at <- d;
+  Array.unsafe_set t.done_at slot d;
   if d < t.next_done_at then t.next_done_at <- d;
   bit_clear t.vis slot;
   bit_set t.iss slot;
@@ -1075,18 +1114,29 @@ let issue_load_to_memory t e slot ~speculative =
     | Some f when speculative -> f ~key ~asid:t.asid
     | _ -> Memsys.data_read_lat t.memsys key
   in
-  e.value <- Mem.load (Memsys.mem t.memsys) key;
+  e.value <- Mem.load t.mem key;
   issue t e slot lat;
   if speculative then begin
     t.ctrs.spec_loads <- t.ctrs.spec_loads + 1;
-    e.taint_root <- max e.taint_root e.seq
+    e.taint_root <- Int.max e.taint_root e.seq
   end
+
+(* A blocked speculative load under a guard that holds its block to the
+   Visibility Point waits on the oldest unresolved control, at position
+   [first_unres]: the guard's answer can change only when the load stops
+   being speculative, and only that control's completion can start that.
+   Its completion wakes the load into the same cycle's pass.  There it
+   waits on the next unresolved control if one is older, since the answer
+   is known to be Block again and asking has no effect; otherwise it asks,
+   as the seed model's re-query in that pass does. *)
+let hold_to_vp t slot ~first_unres = wait_on t slot (slot_at t first_unres)
 
 (* Ask the guard about a load whose address is known and that nothing
    forwards to: issue it to memory (true), or keep it blocked.  A blocked
-   load stays in the pass: it re-queries its guard on every pass, and the
-   goldens digest those queries. *)
-let guard_load t e slot ~speculative =
+   load stays in the pass and re-queries its guard on every pass (the
+   goldens digest those queries), unless the guard holds its block to the
+   Visibility Point. *)
+let guard_load t e slot ~speculative ~first_unres =
   let query =
     {
       Guard.insn_va = e.va;
@@ -1109,6 +1159,7 @@ let guard_load t e slot ~speculative =
       count_fence t src;
       record_event t (Ev_fence src) ~va:e.va ~seq:e.seq
     end;
+    if speculative && t.guard.Guard.holds_to_vp then hold_to_vp t slot ~first_unres;
     false
 
 (* Position of the youngest store older than [pos] that writes [word], or
@@ -1170,7 +1221,7 @@ let execute t e = function
 (* The walk's next position: the first of the next [vis] entry at or after
    [p] (while budget is left) and [next_vp], the next load short of its
    visibility point, if that is older than the oldest unresolved control. *)
-let next_visit t p ~vis ~next_vp ~first_unres =
+let[@inline] next_visit t p ~vis ~next_vp ~first_unres =
   let v = if vis then next_pos t t.vis p else t.count in
   if next_vp < first_unres && next_vp < v then next_vp else v
 
@@ -1216,6 +1267,9 @@ let issue_pass t ~first_vis ~first_vp =
       | Some _ | None -> ()
     end;
     if e.state <> Waiting then bit_clear t.vis slot
+    else if
+      Option.is_some e.blocked && speculative && t.guard.Guard.holds_to_vp && !budget > 0
+    then hold_to_vp t slot ~first_unres
     else if !budget > 0 && pos > first_fence then begin
       if Option.is_some e.blocked then begin
         if not speculative then begin
@@ -1246,7 +1300,7 @@ let issue_pass t ~first_vis ~first_vp =
              stores, all with known addresses and no match for its word,
              can only retire. *)
           if Option.is_some e.blocked then begin
-            if guard_load t e slot ~speculative then decr budget
+            if guard_load t e slot ~speculative ~first_unres then decr budget
           end
           else begin
             let unknown = next_pos t t.unk 0 in
@@ -1261,7 +1315,7 @@ let issue_pass t ~first_vis ~first_vp =
                 e.value <- (entry_at t j).store_val;
                 issue t e slot 1
               end
-              else if guard_load t e slot ~speculative then decr budget
+              else if guard_load t e slot ~speculative ~first_unres then decr budget
             end
           end
         | insn ->
@@ -1300,9 +1354,10 @@ let follow t e = function
     stall_on t e;
     false
 
-let lsq_full t insn =
-  (Insn.is_load insn && t.lq_used >= t.cfg.lq_entries)
-  || (Insn.is_store insn && t.sq_used >= t.cfg.sq_entries)
+let[@inline] lsq_full t = function
+  | Insn.Load _ -> t.lq_used >= t.cfg.lq_entries
+  | Insn.Store _ -> t.sq_used >= t.cfg.sq_entries
+  | _ -> false
 
 let fetch_step t =
   let budget = ref t.cfg.fetch_width in
@@ -1330,11 +1385,12 @@ let fetch_step t =
         let insn = Array.unsafe_get body idx in
         let space = func_space t fid in
         let va = Layout.insn_va space fid idx in
-        let line = Layout.line_of (Layout.phys_key ~asid:t.asid va) in
+        let key = Layout.phys_key ~asid:t.asid va in
+        let line = Layout.line_of key in
         if line <> t.last_fetch_line then begin
-          let lat = Memsys.inst_read t.memsys (Layout.phys_key ~asid:t.asid va) in
+          let lat = Memsys.inst_read t.memsys key in
           t.last_fetch_line <- line;
-          if lat > Cache.latency (Memsys.l1i t.memsys) then begin
+          if lat > t.l1i_latency then begin
             t.fetch_ready_at <- t.now + lat;
             continue_fetch := false
           end
@@ -1418,6 +1474,7 @@ let reset_run_state t ~asid ~start regs =
   t.sq_used <- 0;
   t.next_done_at <- max_int;
   Array.fill t.wl 0 (Array.length t.wl) 0;
+  Array.fill t.wlw 0 (cap t) 0;
   t.asid <- asid;
   t.kernel_mode <- func_space t start = Layout.Kernel;
   t.run_outcome <- None
@@ -1470,9 +1527,9 @@ let next_active_cycle t =
   else
     let fetch_at =
       if t.fetch <> Fetching || t.count >= cap t then max_int
-      else max soon t.fetch_ready_at
+      else Int.max soon t.fetch_ready_at
     in
-    min t.next_done_at fetch_at
+    Int.min t.next_done_at fetch_at
 
 let run ?fuel ?regs ?(hooks = null_hooks) t ~asid ~start =
   let fuel = match fuel with Some f -> f | None -> t.cfg.max_cycles in
@@ -1487,7 +1544,7 @@ let run ?fuel ?regs ?(hooks = null_hooks) t ~asid ~start =
   while t.run_outcome = None && elapsed () < fuel do
     (* Idle cycles are skipped in one step, charged as the loop would
        charge them one by one, and never past the fuel. *)
-    let idle = min (next_active_cycle t - t.now - 1) (fuel - elapsed ()) in
+    let idle = Int.min (next_active_cycle t - t.now - 1) (fuel - elapsed ()) in
     let n = if idle > 0 then idle else 1 in
     t.now <- t.now + n;
     t.ctrs.cycles <- t.ctrs.cycles + n;

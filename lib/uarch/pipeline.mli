@@ -121,7 +121,8 @@ val observe_metrics : Pv_util.Metrics.t -> counters -> unit
 type t
 
 val create : ?config:config -> Memsys.t -> Pv_isa.Program.t -> t
-(** A new pipeline is an allocation followed by {!reset}. *)
+(** A new pipeline is an allocation followed by {!reset}.  Raises
+    [Invalid_argument] unless [config.rob_entries] is in 1..1984. *)
 
 val reset : t -> Pv_isa.Program.t -> t
 (** [reset t prog] is [t] restored to its create-time state with [prog]

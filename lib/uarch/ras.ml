@@ -12,6 +12,7 @@ let clear t =
   Array.fill t.slots 0 (Array.length t.slots) 0
 
 let create ?(entries = 16) () =
+  if entries <= 0 then invalid_arg "Ras.create: entries must be positive";
   let t = { slots = Array.make entries 0; top = 0; count = 0; ever_pushed = false } in
   clear t;
   t

@@ -9,7 +9,8 @@
 type t
 
 val create : ?entries:int -> unit -> t
-(** Default 16 entries (Table 7.1). *)
+(** Default 16 entries (Table 7.1).  Raises [Invalid_argument] unless
+    [entries] is positive. *)
 
 val push : t -> int -> unit
 val pop : t -> int option

@@ -47,6 +47,7 @@ let shadow_guard mode ms =
       spec_read = Some (fun ~key ~asid -> Shadow.spec_read sh ~key ~asid);
       notify_squash = Some (fun ~asid -> Shadow.squash sh ~asid);
       shadow_btb = true;
+      holds_to_vp = false;
     }
   in
   (sh, g)

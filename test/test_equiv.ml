@@ -20,8 +20,13 @@
       the ISS cannot check.  Each program then runs through both pipelines
       again, traced, under two logging guards (fence every speculative load;
       fence only speculative L1 misses), and the two must agree on the event
-      trace, every guard query and Visibility-Point notification, cycles and
-      stall attribution.
+      trace, every guard query and Visibility-Point notification, the commit
+      stream, final state, cycles, stall attribution and the squash,
+      speculative-load and fence counters.  A third run gives [Pipeline] the
+      fence-every-speculative-load guard with [holds_to_vp] set, so it asks
+      once per block and waits for the load's branch, against the
+      reference's re-querying one: the same must agree, except the repeated
+      [block] answers.
 
    3. Small lebench and apps matrices run as supervised sweeps at -j 1 and
       -j 4: the experiment tables must be byte-identical to each other and to
@@ -237,10 +242,14 @@ let test_goldens () =
 
 (* --- random programs: ISS vs optimized vs reference pipeline ------------ *)
 
-let run_opt prog =
+(* [rob] is the ROB size (default 192) of every pipeline run below. *)
+let default_rob = Pipeline.default_config.rob_entries
+
+let run_opt ~rob prog =
   let stream = ref [] in
   let mem = Mem.create () in
-  let pipe = Pipeline.create (Memsys.create mem) prog in
+  let config = { Pipeline.default_config with Pipeline.rob_entries = rob } in
+  let pipe = Pipeline.create ~config (Memsys.create mem) prog in
   let hooks =
     {
       Pipeline.on_syscall = (fun _ -> Pv_isa.Iss.Skip);
@@ -251,10 +260,11 @@ let run_opt prog =
   let r = Pipeline.run ~hooks pipe ~asid:1 ~start:0 in
   (r, List.rev !stream, mem, Pipeline.counters pipe)
 
-let run_ref prog =
+let run_ref ~rob prog =
   let stream = ref [] in
   let mem = Mem.create () in
-  let pipe = Pipeline_ref.create (Memsys.create mem) prog in
+  let config = { Pipeline_ref.default_config with Pipeline_ref.rob_entries = rob } in
+  let pipe = Pipeline_ref.create ~config (Memsys.create mem) prog in
   let hooks =
     {
       Pipeline_ref.null_hooks with
@@ -272,8 +282,9 @@ let event_to_string (fid, idx) = Printf.sprintf "%d:%d" fid idx
 
 (* A guard that fences the speculative loads [block] picks and logs every
    query with its decision and every Visibility-Point notification to [log],
-   newest first. *)
-let logging_guard block log =
+   newest first.  [holds] sets [Guard.holds_to_vp]: only for a [block] that
+   picks every load, so that [check] answers from [speculative] alone. *)
+let logging_guard ~holds block log =
   let check q =
     let d =
       if q.Guard.speculative && block q then Guard.Block Guard.Baseline
@@ -292,50 +303,116 @@ let logging_guard block log =
       Printf.sprintf "vp %#x addr=%d asid=%d kernel=%b" insn_va addr asid kernel_mode
       :: !log
   in
-  { Guard.allow_all with Guard.name = "log"; check; notify_vp = Some notify_vp }
+  {
+    Guard.allow_all with
+    Guard.name = "log";
+    check;
+    notify_vp = Some notify_vp;
+    holds_to_vp = holds;
+  }
 
 (* Fence every speculative load, or (DOM-style) only the speculative L1
-   misses. *)
+   misses; the third fences every speculative load and holds the block to
+   the Visibility Point ([Pipeline] only: the reference re-queries). *)
 let logged_guards =
-  [ ("block-all", fun _ -> true); ("dom", fun q -> not q.Guard.l1_hit) ]
+  [
+    ("block-all", (fun _ -> true), false);
+    ("dom", (fun q -> not q.Guard.l1_hit), false);
+    ("held block-all", (fun _ -> true), true);
+  ]
 
-(* Traced run under a logging guard: cycles, stall classes, the event ring
-   as JSON lines and the guard log, oldest first.  [capacity] is the ring's
-   size (default 4096). *)
-let guarded_opt ?(capacity = Pipeline.default_config.trace_capacity) block prog =
-  let log = ref [] in
+(* What a traced run under a logging guard shows: the commit stream, final
+   registers and memory, cycles, stall classes, the squash,
+   speculative-load and ISV / DSV / baseline fence counters, the event ring
+   as JSON lines and the guard log, oldest first. *)
+type guarded = {
+  g_stream : string list;
+  g_regs : int array;
+  g_mem : int list;
+  g_cycles : int;
+  g_stalls : (string * int) list;
+  g_counters : int list;
+  g_events : string list;
+  g_log : string list;
+}
+
+(* [capacity] is the ring's size (default 4096). *)
+let guarded_opt ?(capacity = Pipeline.default_config.trace_capacity) ~rob ~holds block prog =
+  let log = ref [] and stream = ref [] in
   let config =
-    { Pipeline.default_config with Pipeline.trace_events = true; trace_capacity = capacity }
+    {
+      Pipeline.default_config with
+      Pipeline.trace_events = true;
+      trace_capacity = capacity;
+      rob_entries = rob;
+    }
   in
-  let pipe = Pipeline.create ~config (Memsys.create (Mem.create ())) prog in
-  Pipeline.set_guard pipe (logging_guard block log);
-  let r = Pipeline.run pipe ~asid:1 ~start:0 in
-  ( r.Pipeline.cycles,
-    Pipeline.stall_classes (Pipeline.counters pipe),
-    List.map Pipeline.event_to_json (Pipeline.events pipe),
-    List.rev !log )
+  let mem = Mem.create () in
+  let pipe = Pipeline.create ~config (Memsys.create mem) prog in
+  Pipeline.set_guard pipe (logging_guard ~holds block log);
+  let hooks =
+    {
+      Pipeline.on_syscall = (fun _ -> Pv_isa.Iss.Skip);
+      on_sysret = (fun _ -> Pv_isa.Iss.Skip);
+      on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
+    }
+  in
+  let r = Pipeline.run ~hooks pipe ~asid:1 ~start:0 in
+  let c = Pipeline.counters pipe in
+  {
+    g_stream = List.rev_map event_to_string !stream;
+    g_regs = r.Pipeline.regs;
+    g_mem = mem_words mem;
+    g_cycles = r.Pipeline.cycles;
+    g_stalls = Pipeline.stall_classes c;
+    g_counters =
+      Pipeline.[ c.squashes; c.spec_loads; c.fences_isv; c.fences_dsv; c.fences_baseline ];
+    g_events = List.map Pipeline.event_to_json (Pipeline.events pipe);
+    g_log = List.rev !log;
+  }
 
-let guarded_ref ?(capacity = Pipeline_ref.default_config.trace_capacity) block prog =
-  let log = ref [] in
+let guarded_ref ?(capacity = Pipeline_ref.default_config.trace_capacity) ~rob block prog =
+  let log = ref [] and stream = ref [] in
   let config =
     {
       Pipeline_ref.default_config with
       Pipeline_ref.trace_events = true;
       trace_capacity = capacity;
+      rob_entries = rob;
     }
   in
-  let pipe = Pipeline_ref.create ~config (Memsys.create (Mem.create ())) prog in
-  Pipeline_ref.set_guard pipe (logging_guard block log);
-  let r = Pipeline_ref.run pipe ~asid:1 ~start:0 in
-  ( r.Pipeline_ref.cycles,
-    Pipeline_ref.stall_classes (Pipeline_ref.counters pipe),
-    List.map Pipeline_ref.event_to_json (Pipeline_ref.events pipe),
-    List.rev !log )
+  let mem = Mem.create () in
+  let pipe = Pipeline_ref.create ~config (Memsys.create mem) prog in
+  Pipeline_ref.set_guard pipe (logging_guard ~holds:false block log);
+  let hooks =
+    {
+      Pipeline_ref.null_hooks with
+      Pipeline_ref.on_commit = Some (fun fid idx _ -> stream := (fid, idx) :: !stream);
+    }
+  in
+  let r = Pipeline_ref.run ~hooks pipe ~asid:1 ~start:0 in
+  let c = Pipeline_ref.counters pipe in
+  {
+    g_stream = List.rev_map event_to_string !stream;
+    g_regs = r.Pipeline_ref.regs;
+    g_mem = mem_words mem;
+    g_cycles = r.Pipeline_ref.cycles;
+    g_stalls = Pipeline_ref.stall_classes c;
+    g_counters =
+      Pipeline_ref.[ c.squashes; c.spec_loads; c.fences_isv; c.fences_dsv; c.fences_baseline ];
+    g_events = List.map Pipeline_ref.event_to_json (Pipeline_ref.events pipe);
+    g_log = List.rev !log;
+  }
 
-let assert_three_way ~name prog =
+(* A held block asks once per block where the reference asks on every
+   pass, so under [holds] the repeated [block] answers are left out. *)
+let asked ~holds log =
+  if holds then List.filter (fun l -> not (String.ends_with ~suffix:"-> block" l)) log else log
+
+let assert_three_way ?(rob = default_rob) ~name prog =
   let iss, iss_stream, iss_mem = Test_oracle.run_iss prog in
-  let opt, opt_stream, opt_mem, opt_ctrs = run_opt prog in
-  let rf, ref_stream, ref_mem, ref_ctrs = run_ref prog in
+  let opt, opt_stream, opt_mem, opt_ctrs = run_opt ~rob prog in
+  let rf, ref_stream, ref_mem, ref_ctrs = run_ref ~rob prog in
   let label fmt = Printf.sprintf ("%s: " ^^ fmt) name in
   Alcotest.(check bool)
     (label "all three halted")
@@ -373,27 +450,34 @@ let assert_three_way ~name prog =
   check Alcotest.int (label "spec loads = reference") ref_ctrs.Pipeline_ref.spec_loads
     opt_ctrs.Pipeline.spec_loads;
   List.iter
-    (fun (guard, block) ->
-      let o_cycles, o_stalls, o_events, o_log = guarded_opt block prog in
-      let r_cycles, r_stalls, r_events, r_log = guarded_ref block prog in
+    (fun (guard, block, holds) ->
+      let o = guarded_opt ~rob ~holds block prog in
+      let r = guarded_ref ~rob block prog in
       let label fmt = Printf.sprintf ("%s, %s guard: " ^^ fmt) name guard in
-      check Alcotest.(list string) (label "guard log = reference") r_log o_log;
-      check Alcotest.(list string) (label "events = reference") r_events o_events;
-      check Alcotest.int (label "cycle count = reference") r_cycles o_cycles;
+      check Alcotest.(list string) (label "guard log = reference") (asked ~holds r.g_log)
+        (asked ~holds o.g_log);
+      check Alcotest.(list string) (label "events = reference") r.g_events o.g_events;
+      check Alcotest.(list string) (label "commit stream = reference") r.g_stream o.g_stream;
+      check Alcotest.(array int) (label "registers = reference") r.g_regs o.g_regs;
+      check Alcotest.(list int) (label "memory = reference") r.g_mem o.g_mem;
+      check Alcotest.int (label "cycle count = reference") r.g_cycles o.g_cycles;
       check
         Alcotest.(list (pair string int))
-        (label "stall classes = reference") r_stalls o_stalls;
+        (label "stall classes = reference") r.g_stalls o.g_stalls;
+      check
+        Alcotest.(list int)
+        (label "squashes, spec loads, fences = reference")
+        r.g_counters o.g_counters;
       (* Small rings: the optimized ring grows on demand (16 slots, then
          doubling) while the reference allocates all of it up front.  These
          capacities make it wrap at once, wrap before its first growth, and
          grow twice (16, 32, 33) before wrapping. *)
       List.iter
         (fun capacity ->
-          let _, _, o_events, _ = guarded_opt ~capacity block prog in
-          let _, _, r_events, _ = guarded_ref ~capacity block prog in
           check Alcotest.(list string)
             (label "events at capacity %d = reference" capacity)
-            r_events o_events)
+            (guarded_ref ~capacity ~rob block prog).g_events
+            (guarded_opt ~capacity ~rob ~holds block prog).g_events)
         [ 1; 3; 33 ])
     logged_guards
 
@@ -458,6 +542,34 @@ let test_negative_addresses () =
       ("negative load on a not-taken branch's wrong path", Some false);
     ]
 
+(* Wait lists past word 31.  A wait list's word mask has one bit per word
+   of a slot set: 62 at the largest ROB, 1984 entries, where bits 32 and up
+   lie past the reach of a 32-bit bit search.  A chain of four cold loads
+   holds the ROB head for over 400 cycles while a predicted loop fetches 1600
+   instructions, six in eight of them adds on the last load's value: the
+   ROB fills, and that load's list holds waiters in every word of it. *)
+let deep_wait_program () =
+  let a = Asm.create () in
+  let loop = Asm.fresh_label a in
+  Asm.li a 8 Layout.user_data_base;
+  Asm.load a 1 8 0;
+  List.iteri
+    (fun i (rd, rs) ->
+      Asm.alu a I.Add 9 8 rs;
+      Asm.load a rd 9 (4096 * (i + 1)))
+    [ (2, 1); (3, 2); (4, 3) ];
+  Asm.li a 5 200;
+  Asm.place a loop;
+  List.iteri (fun i rd -> Asm.alui a I.Add rd 4 i) [ 6; 7; 10; 11; 12; 13 ];
+  Asm.alui a I.Sub 5 5 1;
+  Asm.branch a I.Ne 5 14 loop;
+  Asm.halt a;
+  Program.of_funcs
+    [ { Program.fid = 0; name = "deep"; space = Layout.User; body = Asm.finish a } ]
+
+let test_deep_wait_lists () =
+  assert_three_way ~rob:1984 ~name:"1984-entry ROB" (deep_wait_program ())
+
 let suite =
   [
     ( "equiv",
@@ -468,5 +580,7 @@ let suite =
         QCheck_alcotest.to_alcotest random_program_prop;
         Alcotest.test_case "negative addresses: ISS = optimized = reference" `Quick
           test_negative_addresses;
+        Alcotest.test_case "1984-entry ROB: wait lists past word 31 = reference" `Quick
+          test_deep_wait_lists;
       ] );
   ]

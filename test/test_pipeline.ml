@@ -228,6 +228,7 @@ let test_guard_blocks_transient_fill () =
       spec_read = None;
       notify_squash = None;
       shadow_btb = false;
+      holds_to_vp = false;
     };
   Mem.store mem (Layout.phys_key ~asid:1 Layout.user_data_base) 0;
   ignore (Pipeline.run pipe ~asid:1 ~start:0);
@@ -269,6 +270,7 @@ let test_fenced_load_still_commits () =
       spec_read = None;
       notify_squash = None;
       shadow_btb = false;
+      holds_to_vp = false;
     };
   let r = Pipeline.run pipe ~asid:1 ~start:0 in
   check Alcotest.int "value loaded" 1234 r.Pipeline.regs.(4)
@@ -313,6 +315,7 @@ let test_fence_slower_than_unsafe () =
         spec_read = None;
         notify_squash = None;
         shadow_btb = false;
+        holds_to_vp = false;
       }
   in
   Alcotest.(check bool)
@@ -388,6 +391,30 @@ let test_out_of_fuel () =
   let r = Pipeline.run ~fuel:500 pipe ~asid:1 ~start:0 in
   Alcotest.(check bool) "out of fuel" true (r.Pipeline.outcome = Pipeline.Out_of_fuel);
   check Alcotest.int "cycles = fuel" 500 r.Pipeline.cycles
+
+(* A wait list's word mask has one bit per word of a slot set, so the ROB
+   is at most 62 words of 32 slots.  The one-entry ROB runs a program to
+   its registers; the largest, whose lists fill words past 31, is checked
+   against the seed model in the [equiv] suite. *)
+let test_rob_size_bounds () =
+  let prog =
+    Program.of_funcs
+      [ func 0 "f" Layout.User [| I.Limm (1, 5); I.Alui (I.Add, 2, 1, 3); I.Halt |] ]
+  in
+  let regs rob =
+    let config = { Pipeline.default_config with Pipeline.rob_entries = rob } in
+    let pipe = Pipeline.create ~config (Memsys.create (Pv_isa.Mem.create ())) prog in
+    (Pipeline.run pipe ~asid:1 ~start:0).Pipeline.regs
+  in
+  let r = regs 1 in
+  check Alcotest.(list int) "1 entry: r1, r2" [ 5; 8 ] [ r.(1); r.(2) ];
+  List.iter
+    (fun rob ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rob_entries %d rejected" rob)
+        true
+        (match regs rob with _ -> false | exception Invalid_argument _ -> true))
+    [ 0; 1985 ]
 
 let test_mispredict_counted () =
   (* A data-dependent branch with a random pattern must mispredict. *)
@@ -540,6 +567,7 @@ let suite =
           test_syscall_register_isolation;
         Alcotest.test_case "kernel cycle accounting" `Quick test_kernel_cycle_accounting;
         Alcotest.test_case "fuel exhaustion" `Quick test_out_of_fuel;
+        Alcotest.test_case "ROB size bounds" `Quick test_rob_size_bounds;
         Alcotest.test_case "retpoline cost" `Quick test_retpoline_costs_cycles;
         Alcotest.test_case "KPTI cost" `Quick test_kpti_costs_per_syscall;
         Alcotest.test_case "return window widening" `Quick

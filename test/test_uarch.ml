@@ -55,12 +55,28 @@ let test_cache_stats () =
   Cache.reset c;
   check Alcotest.int "reset" 0 (Cache.hits c + Cache.misses c)
 
+(* The message of the [Invalid_argument] [f] raises, or [None]. *)
+let invalid_arg_of f = match f () with _ -> None | exception Invalid_argument msg -> Some msg
+
+(* Lookups split an address by shift and mask, so the line size and the set
+   count must also be powers of two: 100-byte lines or 3 sets are refused,
+   naming the parameter, while 2 sets of 3 ways build. *)
 let test_cache_geometry_validation () =
   Alcotest.(check bool) "bad geometry rejected" true
     (try
        ignore (Cache.create ~name:"x" ~size_bytes:100 ~line_bytes:64 ~ways:3 ~latency:1);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  List.iter
+    (fun (size_bytes, line_bytes, ways, msg) ->
+      check Alcotest.(option string) msg (Some msg)
+        (invalid_arg_of (fun () ->
+             Cache.create ~name:"x" ~size_bytes ~line_bytes ~ways ~latency:1)))
+    [
+      (1000, 100, 2, "Cache.create: line_bytes 100 is not a power of two");
+      (6 * 64, 64, 2, "Cache.create: set count 3 is not a power of two");
+    ];
+  ignore (Cache.create ~name:"x" ~size_bytes:(6 * 64) ~line_bytes:64 ~ways:3 ~latency:1)
 
 (* A wrong-path load can compute a negative address.  Every line, negative
    or not, must get its own (set, tag) — a fill of one line is visible at
@@ -183,6 +199,21 @@ let test_btb_aliasing () =
   let pc2 = pc1 + (1 lsl 40) (* beyond the 12-bit tag *) in
   Btb.update b pc1 (0x1234 * 4);
   Alcotest.(check bool) "poisoned entry shared" true (Btb.lookup b pc2 <> None)
+
+(* A BTB or RAS of zero entries would raise Division_by_zero at its first
+   lookup or push, and a BTB's set count must be a power of two for its
+   mask and shift: [create] refuses both, naming the parameter. *)
+let test_btb_ras_geometry () =
+  List.iter
+    (fun (msg, f) -> check Alcotest.(option string) msg (Some msg) (invalid_arg_of f))
+    [
+      ("Btb.create: entries must be positive", fun () -> ignore (Btb.create ~entries:0 ()));
+      ( "Btb.create: set count 3 is not a power of two",
+        fun () -> ignore (Btb.create ~entries:12 ()) );
+      ("Ras.create: entries must be positive", fun () -> ignore (Ras.create ~entries:0 ()));
+    ];
+  ignore (Btb.lookup (Btb.create ~entries:4 ()) 0x4000);
+  Ras.push (Ras.create ~entries:1 ()) 0x4000
 
 let test_btb_flush () =
   let b = Btb.create () in
@@ -377,6 +408,7 @@ let suite =
         Alcotest.test_case "update/lookup" `Quick test_btb_update_lookup;
         Alcotest.test_case "partial-tag aliasing" `Quick test_btb_aliasing;
         Alcotest.test_case "flush" `Quick test_btb_flush;
+        Alcotest.test_case "BTB and RAS geometry" `Quick test_btb_ras_geometry;
       ] );
     ( "uarch.kat",
       [
